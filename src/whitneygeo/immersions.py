@@ -336,17 +336,6 @@ def random_quartic(n: int, seed: int, scale: float = 1.0):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _poly_eval(terms, x: list[Jet]):
-    acc = x[0] * 0.0
-    for c, e in terms:
-        term = None
-        for i, k in enumerate(e):
-            for _ in range(k):
-                term = x[i] if term is None else term * x[i]
-        acc = acc + (c if term is None else term * c)
-    return acc
-
-
 def _complex_pairs(u: list[Jet], theta: float, variant: str):
     """Affine-chart coordinates of the projective/hyperbolic sphere families.
 
@@ -559,14 +548,27 @@ def _eval_product_torus(spec, t, order):
 def hamiltonian_flow(x: list[Jet], ham: HamiltonianDeformation) -> list[Jet]:
     """Classical RK4 flow of the Hamiltonian field J grad F on the jet state.
 
-    The gradient components share one evaluation of the distinct monomial
-    jets per stage, applied through a coefficient matrix; this keeps the
-    stage cost linear in the number of distinct monomials.
+    The 2n input jets are packed once into one state array shaped
+    (coefficients, 2n, batch): the coefficient axis holds each distinct
+    partial derivative once (value, then the i, i <= j and i <= j <= k
+    partials: 10 rows for 2 variables at order 3), and the batch axis is
+    last, so every numpy loop runs over it.  A product of jets is a fixed
+    Leibniz table of (output, left, right, weight) terms, each one in-place
+    multiply-add over rows of batch length.  Per stage, each distinct
+    monomial of grad F is built once, as its parent (the monomial without
+    one factor of its last variable) times that variable, in one stacked
+    product per degree; J grad F is one contraction of the monomials with a
+    coefficient matrix, and each RK4 stage is one array operation.
     """
     m = len(x)
     n = m // 2
+    order, v = x[0].order, x[0].num_vars
     grads = ham.gradient_terms(m)
-    monomials = sorted({e for terms in grads for _, e in terms})
+    needed = {e for terms in grads for _, e in terms}
+    top = max(map(sum, needed))
+    for degree in range(top, 1, -1):
+        needed |= {_parent(e)[0] for e in needed if sum(e) == degree}
+    monomials = sorted(needed, key=lambda e: (sum(e), e))
     mono_index = {e: i for i, e in enumerate(monomials)}
     C = np.zeros((m, len(monomials)))
     for mu, terms in enumerate(grads):
@@ -575,57 +577,49 @@ def hamiltonian_flow(x: list[Jet], ham: HamiltonianDeformation) -> list[Jet]:
     # J grad F: rows reordered with the complex-rotation sign pattern
     JC = np.concatenate([-C[n:], C[:n]], axis=0)
 
-    order = x[0].order
-    v = x[0].num_vars
+    state = jets._pack(x)
+    table = jets._leibniz_table(v, order)
+    mono = np.zeros((state.shape[0], len(monomials), state.shape[2]))
+    mono[0, [i for i, e in enumerate(monomials) if sum(e) == 0]] = 1.0
+    linear = [i for i, e in enumerate(monomials) if sum(e) == 1]
+    linear_vars = [monomials[i].index(1) for i in linear]
+    # one stacked product per degree: the degree's (contiguous) rows, the
+    # rows of their parents and their last variables
+    products = []
+    for degree in range(2, top + 1):
+        rows = [i for i, e in enumerate(monomials) if sum(e) == degree]
+        split = [_parent(monomials[i]) for i in rows]
+        products.append((
+            slice(rows[0], rows[-1] + 1),
+            [mono_index[parent] for parent, _ in split],
+            [var for _, var in split],
+        ))
 
     def field(state):
-        blocks = {k: [] for k in range(order + 1)}
-        for e in monomials:
-            term = None
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    term = state[i] if term is None else term * state[i]
-            if term is None:
-                term = constant(np.ones(state[0].batch_shape), v, order)
-            blocks[0].append(term.val)
-            if order >= 1:
-                blocks[1].append(term.d1)
-            if order >= 2:
-                blocks[2].append(term.d2)
-            if order >= 3:
-                blocks[3].append(term.d3)
-        out = []
-        comps = {
-            k: np.einsum("um,m...->u...", JC, np.stack(blocks[k]))
-            for k in blocks
-        }
-        for mu in range(m):
-            out.append(
-                Jet(
-                    order,
-                    v,
-                    comps[0][mu],
-                    comps[1][mu] if order >= 1 else None,
-                    comps[2][mu] if order >= 2 else None,
-                    comps[3][mu] if order >= 3 else None,
-                )
-            )
-        return out
+        mono[:, linear] = state[:, linear_vars]
+        for rows, parents, variables in products:
+            jets._packed_mul(mono[:, parents], state[:, variables], table, mono[:, rows])
+        return np.matmul(JC, mono)
 
     steps = ham.steps
     h = ham.epsilon / steps
     for _ in range(steps):
-        k1 = field(x)
-        k2 = field([xi + (h / 2.0) * ki for xi, ki in zip(x, k1)])
-        k3 = field([xi + (h / 2.0) * ki for xi, ki in zip(x, k2)])
-        k4 = field([xi + h * ki for xi, ki in zip(x, k3)])
-        x = [
-            xi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-        ]
-        if not np.all(np.isfinite(x[0].val)):
+        k1 = field(state)
+        k2 = field(state + (h / 2.0) * k1)
+        k3 = field(state + (h / 2.0) * k2)
+        k4 = field(state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(state[0, 0])):
             raise FloatingPointError("Hamiltonian flow left the numeric range")
-    return x
+    return jets._unpack(state, order, v, x[0].batch_shape)
+
+
+def _parent(e: tuple) -> tuple[tuple, int]:
+    """A monomial of degree >= 1 as (parent, variable): e = parent * x_variable."""
+    var = max(i for i, k in enumerate(e) if k)
+    parent = list(e)
+    parent[var] -= 1
+    return tuple(parent), var
 
 
 def _eval_perturbed(spec, u, order):
@@ -741,17 +735,11 @@ def _lift_primitive_for(spec: ImmersionSpec, atlas: SphereChart) -> _LiftPrimiti
     if base_kind == "whitney_c0":
         base = make_spec("whitney_c0", spec.n, r=spec.params["r"])
     else:
-        base = make_spec(
-            "perturbed",
-            spec.n,
-            r=spec.params["r"],
-            epsilon=spec.params["epsilon"],
-            steps=spec.params["steps"],
-            seed=spec.params["seed"],
-        )
-    key = (base.kind, base.n, tuple(sorted(
-        (k, v) for k, v in base.params.items() if k != "hamiltonian"
-    )), atlas.num_charts)
+        base = make_spec("perturbed", spec.n, **{
+            k: v for k, v in spec.params.items()
+            if k in ("r", "epsilon", "steps", "seed", "hamiltonian")
+        })
+    key = (base.kind, base.n, tuple(sorted(base.params.items())), atlas.num_charts)
     if key not in _LIFT_CACHE:
         _LIFT_CACHE[key] = _LiftPrimitive(base, atlas)
     return _LIFT_CACHE[key]
@@ -768,7 +756,8 @@ def loop_integral(spec: ImmersionSpec, atlas: SphereChart, chart: int = 0,
     prim = _lift_primitive_for(spec if spec.kind == "lifted" else
                                make_spec("lifted", spec.n, base=spec.kind,
                                          **{k: v for k, v in spec.params.items()
-                                            if k in ("r", "epsilon", "steps", "seed")}),
+                                            if k in ("r", "epsilon", "steps", "seed",
+                                                     "hamiltonian")}),
                                atlas)
     n = spec.n
     t0 = np.full(n, np.pi / 2)

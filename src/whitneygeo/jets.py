@@ -18,6 +18,9 @@ permutations.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
+
 import numpy as np
 
 __all__ = [
@@ -489,6 +492,85 @@ def compose(f: Jet, xs: list[Jet]) -> Jet:
         v,
     )
     return out
+
+
+# -- packed coefficient arrays -------------------------------------------------
+#
+# A packed array holds several jets of one order and variable count as a
+# single block shaped (coefficients, jets, batch).  The coefficient axis
+# stores each distinct partial derivative once, in the order of
+# _packed_basis; the batch axis is last, so numpy's loops run over it.
+
+
+def _packed_basis(v: int, order: int) -> list[tuple]:
+    """Sorted index tuples of the distinct partials: (), (i,), (i, j), (i, j, k)."""
+    return [
+        idx
+        for k in range(order + 1)
+        for idx in combinations_with_replacement(range(v), k)
+    ]
+
+
+def _leibniz_table(v: int, order: int) -> list[tuple[int, int, int, int]]:
+    """The product rule on the packed basis as (output, left, right, weight).
+
+    The partial of f g over the index multiset a is the sum, over the ways
+    of splitting the positions of a into two groups b and a - b, of
+    d^b f d^(a-b) g; the weight counts the splits that give the same pair.
+    Each output's first term is its value-times-partial term (left row 0,
+    weight 1).
+    """
+    basis = _packed_basis(v, order)
+    row = {idx: i for i, idx in enumerate(basis)}
+    table = []
+    for out, a in enumerate(basis):
+        splits = Counter()
+        for k in range(len(a) + 1):
+            for pos in combinations(range(len(a)), k):
+                left = tuple(a[p] for p in pos)
+                right = tuple(a[p] for p in range(len(a)) if p not in pos)
+                splits[row[left], row[right]] += 1
+        table += [(out, l, r, w) for (l, r), w in splits.items()]
+    return table
+
+
+def _packed_mul(a: np.ndarray, b: np.ndarray, table, out: np.ndarray) -> None:
+    """Write the packed product ``a * b`` into ``out``, one table term at a time.
+
+    ``out`` must not overlap ``a`` or ``b``.
+    """
+    scratch = np.empty_like(out[0])
+    for o, l, r, w in table:
+        if l == 0:
+            np.multiply(a[0], b[r], out=out[o])
+            continue
+        np.multiply(a[l], b[r], out=scratch)
+        if w != 1:
+            scratch *= w
+        out[o] += scratch
+
+
+def _pack(js: list[Jet]) -> np.ndarray:
+    """The distinct partials of same-shape jets as one (coefficients, jets, batch) array."""
+    basis = _packed_basis(js[0].num_vars, js[0].order)
+    out = np.empty((len(basis), len(js), js[0].val.size))
+    for mu, j in enumerate(js):
+        blocks = (j.val, j.d1, j.d2, j.d3)
+        for c, idx in enumerate(basis):
+            out[c, mu] = blocks[len(idx)][(..., *idx)].reshape(-1)
+    return out
+
+
+def _unpack(packed: np.ndarray, order: int, v: int, batch_shape) -> list[Jet]:
+    """Jets from a packed array, with full (mirrored) derivative blocks."""
+    row = {idx: i for i, idx in enumerate(_packed_basis(v, order))}
+    m = packed.shape[1]
+    blocks = []
+    for k in range(order + 1):
+        rows = [row[tuple(sorted(idx))] for idx in product(range(v), repeat=k)]
+        blk = np.ascontiguousarray(np.moveaxis(packed[rows], 0, -1))
+        blocks.append(blk.reshape((m,) + tuple(batch_shape) + (v,) * k))
+    return [Jet(order, v, *(blk[mu] for blk in blocks)) for mu in range(m)]
 
 
 class ComplexJet:

@@ -362,12 +362,7 @@ def _rk4_step_check(spec, atlas, grid, sample: int = 64) -> float:
     t = grid.t[idx]
     chart = 0
     fine = make_spec(
-        "perturbed",
-        spec.n,
-        r=spec.params["r"],
-        epsilon=spec.params["epsilon"],
-        steps=2 * spec.params["steps"],
-        seed=spec.params["seed"],
+        "perturbed", spec.n, **{**spec.params, "steps": 2 * spec.params["steps"]}
     )
     a = eval_immersion(spec, chart, t, atlas=atlas, order=1)
     b = eval_immersion(fine, chart, t, atlas=atlas, order=1)
@@ -418,7 +413,6 @@ def integrate_field(
     spec: ImmersionSpec,
     field: str,
     resolution: int | None = None,
-    tol: float = 1e-8,
 ):
     """Integrate one named pointwise scalar over the case's domain.
 
@@ -426,8 +420,7 @@ def integrate_field(
     (for example ``yano_integrand`` or ``nabla_h_norm2``).  Returns an
     :class:`whitneygeo.quadrature.IntegralResult` whose error estimate comes
     from the same convergence ladder, rounding floor and divergence-identity
-    control as in :func:`run_case`; the result is flagged unresolved when
-    that estimate exceeds ``tol``.
+    control as in :func:`run_case`.
     """
     model = model_for(spec)
     model.self_test(strict=True)

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from whitneygeo.geometry import curvature_data, paper_residuals, pointwise_geometry, structure_checks
 from whitneygeo.immersions import (
+    HamiltonianDeformation,
     SphereChart,
     eval_immersion,
     hamiltonian_flow,
@@ -16,6 +17,7 @@ from whitneygeo.immersions import (
     model_for,
     random_quartic,
 )
+from whitneygeo.jets import constant, seed_variables
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +212,38 @@ class TestDegenerationLimit:
         assert_allclose(cd.scalar, 2.0, atol=0.02)
 
 
+def _reference_flow(x, ham):
+    """RK4 on lists of scalar jets: J grad F summed term by term with Jet products."""
+    m = len(x)
+    n = m // 2
+    grads = ham.gradient_terms(m)
+
+    def field(state):
+        g = []
+        for terms in grads:
+            acc = state[0] * 0.0
+            for c, e in terms:
+                term = constant(np.full(state[0].batch_shape, c), x[0].num_vars, x[0].order)
+                for i, k in enumerate(e):
+                    for _ in range(k):
+                        term = term * state[i]
+                acc = acc + term
+            g.append(acc)
+        return [-gi for gi in g[n:]] + g[:n]
+
+    h = ham.epsilon / ham.steps
+    for _ in range(ham.steps):
+        k1 = field(x)
+        k2 = field([xi + (h / 2.0) * ki for xi, ki in zip(x, k1)])
+        k3 = field([xi + (h / 2.0) * ki for xi, ki in zip(x, k2)])
+        k4 = field([xi + h * ki for xi, ki in zip(x, k3)])
+        x = [
+            xi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+        ]
+    return x
+
+
 class TestHamiltonianFlow:
     def test_zero_hamiltonian_is_identity(self, atlas2):
         spec0 = make_spec("whitney_c0", 2, r=1.0)
@@ -248,10 +282,8 @@ class TestHamiltonianFlow:
         assert_allclose(out[0], out[1], rtol=1e-8, atol=1e-8)
 
     def test_flow_rotation_matches_exact_exponential(self):
-        # d/ds z = J z integrates to the ambient rotation by angle s
-        from whitneygeo.immersions import HamiltonianDeformation
-        from whitneygeo.jets import seed_variables
-
+        # d/ds z = J z integrates to the ambient rotation by angle s: the
+        # flowed seeds are R z0, so d1 is the rotation R and d2 = d3 = 0
         coeffs = tuple(
             (0.5, tuple(2 if j == i else 0 for j in range(4))) for i in range(4)
         )
@@ -259,10 +291,44 @@ class TestHamiltonianFlow:
         seeds = seed_variables(np.array([[0.3, -0.2, 0.5, 0.1]]), 3, batch=True)
         out = hamiltonian_flow(list(seeds), ham)
         c, s = math.cos(0.3), math.sin(0.3)
-        x = np.array([0.3, -0.2]); y = np.array([0.5, 0.1])
-        want = np.concatenate([c * x - s * y, s * x + c * y])
+        R = np.block([[c * np.eye(2), -s * np.eye(2)], [s * np.eye(2), c * np.eye(2)]])
+        want = R @ np.array([0.3, -0.2, 0.5, 0.1])
         got = np.array([o.val[0] for o in out])
         assert_allclose(got, want, atol=1e-12)
+        assert_allclose(np.array([o.d1[0] for o in out]), R, atol=1e-13)
+        for o in out:
+            assert_allclose(o.d2, 0.0, atol=1e-13)
+            assert_allclose(o.d3, 0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_flow_matches_scalar_jet_reference(self, n, order):
+        # a linear term gives grad F a constant monomial
+        linear = ((0.3, (1,) + (0,) * (2 * n - 1)),)
+        ham = HamiltonianDeformation(
+            coeffs=random_quartic(n, 3) + linear, epsilon=0.05, steps=4
+        )
+        t = _sample_params(n, count=3, seed=10 + n)
+        x = eval_immersion(make_spec("whitney_c0", n), 0, t, order=order)
+        got = hamiltonian_flow(x, ham)
+        want = _reference_flow(x, ham)
+        for k in range(order + 1):
+            block = ("val", "d1", "d2", "d3")[k]
+            ref = np.stack([getattr(w, block) for w in want])
+            new = np.stack([getattr(g, block) for g in got])
+            assert new.shape == ref.shape
+            assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_order_one_flow_is_truncated_order_three(self, atlas2):
+        # the RK4 step check and the lift integrand flow order-1 jets
+        spec = make_spec("perturbed", 2, epsilon=0.05, seed=3)
+        t = _sample_params(2, count=6, seed=11)
+        lo = eval_immersion(spec, 0, t, atlas=atlas2, order=1)
+        hi = eval_immersion(spec, 0, t, atlas=atlas2, order=3)
+        for a, b in zip(lo, hi):
+            assert a.order == 1
+            assert_allclose(a.val, b.val, rtol=1e-14, atol=1e-15)
+            assert_allclose(a.d1, b.d1, rtol=1e-14, atol=1e-15)
 
     def test_generic_quartic_breaks_whitney_relation(self, atlas2):
         spec = make_spec("perturbed", 2, epsilon=0.05, seed=3)
@@ -280,6 +346,18 @@ class TestHamiltonianFlow:
 
 
 class TestLegendrianLift:
+    def test_perturbed_base_keeps_its_hamiltonian(self, atlas2):
+        from whitneygeo.immersions import _lift_primitive_for
+
+        ham = random_quartic(2, 99)
+        custom = _lift_primitive_for(
+            make_spec("lifted", 2, base="perturbed", hamiltonian=ham), atlas2
+        )
+        seeded = _lift_primitive_for(make_spec("lifted", 2, base="perturbed"), atlas2)
+        assert custom.base_spec.params["hamiltonian"] == ham
+        assert seeded.base_spec.params["hamiltonian"] == random_quartic(2, 1)
+        assert custom is not seeded
+
     def test_loop_integral_vanishes(self, atlas2):
         spec = make_spec("lifted", 2, base="whitney_c0", r=1.0)
         assert abs(loop_integral(spec, atlas2)) < 1e-10

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from whitneygeo.immersions import make_spec
+from whitneygeo.immersions import make_spec, random_quartic
 from whitneygeo.verify import (
     Tolerances,
     classify_equality,
@@ -73,6 +73,15 @@ class TestCaseRuns:
         assert r.integrals["defect_normalized"] > 1e-4
         assert not r.hard_failures
         assert r.residual_sup["rk4_step_drift"] < 1e-9
+
+    def test_rk4_check_flows_the_cases_own_hamiltonian(self):
+        # the halved-step flow must use the caller's Hamiltonian, not the seed's
+        spec = make_spec(
+            "perturbed", 2, epsilon=0.05, seed=3, hamiltonian=random_quartic(2, 99)
+        )
+        r = run_case(spec, resolution=12)
+        assert r.residual_sup["rk4_step_drift"] <= 1e-9
+        assert not [f for f in r.hard_failures if "RK4" in f]
 
     def test_borderline_perturbation_reported_unresolved(self):
         # a tiny flow lands between the equality and strictness thresholds
