@@ -27,14 +27,13 @@ from .geometry import (
     structure_checks,
 )
 from .quadrature import IntegrationGrid, IntegralResult, build_grid, sphere_volume
-from .spaceforms import AmbientPoint, DomainError, ModelValidationError, make_model
+from .spaceforms import DomainError, ModelValidationError, make_model
 from .verify import Tolerances, VerificationReport, classify_equality, run_case
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CATALOG",
-    "AmbientPoint",
     "CurvatureData",
     "DomainError",
     "HamiltonianDeformation",

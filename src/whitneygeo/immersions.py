@@ -14,6 +14,7 @@ every downstream tensor is differentiated exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -295,6 +296,7 @@ def make_spec(kind: str, n: int, **params) -> ImmersionSpec:
         p.setdefault("r", 1.0)
         if "hamiltonian" not in p:
             p["hamiltonian"] = random_quartic(n, int(p["seed"]))
+        p["hamiltonian"] = _validated_hamiltonian(p["hamiltonian"], n)
     elif kind == "lifted":
         base = p.setdefault("base", "whitney_c0")
         if base not in ("whitney_c0", "perturbed"):
@@ -304,7 +306,25 @@ def make_spec(kind: str, n: int, **params) -> ImmersionSpec:
             p.setdefault("epsilon", 0.02)
             p.setdefault("steps", 32)
             p.setdefault("seed", 1)
+        if "hamiltonian" in p:
+            p["hamiltonian"] = _validated_hamiltonian(p["hamiltonian"], n)
     return ImmersionSpec(kind=kind, n=n, params=p)
+
+
+def _validated_hamiltonian(terms, n: int) -> tuple:
+    """A non-empty sequence of (finite real, 2n non-negative ints) pairs, as tuples."""
+    if not isinstance(terms, (tuple, list)) or not terms:
+        raise ValueError(f"hamiltonian must be a non-empty sequence of (coefficient, "
+                         f"exponents) pairs, got {terms!r}")
+    for i, term in enumerate(terms):
+        c, e = term if isinstance(term, (tuple, list)) and len(term) == 2 else (None, None)
+        if (isinstance(c, bool) or not isinstance(c, numbers.Real) or not math.isfinite(c)
+                or not isinstance(e, (tuple, list)) or len(e) != 2 * n
+                or not all(isinstance(k, numbers.Integral) and not isinstance(k, bool)
+                           and k >= 0 for k in e)):
+            raise ValueError(f"hamiltonian term {i} {term!r} is not a (finite real "
+                             f"coefficient, {2 * n} non-negative integer exponents) pair")
+    return tuple((float(c), tuple(int(k) for k in e)) for c, e in terms)
 
 
 def model_for(spec: ImmersionSpec) -> BaseModel:

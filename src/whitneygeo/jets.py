@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
+from math import comb, factorial
 
 import numpy as np
 
@@ -49,6 +50,7 @@ DIV_FLOOR = 1e-12
 
 _MIRROR2_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _MIRROR3_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_LEIBNIZ_CACHE: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
 
 
 def _mirror2(t: np.ndarray, v: int) -> np.ndarray:
@@ -322,8 +324,8 @@ def compose_univariate(derivs, u: Jet) -> Jet:
     return Jet(u.order, v, val, d1, d2, d3)
 
 
-def _table(u: Jet, kind: str):
-    x = u.val
+def _table(x: np.ndarray, kind: str):
+    """The value and first three derivatives of an elementary function at ``x``."""
     if kind == "sin":
         s, c = np.sin(x), np.cos(x)
         return (s, c, -s, -c)
@@ -364,7 +366,7 @@ def elementary(a: Jet, kind: str, b: Jet | None = None) -> Jet:
         if b is None:
             raise ValueError("atan2_pair needs a second jet")
         return atan2(a, b)
-    return compose_univariate(_table(a, kind)[: a.order + 1], a)
+    return compose_univariate(_table(a.val, kind)[: a.order + 1], a)
 
 
 def _dispatch(kind):
@@ -496,10 +498,12 @@ def compose(f: Jet, xs: list[Jet]) -> Jet:
 
 # -- packed coefficient arrays -------------------------------------------------
 #
-# A packed array holds several jets of one order and variable count as a
-# single block shaped (coefficients, jets, batch).  The coefficient axis
-# stores each distinct partial derivative once, in the order of
-# _packed_basis; the batch axis is last, so numpy's loops run over it.
+# A packed array holds jets of one order and variable count in one block
+# whose leading coefficient axis stores each distinct partial once, in the
+# degree-sorted order of _packed_basis, so its first rows are its truncation
+# to a lower order.  The Hamiltonian flow uses (coefficients, jets, batch);
+# the ambient models use (coefficients, batch, tensor axes), where a product
+# of matrix jets is a stacked matmul.
 
 
 def _packed_basis(v: int, order: int) -> list[tuple]:
@@ -511,6 +515,16 @@ def _packed_basis(v: int, order: int) -> list[tuple]:
     ]
 
 
+def _packed_order(packed: np.ndarray, v: int) -> int:
+    """The jet order of a packed array in ``v`` variables, from its row count."""
+    order = 0
+    while comb(v + order, order) < len(packed):
+        order += 1
+    if comb(v + order, order) != len(packed):
+        raise ValueError(f"{len(packed)} coefficient rows fit no jet order in {v} variables")
+    return order
+
+
 def _leibniz_table(v: int, order: int) -> list[tuple[int, int, int, int]]:
     """The product rule on the packed basis as (output, left, right, weight).
 
@@ -520,6 +534,8 @@ def _leibniz_table(v: int, order: int) -> list[tuple[int, int, int, int]]:
     Each output's first term is its value-times-partial term (left row 0,
     weight 1).
     """
+    if (v, order) in _LEIBNIZ_CACHE:
+        return _LEIBNIZ_CACHE[v, order]
     basis = _packed_basis(v, order)
     row = {idx: i for i, idx in enumerate(basis)}
     table = []
@@ -531,45 +547,140 @@ def _leibniz_table(v: int, order: int) -> list[tuple[int, int, int, int]]:
                 right = tuple(a[p] for p in range(len(a)) if p not in pos)
                 splits[row[left], row[right]] += 1
         table += [(out, l, r, w) for (l, r), w in splits.items()]
+    _LEIBNIZ_CACHE[v, order] = table
     return table
 
 
-def _packed_mul(a: np.ndarray, b: np.ndarray, table, out: np.ndarray) -> None:
-    """Write the packed product ``a * b`` into ``out``, one table term at a time.
+def _leibniz(product, a, b, table, out):
+    """The packed product loop: out[o] = sum of w product(a[l], b[r]) over the table.
 
-    ``out`` must not overlap ``a`` or ``b``.
+    A factor with fewer rows than the table has vanishing higher partials (a
+    constant has one row); terms reading missing or all-zero rows are skipped.
     """
+    def live(x):  # a dense row answers at its first entry
+        return [i < len(x) and (bool(x[i].flat[0]) or bool(x[i].any())) for i in range(len(out))]
+
+    live_a, live_b = live(a), live(b)
+    started = [False] * len(out)
     scratch = np.empty_like(out[0])
     for o, l, r, w in table:
-        if l == 0:
-            np.multiply(a[0], b[r], out=out[o])
+        if not (live_a[l] and live_b[r]):
             continue
-        np.multiply(a[l], b[r], out=scratch)
+        target = scratch if started[o] else out[o]
+        product(a[l], b[r], out=target)
         if w != 1:
-            scratch *= w
-        out[o] += scratch
+            target *= w
+        if started[o]:
+            out[o] += scratch
+        started[o] = True
+    for o, done in enumerate(started):
+        if not done:
+            out[o] = 0.0
+    return out
+
+
+def _packed_mul(a: np.ndarray, b: np.ndarray, table, out: np.ndarray | None = None) -> np.ndarray:
+    """The packed broadcasting product ``a * b``; ``out`` must not overlap ``a``, ``b``."""
+    if out is None:
+        shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+        out = np.empty((table[-1][0] + 1,) + shape)
+    return _leibniz(np.multiply, a, b, table, out)
+
+
+def _packed_matmul(a: np.ndarray, b: np.ndarray, table) -> np.ndarray:
+    """The packed matrix product ``a @ b`` (last two axes) to the table's order."""
+    shape = np.broadcast_shapes(a.shape[1:-2], b.shape[1:-2]) + (a.shape[-2], b.shape[-1])
+    return _leibniz(np.matmul, a, b, table, np.empty((table[-1][0] + 1,) + shape))
+
+
+def _packed_compose(derivs, u: np.ndarray, table) -> np.ndarray:
+    """f(u) as the sum over k of f^(k)(u0)/k! (u - u0)^k, in packed products.
+
+    ``derivs`` is ``(f(u0), f'(u0), ...)``, one more than the table's order.
+    """
+    du = u[: table[-1][0] + 1].copy()
+    du[0] = 0.0
+    out = np.zeros((table[-1][0] + 1,) + u.shape[1:])
+    out[0] = derivs[0]
+    power = du
+    for k in range(1, len(derivs)):
+        if k > 1:
+            power = _packed_mul(power, du, table)
+        out[: len(power)] += (derivs[k] / factorial(k)) * power
+    return out
+
+
+def _packed_inv(a: np.ndarray, table, order: int) -> np.ndarray:
+    """A^-1 = sum over k of (-A0^-1 D)^k A0^-1 for A = A0 + D, to the table's ``order``."""
+    inv0 = np.linalg.inv(a[0])
+    x = -np.matmul(inv0, a[: table[-1][0] + 1])
+    x[0] = 0.0
+    total = x.copy()
+    total[0] = np.eye(a.shape[-1])
+    power = x
+    for _ in range(order - 1):
+        power = _packed_matmul(power, x, table)
+        total += power
+    return np.matmul(total, inv0)
+
+
+def _packed_gradient(packed: np.ndarray, v: int) -> np.ndarray:
+    """The partials d_a of every entry, one order lower, as a new last axis: a row gather."""
+    order = _packed_order(packed, v)
+    row = {idx: i for i, idx in enumerate(_packed_basis(v, order))}
+    rows = [
+        [row[tuple(sorted(idx + (a,)))] for a in range(v)]
+        for idx in _packed_basis(v, order - 1)
+    ]
+    return np.moveaxis(packed[np.array(rows)], 1, -1)
+
+
+def _unpack_blocks(packed: np.ndarray, v: int, order: int) -> list[np.ndarray]:
+    """Full blocks (value, d1, ...) to ``order``: shapes s, s + (v,), ... for (coefficients, *s).
+
+    Each partial fills every permutation of its indices; blocks above the
+    array's order are zero.
+    """
+    have = _packed_order(packed, v)
+    row = {idx: i for i, idx in enumerate(_packed_basis(v, have))}
+    flat = packed.reshape(len(packed), -1)
+    blocks = []
+    for k in range(order + 1):
+        shape = packed.shape[1:] + (v,) * k
+        if k > have:
+            blocks.append(np.zeros(shape))
+            continue
+        rows = [row[tuple(sorted(idx))] for idx in product(range(v), repeat=k)]
+        blk = np.empty((flat.shape[1], len(rows)))
+        for s in range(0, flat.shape[1], 2048):  # transposed in slabs that stay in cache
+            blk[s : s + 2048] = flat[rows, s : s + 2048].T
+        blocks.append(blk.reshape(shape))
+    return blocks
+
+
+def _pack_blocks(blocks: list[np.ndarray], v: int) -> np.ndarray:
+    """The packed array of full derivative blocks (value, d1, d2, ...)."""
+    basis = _packed_basis(v, len(blocks) - 1)
+    return np.stack([blocks[len(idx)][(..., *idx)] for idx in basis])
 
 
 def _pack(js: list[Jet]) -> np.ndarray:
     """The distinct partials of same-shape jets as one (coefficients, jets, batch) array."""
-    basis = _packed_basis(js[0].num_vars, js[0].order)
-    out = np.empty((len(basis), len(js), js[0].val.size))
-    for mu, j in enumerate(js):
-        blocks = (j.val, j.d1, j.d2, j.d3)
-        for c, idx in enumerate(basis):
-            out[c, mu] = blocks[len(idx)][(..., *idx)].reshape(-1)
-    return out
+    v = js[0].num_vars
+    blocks = [
+        np.stack([(j.val, j.d1, j.d2, j.d3)[k].reshape((-1,) + (v,) * k) for j in js])
+        for k in range(js[0].order + 1)
+    ]
+    return _pack_blocks(blocks, v)
 
 
 def _unpack(packed: np.ndarray, order: int, v: int, batch_shape) -> list[Jet]:
-    """Jets from a packed array, with full (mirrored) derivative blocks."""
-    row = {idx: i for i, idx in enumerate(_packed_basis(v, order))}
+    """Jets from a (coefficients, jets, batch) array, with full (mirrored) derivative blocks."""
     m = packed.shape[1]
-    blocks = []
-    for k in range(order + 1):
-        rows = [row[tuple(sorted(idx))] for idx in product(range(v), repeat=k)]
-        blk = np.ascontiguousarray(np.moveaxis(packed[rows], 0, -1))
-        blocks.append(blk.reshape((m,) + tuple(batch_shape) + (v,) * k))
+    blocks = [
+        blk.reshape((m,) + tuple(batch_shape) + blk.shape[2:])
+        for blk in _unpack_blocks(packed, v, order)
+    ]
     return [Jet(order, v, *(blk[mu] for blk in blocks)) for mu in range(m)]
 
 

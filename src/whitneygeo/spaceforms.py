@@ -15,6 +15,14 @@ ball times a line).  Every model exposes
   computation downstream is trusted.
 
 All evaluation is batched: ``points`` has shape ``(B, chart_dim)``.
+
+One builder per model, ``_chart_jets``, serves ``metric_jets`` and
+``fields_at``: it computes the metric to the order asked for and the
+structure tensors to order 1 as packed jets (``jets._packed_basis``) shaped
+(coefficients, B, tensor axes).  Products are Leibniz-table loops, sqrt and
+1/x truncated Taylor series and chart derivatives row gathers, so no
+derivative formula is written by hand.  The results are unpacked once into
+mirrored, batch-first derivative blocks.
 """
 
 from __future__ import annotations
@@ -30,11 +38,9 @@ from functools import partial
 _einsum = partial(np.einsum, optimize=True)
 
 from . import jets
-from .jets import Jet, constant, derivative, seed_variables
 
 __all__ = [
     "AmbientFields",
-    "AmbientPoint",
     "DomainError",
     "ModelValidationError",
     "make_model",
@@ -69,75 +75,6 @@ class AmbientFields:
     Xi1: np.ndarray | None = None
     Eta0: np.ndarray | None = None
     Eta1: np.ndarray | None = None
-
-
-@dataclass
-class AmbientPoint:
-    """A chart point attached to its model, with domain validation."""
-
-    model: "BaseModel"
-    coords: np.ndarray
-
-    def __post_init__(self):
-        self.coords = np.atleast_1d(np.asarray(self.coords, dtype=float))
-        if self.coords.shape[-1] != self.model.chart_dim:
-            raise DomainError(
-                f"expected {self.model.chart_dim} chart coordinates, "
-                f"got {self.coords.shape[-1]}"
-            )
-        self.model.check_in_chart(np.atleast_2d(self.coords))
-
-
-# ---------------------------------------------------------------------------
-# jet-stacking helpers
-# ---------------------------------------------------------------------------
-
-def _as_jet(entry, like: Jet) -> Jet:
-    if isinstance(entry, Jet):
-        return entry
-    return constant(np.broadcast_to(np.asarray(entry, float), like.batch_shape), like.num_vars, like.order)
-
-
-def _stack_matrix(entries, like: Jet, order: int):
-    """Stack an m x m nested list of jets into (B,m,m[,m[,m]]) arrays."""
-    m = len(entries)
-    b = like.batch_shape
-    v = like.num_vars
-    out0 = np.empty(b + (m, m))
-    out1 = np.empty(b + (m, m, v)) if order >= 1 else None
-    out2 = np.empty(b + (m, m, v, v)) if order >= 2 else None
-    for i in range(m):
-        for j in range(m):
-            e = _as_jet(entries[i][j], like)
-            out0[..., i, j] = e.val
-            if order >= 1:
-                out1[..., i, j, :] = e.d1
-            if order >= 2:
-                out2[..., i, j, :, :] = e.d2
-    return out0, out1, out2
-
-
-def _symmetric_entries(m: int, entry):
-    """m x m nested list with ``entry(i, j)`` evaluated only for j >= i."""
-    out = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            out[i][j] = out[j][i] = entry(i, j)
-    return out
-
-
-def _stack_vector(entries, like: Jet, order: int):
-    m = len(entries)
-    b = like.batch_shape
-    v = like.num_vars
-    out0 = np.empty(b + (m,))
-    out1 = np.empty(b + (m, v)) if order >= 1 else None
-    for i in range(m):
-        e = _as_jet(entries[i], like)
-        out0[..., i] = e.val
-        if order >= 1:
-            out1[..., i, :] = e.d1
-    return out0, out1
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +125,61 @@ def riemann_from_metric(G0, G1, G2):
 
 
 # ---------------------------------------------------------------------------
+# packed chart tensors
+# ---------------------------------------------------------------------------
+
+def _complex_rotation(n: int) -> np.ndarray:
+    """Multiplication by i on C^n in real coordinates: (x, y) -> (-y, x)."""
+    J = np.zeros((2 * n, 2 * n))
+    J[:n, n:] = -np.eye(n)
+    J[n:, :n] = np.eye(n)
+    return J
+
+
+def _triangle(m):
+    """Row and column of the upper-triangle entry that stands for each (i, j) of an m x m matrix."""
+    i, j = np.indices((m, m)).reshape(2, -1)
+    return np.minimum(i, j), np.maximum(i, j)
+
+
+def _outer(e, table):
+    """The packed product e e^T, bitwise symmetric: (i, j) and (j, i) are both e_min e_max."""
+    m = e.shape[-1]
+    lo, hi = _triangle(m)
+    ee = jets._packed_mul(np.take(e, lo, axis=-1), np.take(e, hi, axis=-1), table)
+    return ee.reshape(ee.shape[:-1] + (m, m))
+
+
+def _kaehler_metric(z, c, table, order):
+    """The packed affine-chart metric of holomorphic sectional curvature 4c, and w.
+
+    g = w I - c [[P, Q], [-Q, P]] with w = 1 / (1 + c |z|^2), (x, y) = w z,
+    P = x x^T + y y^T and Q = x y^T - y x^T: flat, Fubini-Study or Bergman.
+    """
+    m = z.shape[-1]
+    n = m // 2
+    if c == 0:  # constants: one coefficient row
+        one = np.ones((1,) + z.shape[1:-1])
+        return one[..., None, None] * np.eye(m), one
+    u = c * jets._packed_mul(z, z, table).sum(axis=-1)
+    u[0] += 1.0
+    w = jets._packed_compose(jets._table(u[0], "recip")[: order + 1], u, table)
+    wz = jets._packed_mul(w[..., None], z, table)
+    # entries (a, b) and (b, a) both come from the pair (min, max), so P is
+    # bitwise symmetric and Q bitwise antisymmetric
+    lo, hi = _triangle(n)
+    i, j = np.indices((n, n)).reshape(2, -1)
+    x_lo, x_hi, y_lo, y_hi = (np.take(wz, k, axis=-1) for k in (lo, hi, n + lo, n + hi))
+    P = jets._packed_mul(x_lo, x_hi, table) + jets._packed_mul(y_lo, y_hi, table)
+    Q = jets._packed_mul(x_lo, y_hi, table) - jets._packed_mul(y_lo, x_hi, table)
+    Q *= np.sign(j - i)
+    A = -c * P
+    A[..., :: n + 1] += w[..., None]
+    A, Q = (M.reshape(M.shape[:-1] + (n, n)) for M in (A, -c * Q))
+    return np.block([[A, Q], [-Q, A]]), w
+
+
+# ---------------------------------------------------------------------------
 # model classes
 # ---------------------------------------------------------------------------
 
@@ -206,8 +198,13 @@ class BaseModel:
 
     # subclasses fill these ---------------------------------------------------
 
-    def metric_entries(self, coords):
-        """Metric components as an m x m nested list of jets/constants."""
+    def _chart_jets(self, points, order: int, structure: bool = False) -> dict:
+        """The model's chart tensors as packed jets, shaped (coefficients, B, ...).
+
+        ``"G"`` is the metric to ``order``.  With ``structure``, the entries
+        name the remaining :class:`AmbientFields` (``"J"``, or ``"Phi"``,
+        ``"Xi"`` and ``"Eta"``), each to order 1.
+        """
         raise NotImplementedError
 
     def check_in_chart(self, points: np.ndarray) -> None:
@@ -215,31 +212,26 @@ class BaseModel:
 
     # shared evaluation --------------------------------------------------------
 
-    def _seed(self, points, order):
+    def _seed(self, points):
+        """Validated chart points as packed coordinate jets: linear, so order 1 is exact."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[-1] != self.chart_dim:
+        v = self.chart_dim
+        if pts.shape[-1] != v:
             raise DomainError(
-                f"{self.kind}: expected chart dim {self.chart_dim}, got {pts.shape[-1]}"
+                f"{self.kind}: expected chart dim {v}, got {pts.shape[-1]}"
             )
         self.check_in_chart(pts)
-        return seed_variables(pts, order, batch=True)
-
-    # extra seed order consumed by the model's own chart machinery (e.g. an
-    # embedding derivative)
-    _metric_seed_extra = 0
+        seeds = np.zeros((1 + v,) + pts.shape)
+        seeds[0] = pts
+        seeds[1:] = np.eye(v)[:, None, :]
+        return seeds
 
     def metric_jets(self, points, order: int = 2):
-        """Metric value and chart derivatives: arrays G0, G1, G2."""
-        seeds = self._seed(points, order + self._metric_seed_extra)
-        entries = self.metric_entries(seeds)
-        like = next(
-            (e for row in entries for e in row if isinstance(e, Jet)), None
-        )
-        if like is None:  # fully constant metric
-            like = jets._drop(seeds[0]) if self._metric_seed_extra else seeds[0]
-        G0, G1, G2 = _stack_matrix(entries, like, order)
-        self._assert_spd(G0)
-        return G0, G1, G2
+        """Metric value and chart derivatives: arrays G0, G1, G2 (None above ``order``)."""
+        G = self._chart_jets(points, order)["G"]
+        blocks = jets._unpack_blocks(G, self.chart_dim, order)
+        self._assert_spd(blocks[0])
+        return tuple(blocks) + (None,) * (2 - order)
 
     def _assert_spd(self, G0):
         try:
@@ -253,7 +245,17 @@ class BaseModel:
             ) from None
 
     def fields_at(self, points) -> AmbientFields:
-        raise NotImplementedError
+        """The metric to order 2 and the structure tensors to order 1."""
+        packed = self._chart_jets(points, 2, structure=True)
+        blocks = {
+            f"{name}{k}": block
+            for name, p in packed.items()
+            for k, block in enumerate(
+                jets._unpack_blocks(p, self.chart_dim, 2 if name == "G" else 1)
+            )
+        }
+        self._assert_spd(blocks["G0"])
+        return AmbientFields(**blocks)
 
     def christoffel_at(self, points):
         G0, G1, _ = self.metric_jets(points, order=1)
@@ -323,14 +325,6 @@ class ComplexSpaceFormModel(BaseModel):
         self.chart_dim = 2 * n
         self.kind = {0: "C_n", 1: "CP_n", -1: "CH_n"}[c]
 
-    # J is multiplication by i in the affine chart: (x, y) -> (-y, x).
-    def _J_matrix(self):
-        n = self.n
-        J = np.zeros((2 * n, 2 * n))
-        J[:n, n:] = -np.eye(n)
-        J[n:, :n] = np.eye(n)
-        return J
-
     def check_in_chart(self, points):
         if self.c == -1:
             s = np.sum(points**2, axis=-1)
@@ -339,49 +333,18 @@ class ComplexSpaceFormModel(BaseModel):
                     f"CH_n chart requires |z| < 1, got |z|^2 max {s.max():.6f}"
                 )
 
-    def metric_entries(self, coords):
-        n = self.n
-        if self.c == 0:
-            return [[1.0 if i == j else 0.0 for j in range(2 * n)] for i in range(2 * n)]
-        x, y = coords[:n], coords[n:]
-        s = x[0] * 0.0
-        for i in range(n):
-            s = s + x[i] * x[i] + y[i] * y[i]
-        if self.c == 1:
-            w = jets.recip((1.0 + s) * (1.0 + s))
-            diag = (1.0 + s) * w
-            sgn = -1.0
-        else:
-            w = jets.recip((1.0 - s) * (1.0 - s))
-            diag = (1.0 - s) * w
-            sgn = 1.0
-        # A = diag*I + sgn*P*w, B = sgn*Q*w with P = xx^T + yy^T, Q = xy^T - yx^T
-        m = 2 * n
-        out = [[None] * m for _ in range(m)]
-        # P is symmetric and Q antisymmetric in (a, b)
-        for a in range(n):
-            for b in range(a, n):
-                P = (x[a] * x[b] + y[a] * y[b]) * w
-                Q = (x[a] * y[b] - y[a] * x[b]) * w
-                A = sgn * P + (diag if a == b else 0.0)
-                Bm = sgn * Q
-                out[a][b] = out[b][a] = out[n + a][n + b] = out[n + b][n + a] = A
-                out[a][n + b] = out[n + b][a] = Bm
-                out[n + a][b] = out[b][n + a] = -Bm
-        return out
-
-    def fields_at(self, points) -> AmbientFields:
-        G0, G1, G2 = self.metric_jets(points, order=2)
-        B = G0.shape[0]
-        J = self._J_matrix()
-        J0 = np.broadcast_to(J, (B,) + J.shape).copy()
-        J1 = np.zeros((B,) + J.shape + (self.chart_dim,))
-        return AmbientFields(G0=G0, G1=G1, G2=G2, J0=J0, J1=J1)
+    def _chart_jets(self, points, order, structure=False):
+        table = jets._leibniz_table(self.chart_dim, order)
+        G, _ = _kaehler_metric(self._seed(points), self.c, table, order)
+        fields = {"G": G}
+        if structure:
+            fields["J"] = np.broadcast_to(_complex_rotation(self.n), (1,) + G.shape[1:])
+        return fields
 
     def curvature_oracle(self, points, X, Y, Z):
         pts = np.atleast_2d(points)
         G0, _, _ = self.metric_jets(pts, order=0)
-        J = self._J_matrix()
+        J = _complex_rotation(self.n)
         JX = _einsum("mn,bn->bm", J, X)
         JY = _einsum("mn,bn->bm", J, Y)
         JZ = _einsum("mn,bn->bm", J, Z)
@@ -416,7 +379,7 @@ class ComplexSpaceFormModel(BaseModel):
     def _run_self_test(self, pts, rng):
         B = pts.shape[0]
         G0, _, _ = self.metric_jets(pts, order=0)
-        J = self._J_matrix()
+        J = _complex_rotation(self.n)
         report = {}
         report["J_squared"] = float(np.max(np.abs(J @ J + np.eye(self.chart_dim))))
         X = rng.normal(size=(B, self.chart_dim))
@@ -439,10 +402,39 @@ class ComplexSpaceFormModel(BaseModel):
 
 
 class SasakianModel(BaseModel):
-    """Shared Sasakian checks; subclasses provide fields and the oracle."""
+    """Shared Sasakian checks; subclasses provide the chart tensors."""
 
     is_sasakian = True
     c_tilde: float = 0.0
+    # phi is minus the complex rotation, projected or lifted; the sign is
+    # pinned by the nabla_X xi = -phi X identity (see self_test).
+    _phi_sign = -1.0
+
+    def _contact_fields(self, horizontal, eta_bar, scale, table, structure):
+        """Chart tensors of the metric horizontal + scale^2 eta_bar eta_bar^T.
+
+        ``eta_bar`` is the packed contact form with eta_bar(d/dt) = 1, and
+        ``horizontal`` a packed metric on the z block.  Then eta = scale
+        eta_bar, xi = (d/dt) / scale, and phi is the complex rotation of the
+        z block lifted to ker eta.
+        """
+        m = self.chart_dim
+        G = _outer(scale * eta_bar, table)
+        G[: len(horizontal), :, :-1, :-1] += horizontal
+        fields = {"G": G}
+        if structure:
+            eta = eta_bar[: m + 1]
+            Jz = np.zeros((m, m))
+            Jz[:-1, :-1] = _complex_rotation(self.n)
+            s = self._phi_sign
+            Phi = np.zeros(eta.shape + (m,))
+            Phi[0] = s * Jz
+            # the t-row keeps phi X in ker eta
+            Phi[..., -1, :] = -s * np.matmul(eta, Jz)
+            Xi = np.zeros((1,) + eta.shape[1:])
+            Xi[0, :, -1] = 1.0 / scale
+            fields.update(Phi=Phi, Xi=Xi, Eta=scale * eta)
+        return fields
 
     def curvature_oracle(self, points, X, Y, Z):
         pts = np.atleast_2d(points)
@@ -558,51 +550,16 @@ class SasakianR(SasakianModel):
     def check_in_chart(self, points):
         pass  # global chart
 
-    def _eta_entries(self, coords):
-        n = self.n
-        eta = [-0.5 * coords[n + i] for i in range(n)]
-        eta += [0.0] * n + [0.5]
-        return eta
-
-    def metric_entries(self, coords):
-        n = self.n
-        m = 2 * n + 1
-        eta = self._eta_entries(coords)
-        out = [[None] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(m):
-                term = eta[i] * eta[j]
-                if i == j and i < 2 * n:
-                    term = term + 0.25
-                out[i][j] = term
-        return out
-
-    def fields_at(self, points) -> AmbientFields:
-        G0, G1, G2 = self.metric_jets(points, order=2)
-        pts = np.atleast_2d(points)
-        B = pts.shape[0]
+    def _chart_jets(self, points, order, structure=False):
         n, m = self.n, self.chart_dim
-        y = pts[:, n : 2 * n]
-        Phi0 = np.zeros((B, m, m))
-        Phi1 = np.zeros((B, m, m, m))
-        for j in range(n):
-            Phi0[:, n + j, j] = -1.0  # phi(d/dx_j) = -d/dy_j
-            Phi0[:, j, n + j] = 1.0  # phi(d/dy_j) = d/dx_j + y_j d/dz
-            Phi0[:, 2 * n, n + j] = y[:, j]
-            Phi1[:, 2 * n, n + j, n + j] = 1.0
-        Xi0 = np.zeros((B, m))
-        Xi0[:, 2 * n] = 2.0
-        Xi1 = np.zeros((B, m, m))
-        Eta0 = np.zeros((B, m))
-        Eta0[:, :n] = -0.5 * y
-        Eta0[:, 2 * n] = 0.5
-        Eta1 = np.zeros((B, m, m))
-        for j in range(n):
-            Eta1[:, j, n + j] = -0.5
-        return AmbientFields(
-            G0=G0, G1=G1, G2=G2,
-            Phi0=Phi0, Phi1=Phi1, Xi0=Xi0, Xi1=Xi1, Eta0=Eta0, Eta1=Eta1,
-        )
+        q = self._seed(points)
+        # eta = (dz - sum y_j dx_j) / 2 and g = (dx^2 + dy^2) / 4 + eta^2
+        eta_bar = np.zeros_like(q)
+        eta_bar[..., :n] = -q[..., n : 2 * n]
+        eta_bar[0, :, 2 * n] = 1.0
+        horizontal = 0.25 * np.eye(2 * n)[None, None]
+        table = jets._leibniz_table(m, order)
+        return self._contact_fields(horizontal, eta_bar, 0.5, table, structure)
 
     def random_chart_points(self, rng, count):
         return rng.uniform(-1.0, 1.0, size=(count, self.chart_dim))
@@ -617,9 +574,6 @@ class SasakianS(SasakianModel):
     """
 
     kind = "Sasakian_S"
-    # phi is minus the projected ambient complex rotation; the sign is pinned
-    # by the nabla_X xi = -phi X identity (see self_test).
-    _phi_sign = -1.0
 
     def __init__(self, n: int, a: float = 1.0):
         super().__init__(n)
@@ -636,83 +590,48 @@ class SasakianS(SasakianModel):
                 f"Sasakian_S chart requires sum q^2 < 1, got max {s.max():.8f}"
             )
 
-    def _embedding(self, coords):
-        """Ambient coordinates (x_1..x_{n+1}, y_1..y_{n+1}) as jets."""
-        n = self.n
-        s = coords[0] * 0.0
-        for c in coords:
-            s = s + c * c
-        xlast = jets.sqrt(1.0 - s)
-        E = list(coords[:n]) + [xlast] + list(coords[n : 2 * n]) + [coords[2 * n]]
-        return E
-
-    @staticmethod
-    def _J_ambient(E):
-        """Multiplication by i on C^{n+1}: (x, y) -> (-y, x)."""
-        k = len(E) // 2
-        return [-e for e in E[k:]] + list(E[:k])
-
-    def _chart_tensors(self, coords):
-        """Round metric, contact form and phi-bilinear as jets (one order down)."""
-        m = self.chart_dim
-        E = self._embedding(coords)
-        T = [[derivative(Emu, aidx) for Emu in E] for aidx in range(m)]
-        JE = self._J_ambient([jets._drop(e) for e in E])
-        JT = [self._J_ambient(T[aidx]) for aidx in range(m)]
-        dot = lambda U, V: sum((u * v for u, v in zip(U, V)), start=U[0] * 0.0)
-        gbar = _symmetric_entries(m, lambda i, j: dot(T[i], T[j]))
-        etabar = [dot(T[aidx], JE) for aidx in range(m)]
-        # J is orthogonal and J^2 = -1, so <T_a, J T_b> is antisymmetric
-        zero = T[0][0] * 0.0
-        K = [[zero] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                K[i][j] = dot(T[i], JT[j])
-                K[j][i] = -K[i][j]
-        return gbar, etabar, K
-
-    _metric_seed_extra = 1
-
-    def metric_entries(self, coords):
-        m = self.chart_dim
-        a = self.a
-        gbar, etabar, _ = self._chart_tensors(coords)
-        return _symmetric_entries(
-            m, lambda i, j: a * gbar[i][j] + a * (a - 1.0) * etabar[i] * etabar[j]
-        )
-
-    def fields_at(self, points) -> AmbientFields:
-        seeds = self._seed(points, 3)
-        m = self.chart_dim
-        a = self.a
-        gbar, etabar, K = self._chart_tensors(seeds)
-        like = gbar[0][0]
-        g_entries = _symmetric_entries(
-            m, lambda i, j: a * gbar[i][j] + a * (a - 1.0) * etabar[i] * etabar[j]
-        )
-        G0, G1, G2 = _stack_matrix(g_entries, like, 2)
-        self._assert_spd(G0)
-        Gb0, Gb1, _ = _stack_matrix(gbar, like, 1)
-        K0, K1, _ = _stack_matrix(K, like, 1)
-        Eb0, Eb1 = _stack_vector(etabar, like, 1)
-        Gbinv0 = np.linalg.inv(Gb0)
-        Gbinv1 = -_einsum("bmp,bpqs,bqn->bmns", Gbinv0, Gb1, Gbinv0)
-        s = self._phi_sign
-        Phi0 = s * _einsum("bac,bcd->bad", Gbinv0, K0)
-        Phi1 = s * (
-            _einsum("bacs,bcd->bads", Gbinv1, K0)
-            + _einsum("bac,bcds->bads", Gbinv0, K1)
-        )
-        xibar0 = _einsum("bpq,bq->bp", Gbinv0, Eb0)
-        xibar1 = _einsum("bpqs,bq->bps", Gbinv1, Eb0) + _einsum(
-            "bpq,bqs->bps", Gbinv0, Eb1
-        )
-        return AmbientFields(
-            G0=G0, G1=G1, G2=G2,
-            Phi0=Phi0, Phi1=Phi1,
-            Xi0=xibar0 / a, Xi1=xibar1 / a,
-            Eta0=a * Eb0, Eta1=a * Eb1,
-        )
+    def _chart_jets(self, points, order, structure=False):
+        n, m, a = self.n, self.chart_dim, self.a
+        # the embedding E = (q_0..q_{n-1}, x, q_n..q_{2n}) into C^{n+1} = R^{2n+2},
+        # with x = sqrt(1 - |q|^2) one order above the metric
+        q = self._seed(points)
+        top = jets._leibniz_table(m, order + 1)
+        u = -jets._packed_mul(q, q, top).sum(axis=-1)
+        u[0] += 1.0
+        x = jets._packed_compose(jets._table(u[0], "sqrt")[: order + 2], u, top)
+        # E is a graph over the chart, so T = dE is the identity with the row
+        # dx inserted.  With J the complex rotation of C^{n+1} and Jz that of
+        # the chart's z block, the round metric T^T T is I + dx dx^T, the
+        # contact form T^T J E is (Jz q_z, x) - q_2n dx, and the phi-bilinear
+        # T^T J T is Jz + e_2n dx^T - dx e_2n^T.
+        dx = jets._packed_gradient(x, m)
+        table = jets._leibniz_table(m, order)
+        gbar = _outer(dx, table)
+        gbar[0] += np.eye(m)
+        q = q[: len(dx)]
+        etabar = -jets._packed_mul(dx, q[..., 2 * n :], table)
+        etabar[: len(q), :, : 2 * n] += np.matmul(q[..., : 2 * n], _complex_rotation(n).T)
+        etabar[..., 2 * n] += x[: len(dx)]
+        # g = a (gbar + (a - 1) etabar etabar^T), in place
+        G = _outer(etabar, table)
+        G *= a - 1.0
+        G += gbar
+        G *= a
+        fields = {"G": G}
+        if structure:
+            t1 = jets._leibniz_table(m, 1)
+            K = np.zeros(gbar[: m + 1].shape)
+            K[0, :, : 2 * n, : 2 * n] = _complex_rotation(n)
+            K[..., 2 * n, :] += dx[: m + 1]
+            K[..., :, 2 * n] -= dx[: m + 1]
+            W = jets._packed_inv(gbar, t1, 1)
+            xibar = jets._packed_matmul(W, etabar[..., None], t1)[..., 0]
+            fields.update(
+                Phi=self._phi_sign * jets._packed_matmul(W, K, t1),
+                Xi=xibar / a,
+                Eta=a * etabar[: m + 1],
+            )
+        return fields
 
     def random_chart_points(self, rng, count):
         pts = rng.normal(size=(count, self.chart_dim))
@@ -724,9 +643,6 @@ class SasakianB(SasakianModel):
     """Bergman-ball times line, with a homothetic deformation."""
 
     kind = "Sasakian_B"
-    # Contact-form orientation paired with phi = sign * (complex rotation
-    # lifted horizontally); pinned by the nabla_X xi = -phi X identity.
-    _phi_sign = -1.0
 
     def __init__(self, n: int, a: float = 1.0):
         super().__init__(n)
@@ -736,10 +652,6 @@ class SasakianB(SasakianModel):
         self.c_tilde = -1.0 / self.a - 3.0
         self.chart_dim = 2 * n + 1
 
-    @property
-    def _kappa(self):
-        return 4.0 * self._phi_sign
-
     def check_in_chart(self, points):
         s = np.sum(points[..., :-1] ** 2, axis=-1)
         if np.any(s >= 1.0 - 1e-12):
@@ -747,73 +659,19 @@ class SasakianB(SasakianModel):
                 f"Sasakian_B chart requires |z| < 1, got |z|^2 max {s.max():.8f}"
             )
 
-    def _omega_entries(self, coords):
-        n = self.n
-        x, y = coords[:n], coords[n : 2 * n]
-        s = x[0] * 0.0
-        for i in range(n):
-            s = s + x[i] * x[i] + y[i] * y[i]
-        w = jets.recip(1.0 - s)
-        om = [self._kappa * y[i] * w for i in range(n)]
-        om += [-self._kappa * x[i] * w for i in range(n)]
-        om += [0.0]
-        return om, s, w
-
-    def metric_entries(self, coords):
-        n = self.n
-        m = self.chart_dim
-        a = self.a
-        x, y = coords[:n], coords[n : 2 * n]
-        om, s, w = self._omega_entries(coords)
-        w2 = w * w
-        one_minus_s = 1.0 - s
-        eta = list(om)
-        eta[2 * n] = 1.0
-        out = [[None] * m for _ in range(m)]
-        # Bergman block scaled by 4 (phi-sectional -4 before deformation)
-        for i in range(n):
-            for j in range(n):
-                P = (x[i] * x[j] + y[i] * y[j]) * w2
-                Q = (x[i] * y[j] - y[i] * x[j]) * w2
-                A = 4.0 * (P + (one_minus_s * w2 if i == j else 0.0))
-                Bm = 4.0 * Q
-                out[i][j] = A
-                out[n + i][n + j] = A
-                out[i][n + j] = Bm
-                out[n + i][j] = -Bm
-        for i in range(m):
-            for j in range(m):
-                base = out[i][j] if out[i][j] is not None else 0.0
-                out[i][j] = a * base + a * a * (eta[i] * eta[j])
-        return out
-
-    def fields_at(self, points) -> AmbientFields:
-        G0, G1, G2 = self.metric_jets(points, order=2)
-        seeds = self._seed(points, 1)
+    def _chart_jets(self, points, order, structure=False):
         n, m = self.n, self.chart_dim
-        om, _, _ = self._omega_entries(seeds)
-        eta = list(om)
-        eta[2 * n] = 1.0
-        Eb0, Eb1 = _stack_vector(eta, seeds[0], 1)
-        B = Eb0.shape[0]
-        # phi: complex rotation on the z block, lifted to ker(eta-bar)
-        Jz = np.zeros((m, m))
-        Jz[:n, n : 2 * n] = -np.eye(n)
-        Jz[n : 2 * n, :n] = np.eye(n)
-        s = self._phi_sign
-        Phi0 = np.broadcast_to(s * Jz, (B, m, m)).copy()
-        Phi1 = np.zeros((B, m, m, m))
-        # t-row: phi X must satisfy eta-bar(phi X) = 0
-        Phi0[:, 2 * n, :] = -s * _einsum("bc,cd->bd", Eb0, Jz)
-        Phi1[:, 2 * n, :, :] = -s * _einsum("bcs,cd->bds", Eb1, Jz)
-        Xi0 = np.zeros((B, m))
-        Xi0[:, 2 * n] = 1.0 / self.a
-        Xi1 = np.zeros((B, m, m))
-        return AmbientFields(
-            G0=G0, G1=G1, G2=G2,
-            Phi0=Phi0, Phi1=Phi1, Xi0=Xi0, Xi1=Xi1,
-            Eta0=self.a * Eb0, Eta1=self.a * Eb1,
-        )
+        z = self._seed(points)[..., : 2 * n]
+        table = jets._leibniz_table(m, order)
+        bergman, w = _kaehler_metric(z, -1, table, order)
+        # eta-bar = dt + omega with omega = 4 s w (y dx - x dy), s the phi sign;
+        # the Bergman block is scaled by 4 (phi-sectional -4 before deforming)
+        Jz = np.matmul(z, _complex_rotation(n).T)
+        omega = -4.0 * self._phi_sign * jets._packed_mul(w[..., None], Jz, table)
+        eta_bar = np.zeros(omega.shape[:-1] + (m,))
+        eta_bar[..., : 2 * n] = omega
+        eta_bar[0, :, 2 * n] = 1.0
+        return self._contact_fields(4.0 * self.a * bergman, eta_bar, self.a, table, structure)
 
     def random_chart_points(self, rng, count):
         z = rng.normal(size=(count, self.chart_dim - 1))

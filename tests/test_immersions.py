@@ -1,6 +1,7 @@
 """Catalog immersions: chart atlas, formula values, flows and lifts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,6 +139,28 @@ class TestCatalogValues:
             make_spec("product_torus", 2, radii=(1.0,))
         with pytest.raises(ValueError):
             make_spec("perturbed", 2, steps=4)
+
+    @pytest.mark.parametrize("kind", ["perturbed", "lifted"])
+    @pytest.mark.parametrize("hamiltonian, names", [
+        ((), "non-empty sequence"),
+        ("abc", "non-empty sequence"),
+        (((1.0, (1, 0)),), "term 0 (1.0, (1, 0))"),
+        (((1.0, (2, 0, 0, 0)), (1.0, (1, 0, 0, 0, 0))), "term 1 (1.0, (1, 0, 0, 0, 0))"),
+        (((float("nan"), (1, 0, 0, 0)),), "term 0 (nan,"),
+        (((float("inf"), (1, 0, 0, 0)),), "term 0 (inf,"),
+        (((1.0, (1, 0, -1, 0)),), "term 0 (1.0, (1, 0, -1, 0))"),
+        (((1.0, (1.5, 0, 0, 0)),), "term 0 (1.0, (1.5, 0, 0, 0))"),
+        (((True, (1, 0, 0, 0)),), "term 0 (True,"),
+        (((1.0,),), "term 0 (1.0,)"),
+    ])
+    def test_hamiltonian_validation(self, kind, hamiltonian, names):
+        params = dict(base="perturbed") if kind == "lifted" else {}
+        with pytest.raises(ValueError, match=re.escape(names)):
+            make_spec(kind, 2, hamiltonian=hamiltonian, **params)
+
+    def test_valid_hamiltonian_is_normalized(self):
+        spec = make_spec("perturbed", 2, hamiltonian=[[1, [2, 0, 0, 0]]])
+        assert spec.params["hamiltonian"] == ((1.0, (2, 0, 0, 0)),)
 
 
 ALL_SPHERE_CASES = [

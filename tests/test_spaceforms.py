@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from whitneygeo import jets
+from whitneygeo.jets import Jet, derivative, seed_variables
 from whitneygeo.spaceforms import (
-    AmbientPoint,
     DomainError,
     christoffel_from_metric,
     make_model,
@@ -154,13 +155,14 @@ class TestDomains:
         with pytest.raises(DomainError):
             model.metric_jets(np.array([[0.9, 0.3, 0.3, 0.0, 0.1]]), order=0)
 
-    def test_ambient_point_validation(self):
-        model = make_model("CH_n", 2)
-        AmbientPoint(model, np.zeros(4))
-        with pytest.raises(DomainError):
-            AmbientPoint(model, np.array([1.2, 0, 0, 0]))
-        with pytest.raises(DomainError):
-            AmbientPoint(model, np.zeros(3))
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_wrong_chart_dimension(self, kind):
+        model = make_model(kind, 2)
+        for dim in (model.chart_dim - 1, model.chart_dim + 1):
+            with pytest.raises(DomainError, match="chart dim"):
+                model.metric_jets(np.zeros((1, dim)), order=0)
+            with pytest.raises(DomainError, match="chart dim"):
+                model.fields_at(np.zeros(dim))
 
     def test_bergman_ball_domain(self):
         model = make_model("Sasakian_B", 2)
@@ -177,3 +179,175 @@ def test_rank_phi_via_singular_values():
         sv = np.linalg.svd(f.Phi0, compute_uv=False)
         assert np.max(sv[:, -1]) < 1e-10
         assert np.min(sv[:, -2]) > 1e-8
+
+
+def _central_difference(f, pts, h=1e-5):
+    """d_s f at the points as a new last axis s, by central differences."""
+    cols = []
+    for s in range(pts.shape[1]):
+        step = np.zeros(pts.shape[1])
+        step[s] = h
+        cols.append((f(pts + step) - f(pts - step)) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
+class TestChartDerivatives:
+    """The jet derivatives of the chart tensors against finite differences."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_metric_second_derivatives(self, kind):
+        model = make_model(kind, 2)
+        pts = model.random_chart_points(np.random.default_rng(11), 4)
+        _, _, G2 = model.metric_jets(pts, order=2)
+        fd = _central_difference(lambda p: model.metric_jets(p, order=1)[1], pts)
+        assert np.max(np.abs(fd - G2)) <= 1e-8 * max(np.max(np.abs(G2)), 1.0)
+
+    @pytest.mark.parametrize("kind", ["Sasakian_R", "Sasakian_S", "Sasakian_B"])
+    @pytest.mark.parametrize("name", ["Phi", "Xi", "Eta"])
+    def test_structure_first_derivatives(self, kind, name):
+        model = make_model(kind, 2, a=0.7)
+        pts = model.random_chart_points(np.random.default_rng(12), 4)
+        d1 = getattr(model.fields_at(pts), name + "1")
+        fd = _central_difference(lambda p: getattr(model.fields_at(p), name + "0"), pts)
+        assert np.max(np.abs(fd - d1)) <= 1e-8 * max(np.max(np.abs(d1)), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# reference: the chart tensors as nested lists of scalar jets
+# ---------------------------------------------------------------------------
+
+def _blocks(entries, order, B, v):
+    """(value, d1, ...) arrays of a nested list of scalar jets and constants."""
+    grid = np.empty(np.shape(entries), dtype=object)
+    for idx in np.ndindex(grid.shape):
+        e = entries
+        for i in idx:
+            e = e[i]
+        grid[idx] = e
+    out = []
+    for k in range(order + 1):
+        blk = np.zeros((B,) + grid.shape + (v,) * k)
+        for idx, e in np.ndenumerate(grid):
+            if isinstance(e, Jet):
+                blk[(slice(None),) + idx] = (e.val, e.d1, e.d2)[k]
+            elif k == 0:
+                blk[(slice(None),) + idx] = e
+        out.append(blk)
+    return out
+
+
+def _dot(U, V):
+    return sum((u * v for u, v in zip(U, V)), start=U[0] * 0.0)
+
+
+def _reference_complex_metric(x, y, c):
+    n = len(x)
+    if c == 0:
+        return [[1.0 if i == j else 0.0 for j in range(2 * n)] for i in range(2 * n)]
+    one = 1.0 + c * _dot(x, x) + c * _dot(y, y)
+    w = jets.recip(one * one)
+    diag = one * w
+    out = [[None] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            P = (x[i] * x[j] + y[i] * y[j]) * w
+            Q = (x[i] * y[j] - y[i] * x[j]) * w
+            A = -c * P + (diag if i == j else 0.0)
+            out[i][j] = out[n + i][n + j] = A
+            out[i][n + j] = -c * Q
+            out[n + i][j] = c * Q
+    return out
+
+
+def _reference_fields(model, pts):
+    """The metric to order 2 and the structure tensors to order 1.
+
+    These are the formulas the packed builders replaced: each tensor entry
+    is a scalar jet, contracted in Python loops, and the derivatives of the
+    inverse round metric are written out by hand.
+    """
+    n, m, B = model.n, model.chart_dim, len(pts)
+    order = 3 if model.kind == "Sasakian_S" else 2
+    q = seed_variables(pts, order, batch=True)
+    x, y = q[:n], q[n : 2 * n]
+    out = {}
+    if not model.is_sasakian:
+        g = _reference_complex_metric(x, y, model.c)
+        J = np.zeros((2 * n, 2 * n))
+        J[:n, n:] = -np.eye(n)
+        J[n:, :n] = np.eye(n)
+        out["J0"] = np.broadcast_to(J, (B, m, m))
+        out["J1"] = np.zeros((B, m, m, m))
+    elif model.kind in ("Sasakian_R", "Sasakian_B"):
+        if model.kind == "Sasakian_R":
+            scale = 0.5
+            eta = [-0.5 * yi for yi in y] + [0.0] * n + [0.5]
+            g = [[eta[i] * eta[j] + (0.25 if i == j < 2 * n else 0.0) for j in range(m)]
+                 for i in range(m)]
+        else:
+            scale = a = model.a
+            w = jets.recip(1.0 - _dot(x, x) - _dot(y, y))
+            eta = [-4.0 * yi * w for yi in y] + [4.0 * xi * w for xi in x] + [1.0]
+            h = [[0.0] * m for _ in range(m)]
+            for i, row in enumerate(_reference_complex_metric(x, y, -1)):
+                for j, e in enumerate(row):
+                    h[i][j] = 4.0 * e
+            g = [[a * h[i][j] + a * a * (eta[i] * eta[j]) for j in range(m)]
+                 for i in range(m)]
+        E0, E1 = _blocks(eta, 1, B, m)
+        Jz = np.zeros((m, m))
+        Jz[:n, n : 2 * n] = -np.eye(n)
+        Jz[n : 2 * n, :n] = np.eye(n)
+        Phi0 = np.broadcast_to(-Jz, (B, m, m)).copy()
+        Phi1 = np.zeros((B, m, m, m))
+        Phi0[:, 2 * n, :] = np.einsum("bc,cd->bd", E0, Jz) / E0[:, 2 * n, None]
+        Phi1[:, 2 * n, :, :] = np.einsum("bcs,cd->bds", E1, Jz) / E0[:, 2 * n, None, None]
+        Xi0 = np.zeros((B, m))
+        Xi0[:, 2 * n] = 1.0 / scale
+        if model.kind == "Sasakian_B":
+            E0, E1 = a * E0, a * E1
+        out.update(Phi0=Phi0, Phi1=Phi1, Xi0=Xi0, Xi1=np.zeros((B, m, m)), Eta0=E0, Eta1=E1)
+    else:
+        a = model.a
+        s = _dot(q, q)
+        E = x + [jets.sqrt(1.0 - s)] + q[n:]
+        T = [[derivative(e, i) for e in E] for i in range(m)]
+        rot = lambda V: [-v for v in V[n + 1 :]] + list(V[: n + 1])
+        JE = rot([jets._drop(e) for e in E])
+        gbar = [[_dot(T[i], T[j]) for j in range(m)] for i in range(m)]
+        etabar = [_dot(T[i], JE) for i in range(m)]
+        K = [[_dot(T[i], rot(T[j])) for j in range(m)] for i in range(m)]
+        g = [[a * gbar[i][j] + a * (a - 1.0) * etabar[i] * etabar[j] for j in range(m)]
+             for i in range(m)]
+        Gb0, Gb1 = _blocks(gbar, 1, B, m)
+        K0, K1 = _blocks(K, 1, B, m)
+        Eb0, Eb1 = _blocks(etabar, 1, B, m)
+        W0 = np.linalg.inv(Gb0)
+        W1 = -np.einsum("bmp,bpqs,bqn->bmns", W0, Gb1, W0)
+        out.update(
+            Phi0=-np.einsum("bac,bcd->bad", W0, K0),
+            Phi1=-(np.einsum("bacs,bcd->bads", W1, K0) + np.einsum("bac,bcds->bads", W0, K1)),
+            Xi0=np.einsum("bpq,bq->bp", W0, Eb0) / a,
+            Xi1=(np.einsum("bpqs,bq->bps", W1, Eb0) + np.einsum("bpq,bqs->bps", W0, Eb1)) / a,
+            Eta0=a * Eb0,
+            Eta1=a * Eb1,
+        )
+    out["G0"], out["G1"], out["G2"] = _blocks(g, 2, B, m)
+    return out
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_packed_builders_match_scalar_jet_reference(kind, n):
+    model = make_model(kind, n, a=0.8)
+    pts = model.random_chart_points(np.random.default_rng(20 + n), 5)
+    fields = vars(model.fields_at(pts))
+    want = _reference_fields(model, pts)
+    assert {k for k, v in fields.items() if v is not None} == set(want)
+    for name, ref in want.items():
+        got = fields[name]
+        assert got.shape == ref.shape, name
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+    G0, G1, G2 = model.metric_jets(pts, order=2)
+    for got, name in ((G0, "G0"), (G1, "G1"), (G2, "G2")):
+        assert np.array_equal(got, fields[name])
