@@ -1,7 +1,10 @@
 """Pointwise extrinsic geometry of an immersed sphere or torus.
 
 Everything is computed in batch form from order-3 jets of the immersion and
-chart-derivative arrays of the ambient fields.  Scalars and frames carry
+chart-derivative arrays of the ambient fields.  The ambient metric's second
+derivatives are taken only along the immersion's tangents X1: the packed
+metric rows are contracted with X1 first, and the Christoffel symbols are
+differentiated along those n directions alone.  Scalars and frames carry
 their first parameter derivatives through a minimal "tensor jet" (value
 plus trailing derivative axis), which makes the covariant derivative of the
 second fundamental form an exact algebraic computation rather than a
@@ -27,13 +30,9 @@ from functools import partial
 # are hopeless without this
 _einsum = partial(np.einsum, optimize=True)
 
+from . import jets
 from .immersions import ImmersionSpec, SphereChart, eval_immersion
-from .spaceforms import (
-    BaseModel,
-    christoffel_derivative,
-    christoffel_from_metric,
-    riemann_from_metric,
-)
+from .spaceforms import BaseModel, christoffel_along, riemann_from_metric
 
 __all__ = [
     "TJ",
@@ -151,8 +150,10 @@ class CurvatureData:
     Weyl: np.ndarray | None  # (B,n,n,n,n) for n >= 4
 
 
-def _second_derivative_of_induced_metric(G0x, G1x, G2x, X1, X2, X3):
-    g2 = _einsum("bmnst,btd,bsc,bmA,bnB->bABcd", G2x, X1, X1, X1, X1)
+def _second_derivative_of_induced_metric(G0x, G1x, G2X, X1, X2, X3):
+    """d_c d_d g_AB of the induced metric; ``G2X[b, m, n, s, d] = d_s d_{X_d} g_mn``."""
+    g2 = _einsum("bmnsd,bsc->bmncd", G2X, X1)  # d_{X_c} d_{X_d} g_mn
+    g2 = _einsum("bmncd,bmA,bnB->bABcd", g2, X1, X1)
     g2 += _einsum("bmns,bscd,bmA,bnB->bABcd", G1x, X2, X1, X1)
     g2 += _einsum("bmns,bsc,bmAd,bnB->bABcd", G1x, X1, X2, X1)
     g2 += _einsum("bmns,bsc,bmA,bnBd->bABcd", G1x, X1, X1, X2)
@@ -243,21 +244,16 @@ def pointwise_geometry(
     xjets = eval_immersion(spec, chart_index, t, atlas=atlas, order=3)
     X0, X1, X2, X3 = _from_jets(xjets)
     fields = model.fields_at(X0)
-    B = X0.shape[0]
-    m = X0.shape[1]
 
-    gamma0 = christoffel_from_metric(fields.G0, fields.G1)
-    gamma1 = christoffel_derivative(fields.G0, fields.G1, fields.G2)
-
-    # chart fields restricted to the image, with parameter derivatives
+    # chart fields restricted to the image, with parameter derivatives; the
+    # metric is differentiated twice only along the tangents X1
     Gt = TJ(fields.G0, _einsum("bmns,bsc->bmnc", fields.G1, X1))
-    gammat = TJ(gamma0, _einsum("bmnls,bsc->bmnlc", gamma1, X1))
+    G2X = jets._packed_hessian_along(fields.G, X1)
+    gammat = TJ(*christoffel_along(fields.G0, fields.G1, Gt.d, G2X))
     Tt = TJ(X1, X2)
     # induced metric and its first two derivative levels
     gt = tj_einsum("bmn,bma,bnB->baB", Gt, Tt, Tt)
-    g2 = _second_derivative_of_induced_metric(
-        fields.G0, fields.G1, fields.G2, X1, X2, X3
-    )
+    g2 = _second_derivative_of_induced_metric(fields.G0, fields.G1, G2X, X1, X2, X3)
     det = np.linalg.det(gt.v)
     if np.any(det <= 0):
         raise RuntimeError(
@@ -514,7 +510,11 @@ def structure_checks(pg: PointGeometry, cd: CurvatureData) -> dict:
 
 def sectional_curvatures(cd: CurvatureData, V: np.ndarray, W: np.ndarray):
     """Sectional curvature of span(V, W) per node; frame components (B,P,n)."""
-    num = _einsum("bijkl,bpi,bpj,bpk,bpl->bp", cd.Riem, V, W, V, W)
+    # one contraction at a time: with the shared p, a single einsum finds
+    # no pairwise path and loops over all six indices
+    num = _einsum("bijkl,bpl->bpijk", cd.Riem, W)
+    num = _einsum("bpijk,bpk->bpij", num, V)
+    num = _einsum("bpij,bpi,bpj->bp", num, V, W)
     vv = _einsum("bpi,bpi->bp", V, V)
     ww = _einsum("bpi,bpi->bp", W, W)
     vw = _einsum("bpi,bpi->bp", V, W)

@@ -48,29 +48,32 @@ __all__ = [
 # letting derivatives blow past float range.
 DIV_FLOOR = 1e-12
 
-_MIRROR2_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_MIRROR3_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_MIRROR2_CACHE: dict[int, np.ndarray] = {}
+_MIRROR3_CACHE: dict[int, np.ndarray] = {}
 _LEIBNIZ_CACHE: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+
+
+# The mirrors take from the flattened trailing axes, so the result is
+# C-contiguous; fancy indexing on the separate trailing axes would give the
+# batch axis stride 1.
 
 
 def _mirror2(t: np.ndarray, v: int) -> np.ndarray:
     """Copy the i<=j entries of the trailing (v, v) block to all permutations."""
     if v not in _MIRROR2_CACHE:
-        i, j = np.meshgrid(np.arange(v), np.arange(v), indexing="ij")
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        _MIRROR2_CACHE[v] = (lo, hi)
-    lo, hi = _MIRROR2_CACHE[v]
-    return t[..., lo, hi]
+        idx = np.sort(np.indices((v, v)).reshape(2, -1), axis=0)
+        _MIRROR2_CACHE[v] = idx[0] * v + idx[1]
+    flat = t.reshape(t.shape[:-2] + (v * v,))
+    return np.take(flat, _MIRROR2_CACHE[v], axis=-1).reshape(t.shape)
 
 
 def _mirror3(t: np.ndarray, v: int) -> np.ndarray:
     """Copy the i<=j<=k entries of the trailing (v, v, v) block everywhere."""
     if v not in _MIRROR3_CACHE:
-        idx = np.stack(np.meshgrid(*[np.arange(v)] * 3, indexing="ij"))
-        idx = np.sort(idx, axis=0)
-        _MIRROR3_CACHE[v] = (idx[0], idx[1], idx[2])
-    a, b, c = _MIRROR3_CACHE[v]
-    return t[..., a, b, c]
+        idx = np.sort(np.indices((v, v, v)).reshape(3, -1), axis=0)
+        _MIRROR3_CACHE[v] = (idx[0] * v + idx[1]) * v + idx[2]
+    flat = t.reshape(t.shape[:-3] + (v**3,))
+    return np.take(flat, _MIRROR3_CACHE[v], axis=-1).reshape(t.shape)
 
 
 def _sym3_from_21(t2: np.ndarray, t1: np.ndarray) -> np.ndarray:
@@ -633,6 +636,25 @@ def _packed_gradient(packed: np.ndarray, v: int) -> np.ndarray:
         for idx in _packed_basis(v, order - 1)
     ]
     return np.moveaxis(packed[np.array(rows)], 1, -1)
+
+
+def _packed_hessian_along(packed: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Second partials along directions: out[b, ..., nu, c] = sum over a of d_nu d_a p X[b, a, c].
+
+    ``packed`` is (coefficients, B, *s) to order 2 or more in v variables and
+    ``X`` is (B, v, n); the result is (B, *s, v, n).  One row gather and one
+    batched matmul per nu, so the full (v, v) Hessian block is never formed.
+    """
+    B, v, n = X.shape
+    row = {idx: i for i, idx in enumerate(_packed_basis(v, 2))}
+    size = packed[0].size // B
+    if len(packed) < len(row):  # a lower order: the second partials vanish
+        return np.zeros((B,) + packed.shape[2:] + (v, n))
+    out = np.empty((v, B, size, n))
+    for nu in range(v):
+        rows = np.take(packed, [row[tuple(sorted((nu, a)))] for a in range(v)], axis=0)
+        np.matmul(rows.reshape(v, B, size).transpose(1, 2, 0), X, out=out[nu])
+    return np.moveaxis(out, 0, -2).reshape((B,) + packed.shape[2:] + (v, n))
 
 
 def _unpack_blocks(packed: np.ndarray, v: int, order: int) -> list[np.ndarray]:

@@ -21,8 +21,11 @@ One builder per model, ``_chart_jets``, serves ``metric_jets`` and
 structure tensors to order 1 as packed jets (``jets._packed_basis``) shaped
 (coefficients, B, tensor axes).  Products are Leibniz-table loops, sqrt and
 1/x truncated Taylor series and chart derivatives row gathers, so no
-derivative formula is written by hand.  The results are unpacked once into
-mirrored, batch-first derivative blocks.
+derivative formula is written by hand.  ``metric_jets`` unpacks the metric
+into mirrored, batch-first derivative blocks.  ``fields_at`` unpacks values
+and first derivatives only and hands on the packed metric, whose second
+derivatives a consumer contracts with its own directions
+(:func:`christoffel_along`), so no dense (B, m, m, m, m) block is written.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ __all__ = [
     "make_model",
     "christoffel_from_metric",
     "christoffel_derivative",
+    "christoffel_along",
     "riemann_from_metric",
 ]
 
@@ -64,7 +68,7 @@ class AmbientFields:
 
     G0: np.ndarray  # (B, m, m)
     G1: np.ndarray  # (B, m, m, m)  last axis: d/dq^sigma
-    G2: np.ndarray  # (B, m, m, m, m)
+    G: np.ndarray  # the packed metric to order 2, (coefficients, B, m, m)
     # complex models
     J0: np.ndarray | None = None
     J1: np.ndarray | None = None
@@ -84,11 +88,11 @@ class AmbientFields:
 def _metric_bracket(G1):
     """bracket[b, rho, nu, lam] = d_nu g_{rho lam} + d_lam g_{rho nu} - d_rho g_{nu lam}.
 
-    ``G1[b, r, l, n]`` holds ``d_n g_{rl}``.
+    ``G1[b, r, l, n]`` holds ``d_n g_{rl}``; trailing axes after ``n`` ride along.
     """
-    d_nu = _einsum("brln->brnl", G1)
+    d_nu = np.swapaxes(G1, 2, 3)
     d_lam = G1  # already [rho, nu, lam]
-    d_rho = _einsum("bnlr->brnl", G1)
+    d_rho = np.moveaxis(G1, 3, 1)
     return d_nu + d_lam - d_rho
 
 
@@ -102,11 +106,32 @@ def christoffel_derivative(G0, G1, G2):
     """d_sigma Gamma^mu_{nu lambda}; ``G2[b, r, l, n, s] = d_s d_n g_{rl}``."""
     Ginv = np.linalg.inv(G0)
     dGinv = -_einsum("bmp,bpqs,bqn->bmns", Ginv, G1, Ginv)
-    dbracket = G2 + _einsum("brlns->brnls", G2) - _einsum("bnlrs->brnls", G2)
     return 0.5 * (
         _einsum("bmrs,brnl->bmnls", dGinv, _metric_bracket(G1))
-        + _einsum("bmr,brnls->bmnls", Ginv, dbracket)
+        + _einsum("bmr,brnls->bmnls", Ginv, _metric_bracket(G2))
     )
+
+
+def christoffel_along(G0, G1, G1X, G2X):
+    """Gamma^mu_{nu lambda} and its derivatives along n tangent vectors X_c.
+
+    ``G1X[b, r, l, c] = d_{X_c} g_{rl}`` and ``G2X[b, r, l, nu, c] =
+    d_nu d_{X_c} g_{rl}``.  Returns Gamma (B, m, m, m) and d_{X_c} Gamma
+    (B, m, m, m, n) from d_c Gamma = (d_c G^-1 bracket(G1) + G^-1
+    bracket(G2X_c)) / 2 with d_c G^-1 = -G^-1 G1X_c G^-1: batched matmuls
+    that never differentiate along the other m - n chart directions.
+    """
+    B, m = G0.shape[:2]
+    n = G1X.shape[-1]
+    Ginv = np.linalg.inv(G0)
+    bracket = _metric_bracket(G1)
+    gamma = 0.5 * _einsum("bmr,brnl->bmnl", Ginv, bracket)
+    dGinv = -(Ginv[:, None] @ np.moveaxis(G1X, -1, 1) @ Ginv[:, None])  # (B, n, m, m)
+    first = dGinv @ bracket.reshape(B, 1, m, m * m)  # [b, c, mu, (nu lam)]
+    dgamma = (Ginv @ _metric_bracket(G2X).reshape(B, m, m * m * n)).reshape(B, m, m, m, n)
+    dgamma += np.moveaxis(first.reshape(B, n, m, m, m), 1, -1)
+    dgamma *= 0.5
+    return gamma, dgamma
 
 
 def riemann_from_metric(G0, G1, G2):
@@ -245,17 +270,19 @@ class BaseModel:
             ) from None
 
     def fields_at(self, points) -> AmbientFields:
-        """The metric to order 2 and the structure tensors to order 1."""
+        """The metric to order 2 and the structure tensors to order 1.
+
+        The metric's second derivatives stay packed in ``G``: consumers
+        contract them with their own directions (``jets._packed_hessian_along``).
+        """
         packed = self._chart_jets(points, 2, structure=True)
         blocks = {
             f"{name}{k}": block
             for name, p in packed.items()
-            for k, block in enumerate(
-                jets._unpack_blocks(p, self.chart_dim, 2 if name == "G" else 1)
-            )
+            for k, block in enumerate(jets._unpack_blocks(p, self.chart_dim, 1))
         }
         self._assert_spd(blocks["G0"])
-        return AmbientFields(**blocks)
+        return AmbientFields(G=packed["G"], **blocks)
 
     def christoffel_at(self, points):
         G0, G1, _ = self.metric_jets(points, order=1)

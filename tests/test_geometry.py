@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from whitneygeo import jets
 from whitneygeo.geometry import (
+    CurvatureData,
+    _second_derivative_of_induced_metric,
     curvature_data,
     paper_residuals,
     pointwise_geometry,
@@ -12,6 +15,14 @@ from whitneygeo.geometry import (
     structure_checks,
 )
 from whitneygeo.immersions import SphereChart, make_spec, model_for
+from whitneygeo.spaceforms import (
+    christoffel_along,
+    christoffel_derivative,
+    christoffel_from_metric,
+    make_model,
+)
+
+ALL_KINDS = ["C_n", "CP_n", "CH_n", "Sasakian_R", "Sasakian_S", "Sasakian_B"]
 
 
 def _params(n, count=10, seed=0):
@@ -242,3 +253,65 @@ class TestFiniteDifferenceOracles:
             gm, _ = pointwise_geometry(model, spec, 0, tm, atlas=atlas2)
             fd = (gp.g.d - gm.g.d) / (2 * step)
             assert_allclose(pg.g2[..., c], fd, atol=1e-6, rtol=1e-6)
+
+
+def _symmetric(rng, shape, k):
+    """Random arrays symmetric in their last k axes."""
+    t = rng.normal(size=shape + (shape[-1],) * (k - 1))
+    return (jets._mirror2 if k == 2 else jets._mirror3)(t, shape[-1])
+
+
+class TestTangentialRoute:
+    """The metric differentiated only along the immersion, against the dense route."""
+
+    @pytest.mark.parametrize(
+        "kind, n", [(k, n) for n in (2, 3) for k in ALL_KINDS] + [("Sasakian_R", 4)]
+    )
+    def test_matches_dense_chart_derivatives(self, kind, n):
+        model = make_model(kind, n, a=0.8)
+        rng = np.random.default_rng(30 + n)
+        B, m = 6, model.chart_dim
+        pts = model.random_chart_points(rng, B)
+        X1 = rng.normal(size=(B, m, n))
+        X2, X3 = _symmetric(rng, (B, m, n), 2), _symmetric(rng, (B, m, n), 3)
+        G0, G1, G2 = model.metric_jets(pts, order=2)
+        G2X = jets._packed_hessian_along(model.fields_at(pts).G, X1)
+        G1X = np.einsum("bmns,bsc->bmnc", G1, X1)
+        gamma, dgamma = christoffel_along(G0, G1, G1X, G2X)
+        assert np.array_equal(gamma, christoffel_from_metric(G0, G1))
+        dense = {
+            "G2X": np.einsum("brlns,bsc->brlnc", G2, X1),
+            "dgamma": np.einsum(
+                "bmnls,bsc->bmnlc", christoffel_derivative(G0, G1, G2), X1
+            ),
+            # the chart-wide first term of the induced g2, then the rest unchanged
+            "g2": np.einsum("bmnst,btd,bsc,bmA,bnB->bABcd", G2, X1, X1, X1, X1)
+            + _second_derivative_of_induced_metric(
+                G0, G1, np.zeros_like(G2X), X1, X2, X3
+            ),
+        }
+        got = {
+            "G2X": G2X,
+            "dgamma": dgamma,
+            "g2": _second_derivative_of_induced_metric(G0, G1, G2X, X1, X2, X3),
+        }
+        for name, want in dense.items():
+            assert got[name].shape == want.shape, name
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got[name] - want)) <= 1e-13 * scale, name
+
+
+def test_stepwise_sectional_matches_single_einsum():
+    rng = np.random.default_rng(41)
+    B, P, n = 7, 5, 4
+    riem = rng.normal(size=(B, n, n, n, n))
+    V, W = rng.normal(size=(B, P, n)), rng.normal(size=(B, P, n))
+    cd = CurvatureData(Riem=riem, Riem_metric=riem, Ricci=None, scalar=None, Weyl=None)
+    num = np.einsum("bijkl,bpi,bpj,bpk,bpl->bp", riem, V, W, V, W)
+    den = (
+        np.einsum("bpi,bpi->bp", V, V) * np.einsum("bpi,bpi->bp", W, W)
+        - np.einsum("bpi,bpi->bp", V, W) ** 2
+    )
+    want = num / den
+    got = sectional_curvatures(cd, V, W)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

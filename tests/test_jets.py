@@ -217,6 +217,18 @@ class TestSymmetry:
             assert np.array_equal(g.d3, np.transpose(g.d3, perm))
         assert np.array_equal(g.d2, g.d2.T)
 
+    def test_mirrored_blocks_are_c_contiguous(self):
+        rng = np.random.default_rng(6)
+        x, y, z = seed_variables(rng.normal(size=(64, 3)), order=3, batch=True)
+        g = jets.sin(x * y) * (z + 2.0)
+        for blk in (g.d2, g.d3):
+            assert blk.flags.c_contiguous
+        # the same entries as indexing the trailing axes directly
+        lo, hi = np.sort(np.indices((3, 3)), axis=0)
+        assert np.array_equal(jets._mirror2(g.d2, 3), g.d2[..., lo, hi])
+        a, b, c = np.sort(np.indices((3, 3, 3)), axis=0)
+        assert np.array_equal(jets._mirror3(g.d3, 3), g.d3[..., a, b, c])
+
 
 # ---------------------------------------------------------------------------
 # elementary functions: series values and finite-difference oracle

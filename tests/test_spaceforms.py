@@ -342,12 +342,17 @@ def test_packed_builders_match_scalar_jet_reference(kind, n):
     model = make_model(kind, n, a=0.8)
     pts = model.random_chart_points(np.random.default_rng(20 + n), 5)
     fields = vars(model.fields_at(pts))
+    packed = fields.pop("G")
+    # fields_at keeps the metric's second derivatives packed: G2 is read
+    # through metric_jets, and the packed metric must unpack to the same blocks
+    metric = dict(zip(("G0", "G1", "G2"), model.metric_jets(pts, order=2)))
+    fields["G2"] = metric["G2"]
     want = _reference_fields(model, pts)
     assert {k for k, v in fields.items() if v is not None} == set(want)
     for name, ref in want.items():
         got = fields[name]
         assert got.shape == ref.shape, name
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
-    G0, G1, G2 = model.metric_jets(pts, order=2)
-    for got, name in ((G0, "G0"), (G1, "G1"), (G2, "G2")):
-        assert np.array_equal(got, fields[name])
+    for name, got in zip(("G0", "G1", "G2"), jets._unpack_blocks(packed, model.chart_dim, 2)):
+        assert np.array_equal(got, metric[name]), name
+        assert np.array_equal(got, fields[name]), name
