@@ -8,7 +8,7 @@ their sectional curvatures vary from point to point and plane to plane.
 from whitneygeo import make_spec
 from whitneygeo.verify import conformal_block
 
-print("contact family over the flat model, n = 4 (this takes ~half a minute)")
+print("contact family over the flat model, n = 4 (this takes a few seconds)")
 conf = conformal_block(make_spec("contact_whitney_r", 4, r=1.0), seed=0)
 print(f"  Weyl tensor sup      : {conf['weyl_sup']:.3e}")
 print(f"  sectional curvature  : [{conf['sectional_min']:.3f}, "

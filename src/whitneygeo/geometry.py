@@ -1,14 +1,15 @@
 """Pointwise extrinsic geometry of an immersed sphere or torus.
 
-Everything is computed in batch form from order-3 jets of the immersion and
-chart-derivative arrays of the ambient fields.  The ambient metric's second
-derivatives are taken only along the immersion's tangents X1: the packed
-metric rows are contracted with X1 first, and the Christoffel symbols are
-differentiated along those n directions alone.  Scalars and frames carry
-their first parameter derivatives through a minimal "tensor jet" (value
-plus trailing derivative axis), which makes the covariant derivative of the
-second fundamental form an exact algebraic computation rather than a
-finite difference.
+Everything is computed in batch form, in two stages by jet order.  The
+frame stage (:func:`frame_geometry`) takes values from order-2 jets of the
+immersion and the metric's first chart derivatives: enough for the
+Gauss-route curvature.  The full pass (:func:`pointwise_geometry`) runs the
+same stage on order-3 jets, so scalars and frames also carry their first
+parameter derivatives through a minimal "tensor jet" (value plus trailing
+derivative axis), which makes the covariant derivative of the second
+fundamental form an exact algebraic computation rather than a finite
+difference.  The metric is differentiated twice only along the immersion's
+tangents X1.
 
 Index conventions follow the adapted-frame picture: ``h[b, i, j, k]`` is
 the second fundamental form paired with the k-th normal frame vector,
@@ -39,7 +40,9 @@ __all__ = [
     "tj_einsum",
     "PointGeometry",
     "CurvatureData",
+    "frame_geometry",
     "pointwise_geometry",
+    "gauss_curvature",
     "curvature_data",
     "paper_residuals",
     "structure_checks",
@@ -53,7 +56,8 @@ class TJ:
     """A batched tensor with its first parameter derivatives.
 
     ``v`` has shape ``(B, ...)``; ``d`` appends one axis of length n (the
-    number of immersion parameters).
+    number of immersion parameters), or is None where only values are
+    computed (the order-2 frame stage).
     """
 
     __slots__ = ("v", "d")
@@ -63,53 +67,50 @@ class TJ:
         self.d = d
 
     def __add__(self, other):
-        return TJ(self.v + other.v, self.d + other.d)
+        return TJ(self.v + other.v, None if self.d is None else self.d + other.d)
 
     def __sub__(self, other):
-        return TJ(self.v - other.v, self.d - other.d)
-
-    def __neg__(self):
-        return TJ(-self.v, -self.d)
+        return TJ(self.v - other.v, None if self.d is None else self.d - other.d)
 
     def scaled(self, c):
-        return TJ(c * self.v, c * self.d)
+        return TJ(c * self.v, None if self.d is None else c * self.d)
 
 
 def tj_einsum(spec: str, *ops) -> TJ:
     """einsum with the product rule; operands are TJ or plain arrays."""
+    if not any(isinstance(op, TJ) for op in ops):
+        raise ValueError("tj_einsum needs at least one TJ operand")
     ins, out = spec.split("->")
     ins = ins.split(",")
     vals = [op.v if isinstance(op, TJ) else op for op in ops]
     v = _einsum(spec, *vals)
     d = None
     for k, op in enumerate(ops):
-        if not isinstance(op, TJ):
+        if not isinstance(op, TJ) or op.d is None:
             continue
         mod = ",".join(s + "Z" if i == k else s for i, s in enumerate(ins))
         args = [op.d if i == k else vals[i] for i in range(len(ops))]
         term = _einsum(f"{mod}->{out}Z", *args)
         d = term if d is None else d + term
-    if d is None:
-        raise ValueError("tj_einsum needs at least one TJ operand")
     return TJ(v, d)
 
 
 def _tj_sqrt(s: TJ) -> TJ:
     r = np.sqrt(s.v)
-    return TJ(r, s.d * (0.5 / r)[..., None])
+    return TJ(r, None if s.d is None else s.d * (0.5 / r)[..., None])
 
 
 def _tj_recip(s: TJ) -> TJ:
     w = 1.0 / s.v
-    return TJ(w, -s.d * (w * w)[..., None])
+    return TJ(w, None if s.d is None else -s.d * (w * w)[..., None])
 
 
-def _from_jets(xjets) -> tuple[np.ndarray, ...]:
-    X0 = np.stack([j.val for j in xjets], axis=1)  # (B, m)
-    X1 = np.stack([j.d1 for j in xjets], axis=1)
-    X2 = np.stack([j.d2 for j in xjets], axis=1)
-    X3 = np.stack([j.d3 for j in xjets], axis=1)
-    return X0, X1, X2, X3
+def _from_jets(xjets) -> list:
+    """X0, ..., X3 shaped (B, m, n, ...); None above the jets' order."""
+    return [
+        None if k > xjets[0].order else np.stack([getattr(j, a) for j in xjets], axis=1)
+        for k, a in enumerate(("val", "d1", "d2", "d3"))
+    ]
 
 
 @dataclass
@@ -121,22 +122,23 @@ class PointGeometry:
     n: int
     chart_points: np.ndarray  # (B, m)
     g: TJ  # induced metric (B, n, n)
-    g2: np.ndarray  # second parameter derivatives of g (B, n, n, n, n)
     sqrt_det_g: np.ndarray  # (B,)
     E: TJ  # orthonormal tangent frame, coordinate components (B, n, n)
     F: TJ  # the same frame in ambient components (B, n, m)
     N: TJ  # normal frame J e_i / phi e_i, ambient components (B, n, m)
     Xi: TJ | None  # unit contact normal along the image (Sasakian)
-    A: np.ndarray  # connection coefficients <nabla_{e_k} e_i, e_j> (B,n,n,n)
     h: TJ  # second fundamental form components (B, n, n, n)
     h_xi: np.ndarray | None  # contact-normal component of h (B, n, n)
-    hcov: np.ndarray  # nabla h components [b, i, j, k, l] (B, n, n, n, n)
-    hcov_xi: np.ndarray | None  # contact-normal block of nabla h (B, n, n, n)
     H: TJ  # mean curvature components (B, n)
-    Hcov: np.ndarray  # [b, i, j] = H^{j}_{,i} (B, n, n)
-    Hcov_xi: np.ndarray | None  # contact component of nabla-perp H (B, n)
     isotropy: np.ndarray  # per-node isotropy residual (B,)
     c_eff: float  # sectional constant of the ambient on isotropic tangents
+    # derivative levels, None after the order-2 frame stage (its TJs have no d)
+    g2: np.ndarray | None = None  # second parameter derivatives of g (B,n,n,n,n)
+    A: np.ndarray | None = None  # connection <nabla_{e_k} e_i, e_j> (B,n,n,n)
+    hcov: np.ndarray | None = None  # nabla h [b, i, j, k, l] (B, n, n, n, n)
+    hcov_xi: np.ndarray | None = None  # contact-normal block of nabla h (B, n, n, n)
+    Hcov: np.ndarray | None = None  # [b, i, j] = H^{j}_{,i} (B, n, n)
+    Hcov_xi: np.ndarray | None = None  # contact component of nabla-perp H (B, n)
 
 
 @dataclass
@@ -144,7 +146,7 @@ class CurvatureData:
     """Intrinsic curvature through two independent routes."""
 
     Riem: np.ndarray  # Gauss-equation route, frame components (B,n,n,n,n)
-    Riem_metric: np.ndarray  # induced-metric-derivative route
+    Riem_metric: np.ndarray | None  # induced-metric-derivative route (full pass)
     Ricci: np.ndarray  # (B, n, n), from the Gauss route
     scalar: np.ndarray  # (B,)
     Weyl: np.ndarray | None  # (B,n,n,n,n) for n >= 4
@@ -174,7 +176,7 @@ def _gram_schmidt(gt: TJ, n: int, mixer: np.ndarray | None):
     for i in range(n):
         w = TJ(
             np.broadcast_to(basis[i], (B, n)).copy(),
-            np.zeros((B, n, n)),
+            None if gt.d is None else np.zeros((B, n, n)),
         )
         for e in frames:
             c = tj_einsum("ba,bac,bc->b", w, gt, e)
@@ -184,7 +186,7 @@ def _gram_schmidt(gt: TJ, n: int, mixer: np.ndarray | None):
         frames.append(w)
     return TJ(
         np.stack([e.v for e in frames], axis=1),
-        np.stack([e.d for e in frames], axis=1),
+        None if gt.d is None else np.stack([e.d for e in frames], axis=1),
     )
 
 
@@ -227,6 +229,13 @@ def _ambient_frame_curvature(pg: PointGeometry, fields):
     return k1 * sect + k2 * struct
 
 
+def frame_geometry(model: BaseModel, spec: ImmersionSpec, chart_index: int, t,
+                   atlas: SphereChart | None = None):
+    """The order-2 frame stage at ``t``, as :func:`pointwise_geometry` returns it
+    but with values only: all that :func:`gauss_curvature` needs."""
+    return _geometry(model, spec, chart_index, t, atlas, None, order=2)
+
+
 def pointwise_geometry(
     model: BaseModel,
     spec: ImmersionSpec,
@@ -240,20 +249,28 @@ def pointwise_geometry(
     Returns ``(PointGeometry, AmbientFields)``; the fields are reused by
     :func:`curvature_data` for the ambient term of the Gauss equation.
     """
-    n = spec.n
-    xjets = eval_immersion(spec, chart_index, t, atlas=atlas, order=3)
-    X0, X1, X2, X3 = _from_jets(xjets)
-    fields = model.fields_at(X0)
+    return _geometry(model, spec, chart_index, t, atlas, mixer, order=3)
 
-    # chart fields restricted to the image, with parameter derivatives; the
-    # metric is differentiated twice only along the tangents X1
-    Gt = TJ(fields.G0, _einsum("bmns,bsc->bmnc", fields.G1, X1))
-    G2X = jets._packed_hessian_along(fields.G, X1)
+
+def _geometry(model, spec, chart_index, t, atlas, mixer, order):
+    """The frame stage from order-``order`` jets; order 3 adds the derivative levels."""
+    n = spec.n
+    full = order == 3
+    xjets = eval_immersion(spec, chart_index, t, atlas=atlas, order=order)
+    X0, X1, X2, X3 = _from_jets(xjets)
+    fields = model.fields_at(X0, order=order - 1)
+
+    # chart fields restricted to the image, with parameter derivatives in the
+    # full pass; the metric is differentiated twice only along the tangents X1
+    def along(D1, sub="bmns,bsc->bmnc"):
+        return _einsum(sub, D1, X1) if full else None
+
+    Gt = TJ(fields.G0, along(fields.G1))
+    G2X = jets._packed_hessian_along(fields.G, X1) if full else None
     gammat = TJ(*christoffel_along(fields.G0, fields.G1, Gt.d, G2X))
-    Tt = TJ(X1, X2)
-    # induced metric and its first two derivative levels
+    Tt = TJ(X1, X2 if full else None)
+    # induced metric
     gt = tj_einsum("bmn,bma,bnB->baB", Gt, Tt, Tt)
-    g2 = _second_derivative_of_induced_metric(fields.G0, fields.G1, G2X, X1, X2, X3)
     det = np.linalg.det(gt.v)
     if np.any(det <= 0):
         raise RuntimeError(
@@ -264,15 +281,15 @@ def pointwise_geometry(
     Ft = tj_einsum("bia,bma->bim", Et, Tt)
 
     if not model.is_sasakian:
-        Jt = TJ(fields.J0, _einsum("bmns,bsc->bmnc", fields.J1, X1))
+        Jt = TJ(fields.J0, along(fields.J1))
         Nt = tj_einsum("bmn,bin->bim", Jt, Ft)
         Xit = None
         c_eff = float(model.c)
         iso = np.max(np.abs(tj_einsum("bmn,bim,bjn->bij", Gt, Nt, Ft).v), axis=(1, 2))
     else:
-        Phit = TJ(fields.Phi0, _einsum("bmns,bsc->bmnc", fields.Phi1, X1))
+        Phit = TJ(fields.Phi0, along(fields.Phi1))
         Nt = tj_einsum("bmn,bin->bim", Phit, Ft)
-        Xit = TJ(fields.Xi0, _einsum("bms,bsc->bmc", fields.Xi1, X1))
+        Xit = TJ(fields.Xi0, along(fields.Xi1, "bms,bsc->bmc"))
         c_eff = (model.c_tilde + 3.0) / 4.0
         eta_res = np.abs(_einsum("bm,bim->bi", fields.Eta0, Ft.v))
         phi_res = np.abs(tj_einsum("bmn,bim,bjn->bij", Gt, Nt, Ft).v)
@@ -285,12 +302,24 @@ def pointwise_geometry(
     h_xi = None
     if model.is_sasakian:
         h_xi = tj_einsum("bmn,bijm,bn->bij", Gt, Wt, Xit).v
+    Ht = tj_einsum("biik->bk", ht).scaled(1.0 / n)  # mean curvature
+
+    pg = PointGeometry(
+        spec=spec, is_sasakian=model.is_sasakian, n=n, chart_points=X0, g=gt,
+        sqrt_det_g=np.sqrt(det), E=Et, F=Ft, N=Nt, Xi=Xit, h=ht, h_xi=h_xi, H=Ht,
+        isotropy=iso, c_eff=c_eff,
+    )
+    if not full:
+        return pg, fields
+
+    # second derivatives of the induced metric, for the metric-route curvature
+    pg.g2 = _second_derivative_of_induced_metric(fields.G0, fields.G1, G2X, X1, X2, X3)
 
     # connection coefficients and the normal projection of W
     DF = _einsum("bkc,bimc->bkim", Et.v, Ft.d) + _einsum(
         "bkc,bmnl,bnc,bil->bkim", Et.v, gammat.v, Tt.v, Ft.v
     )
-    A = _einsum("bmn,bkim,bjn->bkij", Gt.v, DF, Ft.v)
+    pg.A = A = _einsum("bmn,bkim,bjn->bkij", Gt.v, DF, Ft.v)
     tang = tj_einsum("bmn,bijm,bkn->bijk", Gt, Wt, Ft)
     Vt = Wt - tj_einsum("bijk,bkm->bijm", tang, Ft)
     DV = _einsum("bkc,bijmc->bijkm", Et.v, Vt.d) + _einsum(
@@ -300,62 +329,32 @@ def pointwise_geometry(
     corr = _einsum("bkim,bmjl->bijkl", A, ht.v) + _einsum(
         "bkjm,biml->bijkl", A, ht.v
     )
-    hcov = raw - corr
-    hcov_xi = None
+    pg.hcov = raw - corr
     if model.is_sasakian:
         raw_xi = _einsum("bmn,bijkm,bn->bijk", Gt.v, DV, Xit.v)
         corr_xi = _einsum("bkim,bmj->bijk", A, h_xi) + _einsum(
             "bkjm,bim->bijk", A, h_xi
         )
-        hcov_xi = raw_xi - corr_xi
+        pg.hcov_xi = raw_xi - corr_xi
 
-    # mean curvature and its normal derivatives
-    Ht = tj_einsum("biik->bk", ht)
-    Ht = Ht.scaled(1.0 / n)
+    # normal derivatives of the mean curvature
     Hambt = tj_einsum("bk,bkm->bm", Ht, Nt)
     DH = _einsum("bic,bmc->bim", Et.v, Hambt.d) + _einsum(
         "bic,bmnl,bnc,bl->bim", Et.v, gammat.v, Tt.v, Hambt.v
     )
-    Hcov = _einsum("bim,bmn,bjn->bij", DH, Gt.v, Nt.v)
-    Hcov_xi = None
+    pg.Hcov = _einsum("bim,bmn,bjn->bij", DH, Gt.v, Nt.v)
     if model.is_sasakian:
-        Hcov_xi = _einsum("bim,bmn,bn->bi", DH, Gt.v, Xit.v)
-
-    return PointGeometry(
-        spec=spec,
-        is_sasakian=model.is_sasakian,
-        n=n,
-        chart_points=X0,
-        g=gt,
-        g2=g2,
-        sqrt_det_g=np.sqrt(det),
-        E=Et,
-        F=Ft,
-        N=Nt,
-        Xi=Xit,
-        A=A,
-        h=ht,
-        h_xi=h_xi,
-        hcov=hcov,
-        hcov_xi=hcov_xi,
-        H=Ht,
-        Hcov=Hcov,
-        Hcov_xi=Hcov_xi,
-        isotropy=iso,
-        c_eff=c_eff,
-    ), fields
+        pg.Hcov_xi = _einsum("bim,bmn,bn->bi", DH, Gt.v, Xit.v)
+    return pg, fields
 
 
-def curvature_data(pg: PointGeometry, fields) -> CurvatureData:
-    """Intrinsic curvature by the Gauss equation and by metric derivatives."""
+def gauss_curvature(pg: PointGeometry, fields) -> CurvatureData:
+    """Intrinsic curvature by the Gauss equation R = Rbar + h^h, from values
+    only (:func:`frame_geometry` suffices); ``Riem_metric`` is None."""
     n = pg.n
     Rbar = _ambient_frame_curvature(pg, fields)
     hh = _einsum("bikm,bjlm->bijkl", pg.h.v, pg.h.v)
     Riem = Rbar + hh - hh.transpose(0, 1, 2, 4, 3)
-    R4 = riemann_from_metric(pg.g.v, pg.g.d, pg.g2)
-    Riem_metric = _einsum(
-        "bdcae,bia,bje,blc,bdf,bkf->bijkl", R4, pg.E.v, pg.E.v, pg.E.v, pg.g.v, pg.E.v
-    )
     Ricci = _einsum("bijil->bjl", Riem)
     scalar = _einsum("bjj->b", Ricci)
     Weyl = None
@@ -377,8 +376,18 @@ def curvature_data(pg: PointGeometry, fields) -> CurvatureData:
             + scalar[:, None, None, None, None] * gg / (2.0 * (n - 1.0) * (n - 2.0))
         )
     return CurvatureData(
-        Riem=Riem, Riem_metric=Riem_metric, Ricci=Ricci, scalar=scalar, Weyl=Weyl
+        Riem=Riem, Riem_metric=None, Ricci=Ricci, scalar=scalar, Weyl=Weyl
     )
+
+
+def curvature_data(pg: PointGeometry, fields) -> CurvatureData:
+    """Intrinsic curvature by the Gauss equation and by metric derivatives."""
+    cd = gauss_curvature(pg, fields)
+    R4 = riemann_from_metric(pg.g.v, pg.g.d, pg.g2)
+    cd.Riem_metric = _einsum(
+        "bdcae,bia,bje,blc,bdf,bkf->bijkl", R4, pg.E.v, pg.E.v, pg.E.v, pg.g.v, pg.E.v
+    )
+    return cd
 
 
 def vector_field_scalars(pg: PointGeometry, cd: CurvatureData, Y: TJ) -> dict:

@@ -25,7 +25,8 @@ derivative formula is written by hand.  ``metric_jets`` unpacks the metric
 into mirrored, batch-first derivative blocks.  ``fields_at`` unpacks values
 and first derivatives only and hands on the packed metric, whose second
 derivatives a consumer contracts with its own directions
-(:func:`christoffel_along`), so no dense (B, m, m, m, m) block is written.
+(:func:`christoffel_along`), so no dense (B, m, m, m, m) block is written;
+``fields_at(points, order=1)`` skips those second derivatives altogether.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class AmbientFields:
 
     G0: np.ndarray  # (B, m, m)
     G1: np.ndarray  # (B, m, m, m)  last axis: d/dq^sigma
-    G: np.ndarray  # the packed metric to order 2, (coefficients, B, m, m)
+    G: np.ndarray  # the packed metric to the order asked for, (coefficients, B, m, m)
     # complex models
     J0: np.ndarray | None = None
     J1: np.ndarray | None = None
@@ -119,13 +120,16 @@ def christoffel_along(G0, G1, G1X, G2X):
     d_nu d_{X_c} g_{rl}``.  Returns Gamma (B, m, m, m) and d_{X_c} Gamma
     (B, m, m, m, n) from d_c Gamma = (d_c G^-1 bracket(G1) + G^-1
     bracket(G2X_c)) / 2 with d_c G^-1 = -G^-1 G1X_c G^-1: batched matmuls
-    that never differentiate along the other m - n chart directions.
+    that never differentiate along the other m - n chart directions.  With
+    ``G2X`` None the derivative is None.
     """
-    B, m = G0.shape[:2]
-    n = G1X.shape[-1]
     Ginv = np.linalg.inv(G0)
     bracket = _metric_bracket(G1)
     gamma = 0.5 * _einsum("bmr,brnl->bmnl", Ginv, bracket)
+    if G2X is None:
+        return gamma, None
+    B, m = G0.shape[:2]
+    n = G1X.shape[-1]
     dGinv = -(Ginv[:, None] @ np.moveaxis(G1X, -1, 1) @ Ginv[:, None])  # (B, n, m, m)
     first = dGinv @ bracket.reshape(B, 1, m, m * m)  # [b, c, mu, (nu lam)]
     dgamma = (Ginv @ _metric_bracket(G2X).reshape(B, m, m * m * n)).reshape(B, m, m, m, n)
@@ -269,13 +273,16 @@ class BaseModel:
                 f"(min eigenvalue {eigs[bad, 0]:.3e})"
             ) from None
 
-    def fields_at(self, points) -> AmbientFields:
-        """The metric to order 2 and the structure tensors to order 1.
+    def fields_at(self, points, order: int = 2) -> AmbientFields:
+        """The metric to ``order`` (1 or 2) and the structure tensors to order 1.
 
         The metric's second derivatives stay packed in ``G``: consumers
         contract them with their own directions (``jets._packed_hessian_along``).
+        Order 1 skips them, for consumers that need no metric Hessian.
         """
-        packed = self._chart_jets(points, 2, structure=True)
+        if order not in (1, 2):
+            raise ValueError(f"fields_at order must be 1 or 2, got {order!r}")
+        packed = self._chart_jets(points, order, structure=True)
         blocks = {
             f"{name}{k}": block
             for name, p in packed.items()
@@ -322,18 +329,17 @@ class BaseModel:
     def random_chart_points(self, rng, count):
         raise NotImplementedError
 
-    def _curvature_match(self, pts, rng):
-        """Relative mismatch of derived Riemann vs closed-form curvature."""
+    def _curvature_match(self, pts, R, rng):
+        """Relative mismatch of derived Riemann ``R`` vs closed-form curvature."""
         B = pts.shape[0]
-        R = self.riemann_at(pts)
         X, Y, Z = (rng.normal(size=(B, self.chart_dim)) for _ in range(3))
         derived = _einsum("brsmn,bm,bn,bs->br", R, X, Y, Z)
         oracle = self.curvature_oracle(pts, X, Y, Z)
         scale = np.maximum(np.linalg.norm(oracle, axis=-1), 1.0)
         return float(np.max(np.linalg.norm(derived - oracle, axis=-1) / scale))
 
-    def _bianchi_residual(self, pts, rng):
-        R = self.riemann_at(pts)
+    @staticmethod
+    def _bianchi_residual(R):
         cyc = R + _einsum("brsmn->brmns", R) + _einsum("brsmn->brnsm", R)
         scale = max(float(np.max(np.abs(R))), 1.0)
         return float(np.max(np.abs(cyc)) / scale)
@@ -418,13 +424,13 @@ class ComplexSpaceFormModel(BaseModel):
         )
         report["hermitian_compat"] = float(np.max(np.abs(hermitian)))
         # holomorphic sectional curvature of the span {X, JX} equals 4c
-        R = self.riemann_at(pts)
+        R = self.riemann_at(pts)  # serves the oracle and Bianchi checks too
         RX = _einsum("brsmn,bm,bn,bs->br", R, X, JX, JX)
         num = _einsum("bmn,bm,bn->b", G0, RX, X)
         den = _einsum("bmn,bm,bn->b", G0, X, X) ** 2
         report["holomorphic_sectional"] = float(np.max(np.abs(num / den - 4.0 * self.c)))
-        report["curvature_oracle"] = self._curvature_match(pts, rng)
-        report["bianchi"] = self._bianchi_residual(pts, rng)
+        report["curvature_oracle"] = self._curvature_match(pts, R, rng)
+        report["bianchi"] = self._bianchi_residual(R)
         return report
 
 
@@ -465,7 +471,7 @@ class SasakianModel(BaseModel):
 
     def curvature_oracle(self, points, X, Y, Z):
         pts = np.atleast_2d(points)
-        f = self.fields_at(pts)
+        f = self.fields_at(pts, order=1)
         G0, Phi, Xi, Eta = f.G0, f.Phi0, f.Xi0, f.Eta0
         g = lambda U, V: _einsum("bmn,bm,bn->b", G0, U, V)
         eta = lambda U: _einsum("bm,bm->b", Eta, U)
@@ -505,7 +511,7 @@ class SasakianModel(BaseModel):
 
     def _run_self_test(self, pts, rng):
         B = pts.shape[0]
-        f = self.fields_at(pts)
+        f = self.fields_at(pts, order=1)
         G0, Phi0, Phi1, Xi0, Xi1, Eta0, Eta1 = (
             f.G0, f.Phi0, f.Phi1, f.Xi0, f.Xi1, f.Eta0, f.Eta1,
         )
@@ -553,13 +559,13 @@ class SasakianModel(BaseModel):
         # phi-sectional curvature of span {U, phi U}, U orthogonal to xi
         U = X - (etaX / g(Xi0, Xi0))[:, None] * Xi0
         pU = _einsum("bmn,bn->bm", Phi0, U)
-        R = self.riemann_at(pts)
+        R = self.riemann_at(pts)  # serves the oracle and Bianchi checks too
         RU = _einsum("brsmn,bm,bn,bs->br", R, U, pU, pU)
         num = _einsum("bmn,bm,bn->b", G0, RU, U)
         den = g(U, U) * g(pU, pU)
         report["phi_sectional"] = float(np.max(np.abs(num / den - self.c_tilde)))
-        report["curvature_oracle"] = self._curvature_match(pts, rng)
-        report["bianchi"] = self._bianchi_residual(pts, rng)
+        report["curvature_oracle"] = self._curvature_match(pts, R, rng)
+        report["bianchi"] = self._bianchi_residual(R)
         return report
 
 

@@ -21,6 +21,8 @@ from . import jets
 from .geometry import (
     TJ,
     curvature_data,
+    frame_geometry,
+    gauss_curvature,
     gradient_field,
     paper_residuals,
     pointwise_geometry,
@@ -67,6 +69,9 @@ _STRUCTURE_TOLS = {
 
 _IDENTITY_TOL = 1e-10
 _GAP_SLACK = 1e-9
+
+#: n >= 4 conformal-block grid: its sups need coverage, not integration accuracy
+_CONFORMAL_RESOLUTION = 12
 
 
 @dataclass(frozen=True)
@@ -370,7 +375,7 @@ def _rk4_step_check(spec, atlas, grid, sample: int = 64) -> float:
 
 
 def _conformal_block(spec, model, grid, atlas, seed):
-    """Weyl sup (n >= 4) and sampled sectional-curvature spread."""
+    """Weyl sup (n >= 4) and sampled sectional spread, from the order-2 frame stage."""
     n = spec.n
     rng = np.random.default_rng(seed + 104729)
     weyl_sup = None
@@ -380,8 +385,8 @@ def _conformal_block(spec, model, grid, atlas, seed):
         trusted = grid.trusted[idx]
         if not np.any(trusted):
             continue
-        pg, fields = pointwise_geometry(model, spec, chart, t[trusted], atlas=atlas)
-        cd = curvature_data(pg, fields)
+        pg, fields = frame_geometry(model, spec, chart, t[trusted], atlas=atlas)
+        cd = gauss_curvature(pg, fields)
         B = len(pg.sqrt_det_g)
         if cd.Weyl is not None:
             cur = float(np.max(np.abs(cd.Weyl)))
@@ -455,7 +460,7 @@ def conformal_block(
     model.self_test(strict=True)
     atlas = SphereChart(spec.n) if spec.domain == "sphere" else None
     if resolution is None and spec.n >= 4:
-        resolution = 12
+        resolution = _CONFORMAL_RESOLUTION
     grid = build_grid(spec.n, resolution, domain=spec.domain, atlas=atlas)
     return _conformal_block(spec, model, grid, atlas, seed)
 
@@ -562,8 +567,7 @@ def run_case(
     if conformal:
         conf_grid = grid
         if spec.n >= 4:
-            # spread/Weyl sups need coverage, not integration accuracy
-            conf_grid = build_grid(spec.n, 12, domain=spec.domain, atlas=atlas)
+            conf_grid = build_grid(spec.n, _CONFORMAL_RESOLUTION, spec.domain, atlas)
         conf = _conformal_block(spec, model, conf_grid, atlas, seed)
 
     params = {

@@ -8,8 +8,14 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-# 04 and 05 integrate full grids (15 s and 34 s) and stay out of the suite
-QUICK = ["01_jet_arithmetic.py", "02_model_spaces.py", "03_whitney_catalog.py"]
+# 04 integrates full grids (about 12 s) and stays out of the suite; 05, the
+# only run of conformal_block on n = 4 whitney_c0, takes about 6 s
+QUICK = [
+    "01_jet_arithmetic.py",
+    "02_model_spaces.py",
+    "03_whitney_catalog.py",
+    "05_conformal_flatness.py",
+]
 
 
 @pytest.mark.parametrize("name", QUICK)

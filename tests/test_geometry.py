@@ -9,6 +9,8 @@ from whitneygeo.geometry import (
     CurvatureData,
     _second_derivative_of_induced_metric,
     curvature_data,
+    frame_geometry,
+    gauss_curvature,
     paper_residuals,
     pointwise_geometry,
     sectional_curvatures,
@@ -299,6 +301,38 @@ class TestTangentialRoute:
             assert got[name].shape == want.shape, name
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got[name] - want)) <= 1e-13 * scale, name
+
+
+class TestFrameStage:
+    """The order-2 frame stage against the full order-3 pass."""
+
+    @pytest.mark.parametrize(
+        "kind, n, kw",
+        [
+            ("whitney_cp", 4, dict(theta=0.5)),
+            ("contact_whitney_b", 3, dict(theta=0.8, a=1.2)),
+            ("contact_whitney_r", 4, dict(r=1.0)),
+            ("perturbed", 2, dict(epsilon=0.05, seed=3)),
+        ],
+    )
+    def test_gauss_curvature_matches_full_pass(self, kind, n, kw):
+        spec = make_spec(kind, n, **kw)
+        model = model_for(spec)
+        atlas = SphereChart(n)
+        t = _params(n, count=6, seed=5)
+        full = curvature_data(*pointwise_geometry(model, spec, 0, t, atlas=atlas))
+        pg, fields = frame_geometry(model, spec, 0, t, atlas=atlas)
+        cd = gauss_curvature(pg, fields)
+        for name in ("Riem", "Ricci", "scalar", "Weyl"):
+            want = getattr(full, name)
+            if name == "Weyl" and n < 4:
+                assert want is None and cd.Weyl is None
+            else:
+                assert np.array_equal(getattr(cd, name), want), name
+        # the stage carries values only
+        assert cd.Riem_metric is None and pg.g2 is None and pg.hcov is None
+        assert pg.g.d is None and pg.E.d is None and pg.h.d is None
+        assert len(fields.G) <= 1 + model.chart_dim  # the metric to order 1
 
 
 def test_stepwise_sectional_matches_single_einsum():

@@ -171,6 +171,25 @@ class TestDomains:
             model.metric_jets(np.array([[0.9, 0.5, 0.2, 0.1, 0.0]]), order=0)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_fields_at_order_one_matches_order_two(kind):
+    model = make_model(kind, 3, a=0.8)
+    pts = model.random_chart_points(np.random.default_rng(17), 6)
+    low, high = vars(model.fields_at(pts, order=1)), vars(model.fields_at(pts, order=2))
+    # the packed metric stops after the first-derivative rows
+    G = low.pop("G")
+    assert len(G) <= 1 + model.chart_dim
+    assert np.array_equal(G, high.pop("G")[: len(G)])
+    for name, want in high.items():
+        if want is None:
+            assert low[name] is None, name
+        else:
+            assert np.array_equal(low[name], want), name
+    for order in (0, 3):
+        with pytest.raises(ValueError, match=f"got {order}"):
+            model.fields_at(pts, order=order)
+
+
 def test_rank_phi_via_singular_values():
     for kind in ("Sasakian_R", "Sasakian_S", "Sasakian_B"):
         model = make_model(kind, 2)

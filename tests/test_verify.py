@@ -9,6 +9,7 @@ from whitneygeo.immersions import make_spec, random_quartic
 from whitneygeo.verify import (
     Tolerances,
     classify_equality,
+    conformal_block,
     report_to_csv_row,
     report_to_json,
     report_to_markdown,
@@ -178,6 +179,15 @@ class TestConformalBlock:
             make_spec("whitney_c0", 2, r=1.0), resolution=24, conformal=True
         )
         assert r.conformal["sectional_spread"] > 1e-3
+
+
+    @pytest.mark.parametrize(
+        "kind, kw", [("totally_geodesic_cp", {}), ("whitney_c0", dict(r=1.0))]
+    )
+    def test_standalone_block_matches_run_case(self, kind, kw):
+        spec = make_spec(kind, 2, **kw)
+        alone = conformal_block(spec, resolution=24, seed=3)
+        assert alone == run_case(spec, resolution=24, seed=3, conformal=True).conformal
 
 
 class TestIntegrateField:
