@@ -8,7 +8,7 @@ differences of the same scalar functions.
 import numpy as np
 
 from whitneygeo import jets
-from whitneygeo.jets import ComplexJet, seed_variables
+from whitneygeo.jets import seed_variables
 
 print("== third-order jets in two variables ==")
 x, y = seed_variables([0.4, -0.3], order=3)
@@ -31,10 +31,21 @@ fd3 = (
 print(f"d^3/dx^3: jet = {f.d3[0, 0, 0]:+.10f}, finite difference = {fd3:+.10f}")
 
 print()
-print("== complex pair layer ==")
-z = ComplexJet(x, y)
-w = (z * z + 1.0) / (z - 2.0)
-print("Re (z^2+1)/(z-2) :", w.re.val, " exact:", ((0.4 - 0.3j) ** 2 + 1) / (0.4 - 0.3j - 2))
+print("== complex jets: complex128 packed arrays ==")
+# a packed jet stores each distinct partial once, in the order of
+# jets._packed_basis (value, d/dx, d/dy, then the second and third
+# partials), followed by a batch axis, here of one point
+ops = jets._Ops(2, 3)
+X, Y = np.zeros((2, len(jets._packed_basis(2, 3)), 1))
+X[0], X[1], Y[0], Y[2] = 0.4, 1.0, -0.3, 1.0
+z = X + 1j * Y
+num = ops.mul(z, z)
+num[0] += 1.0
+den = z.copy()
+den[0] -= 2.0
+w = ops.mul(num, ops.fn("recip", den))
+print("(z^2+1)/(z-2)    :", w[0], " exact:", ((0.4 - 0.3j) ** 2 + 1) / (0.4 - 0.3j - 2))
+print("d/dx             :", w[1], " exact:", 1 - 5 / (0.4 - 0.3j - 2) ** 2)
 
 print()
 print("== batched evaluation: one jet describes many points ==")

@@ -206,12 +206,15 @@ def cmd_sweep(args) -> int:
     try:
         name, rng = args.sweep.split("=", 1)
         start, stop, count = rng.split(":")
+        if int(count) < 1:
+            raise ValueError(f"the count {count} must be at least 1")
         values = np.linspace(float(start), float(stop), int(count))
     except ValueError as exc:
         raise ValueError(f"bad --sweep argument {args.sweep!r}: {exc}") from None
     name = name.strip()
     if name not in ("r", "theta", "a", "epsilon"):
-        raise ValueError(f"sweep parameter must be one of r, theta, a, epsilon")
+        raise ValueError(f"unknown sweep parameter {name!r} in --sweep {args.sweep!r}; "
+                         "it must be one of r, theta, a, epsilon")
 
     buf = io.StringIO()
     w = csv.writer(buf)

@@ -105,14 +105,6 @@ def _tj_recip(s: TJ) -> TJ:
     return TJ(w, None if s.d is None else -s.d * (w * w)[..., None])
 
 
-def _from_jets(xjets) -> list:
-    """X0, ..., X3 shaped (B, m, n, ...); None above the jets' order."""
-    return [
-        None if k > xjets[0].order else np.stack([getattr(j, a) for j in xjets], axis=1)
-        for k, a in enumerate(("val", "d1", "d2", "d3"))
-    ]
-
-
 @dataclass
 class PointGeometry:
     """All pointwise extrinsic data at a batch of parameter points."""
@@ -133,7 +125,8 @@ class PointGeometry:
     isotropy: np.ndarray  # per-node isotropy residual (B,)
     c_eff: float  # sectional constant of the ambient on isotropic tangents
     # derivative levels, None after the order-2 frame stage (its TJs have no d)
-    g2: np.ndarray | None = None  # second parameter derivatives of g (B,n,n,n,n)
+    X: list | None = None  # immersion blocks X0..X3, shaped (B, m, n, ...)
+    G2X: np.ndarray | None = None  # d_s d_{X_d} g_mn along the tangents (B,m,m,m,n)
     A: np.ndarray | None = None  # connection <nabla_{e_k} e_i, e_j> (B,n,n,n)
     hcov: np.ndarray | None = None  # nabla h [b, i, j, k, l] (B, n, n, n, n)
     hcov_xi: np.ndarray | None = None  # contact-normal block of nabla h (B, n, n, n)
@@ -256,8 +249,9 @@ def _geometry(model, spec, chart_index, t, atlas, mixer, order):
     """The frame stage from order-``order`` jets; order 3 adds the derivative levels."""
     n = spec.n
     full = order == 3
-    xjets = eval_immersion(spec, chart_index, t, atlas=atlas, order=order)
-    X0, X1, X2, X3 = _from_jets(xjets)
+    x = eval_immersion(spec, chart_index, t, atlas=atlas, order=order)
+    X = jets._unpack_blocks(x, n, order)
+    X0, X1, X2 = X[:3]
     fields = model.fields_at(X0, order=order - 1)
 
     # chart fields restricted to the image, with parameter derivatives in the
@@ -296,7 +290,7 @@ def _geometry(model, spec, chart_index, t, atlas, mixer, order):
         iso = np.maximum(eta_res.max(axis=1), phi_res.max(axis=(1, 2)))
 
     # coordinate second fundamental form (ambient covariant second derivative)
-    St = TJ(X2, X3) + tj_einsum("bmnl,bna,blB->bmaB", gammat, Tt, Tt)
+    St = TJ(X2, X[3] if full else None) + tj_einsum("bmnl,bna,blB->bmaB", gammat, Tt, Tt)
     Wt = tj_einsum("bmaB,bia,bjB->bijm", St, Et, Et)
     ht = tj_einsum("bmn,bijm,bkn->bijk", Gt, Wt, Nt)
     h_xi = None
@@ -312,8 +306,7 @@ def _geometry(model, spec, chart_index, t, atlas, mixer, order):
     if not full:
         return pg, fields
 
-    # second derivatives of the induced metric, for the metric-route curvature
-    pg.g2 = _second_derivative_of_induced_metric(fields.G0, fields.G1, G2X, X1, X2, X3)
+    pg.X, pg.G2X = X, G2X
 
     # connection coefficients and the normal projection of W
     DF = _einsum("bkc,bimc->bkim", Et.v, Ft.d) + _einsum(
@@ -380,10 +373,15 @@ def gauss_curvature(pg: PointGeometry, fields) -> CurvatureData:
     )
 
 
+def _induced_metric_hessian(pg: PointGeometry, fields) -> np.ndarray:
+    """Second parameter derivatives of the induced metric g (B, n, n, n, n), full pass only."""
+    return _second_derivative_of_induced_metric(fields.G0, fields.G1, pg.G2X, *pg.X[1:])
+
+
 def curvature_data(pg: PointGeometry, fields) -> CurvatureData:
     """Intrinsic curvature by the Gauss equation and by metric derivatives."""
     cd = gauss_curvature(pg, fields)
-    R4 = riemann_from_metric(pg.g.v, pg.g.d, pg.g2)
+    R4 = riemann_from_metric(pg.g.v, pg.g.d, _induced_metric_hessian(pg, fields))
     cd.Riem_metric = _einsum(
         "bdcae,bia,bje,blc,bdf,bkf->bijkl", R4, pg.E.v, pg.E.v, pg.E.v, pg.g.v, pg.E.v
     )
@@ -411,12 +409,11 @@ def vector_field_scalars(pg: PointGeometry, cd: CurvatureData, Y: TJ) -> dict:
     }
 
 
-def gradient_field(pg: PointGeometry, f_jet) -> TJ:
-    """Frame components (with derivatives) of grad f from an order-2 jet of f."""
-    v = _einsum("bka,ba->bk", pg.E.v, f_jet.d1)
-    d = _einsum("bkac,ba->bkc", pg.E.d, f_jet.d1) + _einsum(
-        "bka,bac->bkc", pg.E.v, f_jet.d2
-    )
+def gradient_field(pg: PointGeometry, f) -> TJ:
+    """Frame components (with derivatives) of grad f from its packed order-2 jet."""
+    _, d1, d2 = jets._unpack_blocks(f, pg.n, 2)
+    v = _einsum("bka,ba->bk", pg.E.v, d1)
+    d = _einsum("bkac,ba->bkc", pg.E.d, d1) + _einsum("bka,bac->bkc", pg.E.v, d2)
     return TJ(v, d)
 
 

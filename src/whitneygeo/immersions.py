@@ -8,7 +8,11 @@ window vanishes near it and the windows form a partition of unity used by
 the quadrature grids.
 
 Catalog entries evaluate to order-3 jets of ambient chart coordinates, so
-every downstream tensor is differentiated exactly.
+every downstream tensor is differentiated exactly.  The jets are packed
+arrays shaped (coefficients, B, chart dim) (see :mod:`whitneygeo.jets`):
+the chart builds each sphere coordinate's partials from the derivatives of
+the sines and cosines it multiplies, and every formula, its complex slots
+included (as complex128), is a chain of packed products and compositions.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets
-from .jets import ComplexJet, Jet, compose_univariate, constant, derivative, seed_variables
 from .spaceforms import BaseModel, DomainError, SasakianB, make_model
 
 __all__ = [
@@ -81,29 +84,33 @@ class SphereChart:
         self.rotations = _chart_rotations(n)
         self.num_charts = len(self.rotations)
 
-    def u_jets(self, chart: int, t, order: int = 3) -> list[Jet]:
-        """Jets of the n+1 sphere coordinates at parameter batch ``t``."""
+    def u_jets(self, chart: int, t, order: int = 3) -> np.ndarray:
+        """Packed jets of the n+1 sphere coordinates at parameter batch ``t``.
+
+        Shaped (coefficients, B, n+1), the rows in the order of
+        ``jets._packed_basis(n, order)``.  Coordinate k of ``u_std`` is a
+        product of functions of one angle each (sin of the angles before k,
+        cos of angle k), so each partial is a product of their derivatives.
+        """
         tt = np.atleast_2d(np.asarray(t, dtype=float))
-        seeds = seed_variables(tt, order, batch=True)
         n = self.n
-        comps = []
-        prefix = None
-        for i in range(n - 1):
-            th = seeds[i]
-            comps.append(jets.cos(th) if prefix is None else prefix * jets.cos(th))
-            prefix = jets.sin(th) if prefix is None else prefix * jets.sin(th)
-        phi = seeds[n - 1]
-        comps.append(prefix * jets.cos(phi) if prefix is not None else jets.cos(phi))
-        comps.append(prefix * jets.sin(phi) if prefix is not None else jets.sin(phi))
-        Q = self.rotations[chart]
-        return [
-            sum((Q[r, c] * comps[c] for c in range(n + 1) if Q[r, c] != 0.0),
-                start=comps[0] * 0.0)
-            for r in range(n + 1)
-        ]
+        s, c = np.sin(tt), np.cos(tt)
+        sin, cos = (s, c, -s, -c), (c, -s, -c, s)  # derivatives 0..3
+        basis = jets._packed_basis(n, order)
+        u = np.zeros((len(basis), len(tt), n + 1))
+        for r, idx in enumerate(basis):
+            counts = [idx.count(i) for i in range(n)]
+            for k in range(n + 1):
+                if any(counts[k + 1 :]):
+                    continue  # coordinate k does not depend on the later angles
+                row = cos[counts[k]][:, k] if k < n else 1.0
+                for i in range(min(k, n)):
+                    row = row * sin[counts[i]][:, i]
+                u[r, :, k] = row
+        return u @ self.rotations[chart].T
 
     def u_values(self, chart: int, t) -> np.ndarray:
-        return np.stack([j.val for j in self.u_jets(chart, t, order=0)], axis=-1)
+        return self.u_jets(chart, t, order=0)[0]
 
     def params_from_u(self, chart: int, u) -> np.ndarray:
         """Invert the chart map (valid away from its singular subsphere)."""
@@ -356,55 +363,60 @@ def random_quartic(n: int, seed: int, scale: float = 1.0):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _complex_pairs(u: list[Jet], theta: float, variant: str):
+def _plus(x: np.ndarray, c) -> np.ndarray:
+    """The packed jet x + c for a constant c, in place: only the value row moves."""
+    x[0] += c
+    return x
+
+
+def _complex_pairs(u: np.ndarray, theta: float, variant: str, ops) -> np.ndarray:
     """Affine-chart coordinates of the projective/hyperbolic sphere families.
 
-    ``variant`` selects the denominator pattern: ``cp`` uses
-    (cosh + i sinh u) with the +i fiber slot, ``ch`` uses (sinh + i cosh u)
-    with the -i slot.  Returns the n affine coordinates plus the
-    homogeneous fiber slot and leading denominator.
+    ``u`` holds packed sphere-coordinate jets; the result is the n complex
+    coordinates z_j = u_j / (s w), complex packed.  ``variant`` ``cp`` has
+    the fiber slot s = cosh + i sinh u_n and the last homogeneous
+    coordinate w = (sinh cosh (1 + u_n^2) + i u_n) / (cosh^2 + sinh^2 u_n^2);
+    ``ch`` swaps cosh and sinh in s and in the denominator, and conjugates
+    the numerator.
     """
-    n = len(u) - 1
-    un = u[-1]
-    one = constant(np.ones(un.batch_shape), un.num_vars, un.order)
+    n = u.shape[-1] - 1
+    un = u[..., -1]
     ch, sh = math.cosh(theta), math.sinh(theta)
-    u2 = un * un
     if variant == "cp":
-        slot1 = ComplexJet(ch * one, sh * un)
-        num = ComplexJet(sh * ch * (1.0 + u2), un)
-        den = ch * ch + sh * sh * u2
+        a, b, sign = ch, sh, 1.0
     elif variant == "ch":
-        slot1 = ComplexJet(sh * one, ch * un)
-        num = ComplexJet(sh * ch * (1.0 + u2), -un)
-        den = sh * sh + ch * ch * u2
+        a, b, sign = sh, ch, -1.0
     else:
         raise ValueError(variant)
-    wlast = ComplexJet(num.re / den, num.im / den)
-    scale = slot1 * wlast
-    q = scale.abs2()
-    inv = ComplexJet(scale.re / q, (-scale.im) / q)
-    return [inv * u[j] for j in range(n)], wlast, slot1
+    u2 = ops.mul(un, un)
+    slot = _plus(1j * b * un, a)
+    num = _plus(sh * ch * u2 + 1j * sign * un, sh * ch)
+    den = _plus(b * b * u2, a * a)
+    inv = ops.mul(den, ops.fn("recip", ops.mul(slot, num)))
+    return ops.mul(u[..., :n], inv[..., None])
 
 
-def _eval_whitney_c0(spec, u, order):
+def _split(z: np.ndarray, *extra) -> np.ndarray:
+    """Real chart coordinates (Re z, Im z, extra...) on the last axis."""
+    return np.concatenate([z.real, z.imag, *(e[..., None] for e in extra)], axis=-1)
+
+
+def _eval_whitney_c0(spec, u, ops):
     n = spec.n
-    r = spec.params["r"]
-    B = spec.params["B"]
-    un = u[-1]
-    w = r * jets.recip(1.0 + un * un)
-    xs = [u[j] * w + B[j] for j in range(n)]
-    ys = [u[j] * w * un + B[n + j] for j in range(n)]
-    return xs + ys
+    un = u[..., -1]
+    w = spec.params["r"] * ops.fn("recip", _plus(ops.mul(un, un), 1.0))
+    uw = ops.mul(u[..., :n], w[..., None])
+    x = np.concatenate([uw, ops.mul(uw, un[..., None])], axis=-1)
+    x[0] += spec.params["B"]
+    return x
 
 
-def _eval_whitney_cp(spec, u, order):
-    zs, _, _ = _complex_pairs(u, spec.params["theta"], "cp")
-    return [z.re for z in zs] + [z.im for z in zs]
+def _eval_whitney_cp(spec, u, ops):
+    return _split(_complex_pairs(u, spec.params["theta"], "cp", ops))
 
 
-def _eval_whitney_ch(spec, u, order):
-    zs, _, _ = _complex_pairs(u, spec.params["theta"], "ch")
-    return [z.re for z in zs] + [z.im for z in zs]
+def _eval_whitney_ch(spec, u, ops):
+    return _split(_complex_pairs(u, spec.params["theta"], "ch", ops))
 
 
 # ambient unitaries for the totally geodesic projective case (n = 2): the
@@ -428,54 +440,38 @@ _TG_UNITARIES = {
 }
 
 
-def _eval_totally_geodesic_cp(spec, u, chart, order):
+def _eval_totally_geodesic_cp(spec, u, chart, ops):
     n = spec.n
-    U = _TG_UNITARIES[chart]
-    hom = [ComplexJet.from_real(uj) for uj in u]
-    rot = []
-    for r_ in range(n + 1):
-        acc = hom[0] * complex(U[r_, 0])
-        for c_ in range(1, n + 1):
-            acc = acc + hom[c_] * complex(U[r_, c_])
-        rot.append(acc)
-    zs = [rot[j] / rot[n] for j in range(n)]
-    return [z.re for z in zs] + [z.im for z in zs]
+    rot = u @ _TG_UNITARIES[chart].T
+    return _split(ops.mul(rot[..., :n], ops.fn("recip", rot[..., n])[..., None]))
 
 
-def _eval_contact_whitney_r(spec, u, order):
+def _eval_contact_whitney_r(spec, u, ops):
     n = spec.n
     r = spec.params["r"]
-    a = spec.params["a"]
     B = spec.params["B"]
-    un = u[-1]
-    w = r * jets.recip(1.0 + un * un)
-    xs = [u[j] * w * un for j in range(n)]
-    ys = [u[j] * w for j in range(n)]
-    z = un * w * w + r * a  # r^2 u/(1+u^2)^2 + r a
+    un = u[..., -1]
+    w = r * ops.fn("recip", _plus(ops.mul(un, un), 1.0))
+    ys = ops.mul(u[..., :n], w[..., None])
+    xs = ops.mul(ys, un[..., None])
+    z = ops.mul(ops.mul(un, w), w)  # r^2 u/(1+u^2)^2
     # contact translation: (x, y, z) -> (x+Bx, y+By, z+Bz+sum By_i x_i)
-    zt = z + B[2 * n] + sum((B[n + j] * xs[j] for j in range(n)), start=un * 0.0)
-    return (
-        [xj + B[j] for j, xj in enumerate(xs)]
-        + [yj + B[n + j] for j, yj in enumerate(ys)]
-        + [zt]
-    )
+    x = np.concatenate([xs, ys, (z + xs @ B[n : 2 * n])[..., None]], axis=-1)
+    x[0] += B
+    x[0, :, 2 * n] += r * spec.params["a"]
+    return x
 
 
-def _eval_contact_whitney_s(spec, u, order):
+def _eval_contact_whitney_s(spec, u, ops):
     n = spec.n
-    un = u[-1]
-    one = constant(np.ones(un.batch_shape), un.num_vars, un.order)
+    un = u[..., -1]
     th = spec.params["theta"]
     ch, sh = math.cosh(th), math.sinh(th)
-    u2 = un * un
-    slot1 = ComplexJet(ch * one, sh * un)
-    q = slot1.abs2()
-    inv = ComplexJet(slot1.re / q, (-slot1.im) / q)
-    ws = [inv * ComplexJet.from_real(u[j]) for j in range(n)]
-    den = ch * ch + sh * sh * u2
-    wlast = ComplexJet((sh * ch * (1.0 + u2)) / den, un / den)
-    # graph chart of the unit sphere: drop the real part of the last slot
-    return [w.re for w in ws] + [w.im for w in ws] + [wlast.im]
+    slot = _plus(1j * sh * un, ch)
+    den = _plus(sh * sh * ops.mul(un, un), ch * ch)
+    ws = ops.mul(u[..., :n], ops.fn("recip", slot)[..., None])
+    # graph chart of the unit sphere: the imaginary part of the last slot
+    return _split(ws, ops.mul(un, ops.fn("recip", den)))
 
 
 class _BergmanFiber:
@@ -485,7 +481,7 @@ class _BergmanFiber:
     rotational symmetry of the base map the pullback of omega is
     rho(u) du in the last sphere coordinate alone, so the fiber is a
     single-variable primitive, evaluated by composite Gauss panels and
-    differentiated through univariate jets.
+    composed with the packed jet of that coordinate.
     """
 
     def __init__(self, n: int, theta: float):
@@ -494,24 +490,23 @@ class _BergmanFiber:
         self.kappa = 4.0 * SasakianB._phi_sign
         self._gl = np.polynomial.legendre.leggauss(16)
 
-    def _rho_jets(self, u_vals: np.ndarray, order: int) -> Jet:
-        """omega-pullback density as a univariate jet batch."""
-        seeds = seed_variables(u_vals[:, None], order + 1, batch=True)
-        un = seeds[0]
-        head = jets.sqrt(1.0 - un * un)
-        u_list = [head] + [un * 0.0] * (self.n - 1) + [un]
-        zs, _, _ = _complex_pairs(u_list, self.theta, "ch")
-        s = zs[0].abs2()
-        for z in zs[1:]:
-            s = s + z.abs2()
-        w = jets.recip(1.0 - s)
-        acc = None
-        for z in zs:
-            x, y = jets._drop(z.re), jets._drop(z.im)
-            dx, dy = derivative(z.re, 0), derivative(z.im, 0)
-            term = y * dx - x * dy
-            acc = term if acc is None else acc + term
-        return acc * (self.kappa * jets._drop(w))
+    def _rho_jets(self, u_vals: np.ndarray, order: int) -> np.ndarray:
+        """omega-pullback density at ``u_vals`` and its first ``order`` derivatives.
+
+        Univariate packed rows: row k is the k-th derivative.
+        """
+        ops = jets._Ops(1, order + 1)
+        un = np.zeros((order + 2, len(u_vals)))
+        un[0], un[1] = u_vals, 1.0
+        # the sphere point (sqrt(1 - u^2), 0, ..., 0, u): only z_0 is nonzero
+        head = ops.fn("sqrt", _plus(-ops.mul(un, un), 1.0))
+        z = _complex_pairs(np.stack([head, un], axis=-1), self.theta, "ch", ops)
+        x, y = z.real, z.imag
+        w = ops.fn("recip", _plus(-(ops.mul(x, x) + ops.mul(y, y)).sum(axis=-1), 1.0))
+        # y dx - x dy, one order down: d/du shifts the rows up by one
+        low = jets._Ops(1, order)
+        acc = (low.mul(y[:-1], x[1:]) - low.mul(x[:-1], y[1:])).sum(axis=-1)
+        return low.mul(acc, self.kappa * w[:-1])
 
     def primitive_values(self, u_vals: np.ndarray) -> np.ndarray:
         """t(u) = -integral of rho from 0 to u, composite 16-point panels."""
@@ -527,62 +522,48 @@ class _BergmanFiber:
             hi = u_vals * np.minimum(k + 1, npanels) / npanels
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             pts = mid[active, None] + half[active, None] * xs[None, :]
-            rho = self._rho_jets(pts.ravel(), order=0).val.reshape(pts.shape)
+            rho = self._rho_jets(pts.ravel(), order=0)[0].reshape(pts.shape)
             out[active] -= half[active] * (rho * ws[None, :]).sum(axis=1)
         return out
 
-    def fiber_jet(self, un: Jet) -> Jet:
-        vals = self.primitive_values(un.val.ravel()).reshape(un.val.shape)
-        rho = self._rho_jets(un.val.ravel(), order=2)
-        table = [
-            vals,
-            -rho.val.reshape(un.val.shape),
-            -rho.d1[..., 0].reshape(un.val.shape),
-            -rho.d2[..., 0, 0].reshape(un.val.shape),
-        ]
-        return compose_univariate(table[: un.order + 1], un)
+    def fiber_jet(self, un: np.ndarray, ops) -> np.ndarray:
+        """The fiber as a packed jet, from the packed jet ``un`` of u_n."""
+        rho = self._rho_jets(un[0], order=2)
+        derivs = (self.primitive_values(un[0]), -rho[0], -rho[1], -rho[2])
+        return jets._packed_compose(derivs[: ops.order + 1], un, ops.table)
 
 
-_FIBER_CACHE: dict[tuple, _BergmanFiber] = {}
-
-
-def _eval_contact_whitney_b(spec, u, order):
-    n = spec.n
-    zs, _, _ = _complex_pairs(u, spec.params["theta"], "ch")
-    key = (n, float(spec.params["theta"]))
-    if key not in _FIBER_CACHE:
-        _FIBER_CACHE[key] = _BergmanFiber(n, spec.params["theta"])
-    t = _FIBER_CACHE[key].fiber_jet(u[-1])
-    return [z.re for z in zs] + [z.im for z in zs] + [t]
+def _eval_contact_whitney_b(spec, u, ops):
+    z = _complex_pairs(u, spec.params["theta"], "ch", ops)
+    fiber = _BergmanFiber(spec.n, spec.params["theta"])
+    return _split(z, fiber.fiber_jet(u[..., -1], ops))
 
 
 def _eval_product_torus(spec, t, order):
-    tt = np.atleast_2d(np.asarray(t, dtype=float))
-    seeds = seed_variables(tt, order, batch=True)
-    radii = spec.params["radii"]
-    xs = [radii[j] * jets.cos(seeds[j]) for j in range(spec.n)]
-    ys = [radii[j] * jets.sin(seeds[j]) for j in range(spec.n)]
-    return xs + ys
+    cos, sin = jets._seed_angles(np.atleast_2d(np.asarray(t, dtype=float)), order)
+    radii = np.array(spec.params["radii"])
+    return np.concatenate([radii * cos, radii * sin], axis=-1)
 
 
-def hamiltonian_flow(x: list[Jet], ham: HamiltonianDeformation) -> list[Jet]:
-    """Classical RK4 flow of the Hamiltonian field J grad F on the jet state.
+def hamiltonian_flow(x: np.ndarray, ham: HamiltonianDeformation, num_vars: int) -> np.ndarray:
+    """Classical RK4 flow of the Hamiltonian field J grad F on packed jets.
 
-    The 2n input jets are packed once into one state array shaped
-    (coefficients, 2n, batch): the coefficient axis holds each distinct
-    partial derivative once (value, then the i, i <= j and i <= j <= k
-    partials: 10 rows for 2 variables at order 3), and the batch axis is
-    last, so every numpy loop runs over it.  A product of jets is a fixed
-    Leibniz table of (output, left, right, weight) terms, each one in-place
-    multiply-add over rows of batch length.  Per stage, each distinct
-    monomial of grad F is built once, as its parent (the monomial without
-    one factor of its last variable) times that variable, in one stacked
-    product per degree; J grad F is one contraction of the monomials with a
-    coefficient matrix, and each RK4 stage is one array operation.
+    ``x`` holds the 2n chart coordinates as packed jets in ``num_vars``
+    variables, (coefficients, batch, 2n); the flowed jets come back in the
+    same layout.  Inside, the state is one array shaped (coefficients, 2n,
+    batch): the coefficient axis holds each distinct partial derivative once
+    (value, then the i, i <= j and i <= j <= k partials: 10 rows for 2
+    variables at order 3), and the batch axis is last, so every numpy loop
+    runs over it.  A product of jets is a fixed Leibniz table of (output,
+    left, right, weight) terms, each one in-place multiply-add over rows of
+    batch length.  Per stage, each distinct monomial of grad F is built
+    once, as its parent (the monomial without one factor of its last
+    variable) times that variable, in one stacked product per degree;
+    J grad F is one contraction of the monomials with a coefficient matrix,
+    and each RK4 stage is one array operation.
     """
-    m = len(x)
+    m = x.shape[-1]
     n = m // 2
-    order, v = x[0].order, x[0].num_vars
     grads = ham.gradient_terms(m)
     needed = {e for terms in grads for _, e in terms}
     top = max(map(sum, needed))
@@ -597,8 +578,8 @@ def hamiltonian_flow(x: list[Jet], ham: HamiltonianDeformation) -> list[Jet]:
     # J grad F: rows reordered with the complex-rotation sign pattern
     JC = np.concatenate([-C[n:], C[:n]], axis=0)
 
-    state = jets._pack(x)
-    table = jets._leibniz_table(v, order)
+    state = np.ascontiguousarray(np.moveaxis(x, -1, 1))
+    table = jets._leibniz_table(num_vars, jets._packed_order(x, num_vars))
     mono = np.zeros((state.shape[0], len(monomials), state.shape[2]))
     mono[0, [i for i, e in enumerate(monomials) if sum(e) == 0]] = 1.0
     linear = [i for i, e in enumerate(monomials) if sum(e) == 1]
@@ -631,7 +612,7 @@ def hamiltonian_flow(x: list[Jet], ham: HamiltonianDeformation) -> list[Jet]:
         state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(state[0, 0])):
             raise FloatingPointError("Hamiltonian flow left the numeric range")
-    return jets._unpack(state, order, v, x[0].batch_shape)
+    return np.ascontiguousarray(np.moveaxis(state, 1, -1))
 
 
 def _parent(e: tuple) -> tuple[tuple, int]:
@@ -642,9 +623,9 @@ def _parent(e: tuple) -> tuple[tuple, int]:
     return tuple(parent), var
 
 
-def _eval_perturbed(spec, u, order):
+def _eval_perturbed(spec, u, ops):
     base = make_spec("whitney_c0", spec.n, r=spec.params["r"])
-    x = _eval_whitney_c0(base, u, order)
+    x = _eval_whitney_c0(base, u, ops)
     ham = HamiltonianDeformation(
         coeffs=spec.params["hamiltonian"],
         epsilon=spec.params["epsilon"],
@@ -652,7 +633,7 @@ def _eval_perturbed(spec, u, order):
     )
     if ham.epsilon == 0.0:
         return x
-    return hamiltonian_flow(x, ham)
+    return hamiltonian_flow(x, ham, spec.n)
 
 
 # -- Legendrian lift ---------------------------------------------------------
@@ -675,21 +656,17 @@ class _LiftPrimitive:
             for c in range(chart_atlas.num_charts)
         ]
 
-    def _base_jets(self, chart, t, order):
-        u = self.atlas.u_jets(chart, t, order)
+    def _base_jets(self, u, ops):
         if self.base_spec.kind == "whitney_c0":
-            return _eval_whitney_c0(self.base_spec, u, order)
-        return _eval_perturbed(self.base_spec, u, order)
+            return _eval_whitney_c0(self.base_spec, u, ops)
+        return _eval_perturbed(self.base_spec, u, ops)
 
     def _integrand(self, chart, t):
         """d/dtau of the primitive along each parameter direction: (B, n)."""
-        x = self._base_jets(chart, t, order=1)
         n = self.base_spec.n
-        xs, ys = x[:n], x[n:]
-        vals = np.zeros(xs[0].val.shape + (self.base_spec.n,))
-        for j in range(n):
-            vals += ys[j].val[..., None] * xs[j].d1
-        return vals
+        x = self._base_jets(self.atlas.u_jets(chart, t, order=1), jets._Ops(n, 1))
+        # sum over j of y_j d_a x_j; rows 1..n are the first partials
+        return (x[0, :, None, n:] * np.moveaxis(x[1:, :, :n], 0, 1)).sum(axis=-1)
 
     def values(self, chart: int, t: np.ndarray) -> np.ndarray:
         tt = np.atleast_2d(np.asarray(t, dtype=float))
@@ -719,35 +696,22 @@ class _LiftPrimitive:
             current[:, axis] = hi
         return out
 
-    def lifted_jets(self, chart: int, t: np.ndarray, order: int) -> list[Jet]:
-        """Base coordinates plus the primitive fiber, all as jets."""
-        base = self._base_jets(chart, t, order)
+    def lifted_jets(self, chart: int, t: np.ndarray, u: np.ndarray, ops) -> np.ndarray:
+        """Base coordinates plus the primitive fiber, as packed jets."""
         n = self.base_spec.n
-        xs, ys = base[:n], base[n:]
-        z = Jet(order, base[0].num_vars, self.values(chart, t))
-        if order == 0:
-            return base + [z]
-        pa = []
-        for a_ in range(base[0].num_vars):
-            acc = None
-            for j in range(n):
-                term = jets._drop(ys[j]) * derivative(xs[j], a_)
-                acc = term if acc is None else acc + term
-            pa.append(acc)
-        for a_, p in enumerate(pa):
-            z.d1[..., a_] = p.val
-            if order >= 2:
-                z.d2[..., a_, :] = p.d1
-            if order >= 3:
-                z.d3[..., a_, :, :] = p.d2
-        if order >= 2:
-            z.d2 = jets._mirror2(z.d2, z.num_vars)
-        if order >= 3:
-            z.d3 = jets._mirror3(z.d3, z.num_vars)
-        return base + [z]
-
-
-_LIFT_CACHE: dict = {}
+        base = self._base_jets(u, ops)
+        z = np.empty(base.shape[:2])
+        z[0] = self.values(chart, t)
+        if ops.order:
+            # the fiber's partials d_a z = sum_j y_j d_a x_j, one order lower:
+            # the partial over the sorted indices (a, rest) is row rest of d_a z
+            dx = jets._packed_gradient(base[..., :n], n)
+            low = jets._leibniz_table(n, ops.order - 1)
+            dz = jets._packed_matmul(base[: len(dx), :, None, n:], dx, low)[..., 0, :]
+            row = {idx: r for r, idx in enumerate(jets._packed_basis(n, ops.order - 1))}
+            partials = jets._packed_basis(n, ops.order)[1:]
+            z[1:] = dz[[row[idx[1:]] for idx in partials], :, [idx[0] for idx in partials]]
+        return np.concatenate([base, z[..., None]], axis=-1)
 
 
 def _lift_primitive_for(spec: ImmersionSpec, atlas: SphereChart) -> _LiftPrimitive:
@@ -759,15 +723,7 @@ def _lift_primitive_for(spec: ImmersionSpec, atlas: SphereChart) -> _LiftPrimiti
             k: v for k, v in spec.params.items()
             if k in ("r", "epsilon", "steps", "seed", "hamiltonian")
         })
-    key = (base.kind, base.n, tuple(sorted(base.params.items())), atlas.num_charts)
-    if key not in _LIFT_CACHE:
-        _LIFT_CACHE[key] = _LiftPrimitive(base, atlas)
-    return _LIFT_CACHE[key]
-
-
-def _eval_lifted(spec, u, chart, t, atlas, order):
-    prim = _lift_primitive_for(spec, atlas)
-    return prim.lifted_jets(chart, t, order)
+    return _LiftPrimitive(base, atlas)
 
 
 def loop_integral(spec: ImmersionSpec, atlas: SphereChart, chart: int = 0,
@@ -791,39 +747,41 @@ def loop_integral(spec: ImmersionSpec, atlas: SphereChart, chart: int = 0,
     return float(np.pi * (integ * ws).sum())
 
 
+_EVALUATORS = {
+    "whitney_c0": _eval_whitney_c0,
+    "whitney_cp": _eval_whitney_cp,
+    "whitney_ch": _eval_whitney_ch,
+    "contact_whitney_r": _eval_contact_whitney_r,
+    "contact_whitney_s": _eval_contact_whitney_s,
+    "contact_whitney_b": _eval_contact_whitney_b,
+    "perturbed": _eval_perturbed,
+}
+
+
 def eval_immersion(
     spec: ImmersionSpec,
     chart_index: int,
     t,
     atlas: SphereChart | None = None,
     order: int = 3,
-) -> list[Jet]:
-    """Order-``order`` jets of the ambient chart coordinates at parameters ``t``.
+) -> np.ndarray:
+    """Packed order-``order`` jets of the ambient chart coordinates at parameters ``t``.
 
-    For sphere-domain cases ``t`` are chart parameters of ``atlas`` (built
-    on demand when omitted); the torus case takes the n angles directly.
+    Shaped (coefficients, B, chart dim), the rows in the order of
+    ``jets._packed_basis(n, order)``.  For sphere-domain cases ``t`` are
+    chart parameters of ``atlas`` (built on demand when omitted); the torus
+    case takes the n angles directly.
     """
     if spec.domain == "torus":
         return _eval_product_torus(spec, t, order)
     if atlas is None:
         atlas = SphereChart(spec.n)
     u = atlas.u_jets(chart_index, t, order)
-    if spec.kind == "whitney_c0":
-        return _eval_whitney_c0(spec, u, order)
-    if spec.kind == "whitney_cp":
-        return _eval_whitney_cp(spec, u, order)
-    if spec.kind == "whitney_ch":
-        return _eval_whitney_ch(spec, u, order)
+    ops = jets._Ops(spec.n, order)
     if spec.kind == "totally_geodesic_cp":
-        return _eval_totally_geodesic_cp(spec, u, chart_index, order)
-    if spec.kind == "contact_whitney_r":
-        return _eval_contact_whitney_r(spec, u, order)
-    if spec.kind == "contact_whitney_s":
-        return _eval_contact_whitney_s(spec, u, order)
-    if spec.kind == "contact_whitney_b":
-        return _eval_contact_whitney_b(spec, u, order)
-    if spec.kind == "perturbed":
-        return _eval_perturbed(spec, u, order)
+        return _eval_totally_geodesic_cp(spec, u, chart_index, ops)
     if spec.kind == "lifted":
-        return _eval_lifted(spec, u, chart_index, t, atlas, order)
-    raise ValueError(f"unhandled case {spec.kind!r}")
+        return _lift_primitive_for(spec, atlas).lifted_jets(chart_index, t, u, ops)
+    if spec.kind not in _EVALUATORS:
+        raise ValueError(f"unhandled case {spec.kind!r}")
+    return _EVALUATORS[spec.kind](spec, u, ops)

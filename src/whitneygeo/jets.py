@@ -13,7 +13,9 @@ operation is vectorized over the batch.
 
 Degree-2 and degree-3 blocks are kept bitwise symmetric: after each
 operation the canonical (sorted-index) entry is mirrored to all index
-permutations.
+permutations.  :class:`Jet` is the public reference algebra; the
+certificate pipeline runs on the packed arrays at the end of this module,
+which store each distinct partial once and take real or complex entries.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "Jet",
-    "ComplexJet",
     "seed_variables",
     "constant",
     "arith",
@@ -504,9 +505,11 @@ def compose(f: Jet, xs: list[Jet]) -> Jet:
 # A packed array holds jets of one order and variable count in one block
 # whose leading coefficient axis stores each distinct partial once, in the
 # degree-sorted order of _packed_basis, so its first rows are its truncation
-# to a lower order.  The Hamiltonian flow uses (coefficients, jets, batch);
-# the ambient models use (coefficients, batch, tensor axes), where a product
-# of matrix jets is a stacked matmul.
+# to a lower order.  The immersions and the ambient models use (coefficients,
+# batch, tensor axes), where a product of matrix jets is a stacked matmul;
+# the Hamiltonian flow runs on (coefficients, jets, batch).  The kernels
+# allocate their outputs with the inputs' dtype, so complex jets are
+# complex128 packed arrays.
 
 
 def _packed_basis(v: int, order: int) -> list[tuple]:
@@ -586,14 +589,15 @@ def _packed_mul(a: np.ndarray, b: np.ndarray, table, out: np.ndarray | None = No
     """The packed broadcasting product ``a * b``; ``out`` must not overlap ``a``, ``b``."""
     if out is None:
         shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-        out = np.empty((table[-1][0] + 1,) + shape)
+        out = np.empty((table[-1][0] + 1,) + shape, np.result_type(a, b))
     return _leibniz(np.multiply, a, b, table, out)
 
 
 def _packed_matmul(a: np.ndarray, b: np.ndarray, table) -> np.ndarray:
     """The packed matrix product ``a @ b`` (last two axes) to the table's order."""
     shape = np.broadcast_shapes(a.shape[1:-2], b.shape[1:-2]) + (a.shape[-2], b.shape[-1])
-    return _leibniz(np.matmul, a, b, table, np.empty((table[-1][0] + 1,) + shape))
+    out = np.empty((table[-1][0] + 1,) + shape, np.result_type(a, b))
+    return _leibniz(np.matmul, a, b, table, out)
 
 
 def _packed_compose(derivs, u: np.ndarray, table) -> np.ndarray:
@@ -603,7 +607,7 @@ def _packed_compose(derivs, u: np.ndarray, table) -> np.ndarray:
     """
     du = u[: table[-1][0] + 1].copy()
     du[0] = 0.0
-    out = np.zeros((table[-1][0] + 1,) + u.shape[1:])
+    out = np.zeros((table[-1][0] + 1,) + u.shape[1:], np.result_type(u, *derivs))
     out[0] = derivs[0]
     power = du
     for k in range(1, len(derivs)):
@@ -611,6 +615,37 @@ def _packed_compose(derivs, u: np.ndarray, table) -> np.ndarray:
             power = _packed_mul(power, du, table)
         out[: len(power)] += (derivs[k] / factorial(k)) * power
     return out
+
+
+class _Ops:
+    """Packed jet arithmetic in ``v`` variables to one ``order``, real or complex."""
+
+    def __init__(self, v: int, order: int):
+        self.order = order
+        self.table = _leibniz_table(v, order)
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return _packed_mul(a, b, self.table)
+
+    def fn(self, kind: str, u: np.ndarray) -> np.ndarray:
+        """The elementary function ``kind`` of :func:`_table` applied to ``u``."""
+        return _packed_compose(_table(u[0], kind)[: self.order + 1], u, self.table)
+
+
+def _seed_angles(t: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of each angle ``t[:, i]`` as packed jets in the angles, (coefficients, B, v).
+
+    Angle i's jets are univariate: only the rows (), (i,), (i, i), ... are nonzero.
+    """
+    B, v = t.shape
+    row = {idx: r for r, idx in enumerate(_packed_basis(v, order))}
+    s, c = np.sin(t), np.cos(t)
+    cos, sin = np.zeros((2, len(row), B, v))
+    for k, (dc, ds) in enumerate(zip((c, -s, -c, s)[: order + 1], (s, c, -s, -c))):
+        rows = [row[(i,) * k] for i in range(v)]
+        cos[rows, :, range(v)] = dc.T
+        sin[rows, :, range(v)] = ds.T
+    return cos, sin
 
 
 def _packed_inv(a: np.ndarray, table, order: int) -> np.ndarray:
@@ -684,88 +719,3 @@ def _pack_blocks(blocks: list[np.ndarray], v: int) -> np.ndarray:
     """The packed array of full derivative blocks (value, d1, d2, ...)."""
     basis = _packed_basis(v, len(blocks) - 1)
     return np.stack([blocks[len(idx)][(..., *idx)] for idx in basis])
-
-
-def _pack(js: list[Jet]) -> np.ndarray:
-    """The distinct partials of same-shape jets as one (coefficients, jets, batch) array."""
-    v = js[0].num_vars
-    blocks = [
-        np.stack([(j.val, j.d1, j.d2, j.d3)[k].reshape((-1,) + (v,) * k) for j in js])
-        for k in range(js[0].order + 1)
-    ]
-    return _pack_blocks(blocks, v)
-
-
-def _unpack(packed: np.ndarray, order: int, v: int, batch_shape) -> list[Jet]:
-    """Jets from a (coefficients, jets, batch) array, with full (mirrored) derivative blocks."""
-    m = packed.shape[1]
-    blocks = [
-        blk.reshape((m,) + tuple(batch_shape) + blk.shape[2:])
-        for blk in _unpack_blocks(packed, v, order)
-    ]
-    return [Jet(order, v, *(blk[mu] for blk in blocks)) for mu in range(m)]
-
-
-class ComplexJet:
-    """A complex scalar carried as a (real, imaginary) pair of jets."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Jet, im: Jet):
-        re._check_compatible(im)
-        self.re = re
-        self.im = im
-
-    @classmethod
-    def from_real(cls, re: Jet) -> "ComplexJet":
-        return cls(re, constant(np.zeros(re.batch_shape), re.num_vars, re.order))
-
-    def __add__(self, other):
-        if isinstance(other, ComplexJet):
-            return ComplexJet(self.re + other.re, self.im + other.im)
-        if isinstance(other, Jet):
-            return ComplexJet(self.re + other, self.im.copy())
-        c = complex(other)
-        return ComplexJet(self.re + c.real, self.im + c.imag)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ComplexJet(-self.re, -self.im)
-
-    def __sub__(self, other):
-        if isinstance(other, (ComplexJet, Jet)):
-            return self + (-other)
-        return self + (-complex(other))
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexJet):
-            return ComplexJet(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        if isinstance(other, Jet):
-            return ComplexJet(self.re * other, self.im * other)
-        c = complex(other)
-        return ComplexJet(
-            self.re * c.real - self.im * c.imag,
-            self.re * c.imag + self.im * c.real,
-        )
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "ComplexJet":
-        return ComplexJet(self.re.copy(), -self.im)
-
-    def abs2(self) -> Jet:
-        return self.re * self.re + self.im * self.im
-
-    def __truediv__(self, other):
-        if not isinstance(other, ComplexJet):
-            return self * (1.0 / complex(other))
-        q = other.abs2()
-        if np.any(q.val < DIV_FLOOR**2):
-            raise ZeroDivisionError("complex jet division by a near-zero value")
-        qi = recip(q)
-        num = self * other.conj()
-        return ComplexJet(num.re * qi, num.im * qi)

@@ -144,43 +144,26 @@ def _chunk_size(chart_dim: int) -> int:
 
 
 def _gradient_test_functions(spec: ImmersionSpec, seed: int, count: int = 3):
-    """Seeded smooth scalar functions on the domain, as jet evaluators."""
+    """Seeded smooth scalar functions on the domain, as packed-jet evaluators.
+
+    Each is a sum of two exponentials of linear forms in the packed inner
+    jets: the sphere coordinates, or cos and then sin of the torus angles.
+    """
     rng = np.random.default_rng(seed + 7919)
     n = spec.n
     funcs = []
     for _ in range(count):
         if spec.domain == "sphere":
-            v = rng.normal(size=(2, n + 1))
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            forms = rng.normal(size=(2, n + 1))
+            forms /= np.linalg.norm(forms, axis=1, keepdims=True)
             s = rng.uniform(0.3, 0.8, size=2)
-            c = rng.normal(size=2)
-
-            def f(ujets, v=v, s=s, c=c):
-                total = None
-                for l in range(2):
-                    lin = None
-                    for i, uj in enumerate(ujets):
-                        term = v[l, i] * uj
-                        lin = term if lin is None else lin + term
-                    e = jets.exp(lin * s[l]) * c[l]
-                    total = e if total is None else total + e
-                return total
-
         else:
-            a = rng.normal(size=(2, n)) * 0.4
-            b = rng.normal(size=(2, n)) * 0.4
-            c = rng.normal(size=2)
+            forms = 0.4 * np.hstack([rng.normal(size=(2, n)) for _ in range(2)])
+            s = np.ones(2)
+        c = rng.normal(size=2)
 
-            def f(ang_jets, a=a, b=b, c=c):
-                total = None
-                for l in range(2):
-                    lin = None
-                    for i, tj in enumerate(ang_jets):
-                        term = a[l, i] * jets.cos(tj) + b[l, i] * jets.sin(tj)
-                        lin = term if lin is None else lin + term
-                    e = jets.exp(lin) * c[l]
-                    total = e if total is None else total + e
-                return total
+        def f(inner, ops, forms=forms, s=s, c=c):
+            return ops.fn("exp", (inner @ forms.T) * s) @ c
 
         funcs.append(f)
     return funcs
@@ -206,7 +189,7 @@ def _grid_sums(spec, model, grid: IntegrationGrid, atlas, integrands) -> dict:
     sums = {}
     for chart, idx in grid.chunks(_chunk_size(model.chart_dim)):
         pg, fields = pointwise_geometry(model, spec, chart, grid.t[idx], atlas=atlas)
-        cd = curvature_data(pg, fields)
+        cd = gauss_curvature(pg, fields)
         w = grid.weight[idx]
         for name, vals in integrands(pg, cd).items():
             sums[name] = sums.get(name, 0.0) + float(np.sum(w * vals * pg.sqrt_det_g))
@@ -288,10 +271,8 @@ def _unresolved_reason(
 
 def _accumulate_case(spec, model, grid: IntegrationGrid, atlas, seed, mixer=None):
     """One full pass over a grid: integrals plus trusted-node sups."""
-    from .jets import seed_variables
-
-    n = spec.n
     grad_funcs = _gradient_test_functions(spec, seed)
+    ops = jets._Ops(spec.n, 2)
     sums = {}
     sups = {}
     l2sums = {}
@@ -330,12 +311,11 @@ def _accumulate_case(spec, model, grid: IntegrationGrid, atlas, seed, mixer=None
         main = res["nabla_xi_h_norm2"] if model.is_sasakian else res["nabla_h_norm2"]
 
         if spec.domain == "sphere":
-            inner_jets = atlas.u_jets(chart, t, order=2)
+            inner = atlas.u_jets(chart, t, order=2)
         else:
-            inner_jets = seed_variables(t, 2, batch=True)
+            inner = np.concatenate(jets._seed_angles(t, 2), axis=-1)
         for k, f in enumerate(grad_funcs):
-            fj = f(inner_jets)
-            Y = gradient_field(pg, fj)
+            Y = gradient_field(pg, f(inner, ops))
             vf = vector_field_scalars(pg, cd, Y)
             add_integral(f"yano_grad_{k}", vf["yano_integrand"], w, dens)
 
@@ -354,6 +334,7 @@ def _accumulate_case(spec, model, grid: IntegrationGrid, atlas, seed, mixer=None
         add_min("lemma_gap_32", res["lemma_gap_32"], trusted)
         for name, vals in chk.items():
             add_sup(name, vals, trusted)
+        del pg, fields, cd  # free this chunk's arrays before the next one allocates
 
     return sums, sups, l2sums, mins
 
@@ -371,7 +352,7 @@ def _rk4_step_check(spec, atlas, grid, sample: int = 64) -> float:
     )
     a = eval_immersion(spec, chart, t, atlas=atlas, order=1)
     b = eval_immersion(fine, chart, t, atlas=atlas, order=1)
-    return max(float(np.max(np.abs(x.val - y.val))) for x, y in zip(a, b))
+    return float(np.max(np.abs(a[0] - b[0])))
 
 
 def _conformal_block(spec, model, grid, atlas, seed):

@@ -168,6 +168,19 @@ class TestSweep:
             capsys,
         )
         assert code == 2
+        assert "'resolution'" in err
+        code, _, err = _run(["sweep", "--case", "whitney_c0", "--sweep", "n=1:2:3"], capsys)
+        assert code == 2
+        assert "unknown sweep parameter 'n'" in err
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_empty_sweep_is_rejected(self, capsys, count):
+        code, out, err = _run(
+            ["sweep", "--case", "whitney_c0", "--sweep", f"r=1:2:{count}"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert f"r=1:2:{count}" in err and "at least 1" in err
 
 
 def test_module_entry_point():

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from whitneygeo import jets
 from whitneygeo.geometry import (
     CurvatureData,
+    _induced_metric_hessian,
     _second_derivative_of_induced_metric,
     curvature_data,
     frame_geometry,
@@ -246,7 +247,8 @@ class TestFiniteDifferenceOracles:
         spec = make_spec("whitney_ch", 2, theta=0.5)
         model = model_for(spec)
         t = _params(2, count=4, seed=12)
-        pg, _ = pointwise_geometry(model, spec, 0, t, atlas=atlas2)
+        pg, fields = pointwise_geometry(model, spec, 0, t, atlas=atlas2)
+        g2 = _induced_metric_hessian(pg, fields)
         step = 1e-4
         for c in range(2):
             tp = t.copy(); tm = t.copy()
@@ -254,7 +256,7 @@ class TestFiniteDifferenceOracles:
             gp, _ = pointwise_geometry(model, spec, 0, tp, atlas=atlas2)
             gm, _ = pointwise_geometry(model, spec, 0, tm, atlas=atlas2)
             fd = (gp.g.d - gm.g.d) / (2 * step)
-            assert_allclose(pg.g2[..., c], fd, atol=1e-6, rtol=1e-6)
+            assert_allclose(g2[..., c], fd, atol=1e-6, rtol=1e-6)
 
 
 def _symmetric(rng, shape, k):
@@ -330,7 +332,8 @@ class TestFrameStage:
             else:
                 assert np.array_equal(getattr(cd, name), want), name
         # the stage carries values only
-        assert cd.Riem_metric is None and pg.g2 is None and pg.hcov is None
+        assert cd.Riem_metric is None and pg.hcov is None
+        assert pg.X is None and pg.G2X is None  # the inputs of the induced g2
         assert pg.g.d is None and pg.E.d is None and pg.h.d is None
         assert len(fields.G) <= 1 + model.chart_dim  # the metric to order 1
 

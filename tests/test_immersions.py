@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from whitneygeo import immersions, jets
 from whitneygeo.geometry import curvature_data, paper_residuals, pointwise_geometry, structure_checks
 from whitneygeo.immersions import (
     HamiltonianDeformation,
@@ -18,7 +19,7 @@ from whitneygeo.immersions import (
     model_for,
     random_quartic,
 )
-from whitneygeo.jets import constant, seed_variables
+from whitneygeo.jets import Jet, constant
 
 
 @pytest.fixture(scope="module")
@@ -38,10 +39,12 @@ class TestSphereChart:
         t = _sample_params(2)
         for c in range(atlas2.num_charts):
             u = atlas2.u_jets(c, t, order=3)
-            norm = sum((uj * uj for uj in u[1:]), start=u[0] * u[0])
-            assert_allclose(norm.val, 1.0, atol=1e-14)
-            assert_allclose(norm.d1, 0.0, atol=1e-13)
-            assert_allclose(norm.d2, 0.0, atol=1e-12)
+            norm = jets._Ops(2, 3).mul(u, u).sum(axis=-1)
+            val, d1, d2, d3 = jets._unpack_blocks(norm, 2, 3)
+            assert_allclose(val, 1.0, atol=1e-14)
+            assert_allclose(d1, 0.0, atol=1e-13)
+            assert_allclose(d2, 0.0, atol=1e-12)
+            assert_allclose(d3, 0.0, atol=1e-12)
 
     def test_roundtrip(self, atlas2):
         t = _sample_params(2, seed=3)
@@ -74,14 +77,13 @@ class TestCatalogValues:
         spec = make_spec("whitney_c0", 2, r=1.0)
         t = atlas2.params_from_u(0, np.array([[1.0, 0.0, 0.0]]))
         x = eval_immersion(spec, 0, t, atlas=atlas2)
-        assert_allclose([xi.val[0] for xi in x], [1, 0, 0, 0], atol=1e-14)
+        assert_allclose(x[0, 0], [1, 0, 0, 0], atol=1e-14)
 
     def test_whitney_flat_double_point(self, atlas2):
         spec = make_spec("whitney_c0", 2, r=1.3, B=(0.1, -0.2, 0.3, 0.0))
         t = atlas2.params_from_u(0, np.array([[0, 0, 1.0], [0, 0, -1.0]]))
         x = eval_immersion(spec, 0, t, atlas=atlas2)
-        vals = np.array([xi.val for xi in x])
-        assert_allclose(vals[:, 0], vals[:, 1], atol=1e-13)
+        assert_allclose(x[0, 0], x[0, 1], atol=1e-13)
 
     def test_projective_family_on_equator(self, atlas2):
         # at u_{n+1} = 0 the affine chart value is u / sinh(theta)
@@ -89,16 +91,14 @@ class TestCatalogValues:
         spec = make_spec("whitney_cp", 2, theta=theta)
         t = atlas2.params_from_u(0, np.array([[0.6, 0.8, 0.0]]))
         x = eval_immersion(spec, 0, t, atlas=atlas2)
-        got = np.array([xi.val[0] for xi in x])
+        got = x[0, 0]
         want = np.array([0.6, 0.8, 0.0, 0.0]) / math.sinh(theta)
         assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_torus_values(self):
         spec = make_spec("product_torus", 2, radii=(1.0, 2.0))
         x = eval_immersion(spec, 0, np.array([[0.0, np.pi / 2]]))
-        assert_allclose(
-            [xi.val[0] for xi in x], [1.0, 0.0, 0.0, 2.0], atol=1e-14
-        )
+        assert_allclose(x[0, 0], [1.0, 0.0, 0.0, 2.0], atol=1e-14)
 
     def test_flat_contact_fiber_closed_form(self, atlas2):
         # the contact condition determines the fiber: dz/du equals the
@@ -113,7 +113,7 @@ class TestCatalogValues:
             ),
         )
         x = eval_immersion(spec, 0, t, atlas=atlas2)
-        z = x[-1].val
+        z = x[0, :, -1]
         # independent quadrature of the defining one-form
         from numpy.polynomial.legendre import leggauss
 
@@ -235,6 +235,14 @@ class TestDegenerationLimit:
         assert_allclose(cd.scalar, 2.0, atol=0.02)
 
 
+def _jets_of(packed, v):
+    """The scalar Jets of packed (coefficients, B, m) jets in ``v`` variables."""
+    order = jets._packed_order(packed, v)
+    blocks = jets._unpack_blocks(packed, v, order)
+    return [Jet(order, v, *(np.moveaxis(b, 1, 0)[mu] for b in blocks))
+            for mu in range(packed.shape[-1])]
+
+
 def _reference_flow(x, ham):
     """RK4 on lists of scalar jets: J grad F summed term by term with Jet products."""
     m = len(x)
@@ -274,9 +282,7 @@ class TestHamiltonianFlow:
         t = _sample_params(2, count=5, seed=4)
         x0 = eval_immersion(spec0, 0, t, atlas=atlas2)
         x1 = eval_immersion(spec, 0, t, atlas=atlas2)
-        for a, b in zip(x0, x1):
-            assert_allclose(a.val, b.val, atol=1e-15)
-            assert_allclose(a.d3, b.d3, atol=1e-15)
+        assert_allclose(x0, x1, atol=1e-15)
 
     def test_rotation_hamiltonian_preserves_invariants(self, atlas2):
         # F = |z|^2 / 2 generates an ambient rotation, hence an isometry
@@ -311,17 +317,16 @@ class TestHamiltonianFlow:
             (0.5, tuple(2 if j == i else 0 for j in range(4))) for i in range(4)
         )
         ham = HamiltonianDeformation(coeffs=coeffs, epsilon=0.3, steps=64)
-        seeds = seed_variables(np.array([[0.3, -0.2, 0.5, 0.1]]), 3, batch=True)
-        out = hamiltonian_flow(list(seeds), ham)
+        seeds = np.zeros((len(jets._packed_basis(4, 3)), 1, 4))
+        seeds[0, 0] = [0.3, -0.2, 0.5, 0.1]
+        seeds[1:5, 0] = np.eye(4)
+        out = hamiltonian_flow(seeds, ham, 4)
         c, s = math.cos(0.3), math.sin(0.3)
         R = np.block([[c * np.eye(2), -s * np.eye(2)], [s * np.eye(2), c * np.eye(2)]])
         want = R @ np.array([0.3, -0.2, 0.5, 0.1])
-        got = np.array([o.val[0] for o in out])
-        assert_allclose(got, want, atol=1e-12)
-        assert_allclose(np.array([o.d1[0] for o in out]), R, atol=1e-13)
-        for o in out:
-            assert_allclose(o.d2, 0.0, atol=1e-13)
-            assert_allclose(o.d3, 0.0, atol=1e-13)
+        assert_allclose(out[0, 0], want, atol=1e-12)
+        assert_allclose(out[1:5, 0].T, R, atol=1e-13)
+        assert_allclose(out[5:], 0.0, atol=1e-13)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     @pytest.mark.parametrize("n", [2, 3])
@@ -333,8 +338,8 @@ class TestHamiltonianFlow:
         )
         t = _sample_params(n, count=3, seed=10 + n)
         x = eval_immersion(make_spec("whitney_c0", n), 0, t, order=order)
-        got = hamiltonian_flow(x, ham)
-        want = _reference_flow(x, ham)
+        got = _jets_of(hamiltonian_flow(x, ham, n), n)
+        want = _reference_flow(_jets_of(x, n), ham)
         for k in range(order + 1):
             block = ("val", "d1", "d2", "d3")[k]
             ref = np.stack([getattr(w, block) for w in want])
@@ -348,10 +353,8 @@ class TestHamiltonianFlow:
         t = _sample_params(2, count=6, seed=11)
         lo = eval_immersion(spec, 0, t, atlas=atlas2, order=1)
         hi = eval_immersion(spec, 0, t, atlas=atlas2, order=3)
-        for a, b in zip(lo, hi):
-            assert a.order == 1
-            assert_allclose(a.val, b.val, rtol=1e-14, atol=1e-15)
-            assert_allclose(a.d1, b.d1, rtol=1e-14, atol=1e-15)
+        assert lo.shape == (3,) + hi.shape[1:]
+        assert_allclose(lo, hi[:3], rtol=1e-14, atol=1e-15)
 
     def test_generic_quartic_breaks_whitney_relation(self, atlas2):
         spec = make_spec("perturbed", 2, epsilon=0.05, seed=3)
@@ -406,5 +409,226 @@ class TestLegendrianLift:
         for c in range(2):
             t = atlas2.params_from_u(c, u)
             x = eval_immersion(spec, c, t, atlas=atlas2)
-            zs.append(x[-1].val)
+            zs.append(x[0, :, -1])
         assert_allclose(zs[0], zs[1], atol=1e-10)
+
+
+# -- the packed evaluators against their scalar-Jet formulas -------------------
+#
+# The references below are the catalog formulas written with scalar Jets and
+# (real, imaginary) pairs of them; the packed evaluators must agree with them
+# block by block.
+
+class _CJ:
+    """A complex scalar as a (real, imaginary) pair of Jets."""
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    def __mul__(self, other):
+        if isinstance(other, _CJ):
+            return _CJ(self.re * other.re - self.im * other.im,
+                       self.re * other.im + self.im * other.re)
+        return _CJ(self.re * other, self.im * other)
+
+    def abs2(self):
+        return self.re * self.re + self.im * self.im
+
+    def inv(self):
+        q = jets.recip(self.abs2())
+        return _CJ(self.re * q, -self.im * q)
+
+
+def _ref_u_jets(atlas, chart, t, order):
+    seeds = jets.seed_variables(t, order, batch=True)
+    n = atlas.n
+    comps, prefix = [], None
+    for th in seeds[: n - 1]:
+        comps.append(jets.cos(th) if prefix is None else prefix * jets.cos(th))
+        prefix = jets.sin(th) if prefix is None else prefix * jets.sin(th)
+    comps += [prefix * jets.cos(seeds[-1]), prefix * jets.sin(seeds[-1])]
+    Q = atlas.rotations[chart]
+    return [sum((Q[r, c] * comps[c] for c in range(n + 1) if Q[r, c] != 0.0),
+                start=comps[0] * 0.0) for r in range(n + 1)]
+
+
+def _ref_pairs(u, theta, variant):
+    un = u[-1]
+    one = constant(np.ones(un.batch_shape), un.num_vars, un.order)
+    ch, sh = math.cosh(theta), math.sinh(theta)
+    u2 = un * un
+    if variant == "cp":
+        slot, num = _CJ(ch * one, sh * un), _CJ(sh * ch * (1.0 + u2), un)
+        den = ch * ch + sh * sh * u2
+    else:
+        slot, num = _CJ(sh * one, ch * un), _CJ(sh * ch * (1.0 + u2), -un)
+        den = sh * sh + ch * ch * u2
+    inv = (slot * _CJ(num.re / den, num.im / den)).inv()
+    return [inv * uj for uj in u[:-1]]
+
+
+def _ref_c0(spec, u):
+    n, B = spec.n, spec.params["B"]
+    w = spec.params["r"] * jets.recip(1.0 + u[-1] * u[-1])
+    return [u[j] * w + B[j] for j in range(n)] + [u[j] * w * u[-1] + B[n + j] for j in range(n)]
+
+
+def _ref_contact_r(spec, u):
+    n, r, B = spec.n, spec.params["r"], spec.params["B"]
+    un = u[-1]
+    w = r * jets.recip(1.0 + un * un)
+    xs = [u[j] * w * un for j in range(n)]
+    ys = [u[j] * w for j in range(n)]
+    z = un * w * w + r * spec.params["a"] + B[2 * n]
+    z = sum((B[n + j] * xs[j] for j in range(n)), start=z)
+    return [x + B[j] for j, x in enumerate(xs)] + [y + B[n + j] for j, y in enumerate(ys)] + [z]
+
+
+def _ref_contact_s(spec, u):
+    un = u[-1]
+    ch, sh = math.cosh(spec.params["theta"]), math.sinh(spec.params["theta"])
+    one = constant(np.ones(un.batch_shape), un.num_vars, un.order)
+    inv = _CJ(ch * one, sh * un).inv()
+    ws = [inv * uj for uj in u[:-1]]
+    return [w.re for w in ws] + [w.im for w in ws] + [un / (ch * ch + sh * sh * un * un)]
+
+
+def _ref_totally_geodesic(spec, u, chart):
+    U = immersions._TG_UNITARIES[chart]
+    rot = [_CJ(sum(U[r, c].real * u[c] for c in range(3)),
+               sum(U[r, c].imag * u[c] for c in range(3))) for r in range(3)]
+    zs = [rot[j] * rot[2].inv() for j in range(2)]
+    return [z.re for z in zs] + [z.im for z in zs]
+
+
+class _RefFiber(immersions._BergmanFiber):
+    """The Bergman fiber with its density in scalar Jets; the panel rule is shared."""
+
+    def _rho_jets(self, u_vals, order):
+        (un,) = jets.seed_variables(u_vals[:, None], order + 1, batch=True)
+        zs = _ref_pairs([jets.sqrt(1.0 - un * un)] + [un * 0.0] * (self.n - 1) + [un],
+                        self.theta, "ch")
+        w = jets.recip(1.0 - sum((z.abs2() for z in zs[1:]), start=zs[0].abs2()))
+        acc = sum((jets._drop(z.im) * jets.derivative(z.re, 0)
+                   - jets._drop(z.re) * jets.derivative(z.im, 0) for z in zs[1:]),
+                  start=jets._drop(zs[0].im) * jets.derivative(zs[0].re, 0)
+                  - jets._drop(zs[0].re) * jets.derivative(zs[0].im, 0))
+        rho = acc * (self.kappa * jets._drop(w))
+        blocks = (rho.val, rho.d1, rho.d2)
+        return np.stack([blocks[k][(...,) + (0,) * k] for k in range(order + 1)])
+
+    def fiber(self, un):
+        rho = self._rho_jets(un.val, 2)
+        derivs = (self.primitive_values(un.val), -rho[0], -rho[1], -rho[2])
+        return jets.compose_univariate(derivs[: un.order + 1], un)
+
+
+class _RefLift(immersions._LiftPrimitive):
+    """The Legendrian lift with its base and integrand in scalar Jets; the panel rule is shared."""
+
+    def base(self, chart, t, order):
+        spec = self.base_spec
+        x = _ref_c0(spec if spec.kind == "whitney_c0" else
+                    make_spec("whitney_c0", spec.n, r=spec.params["r"]),
+                    _ref_u_jets(self.atlas, chart, t, order))
+        if spec.kind == "perturbed":
+            x = _reference_flow(x, HamiltonianDeformation(
+                spec.params["hamiltonian"], spec.params["epsilon"], spec.params["steps"]))
+        return x
+
+    def _integrand(self, chart, t):
+        x = self.base(chart, t, 1)
+        n = self.base_spec.n
+        return sum((x[n + j].val[:, None] * x[j].d1 for j in range(n)), start=0.0)
+
+    def lifted(self, chart, t, order):
+        x = self.base(chart, t, order)
+        n = self.base_spec.n
+        z = Jet(order, n, self.values(chart, t))
+        for a in range(n if order else 0):
+            p = sum((jets._drop(x[n + j]) * jets.derivative(x[j], a) for j in range(1, n)),
+                    start=jets._drop(x[n]) * jets.derivative(x[0], a))
+            for k, block in enumerate((p.val, p.d1, p.d2)[:order]):
+                getattr(z, f"d{k + 1}")[:, a] = block
+        z.d2 = None if order < 2 else jets._mirror2(z.d2, n)
+        z.d3 = None if order < 3 else jets._mirror3(z.d3, n)
+        return x + [z]
+
+
+def _small_hamiltonian(n):
+    e = lambda *pairs: tuple(sum(k for i, k in pairs if i == v) for v in range(2 * n))
+    return ((0.3, e((0, 2), (n, 1))), (-0.2, e((1, 1), (n + 1, 2))), (0.1, e((2 * n - 1, 4))))
+
+
+def _reference_jets(spec, chart, t, atlas, order):
+    """The scalar-Jet formula of ``spec`` at parameters ``t``."""
+    if spec.kind == "product_torus":
+        seeds = jets.seed_variables(t, order, batch=True)
+        radii = spec.params["radii"]
+        return ([r * jets.cos(s) for r, s in zip(radii, seeds)]
+                + [r * jets.sin(s) for r, s in zip(radii, seeds)])
+    if spec.kind == "lifted":
+        return _RefLift(immersions._lift_primitive_for(spec, atlas).base_spec, atlas).lifted(
+            chart, t, order)
+    u = _ref_u_jets(atlas, chart, t, order)
+    theta = spec.params.get("theta")
+    if spec.kind in ("whitney_cp", "whitney_ch"):
+        zs = _ref_pairs(u, theta, spec.kind[-2:])
+        return [z.re for z in zs] + [z.im for z in zs]
+    if spec.kind == "contact_whitney_b":
+        zs = _ref_pairs(u, theta, "ch")
+        return [z.re for z in zs] + [z.im for z in zs] + [_RefFiber(spec.n, theta).fiber(u[-1])]
+    if spec.kind == "totally_geodesic_cp":
+        return _ref_totally_geodesic(spec, u, chart)
+    if spec.kind == "contact_whitney_r":
+        return _ref_contact_r(spec, u)
+    if spec.kind == "contact_whitney_s":
+        return _ref_contact_s(spec, u)
+    x = _ref_c0(spec if spec.kind == "whitney_c0" else
+                make_spec("whitney_c0", spec.n, r=spec.params["r"]), u)
+    if spec.kind == "perturbed":
+        x = _reference_flow(x, HamiltonianDeformation(
+            spec.params["hamiltonian"], spec.params["epsilon"], spec.params["steps"]))
+    return x
+
+
+def _evaluator_cases():
+    cases = []
+    for n in (2, 3, 4):
+        kinds = [
+            ("whitney_c0", dict(r=1.3, B=tuple(0.1 * np.arange(2 * n)))),
+            ("whitney_cp", dict(theta=0.5)),
+            ("whitney_ch", dict(theta=0.9)),
+            ("contact_whitney_r", dict(r=0.8, a=0.3, B=tuple(0.1 * np.arange(2 * n + 1)))),
+            ("contact_whitney_s", dict(theta=0.6, a=0.8)),
+            ("contact_whitney_b", dict(theta=0.8, a=1.2)),
+            ("perturbed", dict(epsilon=0.05, steps=16, hamiltonian=_small_hamiltonian(n))),
+            ("lifted", dict(base="whitney_c0", r=1.1)),
+            ("product_torus", dict(radii=tuple(1.0 + 0.2 * np.arange(n)))),
+        ]
+        if n == 2:
+            kinds += [("totally_geodesic_cp", {}),
+                      ("lifted", dict(base="perturbed", epsilon=0.03, steps=16,
+                                      hamiltonian=_small_hamiltonian(2)))]
+        for chart in ((1, 2) if n == 4 else (0, 1)):
+            cases += [(kind, n, chart, kw) for kind, kw in kinds]
+    return cases
+
+
+@pytest.mark.parametrize("kind, n, chart, kw", _evaluator_cases())
+def test_packed_evaluator_matches_scalar_jet_formula(kind, n, chart, kw):
+    spec = make_spec(kind, n, **kw)
+    atlas = SphereChart(n)
+    if kind == "product_torus":
+        t = np.random.default_rng(20 + n).uniform(0, 2 * np.pi, size=(4, n))
+    else:
+        t = _sample_params(n, count=4, seed=20 + n + chart)
+    for order in range(4):
+        got = jets._unpack_blocks(eval_immersion(spec, chart, t, atlas=atlas, order=order),
+                                  n, order)
+        ref = _reference_jets(spec, chart, t, atlas, order)
+        for k, block in enumerate(("val", "d1", "d2", "d3")[: order + 1]):
+            want = np.stack([getattr(j, block) for j in ref], axis=1)
+            assert got[k].shape == want.shape, (order, block)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got[k] - want)) <= 1e-13 * scale, (order, block)

@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 
 from whitneygeo import jets
 from whitneygeo.jets import (
-    ComplexJet,
     Jet,
     arith,
     atan2,
@@ -391,27 +390,45 @@ class TestCompose:
         assert_allclose(fx.d1, [2 * 0.4, 2 * 0.2])
 
 
+def _packed_seeds(point, order):
+    """Coordinate jets at ``point`` as packed (coefficients, 1) arrays."""
+    v = len(point)
+    seeds = np.zeros((v, len(jets._packed_basis(v, order)), 1))
+    seeds[:, 0, 0] = point
+    if order >= 1:
+        seeds[:, 1 : v + 1, 0] = np.eye(v)
+    return seeds
+
+
 class TestComplex:
+    """Complex scalars as complex128 packed jets: the packed kernels keep the dtype."""
+
     def test_mul_div_roundtrip(self):
         rng = np.random.default_rng(2)
-        seeds = seed_variables(rng.normal(size=2), order=3)
-        a = ComplexJet(seeds[0] * seeds[1] + 1.5, seeds[0] - seeds[1])
-        b = ComplexJet(2.0 + seeds[1], seeds[0] * 0.3)
-        c = (a * b) / b
-        assert_allclose(c.re.val, a.re.val, rtol=1e-12)
-        assert_allclose(c.im.d2, a.im.d2, atol=1e-11)
+        x, y = _packed_seeds(rng.normal(size=2), 3)
+        ops = jets._Ops(2, 3)
+        a = ops.mul(x, y) + 1j * (x - y)
+        a[0] += 1.5
+        b = y + 0.3j * x
+        b[0] += 2.0
+        c = ops.mul(ops.mul(a, b), ops.fn("recip", b))
+        assert c.dtype == np.complex128
+        assert_allclose(c[0], a[0], rtol=1e-12)
+        assert_allclose(c, a, atol=1e-11)
 
     def test_abs2_matches(self):
-        seeds = seed_variables([0.3, -0.2], order=2)
-        z = ComplexJet(seeds[0], seeds[1])
-        assert_allclose(z.abs2().val, 0.3**2 + 0.2**2)
+        x, y = _packed_seeds([0.3, -0.2], 2)
+        ops = jets._Ops(2, 2)
+        z = x + 1j * y
+        abs2 = ops.mul(z, z.conj())
+        assert_allclose(abs2.real, ops.mul(x, x) + ops.mul(y, y), atol=1e-15)
+        assert_allclose(abs2.imag, 0.0, atol=1e-15)
+        assert_allclose(abs2[0].real, 0.3**2 + 0.2**2)
 
     def test_division_near_zero_raises(self):
-        seeds = seed_variables([0.0, 0.0], order=1)
-        z = ComplexJet(seeds[0], seeds[1])
-        one = ComplexJet.from_real(constant(1.0, 2, 1))
+        x, y = _packed_seeds([0.0, 0.0], 1)
         with pytest.raises(ZeroDivisionError):
-            one / z
+            jets._Ops(2, 1).fn("recip", x + 1j * y)
 
 
 class TestBatch:

@@ -139,6 +139,71 @@ def test_packed_inverse_is_an_inverse(v, order, seed, size):
     assert np.max(np.abs(product - identity)) <= 1e-12
 
 
+def _close(got, want):
+    assert got.shape == want.shape
+    return np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
+
+
+def _complex_pair(rng, shape):
+    """Random real packed arrays (re, im) and the complex packed array re + i im."""
+    re, im = rng.normal(size=shape), rng.normal(size=shape)
+    return re, im, re + 1j * im
+
+
+@PROPERTY
+@given(v=num_vars, order=orders, seed=seeds)
+def test_packed_mul_complex_is_its_real_decomposition(v, order, seed):
+    rng = np.random.default_rng(seed)
+    rows = len(jets._packed_basis(v, order))
+    (a, b, z), (c, d, w) = (_complex_pair(rng, (rows, 3)) for _ in range(2))
+    table = jets._leibniz_table(v, order)
+    mul = lambda x, y: jets._packed_mul(x, y, table)
+    got = mul(z, w)
+    assert got.dtype == np.complex128 and mul(a, c).dtype == np.float64
+    assert _close(got.real, mul(a, c) - mul(b, d))
+    assert _close(got.imag, mul(a, d) + mul(b, c))
+    # a real factor times a complex one
+    assert _close(mul(a, w), mul(a, c) + 1j * mul(a, d))
+
+
+@PROPERTY
+@given(v=num_vars, order=orders, seed=seeds,
+       dims=st.tuples(*[st.integers(min_value=1, max_value=3)] * 3))
+def test_packed_matmul_complex_is_its_real_decomposition(v, order, seed, dims):
+    rng = np.random.default_rng(seed)
+    p, k, r = dims
+    rows = len(jets._packed_basis(v, order))
+    a, b, z = _complex_pair(rng, (rows, 2, p, k))
+    c, d, w = _complex_pair(rng, (rows, 2, k, r))
+    table = jets._leibniz_table(v, order)
+    matmul = lambda x, y: jets._packed_matmul(x, y, table)
+    got = matmul(z, w)
+    assert got.dtype == np.complex128
+    assert _close(got.real, matmul(a, c) - matmul(b, d))
+    assert _close(got.imag, matmul(a, d) + matmul(b, c))
+
+
+@PROPERTY
+@given(v=num_vars, order=orders, seed=seeds, kind=st.sampled_from(["recip", "exp"]))
+def test_packed_compose_complex_is_its_real_decomposition(v, order, seed, kind):
+    rng = np.random.default_rng(seed)
+    rows = len(jets._packed_basis(v, order))
+    x, y, _ = _complex_pair(rng, (rows, 3))
+    x[0] += 3.0  # keep 1/z away from its pole
+    z = x + 1j * y
+    table = jets._leibniz_table(v, order)
+    f = lambda name, u: jets._packed_compose(jets._table(u[0], name)[: order + 1], u, table)
+    mul = lambda a, b: jets._packed_mul(a, b, table)
+    got = f(kind, z)
+    assert got.dtype == np.complex128
+    if kind == "recip":  # 1/z = (x - i y) / (x^2 + y^2)
+        q = f("recip", mul(x, x) + mul(y, y))
+        want = mul(x, q) - 1j * mul(y, q)
+    else:  # exp(z) = exp(x) (cos y + i sin y)
+        want = mul(f("exp", x), f("cos", y) + 1j * f("sin", y))
+    assert _close(got, want)
+
+
 def test_packed_order_rejects_a_ragged_row_count():
     assert jets._packed_order(np.zeros((10, 1)), 3) == 2
     with pytest.raises(ValueError, match="fit no jet order"):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from whitneygeo import immersions, jets
 from whitneygeo.immersions import make_spec, random_quartic
 from whitneygeo.verify import (
     Tolerances,
@@ -211,3 +212,33 @@ class TestIntegrateField:
         )
         # |h|^2 = 1 for the unit bicircular torus scaled by the flat metric
         assert res.value == pytest.approx(2.0 * (2 * math.pi) ** 2, rel=1e-12)
+
+
+class TestPackedCertificatePath:
+    """The certificate runs on packed jets and leaves no state behind."""
+
+    def test_no_scalar_jet_is_built(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a scalar Jet was built on the certificate path")
+
+        monkeypatch.setattr(jets.Jet, "__init__", refuse)
+        for spec, K in [
+            (make_spec("whitney_cp", 2, theta=0.5), 12),
+            (make_spec("contact_whitney_b", 2, theta=0.8), 12),
+            (make_spec("lifted", 2, base="whitney_c0"), 12),
+            (make_spec("perturbed", 2, epsilon=0.05), 16),
+            (make_spec("product_torus", 2), 12),
+        ]:
+            run_case(spec, resolution=K)
+        block = conformal_block(make_spec("contact_whitney_r", 4, r=1.0))
+        assert block["weyl_sup"] is not None
+
+    def test_cases_leave_no_module_level_dict_grown(self):
+        def sizes():
+            return {k: len(v) for k, v in vars(immersions).items() if isinstance(v, dict)}
+
+        before = sizes()
+        # parameters no other test uses, so no earlier run filled a cache
+        run_case(make_spec("contact_whitney_b", 2, theta=0.83), resolution=12)
+        run_case(make_spec("lifted", 2, base="whitney_c0", r=1.07), resolution=12)
+        assert sizes() == before
