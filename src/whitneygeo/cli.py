@@ -26,6 +26,13 @@ from .verify import (
 
 _CASE_PARAM_KEYS = ("r", "theta", "a", "epsilon", "steps", "base", "B", "radii")
 
+#: every setting a config file may give; flags override them
+_SETTING_KEYS = (
+    "case", "n", *_CASE_PARAM_KEYS, "resolution", "seed", "format", "out",
+    "conformal", "tol_pointwise", "tol_inequality", "tol_integral",
+    "tol_classification", "tol_strictness",
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -52,8 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--seed", type=int)
         q.add_argument("--format", choices=("json", "csv", "markdown"))
         q.add_argument("--out")
-        q.add_argument("--conformal", action="store_true", default=None,
-                       help="also compute the Weyl/sectional block")
+        if name == "verify":
+            q.add_argument("--conformal", action="store_true", default=None,
+                           help="also compute the Weyl/sectional block")
         q.add_argument("--tol-pointwise", type=float, dest="tol_pointwise")
         q.add_argument("--tol-inequality", type=float, dest="tol_inequality")
         q.add_argument("--tol-integral", type=float, dest="tol_integral")
@@ -84,6 +92,8 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
+        if key not in _SETTING_KEYS:
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if key in _FLOAT_KEYS:
             out[key] = float(val)
         elif key in _INT_KEYS:
@@ -102,12 +112,7 @@ def _merge_settings(args) -> dict:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             settings.update(parse_config_text(fh.read()))
-    for key in (
-        "case", "n", "r", "theta", "a", "epsilon", "steps", "base",
-        "resolution", "seed", "format", "out", "conformal",
-        "tol_pointwise", "tol_inequality", "tol_integral",
-        "tol_classification", "tol_strictness",
-    ):
+    for key in _SETTING_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             settings[key] = val
@@ -203,6 +208,9 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     settings = _merge_settings(args)
+    if "conformal" in settings:
+        raise ValueError("sweep computes no conformal block; the key 'conformal' "
+                         "belongs to verify")
     try:
         name, rng = args.sweep.split("=", 1)
         start, stop, count = rng.split(":")

@@ -1,13 +1,16 @@
 """Per-case verification: residual aggregation, integral certification,
 equality-case classification, and report rendering.
 
-A case run evaluates the geometry engine over a quadrature grid, checks
-every pointwise identity on the trusted nodes, integrates the two sides of
-the main inequality together with the divergence-identity combinations, and
-classifies the equality case.  Two companion grids at 1/2 and 3/4 of the
-resolution integrate only the certificate's integrands; with the full grid
-they form the convergence ladder behind each quadrature-error estimate
-(:func:`whitneygeo.quadrature.quadrature_error`).
+A case run evaluates each grid once, in one order-3 chunk loop
+(:func:`_grid_sums`).  Every rung of the convergence ladder integrates the
+certificate's integrands there; two companion grids at 1/2 and 3/4 of the
+resolution do nothing else, and with the full grid they give each
+quadrature-error estimate (:func:`whitneygeo.quadrature.quadrature_error`).
+The full grid's chunks also feed the gradient-field integrals of the
+divergence identity, the l2 sums, the sups and minima of every pointwise
+identity on the trusted nodes and, at n <= 3 with ``conformal``, the
+sectional-curvature statistics.  The standalone conformal block, and the
+n >= 4 block on its coarser grid, run only the order-2 frame stage.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 from . import jets
 from .geometry import (
     TJ,
+    CurvatureData,
     curvature_data,
     frame_geometry,
     gauss_curvature,
@@ -33,7 +37,6 @@ from .geometry import (
 from .immersions import ImmersionSpec, SphereChart, model_for
 from .quadrature import (
     ROUNDOFF,
-    IntegralResult,
     IntegrationGrid,
     build_grid,
     ladder_resolutions,
@@ -68,7 +71,13 @@ _STRUCTURE_TOLS = {
 }
 
 _IDENTITY_TOL = 1e-10
-_GAP_SLACK = 1e-9
+
+#: residuals whose sup and volume-normalized l2 norm a report records
+_L2_RESIDUALS = (
+    "whitney_residual",
+    "scalar_relation_residual",
+    "equality_condition_residual",
+)
 
 #: n >= 4 conformal-block grid: its sups need coverage, not integration accuracy
 _CONFORMAL_RESOLUTION = 12
@@ -184,25 +193,26 @@ def _certificate_integrands(pg, cd) -> dict:
     }
 
 
-def _grid_sums(spec, model, grid: IntegrationGrid, atlas, integrands) -> dict:
-    """Integrate each array of ``integrands(pg, cd)`` over one grid."""
+def _grid_sums(spec, model, grid: IntegrationGrid, atlas, integrands,
+               consume=None) -> dict:
+    """Integrate each array of ``integrands(pg, cd)`` over one grid.
+
+    This is the one order-3 chunk loop.  The full rung of a case also hands
+    each chunk to ``consume(chart, idx, pg, cd)``, and there the curvature
+    takes both routes, since the structure checks compare them.
+    """
+    curvature = gauss_curvature if consume is None else curvature_data
     sums = {}
     for chart, idx in grid.chunks(_chunk_size(model.chart_dim)):
         pg, fields = pointwise_geometry(model, spec, chart, grid.t[idx], atlas=atlas)
-        cd = gauss_curvature(pg, fields)
+        cd = curvature(pg, fields)
         w = grid.weight[idx]
         for name, vals in integrands(pg, cd).items():
             sums[name] = sums.get(name, 0.0) + float(np.sum(w * vals * pg.sqrt_det_g))
+        if consume is not None:
+            consume(chart, idx, pg, cd)
+        del pg, fields, cd  # free this chunk's arrays before the next one allocates
     return sums
-
-
-def _companion_sums(spec, model, atlas, rungs, integrands) -> list:
-    """``(K, sums)`` on the two lower rungs of the convergence ladder."""
-    out = []
-    for k in rungs[:2]:
-        grid = build_grid(spec.n, k, domain=spec.domain, atlas=atlas)
-        out.append((k, _grid_sums(spec, model, grid, atlas, integrands)))
-    return out
 
 
 def _normalized_integrals(n: int, sums: dict) -> dict:
@@ -269,74 +279,51 @@ def _unresolved_reason(
     )
 
 
-def _accumulate_case(spec, model, grid: IntegrationGrid, atlas, seed, mixer=None):
-    """One full pass over a grid: integrals plus trusted-node sups."""
+def _accumulate_case(spec, model, grid: IntegrationGrid, atlas, seed, sectional=None):
+    """The full rung: the ladder integrands plus every other consumer of a chunk.
+
+    Those are the gradient-field integrals, the l2 sums, the trusted-node
+    sups and minima and, given a :class:`_SectionalStats`, the curvature
+    statistics of the trusted nodes.
+    """
     grad_funcs = _gradient_test_functions(spec, seed)
     ops = jets._Ops(spec.n, 2)
-    sums = {}
-    sups = {}
-    l2sums = {}
-    mins = {}
+    grads, l2sums, sups, mins = {}, {}, {}, {}
 
-    def add_integral(name, vals, w, dens):
-        sums[name] = sums.get(name, 0.0) + float(np.sum(w * vals * dens))
-
-    def add_sup(name, vals, trusted):
-        if not np.any(trusted):
-            return
-        cur = float(np.max(np.abs(vals[trusted])))
-        sups[name] = max(sups.get(name, 0.0), cur)
-
-    def add_min(name, vals, trusted):
-        if not np.any(trusted):
-            return
-        cur = float(np.min(vals[trusted]))
-        mins[name] = min(mins.get(name, np.inf), cur)
-
-    def add_l2(name, vals, w, dens):
-        l2sums[name] = l2sums.get(name, 0.0) + float(np.sum(w * vals**2 * dens))
-
-    for chart, idx in grid.chunks(_chunk_size(model.chart_dim)):
-        t = grid.t[idx]
-        w = grid.weight[idx]
-        trusted = grid.trusted[idx]
-        pg, fields = pointwise_geometry(model, spec, chart, t, atlas=atlas, mixer=mixer)
-        cd = curvature_data(pg, fields)
-        res = paper_residuals(pg, cd)
-        chk = structure_checks(pg, cd)
+    def consume(chart, idx, pg, cd):
+        t, w, trusted = grid.t[idx], grid.weight[idx], grid.trusted[idx]
         dens = pg.sqrt_det_g
-
-        for name, vals in _certificate_integrands(pg, cd).items():
-            add_integral(name, vals, w, dens)
-        main = res["nabla_xi_h_norm2"] if model.is_sasakian else res["nabla_h_norm2"]
-
         if spec.domain == "sphere":
             inner = atlas.u_jets(chart, t, order=2)
         else:
             inner = np.concatenate(jets._seed_angles(t, 2), axis=-1)
         for k, f in enumerate(grad_funcs):
-            Y = gradient_field(pg, f(inner, ops))
-            vf = vector_field_scalars(pg, cd, Y)
-            add_integral(f"yano_grad_{k}", vf["yano_integrand"], w, dens)
+            vf = vector_field_scalars(pg, cd, gradient_field(pg, f(inner, ops)))
+            name = f"yano_grad_{k}"
+            grads[name] = grads.get(name, 0.0) + float(
+                np.sum(w * vf["yano_integrand"] * dens)
+            )
+        res = paper_residuals(pg, cd)
+        for name in _L2_RESIDUALS:
+            l2sums[name] = l2sums.get(name, 0.0) + float(
+                np.sum(w * res[name] ** 2 * dens)
+            )
+        if not np.any(trusted):
+            return
+        main = res["nabla_xi_h_norm2"] if model.is_sasakian else res["nabla_h_norm2"]
+        checked = {k: res[k] for k in _L2_RESIDUALS + ("identity_34", "identity_35")}
+        checked["sup_nabla_h"] = np.sqrt(np.maximum(main, 0.0))
+        checked["lemma_gap_32_abs"] = res["lemma_gap_32"]
+        checked.update(structure_checks(pg, cd))
+        for name, vals in checked.items():
+            sups[name] = max(sups.get(name, 0.0), float(np.max(np.abs(vals[trusted]))))
+        for name in ("lemma_gap_31", "lemma_gap_32"):
+            mins[name] = min(mins.get(name, np.inf), float(np.min(res[name][trusted])))
+        if sectional is not None:
+            sectional.add(cd.Riem[trusted])
 
-        for name in (
-            "whitney_residual",
-            "scalar_relation_residual",
-            "equality_condition_residual",
-        ):
-            add_sup(name, res[name], trusted)
-            add_l2(name, res[name], w, dens)
-        for name in ("identity_34", "identity_35"):
-            add_sup(name, res[name], trusted)
-        add_sup("sup_nabla_h", np.sqrt(np.maximum(main, 0.0)), trusted)
-        add_sup("lemma_gap_32_abs", res["lemma_gap_32"], trusted)
-        add_min("lemma_gap_31", res["lemma_gap_31"], trusted)
-        add_min("lemma_gap_32", res["lemma_gap_32"], trusted)
-        for name, vals in chk.items():
-            add_sup(name, vals, trusted)
-        del pg, fields, cd  # free this chunk's arrays before the next one allocates
-
-    return sums, sups, l2sums, mins
+    sums = _grid_sums(spec, model, grid, atlas, _certificate_integrands, consume)
+    return {**sums, **grads}, sups, l2sums, mins
 
 
 def _rk4_step_check(spec, atlas, grid, sample: int = 64) -> float:
@@ -355,23 +342,26 @@ def _rk4_step_check(spec, atlas, grid, sample: int = 64) -> float:
     return float(np.max(np.abs(a[0] - b[0])))
 
 
-def _conformal_block(spec, model, grid, atlas, seed):
-    """Weyl sup (n >= 4) and sampled sectional spread, from the order-2 frame stage."""
-    n = spec.n
-    rng = np.random.default_rng(seed + 104729)
-    weyl_sup = None
-    kmin, kmax = np.inf, -np.inf
-    for chart, idx in grid.chunks(_chunk_size(model.chart_dim)):
-        t = grid.t[idx]
-        trusted = grid.trusted[idx]
-        if not np.any(trusted):
-            continue
-        pg, fields = frame_geometry(model, spec, chart, t[trusted], atlas=atlas)
-        cd = gauss_curvature(pg, fields)
-        B = len(pg.sqrt_det_g)
-        if cd.Weyl is not None:
-            cur = float(np.max(np.abs(cd.Weyl)))
-            weyl_sup = cur if weyl_sup is None else max(weyl_sup, cur)
+class _SectionalStats:
+    """Weyl sup and sampled sectional range, folded in chunk by chunk.
+
+    Each chunk adds the Gauss-route curvature of its trusted nodes; the
+    random planes come from one stream per run, drawn chunk after chunk.
+    """
+
+    def __init__(self, n: int, seed: int):
+        self.n = n
+        self.rng = np.random.default_rng(seed + 104729)
+        self.weyl_sup = None
+        self.kmin, self.kmax = np.inf, -np.inf
+
+    def add(self, riem, weyl=None):
+        n = self.n
+        if weyl is not None:
+            cur = float(np.max(np.abs(weyl)))
+            self.weyl_sup = cur if self.weyl_sup is None else max(self.weyl_sup, cur)
+        cd = CurvatureData(Riem=riem, Riem_metric=None, Ricci=None, scalar=None, Weyl=weyl)
+        B = len(riem)
         planes = [(i, j) for i in range(n) for j in range(i + 1, n)]
         V = np.zeros((B, len(planes), n))
         W = np.zeros((B, len(planes), n))
@@ -379,58 +369,35 @@ def _conformal_block(spec, model, grid, atlas, seed):
             V[:, p, i] = 1.0
             W[:, p, j] = 1.0
         K = sectional_curvatures(cd, V, W)
-        Vr = rng.normal(size=(B, 20, n))
+        Vr = self.rng.normal(size=(B, 20, n))
         Vr /= np.linalg.norm(Vr, axis=-1, keepdims=True)
-        Wr = rng.normal(size=(B, 20, n))
+        Wr = self.rng.normal(size=(B, 20, n))
         Wr -= np.einsum("bpi,bpi->bp", Wr, Vr)[..., None] * Vr
         Wr /= np.linalg.norm(Wr, axis=-1, keepdims=True)
         Kr = sectional_curvatures(cd, Vr, Wr)
-        kmin = min(kmin, float(K.min()), float(Kr.min()))
-        kmax = max(kmax, float(K.max()), float(Kr.max()))
-    return {
-        "weyl_sup": weyl_sup,
-        "sectional_min": kmin,
-        "sectional_max": kmax,
-        "sectional_spread": kmax - kmin,
-    }
+        self.kmin = min(self.kmin, float(K.min()), float(Kr.min()))
+        self.kmax = max(self.kmax, float(K.max()), float(Kr.max()))
 
-
-def integrate_field(
-    spec: ImmersionSpec,
-    field: str,
-    resolution: int | None = None,
-):
-    """Integrate one named pointwise scalar over the case's domain.
-
-    ``field`` is any key of :func:`whitneygeo.geometry.paper_residuals`
-    (for example ``yano_integrand`` or ``nabla_h_norm2``).  Returns an
-    :class:`whitneygeo.quadrature.IntegralResult` whose error estimate comes
-    from the same convergence ladder, rounding floor and divergence-identity
-    control as in :func:`run_case`.
-    """
-    model = model_for(spec)
-    model.self_test(strict=True)
-    atlas = SphereChart(spec.n) if spec.domain == "sphere" else None
-
-    def integrand(pg, cd):
-        res = paper_residuals(pg, cd)
+    def result(self) -> dict:
         return {
-            "value": res[field],
-            "magnitude": np.abs(res[field]),
-            "control": res["yano_integrand"],
+            "weyl_sup": self.weyl_sup,
+            "sectional_min": self.kmin,
+            "sectional_max": self.kmax,
+            "sectional_spread": self.kmax - self.kmin,
         }
 
-    grid = build_grid(spec.n, resolution, domain=spec.domain, atlas=atlas)
-    rungs = ladder_resolutions(grid.resolution)
-    ladder = _companion_sums(spec, model, atlas, rungs, integrand)
-    ladder.append((grid.resolution, _grid_sums(spec, model, grid, atlas, integrand)))
-    error, _ = quadrature_error(
-        [sums["value"] for _, sums in ladder],
-        ROUNDOFF * ladder[-1][1]["magnitude"],
-        [sums["control"] for _, sums in ladder],
-    )
-    value = ladder[-1][1]["value"]
-    return IntegralResult(value=value, resolution=grid.resolution, error=error)
+
+def _conformal_block(spec, model, grid, atlas, seed):
+    """The curvature statistics from the order-2 frame stage at the trusted nodes."""
+    stats = _SectionalStats(spec.n, seed)
+    for chart, idx in grid.chunks(_chunk_size(model.chart_dim)):
+        trusted = grid.trusted[idx]
+        if not np.any(trusted):
+            continue
+        pg, fields = frame_geometry(model, spec, chart, grid.t[idx][trusted], atlas=atlas)
+        cd = gauss_curvature(pg, fields)
+        stats.add(cd.Riem, cd.Weyl)
+    return stats.result()
 
 
 def conformal_block(
@@ -464,10 +431,16 @@ def run_case(
     resolution = grid.resolution
     rungs = ladder_resolutions(resolution)
 
-    sums, sups, l2sums, mins = _accumulate_case(spec, model, grid, atlas, seed)
+    # at n <= 3 the curvature statistics come from the full pass's own
+    # chunks; at n >= 4 from the frame stage on a coarser grid, below
+    sectional = _SectionalStats(spec.n, seed) if conformal and spec.n <= 3 else None
+    sums, sups, l2sums, mins = _accumulate_case(spec, model, grid, atlas, seed, sectional)
     # the 1/2 and 3/4 rungs of the convergence ladder need only the
     # certificate's integrands, not the sups or the gradient-field integrals
-    ladder = _companion_sums(spec, model, atlas, rungs, _certificate_integrands)
+    ladder = []
+    for k in rungs[:2]:
+        rung = build_grid(spec.n, k, domain=spec.domain, atlas=atlas)
+        ladder.append((k, _grid_sums(spec, model, rung, atlas, _certificate_integrands)))
     ladder.append((resolution, sums))
     quadrature = _quadrature_estimates(spec.n, ladder)
 
@@ -516,8 +489,10 @@ def run_case(
         if sups.get(name, 0.0) > _IDENTITY_TOL:
             structural.append(f"{name} {sups[name]:.2e} > {_IDENTITY_TOL:.0e}")
     for name in ("lemma_gap_31", "lemma_gap_32"):
-        if mins.get(name, 0.0) < -_GAP_SLACK:
-            structural.append(f"{name} {mins[name]:.2e} < -{_GAP_SLACK:.0e}")
+        if mins.get(name, 0.0) < -tol.inequality_slack:
+            structural.append(
+                f"{name} {mins[name]:.2e} < -{tol.inequality_slack:.0e}"
+            )
     if spec.kind == "perturbed" and spec.params["epsilon"] > 0:
         rk4_drift = _rk4_step_check(spec, atlas, grid)
         sups["rk4_step_drift"] = rk4_drift
@@ -545,10 +520,10 @@ def run_case(
         )
 
     conf = None
-    if conformal:
-        conf_grid = grid
-        if spec.n >= 4:
-            conf_grid = build_grid(spec.n, _CONFORMAL_RESOLUTION, spec.domain, atlas)
+    if sectional is not None:
+        conf = sectional.result()
+    elif conformal:
+        conf_grid = build_grid(spec.n, _CONFORMAL_RESOLUTION, spec.domain, atlas)
         conf = _conformal_block(spec, model, conf_grid, atlas, seed)
 
     params = {

@@ -13,6 +13,8 @@ from whitneygeo.immersions import make_spec
 from whitneygeo.spaceforms import make_model
 from whitneygeo.verify import conformal_block, report_to_json, run_case
 
+pytestmark = pytest.mark.slow
+
 # The hyperbolic-target families converge at rate exp(-K asinh(tanh theta))
 # (the chart formulas have complex poles at distance ~tanh theta), so their
 # sweep ranges sit where the default grids certify the 1e-8 integral

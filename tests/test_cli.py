@@ -111,6 +111,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config_text("not a key value line")
 
+    def test_unknown_key_is_rejected(self, capsys, tmp_path):
+        with pytest.raises(ValueError, match="config line 2: unknown key 'thetaa'"):
+            parse_config_text("case = whitney_cp\nthetaa = 0.9\n")
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("case = whitney_cp\nthetaa = 0.9\n")
+        code, out, err = _run(["verify", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "thetaa" in err
+
     def test_effective_config_round_trip(self, capsys, tmp_path):
         out_path = tmp_path / "r.json"
         _run(
@@ -172,6 +182,18 @@ class TestSweep:
         code, _, err = _run(["sweep", "--case", "whitney_c0", "--sweep", "n=1:2:3"], capsys)
         assert code == 2
         assert "unknown sweep parameter 'n'" in err
+
+    def test_conformal_belongs_to_verify_only(self, capsys, tmp_path):
+        argv = ["sweep", "--case", "whitney_cp", "--sweep", "theta=0.4:0.8:2"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--conformal"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("conformal = 1\n")
+        code, out, err = _run(argv + ["--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "conformal" in err
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_empty_sweep_is_rejected(self, capsys, count):

@@ -158,6 +158,7 @@ def test_estimate_bounds_true_error_n2(kind, pname, value):
         assert estimate >= true, (name, estimate, true)
 
 
+@pytest.mark.slow
 def test_estimate_bounds_true_error_n3_hyperbolic():
     out = _validate(make_spec("whitney_ch", 3, theta=1.4), 40, 48)
     for name, (estimate, true) in out.items():

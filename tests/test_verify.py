@@ -5,8 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from whitneygeo import immersions, jets
-from whitneygeo.immersions import make_spec, random_quartic
+from whitneygeo import immersions, jets, verify
+from whitneygeo.geometry import (
+    curvature_data,
+    frame_geometry,
+    paper_residuals,
+    pointwise_geometry,
+)
+from whitneygeo.quadrature import build_grid, ladder_resolutions
+from whitneygeo.immersions import make_spec, model_for, random_quartic
 from whitneygeo.verify import (
     Tolerances,
     classify_equality,
@@ -39,6 +46,18 @@ class TestClassifyLogic:
         assert f(1e-3, 1.0, 1.0, tol, True) == "STRICT"
         assert f(1e-5, 1.0, 1.0, tol, True) == "UNRESOLVED"
         assert f(1e-8, 1e-12, 1.0, tol, False) == "UNRESOLVED"
+
+    def test_inequality_slack_sets_the_gap_checks(self):
+        # the gap minima of a coarse Whitney run are rounding-sized negatives;
+        # they fail a slack below that size and pass the default one
+        spec = make_spec("whitney_c0", 2)
+        tight = run_case(
+            spec, resolution=12, tolerances=Tolerances(inequality_slack=1e-30)
+        )
+        assert min(tight.gap_minima.values()) < -1e-30
+        assert any(f.startswith("lemma_gap") for f in tight.hard_failures)
+        loose = run_case(spec, resolution=12)
+        assert not any(f.startswith("lemma_gap") for f in loose.hard_failures)
 
     def test_tolerance_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -181,6 +200,35 @@ class TestConformalBlock:
         )
         assert r.conformal["sectional_spread"] > 1e-3
 
+    @pytest.mark.parametrize(
+        "kind, n, kw, K",
+        [("whitney_c0", 2, dict(r=1.0), 16), ("whitney_cp", 3, dict(theta=0.5), 12)],
+    )
+    def test_block_rides_on_the_full_pass(self, monkeypatch, kind, n, kw, K):
+        # at n <= 3 every rung of the ladder is evaluated once, and the
+        # block needs no frame-stage pass of its own
+        grids, evaluated, frame_calls = [], [], []
+
+        def count_grid(*args, **kwargs):
+            grids.append(build_grid(*args, **kwargs))
+            return grids[-1]
+
+        def count_pass(model, spec, chart, t, **kwargs):
+            evaluated.append(len(t))
+            return pointwise_geometry(model, spec, chart, t, **kwargs)
+
+        def count_frame(*args, **kwargs):
+            frame_calls.append(1)
+            return frame_geometry(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "build_grid", count_grid)
+        monkeypatch.setattr(verify, "pointwise_geometry", count_pass)
+        monkeypatch.setattr(verify, "frame_geometry", count_frame)
+        r = run_case(make_spec(kind, n, **kw), resolution=K, conformal=True)
+        assert r.conformal["sectional_spread"] > 1e-3
+        assert not frame_calls
+        assert [g.resolution for g in grids] == [K, *ladder_resolutions(K)[:2]]
+        assert sum(evaluated) == sum(len(g.t) for g in grids)
 
     @pytest.mark.parametrize(
         "kind, kw", [("totally_geodesic_cp", {}), ("whitney_c0", dict(r=1.0))]
@@ -191,27 +239,18 @@ class TestConformalBlock:
         assert alone == run_case(spec, resolution=24, seed=3, conformal=True).conformal
 
 
-class TestIntegrateField:
-    def test_divergence_identity_integral(self):
-        from whitneygeo.verify import integrate_field
+class TestProductTorusClosedForm:
+    """Pointwise values on the flat torus against their closed forms."""
 
-        res = integrate_field(
-            make_spec("product_torus", 2), "yano_integrand", resolution=16
-        )
-        assert abs(res.value) < 1e-12
-        assert res.resolved(1e-8)
-
-    def test_volume_normalizer_field(self):
-        from whitneygeo.verify import integrate_field
-        import math
-
-        res = integrate_field(
-            make_spec("product_torus", 2, radii=(1.0, 1.0)),
-            "h_norm2",
-            resolution=16,
-        )
-        # |h|^2 = 1 for the unit bicircular torus scaled by the flat metric
-        assert res.value == pytest.approx(2.0 * (2 * math.pi) ** 2, rel=1e-12)
+    @pytest.mark.parametrize("radii", [(1.0, 1.0), (1.0, 2.0), (0.8, 1.25)])
+    def test_h_norm2_is_sum_of_inverse_squared_radii(self, radii):
+        # each circle of radius r has curvature 1/r, so |h|^2 = sum 1/r_i^2
+        spec = make_spec("product_torus", 2, radii=radii)
+        t = np.random.default_rng(11).uniform(0, 2 * np.pi, size=(40, 2))
+        pg, fields = pointwise_geometry(model_for(spec), spec, 0, t)
+        h_norm2 = paper_residuals(pg, curvature_data(pg, fields))["h_norm2"]
+        expected = sum(1.0 / r**2 for r in radii)
+        np.testing.assert_allclose(h_norm2, expected, rtol=1e-13, atol=0)
 
 
 class TestPackedCertificatePath:
