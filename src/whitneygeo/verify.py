@@ -1,21 +1,29 @@
 """Per-case verification: residual aggregation, integral certification,
 equality-case classification, and report rendering.
 
-A case run evaluates each grid once, in one order-3 chunk loop
-(:func:`_grid_sums`).  Every rung of the convergence ladder integrates the
-certificate's integrands there; two companion grids at 1/2 and 3/4 of the
-resolution do nothing else, and with the full grid they give each
-quadrature-error estimate (:func:`whitneygeo.quadrature.quadrature_error`).
+A case run evaluates each grid once.  Every rung of the convergence ladder
+integrates the certificate's integrands there; two companion grids at 1/2
+and 3/4 of the resolution do nothing else, and with the full grid they give
+each quadrature-error estimate (:func:`whitneygeo.quadrature.quadrature_error`).
 The full grid's chunks also feed the gradient-field integrals of the
 divergence identity, the l2 sums, the sups and minima of every pointwise
 identity on the trusted nodes and, at n <= 3 with ``conformal``, the
 sectional-curvature statistics.  The standalone conformal block, and the
 n >= 4 block on its coarser grid, run only the order-2 frame stage.
+
+The chunks of all three rungs are independent jobs of one map
+(:func:`_map_chunks`), which runs them on min(cores, jobs) forked workers.
+Each job returns its partial sums, sups and minima (and curvature tensors
+for the sectional statistics), and the caller folds them in chunk order, as
+a serial loop would; so a report does not depend on the number of workers.
+Each worker holds the geometry of one chunk at a time.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -193,26 +201,98 @@ def _certificate_integrands(pg, cd) -> dict:
     }
 
 
-def _grid_sums(spec, model, grid: IntegrationGrid, atlas, integrands,
-               consume=None) -> dict:
-    """Integrate each array of ``integrands(pg, cd)`` over one grid.
+def _worker_count(jobs: int) -> int:
+    """Forked workers for ``jobs`` chunk jobs: one per usable core, at most one per job.
 
-    This is the one order-3 chunk loop.  The full rung of a case also hands
-    each chunk to ``consume(chart, idx, pg, cd)``, and there the curvature
-    takes both routes, since the structure checks compare them.
+    One, so that the caller evaluates in-process, where ``fork`` is not a
+    start method and in a daemonic process, which may not start children.
     """
-    curvature = gauss_curvature if consume is None else curvature_data
-    sums = {}
-    for chart, idx in grid.chunks(_chunk_size(model.chart_dim)):
-        pg, fields = pointwise_geometry(model, spec, chart, grid.t[idx], atlas=atlas)
-        cd = curvature(pg, fields)
-        w = grid.weight[idx]
-        for name, vals in integrands(pg, cd).items():
-            sums[name] = sums.get(name, 0.0) + float(np.sum(w * vals * pg.sqrt_det_g))
-        if consume is not None:
-            consume(chart, idx, pg, cd)
-        del pg, fields, cd  # free this chunk's arrays before the next one allocates
-    return sums
+    import multiprocessing
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, jobs))
+
+
+#: the evaluator and jobs of the running :func:`_map_chunks`; forked workers
+#: inherit them, so only job indices and results cross a pipe
+_TASK = None
+
+
+def _run_job(i: int):
+    evaluate, jobs = _TASK
+    return evaluate(*jobs[i])
+
+
+def _map_chunks(evaluate, jobs: list) -> list:
+    """``[evaluate(*job) for job in jobs]``, on every core the process may use.
+
+    A job ends with the node indices of its chunk.  The jobs go out longest
+    first, one at a time, to :func:`_worker_count` forked workers (or run
+    in-process when that is one), and the results come back in job order.
+    The workers are gone when this returns or raises; an exception raised
+    in one reaches the caller.
+    """
+    global _TASK
+    order = sorted(range(len(jobs)), key=lambda i: -len(jobs[i][-1]))
+    workers = _worker_count(len(jobs))
+    _TASK = (evaluate, jobs)
+    try:
+        if workers == 1:
+            results = list(map(_run_job, order))
+        else:
+            import multiprocessing
+
+            pool = multiprocessing.get_context("fork").Pool(workers)
+            try:
+                # imap raises a worker's exception as soon as its turn
+                # comes, where map would wait for every other job first
+                results = list(pool.imap(_run_job, order, chunksize=1))
+            finally:
+                pool.terminate()
+                pool.join()
+    finally:
+        _TASK = None
+    out = [None] * len(jobs)
+    for i, result in zip(order, results):
+        out[i] = result
+    return out
+
+
+def _fold(partials, combine, start) -> dict:
+    """Per-name ``combine`` of the chunks' partial dicts, in chunk order."""
+    out = {}
+    for part in partials:
+        for name, value in part.items():
+            out[name] = combine(out.get(name, start), value)
+    return out
+
+
+def _chunk_sums(spec, model, grid, atlas, chart, idx, integrands,
+                curvature=gauss_curvature):
+    """One chunk's geometry, and the weighted sum of each of its integrands."""
+    pg, fields = pointwise_geometry(model, spec, chart, grid.t[idx], atlas=atlas)
+    cd = curvature(pg, fields)
+    w = grid.weight[idx]
+    sums = {
+        name: float(np.sum(w * vals * pg.sqrt_det_g))
+        for name, vals in integrands(pg, cd).items()
+    }
+    return sums, pg, cd
+
+
+def _grid_sums(spec, model, grid: IntegrationGrid, atlas, integrands) -> dict:
+    """Integrate each array of ``integrands(pg, cd)`` over one grid."""
+    def evaluate(chart, idx):
+        return _chunk_sums(spec, model, grid, atlas, chart, idx, integrands)[0]
+
+    jobs = list(grid.chunks(_chunk_size(model.chart_dim)))
+    return _fold(_map_chunks(evaluate, jobs), operator.add, 0.0)
 
 
 def _normalized_integrals(n: int, sums: dict) -> dict:
@@ -279,51 +359,82 @@ def _unresolved_reason(
     )
 
 
-def _accumulate_case(spec, model, grid: IntegrationGrid, atlas, seed, sectional=None):
-    """The full rung: the ladder integrands plus every other consumer of a chunk.
+def _accumulate_case(spec, model, grids, atlas, seed, sectional=None):
+    """Every rung's chunks in one map, folded into the case's sums.
 
-    Those are the gradient-field integrals, the l2 sums, the trusted-node
+    ``grids`` starts with the full grid; the companion rungs after it
+    integrate only the certificate's integrands.  The full grid's chunks
+    also give the gradient-field integrals, the l2 sums, the trusted-node
     sups and minima and, given a :class:`_SectionalStats`, the curvature
-    statistics of the trusted nodes.
+    statistics of the trusted nodes.  Returns the sums of each grid, and
+    the full grid's sups, l2 sums and minima.
     """
     grad_funcs = _gradient_test_functions(spec, seed)
     ops = jets._Ops(spec.n, 2)
-    grads, l2sums, sups, mins = {}, {}, {}, {}
 
-    def consume(chart, idx, pg, cd):
-        t, w, trusted = grid.t[idx], grid.weight[idx], grid.trusted[idx]
-        dens = pg.sqrt_det_g
+    def full_chunk(chart, idx):
+        grid = grids[0]
+        t, trusted = grid.t[idx], grid.trusted[idx]
+        # the structure checks compare both curvature routes
+        sums, pg, cd = _chunk_sums(
+            spec, model, grid, atlas, chart, idx, _certificate_integrands,
+            curvature_data,
+        )
+        w, dens = grid.weight[idx], pg.sqrt_det_g
         if spec.domain == "sphere":
             inner = atlas.u_jets(chart, t, order=2)
         else:
             inner = np.concatenate(jets._seed_angles(t, 2), axis=-1)
         for k, f in enumerate(grad_funcs):
             vf = vector_field_scalars(pg, cd, gradient_field(pg, f(inner, ops)))
-            name = f"yano_grad_{k}"
-            grads[name] = grads.get(name, 0.0) + float(
-                np.sum(w * vf["yano_integrand"] * dens)
-            )
+            sums[f"yano_grad_{k}"] = float(np.sum(w * vf["yano_integrand"] * dens))
         res = paper_residuals(pg, cd)
-        for name in _L2_RESIDUALS:
-            l2sums[name] = l2sums.get(name, 0.0) + float(
-                np.sum(w * res[name] ** 2 * dens)
-            )
+        l2 = {name: float(np.sum(w * res[name] ** 2 * dens)) for name in _L2_RESIDUALS}
         if not np.any(trusted):
-            return
+            return sums, l2, {}, {}, None
         main = res["nabla_xi_h_norm2"] if model.is_sasakian else res["nabla_h_norm2"]
         checked = {k: res[k] for k in _L2_RESIDUALS + ("identity_34", "identity_35")}
         checked["sup_nabla_h"] = np.sqrt(np.maximum(main, 0.0))
         checked["lemma_gap_32_abs"] = res["lemma_gap_32"]
         checked.update(structure_checks(pg, cd))
-        for name, vals in checked.items():
-            sups[name] = max(sups.get(name, 0.0), float(np.max(np.abs(vals[trusted]))))
-        for name in ("lemma_gap_31", "lemma_gap_32"):
-            mins[name] = min(mins.get(name, np.inf), float(np.min(res[name][trusted])))
-        if sectional is not None:
-            sectional.add(cd.Riem[trusted])
+        sups = {
+            name: float(np.max(np.abs(vals[trusted]))) for name, vals in checked.items()
+        }
+        mins = {
+            name: float(np.min(res[name][trusted]))
+            for name in ("lemma_gap_31", "lemma_gap_32")
+        }
+        riem = cd.Riem[trusted] if sectional is not None else None
+        return sums, l2, sups, mins, riem
 
-    sums = _grid_sums(spec, model, grid, atlas, _certificate_integrands, consume)
-    return {**sums, **grads}, sups, l2sums, mins
+    def evaluate(rung, chart, idx):
+        if rung == 0:
+            return full_chunk(chart, idx)
+        return (_chunk_sums(spec, model, grids[rung], atlas, chart, idx,
+                            _certificate_integrands)[0],)
+
+    size = _chunk_size(model.chart_dim)
+    jobs = [
+        (rung, chart, idx)
+        for rung, grid in enumerate(grids)
+        for chart, idx in grid.chunks(size)
+    ]
+    parts = _map_chunks(evaluate, jobs)
+    rung_sums = [
+        _fold([p[0] for (r, *_), p in zip(jobs, parts) if r == rung], operator.add, 0.0)
+        for rung in range(len(grids))
+    ]
+    _, l2s, sups, mins, riems = zip(*(p for (r, *_), p in zip(jobs, parts) if r == 0))
+    if sectional is not None:
+        for riem in riems:
+            if riem is not None:
+                sectional.add(riem)
+    return (
+        rung_sums,
+        _fold(sups, max, 0.0),
+        _fold(l2s, operator.add, 0.0),
+        _fold(mins, min, np.inf),
+    )
 
 
 def _rk4_step_check(spec, atlas, grid, sample: int = 64) -> float:
@@ -345,8 +456,9 @@ def _rk4_step_check(spec, atlas, grid, sample: int = 64) -> float:
 class _SectionalStats:
     """Weyl sup and sampled sectional range, folded in chunk by chunk.
 
-    Each chunk adds the Gauss-route curvature of its trusted nodes; the
-    random planes come from one stream per run, drawn chunk after chunk.
+    Each chunk adds the Gauss-route curvature of its trusted nodes, and the
+    sup of their Weyl tensor; the random planes come from one stream per
+    run, drawn chunk after chunk.
     """
 
     def __init__(self, n: int, seed: int):
@@ -355,12 +467,13 @@ class _SectionalStats:
         self.weyl_sup = None
         self.kmin, self.kmax = np.inf, -np.inf
 
-    def add(self, riem, weyl=None):
+    def add(self, riem, weyl_sup=None):
         n = self.n
-        if weyl is not None:
-            cur = float(np.max(np.abs(weyl)))
-            self.weyl_sup = cur if self.weyl_sup is None else max(self.weyl_sup, cur)
-        cd = CurvatureData(Riem=riem, Riem_metric=None, Ricci=None, scalar=None, Weyl=weyl)
+        if weyl_sup is not None:
+            if self.weyl_sup is not None:
+                weyl_sup = max(self.weyl_sup, weyl_sup)
+            self.weyl_sup = weyl_sup
+        cd = CurvatureData(Riem=riem, Riem_metric=None, Ricci=None, scalar=None, Weyl=None)
         B = len(riem)
         planes = [(i, j) for i in range(n) for j in range(i + 1, n)]
         V = np.zeros((B, len(planes), n))
@@ -389,14 +502,21 @@ class _SectionalStats:
 
 def _conformal_block(spec, model, grid, atlas, seed):
     """The curvature statistics from the order-2 frame stage at the trusted nodes."""
-    stats = _SectionalStats(spec.n, seed)
-    for chart, idx in grid.chunks(_chunk_size(model.chart_dim)):
+    def evaluate(chart, idx):
         trusted = grid.trusted[idx]
-        if not np.any(trusted):
-            continue
         pg, fields = frame_geometry(model, spec, chart, grid.t[idx][trusted], atlas=atlas)
         cd = gauss_curvature(pg, fields)
-        stats.add(cd.Riem, cd.Weyl)
+        weyl_sup = None if cd.Weyl is None else float(np.max(np.abs(cd.Weyl)))
+        return cd.Riem, weyl_sup
+
+    jobs = [
+        (chart, idx)
+        for chart, idx in grid.chunks(_chunk_size(model.chart_dim))
+        if np.any(grid.trusted[idx])
+    ]
+    stats = _SectionalStats(spec.n, seed)
+    for riem, weyl_sup in _map_chunks(evaluate, jobs):
+        stats.add(riem, weyl_sup)
     return stats.result()
 
 
@@ -430,18 +550,19 @@ def run_case(
     grid = build_grid(spec.n, resolution, domain=spec.domain, atlas=atlas)
     resolution = grid.resolution
     rungs = ladder_resolutions(resolution)
+    # the 1/2 and 3/4 rungs of the convergence ladder need only the
+    # certificate's integrands, not the sups or the gradient-field integrals
+    companions = [
+        build_grid(spec.n, k, domain=spec.domain, atlas=atlas) for k in rungs[:2]
+    ]
 
     # at n <= 3 the curvature statistics come from the full pass's own
     # chunks; at n >= 4 from the frame stage on a coarser grid, below
     sectional = _SectionalStats(spec.n, seed) if conformal and spec.n <= 3 else None
-    sums, sups, l2sums, mins = _accumulate_case(spec, model, grid, atlas, seed, sectional)
-    # the 1/2 and 3/4 rungs of the convergence ladder need only the
-    # certificate's integrands, not the sups or the gradient-field integrals
-    ladder = []
-    for k in rungs[:2]:
-        rung = build_grid(spec.n, k, domain=spec.domain, atlas=atlas)
-        ladder.append((k, _grid_sums(spec, model, rung, atlas, _certificate_integrands)))
-    ladder.append((resolution, sums))
+    (sums, *companion_sums), sups, l2sums, mins = _accumulate_case(
+        spec, model, [grid, *companions], atlas, seed, sectional
+    )
+    ladder = [*zip(rungs[:2], companion_sums), (resolution, sums)]
     quadrature = _quadrature_estimates(spec.n, ladder)
 
     vol = sums["volume"]

@@ -1,9 +1,10 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
 Each test prints one PASS line (run with ``-s`` to see them live).  The
-expensive verification runs are shared through module-scoped fixtures; all
-runs use the default resolutions (48 per dimension for n = 2, 32 for
-n = 3) and the default tolerance set.
+expensive verification runs are shared through module-scoped fixtures.
+The n = 2 runs use the default resolution (48 per dimension); the n = 3
+runs use the resolutions of ``N3_PARAMS`` (36, and 40 for ``whitney_ch``,
+above the default 32).  All runs use the default tolerance set.
 """
 
 import numpy as np

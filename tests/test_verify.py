@@ -206,7 +206,9 @@ class TestConformalBlock:
     )
     def test_block_rides_on_the_full_pass(self, monkeypatch, kind, n, kw, K):
         # at n <= 3 every rung of the ladder is evaluated once, and the
-        # block needs no frame-stage pass of its own
+        # block needs no frame-stage pass of its own; one worker, so that
+        # the counts below see every chunk
+        monkeypatch.setattr(verify, "_worker_count", lambda jobs: 1)
         grids, evaluated, frame_calls = [], [], []
 
         def count_grid(*args, **kwargs):
@@ -272,7 +274,10 @@ class TestPackedCertificatePath:
         block = conformal_block(make_spec("contact_whitney_r", 4, r=1.0))
         assert block["weyl_sup"] is not None
 
-    def test_cases_leave_no_module_level_dict_grown(self):
+    def test_cases_leave_no_module_level_dict_grown(self, monkeypatch):
+        # one worker: caches that forked workers fill die with them
+        monkeypatch.setattr(verify, "_worker_count", lambda jobs: 1)
+
         def sizes():
             return {k: len(v) for k, v in vars(immersions).items() if isinstance(v, dict)}
 
