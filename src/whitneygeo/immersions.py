@@ -549,18 +549,30 @@ def hamiltonian_flow(x: np.ndarray, ham: HamiltonianDeformation, num_vars: int) 
     """Classical RK4 flow of the Hamiltonian field J grad F on packed jets.
 
     ``x`` holds the 2n chart coordinates as packed jets in ``num_vars``
-    variables, (coefficients, batch, 2n); the flowed jets come back in the
-    same layout.  Inside, the state is one array shaped (coefficients, 2n,
-    batch): the coefficient axis holds each distinct partial derivative once
-    (value, then the i, i <= j and i <= j <= k partials: 10 rows for 2
-    variables at order 3), and the batch axis is last, so every numpy loop
-    runs over it.  A product of jets is a fixed Leibniz table of (output,
-    left, right, weight) terms, each one in-place multiply-add over rows of
-    batch length.  Per stage, each distinct monomial of grad F is built
-    once, as its parent (the monomial without one factor of its last
-    variable) times that variable, in one stacked product per degree;
-    J grad F is one contraction of the monomials with a coefficient matrix,
-    and each RK4 stage is one array operation.
+    variables, (coefficients, batch, 2n); the flowed jets come back in a new
+    array of the same layout.  Inside, the state is one array shaped
+    (coefficients, 2n, batch): the coefficient axis holds each distinct
+    partial derivative once (value, then the i, i <= j and i <= j <= k
+    partials: 10 rows for 2 variables at order 3), and the batch axis is
+    last, so every numpy loop runs over it.  A product of jets is a fixed
+    Leibniz table of (output, left, right, weight) terms, each one in-place
+    multiply-add over rows of batch length.  Per stage, each distinct
+    monomial of grad F is built once, as its parent (the monomial without
+    one factor of its last variable) times that variable, in one stacked
+    product per degree; J grad F is one contraction of the monomials with a
+    coefficient matrix.
+
+    The step loop allocates nothing: the state, the four slopes, the stage
+    argument, the slope sum, the monomials, the gathered parent and
+    variable rows and the Leibniz term buffers are allocated once per call,
+    and every stage writes into them.  Each case runs in freshly forked
+    workers, whose allocator hands large temporaries back to the kernel
+    and maps them anew, so a loop that allocated its 0.2-3.7 MB
+    temporaries took a page fault for every page of every one of them:
+    about 230 000 faults for one 2304-node order-3 chart, a third of the
+    flow's time.  The RK4 combinations keep their operation order,
+    ((k1 + 2 k2) + 2 k3) + k4 and so on, so the jets do not depend on how
+    the loop stores them.
     """
     m = x.shape[-1]
     n = m // 2
@@ -578,39 +590,62 @@ def hamiltonian_flow(x: np.ndarray, ham: HamiltonianDeformation, num_vars: int) 
     # J grad F: rows reordered with the complex-rotation sign pattern
     JC = np.concatenate([-C[n:], C[:n]], axis=0)
 
-    state = np.ascontiguousarray(np.moveaxis(x, -1, 1))
+    # a copy: the loop updates the state in place
+    state = np.array(np.moveaxis(x, -1, 1), order="C")
+    rows, _, batch = state.shape
     table = jets._leibniz_table(num_vars, jets._packed_order(x, num_vars))
-    mono = np.zeros((state.shape[0], len(monomials), state.shape[2]))
+    mono = np.zeros((rows, len(monomials), batch))
     mono[0, [i for i, e in enumerate(monomials) if sum(e) == 0]] = 1.0
-    linear = [i for i, e in enumerate(monomials) if sum(e) == 1]
-    linear_vars = [monomials[i].index(1) for i in linear]
-    # one stacked product per degree: the degree's (contiguous) rows, the
-    # rows of their parents and their last variables
+    linear = [(i, e.index(1)) for i, e in enumerate(monomials) if sum(e) == 1]
+    # one stacked product per degree: the degree's (contiguous) monomials,
+    # gathered from the rows of their parents and their last variables
     products = []
     for degree in range(2, top + 1):
-        rows = [i for i, e in enumerate(monomials) if sum(e) == degree]
-        split = [_parent(monomials[i]) for i in rows]
+        block = [i for i, e in enumerate(monomials) if sum(e) == degree]
+        split = [_parent(monomials[i]) for i in block]
         products.append((
-            slice(rows[0], rows[-1] + 1),
-            [mono_index[parent] for parent, _ in split],
-            [var for _, var in split],
+            mono[:, block[0] : block[-1] + 1],
+            np.array([mono_index[parent] for parent, _ in split]),
+            np.array([var for _, var in split]),
+            np.empty((rows, len(block), batch)),
+            np.empty((rows, len(block), batch)),
+            np.empty((len(block), batch)),
         ))
 
-    def field(state):
-        mono[:, linear] = state[:, linear_vars]
-        for rows, parents, variables in products:
-            jets._packed_mul(mono[:, parents], state[:, variables], table, mono[:, rows])
-        return np.matmul(JC, mono)
+    def field(s, out):
+        for i, var in linear:
+            mono[:, i] = s[:, var]
+        for target, parents, variables, left, right, scratch in products:
+            # a "clip" take writes into its out; a "raise" one copies first
+            np.take(mono, parents, axis=1, out=left, mode="clip")
+            np.take(s, variables, axis=1, out=right, mode="clip")
+            jets._packed_mul(left, right, table, target, scratch)
+        np.matmul(JC, mono, out=out)
 
+    k1, k2, k3, k4, arg, acc = (np.empty_like(state) for _ in range(6))
+    finite = np.empty(batch, dtype=bool)
     steps = ham.steps
     h = ham.epsilon / steps
     for _ in range(steps):
-        k1 = field(state)
-        k2 = field(state + (h / 2.0) * k1)
-        k3 = field(state + (h / 2.0) * k2)
-        k4 = field(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(state[0, 0])):
+        field(state, k1)
+        np.multiply(k1, h / 2.0, out=arg)
+        arg += state
+        field(arg, k2)
+        np.multiply(k2, h / 2.0, out=arg)
+        arg += state
+        field(arg, k3)
+        np.multiply(k3, h, out=arg)
+        arg += state
+        field(arg, k4)
+        # state + (h/6) (((k1 + 2 k2) + 2 k3) + k4)
+        np.multiply(k2, 2.0, out=acc)
+        acc += k1
+        np.multiply(k3, 2.0, out=arg)
+        acc += arg
+        acc += k4
+        acc *= h / 6.0
+        state += acc
+        if not np.isfinite(state[0, 0], out=finite).all():
             raise FloatingPointError("Hamiltonian flow left the numeric range")
     return np.ascontiguousarray(np.moveaxis(state, 1, -1))
 
@@ -633,7 +668,7 @@ def _eval_perturbed(spec, u, ops):
     )
     if ham.epsilon == 0.0:
         return x
-    return hamiltonian_flow(x, ham, spec.n)
+    return hamiltonian_flow(x, ham, ops.v)
 
 
 # -- Legendrian lift ---------------------------------------------------------
@@ -643,7 +678,8 @@ class _LiftPrimitive:
 
     Paths run from a fixed anchor, one parameter coordinate at a time
     (polar angles first, then the periodic angle), with composite
-    16-point Gauss panels per segment.
+    16-point Gauss panels per segment.  Nodes that share the first
+    coordinates share the first segments, which are integrated once.
     """
 
     def __init__(self, base_spec: ImmersionSpec, chart_atlas: SphereChart):
@@ -661,23 +697,35 @@ class _LiftPrimitive:
             return _eval_whitney_c0(self.base_spec, u, ops)
         return _eval_perturbed(self.base_spec, u, ops)
 
-    def _integrand(self, chart, t):
-        """d/dtau of the primitive along each parameter direction: (B, n)."""
+    def _integrand(self, chart, t, axis):
+        """d/dtau of the primitive along parameter ``axis``: (B,)."""
         n = self.base_spec.n
-        x = self._base_jets(self.atlas.u_jets(chart, t, order=1), jets._Ops(n, 1))
-        # sum over j of y_j d_a x_j; rows 1..n are the first partials
-        return (x[0, :, None, n:] * np.moveaxis(x[1:, :, :n], 0, 1)).sum(axis=-1)
+        # the base as 1-variable order-1 jets in the path parameter: the
+        # value row and the partial along ``axis``
+        u = self.atlas.u_jets(chart, t, order=1)[[0, 1 + axis]]
+        x = self._base_jets(u, jets._Ops(1, 1))
+        # sum over j of y_j d_tau x_j
+        return (x[0, :, n:] * x[1, :, :n]).sum(axis=-1)
 
     def values(self, chart: int, t: np.ndarray) -> np.ndarray:
         tt = np.atleast_2d(np.asarray(t, dtype=float))
-        B = tt.shape[0]
         t0 = self.anchor_params[chart]
-        out = np.zeros(B)
+        out = np.zeros(tt.shape[0])
         xs, ws = self._gl
-        current = np.broadcast_to(t0, tt.shape).copy()
         for axis in range(self.base_spec.n):
+            # the path to t runs from the anchor along each axis in turn, so
+            # its segments up to this one depend on t[:, :axis + 1] only:
+            # integrate each segment once per distinct head
+            _, first, back = np.unique(
+                tt[:, : axis + 1], axis=0, return_index=True, return_inverse=True
+            )
+            current = np.concatenate(
+                [tt[first, :axis], np.broadcast_to(t0[axis:], (len(first), len(t0) - axis))],
+                axis=1,
+            )
+            total = out[first]
             lo = current[:, axis].copy()
-            hi = tt[:, axis]
+            hi = tt[first, axis]
             seglen = hi - lo
             npanels = np.maximum(1, np.ceil(np.abs(seglen) / 0.4).astype(int))
             maxp = int(npanels.max())
@@ -691,9 +739,9 @@ class _LiftPrimitive:
                 pts = np.repeat(current[active][:, None, :], len(xs), axis=1)
                 pts[:, :, axis] = mid[active, None] + half[active, None] * xs[None, :]
                 flat = pts.reshape(-1, self.base_spec.n)
-                integ = self._integrand(chart, flat)[:, axis].reshape(pts.shape[:2])
-                out[active] += half[active] * (integ * ws[None, :]).sum(axis=1)
-            current[:, axis] = hi
+                integ = self._integrand(chart, flat, axis).reshape(pts.shape[:2])
+                total[active] += half[active] * (integ * ws[None, :]).sum(axis=1)
+            out = total[back.reshape(-1)]
         return out
 
     def lifted_jets(self, chart: int, t: np.ndarray, u: np.ndarray, ops) -> np.ndarray:
@@ -743,7 +791,7 @@ def loop_integral(spec: ImmersionSpec, atlas: SphereChart, chart: int = 0,
     phis = np.pi + np.pi * xs
     pts = np.repeat(t0[None, :], resolution, axis=0)
     pts[:, n - 1] = phis
-    integ = prim._integrand(chart, pts)[:, n - 1]
+    integ = prim._integrand(chart, pts, n - 1)
     return float(np.pi * (integ * ws).sum())
 
 

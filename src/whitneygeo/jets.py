@@ -557,18 +557,21 @@ def _leibniz_table(v: int, order: int) -> list[tuple[int, int, int, int]]:
     return table
 
 
-def _leibniz(product, a, b, table, out):
+def _leibniz(product, a, b, table, out, scratch=None):
     """The packed product loop: out[o] = sum of w product(a[l], b[r]) over the table.
 
     A factor with fewer rows than the table has vanishing higher partials (a
     constant has one row); terms reading missing or all-zero rows are skipped.
+    ``scratch``, shaped like ``out[0]``, holds each term before it is added;
+    a caller that repeats the product passes one so the loop allocates nothing.
     """
     def live(x):  # a dense row answers at its first entry
         return [i < len(x) and (bool(x[i].flat[0]) or bool(x[i].any())) for i in range(len(out))]
 
     live_a, live_b = live(a), live(b)
     started = [False] * len(out)
-    scratch = np.empty_like(out[0])
+    if scratch is None:
+        scratch = np.empty_like(out[0])
     for o, l, r, w in table:
         if not (live_a[l] and live_b[r]):
             continue
@@ -585,12 +588,16 @@ def _leibniz(product, a, b, table, out):
     return out
 
 
-def _packed_mul(a: np.ndarray, b: np.ndarray, table, out: np.ndarray | None = None) -> np.ndarray:
-    """The packed broadcasting product ``a * b``; ``out`` must not overlap ``a``, ``b``."""
+def _packed_mul(a: np.ndarray, b: np.ndarray, table, out: np.ndarray | None = None,
+                scratch: np.ndarray | None = None) -> np.ndarray:
+    """The packed broadcasting product ``a * b``; ``out`` must not overlap ``a``, ``b``.
+
+    ``scratch`` is :func:`_leibniz`'s term buffer, shaped like ``out[0]``.
+    """
     if out is None:
         shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
         out = np.empty((table[-1][0] + 1,) + shape, np.result_type(a, b))
-    return _leibniz(np.multiply, a, b, table, out)
+    return _leibniz(np.multiply, a, b, table, out, scratch)
 
 
 def _packed_matmul(a: np.ndarray, b: np.ndarray, table) -> np.ndarray:
@@ -621,6 +628,7 @@ class _Ops:
     """Packed jet arithmetic in ``v`` variables to one ``order``, real or complex."""
 
     def __init__(self, v: int, order: int):
+        self.v = v
         self.order = order
         self.table = _leibniz_table(v, order)
 

@@ -13,10 +13,11 @@ n >= 4 block on its coarser grid, run only the order-2 frame stage.
 
 The chunks of all three rungs are independent jobs of one map
 (:func:`_map_chunks`), which runs them on min(cores, jobs) forked workers.
-Each job returns its partial sums, sups and minima (and curvature tensors
-for the sectional statistics), and the caller folds them in chunk order, as
-a serial loop would; so a report does not depend on the number of workers.
-Each worker holds the geometry of one chunk at a time.
+Each job returns its partial sums, sups and minima (and its sectional
+range, from random planes whose place in the run's stream the caller fixes
+before the map), and the caller folds them in chunk order, as a serial loop
+would; so a report does not depend on the number of workers.  Each worker
+holds the geometry of one chunk at a time.
 """
 
 from __future__ import annotations
@@ -191,6 +192,11 @@ def _certificate_integrands(pg, cd) -> dict:
 
     ``nabla_h_sq`` is |nabla h|^2, or its contact projection in the
     Sasakian case; J H (resp. phi H) has frame components -H.
+    ``curvature_scale`` is |c| + |H|^2, with c the ambient's sectional
+    curvature on the tangent planes: the size of the curvature terms both
+    integrands are built from, which, unlike the integrands, does not
+    vanish on the parallel branch.  It vanishes only for a minimal
+    immersion into a flat ambient.
     """
     vf = vector_field_scalars(pg, cd, TJ(-pg.H.v, -pg.H.d))
     return {
@@ -198,6 +204,7 @@ def _certificate_integrands(pg, cd) -> dict:
         "ric_direction": vf["ric_YY"],
         "nabla_h_sq": np.einsum("bijkl,bijkl->b", pg.hcov, pg.hcov),
         "yano_main": vf["yano_integrand"],
+        "curvature_scale": abs(pg.c_eff) + np.einsum("bi,bi->b", pg.H.v, pg.H.v),
     }
 
 
@@ -315,8 +322,14 @@ def _quadrature_estimates(n: int, ladder) -> dict:
     normalized = [(k, _normalized_integrals(n, s)) for k, s in ladder]
     top = ladder[-1][1]
     # both integrals are differences of terms bounded by |nabla h|^2 and
-    # Ric(JH, JH), which set the size of their rounding noise
-    floor = ROUNDOFF * (top["nabla_h_sq"] + abs(top["ric_direction"])) / top["volume"]
+    # Ric(JH, JH), which set the size of their rounding noise.  Where those
+    # vanish (parallel h, H = 0) the noise is that of the curvature terms
+    # they are built from, and both integrands have the units of a
+    # curvature squared: so the floor is the larger of the two sizes
+    floor = max(
+        ROUNDOFF * (top["nabla_h_sq"] + abs(top["ric_direction"])) / top["volume"],
+        ROUNDOFF * (top["curvature_scale"] / top["volume"]) ** 2,
+    )
     # the divergence-identity integral vanishes exactly, so its ladder is
     # the control that vets a fitted estimate
     control = [v["yano_main"] for _, v in normalized]
@@ -359,20 +372,21 @@ def _unresolved_reason(
     )
 
 
-def _accumulate_case(spec, model, grids, atlas, seed, sectional=None):
+def _accumulate_case(spec, model, grids, atlas, seed, sectional=False):
     """Every rung's chunks in one map, folded into the case's sums.
 
     ``grids`` starts with the full grid; the companion rungs after it
     integrate only the certificate's integrands.  The full grid's chunks
     also give the gradient-field integrals, the l2 sums, the trusted-node
-    sups and minima and, given a :class:`_SectionalStats`, the curvature
-    statistics of the trusted nodes.  Returns the sums of each grid, and
-    the full grid's sups, l2 sums and minima.
+    sups and minima and, with ``sectional``, the sectional range of the
+    trusted nodes.  Returns the sums of each grid, the full grid's sups, l2
+    sums and minima, and the curvature statistics (None without
+    ``sectional``).
     """
     grad_funcs = _gradient_test_functions(spec, seed)
     ops = jets._Ops(spec.n, 2)
 
-    def full_chunk(chart, idx):
+    def full_chunk(chart, start, idx):
         grid = grids[0]
         t, trusted = grid.t[idx], grid.trusted[idx]
         # the structure checks compare both curvature routes
@@ -404,36 +418,41 @@ def _accumulate_case(spec, model, grids, atlas, seed, sectional=None):
             name: float(np.min(res[name][trusted]))
             for name in ("lemma_gap_31", "lemma_gap_32")
         }
-        riem = cd.Riem[trusted] if sectional is not None else None
-        return sums, l2, sups, mins, riem
+        span = None if start is None else _sectional_range(cd.Riem[trusted], start)
+        return sums, l2, sups, mins, span
 
-    def evaluate(rung, chart, idx):
+    def evaluate(rung, chart, start, idx):
         if rung == 0:
-            return full_chunk(chart, idx)
+            return full_chunk(chart, start, idx)
         return (_chunk_sums(spec, model, grids[rung], atlas, chart, idx,
                             _certificate_integrands)[0],)
 
     size = _chunk_size(model.chart_dim)
+    chunks = [list(grid.chunks(size)) for grid in grids]
+    starts = [None] * len(chunks[0])
+    if sectional:
+        counts = [int(np.sum(grids[0].trusted[idx])) for _, idx in chunks[0]]
+        starts = _plane_streams(seed, counts, spec.n)
     jobs = [
-        (rung, chart, idx)
-        for rung, grid in enumerate(grids)
-        for chart, idx in grid.chunks(size)
+        (rung, chart, starts[k] if rung == 0 else None, idx)
+        for rung, rung_chunks in enumerate(chunks)
+        for k, (chart, idx) in enumerate(rung_chunks)
     ]
     parts = _map_chunks(evaluate, jobs)
     rung_sums = [
         _fold([p[0] for (r, *_), p in zip(jobs, parts) if r == rung], operator.add, 0.0)
         for rung in range(len(grids))
     ]
-    _, l2s, sups, mins, riems = zip(*(p for (r, *_), p in zip(jobs, parts) if r == 0))
-    if sectional is not None:
-        for riem in riems:
-            if riem is not None:
-                sectional.add(riem)
+    _, l2s, sups, mins, spans = zip(*(p for (r, *_), p in zip(jobs, parts) if r == 0))
+    stats = None
+    if sectional:
+        stats = _sectional_stats([s for s in spans if s is not None], [])
     return (
         rung_sums,
         _fold(sups, max, 0.0),
         _fold(l2s, operator.add, 0.0),
         _fold(mins, min, np.inf),
+        stats,
     )
 
 
@@ -453,71 +472,87 @@ def _rk4_step_check(spec, atlas, grid, sample: int = 64) -> float:
     return float(np.max(np.abs(a[0] - b[0])))
 
 
-class _SectionalStats:
-    """Weyl sup and sampled sectional range, folded in chunk by chunk.
+#: random planes per node behind the sampled sectional range
+_RANDOM_PLANES = 20
 
-    Each chunk adds the Gauss-route curvature of its trusted nodes, and the
-    sup of their Weyl tensor; the random planes come from one stream per
-    run, drawn chunk after chunk.
+
+def _draw_planes(rng, count: int, n: int):
+    """The unnormalized random plane pairs of ``count`` nodes, in draw order."""
+    shape = (count, _RANDOM_PLANES, n)
+    return rng.normal(size=shape), rng.normal(size=shape)
+
+
+def _plane_streams(seed: int, counts, n: int) -> list:
+    """Where each chunk's random planes begin in the run's one stream.
+
+    A run draws its planes chunk after chunk, in chunk order, ``count``
+    nodes each (none for a chunk without trusted nodes).  Drawing through
+    the stream once here records each chunk's start, so that a worker can
+    draw its own chunk's planes and the planes do not depend on which
+    process draws them.
     """
+    rng = np.random.default_rng(seed + 104729)
+    starts = []
+    for count in counts:
+        starts.append(rng.bit_generator.state)
+        _draw_planes(rng, count, n)
+    return starts
 
-    def __init__(self, n: int, seed: int):
-        self.n = n
-        self.rng = np.random.default_rng(seed + 104729)
-        self.weyl_sup = None
-        self.kmin, self.kmax = np.inf, -np.inf
 
-    def add(self, riem, weyl_sup=None):
-        n = self.n
-        if weyl_sup is not None:
-            if self.weyl_sup is not None:
-                weyl_sup = max(self.weyl_sup, weyl_sup)
-            self.weyl_sup = weyl_sup
-        cd = CurvatureData(Riem=riem, Riem_metric=None, Ricci=None, scalar=None, Weyl=None)
-        B = len(riem)
-        planes = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        V = np.zeros((B, len(planes), n))
-        W = np.zeros((B, len(planes), n))
-        for p, (i, j) in enumerate(planes):
-            V[:, p, i] = 1.0
-            W[:, p, j] = 1.0
-        K = sectional_curvatures(cd, V, W)
-        Vr = self.rng.normal(size=(B, 20, n))
-        Vr /= np.linalg.norm(Vr, axis=-1, keepdims=True)
-        Wr = self.rng.normal(size=(B, 20, n))
-        Wr -= np.einsum("bpi,bpi->bp", Wr, Vr)[..., None] * Vr
-        Wr /= np.linalg.norm(Wr, axis=-1, keepdims=True)
-        Kr = sectional_curvatures(cd, Vr, Wr)
-        self.kmin = min(self.kmin, float(K.min()), float(Kr.min()))
-        self.kmax = max(self.kmax, float(K.max()), float(Kr.max()))
+def _sectional_range(riem: np.ndarray, start: dict) -> tuple[float, float]:
+    """Least and greatest sectional curvature over the coordinate planes and
+    the random planes drawn from ``start``, at every node of ``riem``."""
+    B, n = riem.shape[:2]
+    cd = CurvatureData(Riem=riem, Riem_metric=None, Ricci=None, scalar=None, Weyl=None)
+    planes = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    V = np.zeros((B, len(planes), n))
+    W = np.zeros((B, len(planes), n))
+    for p, (i, j) in enumerate(planes):
+        V[:, p, i] = 1.0
+        W[:, p, j] = 1.0
+    K = sectional_curvatures(cd, V, W)
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = start
+    Vr, Wr = _draw_planes(rng, B, n)
+    Vr /= np.linalg.norm(Vr, axis=-1, keepdims=True)
+    Wr -= np.einsum("bpi,bpi->bp", Wr, Vr)[..., None] * Vr
+    Wr /= np.linalg.norm(Wr, axis=-1, keepdims=True)
+    Kr = sectional_curvatures(cd, Vr, Wr)
+    return min(float(K.min()), float(Kr.min())), max(float(K.max()), float(Kr.max()))
 
-    def result(self) -> dict:
-        return {
-            "weyl_sup": self.weyl_sup,
-            "sectional_min": self.kmin,
-            "sectional_max": self.kmax,
-            "sectional_spread": self.kmax - self.kmin,
-        }
+
+def _sectional_stats(spans, weyl_sups) -> dict:
+    """Weyl sup and sampled sectional range from each chunk's range and Weyl sup."""
+    kmin = min((lo for lo, _ in spans), default=np.inf)
+    kmax = max((hi for _, hi in spans), default=-np.inf)
+    sups = [w for w in weyl_sups if w is not None]
+    return {
+        "weyl_sup": max(sups) if sups else None,
+        "sectional_min": kmin,
+        "sectional_max": kmax,
+        "sectional_spread": kmax - kmin,
+    }
 
 
 def _conformal_block(spec, model, grid, atlas, seed):
     """The curvature statistics from the order-2 frame stage at the trusted nodes."""
-    def evaluate(chart, idx):
+    def evaluate(chart, start, idx):
         trusted = grid.trusted[idx]
         pg, fields = frame_geometry(model, spec, chart, grid.t[idx][trusted], atlas=atlas)
         cd = gauss_curvature(pg, fields)
         weyl_sup = None if cd.Weyl is None else float(np.max(np.abs(cd.Weyl)))
-        return cd.Riem, weyl_sup
+        return _sectional_range(cd.Riem, start), weyl_sup
 
-    jobs = [
+    chunks = [
         (chart, idx)
         for chart, idx in grid.chunks(_chunk_size(model.chart_dim))
         if np.any(grid.trusted[idx])
     ]
-    stats = _SectionalStats(spec.n, seed)
-    for riem, weyl_sup in _map_chunks(evaluate, jobs):
-        stats.add(riem, weyl_sup)
-    return stats.result()
+    counts = [int(np.sum(grid.trusted[idx])) for _, idx in chunks]
+    starts = _plane_streams(seed, counts, spec.n)
+    jobs = [(chart, start, idx) for (chart, idx), start in zip(chunks, starts)]
+    parts = _map_chunks(evaluate, jobs)
+    return _sectional_stats([span for span, _ in parts], [w for _, w in parts])
 
 
 def conformal_block(
@@ -558,9 +593,8 @@ def run_case(
 
     # at n <= 3 the curvature statistics come from the full pass's own
     # chunks; at n >= 4 from the frame stage on a coarser grid, below
-    sectional = _SectionalStats(spec.n, seed) if conformal and spec.n <= 3 else None
-    (sums, *companion_sums), sups, l2sums, mins = _accumulate_case(
-        spec, model, [grid, *companions], atlas, seed, sectional
+    (sums, *companion_sums), sups, l2sums, mins, conf = _accumulate_case(
+        spec, model, [grid, *companions], atlas, seed, conformal and spec.n <= 3
     )
     ladder = [*zip(rungs[:2], companion_sums), (resolution, sums)]
     quadrature = _quadrature_estimates(spec.n, ladder)
@@ -640,10 +674,7 @@ def run_case(
             structural,
         )
 
-    conf = None
-    if sectional is not None:
-        conf = sectional.result()
-    elif conformal:
+    if conformal and conf is None:
         conf_grid = build_grid(spec.n, _CONFORMAL_RESOLUTION, spec.domain, atlas)
         conf = _conformal_block(spec, model, conf_grid, atlas, seed)
 

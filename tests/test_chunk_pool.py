@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
 from whitneygeo import verify
@@ -51,6 +52,35 @@ def test_pool_and_serial_n4_blocks_agree(monkeypatch):
     _workers(monkeypatch, 1)
     assert conformal_block(spec, seed=5) == pooled
     assert pooled["weyl_sup"] is not None
+
+
+@pytest.mark.parametrize("run", [
+    lambda: conformal_block(make_spec("contact_whitney_r", 4, r=1.0), seed=5),
+    lambda: run_case(make_spec("whitney_cp", 2, theta=0.5), resolution=16, conformal=True),
+], ids=["n4-block", "n2-run_case"])
+def test_chunks_return_their_sectional_range_not_their_curvature(monkeypatch, run):
+    # the random planes' place in the stream is fixed before the map, so a
+    # worker folds its own chunk and sends back floats, not the Riemann tensor
+    seen = []
+    serial = verify._map_chunks
+
+    def record(evaluate, jobs):
+        results = serial(evaluate, jobs)
+        seen.extend(results)
+        return results
+
+    _workers(monkeypatch, 1)
+    monkeypatch.setattr(verify, "_map_chunks", record)
+    run()
+
+    def arrays(x):
+        if isinstance(x, (tuple, list)):
+            return sum(map(arrays, x))
+        if isinstance(x, dict):
+            return sum(map(arrays, x.values()))
+        return isinstance(x, np.ndarray)
+
+    assert seen and arrays(seen) == 0
 
 
 def test_no_worker_outlives_a_run(monkeypatch):

@@ -86,6 +86,18 @@ class TestCaseRuns:
         assert r.classification == "PARALLEL_BRANCH"
         assert not r.hard_failures
 
+    @pytest.mark.parametrize("spec", [
+        make_spec("product_torus", 2, radii=(0.9, 1.2)),
+        make_spec("totally_geodesic_cp", 2),
+    ], ids=["product_torus", "totally_geodesic_cp"])
+    def test_parallel_branch_defect_within_its_error(self, spec):
+        # the true defect is 0 and the integrands vanish; what the report
+        # holds is rounding noise, which the curvature floor must cover
+        r = run_case(spec, seed=7)
+        assert r.classification == "PARALLEL_BRANCH"
+        assert abs(r.integrals["defect_normalized"]) <= r.integrals["defect_error"]
+        assert r.quadrature["defect_normalized"]["estimate"] == "roundoff"
+
     def test_strict_perturbed(self):
         r = run_case(
             make_spec("perturbed", 2, epsilon=0.05, seed=3), resolution=48, seed=3
