@@ -8,10 +8,9 @@ relation, all of which vanish exactly on these families.
 
 import numpy as np
 
-from whitneygeo import SphereChart, make_spec, model_for
+from whitneygeo import make_spec, model_for
 from whitneygeo.geometry import curvature_data, paper_residuals, pointwise_geometry
 
-atlas = SphereChart(2)
 rng = np.random.default_rng(0)
 t = np.column_stack([rng.uniform(0.5, 2.6, 8), rng.uniform(0.3, 5.9, 8)])
 
@@ -32,7 +31,7 @@ for kind, kw in cases:
     spec = make_spec(kind, 2, **kw)
     model = model_for(spec)
     tt = t if spec.domain == "sphere" else rng.uniform(0, 2 * np.pi, (8, 2))
-    pg, fields = pointwise_geometry(model, spec, 0, tt, atlas=atlas)
+    pg, fields = pointwise_geometry(model, spec, tt)
     cd = curvature_data(pg, fields)
     res = paper_residuals(pg, cd)
     h2 = res["h_norm2"]

@@ -12,7 +12,6 @@ from .immersions import (
     CATALOG,
     HamiltonianDeformation,
     ImmersionSpec,
-    SphereChart,
     eval_immersion,
     hamiltonian_flow,
     make_spec,
@@ -26,7 +25,7 @@ from .geometry import (
     pointwise_geometry,
     structure_checks,
 )
-from .quadrature import IntegrationGrid, IntegralResult, build_grid, sphere_volume
+from .quadrature import IntegrationGrid, build_grid, sphere_volume
 from .spaceforms import DomainError, ModelValidationError, make_model
 from .verify import Tolerances, VerificationReport, classify_equality, run_case
 
@@ -38,11 +37,9 @@ __all__ = [
     "DomainError",
     "HamiltonianDeformation",
     "ImmersionSpec",
-    "IntegralResult",
     "IntegrationGrid",
     "ModelValidationError",
     "PointGeometry",
-    "SphereChart",
     "Tolerances",
     "VerificationReport",
     "build_grid",

@@ -242,7 +242,7 @@ def cmd_sweep(args) -> int:
         )
         w.writerow([repr(float(v))] + report_to_csv_row(report))
         worst = max(worst, 1 if report.hard_failures else 0)
-        sup_h.append(np.sqrt(report.residual_sup.get("sup_nabla_h", 0.0)))
+        sup_h.append(report.residual_sup.get("sup_nabla_h", 0.0))
     _emit(buf.getvalue(), settings.get("out"))
     if name == "theta" and len(values) > 2 and all(
         a >= b for a, b in zip(sup_h[::-1], sup_h[::-1][1:])

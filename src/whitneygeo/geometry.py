@@ -32,7 +32,7 @@ from functools import partial
 _einsum = partial(np.einsum, optimize=True)
 
 from . import jets
-from .immersions import ImmersionSpec, SphereChart, eval_immersion
+from .immersions import ImmersionSpec, eval_immersion
 from .spaceforms import BaseModel, christoffel_along, riemann_from_metric
 
 __all__ = [
@@ -222,34 +222,30 @@ def _ambient_frame_curvature(pg: PointGeometry, fields):
     return k1 * sect + k2 * struct
 
 
-def frame_geometry(model: BaseModel, spec: ImmersionSpec, chart_index: int, t,
-                   atlas: SphereChart | None = None):
+def frame_geometry(model: BaseModel, spec: ImmersionSpec, t):
     """The order-2 frame stage at ``t``, as :func:`pointwise_geometry` returns it
     but with values only: all that :func:`gauss_curvature` needs."""
-    return _geometry(model, spec, chart_index, t, atlas, None, order=2)
+    return _geometry(model, spec, t, None, order=2)
 
 
-def pointwise_geometry(
-    model: BaseModel,
-    spec: ImmersionSpec,
-    chart_index: int,
-    t,
-    atlas: SphereChart | None = None,
-    mixer: np.ndarray | None = None,
-):
+def pointwise_geometry(model: BaseModel, spec: ImmersionSpec, t, *,
+                       mixer: np.ndarray | None = None):
     """Evaluate the full extrinsic tensor pipeline at parameter batch ``t``.
 
-    Returns ``(PointGeometry, AmbientFields)``; the fields are reused by
-    :func:`curvature_data` for the ambient term of the Gauss equation.
+    On the sphere, derivatives are taken in each node's own chart
+    (:func:`whitneygeo.immersions.node_jets`), where the round metric is the
+    identity.  Returns ``(PointGeometry, AmbientFields)``; the fields are
+    reused by :func:`curvature_data` for the ambient term of the Gauss
+    equation.
     """
-    return _geometry(model, spec, chart_index, t, atlas, mixer, order=3)
+    return _geometry(model, spec, t, mixer, order=3)
 
 
-def _geometry(model, spec, chart_index, t, atlas, mixer, order):
+def _geometry(model, spec, t, mixer, order):
     """The frame stage from order-``order`` jets; order 3 adds the derivative levels."""
     n = spec.n
     full = order == 3
-    x = eval_immersion(spec, chart_index, t, atlas=atlas, order=order)
+    x = eval_immersion(spec, t, order=order)
     X = jets._unpack_blocks(x, n, order)
     X0, X1, X2 = X[:3]
     fields = model.fields_at(X0, order=order - 1)

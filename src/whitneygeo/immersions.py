@@ -1,18 +1,19 @@
 """Sphere charts and the catalog of explicit immersions.
 
-The parameter domain for sphere immersions is an atlas of rotated
-generalized-spherical-coordinate charts (two charts up to n = 3, three for
-n = 4, where any two singular loci of such charts must intersect).  Each
-chart's singular locus is a great (n-2)-subsphere; a smooth distance-based
-window vanishes near it and the windows form a partition of unity used by
-the quadrature grids.
+Sphere nodes are the parameters ``t = (theta_1..theta_{n-1}, phi)`` of the
+standard spherical parametrization u(t), first axis polar.  Each node's
+jets are taken in a chart centred at that node, s -> (u0 + Q s) /
+sqrt(1 + |s|^2), where the columns of Q are an orthonormal basis of the
+tangent space at u0 from a Householder reflection.  The round metric is the
+identity at s = 0, so the frames are equally well conditioned at every
+point of the sphere, poles included, and no node needs another chart.
 
 Catalog entries evaluate to order-3 jets of ambient chart coordinates, so
 every downstream tensor is differentiated exactly.  The jets are packed
 arrays shaped (coefficients, B, chart dim) (see :mod:`whitneygeo.jets`):
-the chart builds each sphere coordinate's partials from the derivatives of
-the sines and cosines it multiplies, and every formula, its complex slots
-included (as complex128), is a chain of packed products and compositions.
+the node chart's jets have a closed form at s = 0, and every formula, its
+complex slots included (as complex128), is a chain of packed products and
+compositions.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from . import jets
 from .spaceforms import BaseModel, DomainError, SasakianB, make_model
 
 __all__ = [
-    "SphereChart",
     "ImmersionSpec",
     "HamiltonianDeformation",
     "CATALOG",
@@ -35,121 +35,96 @@ __all__ = [
     "model_for",
     "eval_immersion",
     "hamiltonian_flow",
+    "node_jets",
+    "params_from_u",
     "random_quartic",
     "loop_integral",
+    "sphere_points",
 ]
 
-# Chart windows are sin^2(distance to the singular subsphere): polynomial in
-# the sphere coordinates, so blended integrands stay analytic and Gauss
-# quadrature keeps its spectral rate.  Raising the power sharpens the blend
-# but pulls the normalization's complex poles toward the real domain.
-WINDOW_POWER = 1
-WINDOW_DROP = 1e-18
-# nodes closer than this to their own chart's singular locus keep their
-# (tiny) integration weight but are excluded from sup-norm residual checks
-TRUST_RADIUS = 0.1
 
+def _spherical_jets(t, order: int) -> np.ndarray:
+    """Packed jets of u(t) in the spherical parameters themselves, (coefficients, B, n+1).
 
-def _chart_rotations(n: int) -> list[np.ndarray]:
-    """Rotations whose singular subspheres jointly stay far from every point."""
-    d = n + 1
-    eye = np.eye(d)
-    if n in (2, 3):
-        if n == 2:
-            Q1 = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-        else:
-            Q1 = eye[:, [2, 3, 0, 1]]  # swap pairs (1,3), (2,4)
-        return [eye, Q1]
-    if n == 4:
-        # singular subspheres span(e0,e1,e2), span(e2,e3,e4), span(e0,e3,e4):
-        # every pairwise intersection is far from the third chart's locus
-        Q1 = eye[:, [2, 3, 4, 0, 1]]
-        Q2 = eye[:, [0, 3, 4, 1, 2]]
-        return [eye, Q1, Q2]
-    raise ValueError(f"sphere atlas supports 2 <= n <= 4, got {n}")
-
-
-class SphereChart:
-    """Atlas of rotated spherical-coordinate charts on the unit n-sphere.
-
-    Chart ``c`` maps parameters ``t = (theta_1..theta_{n-1}, phi)`` in
-    ``(0, pi)^{n-1} x [0, 2pi)`` to ``u = Q_c u_std(t)`` where ``u_std`` is
-    the standard spherical parametrization with first axis polar.
+    Coordinate k of u is a product of functions of one angle each (sin of
+    the angles before k, cos of angle k), so each partial is a product of
+    their derivatives.
     """
+    tt = np.atleast_2d(np.asarray(t, dtype=float))
+    n = tt.shape[-1]
+    s, c = np.sin(tt), np.cos(tt)
+    sin, cos = (s, c, -s, -c), (c, -s, -c, s)  # derivatives 0..3
+    basis = jets._packed_basis(n, order)
+    u = np.zeros((len(basis), len(tt), n + 1))
+    for r, idx in enumerate(basis):
+        counts = [idx.count(i) for i in range(n)]
+        for k in range(n + 1):
+            if any(counts[k + 1 :]):
+                continue  # coordinate k does not depend on the later angles
+            row = cos[counts[k]][:, k] if k < n else 1.0
+            for i in range(min(k, n)):
+                row = row * sin[counts[i]][:, i]
+            u[r, :, k] = row
+    return u
 
-    def __init__(self, n: int):
-        if n < 2:
-            raise ValueError("sphere dimension must be >= 2")
-        self.n = n
-        self.rotations = _chart_rotations(n)
-        self.num_charts = len(self.rotations)
 
-    def u_jets(self, chart: int, t, order: int = 3) -> np.ndarray:
-        """Packed jets of the n+1 sphere coordinates at parameter batch ``t``.
+def sphere_points(t) -> np.ndarray:
+    """The sphere points u(t) of spherical parameters ``t``, shaped (B, n+1)."""
+    return _spherical_jets(t, 0)[0]
 
-        Shaped (coefficients, B, n+1), the rows in the order of
-        ``jets._packed_basis(n, order)``.  Coordinate k of ``u_std`` is a
-        product of functions of one angle each (sin of the angles before k,
-        cos of angle k), so each partial is a product of their derivatives.
-        """
-        tt = np.atleast_2d(np.asarray(t, dtype=float))
-        n = self.n
-        s, c = np.sin(tt), np.cos(tt)
-        sin, cos = (s, c, -s, -c), (c, -s, -c, s)  # derivatives 0..3
-        basis = jets._packed_basis(n, order)
-        u = np.zeros((len(basis), len(tt), n + 1))
-        for r, idx in enumerate(basis):
-            counts = [idx.count(i) for i in range(n)]
-            for k in range(n + 1):
-                if any(counts[k + 1 :]):
-                    continue  # coordinate k does not depend on the later angles
-                row = cos[counts[k]][:, k] if k < n else 1.0
-                for i in range(min(k, n)):
-                    row = row * sin[counts[i]][:, i]
-                u[r, :, k] = row
-        return u @ self.rotations[chart].T
 
-    def u_values(self, chart: int, t) -> np.ndarray:
-        return self.u_jets(chart, t, order=0)[0]
+def params_from_u(u) -> np.ndarray:
+    """Spherical parameters of sphere points ``u``, the inverse of :func:`sphere_points`."""
+    uu = np.atleast_2d(np.asarray(u, dtype=float))
+    n = uu.shape[-1] - 1
+    t = np.empty(uu.shape[:-1] + (n,))
+    for i in range(n - 1):
+        tail = np.linalg.norm(uu[..., i + 1 :], axis=-1)
+        t[..., i] = np.arctan2(tail, uu[..., i])
+    t[..., n - 1] = np.mod(np.arctan2(uu[..., n], uu[..., n - 1]), 2.0 * np.pi)
+    return t
 
-    def params_from_u(self, chart: int, u) -> np.ndarray:
-        """Invert the chart map (valid away from its singular subsphere)."""
-        uu = np.atleast_2d(np.asarray(u, dtype=float))
-        v = uu @ self.rotations[chart]  # Q^T u, batched
-        n = self.n
-        t = np.empty(uu.shape[:-1] + (n,))
-        for i in range(n - 1):
-            tail = np.linalg.norm(v[..., i + 1 :], axis=-1)
-            t[..., i] = np.arctan2(tail, v[..., i])
-        t[..., n - 1] = np.mod(np.arctan2(v[..., n], v[..., n - 1]), 2.0 * np.pi)
-        return t
 
-    def singular_distance(self, chart: int, u) -> np.ndarray:
-        """Angular distance from the chart's singular great subsphere."""
-        uu = np.atleast_2d(np.asarray(u, dtype=float))
-        v = uu @ self.rotations[chart]
-        r = np.linalg.norm(v[..., -2:], axis=-1)
-        return np.arcsin(np.clip(r, 0.0, 1.0))
+def _reflections(u: np.ndarray) -> np.ndarray:
+    """Householder reflections H = I - 2 v v^T / |v|^2 with v = u + sign(u_n) e_n.
 
-    def window(self, chart: int, u, power: int | None = None) -> np.ndarray:
-        """Unnormalized chart window sin^2p(distance to singular locus)."""
-        uu = np.atleast_2d(np.asarray(u, dtype=float))
-        v = uu @ self.rotations[chart]
-        s2 = np.sum(v[..., -2:] ** 2, axis=-1)
-        p = WINDOW_POWER if power is None else power
-        return s2**p
+    H u = -sign(u_n) e_n, so the first n columns of the symmetric orthogonal
+    H are an orthonormal basis of the tangent space at u.  The sign keeps
+    |v|^2 = 2 (1 + |u_n|) >= 2.  Shaped (B, n+1, n+1).
+    """
+    v = np.array(u, dtype=float)
+    v[:, -1] += np.where(v[:, -1] < 0.0, -1.0, 1.0)
+    H = -2.0 * v[:, :, None] * v[:, None, :] / np.sum(v * v, axis=-1)[:, None, None]
+    H += np.eye(u.shape[-1])
+    return H
 
-    def partition_of_unity(self, u, power: int | None = None) -> np.ndarray:
-        """Window weights normalized over charts; shape (num_charts, B)."""
-        w = np.stack([self.window(c, u, power) for c in range(self.num_charts)])
-        total = w.sum(axis=0)
-        if np.any(total <= 0):
-            raise RuntimeError("sphere atlas windows fail to cover a point")
-        return w / total
 
-    def anchor_point(self) -> np.ndarray:
-        """A fixed point comfortably inside every chart's active region."""
-        return np.full(self.n + 1, 1.0 / math.sqrt(self.n + 1))
+def node_jets(u, order: int = 3) -> np.ndarray:
+    """Packed jets of the chart s -> (u0 + Q s) / sqrt(1 + |s|^2) at s = 0, one per point u0.
+
+    Q is the tangent basis of :func:`_reflections`.  Since (1 + |s|^2)^(-1/2)
+    = 1 - |s|^2 / 2 + O(|s|^4), the partials are d_i = Q_i, d_ij = -u0
+    delta_ij and d_ijk = -(Q_i delta_jk + Q_j delta_ik + Q_k delta_ij).
+    Shaped (coefficients, B, n+1), the rows in the order of
+    ``jets._packed_basis(n, order)``.
+    """
+    u0 = np.atleast_2d(np.asarray(u, dtype=float))
+    n = u0.shape[-1] - 1
+    Q = np.moveaxis(_reflections(u0)[:, :, :n], -1, 0)  # Q[i] is the i-th tangent vector
+    basis = jets._packed_basis(n, order)
+    out = np.zeros((len(basis), len(u0), n + 1))
+    for r, idx in enumerate(basis):
+        if not idx:
+            out[r] = u0
+        elif len(idx) == 1:
+            out[r] = Q[idx[0]]
+        elif len(idx) == 2:
+            if idx[0] == idx[1]:
+                out[r] = -u0
+        else:
+            a, b, c = idx
+            out[r] = -((b == c) * Q[a] + (a == c) * Q[b] + (a == b) * Q[c])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +161,6 @@ class ImmersionSpec:
     @property
     def domain(self) -> str:
         return "torus" if self.kind == "product_torus" else "sphere"
-
-    def describe(self) -> str:
-        ps = ", ".join(f"{k}={v}" for k, v in self.params.items() if k != "hamiltonian")
-        return f"{self.kind}(n={self.n}{', ' + ps if ps else ''})"
 
 
 CATALOG = {
@@ -419,30 +390,15 @@ def _eval_whitney_ch(spec, u, ops):
     return _split(_complex_pairs(u, spec.params["theta"], "ch", ops))
 
 
-# ambient unitaries for the totally geodesic projective case (n = 2): the
-# deleted hyperplane of the rotated affine chart meets the real locus only
-# at the parameter chart's own (inactive) singular axis
-_TG_UNITARIES = {
-    0: np.array(
-        [
-            [1, 0, 0],
-            [0, 1 / math.sqrt(2), -1j / math.sqrt(2)],
-            [0, 1 / math.sqrt(2), 1j / math.sqrt(2)],
-        ]
-    ),
-    1: np.array(
-        [
-            [0, 0, 1],
-            [1 / math.sqrt(2), -1j / math.sqrt(2), 0],
-            [1 / math.sqrt(2), 1j / math.sqrt(2), 0],
-        ]
-    ),
-}
+def _eval_totally_geodesic_cp(spec, u, ops):
+    """The real locus in the affine chart whose centre is the node.
 
-
-def _eval_totally_geodesic_cp(spec, u, chart, ops):
+    The per-node reflection of :func:`_reflections`, a real orthogonal map
+    of the homogeneous coordinates and so an isometry of CP_n, takes the
+    node to (up to sign) e_n, where the affine chart z = U_j / U_n is 0.
+    """
     n = spec.n
-    rot = u @ _TG_UNITARIES[chart].T
+    rot = np.einsum("rbi,bij->rbj", u, _reflections(u[0]))
     return _split(ops.mul(rot[..., :n], ops.fn("recip", rot[..., n])[..., None]))
 
 
@@ -493,20 +449,26 @@ class _BergmanFiber:
     def _rho_jets(self, u_vals: np.ndarray, order: int) -> np.ndarray:
         """omega-pullback density at ``u_vals`` and its first ``order`` derivatives.
 
-        Univariate packed rows: row k is the k-th derivative.
+        Univariate packed rows: row k is the k-th derivative.  At the sphere
+        point (sqrt(1 - u^2), 0, ..., 0, u) only z_0 = sqrt(1 - u^2) c(u) is
+        nonzero, with c the factor of :func:`_complex_pairs`.  In y dx - x dy
+        and in |z|^2 the root enters squared, so rho = kappa (1 - u^2)
+        (Im c Re c' - Re c Im c') / (1 - (1 - u^2) |c|^2) is smooth through
+        u = +-1.
         """
         ops = jets._Ops(1, order + 1)
         un = np.zeros((order + 2, len(u_vals)))
         un[0], un[1] = u_vals, 1.0
-        # the sphere point (sqrt(1 - u^2), 0, ..., 0, u): only z_0 is nonzero
-        head = ops.fn("sqrt", _plus(-ops.mul(un, un), 1.0))
-        z = _complex_pairs(np.stack([head, un], axis=-1), self.theta, "ch", ops)
-        x, y = z.real, z.imag
-        w = ops.fn("recip", _plus(-(ops.mul(x, x) + ops.mul(y, y)).sum(axis=-1), 1.0))
-        # y dx - x dy, one order down: d/du shifts the rows up by one
+        one = np.zeros_like(un)
+        one[0] = 1.0
+        c = _complex_pairs(np.stack([one, un], axis=-1), self.theta, "ch", ops)[..., 0]
+        cr, ci = c.real, c.imag
+        q = _plus(-ops.mul(un, un), 1.0)  # 1 - u^2
+        w = ops.fn("recip", _plus(-ops.mul(q, ops.mul(cr, cr) + ops.mul(ci, ci)), 1.0))
+        # Im c Re c' - Re c Im c', one order down: d/du shifts the rows up by one
         low = jets._Ops(1, order)
-        acc = (low.mul(y[:-1], x[1:]) - low.mul(x[:-1], y[1:])).sum(axis=-1)
-        return low.mul(acc, self.kappa * w[:-1])
+        acc = low.mul(ci[:-1], cr[1:]) - low.mul(cr[:-1], ci[1:])
+        return low.mul(low.mul(acc, q[:-1]), self.kappa * w[:-1])
 
     def primitive_values(self, u_vals: np.ndarray) -> np.ndarray:
         """t(u) = -integral of rho from 0 to u, composite 16-point panels."""
@@ -569,7 +531,7 @@ def hamiltonian_flow(x: np.ndarray, ham: HamiltonianDeformation, num_vars: int) 
     workers, whose allocator hands large temporaries back to the kernel
     and maps them anew, so a loop that allocated its 0.2-3.7 MB
     temporaries took a page fault for every page of every one of them:
-    about 230 000 faults for one 2304-node order-3 chart, a third of the
+    about 230 000 faults for one 2304-node order-3 batch, a third of the
     flow's time.  The RK4 combinations keep their operation order,
     ((k1 + 2 k2) + 2 k3) + k4 and so on, so the jets do not depend on how
     the loop stores them.
@@ -674,42 +636,39 @@ def _eval_perturbed(spec, u, ops):
 # -- Legendrian lift ---------------------------------------------------------
 
 class _LiftPrimitive:
-    """Path-integrated primitive of sum(y_i dx_i) over a sphere chart.
+    """Path-integrated primitive of sum(y_i dx_i) over the spherical parameters.
 
-    Paths run from a fixed anchor, one parameter coordinate at a time
-    (polar angles first, then the periodic angle), with composite
-    16-point Gauss panels per segment.  Nodes that share the first
+    Paths run from one anchor, one parameter coordinate at a time (polar
+    angles first, then the periodic angle), with composite 16-point Gauss
+    panels per segment; the integrand is the form along the coordinate
+    line, through the partials of u(t).  Nodes that share the first
     coordinates share the first segments, which are integrated once.
     """
 
-    def __init__(self, base_spec: ImmersionSpec, chart_atlas: SphereChart):
+    def __init__(self, base_spec: ImmersionSpec):
         self.base_spec = base_spec
-        self.atlas = chart_atlas
         self._gl = np.polynomial.legendre.leggauss(16)
-        u_anchor = chart_atlas.anchor_point()
-        self.anchor_params = [
-            chart_atlas.params_from_u(c, u_anchor)[0]
-            for c in range(chart_atlas.num_charts)
-        ]
+        n = base_spec.n
+        self.anchor = params_from_u(np.full(n + 1, 1.0 / math.sqrt(n + 1)))[0]
 
     def _base_jets(self, u, ops):
         if self.base_spec.kind == "whitney_c0":
             return _eval_whitney_c0(self.base_spec, u, ops)
         return _eval_perturbed(self.base_spec, u, ops)
 
-    def _integrand(self, chart, t, axis):
+    def _integrand(self, t, axis):
         """d/dtau of the primitive along parameter ``axis``: (B,)."""
         n = self.base_spec.n
         # the base as 1-variable order-1 jets in the path parameter: the
         # value row and the partial along ``axis``
-        u = self.atlas.u_jets(chart, t, order=1)[[0, 1 + axis]]
+        u = _spherical_jets(t, order=1)[[0, 1 + axis]]
         x = self._base_jets(u, jets._Ops(1, 1))
         # sum over j of y_j d_tau x_j
         return (x[0, :, n:] * x[1, :, :n]).sum(axis=-1)
 
-    def values(self, chart: int, t: np.ndarray) -> np.ndarray:
+    def values(self, t: np.ndarray) -> np.ndarray:
         tt = np.atleast_2d(np.asarray(t, dtype=float))
-        t0 = self.anchor_params[chart]
+        t0 = self.anchor
         out = np.zeros(tt.shape[0])
         xs, ws = self._gl
         for axis in range(self.base_spec.n):
@@ -739,17 +698,17 @@ class _LiftPrimitive:
                 pts = np.repeat(current[active][:, None, :], len(xs), axis=1)
                 pts[:, :, axis] = mid[active, None] + half[active, None] * xs[None, :]
                 flat = pts.reshape(-1, self.base_spec.n)
-                integ = self._integrand(chart, flat, axis).reshape(pts.shape[:2])
+                integ = self._integrand(flat, axis).reshape(pts.shape[:2])
                 total[active] += half[active] * (integ * ws[None, :]).sum(axis=1)
             out = total[back.reshape(-1)]
         return out
 
-    def lifted_jets(self, chart: int, t: np.ndarray, u: np.ndarray, ops) -> np.ndarray:
-        """Base coordinates plus the primitive fiber, as packed jets."""
+    def lifted_jets(self, t: np.ndarray, u: np.ndarray, ops) -> np.ndarray:
+        """Base coordinates plus the primitive fiber, as packed jets in the node charts of ``u``."""
         n = self.base_spec.n
         base = self._base_jets(u, ops)
         z = np.empty(base.shape[:2])
-        z[0] = self.values(chart, t)
+        z[0] = self.values(t)
         if ops.order:
             # the fiber's partials d_a z = sum_j y_j d_a x_j, one order lower:
             # the partial over the sorted indices (a, rest) is row rest of d_a z
@@ -762,7 +721,7 @@ class _LiftPrimitive:
         return np.concatenate([base, z[..., None]], axis=-1)
 
 
-def _lift_primitive_for(spec: ImmersionSpec, atlas: SphereChart) -> _LiftPrimitive:
+def _lift_primitive_for(spec: ImmersionSpec) -> _LiftPrimitive:
     base_kind = spec.params["base"]
     if base_kind == "whitney_c0":
         base = make_spec("whitney_c0", spec.n, r=spec.params["r"])
@@ -771,18 +730,17 @@ def _lift_primitive_for(spec: ImmersionSpec, atlas: SphereChart) -> _LiftPrimiti
             k: v for k, v in spec.params.items()
             if k in ("r", "epsilon", "steps", "seed", "hamiltonian")
         })
-    return _LiftPrimitive(base, atlas)
+    return _LiftPrimitive(base)
 
 
-def loop_integral(spec: ImmersionSpec, atlas: SphereChart, chart: int = 0,
-                  theta_polar: float | None = None, resolution: int = 64) -> float:
+def loop_integral(spec: ImmersionSpec, theta_polar: float | None = None,
+                  resolution: int = 64) -> float:
     """Integral of sum(y_i dx_i) around a closed azimuthal loop (exactness check)."""
     prim = _lift_primitive_for(spec if spec.kind == "lifted" else
                                make_spec("lifted", spec.n, base=spec.kind,
                                          **{k: v for k, v in spec.params.items()
                                             if k in ("r", "epsilon", "steps", "seed",
-                                                     "hamiltonian")}),
-                               atlas)
+                                                     "hamiltonian")}))
     n = spec.n
     t0 = np.full(n, np.pi / 2)
     if theta_polar is not None:
@@ -791,7 +749,7 @@ def loop_integral(spec: ImmersionSpec, atlas: SphereChart, chart: int = 0,
     phis = np.pi + np.pi * xs
     pts = np.repeat(t0[None, :], resolution, axis=0)
     pts[:, n - 1] = phis
-    integ = prim._integrand(chart, pts, n - 1)
+    integ = prim._integrand(pts, n - 1)
     return float(np.pi * (integ * ws).sum())
 
 
@@ -799,6 +757,7 @@ _EVALUATORS = {
     "whitney_c0": _eval_whitney_c0,
     "whitney_cp": _eval_whitney_cp,
     "whitney_ch": _eval_whitney_ch,
+    "totally_geodesic_cp": _eval_totally_geodesic_cp,
     "contact_whitney_r": _eval_contact_whitney_r,
     "contact_whitney_s": _eval_contact_whitney_s,
     "contact_whitney_b": _eval_contact_whitney_b,
@@ -806,30 +765,21 @@ _EVALUATORS = {
 }
 
 
-def eval_immersion(
-    spec: ImmersionSpec,
-    chart_index: int,
-    t,
-    atlas: SphereChart | None = None,
-    order: int = 3,
-) -> np.ndarray:
+def eval_immersion(spec: ImmersionSpec, t, order: int = 3) -> np.ndarray:
     """Packed order-``order`` jets of the ambient chart coordinates at parameters ``t``.
 
     Shaped (coefficients, B, chart dim), the rows in the order of
     ``jets._packed_basis(n, order)``.  For sphere-domain cases ``t`` are
-    chart parameters of ``atlas`` (built on demand when omitted); the torus
-    case takes the n angles directly.
+    spherical parameters and the jets are in each node's own chart
+    (:func:`node_jets`); the torus case takes the n angles directly.
     """
     if spec.domain == "torus":
         return _eval_product_torus(spec, t, order)
-    if atlas is None:
-        atlas = SphereChart(spec.n)
-    u = atlas.u_jets(chart_index, t, order)
+    tt = np.atleast_2d(np.asarray(t, dtype=float))
+    u = node_jets(sphere_points(tt), order)
     ops = jets._Ops(spec.n, order)
-    if spec.kind == "totally_geodesic_cp":
-        return _eval_totally_geodesic_cp(spec, u, chart_index, ops)
     if spec.kind == "lifted":
-        return _lift_primitive_for(spec, atlas).lifted_jets(chart_index, t, u, ops)
+        return _lift_primitive_for(spec).lifted_jets(tt, u, ops)
     if spec.kind not in _EVALUATORS:
         raise ValueError(f"unhandled case {spec.kind!r}")
     return _EVALUATORS[spec.kind](spec, u, ops)

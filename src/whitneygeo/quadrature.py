@@ -1,26 +1,25 @@
-"""Integration grids on the sphere atlas and the flat torus.
+"""Integration grids on the sphere and the flat torus.
 
-Sphere grids put Gauss-Legendre nodes in the polar angles and a trapezoid
-rule in the periodic angle, once per chart of the atlas; the smooth chart
-windows (normalized to a partition of unity) blend the charts, and nodes
-whose window weight vanishes are dropped.  Integrands lifted from smooth
-fields on the sphere are analytic in the chart parameters, so convergence
-is spectral, and :func:`quadrature_error` estimates the error of a grid
-from a three-rung convergence ladder.
+Sphere grids are one spherical-coordinate product rule: K Gauss-Legendre
+nodes in each polar angle and 2K trapezoid nodes in the periodic angle,
+2 K^n nodes in all, with the weights carrying the round density
+prod sin^(n-1-i) theta_i (Atkinson & Han, "Spherical Harmonics and
+Approximations on the Unit Sphere", Springer LNM 2044, 2012).  Integrands
+lifted from smooth fields on the sphere are analytic in the angles, so
+convergence is spectral, and :func:`quadrature_error` estimates the error
+of a grid from a three-rung convergence ladder.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .immersions import SphereChart
+from .immersions import sphere_points
 
 __all__ = [
     "IntegrationGrid",
-    "IntegralResult",
     "build_grid",
     "ladder_resolutions",
     "quadrature_error",
@@ -97,29 +96,15 @@ def quadrature_error(values, floor: float = 0.0, control=None) -> tuple[float, s
     return error, method
 
 
-@dataclass
-class IntegralResult:
-    """An integral with the :func:`quadrature_error` estimate of its error."""
-
-    value: float
-    resolution: int
-    error: float
-
-    def resolved(self, tol: float) -> bool:
-        return self.error <= tol
-
-
 class IntegrationGrid:
     """Quadrature nodes over the parameter domain of one immersion family.
 
-    Attributes per node: ``chart`` index, parameters ``t``, combined weight
-    (quadrature times partition-of-unity), and the sphere point ``u``
-    (sphere domain only).
+    Attributes per node: parameters ``t``, ``weight`` (on the sphere it
+    carries the round density, so sum(weight * f) integrates f against the
+    round volume) and the sphere point ``u`` (sphere domain only).
     """
 
-    def __init__(self, n: int, resolution: int, domain: str = "sphere",
-                 atlas: SphereChart | None = None,
-                 window_power: int | None = None):
+    def __init__(self, n: int, resolution: int, domain: str = "sphere"):
         if resolution < 8:
             raise ValueError("resolution must be at least 8")
         if domain not in ("sphere", "torus"):
@@ -129,87 +114,40 @@ class IntegrationGrid:
         self.n = n
         self.resolution = resolution
         self.domain = domain
+        K = resolution
         if domain == "torus":
-            self.atlas = None
-            self._build_torus()
-            return
-        self.atlas = atlas if atlas is not None else SphereChart(n)
-        self._window_power = window_power
-        self._build_sphere()
-
-    def _build_torus(self):
-        n, K = self.n, self.resolution
-        angles = 2.0 * math.pi * np.arange(K) / K
-        grids = np.meshgrid(*([angles] * n), indexing="ij")
+            axes = [(2.0 * math.pi * np.arange(K) / K, np.full(K, 2.0 * math.pi / K))] * n
+        else:
+            xg, wg = np.polynomial.legendre.leggauss(K)
+            polar = (0.5 * math.pi * (xg + 1.0), 0.5 * math.pi * wg)
+            azimuth = (math.pi * np.arange(2 * K) / K, np.full(2 * K, math.pi / K))
+            axes = [polar] * (n - 1) + [azimuth]
+        grids = np.meshgrid(*(x for x, _ in axes), indexing="ij")
         self.t = np.stack([g.ravel() for g in grids], axis=-1)
-        self.chart = np.zeros(len(self.t), dtype=int)
-        self.weight = np.full(len(self.t), (2.0 * math.pi / K) ** n)
+        wgrids = np.meshgrid(*(w for _, w in axes), indexing="ij")
+        self.weight = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
         self.u = None
-        self.trusted = np.ones(len(self.t), dtype=bool)
-        self.num_charts = 1
-
-    def _build_sphere(self):
-        n, K = self.n, self.resolution
-        xg, wg = np.polynomial.legendre.leggauss(K)
-        theta = 0.5 * math.pi * (xg + 1.0)
-        wt = 0.5 * math.pi * wg
-        phi = 2.0 * math.pi * np.arange(K) / K
-        wp = np.full(K, 2.0 * math.pi / K)
-        axes = [theta] * (n - 1) + [phi]
-        waxes = [wt] * (n - 1) + [wp]
-        grids = np.meshgrid(*axes, indexing="ij")
-        t_single = np.stack([g.ravel() for g in grids], axis=-1)
-        wgrids = np.meshgrid(*waxes, indexing="ij")
-        w_single = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-
-        from .immersions import TRUST_RADIUS, WINDOW_DROP
-
-        atlas = self.atlas
-        charts, ts, ws, us, trust = [], [], [], [], []
-        for c in range(atlas.num_charts):
-            u = atlas.u_values(c, t_single)
-            pou = atlas.partition_of_unity(u, self._window_power)[c]
-            keep = pou > WINDOW_DROP
-            charts.append(np.full(keep.sum(), c, dtype=int))
-            ts.append(t_single[keep])
-            ws.append(w_single[keep] * pou[keep])
-            us.append(u[keep])
-            trust.append(atlas.singular_distance(c, u[keep]) >= TRUST_RADIUS)
-        self.chart = np.concatenate(charts)
-        self.t = np.concatenate(ts)
-        self.weight = np.concatenate(ws)
-        self.u = np.concatenate(us)
-        self.trusted = np.concatenate(trust)
-        self.num_charts = atlas.num_charts
-
-    # -- integration ----------------------------------------------------------
-
-    def integrate(self, values: np.ndarray, density: np.ndarray) -> float:
-        """Weighted sum of ``values`` against a per-node volume density."""
-        return float(np.sum(self.weight * values * density))
+        if domain == "sphere":
+            for i in range(n - 1):
+                self.weight *= np.sin(self.t[:, i]) ** (n - 1 - i)
+            self.u = sphere_points(self.t)
 
     def round_sphere_volume_check(self) -> float:
         """Integrate 1 against the round metric; relative volume error."""
         if self.domain != "sphere":
             raise ValueError("round-metric check applies to sphere grids")
-        dens = np.ones(len(self.t))
-        for i in range(self.n - 1):
-            dens *= np.sin(self.t[:, i]) ** (self.n - 1 - i)
-        got = self.integrate(np.ones(len(self.t)), dens)
         want = sphere_volume(self.n)
-        return abs(got - want) / want
+        return abs(float(np.sum(self.weight)) - want) / want
 
     def chunks(self, max_nodes: int):
-        """Yield (chart, slice of node indices) blocks of bounded size."""
-        for c in range(self.num_charts):
-            idx = np.nonzero(self.chart == c)[0]
-            for k in range(0, len(idx), max_nodes):
-                yield c, idx[k : k + max_nodes]
+        """Node indices in equal consecutive slices of at most ``max_nodes``."""
+        count = -(-len(self.t) // max_nodes)
+        return np.array_split(np.arange(len(self.t)), count)
 
 
-def build_grid(n: int, resolution: int | None = None, domain: str = "sphere",
-               atlas: SphereChart | None = None) -> IntegrationGrid:
+def build_grid(n: int, resolution: int | None = None,
+               domain: str = "sphere") -> IntegrationGrid:
     """Grid with Gauss-Legendre polar nodes and trapezoidal periodic nodes."""
     if resolution is None:
         resolution = DEFAULT_RESOLUTION.get(n, 16)
-    return IntegrationGrid(n, resolution, domain=domain, atlas=atlas)
+    return IntegrationGrid(n, resolution, domain=domain)

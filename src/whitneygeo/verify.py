@@ -7,7 +7,7 @@ and 3/4 of the resolution do nothing else, and with the full grid they give
 each quadrature-error estimate (:func:`whitneygeo.quadrature.quadrature_error`).
 The full grid's chunks also feed the gradient-field integrals of the
 divergence identity, the l2 sums, the sups and minima of every pointwise
-identity on the trusted nodes and, at n <= 3 with ``conformal``, the
+identity over every node and, at n <= 3 with ``conformal``, the
 sectional-curvature statistics.  The standalone conformal block, and the
 n >= 4 block on its coarser grid, run only the order-2 frame stage.
 
@@ -43,7 +43,7 @@ from .geometry import (
     structure_checks,
     vector_field_scalars,
 )
-from .immersions import ImmersionSpec, SphereChart, model_for
+from .immersions import ImmersionSpec, model_for, node_jets
 from .quadrature import (
     ROUNDOFF,
     IntegrationGrid,
@@ -65,9 +65,8 @@ __all__ = [
 
 CLASSIFICATIONS = ("PARALLEL_BRANCH", "WHITNEY_BRANCH", "STRICT", "UNRESOLVED")
 
-#: isotropy tolerance by construction quality of the case
-_EXACT_ISOTROPY_TOL = 1e-9
-_FLOWED_ISOTROPY_TOL = 1e-7
+#: isotropy tolerance of every case, the flowed and lifted ones included
+_ISOTROPY_TOL = 1e-9
 
 _STRUCTURE_TOLS = {
     "cubic_symmetry": 1e-9,
@@ -88,8 +87,10 @@ _L2_RESIDUALS = (
     "equality_condition_residual",
 )
 
-#: n >= 4 conformal-block grid: its sups need coverage, not integration accuracy
-_CONFORMAL_RESOLUTION = 12
+#: n >= 4 conformal-block grid: its sups need coverage, not integration
+#: accuracy.  K = 10 is the largest K whose 2 K^4 nodes (20 000) stay within
+#: the block's budget of 12^4 = 20 736 nodes
+_CONFORMAL_RESOLUTION = 10
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,13 @@ def classify_equality(
 
 
 def _chunk_size(chart_dim: int) -> int:
-    return 1024 if chart_dim >= 7 else 4096
+    """Most nodes per chunk job.
+
+    Small enough that the rungs of an n = 2, K = 48 ladder (4608, 2592 and
+    1152 nodes) make six jobs, which two workers share about evenly; with
+    4096 they made four, and the flowed case's pass waited on one worker.
+    """
+    return 1024 if chart_dim >= 7 else 2048
 
 
 def _gradient_test_functions(spec: ImmersionSpec, seed: int, count: int = 3):
@@ -280,10 +287,9 @@ def _fold(partials, combine, start) -> dict:
     return out
 
 
-def _chunk_sums(spec, model, grid, atlas, chart, idx, integrands,
-                curvature=gauss_curvature):
+def _chunk_sums(spec, model, grid, idx, integrands, curvature=gauss_curvature):
     """One chunk's geometry, and the weighted sum of each of its integrands."""
-    pg, fields = pointwise_geometry(model, spec, chart, grid.t[idx], atlas=atlas)
+    pg, fields = pointwise_geometry(model, spec, grid.t[idx])
     cd = curvature(pg, fields)
     w = grid.weight[idx]
     sums = {
@@ -293,12 +299,12 @@ def _chunk_sums(spec, model, grid, atlas, chart, idx, integrands,
     return sums, pg, cd
 
 
-def _grid_sums(spec, model, grid: IntegrationGrid, atlas, integrands) -> dict:
+def _grid_sums(spec, model, grid: IntegrationGrid, integrands) -> dict:
     """Integrate each array of ``integrands(pg, cd)`` over one grid."""
-    def evaluate(chart, idx):
-        return _chunk_sums(spec, model, grid, atlas, chart, idx, integrands)[0]
+    def evaluate(idx):
+        return _chunk_sums(spec, model, grid, idx, integrands)[0]
 
-    jobs = list(grid.chunks(_chunk_size(model.chart_dim)))
+    jobs = [(idx,) for idx in grid.chunks(_chunk_size(model.chart_dim))]
     return _fold(_map_chunks(evaluate, jobs), operator.add, 0.0)
 
 
@@ -372,71 +378,60 @@ def _unresolved_reason(
     )
 
 
-def _accumulate_case(spec, model, grids, atlas, seed, sectional=False):
+def _accumulate_case(spec, model, grids, seed, sectional=False):
     """Every rung's chunks in one map, folded into the case's sums.
 
     ``grids`` starts with the full grid; the companion rungs after it
     integrate only the certificate's integrands.  The full grid's chunks
-    also give the gradient-field integrals, the l2 sums, the trusted-node
-    sups and minima and, with ``sectional``, the sectional range of the
-    trusted nodes.  Returns the sums of each grid, the full grid's sups, l2
+    also give the gradient-field integrals, the l2 sums, the sups and
+    minima and, with ``sectional``, the sectional range, all over every
+    node.  Returns the sums of each grid, the full grid's sups, l2
     sums and minima, and the curvature statistics (None without
     ``sectional``).
     """
     grad_funcs = _gradient_test_functions(spec, seed)
     ops = jets._Ops(spec.n, 2)
 
-    def full_chunk(chart, start, idx):
+    def full_chunk(start, idx):
         grid = grids[0]
-        t, trusted = grid.t[idx], grid.trusted[idx]
         # the structure checks compare both curvature routes
         sums, pg, cd = _chunk_sums(
-            spec, model, grid, atlas, chart, idx, _certificate_integrands,
-            curvature_data,
+            spec, model, grid, idx, _certificate_integrands, curvature_data
         )
         w, dens = grid.weight[idx], pg.sqrt_det_g
         if spec.domain == "sphere":
-            inner = atlas.u_jets(chart, t, order=2)
+            inner = node_jets(grid.u[idx], order=2)
         else:
-            inner = np.concatenate(jets._seed_angles(t, 2), axis=-1)
+            inner = np.concatenate(jets._seed_angles(grid.t[idx], 2), axis=-1)
         for k, f in enumerate(grad_funcs):
             vf = vector_field_scalars(pg, cd, gradient_field(pg, f(inner, ops)))
             sums[f"yano_grad_{k}"] = float(np.sum(w * vf["yano_integrand"] * dens))
         res = paper_residuals(pg, cd)
         l2 = {name: float(np.sum(w * res[name] ** 2 * dens)) for name in _L2_RESIDUALS}
-        if not np.any(trusted):
-            return sums, l2, {}, {}, None
         main = res["nabla_xi_h_norm2"] if model.is_sasakian else res["nabla_h_norm2"]
         checked = {k: res[k] for k in _L2_RESIDUALS + ("identity_34", "identity_35")}
         checked["sup_nabla_h"] = np.sqrt(np.maximum(main, 0.0))
         checked["lemma_gap_32_abs"] = res["lemma_gap_32"]
         checked.update(structure_checks(pg, cd))
-        sups = {
-            name: float(np.max(np.abs(vals[trusted]))) for name, vals in checked.items()
-        }
-        mins = {
-            name: float(np.min(res[name][trusted]))
-            for name in ("lemma_gap_31", "lemma_gap_32")
-        }
-        span = None if start is None else _sectional_range(cd.Riem[trusted], start)
+        sups = {name: float(np.max(np.abs(vals))) for name, vals in checked.items()}
+        mins = {name: float(np.min(res[name])) for name in ("lemma_gap_31", "lemma_gap_32")}
+        span = None if start is None else _sectional_range(cd.Riem, start)
         return sums, l2, sups, mins, span
 
-    def evaluate(rung, chart, start, idx):
+    def evaluate(rung, start, idx):
         if rung == 0:
-            return full_chunk(chart, start, idx)
-        return (_chunk_sums(spec, model, grids[rung], atlas, chart, idx,
-                            _certificate_integrands)[0],)
+            return full_chunk(start, idx)
+        return (_chunk_sums(spec, model, grids[rung], idx, _certificate_integrands)[0],)
 
     size = _chunk_size(model.chart_dim)
-    chunks = [list(grid.chunks(size)) for grid in grids]
+    chunks = [grid.chunks(size) for grid in grids]
     starts = [None] * len(chunks[0])
     if sectional:
-        counts = [int(np.sum(grids[0].trusted[idx])) for _, idx in chunks[0]]
-        starts = _plane_streams(seed, counts, spec.n)
+        starts = _plane_streams(seed, [len(idx) for idx in chunks[0]], spec.n)
     jobs = [
-        (rung, chart, starts[k] if rung == 0 else None, idx)
+        (rung, starts[k] if rung == 0 else None, idx)
         for rung, rung_chunks in enumerate(chunks)
-        for k, (chart, idx) in enumerate(rung_chunks)
+        for k, idx in enumerate(rung_chunks)
     ]
     parts = _map_chunks(evaluate, jobs)
     rung_sums = [
@@ -446,7 +441,7 @@ def _accumulate_case(spec, model, grids, atlas, seed, sectional=False):
     _, l2s, sups, mins, spans = zip(*(p for (r, *_), p in zip(jobs, parts) if r == 0))
     stats = None
     if sectional:
-        stats = _sectional_stats([s for s in spans if s is not None], [])
+        stats = _sectional_stats(spans, [])
     return (
         rung_sums,
         _fold(sups, max, 0.0),
@@ -456,19 +451,17 @@ def _accumulate_case(spec, model, grids, atlas, seed, sectional=False):
     )
 
 
-def _rk4_step_check(spec, atlas, grid, sample: int = 64) -> float:
+def _rk4_step_check(spec, grid, sample: int = 64) -> float:
     """Sup drift of the flowed jets when the RK4 step is halved."""
     from .immersions import eval_immersion, make_spec
 
-    pool = np.nonzero(grid.chart == 0)[0]
-    idx = pool[np.linspace(0, len(pool) - 1, min(sample, len(pool))).astype(int)]
+    idx = np.linspace(0, len(grid.t) - 1, min(sample, len(grid.t))).astype(int)
     t = grid.t[idx]
-    chart = 0
     fine = make_spec(
         "perturbed", spec.n, **{**spec.params, "steps": 2 * spec.params["steps"]}
     )
-    a = eval_immersion(spec, chart, t, atlas=atlas, order=1)
-    b = eval_immersion(fine, chart, t, atlas=atlas, order=1)
+    a = eval_immersion(spec, t, order=1)
+    b = eval_immersion(fine, t, order=1)
     return float(np.max(np.abs(a[0] - b[0])))
 
 
@@ -486,7 +479,7 @@ def _plane_streams(seed: int, counts, n: int) -> list:
     """Where each chunk's random planes begin in the run's one stream.
 
     A run draws its planes chunk after chunk, in chunk order, ``count``
-    nodes each (none for a chunk without trusted nodes).  Drawing through
+    nodes each.  Drawing through
     the stream once here records each chunk's start, so that a worker can
     draw its own chunk's planes and the planes do not depend on which
     process draws them.
@@ -534,23 +527,17 @@ def _sectional_stats(spans, weyl_sups) -> dict:
     }
 
 
-def _conformal_block(spec, model, grid, atlas, seed):
-    """The curvature statistics from the order-2 frame stage at the trusted nodes."""
-    def evaluate(chart, start, idx):
-        trusted = grid.trusted[idx]
-        pg, fields = frame_geometry(model, spec, chart, grid.t[idx][trusted], atlas=atlas)
+def _conformal_block(spec, model, grid, seed):
+    """The curvature statistics from the order-2 frame stage at every node."""
+    def evaluate(start, idx):
+        pg, fields = frame_geometry(model, spec, grid.t[idx])
         cd = gauss_curvature(pg, fields)
         weyl_sup = None if cd.Weyl is None else float(np.max(np.abs(cd.Weyl)))
         return _sectional_range(cd.Riem, start), weyl_sup
 
-    chunks = [
-        (chart, idx)
-        for chart, idx in grid.chunks(_chunk_size(model.chart_dim))
-        if np.any(grid.trusted[idx])
-    ]
-    counts = [int(np.sum(grid.trusted[idx])) for _, idx in chunks]
-    starts = _plane_streams(seed, counts, spec.n)
-    jobs = [(chart, start, idx) for (chart, idx), start in zip(chunks, starts)]
+    chunks = grid.chunks(_chunk_size(model.chart_dim))
+    starts = _plane_streams(seed, [len(idx) for idx in chunks], spec.n)
+    jobs = list(zip(starts, chunks))
     parts = _map_chunks(evaluate, jobs)
     return _sectional_stats([span for span, _ in parts], [w for _, w in parts])
 
@@ -561,11 +548,10 @@ def conformal_block(
     """Weyl sup and sampled sectional spread for one case, standalone."""
     model = model_for(spec)
     model.self_test(strict=True)
-    atlas = SphereChart(spec.n) if spec.domain == "sphere" else None
     if resolution is None and spec.n >= 4:
         resolution = _CONFORMAL_RESOLUTION
-    grid = build_grid(spec.n, resolution, domain=spec.domain, atlas=atlas)
-    return _conformal_block(spec, model, grid, atlas, seed)
+    grid = build_grid(spec.n, resolution, domain=spec.domain)
+    return _conformal_block(spec, model, grid, seed)
 
 
 def run_case(
@@ -580,21 +566,18 @@ def run_case(
     tol = tolerances or Tolerances()
     model = model_for(spec)
     self_test = dict(model.self_test(strict=True))
-    atlas = SphereChart(spec.n) if spec.domain == "sphere" else None
 
-    grid = build_grid(spec.n, resolution, domain=spec.domain, atlas=atlas)
+    grid = build_grid(spec.n, resolution, domain=spec.domain)
     resolution = grid.resolution
     rungs = ladder_resolutions(resolution)
     # the 1/2 and 3/4 rungs of the convergence ladder need only the
     # certificate's integrands, not the sups or the gradient-field integrals
-    companions = [
-        build_grid(spec.n, k, domain=spec.domain, atlas=atlas) for k in rungs[:2]
-    ]
+    companions = [build_grid(spec.n, k, domain=spec.domain) for k in rungs[:2]]
 
     # at n <= 3 the curvature statistics come from the full pass's own
     # chunks; at n >= 4 from the frame stage on a coarser grid, below
     (sums, *companion_sums), sups, l2sums, mins, conf = _accumulate_case(
-        spec, model, [grid, *companions], atlas, seed, conformal and spec.n <= 3
+        spec, model, [grid, *companions], seed, conformal and spec.n <= 3
     )
     ladder = [*zip(rungs[:2], companion_sums), (resolution, sums)]
     quadrature = _quadrature_estimates(spec.n, ladder)
@@ -630,13 +613,8 @@ def run_case(
     certificates = []
     if not self_test.get("ok", False):
         structural.append("model self-test failed")
-    iso_tol = (
-        _FLOWED_ISOTROPY_TOL
-        if spec.kind in ("perturbed", "lifted")
-        else _EXACT_ISOTROPY_TOL
-    )
-    if sups.get("isotropy", 0.0) > iso_tol:
-        structural.append(f"isotropy {sups['isotropy']:.2e} > {iso_tol:.0e}")
+    if sups.get("isotropy", 0.0) > _ISOTROPY_TOL:
+        structural.append(f"isotropy {sups['isotropy']:.2e} > {_ISOTROPY_TOL:.0e}")
     for name, t_ in _STRUCTURE_TOLS.items():
         if sups.get(name, 0.0) > t_:
             structural.append(f"{name} {sups[name]:.2e} > {t_:.0e}")
@@ -649,7 +627,7 @@ def run_case(
                 f"{name} {mins[name]:.2e} < -{tol.inequality_slack:.0e}"
             )
     if spec.kind == "perturbed" and spec.params["epsilon"] > 0:
-        rk4_drift = _rk4_step_check(spec, atlas, grid)
+        rk4_drift = _rk4_step_check(spec, grid)
         sups["rk4_step_drift"] = rk4_drift
         if rk4_drift > 1e-9:
             structural.append(f"RK4 halved-step drift {rk4_drift:.2e} > 1e-9")
@@ -675,8 +653,8 @@ def run_case(
         )
 
     if conformal and conf is None:
-        conf_grid = build_grid(spec.n, _CONFORMAL_RESOLUTION, spec.domain, atlas)
-        conf = _conformal_block(spec, model, conf_grid, atlas, seed)
+        conf_grid = build_grid(spec.n, _CONFORMAL_RESOLUTION, spec.domain)
+        conf = _conformal_block(spec, model, conf_grid, seed)
 
     params = {
         k: (list(v) if isinstance(v, tuple) and k != "hamiltonian" else v)

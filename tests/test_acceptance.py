@@ -110,12 +110,11 @@ def test_criterion_03_isotropy(family_reports, extra_reports):
         iso = rep.residual_sup["isotropy"]
         if rep.case in ("perturbed", "lifted"):
             worst_flowed = max(worst_flowed, iso)
-            assert iso <= 1e-7, (key, iso)
         else:
             worst_exact = max(worst_exact, iso)
-            assert iso <= 1e-9, (key, iso)
-    print(f"[criterion 03] PASS isotropy at all grid nodes; exact cases "
-          f"{worst_exact:.2e} <= 1e-9, flowed/lifted {worst_flowed:.2e} <= 1e-7")
+        assert iso <= 1e-9, (key, iso)
+    print(f"[criterion 03] PASS isotropy at all grid nodes <= 1e-9; exact cases "
+          f"{worst_exact:.2e}, flowed/lifted {worst_flowed:.2e}")
 
 
 def test_criterion_04_structure_equations(family_reports, extra_reports):

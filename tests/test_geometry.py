@@ -17,7 +17,7 @@ from whitneygeo.geometry import (
     sectional_curvatures,
     structure_checks,
 )
-from whitneygeo.immersions import SphereChart, make_spec, model_for
+from whitneygeo.immersions import make_spec, model_for, node_jets, params_from_u, sphere_points
 from whitneygeo.spaceforms import (
     christoffel_along,
     christoffel_derivative,
@@ -35,26 +35,20 @@ def _params(n, count=10, seed=0):
     return np.column_stack(cols)
 
 
-@pytest.fixture(scope="module")
-def atlas2():
-    return SphereChart(2)
-
-
-def _run(kind, n, kw, count=10, seed=0, chart=0, mixer=None, atlas=None):
+def _run(kind, n, kw, count=10, seed=0, mixer=None):
     spec = make_spec(kind, n, **kw)
     model = model_for(spec)
-    atlas = atlas or SphereChart(n)
     if kind == "product_torus":
         t = np.random.default_rng(seed).uniform(0, 2 * np.pi, size=(count, n))
     else:
         t = _params(n, count, seed)
-    pg, fields = pointwise_geometry(model, spec, chart, t, atlas=atlas, mixer=mixer)
+    pg, fields = pointwise_geometry(model, spec, t, mixer=mixer)
     cd = curvature_data(pg, fields)
     return pg, cd, paper_residuals(pg, cd), structure_checks(pg, cd)
 
 
 class TestDegenerateCases:
-    def test_totally_geodesic_all_vanishes(self, atlas2):
+    def test_totally_geodesic_all_vanishes(self):
         pg, cd, res, chk = _run("totally_geodesic_cp", 2, {})
         assert res["h_norm2"].max() < 1e-18
         assert res["nabla_h_norm2"].max() < 1e-18
@@ -81,7 +75,7 @@ class TestDegenerateCases:
 
 
 class TestWhitneyRelation:
-    def test_flat_whitney_pointwise_shape(self, atlas2):
+    def test_flat_whitney_pointwise_shape(self):
         # h = n/(n+2) [g H + two J-corrections] in frame components
         pg, cd, res, chk = _run("whitney_c0", 2, dict(r=1.0))
         assert res["whitney_residual"].max() < 1e-9
@@ -177,7 +171,7 @@ class TestCurvatureRoutes:
 
 
 class TestFrameIndependence:
-    def test_scalars_invariant_under_basis_remix(self, atlas2):
+    def test_scalars_invariant_under_basis_remix(self):
         rng = np.random.default_rng(9)
         q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
         base = _run("whitney_cp", 2, dict(theta=0.5), seed=7)
@@ -200,63 +194,98 @@ class TestFrameIndependence:
             assert_allclose(base[2][name], mixed[2][name], rtol=1e-9, atol=1e-9)
 
 
+def _tangents(t):
+    """Each node's sphere point and chart tangent basis Q, shaped (B, n+1) and (B, n+1, n)."""
+    u0 = sphere_points(t)
+    return u0, np.moveaxis(node_jets(u0, order=1)[1:], 0, -1)
+
+
+def _along_great_circles(model, spec, t, invariant, step=1e-4):
+    """Central differences of a scalar invariant along the great circles
+    cos(tau) u0 + sin(tau) Q_c, whose tangents at tau = 0 are the chart
+    directions d/ds_c of each node."""
+    u0, Q = _tangents(t)
+    grad = np.zeros((len(t), spec.n))
+    for c in range(spec.n):
+        ends = []
+        for tau in (step, -step):
+            pts = params_from_u(np.cos(tau) * u0 + np.sin(tau) * Q[:, :, c])
+            ends.append(invariant(pointwise_geometry(model, spec, pts)[0]))
+        grad[:, c] = (ends[0] - ends[1]) / (2 * step)
+    return grad
+
+
+def _metric_in_node_chart(model, spec, t, s):
+    """The induced metric at s in the chart of each node of ``t``.
+
+    The point U(s) = (u0 + Q s) / sqrt(1 + |s|^2) has its own node chart,
+    whose tangent basis Q' gives the metric g' there; a vector w tangent at
+    U(s) has coordinates Q'^T w, so g(s) = M^T g' M with M = Q'^T dU/ds.
+    """
+    u0, Q = _tangents(t)
+    r2 = 1.0 + np.sum(s * s, axis=-1)
+    U = (u0 + np.einsum("bki,bi->bk", Q, s)) / np.sqrt(r2)[:, None]
+    dU = (Q - U[:, :, None] * s[:, None, :] / np.sqrt(r2)[:, None, None]) / np.sqrt(r2)[:, None, None]
+    pts = params_from_u(U)
+    _, Qp = _tangents(pts)
+    M = np.einsum("bki,bka->bia", Qp, dU)
+    pg, _ = frame_geometry(model, spec, pts)
+    return np.einsum("bij,bia,bjc->bac", pg.g.v, M, M)
+
+
 class TestFiniteDifferenceOracles:
-    def test_covariant_h_derivative_vs_fd_of_norm(self, atlas2):
+    def test_covariant_h_derivative_vs_fd_of_norm(self):
         # e_k(|h|^2) = 2 sum h . (nabla h) by metric compatibility of the
         # connection; the right side uses the engine's covariant derivative,
         # the left side is a plain finite difference of a scalar invariant.
         spec = make_spec("whitney_cp", 2, theta=0.5)
         model = model_for(spec)
         t = _params(2, count=6, seed=10)
-        pg, fields = pointwise_geometry(model, spec, 0, t, atlas=atlas2)
+        pg, fields = pointwise_geometry(model, spec, t)
         engine = 2.0 * np.einsum("bijl,bijkl->bk", pg.h.v, pg.hcov)
-        step = 1e-4
-        grad = np.zeros((len(t), 2))
-        for c in range(2):
-            tp = t.copy(); tm = t.copy()
-            tp[:, c] += step; tm[:, c] -= step
-            hp, _ = pointwise_geometry(model, spec, 0, tp, atlas=atlas2)
-            hm, _ = pointwise_geometry(model, spec, 0, tm, atlas=atlas2)
-            fp = np.einsum("bijk,bijk->b", hp.h.v, hp.h.v)
-            fm = np.einsum("bijk,bijk->b", hm.h.v, hm.h.v)
-            grad[:, c] = (fp - fm) / (2 * step)
+        grad = _along_great_circles(
+            model, spec, t, lambda p: np.einsum("bijk,bijk->b", p.h.v, p.h.v)
+        )
         fd = np.einsum("bkc,bc->bk", pg.E.v, grad)
         assert_allclose(engine, fd, atol=1e-5, rtol=1e-5)
 
-    def test_mean_curvature_derivative_vs_fd(self, atlas2):
+    def test_mean_curvature_derivative_vs_fd(self):
         spec = make_spec("contact_whitney_s", 2, theta=0.5, a=0.8)
         model = model_for(spec)
         t = _params(2, count=6, seed=11)
-        pg, _ = pointwise_geometry(model, spec, 0, t, atlas=atlas2)
+        pg, _ = pointwise_geometry(model, spec, t)
         engine = 2.0 * np.einsum("bj,bij->bi", pg.H.v, pg.Hcov)
-        step = 1e-4
-        grad = np.zeros((len(t), 2))
-        for c in range(2):
-            tp = t.copy(); tm = t.copy()
-            tp[:, c] += step; tm[:, c] -= step
-            hp, _ = pointwise_geometry(model, spec, 0, tp, atlas=atlas2)
-            hm, _ = pointwise_geometry(model, spec, 0, tm, atlas=atlas2)
-            grad[:, c] = (
-                np.einsum("bk,bk->b", hp.H.v, hp.H.v)
-                - np.einsum("bk,bk->b", hm.H.v, hm.H.v)
-            ) / (2 * step)
+        grad = _along_great_circles(
+            model, spec, t, lambda p: np.einsum("bk,bk->b", p.H.v, p.H.v)
+        )
         fd = np.einsum("bkc,bc->bk", pg.E.v, grad)
         assert_allclose(engine, fd, atol=1e-5, rtol=1e-5)
 
-    def test_induced_metric_second_derivative_vs_fd(self, atlas2):
+    def test_induced_metric_second_derivative_vs_fd(self):
+        # second differences of the metric in each node's chart, at points
+        # on its chart lines, Richardson-extrapolated over two steps
         spec = make_spec("whitney_ch", 2, theta=0.5)
         model = model_for(spec)
         t = _params(2, count=4, seed=12)
-        pg, fields = pointwise_geometry(model, spec, 0, t, atlas=atlas2)
+        pg, fields = pointwise_geometry(model, spec, t)
         g2 = _induced_metric_hessian(pg, fields)
-        step = 1e-4
+
+        def metric(*steps):
+            s = np.zeros((len(t), 2))
+            for c, h in steps:
+                s[:, c] += h
+            return _metric_in_node_chart(model, spec, t, s)
+
+        def second(c, d, h):
+            if c == d:
+                return (metric((c, h)) - 2.0 * metric() + metric((c, -h))) / h**2
+            return (metric((c, h), (d, h)) - metric((c, h), (d, -h))
+                    - metric((c, -h), (d, h)) + metric((c, -h), (d, -h))) / (4 * h * h)
+
         for c in range(2):
-            tp = t.copy(); tm = t.copy()
-            tp[:, c] += step; tm[:, c] -= step
-            gp, _ = pointwise_geometry(model, spec, 0, tp, atlas=atlas2)
-            gm, _ = pointwise_geometry(model, spec, 0, tm, atlas=atlas2)
-            fd = (gp.g.d - gm.g.d) / (2 * step)
-            assert_allclose(g2[..., c], fd, atol=1e-6, rtol=1e-6)
+            for d in range(2):
+                fd = (4.0 * second(c, d, 1e-3) - second(c, d, 2e-3)) / 3.0
+                assert_allclose(g2[..., c, d], fd, atol=1e-6, rtol=1e-6)
 
 
 def _symmetric(rng, shape, k):
@@ -320,10 +349,9 @@ class TestFrameStage:
     def test_gauss_curvature_matches_full_pass(self, kind, n, kw):
         spec = make_spec(kind, n, **kw)
         model = model_for(spec)
-        atlas = SphereChart(n)
         t = _params(n, count=6, seed=5)
-        full = curvature_data(*pointwise_geometry(model, spec, 0, t, atlas=atlas))
-        pg, fields = frame_geometry(model, spec, 0, t, atlas=atlas)
+        full = curvature_data(*pointwise_geometry(model, spec, t))
+        pg, fields = frame_geometry(model, spec, t)
         cd = gauss_curvature(pg, fields)
         for name in ("Riem", "Ricci", "scalar", "Weyl"):
             want = getattr(full, name)

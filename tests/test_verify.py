@@ -86,6 +86,22 @@ class TestCaseRuns:
         assert r.classification == "PARALLEL_BRANCH"
         assert not r.hard_failures
 
+    @pytest.mark.parametrize("K", [24, 36, 48])
+    def test_totally_geodesic_stays_parallel_at_every_resolution(self, K):
+        # each node sits at the centre of its own affine chart, so the
+        # image is linear there and nabla h vanishes to rounding at every K
+        r = run_case(make_spec("totally_geodesic_cp", 2), resolution=K, seed=0)
+        assert r.residual_sup["sup_nabla_h"] <= 1e-13
+        assert r.classification == "PARALLEL_BRANCH"
+
+    @pytest.mark.parametrize("kind", ["whitney_ch", "contact_whitney_b"])
+    def test_hyperbolic_families_certify_at_theta_one_half(self, kind):
+        # outside the acceptance sweeps: the default n = 2 grid resolves them
+        r = run_case(make_spec(kind, 2, theta=0.5), seed=0)
+        assert r.classification == "WHITNEY_BRANCH"
+        assert not r.hard_failures
+        assert abs(r.integrals["defect_normalized"]) <= r.integrals["defect_error"] <= 1e-11
+
     @pytest.mark.parametrize("spec", [
         make_spec("product_torus", 2, radii=(0.9, 1.2)),
         make_spec("totally_geodesic_cp", 2),
@@ -135,9 +151,20 @@ class TestCaseRuns:
                 continue
             assert abs(val) < 1e-8
 
+    @pytest.mark.slow
+    def test_lift_of_the_perturbed_sphere_is_strict_and_clean(self):
+        # a Legendrian lift of a flowed sphere: every certificate, the Yano
+        # integrals and the isotropy at the exact-case tolerance included
+        r = run_case(make_spec("lifted", 2, base="perturbed"), resolution=48, seed=7)
+        assert r.classification == "STRICT"
+        assert not r.hard_failures
+        assert r.residual_sup["isotropy"] <= 1e-9
+
     def test_coarse_grid_flags_honestly(self):
-        # at low resolution the integral certificates must not pass silently
-        r = run_case(make_spec("whitney_c0", 2, r=1.0), resolution=16, seed=0)
+        # at low resolution the integral certificates must not pass silently:
+        # the hyperbolic family, which the default grid certifies, misses
+        # them by orders of magnitude at K = 16
+        r = run_case(make_spec("whitney_ch", 2, theta=0.5), resolution=16, seed=0)
         assert r.hard_failures
         assert r.classification == "UNRESOLVED"
 
@@ -227,9 +254,9 @@ class TestConformalBlock:
             grids.append(build_grid(*args, **kwargs))
             return grids[-1]
 
-        def count_pass(model, spec, chart, t, **kwargs):
+        def count_pass(model, spec, t, **kwargs):
             evaluated.append(len(t))
-            return pointwise_geometry(model, spec, chart, t, **kwargs)
+            return pointwise_geometry(model, spec, t, **kwargs)
 
         def count_frame(*args, **kwargs):
             frame_calls.append(1)
@@ -261,7 +288,7 @@ class TestProductTorusClosedForm:
         # each circle of radius r has curvature 1/r, so |h|^2 = sum 1/r_i^2
         spec = make_spec("product_torus", 2, radii=radii)
         t = np.random.default_rng(11).uniform(0, 2 * np.pi, size=(40, 2))
-        pg, fields = pointwise_geometry(model_for(spec), spec, 0, t)
+        pg, fields = pointwise_geometry(model_for(spec), spec, t)
         h_norm2 = paper_residuals(pg, curvature_data(pg, fields))["h_norm2"]
         expected = sum(1.0 / r**2 for r in radii)
         np.testing.assert_allclose(h_norm2, expected, rtol=1e-13, atol=0)
