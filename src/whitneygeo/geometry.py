@@ -17,6 +17,14 @@ totally symmetric in (i, j, k) on Lagrangian/Legendrian images;
 ``Riem[b, i, j, k, l]`` is the intrinsic curvature paired as
 g(R(e_i, e_j) e_l, e_k), so constant curvature K gives
 K (d_ik d_jl - d_il d_jk).
+
+Every contraction runs through ``_einsum`` (``jets._einsum``), and every
+signature follows its batch-label contract: the label ``b`` is the node
+axis, it leads each term of an operand or output that has one, and it
+appears nowhere else.  The kernel plans each signature once and runs its
+pairwise steps as C einsum with the node axis last; its results are
+batch-first views of batch-last buffers, so one contraction's output feeds
+the next without a copy.
 """
 
 from __future__ import annotations
@@ -25,13 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from functools import partial
-
-# planned pairwise contractions: the multi-operand chain-rule einsums
-# are hopeless without this
-_einsum = partial(np.einsum, optimize=True)
-
 from . import jets
+from .jets import _einsum
 from .immersions import ImmersionSpec, eval_immersion
 from .spaceforms import BaseModel, christoffel_along, riemann_from_metric
 

@@ -150,13 +150,29 @@ class HamiltonianDeformation:
         return out
 
 
+class _Params(dict):
+    """Validated spec parameters: read-only and hashable, so a spec can key a dict."""
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("spec parameters are read-only; build a new spec with make_spec")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
 @dataclass(frozen=True)
 class ImmersionSpec:
     """A catalog entry (or derived case) with validated parameters."""
 
     kind: str
     n: int
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=_Params)
 
     @property
     def domain(self) -> str:
@@ -218,45 +234,72 @@ CATALOG = {
 }
 
 
+def _real(p: dict, name: str, default: float) -> float:
+    """Parameter ``name`` (or its default) as a finite float, stored back into ``p``."""
+    raw = p.get(name, default)
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a real number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {raw!r}")
+    p[name] = value
+    return value
+
+
+def _integer(p: dict, name: str, default: int) -> int:
+    """Parameter ``name`` (or its default) as an int, stored back into ``p``."""
+    raw = p.get(name, default)
+    if isinstance(raw, numbers.Integral) and not isinstance(raw, bool):
+        p[name] = int(raw)
+        return p[name]
+    value = _real(p, name, default)
+    if not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {raw!r}")
+    p[name] = int(value)
+    return p[name]
+
+
+def _reals(p: dict, name: str, default, size: int) -> tuple:
+    """Parameter ``name`` as a tuple of ``size`` finite floats, stored back into ``p``."""
+    values = np.asarray(p.get(name, default), dtype=float)
+    if values.shape != (size,) or not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be {size} finite reals")
+    p[name] = tuple(float(v) for v in values)
+    return p[name]
+
+
 def make_spec(kind: str, n: int, **params) -> ImmersionSpec:
-    """Validate parameters and build an immersion spec."""
+    """Validate parameters and build an immersion spec.
+
+    Numeric parameters are stored as the float or int they were validated
+    as; a non-finite value, or a non-integral ``steps`` or ``seed``, raises
+    a ``ValueError`` that names it.
+    """
     if kind not in CATALOG:
         raise ValueError(f"unknown catalog case {kind!r}; see CATALOG")
     if n < 2:
         raise ValueError("n must be >= 2")
     p = dict(params)
     if kind in ("whitney_cp", "whitney_ch", "contact_whitney_s", "contact_whitney_b"):
-        theta = float(p.setdefault("theta", 0.5))
-        if theta <= 0:
+        if _real(p, "theta", 0.5) <= 0:
             raise ValueError(
                 f"{kind} requires theta > 0 (theta = 0 is the totally geodesic case)"
             )
-        if kind in ("contact_whitney_s", "contact_whitney_b"):
-            a = float(p.setdefault("a", 1.0))
-            if a <= 0:
-                raise ValueError("deformation parameter a must be positive")
+        if kind in ("contact_whitney_s", "contact_whitney_b") and _real(p, "a", 1.0) <= 0:
+            raise ValueError("deformation parameter a must be positive")
     elif kind == "whitney_c0":
-        r = float(p.setdefault("r", 1.0))
-        if r <= 0:
+        if _real(p, "r", 1.0) <= 0:
             raise ValueError("radius r must be positive")
-        B = np.asarray(p.setdefault("B", np.zeros(2 * n)), dtype=float)
-        if B.shape != (2 * n,):
-            raise ValueError(f"center B must have {2 * n} components")
-        p["B"] = tuple(B)
+        _reals(p, "B", np.zeros(2 * n), 2 * n)  # the center
     elif kind == "contact_whitney_r":
-        r = float(p.setdefault("r", 1.0))
-        if r <= 0:
+        if _real(p, "r", 1.0) <= 0:
             raise ValueError("radius r must be positive")
-        p.setdefault("a", 0.0)
-        B = np.asarray(p.setdefault("B", np.zeros(2 * n + 1)), dtype=float)
-        if B.shape != (2 * n + 1,):
-            raise ValueError(f"translation B must have {2 * n + 1} components")
-        p["B"] = tuple(B)
+        _real(p, "a", 0.0)
+        _reals(p, "B", np.zeros(2 * n + 1), 2 * n + 1)  # the contact translation
     elif kind == "product_torus":
-        radii = np.asarray(p.setdefault("radii", np.ones(n)), dtype=float)
-        if radii.shape != (n,) or np.any(radii <= 0):
+        if min(_reals(p, "radii", np.ones(n), n)) <= 0:
             raise ValueError(f"radii must be {n} positive reals")
-        p["radii"] = tuple(radii)
     elif kind == "totally_geodesic_cp":
         if n != 2:
             raise ValueError(
@@ -264,29 +307,27 @@ def make_spec(kind: str, n: int, **params) -> ImmersionSpec:
                 "locus cannot avoid the deleted hyperplane of a single affine chart"
             )
     elif kind == "perturbed":
-        eps = float(p.setdefault("epsilon", 0.05))
-        if eps < 0:
+        if _real(p, "epsilon", 0.05) < 0:
             raise ValueError("epsilon must be non-negative")
-        steps = int(p.setdefault("steps", 32))
-        if steps < 16:
+        if _integer(p, "steps", 32) < 16:
             raise ValueError("RK4 step count must be at least 16")
-        p.setdefault("seed", 1)
-        p.setdefault("r", 1.0)
+        _integer(p, "seed", 1)
+        _real(p, "r", 1.0)
         if "hamiltonian" not in p:
-            p["hamiltonian"] = random_quartic(n, int(p["seed"]))
+            p["hamiltonian"] = random_quartic(n, p["seed"])
         p["hamiltonian"] = _validated_hamiltonian(p["hamiltonian"], n)
     elif kind == "lifted":
         base = p.setdefault("base", "whitney_c0")
         if base not in ("whitney_c0", "perturbed"):
             raise ValueError("lift base must be whitney_c0 or perturbed")
-        p.setdefault("r", 1.0)
+        _real(p, "r", 1.0)
         if base == "perturbed":
-            p.setdefault("epsilon", 0.02)
-            p.setdefault("steps", 32)
-            p.setdefault("seed", 1)
+            _real(p, "epsilon", 0.02)
+            _integer(p, "steps", 32)
+            _integer(p, "seed", 1)
         if "hamiltonian" in p:
             p["hamiltonian"] = _validated_hamiltonian(p["hamiltonian"], n)
-    return ImmersionSpec(kind=kind, n=n, params=p)
+    return ImmersionSpec(kind=kind, n=n, params=_Params(p))
 
 
 def _validated_hamiltonian(terms, n: int) -> tuple:

@@ -16,13 +16,16 @@ operation the canonical (sorted-index) entry is mirrored to all index
 permutations.  :class:`Jet` is the public reference algebra; the
 certificate pipeline runs on the packed arrays at the end of this module,
 which store each distinct partial once and take real or complex entries.
+The module ends with ``_einsum``, the planned batched contraction kernel
+that ``geometry``, ``spaceforms`` and ``verify`` contract through.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, factorial
+from math import comb, factorial, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -727,3 +730,116 @@ def _pack_blocks(blocks: list[np.ndarray], v: int) -> np.ndarray:
     """The packed array of full derivative blocks (value, d1, d2, ...)."""
     basis = _packed_basis(v, len(blocks) - 1)
     return np.stack([blocks[len(idx)][(..., *idx)] for idx in basis])
+
+
+# -- batched contractions ------------------------------------------------------
+#
+# geometry, spaceforms and verify contract per-node tensors of a few entries
+# each.  A label ``b`` that leads a subscript term is the batch axis of that
+# operand (or of the output), and no other position may hold it.  numpy's
+# optimize=True route plans the path again on every call and runs each
+# pairwise step as a batched matmul on reshaped copies, which at these sizes
+# costs far more than the arithmetic; C einsum on operands whose batch axis
+# is last and contiguous runs each step as vector loops over the nodes.
+
+_PLAN_CACHE: dict[tuple, _Plan] = {}
+_PLAN_BATCH = 1024  # the batch length plans are made for, so that B does not change them
+# Largest non-batch index space of a pairwise step that runs as C einsum;
+# above it numpy's matmuls win.  Serial rounds with every command timed
+# under each gate in turn: highdim took 7.35 s at 512 against 7.9-8.1 s at
+# 128, 256 and 1024, and catalog_n2 12.1-12.3 s anywhere from 128 to 512.
+_STEP_GATE = 512
+
+
+class _Plan(NamedTuple):
+    """How :func:`_einsum` runs one signature.
+
+    On the kernel's route ``steps`` holds, per pairwise step, the positions
+    it pops from the operand list (numpy's path), its C einsum subscripts on
+    batch-last operands and its non-batch output shape, and ``path`` is
+    None.  On numpy's route ``steps`` is None, ``path`` is numpy's path and
+    the transposes are empty.
+    """
+
+    path: list | None
+    steps: tuple | None
+    to_last: tuple  # per operand, the transpose to batch-last, or None without a batch axis
+    back: tuple  # the transpose of the batch-last result to batch-first
+
+
+def _batch_last(term: str) -> str:
+    return term[1:] + "b" if term.startswith("b") else term
+
+
+def _plan(subscripts: str, shapes: tuple) -> _Plan:
+    """The plan of ``subscripts`` for operands of these non-batch shapes."""
+    inputs, arrow, output = subscripts.partition("->")
+    terms = inputs.split(",")
+    if any("b" in t[1:] for t in terms + [output]):
+        raise ValueError(f"einsum {subscripts!r}: the batch label b may only lead a term")
+    batched = [t.startswith("b") for t in terms]
+    if len(terms) == 2:  # numpy's path for two operands, without its search
+        path = ["einsum_path", (0, 1)]
+    else:
+        dummies = [np.broadcast_to(np.empty(()), (_PLAN_BATCH,) * bt + s)
+                   for bt, s in zip(batched, shapes)]
+        path = np.einsum_path(subscripts, *dummies, optimize="greedy")[0]
+    numpy_route = _Plan(path, None, (), ())
+    if not arrow or "..." in subscripts or not output.startswith("b"):
+        return numpy_route
+    dims = {}
+    for bt, t, s in zip(batched, terms, shapes):
+        dims.update(zip(t[bt:], s))
+    work = [_batch_last(t) for t in terms]
+    steps = []
+    for positions in path[1:]:
+        positions = tuple(sorted(positions, reverse=True))
+        taken = [work.pop(p) for p in positions]
+        if prod(dims[c] for c in set("".join(taken)) - {"b"}) > _STEP_GATE:
+            return numpy_route
+        if work:
+            needed = set("".join(work) + output) - {"b"}
+            result = "".join(dict.fromkeys(c for t in taken for c in t if c in needed))
+            result += "b" * any("b" in t for t in taken)
+        else:
+            result = _batch_last(output)
+        steps.append((positions, ",".join(taken) + "->" + result,
+                      tuple(dims[c] for c in result.rstrip("b"))))
+        work.append(result)
+    to_last = tuple(tuple(range(1, len(s) + 1)) + (0,) if bt else None
+                    for bt, s in zip(batched, shapes))
+    rank = len(output)
+    return _Plan(None, tuple(steps), to_last, (rank - 1,) + tuple(range(rank - 1)))
+
+
+def _einsum(subscripts: str, *operands):
+    """``np.einsum(subscripts, *operands, optimize=True)`` for batch-labelled operands.
+
+    Each signature is planned once per non-batch shape (:data:`_PLAN_CACHE`)
+    with numpy's greedy pairwise path, made for a fixed batch length, so the
+    plan depends on neither the chunk size nor the call order.  Each step
+    runs as C einsum on contiguous batch-last operands into a C-contiguous
+    batch-last buffer, and the result is a batch-first view of the last one,
+    which the next contraction takes without a copy.  A call with ``...``,
+    without the batch label in its output, or with a step above
+    :data:`_STEP_GATE` runs numpy's own route on the cached path; a single
+    operand goes straight to C einsum.
+    """
+    if len(operands) == 1:
+        return np.einsum(subscripts, operands[0])
+    terms = subscripts.partition("->")[0].split(",")
+    key = (subscripts, *(op.shape[1:] if t.startswith("b") else op.shape
+                         for t, op in zip(terms, operands)))
+    plan = _PLAN_CACHE.get(key)
+    if plan is None:
+        plan = _PLAN_CACHE[key] = _plan(subscripts, key[1:])
+    if plan.steps is None:
+        return np.einsum(subscripts, *operands, optimize=plan.path)
+    batch = max(op.shape[0] for op, axes in zip(operands, plan.to_last) if axes)
+    ops = [op if axes is None else np.ascontiguousarray(op.transpose(axes))
+           for op, axes in zip(operands, plan.to_last)]
+    for positions, step, shape in plan.steps:
+        taken = [ops.pop(p) for p in positions]
+        out = np.empty(shape + (batch,) * step.endswith("b"), np.result_type(*taken))
+        ops.append(np.einsum(step, *taken, out=out))
+    return ops[0].transpose(plan.back)

@@ -27,6 +27,11 @@ and first derivatives only and hands on the packed metric, whose second
 derivatives a consumer contracts with its own directions
 (:func:`christoffel_along`), so no dense (B, m, m, m, m) block is written;
 ``fields_at(points, order=1)`` skips those second derivatives altogether.
+
+Its einsum contractions go through ``jets._einsum`` under the batch-label
+contract of :mod:`whitneygeo.geometry`: ``b`` leads every term that carries
+the batch axis and appears nowhere else, and a term without it (a fixed
+matrix such as J) is shared by all points.
 """
 
 from __future__ import annotations
@@ -35,13 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from functools import partial
-
-# planned pairwise contractions: the multi-operand chain-rule einsums
-# are hopeless without this
-_einsum = partial(np.einsum, optimize=True)
-
 from . import jets
+from .jets import _einsum
 
 __all__ = [
     "AmbientFields",

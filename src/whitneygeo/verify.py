@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import jets
+from .jets import _einsum
 from .geometry import (
     TJ,
     CurvatureData,
@@ -209,9 +210,9 @@ def _certificate_integrands(pg, cd) -> dict:
     return {
         "volume": np.ones(len(pg.sqrt_det_g)),
         "ric_direction": vf["ric_YY"],
-        "nabla_h_sq": np.einsum("bijkl,bijkl->b", pg.hcov, pg.hcov),
+        "nabla_h_sq": _einsum("bijkl,bijkl->b", pg.hcov, pg.hcov),
         "yano_main": vf["yano_integrand"],
-        "curvature_scale": abs(pg.c_eff) + np.einsum("bi,bi->b", pg.H.v, pg.H.v),
+        "curvature_scale": abs(pg.c_eff) + _einsum("bi,bi->b", pg.H.v, pg.H.v),
     }
 
 
@@ -508,7 +509,7 @@ def _sectional_range(riem: np.ndarray, start: dict) -> tuple[float, float]:
     rng.bit_generator.state = start
     Vr, Wr = _draw_planes(rng, B, n)
     Vr /= np.linalg.norm(Vr, axis=-1, keepdims=True)
-    Wr -= np.einsum("bpi,bpi->bp", Wr, Vr)[..., None] * Vr
+    Wr -= _einsum("bpi,bpi->bp", Wr, Vr)[..., None] * Vr
     Wr /= np.linalg.norm(Wr, axis=-1, keepdims=True)
     Kr = sectional_curvatures(cd, Vr, Wr)
     return min(float(K.min()), float(Kr.min())), max(float(K.max()), float(Kr.max()))

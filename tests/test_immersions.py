@@ -183,6 +183,45 @@ class TestCatalogValues:
         spec = make_spec("perturbed", 2, hamiltonian=[[1, [2, 0, 0, 0]]])
         assert spec.params["hamiltonian"] == ((1.0, (2, 0, 0, 0)),)
 
+    def test_numeric_parameters_are_stored_as_validated(self):
+        spec = make_spec("whitney_cp", 2, theta="0.5")
+        assert spec.params["theta"] == 0.5 and type(spec.params["theta"]) is float
+        spec = make_spec("perturbed", 2, steps=32.0, epsilon="0.05", seed=np.int64(3))
+        assert (spec.params["steps"], spec.params["epsilon"], spec.params["seed"]) == (32, 0.05, 3)
+        assert [type(spec.params[k]) for k in ("steps", "epsilon", "seed")] == [int, float, int]
+        spec = make_spec("whitney_c0", 2, B=np.arange(4))
+        assert spec.params["B"] == (0.0, 1.0, 2.0, 3.0)
+        assert all(type(b) is float for b in spec.params["B"])
+
+    @pytest.mark.parametrize("kind, params, name", [
+        ("whitney_cp", dict(theta=float("nan")), "theta"),
+        ("whitney_c0", dict(r=float("inf")), "r"),
+        ("whitney_cp", dict(theta="abc"), "theta"),
+        ("contact_whitney_s", dict(a=float("nan")), "a"),
+        ("contact_whitney_r", dict(a=float("inf")), "a"),
+        ("whitney_c0", dict(B=(0.0, 0.0, float("nan"), 0.0)), "B"),
+        ("product_torus", dict(radii=(1.0, float("inf"))), "radii"),
+        ("perturbed", dict(steps=32.7), "steps"),
+        ("perturbed", dict(seed=1.5), "seed"),
+        ("perturbed", dict(epsilon=float("nan")), "epsilon"),
+        ("lifted", dict(base="perturbed", steps=40.5), "steps"),
+        ("lifted", dict(r=float("nan")), "r"),
+    ])
+    def test_bad_numbers_are_refused_by_name(self, kind, params, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            make_spec(kind, 2, **params)
+
+    def test_specs_are_hashable_and_read_only(self):
+        spec = make_spec("whitney_cp", 2)
+        assert hash(spec) == hash(make_spec("whitney_cp", 2, theta=0.5))
+        assert {spec: 1}[make_spec("whitney_cp", 2, theta="0.5")] == 1
+        assert hash(make_spec("lifted", 2, base="perturbed")) != hash(make_spec("lifted", 2))
+        with pytest.raises(TypeError, match="read-only"):
+            spec.params["theta"] = 1.0
+        with pytest.raises(TypeError, match="read-only"):
+            spec.params.update(theta=1.0)
+        assert spec.params == {"theta": 0.5}
+
 
 ALL_SPHERE_CASES = [
     ("whitney_c0", dict(r=1.0)),
