@@ -11,6 +11,13 @@ fundamental form an exact algebraic computation rather than a finite
 difference.  The metric is differentiated twice only along the immersion's
 tangents X1.
 
+The orthonormal frame is a Cholesky factor's inverse applied to the
+coordinate basis, differentiated in closed form; both stages take it from
+``_frame``.  The full pass differentiates ambient vector fields one way:
+the Christoffel symbols are contracted with the frame once, and one
+covariant derivative ``nabla_{e_k}`` serves the tangent frame, the normal
+part of the second fundamental form and the mean curvature vector.
+
 Index conventions follow the adapted-frame picture: ``h[b, i, j, k]`` is
 the second fundamental form paired with the k-th normal frame vector,
 totally symmetric in (i, j, k) on Lagrangian/Legendrian images;
@@ -98,16 +105,6 @@ def tj_einsum(spec: str, *ops) -> TJ:
     return TJ(v, d)
 
 
-def _tj_sqrt(s: TJ) -> TJ:
-    r = np.sqrt(s.v)
-    return TJ(r, None if s.d is None else s.d * (0.5 / r)[..., None])
-
-
-def _tj_recip(s: TJ) -> TJ:
-    w = 1.0 / s.v
-    return TJ(w, None if s.d is None else -s.d * (w * w)[..., None])
-
-
 @dataclass
 class PointGeometry:
     """All pointwise extrinsic data at a batch of parameter points."""
@@ -164,26 +161,22 @@ def _second_derivative_of_induced_metric(G0x, G1x, G2X, X1, X2, X3):
     return g2
 
 
-def _gram_schmidt(gt: TJ, n: int, mixer: np.ndarray | None):
-    """Orthonormal frame from the coordinate basis, with derivatives."""
-    B = gt.v.shape[0]
-    basis = np.eye(n) if mixer is None else np.asarray(mixer, dtype=float)
-    frames = []
-    for i in range(n):
-        w = TJ(
-            np.broadcast_to(basis[i], (B, n)).copy(),
-            None if gt.d is None else np.zeros((B, n, n)),
-        )
-        for e in frames:
-            c = tj_einsum("ba,bac,bc->b", w, gt, e)
-            w = w - tj_einsum("b,ba->ba", c, e)
-        nrm = _tj_sqrt(tj_einsum("ba,bac,bc->b", w, gt, w))
-        w = tj_einsum("b,ba->ba", _tj_recip(nrm), w)
-        frames.append(w)
-    return TJ(
-        np.stack([e.v for e in frames], axis=1),
-        None if gt.d is None else np.stack([e.d for e in frames], axis=1),
-    )
+def _frame(gt: TJ, mixer: np.ndarray | None) -> TJ:
+    """Orthonormal frame from the coordinate basis or ``mixer``'s rows, with derivatives.
+
+    Gram-Schmidt on the rows of M under g is E = L^-1 M with L L^T = M g M^T
+    (Cholesky), and dE = -Phi(E dg E^T) E, where Phi keeps the lower
+    triangle and halves the diagonal (Murray, arXiv:1602.07527).
+    """
+    n = gt.v.shape[-1]
+    M = np.eye(n) if mixer is None else np.asarray(mixer, dtype=float)
+    L = np.linalg.cholesky(M @ gt.v @ M.T)
+    E = np.linalg.solve(L, np.broadcast_to(M, L.shape))
+    if gt.d is None:
+        return TJ(E, None)
+    phi = np.tril(np.ones((n, n))) - 0.5 * np.eye(n)
+    P = _einsum("bia,bacz,bjc->bijz", E, gt.d, E) * phi[:, :, None]
+    return TJ(E, -_einsum("bijz,bja->biaz", P, E))
 
 
 def _ambient_frame_curvature(pg: PointGeometry, fields):
@@ -270,7 +263,7 @@ def _geometry(model, spec, t, mixer, order):
             f"degenerate induced metric (min det {det.min():.3e}); "
             "immersion fails the rank check"
         )
-    Et = _gram_schmidt(gt, n, mixer)
+    Et = _frame(gt, mixer)
     Ft = tj_einsum("bia,bma->bim", Et, Tt)
 
     if not model.is_sasakian:
@@ -307,33 +300,34 @@ def _geometry(model, spec, t, mixer, order):
 
     pg.X, pg.G2X = X, G2X
 
+    # the ambient covariant derivative along the frame, nabla_{e_k} V, with
+    # k the first axis after the batch
+    gk = _einsum("bkc,bmnl,bnc->bkml", Et.v, gammat.v, Tt.v)
+
+    def nabla(Vt):
+        s = "ij"[: Vt.v.ndim - 2]  # V's frame indices, before its ambient one
+        return _einsum(f"bkc,b{s}mc->bk{s}m", Et.v, Vt.d) + _einsum(
+            f"bkml,b{s}l->bk{s}m", gk, Vt.v
+        )
+
     # connection coefficients and the normal projection of W
-    DF = _einsum("bkc,bimc->bkim", Et.v, Ft.d) + _einsum(
-        "bkc,bmnl,bnc,bil->bkim", Et.v, gammat.v, Tt.v, Ft.v
-    )
-    pg.A = A = _einsum("bmn,bkim,bjn->bkij", Gt.v, DF, Ft.v)
+    pg.A = A = _einsum("bmn,bkim,bjn->bkij", Gt.v, nabla(Ft), Ft.v)
     tang = tj_einsum("bmn,bijm,bkn->bijk", Gt, Wt, Ft)
-    Vt = Wt - tj_einsum("bijk,bkm->bijm", tang, Ft)
-    DV = _einsum("bkc,bijmc->bijkm", Et.v, Vt.d) + _einsum(
-        "bkc,bmnl,bnc,bijl->bijkm", Et.v, gammat.v, Tt.v, Vt.v
-    )
-    raw = _einsum("bmn,bijkm,bln->bijkl", Gt.v, DV, Nt.v)
+    DV = nabla(Wt - tj_einsum("bijk,bkm->bijm", tang, Ft))
+    raw = _einsum("bmn,bkijm,bln->bijkl", Gt.v, DV, Nt.v)
     corr = _einsum("bkim,bmjl->bijkl", A, ht.v) + _einsum(
         "bkjm,biml->bijkl", A, ht.v
     )
     pg.hcov = raw - corr
     if model.is_sasakian:
-        raw_xi = _einsum("bmn,bijkm,bn->bijk", Gt.v, DV, Xit.v)
+        raw_xi = _einsum("bmn,bkijm,bn->bijk", Gt.v, DV, Xit.v)
         corr_xi = _einsum("bkim,bmj->bijk", A, h_xi) + _einsum(
             "bkjm,bim->bijk", A, h_xi
         )
         pg.hcov_xi = raw_xi - corr_xi
 
     # normal derivatives of the mean curvature
-    Hambt = tj_einsum("bk,bkm->bm", Ht, Nt)
-    DH = _einsum("bic,bmc->bim", Et.v, Hambt.d) + _einsum(
-        "bic,bmnl,bnc,bl->bim", Et.v, gammat.v, Tt.v, Hambt.v
-    )
+    DH = nabla(tj_einsum("bk,bkm->bm", Ht, Nt))
     pg.Hcov = _einsum("bim,bmn,bjn->bij", DH, Gt.v, Nt.v)
     if model.is_sasakian:
         pg.Hcov_xi = _einsum("bim,bmn,bn->bi", DH, Gt.v, Xit.v)

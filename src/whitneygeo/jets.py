@@ -33,7 +33,6 @@ __all__ = [
     "Jet",
     "seed_variables",
     "constant",
-    "arith",
     "elementary",
     "derivative",
     "compose",
@@ -45,7 +44,6 @@ __all__ = [
     "exp",
     "sqrt",
     "recip",
-    "atan2",
 ]
 
 # Reciprocal of a jet value this close to zero is refused rather than
@@ -286,19 +284,6 @@ def constant(value, num_vars: int, order: int) -> Jet:
     return Jet(order, num_vars, np.asarray(value, dtype=float).copy())
 
 
-def arith(a: Jet, b: Jet, kind: str) -> Jet:
-    """Named wrapper over the ring operations: ``add, sub, mul, div``."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
 def compose_univariate(derivs, u: Jet) -> Jet:
     """Compose a scalar function with a jet (Faa di Bruno to order 3).
 
@@ -363,23 +348,18 @@ def _table(x: np.ndarray, kind: str):
     raise ValueError(f"unknown elementary kind {kind!r}")
 
 
-def elementary(a: Jet, kind: str, b: Jet | None = None) -> Jet:
+def elementary(a: Jet, kind: str) -> Jet:
     """Apply an elementary function to a jet.
 
-    ``kind`` is one of ``sin, cos, sinh, cosh, exp, sqrt, recip`` or the
-    two-argument ``atan2_pair`` (pass the abscissa jet as ``b``).
+    ``kind`` is one of ``sin, cos, sinh, cosh, exp, sqrt, recip``.
     """
-    if kind == "atan2_pair":
-        if b is None:
-            raise ValueError("atan2_pair needs a second jet")
-        return atan2(a, b)
     return compose_univariate(_table(a.val, kind)[: a.order + 1], a)
 
 
 def _dispatch(kind):
-    def op(x, second=None):
+    def op(x):
         if isinstance(x, Jet):
-            return elementary(x, kind, second)
+            return elementary(x, kind)
         return getattr(np, kind)(x)
 
     op.__name__ = kind
@@ -411,41 +391,6 @@ def derivative(jet: Jet, i: int) -> Jet:
         None if jet.d2 is None else jet.d2[..., i, :].copy(),
         None if jet.d3 is None else jet.d3[..., i, :, :].copy(),
     )
-
-
-def atan2(y: Jet, x: Jet):
-    """Two-argument arctangent of a pair of jets.
-
-    The value is ``arctan2(y0, x0)``; derivatives come from the closed form
-    ``d(theta) = (x dy - y dx) / (x^2 + y^2)``, evaluated through jet
-    arithmetic one order down, so no branch-cut issues enter the
-    derivative blocks.
-    """
-    if not isinstance(y, Jet) or not isinstance(x, Jet):
-        return np.arctan2(y, x)
-    y._check_compatible(x)
-    v = y.num_vars
-    val = np.arctan2(y.val, x.val)
-    if y.order == 0:
-        return Jet(0, v, val)
-    out = Jet(y.order, v, val)
-    q = x * x + y * y
-    if np.any(q.val < DIV_FLOOR**2):
-        raise ZeroDivisionError("atan2 of a jet pair vanishing at the origin")
-    xl, yl, ql = _drop(x), _drop(y), _drop(q)
-    for i in range(v):
-        # d(theta)/dx_i as a jet of order-1 lower.
-        gi = (xl * derivative(y, i) - yl * derivative(x, i)) / ql
-        out.d1[..., i] = gi.val
-        if out.order >= 2:
-            out.d2[..., i, :] = gi.d1
-        if out.order >= 3:
-            out.d3[..., i, :, :] = gi.d2
-    if out.order >= 2:
-        out.d2 = _mirror2(out.d2, v)
-    if out.order >= 3:
-        out.d3 = _mirror3(out.d3, v)
-    return out
 
 
 def _drop(j: Jet) -> Jet:

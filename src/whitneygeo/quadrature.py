@@ -132,13 +132,6 @@ class IntegrationGrid:
                 self.weight *= np.sin(self.t[:, i]) ** (n - 1 - i)
             self.u = sphere_points(self.t)
 
-    def round_sphere_volume_check(self) -> float:
-        """Integrate 1 against the round metric; relative volume error."""
-        if self.domain != "sphere":
-            raise ValueError("round-metric check applies to sphere grids")
-        want = sphere_volume(self.n)
-        return abs(float(np.sum(self.weight)) - want) / want
-
     def chunks(self, max_nodes: int):
         """Node indices in equal consecutive slices of at most ``max_nodes``."""
         count = -(-len(self.t) // max_nodes)

@@ -55,6 +55,11 @@ __all__ = [
 ]
 
 
+#: the seed and point count of every model's self-test
+SELF_TEST_SEED = 1234
+SELF_TEST_POINTS = 50
+
+
 class DomainError(ValueError):
     """A chart coordinate left the model's declared domain."""
 
@@ -304,26 +309,27 @@ class BaseModel:
 
     # self-test ----------------------------------------------------------------
 
-    def self_test(self, seed: int = 1234, num_points: int = 50, strict: bool = True):
+    def self_test(self, strict: bool = True):
         """Randomized structure/curvature validation; cached after first run.
 
         Returns a dict mapping check name to residual; the special key
         ``ok`` reports whether every residual is within its tolerance.
+        With ``strict``, a failing report raises, a cached one included.
         """
-        if self._self_test_report is not None:
-            return self._self_test_report
-        rng = np.random.default_rng(seed)
-        pts = self.random_chart_points(rng, num_points)
-        report = self._run_self_test(pts, rng)
         tols = self._self_test_tols()
-        bad = {k: v for k, v in report.items() if v > tols[k]}
-        report["ok"] = not bad
-        if strict and bad:
+        report = self._self_test_report
+        if report is None:
+            rng = np.random.default_rng(SELF_TEST_SEED)
+            pts = self.random_chart_points(rng, SELF_TEST_POINTS)
+            report = self._run_self_test(pts, rng)
+            report["ok"] = all(v <= tols[k] for k, v in report.items())
+            self._self_test_report = report
+        if strict and not report["ok"]:
+            bad = {k: v for k, v in report.items() if k != "ok" and v > tols[k]}
             raise ModelValidationError(
                 f"{self.kind} failed self-test: "
                 + ", ".join(f"{k}={v:.2e} (tol {tols[k]:.0e})" for k, v in bad.items())
             )
-        self._self_test_report = report
         return report
 
     def random_chart_points(self, rng, count):

@@ -2,9 +2,11 @@
 equality-case classification, and report rendering.
 
 A case run evaluates each grid once.  Every rung of the convergence ladder
-integrates the certificate's integrands there; two companion grids at 1/2
-and 3/4 of the resolution do nothing else, and with the full grid they give
-each quadrature-error estimate (:func:`whitneygeo.quadrature.quadrature_error`).
+integrates the certificate's integrands there, read through one name map
+(``_CERTIFICATE``) from :func:`whitneygeo.geometry.paper_residuals`, the
+table that also gives the sups.  Two companion grids at 1/2 and 3/4 of the
+resolution do nothing else, and with the full grid they give each
+quadrature-error estimate (:func:`whitneygeo.quadrature.quadrature_error`).
 The full grid's chunks also feed the gradient-field integrals of the
 divergence identity, the l2 sums, the sups and minima of every pointwise
 identity over every node and, at n <= 3 with ``conformal``, the
@@ -32,7 +34,6 @@ import numpy as np
 from . import jets
 from .jets import _einsum
 from .geometry import (
-    TJ,
     CurvatureData,
     curvature_data,
     frame_geometry,
@@ -47,7 +48,6 @@ from .geometry import (
 from .immersions import ImmersionSpec, model_for, node_jets
 from .quadrature import (
     ROUNDOFF,
-    IntegrationGrid,
     build_grid,
     ladder_resolutions,
     quadrature_error,
@@ -195,27 +195,6 @@ def _gradient_test_functions(spec: ImmersionSpec, seed: int, count: int = 3):
     return funcs
 
 
-def _certificate_integrands(pg, cd) -> dict:
-    """The integrands of the main inequality and of its divergence identity.
-
-    ``nabla_h_sq`` is |nabla h|^2, or its contact projection in the
-    Sasakian case; J H (resp. phi H) has frame components -H.
-    ``curvature_scale`` is |c| + |H|^2, with c the ambient's sectional
-    curvature on the tangent planes: the size of the curvature terms both
-    integrands are built from, which, unlike the integrands, does not
-    vanish on the parallel branch.  It vanishes only for a minimal
-    immersion into a flat ambient.
-    """
-    vf = vector_field_scalars(pg, cd, TJ(-pg.H.v, -pg.H.d))
-    return {
-        "volume": np.ones(len(pg.sqrt_det_g)),
-        "ric_direction": vf["ric_YY"],
-        "nabla_h_sq": _einsum("bijkl,bijkl->b", pg.hcov, pg.hcov),
-        "yano_main": vf["yano_integrand"],
-        "curvature_scale": abs(pg.c_eff) + _einsum("bi,bi->b", pg.H.v, pg.H.v),
-    }
-
-
 def _worker_count(jobs: int) -> int:
     """Forked workers for ``jobs`` chunk jobs: one per usable core, at most one per job.
 
@@ -288,25 +267,36 @@ def _fold(partials, combine, start) -> dict:
     return out
 
 
-def _chunk_sums(spec, model, grid, idx, integrands, curvature=gauss_curvature):
-    """One chunk's geometry, and the weighted sum of each of its integrands."""
+#: the certificate's integrals and the :func:`paper_residuals` entry each integrates
+_CERTIFICATE = {
+    "ric_direction": "ric_JH_JH",
+    "nabla_h_sq": "nabla_xi_h_norm2",
+    "yano_main": "yano_integrand",
+}
+
+
+def _chunk_sums(spec, model, grid, idx, curvature=gauss_curvature):
+    """One chunk's geometry and residuals, and the weighted sum of each certificate integrand.
+
+    ``nabla_h_sq`` is |nabla h|^2, or its contact projection in the
+    Sasakian case.  ``curvature_scale`` is |c| + |H|^2, with c the
+    ambient's sectional curvature on the tangent planes: the size of the
+    curvature terms the integrands are built from, which, unlike the
+    integrands, does not vanish on the parallel branch.  It vanishes only
+    for a minimal immersion into a flat ambient.
+    """
     pg, fields = pointwise_geometry(model, spec, grid.t[idx])
     cd = curvature(pg, fields)
+    res = paper_residuals(pg, cd)
+    integrands = {"volume": np.ones(len(idx))}
+    integrands.update((name, res[key]) for name, key in _CERTIFICATE.items())
+    integrands["curvature_scale"] = abs(pg.c_eff) + res["H_norm2"]
     w = grid.weight[idx]
     sums = {
         name: float(np.sum(w * vals * pg.sqrt_det_g))
-        for name, vals in integrands(pg, cd).items()
+        for name, vals in integrands.items()
     }
-    return sums, pg, cd
-
-
-def _grid_sums(spec, model, grid: IntegrationGrid, integrands) -> dict:
-    """Integrate each array of ``integrands(pg, cd)`` over one grid."""
-    def evaluate(idx):
-        return _chunk_sums(spec, model, grid, idx, integrands)[0]
-
-    jobs = [(idx,) for idx in grid.chunks(_chunk_size(model.chart_dim))]
-    return _fold(_map_chunks(evaluate, jobs), operator.add, 0.0)
+    return sums, pg, cd, res
 
 
 def _normalized_integrals(n: int, sums: dict) -> dict:
@@ -323,7 +313,7 @@ def _normalized_integrals(n: int, sums: dict) -> dict:
 def _quadrature_estimates(n: int, ladder) -> dict:
     """Error estimates of the normalized defect and Yano integral.
 
-    ``ladder`` holds ``(K, sums)`` of :func:`_certificate_integrands` on the
+    ``ladder`` holds ``(K, sums)`` of :func:`_chunk_sums`, folded over the
     rungs of :func:`whitneygeo.quadrature.ladder_resolutions`.
     """
     normalized = [(k, _normalized_integrals(n, s)) for k, s in ladder]
@@ -396,9 +386,7 @@ def _accumulate_case(spec, model, grids, seed, sectional=False):
     def full_chunk(start, idx):
         grid = grids[0]
         # the structure checks compare both curvature routes
-        sums, pg, cd = _chunk_sums(
-            spec, model, grid, idx, _certificate_integrands, curvature_data
-        )
+        sums, pg, cd, res = _chunk_sums(spec, model, grid, idx, curvature_data)
         w, dens = grid.weight[idx], pg.sqrt_det_g
         if spec.domain == "sphere":
             inner = node_jets(grid.u[idx], order=2)
@@ -407,7 +395,6 @@ def _accumulate_case(spec, model, grids, seed, sectional=False):
         for k, f in enumerate(grad_funcs):
             vf = vector_field_scalars(pg, cd, gradient_field(pg, f(inner, ops)))
             sums[f"yano_grad_{k}"] = float(np.sum(w * vf["yano_integrand"] * dens))
-        res = paper_residuals(pg, cd)
         l2 = {name: float(np.sum(w * res[name] ** 2 * dens)) for name in _L2_RESIDUALS}
         main = res["nabla_xi_h_norm2"] if model.is_sasakian else res["nabla_h_norm2"]
         checked = {k: res[k] for k in _L2_RESIDUALS + ("identity_34", "identity_35")}
@@ -422,7 +409,7 @@ def _accumulate_case(spec, model, grids, seed, sectional=False):
     def evaluate(rung, start, idx):
         if rung == 0:
             return full_chunk(start, idx)
-        return (_chunk_sums(spec, model, grids[rung], idx, _certificate_integrands)[0],)
+        return (_chunk_sums(spec, model, grids[rung], idx)[0],)
 
     size = _chunk_size(model.chart_dim)
     chunks = [grid.chunks(size) for grid in grids]

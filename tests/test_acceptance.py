@@ -80,7 +80,7 @@ def test_criterion_01_ambient_oracle_match():
     worst = 0.0
     for kind in ("C_n", "CP_n", "CH_n", "Sasakian_R", "Sasakian_S", "Sasakian_B"):
         for n in (2, 3):
-            rep = make_model(kind, n).self_test(strict=True, num_points=50)
+            rep = make_model(kind, n).self_test(strict=True)
             worst = max(worst, rep["curvature_oracle"])
             assert rep["curvature_oracle"] <= 1e-8, (kind, n)
     print(f"[criterion 01] PASS ambient curvature matches closed form; "
@@ -93,7 +93,7 @@ def test_criterion_02_sasakian_structure_suite():
     worst_tight = worst_nabla = 0.0
     for kind in ("Sasakian_R", "Sasakian_S", "Sasakian_B"):
         for n in (2, 3):
-            rep = make_model(kind, n).self_test(strict=True, num_points=50)
+            rep = make_model(kind, n).self_test(strict=True)
             for k in keys_tight:
                 worst_tight = max(worst_tight, rep[k])
                 assert rep[k] <= 1e-10, (kind, n, k)

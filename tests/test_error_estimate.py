@@ -7,6 +7,7 @@ the estimate must bound the true error of the default grid.
 """
 
 import math
+import operator
 
 import pytest
 
@@ -19,8 +20,10 @@ from whitneygeo.quadrature import (
 )
 from whitneygeo.verify import (
     Tolerances,
-    _certificate_integrands,
-    _grid_sums,
+    _chunk_size,
+    _chunk_sums,
+    _fold,
+    _map_chunks,
     _normalized_integrals,
     _quadrature_estimates,
     report_to_markdown,
@@ -132,7 +135,11 @@ class TestReportEvidence:
 
 
 def _sums(spec, K):
-    return _grid_sums(spec, model_for(spec), build_grid(spec.n, K), _certificate_integrands)
+    """The certificate's sums over the grid at K, one chunk job per chunk."""
+    model, grid = model_for(spec), build_grid(spec.n, K)
+    jobs = [(idx,) for idx in grid.chunks(_chunk_size(model.chart_dim))]
+    parts = _map_chunks(lambda idx: _chunk_sums(spec, model, grid, idx)[0], jobs)
+    return _fold(parts, operator.add, 0.0)
 
 
 def _validate(spec, K, K_ref):

@@ -6,7 +6,9 @@ from numpy.testing import assert_allclose
 
 from whitneygeo import jets
 from whitneygeo.geometry import (
+    TJ,
     CurvatureData,
+    _frame,
     _induced_metric_hessian,
     _second_derivative_of_induced_metric,
     curvature_data,
@@ -332,6 +334,61 @@ class TestTangentialRoute:
             assert got[name].shape == want.shape, name
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got[name] - want)) <= 1e-13 * scale, name
+
+
+def _gram_schmidt_reference(g, dg, mixer):
+    """Gram-Schmidt on the rows of ``mixer`` (or the coordinate basis) under
+    one node's metric g (n, n), with the product rule along dg (n, n, z)."""
+    n = len(g)
+    basis = np.eye(n) if mixer is None else mixer
+    E, dE = [], []
+    for i in range(n):
+        w, dw = basis[i].copy(), np.zeros((n, dg.shape[-1]))
+        for e, de in zip(E, dE):
+            c = w @ g @ e
+            dc = dw.T @ g @ e + np.einsum("a,acz,c->z", w, dg, e) + (w @ g) @ de
+            w, dw = w - c * e, dw - np.outer(e, dc) - c * de
+        q = w @ g @ w
+        dq = 2.0 * dw.T @ g @ w + np.einsum("a,acz,c->z", w, dg, w)
+        r = np.sqrt(q)
+        E.append(w / r)
+        dE.append(dw / r - np.outer(w, dq) / (2.0 * r**3))
+    return np.array(E), np.array(dE)
+
+
+class TestCholeskyFrame:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("mix", ["none", "orthogonal", "general"])
+    def test_matches_gram_schmidt(self, n, mix):
+        rng = np.random.default_rng(17 + n)
+        B = 6
+        a = rng.normal(size=(B, n, n))
+        g = a @ a.transpose(0, 2, 1) + n * np.eye(n)
+        dg = rng.normal(size=(B, n, n, n))
+        dg = dg + dg.transpose(0, 2, 1, 3)
+        mixer = {
+            "none": None,
+            "orthogonal": np.linalg.qr(rng.normal(size=(n, n)))[0],
+            "general": np.eye(n) + 0.4 * rng.normal(size=(n, n)),
+        }[mix]
+        got = _frame(TJ(g, dg), mixer)
+        for b in range(B):
+            E, dE = _gram_schmidt_reference(g[b], dg[b], mixer)
+            assert np.max(np.abs(got.v[b] - E)) <= 1e-13 * np.max(np.abs(E))
+            assert np.max(np.abs(got.d[b] - dE)) <= 1e-13 * np.max(np.abs(dE))
+
+    @pytest.mark.parametrize("mixer", [None, np.array([[1.0, 0.4], [-0.3, 0.8]])])
+    def test_orthonormal_with_derivatives(self, mixer):
+        # E g E^T = I at every node, so its derivative vanishes too
+        pg, _, _, _ = _run("contact_whitney_s", 2, dict(theta=0.5, a=0.8), seed=8,
+                           mixer=mixer)
+        E, dE, g, dg = pg.E.v, pg.E.d, pg.g.v, pg.g.d
+        assert_allclose(np.einsum("bia,bac,bjc->bij", E, g, E),
+                        np.broadcast_to(np.eye(2), g.shape), rtol=0, atol=1e-14)
+        d = (np.einsum("biaz,bac,bjc->bijz", dE, g, E)
+             + np.einsum("bia,bacz,bjc->bijz", E, dg, E)
+             + np.einsum("bia,bac,bjcz->bijz", E, g, dE))
+        assert np.max(np.abs(d)) <= 1e-13 * np.max(np.abs(dg))
 
 
 class TestFrameStage:

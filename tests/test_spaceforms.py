@@ -8,6 +8,7 @@ from whitneygeo import jets
 from whitneygeo.jets import Jet, derivative, seed_variables
 from whitneygeo.spaceforms import (
     DomainError,
+    ModelValidationError,
     christoffel_from_metric,
     make_model,
 )
@@ -21,6 +22,18 @@ def test_self_test_passes(kind, n):
     model = make_model(kind, n)
     report = model.self_test(strict=True)
     assert report["ok"]
+
+
+class TestSelfTestCache:
+    def test_cached_failing_report_still_raises(self):
+        model = make_model("CP_n", 2)
+        tols = model._self_test_tols()
+        model._self_test_tols = lambda: dict.fromkeys(tols, -1.0)
+        report = model.self_test(strict=False)
+        assert not report["ok"]
+        with pytest.raises(ModelValidationError, match="failed self-test"):
+            model.self_test(strict=True)
+        assert model.self_test(strict=False) is report
 
 
 class TestMakeModel:
