@@ -14,19 +14,26 @@ sectional-curvature statistics.  The standalone conformal block, and the
 n >= 4 block on its coarser grid, run only the order-2 frame stage.
 
 The chunks of all three rungs are independent jobs of one map
-(:func:`_map_chunks`), which runs them on min(cores, jobs) forked workers.
-Each job returns its partial sums, sups and minima (and its sectional
-range, from random planes whose place in the run's stream the caller fixes
-before the map), and the caller folds them in chunk order, as a serial loop
-would; so a report does not depend on the number of workers.  Each worker
-holds the geometry of one chunk at a time.
+(:func:`_map_chunks`).  A job is a module-level function and its inputs:
+the spec, the run seed, the rung, where its random planes begin in the
+run's stream (fixed by the caller before the map) and its own nodes and
+weights; the worker rebuilds the model from the spec.  The jobs run on the
+process's one pool of forked workers, started by the first map that wants
+more than one and kept across cases; each worker empties the module caches
+on the first job of a new map.  Each job returns its partial sums, sups and
+minima (and its sectional range), and the caller folds them in chunk
+order, as a serial loop would; so a report does not depend on the number
+of workers.  Each worker holds the geometry of one chunk at a time.
 """
 
 from __future__ import annotations
 
+import atexit
+import itertools
 import json
 import operator
 import os
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -196,7 +203,7 @@ def _gradient_test_functions(spec: ImmersionSpec, seed: int, count: int = 3):
 
 
 def _worker_count(jobs: int) -> int:
-    """Forked workers for ``jobs`` chunk jobs: one per usable core, at most one per job.
+    """Chunk workers for ``jobs`` chunk jobs: one per usable core, at most one per job.
 
     One, so that the caller evaluates in-process, where ``fork`` is not a
     start method and in a daemonic process, which may not start children.
@@ -213,45 +220,104 @@ def _worker_count(jobs: int) -> int:
     return max(1, min(cores, jobs))
 
 
-#: the evaluator and jobs of the running :func:`_map_chunks`; forked workers
-#: inherit them, so only job indices and results cross a pipe
-_TASK = None
+#: glibc ``mallopt`` settings of every chunk worker: M_MMAP_THRESHOLD and
+#: M_TOP_PAD of 64 MB, M_TRIM_THRESHOLD of 256 MB.  A chunk's temporaries
+#: then come from a heap that stays mapped across jobs, instead of fresh
+#: mappings that fault in page by page and are unmapped when freed
+_MALLOPT = ((-3, 64 << 20), (-2, 64 << 20), (-1, 256 << 20))
 
 
-def _run_job(i: int):
-    evaluate, jobs = _TASK
-    return evaluate(*jobs[i])
+def _init_worker():
+    """Pool initializer: the allocator settings; none where ``mallopt`` is missing."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    for param, value in _MALLOPT:
+        mallopt(param, value)
+
+
+#: the process's chunk pool, ``(owner pid, pool, workers)``: started by the
+#: first map that wants more than one worker and kept across cases
+_POOL = None
+#: serial numbers of the maps, which their jobs carry to the workers
+_MAP_SERIALS = itertools.count()
+#: in a worker, the serial number of the map whose job it ran last
+_WORKER_MAP = None
+
+
+def _close_pool():
+    """Stop this process's chunk workers; a pool that a fork inherited is only forgotten."""
+    global _POOL
+    entry, _POOL = _POOL, None
+    if entry is not None and entry[0] == os.getpid():
+        entry[1].terminate()
+        entry[1].join()
+
+
+atexit.register(_close_pool)
+
+
+def _pool(workers: int):
+    """The process's chunk pool, with at least ``workers`` workers."""
+    global _POOL
+    if _POOL is not None and (_POOL[0] != os.getpid() or _POOL[2] < workers):
+        _close_pool()
+    if _POOL is None:
+        import multiprocessing
+
+        pool = multiprocessing.get_context("fork").Pool(workers, initializer=_init_worker)
+        _POOL = (os.getpid(), pool, workers)
+    return _POOL[1]
+
+
+def _empty_caches():
+    """Empty every whitneygeo ``*_CACHE`` dict of this process."""
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == __package__:
+            for key, value in vars(module).items():
+                if key.endswith("_CACHE") and isinstance(value, dict):
+                    value.clear()
+
+
+def _run_job(task):
+    """One chunk job in a worker, which starts each new map with empty caches."""
+    global _WORKER_MAP
+    serial, evaluate, job = task
+    if serial != _WORKER_MAP:
+        _WORKER_MAP = serial
+        _empty_caches()
+    return evaluate(*job)
 
 
 def _map_chunks(evaluate, jobs: list) -> list:
     """``[evaluate(*job) for job in jobs]``, on every core the process may use.
 
-    A job ends with the node indices of its chunk.  The jobs go out longest
-    first, one at a time, to :func:`_worker_count` forked workers (or run
-    in-process when that is one), and the results come back in job order.
-    The workers are gone when this returns or raises; an exception raised
-    in one reaches the caller.
+    ``evaluate`` is a module-level function, and a job holds everything it
+    reads, ending with an array over its chunk's nodes.  The jobs go out
+    longest first, one at a time, to the process's pool of
+    :func:`_worker_count` workers (or run in-process when that is one), and
+    the results come back in job order.  The workers outlive the map; each
+    starts a new map with empty module caches, so no cache crosses cases.
+    An exception raised in a job reaches the caller, and the pool is
+    stopped, to be started afresh by the next map.
     """
-    global _TASK
     order = sorted(range(len(jobs)), key=lambda i: -len(jobs[i][-1]))
     workers = _worker_count(len(jobs))
-    _TASK = (evaluate, jobs)
-    try:
-        if workers == 1:
-            results = list(map(_run_job, order))
-        else:
-            import multiprocessing
-
-            pool = multiprocessing.get_context("fork").Pool(workers)
-            try:
-                # imap raises a worker's exception as soon as its turn
-                # comes, where map would wait for every other job first
-                results = list(pool.imap(_run_job, order, chunksize=1))
-            finally:
-                pool.terminate()
-                pool.join()
-    finally:
-        _TASK = None
+    if workers == 1:
+        results = [evaluate(*jobs[i]) for i in order]
+    else:
+        serial = next(_MAP_SERIALS)
+        tasks = [(serial, evaluate, jobs[i]) for i in order]
+        try:
+            # imap raises a worker's exception as soon as its turn comes,
+            # where map would wait for every other job first
+            results = list(_pool(workers).imap(_run_job, tasks, chunksize=1))
+        except BaseException:
+            _close_pool()
+            raise
     out = [None] * len(jobs)
     for i, result in zip(order, results):
         out[i] = result
@@ -275,8 +341,10 @@ _CERTIFICATE = {
 }
 
 
-def _chunk_sums(spec, model, grid, idx, curvature=gauss_curvature):
+def _chunk_sums(spec, model, t, w, curvature=gauss_curvature):
     """One chunk's geometry and residuals, and the weighted sum of each certificate integrand.
+
+    ``t`` holds the chunk's node parameters and ``w`` their weights.
 
     ``nabla_h_sq`` is |nabla h|^2, or its contact projection in the
     Sasakian case.  ``curvature_scale`` is |c| + |H|^2, with c the
@@ -285,13 +353,12 @@ def _chunk_sums(spec, model, grid, idx, curvature=gauss_curvature):
     integrands, does not vanish on the parallel branch.  It vanishes only
     for a minimal immersion into a flat ambient.
     """
-    pg, fields = pointwise_geometry(model, spec, grid.t[idx])
+    pg, fields = pointwise_geometry(model, spec, t)
     cd = curvature(pg, fields)
     res = paper_residuals(pg, cd)
-    integrands = {"volume": np.ones(len(idx))}
+    integrands = {"volume": np.ones(len(t))}
     integrands.update((name, res[key]) for name, key in _CERTIFICATE.items())
     integrands["curvature_scale"] = abs(pg.c_eff) + res["H_norm2"]
-    w = grid.weight[idx]
     sums = {
         name: float(np.sum(w * vals * pg.sqrt_det_g))
         for name, vals in integrands.items()
@@ -342,6 +409,12 @@ def _quadrature_estimates(n: int, ladder) -> dict:
     return out
 
 
+def _defect_violated(defect_norm: float, defect_error: float, tol: Tolerances) -> bool:
+    """Whether the normalized defect is negative beyond the integral tolerance
+    and its own quadrature-error estimate, so the inequality fails."""
+    return defect_norm < -(tol.integral + defect_error)
+
+
 def _unresolved_reason(
     defect_norm, error, gates, sup_nabla_h, sup_whitney, tol, structural
 ) -> str:
@@ -369,64 +442,64 @@ def _unresolved_reason(
     )
 
 
-def _accumulate_case(spec, model, grids, seed, sectional=False):
-    """Every rung's chunks in one map, folded into the case's sums.
+def _rung_chunk(spec, seed, rung, start, u, t, w):
+    """One chunk job of a case's ladder: the sums of its certificate integrands.
 
-    ``grids`` starts with the full grid; the companion rungs after it
-    integrate only the certificate's integrands.  The full grid's chunks
-    also give the gradient-field integrals, the l2 sums, the sups and
-    minima and, with ``sectional``, the sectional range, all over every
-    node.  Returns the sums of each grid, the full grid's sups, l2
-    sums and minima, and the curvature statistics (None without
-    ``sectional``).
+    ``t``, ``u`` and ``w`` are the chunk's node parameters, sphere points
+    (None on the torus) and weights.  A companion rung (``rung`` > 0)
+    integrates nothing else.  The full grid's chunks (``rung`` 0) also give
+    the gradient-field integrals, the l2 sums, the sups and minima and,
+    from the plane stream's ``start`` (None for none), the sectional range.
     """
-    grad_funcs = _gradient_test_functions(spec, seed)
+    model = model_for(spec)
+    if rung:
+        return (_chunk_sums(spec, model, t, w)[0],)
+    # the structure checks compare both curvature routes
+    sums, pg, cd, res = _chunk_sums(spec, model, t, w, curvature_data)
+    dens = pg.sqrt_det_g
+    if u is not None:
+        inner = node_jets(u, order=2)
+    else:
+        inner = np.concatenate(jets._seed_angles(t, 2), axis=-1)
     ops = jets._Ops(spec.n, 2)
+    for k, f in enumerate(_gradient_test_functions(spec, seed)):
+        vf = vector_field_scalars(pg, cd, gradient_field(pg, f(inner, ops)))
+        sums[f"yano_grad_{k}"] = float(np.sum(w * vf["yano_integrand"] * dens))
+    l2 = {name: float(np.sum(w * res[name] ** 2 * dens)) for name in _L2_RESIDUALS}
+    main = res["nabla_xi_h_norm2"] if model.is_sasakian else res["nabla_h_norm2"]
+    checked = {k: res[k] for k in _L2_RESIDUALS + ("identity_34", "identity_35")}
+    checked["sup_nabla_h"] = np.sqrt(np.maximum(main, 0.0))
+    checked["lemma_gap_32_abs"] = res["lemma_gap_32"]
+    checked.update(structure_checks(pg, cd))
+    sups = {name: float(np.max(np.abs(vals))) for name, vals in checked.items()}
+    mins = {name: float(np.min(res[name])) for name in ("lemma_gap_31", "lemma_gap_32")}
+    span = None if start is None else _sectional_range(cd.Riem, start)
+    return sums, l2, sups, mins, span
 
-    def full_chunk(start, idx):
-        grid = grids[0]
-        # the structure checks compare both curvature routes
-        sums, pg, cd, res = _chunk_sums(spec, model, grid, idx, curvature_data)
-        w, dens = grid.weight[idx], pg.sqrt_det_g
-        if spec.domain == "sphere":
-            inner = node_jets(grid.u[idx], order=2)
-        else:
-            inner = np.concatenate(jets._seed_angles(grid.t[idx], 2), axis=-1)
-        for k, f in enumerate(grad_funcs):
-            vf = vector_field_scalars(pg, cd, gradient_field(pg, f(inner, ops)))
-            sums[f"yano_grad_{k}"] = float(np.sum(w * vf["yano_integrand"] * dens))
-        l2 = {name: float(np.sum(w * res[name] ** 2 * dens)) for name in _L2_RESIDUALS}
-        main = res["nabla_xi_h_norm2"] if model.is_sasakian else res["nabla_h_norm2"]
-        checked = {k: res[k] for k in _L2_RESIDUALS + ("identity_34", "identity_35")}
-        checked["sup_nabla_h"] = np.sqrt(np.maximum(main, 0.0))
-        checked["lemma_gap_32_abs"] = res["lemma_gap_32"]
-        checked.update(structure_checks(pg, cd))
-        sups = {name: float(np.max(np.abs(vals))) for name, vals in checked.items()}
-        mins = {name: float(np.min(res[name])) for name in ("lemma_gap_31", "lemma_gap_32")}
-        span = None if start is None else _sectional_range(cd.Riem, start)
-        return sums, l2, sups, mins, span
 
-    def evaluate(rung, start, idx):
-        if rung == 0:
-            return full_chunk(start, idx)
-        return (_chunk_sums(spec, model, grids[rung], idx)[0],)
+def _accumulate_case(spec, model, grids, seed, sectional=False):
+    """Every rung's chunks in one map (:func:`_rung_chunk`), folded into the case's sums.
 
+    ``grids`` starts with the full grid, then the companion rungs.  Returns
+    the sums of each grid, the full grid's sups, l2 sums and minima, and
+    the curvature statistics (None without ``sectional``).
+    """
     size = _chunk_size(model.chart_dim)
-    chunks = [grid.chunks(size) for grid in grids]
-    starts = [None] * len(chunks[0])
-    if sectional:
-        starts = _plane_streams(seed, [len(idx) for idx in chunks[0]], spec.n)
-    jobs = [
-        (rung, starts[k] if rung == 0 else None, idx)
-        for rung, rung_chunks in enumerate(chunks)
-        for k, idx in enumerate(rung_chunks)
-    ]
-    parts = _map_chunks(evaluate, jobs)
+    jobs = []
+    for rung, grid in enumerate(grids):
+        chunks = grid.chunks(size)
+        starts = [None] * len(chunks)
+        if sectional and rung == 0:
+            starts = _plane_streams(seed, [len(idx) for idx in chunks], spec.n)
+        for start, idx in zip(starts, chunks):
+            u = grid.u[idx] if rung == 0 and grid.u is not None else None
+            jobs.append((spec, seed, rung, start, u, grid.t[idx], grid.weight[idx]))
+    parts = _map_chunks(_rung_chunk, jobs)
     rung_sums = [
-        _fold([p[0] for (r, *_), p in zip(jobs, parts) if r == rung], operator.add, 0.0)
+        _fold([p[0] for job, p in zip(jobs, parts) if job[2] == rung], operator.add, 0.0)
         for rung in range(len(grids))
     ]
-    _, l2s, sups, mins, spans = zip(*(p for (r, *_), p in zip(jobs, parts) if r == 0))
+    _, l2s, sups, mins, spans = zip(*(p for job, p in zip(jobs, parts) if job[2] == 0))
     stats = None
     if sectional:
         stats = _sectional_stats(spans, [])
@@ -515,18 +588,21 @@ def _sectional_stats(spans, weyl_sups) -> dict:
     }
 
 
+def _frame_chunk(spec, start, t):
+    """One chunk job of a conformal block: the frame stage's sectional range
+    from the plane stream's ``start``, and its Weyl sup (None below n = 4)."""
+    pg, fields = frame_geometry(model_for(spec), spec, t)
+    cd = gauss_curvature(pg, fields)
+    weyl_sup = None if cd.Weyl is None else float(np.max(np.abs(cd.Weyl)))
+    return _sectional_range(cd.Riem, start), weyl_sup
+
+
 def _conformal_block(spec, model, grid, seed):
     """The curvature statistics from the order-2 frame stage at every node."""
-    def evaluate(start, idx):
-        pg, fields = frame_geometry(model, spec, grid.t[idx])
-        cd = gauss_curvature(pg, fields)
-        weyl_sup = None if cd.Weyl is None else float(np.max(np.abs(cd.Weyl)))
-        return _sectional_range(cd.Riem, start), weyl_sup
-
     chunks = grid.chunks(_chunk_size(model.chart_dim))
     starts = _plane_streams(seed, [len(idx) for idx in chunks], spec.n)
-    jobs = list(zip(starts, chunks))
-    parts = _map_chunks(evaluate, jobs)
+    jobs = [(spec, start, grid.t[idx]) for start, idx in zip(starts, chunks)]
+    parts = _map_chunks(_frame_chunk, jobs)
     return _sectional_stats([span for span, _ in parts], [w for _, w in parts])
 
 
@@ -619,8 +695,11 @@ def run_case(
         sups["rk4_step_drift"] = rk4_drift
         if rk4_drift > 1e-9:
             structural.append(f"RK4 halved-step drift {rk4_drift:.2e} > 1e-9")
-    if defect < -tol.integral * vol:
-        certificates.append(f"integral defect {defect_norm:.2e} below -integral tol")
+    if _defect_violated(defect_norm, defect_error, tol):
+        certificates.append(
+            f"integral defect {defect_norm:.2e} below -(integral tol + "
+            f"error estimate {defect_error:.1e})"
+        )
     for k, v in yano.items():
         if k == "main_error":
             continue

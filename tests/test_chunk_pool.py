@@ -1,12 +1,17 @@
-"""The forked chunk map: reports independent of the worker count, clean processes."""
+"""The chunk pool: reports independent of the worker count, workers that
+outlive a case but carry nothing from one map to the next, clean processes."""
 
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from whitneygeo import verify
+import whitneygeo
+from whitneygeo import jets, verify
 from whitneygeo.immersions import make_spec
 from whitneygeo.verify import conformal_block, report_to_json, run_case
 
@@ -24,12 +29,16 @@ def _workers(monkeypatch, count):
     monkeypatch.setattr(verify, "_worker_count", lambda jobs: count)
 
 
+def _job_and_pid(k, idx):
+    return k, len(idx), os.getpid()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_results_come_back_in_job_order(monkeypatch, workers):
     # jobs end with their node indices; the longest go out first
     jobs = [(k, range(size)) for k, size in enumerate([3, 9, 1, 5, 9, 2])]
     _workers(monkeypatch, workers)
-    got = verify._map_chunks(lambda k, idx: (k, len(idx), os.getpid()), jobs)
+    got = verify._map_chunks(_job_and_pid, jobs)
     assert [r[:2] for r in got] == [(k, len(idx)) for k, idx in jobs]
     pids = {r[2] for r in got}
     assert (pids == {os.getpid()}) == (workers == 1)
@@ -83,24 +92,127 @@ def test_chunks_return_their_sectional_range_not_their_curvature(monkeypatch, ru
     assert seen and arrays(seen) == 0
 
 
-def test_no_worker_outlives_a_run(monkeypatch):
+def _children():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def test_the_same_workers_serve_consecutive_cases(monkeypatch):
     _workers(monkeypatch, 2)
     run_case(make_spec("whitney_c0", 2, r=1.0), resolution=16)
+    first = _children()
+    run_case(make_spec("whitney_cp", 2, theta=0.5), resolution=16)
+    assert len(first) == 2 and _children() == first
+    jobs = [(k, range(5)) for k in range(4)]
+    assert {pid for _, _, pid in verify._map_chunks(_job_and_pid, jobs)} <= first
+
+
+def test_a_map_that_wants_more_workers_gets_them(monkeypatch):
+    jobs = [(k, range(5)) for k in range(6)]
+    _workers(monkeypatch, 2)
+    verify._map_chunks(_job_and_pid, jobs)
+    _workers(monkeypatch, 3)
+    verify._map_chunks(_job_and_pid, jobs)
+    assert len(_children()) == 3
+
+
+def test_close_pool_stops_every_worker(monkeypatch):
+    _workers(monkeypatch, 2)
+    run_case(make_spec("whitney_c0", 2, r=1.0), resolution=16)
+    assert _children()
+    verify._close_pool()
     assert not multiprocessing.active_children()
-    assert verify._TASK is None
+    assert verify._POOL is None
+
+
+#: a fresh process that runs one case on two workers, prints its report
+#: and the pids of its children, and exits
+_FRESH_RUN = """
+import json, multiprocessing
+from whitneygeo import verify
+from whitneygeo.immersions import make_spec
+verify._worker_count = lambda jobs: 2
+report = verify.run_case(make_spec("whitney_c0", 2, r=1.0), resolution=16)
+print(json.dumps([verify.report_to_json(report),
+                  [p.pid for p in multiprocessing.active_children()]]))
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_run():
+    src = os.path.dirname(os.path.dirname(whitneygeo.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _FRESH_RUN], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(done.stdout)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+def test_an_exiting_process_leaves_no_worker_alive(fresh_run):
+    _, pids = fresh_run
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def _broken(k, idx):
+    if k == 1:
+        raise ValueError("chunk 1 is broken")
+    return k
+
+
+def test_a_raising_map_leaves_nothing_behind(monkeypatch, fresh_run):
+    _workers(monkeypatch, 2)
+    run_case(make_spec("whitney_cp", 2, theta=0.5), resolution=16)
+    with pytest.raises(ValueError, match="chunk 1 is broken"):
+        verify._map_chunks(_broken, [(k, range(3)) for k in range(4)])
+    assert verify._POOL is None and not multiprocessing.active_children()
+    report = report_to_json(run_case(make_spec("whitney_c0", 2, r=1.0), resolution=16))
+    assert report == fresh_run[0]
+
+
+def _cache_sizes():
+    return {
+        f"{name}.{key}": len(value)
+        for name, module in sys.modules.items()
+        if name.partition(".")[0] == "whitneygeo"
+        for key, value in vars(module).items()
+        if key.endswith("_CACHE") and isinstance(value, dict)
+    }
+
+
+def _fill_caches(k, idx):
+    jets._einsum("bi,bij->bj", np.ones((len(idx), 2)), np.ones((len(idx), 2, k + 2)))
+    jets._Ops(2, 2)
+    return _cache_sizes()
+
+
+def _probe_caches(k, idx):
+    return _cache_sizes()
+
+
+def test_a_new_map_starts_with_empty_caches(monkeypatch):
+    _workers(monkeypatch, 2)
+    filled = verify._map_chunks(_fill_caches, [(k, range(3)) for k in range(4)])
+    assert all(sum(sizes.values()) > 0 for sizes in filled)
+    probed = verify._map_chunks(_probe_caches, [(k, range(3)) for k in range(4)])
+    assert probed and all(not any(sizes.values()) for sizes in probed)
 
 
 def test_worker_exception_reaches_the_caller(monkeypatch):
-    # the fork carries the patched function into the workers
+    # workers forked after the patch carry it
     def broken(*args, **kwargs):
         raise ValueError("chunk 17 is broken")
 
     _workers(monkeypatch, 2)
     monkeypatch.setattr(verify, "pointwise_geometry", broken)
+    verify._close_pool()  # workers forked before the patch would not see it
     with pytest.raises(ValueError, match="chunk 17 is broken"):
         run_case(make_spec("whitney_c0", 2, r=1.0), resolution=16)
     assert not multiprocessing.active_children()
-    assert verify._TASK is None
+    assert verify._POOL is None
 
 
 def _run_in_daemon(conn):

@@ -204,6 +204,9 @@ def test_reports_agree_with_the_numpy_route(monkeypatch, spec, resolution):
     with monkeypatch.context() as patch:
         for module in (geometry, spaceforms, verify):
             patch.setattr(module, "_einsum", _numpy_einsum)
+        # the kernel run's workers were forked before the patch: without
+        # fresh ones, the reference would run the kernel again
+        verify._close_pool()
         reference = asdict(run_case(spec, resolution=resolution, seed=5))
     assert kernel["classification"] == reference["classification"]
     assert kernel["hard_failures"] == reference["hard_failures"]

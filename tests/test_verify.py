@@ -59,6 +59,33 @@ class TestClassifyLogic:
         loose = run_case(spec, resolution=12)
         assert not any(f.startswith("lemma_gap") for f in loose.hard_failures)
 
+    def test_defect_inside_its_error_bar_is_no_violation(self):
+        # a negative defect below -tol.integral, but within its own
+        # quadrature-error estimate, does not fail the inequality
+        tol = Tolerances()
+        r = run_case(make_spec("whitney_c0", 2, r=1.0), resolution=16, seed=0)
+        defect, error = r.integrals["defect_normalized"], r.integrals["defect_error"]
+        assert -(tol.integral + error) <= defect < -tol.integral
+        assert not any(f.startswith("integral defect") for f in r.hard_failures)
+        assert r.classification == "WHITNEY_BRANCH"
+
+    def test_defect_beyond_tolerance_and_error_is_a_violation(self, monkeypatch):
+        tol = Tolerances()
+        assert verify._defect_violated(-(tol.integral + 1e-7) * 1.01, 1e-7, tol)
+        assert not verify._defect_violated(-(tol.integral + 1e-7) * 0.99, 1e-7, tol)
+        # the same run with an error estimate far below its defect
+        estimates = verify._quadrature_estimates
+
+        def tight(n, ladder):
+            out = estimates(n, ladder)
+            out["defect_normalized"]["error"] = 1e-12
+            return out
+
+        monkeypatch.setattr(verify, "_quadrature_estimates", tight)
+        r = run_case(make_spec("whitney_c0", 2, r=1.0), resolution=16, seed=0)
+        assert r.integrals["defect_normalized"] < -(tol.integral + 1e-12)
+        assert any(f.startswith("integral defect") for f in r.hard_failures)
+
     def test_tolerance_ordering_enforced(self):
         with pytest.raises(ValueError):
             Tolerances(strictness=1e-7, classification=1e-6)
@@ -302,6 +329,7 @@ class TestPackedCertificatePath:
             raise AssertionError("a scalar Jet was built on the certificate path")
 
         monkeypatch.setattr(jets.Jet, "__init__", refuse)
+        verify._close_pool()  # workers forked before the patch would not see it
         for spec, K in [
             (make_spec("whitney_cp", 2, theta=0.5), 12),
             (make_spec("contact_whitney_b", 2, theta=0.8), 12),
@@ -314,7 +342,7 @@ class TestPackedCertificatePath:
         assert block["weyl_sup"] is not None
 
     def test_cases_leave_no_module_level_dict_grown(self, monkeypatch):
-        # one worker: caches that forked workers fill die with them
+        # one worker, so the caches the cases fill are this process's
         monkeypatch.setattr(verify, "_worker_count", lambda jobs: 1)
 
         def sizes():
