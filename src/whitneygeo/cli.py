@@ -79,6 +79,7 @@ _FLOAT_KEYS = {
     "tol_classification", "tol_strictness",
 }
 _INT_KEYS = {"n", "steps", "resolution", "seed"}
+_BOOLEANS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
 def parse_config_text(text: str) -> dict:
@@ -94,17 +95,25 @@ def parse_config_text(text: str) -> dict:
         key = key.replace("-", "_")
         if key not in _SETTING_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key in _FLOAT_KEYS:
-            out[key] = float(val)
-        elif key in _INT_KEYS:
-            out[key] = int(val)
-        elif key in ("B", "radii"):
-            out[key] = tuple(float(s) for s in val.split(",") if s.strip())
-        elif key == "conformal":
-            out[key] = val.lower() in ("1", "true", "yes")
-        else:
-            out[key] = val
+        try:
+            out[key] = _parse_value(key, val)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: bad value for {key!r}: {exc}") from None
     return out
+
+
+def _parse_value(key: str, val: str):
+    if key in _FLOAT_KEYS:
+        return float(val)
+    if key in _INT_KEYS:
+        return int(val)
+    if key in ("B", "radii"):
+        return tuple(float(s) for s in val.split(",") if s.strip())
+    if key == "conformal":
+        if val.lower() not in _BOOLEANS:
+            raise ValueError(f"{val!r} is not one of {', '.join(_BOOLEANS)}")
+        return _BOOLEANS[val.lower()]
+    return val
 
 
 def _merge_settings(args) -> dict:

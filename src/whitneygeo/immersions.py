@@ -532,8 +532,8 @@ class _BergmanFiber:
     def fiber_jet(self, un: np.ndarray, ops) -> np.ndarray:
         """The fiber as a packed jet, from the packed jet ``un`` of u_n."""
         rho = self._rho_jets(un[0], order=2)
-        derivs = (self.primitive_values(un[0]), -rho[0], -rho[1], -rho[2])
-        return jets._packed_compose(derivs[: ops.order + 1], un, ops.table)
+        derivs = np.stack((self.primitive_values(un[0]), -rho[0], -rho[1], -rho[2]))
+        return jets._packed_compose(derivs[: ops.order + 1], [un], ops.table)
 
 
 def _eval_contact_whitney_b(spec, u, ops):
@@ -568,14 +568,15 @@ def hamiltonian_flow(x: np.ndarray, ham: HamiltonianDeformation, num_vars: int) 
     The step loop allocates nothing: the state, the four slopes, the stage
     argument, the slope sum, the monomials, the gathered parent and
     variable rows and the Leibniz term buffers are allocated once per call,
-    and every stage writes into them.  Each case runs in freshly forked
-    workers, whose allocator hands large temporaries back to the kernel
-    and maps them anew, so a loop that allocated its 0.2-3.7 MB
-    temporaries took a page fault for every page of every one of them:
-    about 230 000 faults for one 2304-node order-3 batch, a third of the
-    flow's time.  The RK4 combinations keep their operation order,
-    ((k1 + 2 k2) + 2 k3) + k4 and so on, so the jets do not depend on how
-    the loop stores them.
+    and every stage writes into them.  The chunk workers keep their heaps
+    mapped (``verify._MALLOPT``), but a serial run in the calling process
+    and the first map in a new process still get large temporaries from
+    the allocator as fresh mappings that are unmapped when freed.  There a
+    loop that allocated its 0.2-3.7 MB temporaries took a page fault for
+    every page of every one of them: about 230 000 faults for one
+    2304-node order-3 batch, a third of the flow's time.  The RK4
+    combinations keep their operation order, ((k1 + 2 k2) + 2 k3) + k4 and
+    so on, so the jets do not depend on how the loop stores them.
     """
     m = x.shape[-1]
     n = m // 2

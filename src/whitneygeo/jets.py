@@ -1,23 +1,20 @@
 """Truncated multivariate Taylor arithmetic (jets) up to third order.
 
-A :class:`Jet` stores the value and the raw partial derivatives (not the
-factorial-divided Taylor coefficients) of a scalar quantity with respect to
-``num_vars`` independent variables, up to total order <= 3.  All arithmetic
-propagates derivatives exactly at the truncation order, so feeding seeded
-jets through an analytic formula yields the exact derivatives of that
-formula at the base point.
+A jet holds the value and the raw partial derivatives (not the
+factorial-divided Taylor coefficients) of a quantity with respect to ``v``
+independent variables, up to a total order <= 3.  Its arithmetic is exact
+at the truncation order, so feeding seeded jets through an analytic formula
+yields the exact derivatives of that formula at the base point.
 
-Coefficient arrays carry an arbitrary leading batch shape, which lets a
-single jet describe a quantity at many evaluation points at once; every
-operation is vectorized over the batch.
-
-Degree-2 and degree-3 blocks are kept bitwise symmetric: after each
-operation the canonical (sorted-index) entry is mirrored to all index
-permutations.  :class:`Jet` is the public reference algebra; the
-certificate pipeline runs on the packed arrays at the end of this module,
-which store each distinct partial once and take real or complex entries.
-The module ends with ``_einsum``, the planned batched contraction kernel
-that ``geometry``, ``spaceforms`` and ``verify`` contract through.
+There is one algebra, on packed arrays: a leading coefficient axis stores
+each distinct partial once (:func:`_packed_basis`), the axes after it carry
+a batch of evaluation points and any tensor shape, and the entries may be
+real or complex.  :func:`_packed_mul` is the product rule and
+:func:`_packed_compose` the one chain rule.  :class:`Jet` and
+:func:`compose` are a full-block face on them, with one dense derivative
+block per order, kept for the micro-benchmarks in ``bench/micro.py``.  The
+module ends with ``_einsum``, the planned batched contraction kernel that
+``geometry``, ``spaceforms`` and ``verify`` contract through.
 """
 
 from __future__ import annotations
@@ -29,63 +26,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "Jet",
-    "seed_variables",
-    "constant",
-    "elementary",
-    "derivative",
-    "compose",
-    "compose_univariate",
-    "sin",
-    "cos",
-    "sinh",
-    "cosh",
-    "exp",
-    "sqrt",
-    "recip",
-]
+__all__ = ["Jet", "compose"]
 
 # Reciprocal of a jet value this close to zero is refused rather than
 # letting derivatives blow past float range.
 DIV_FLOOR = 1e-12
 
-_MIRROR2_CACHE: dict[int, np.ndarray] = {}
-_MIRROR3_CACHE: dict[int, np.ndarray] = {}
 _LEIBNIZ_CACHE: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
 
 
-# The mirrors take from the flattened trailing axes, so the result is
-# C-contiguous; fancy indexing on the separate trailing axes would give the
-# batch axis stride 1.
-
-
-def _mirror2(t: np.ndarray, v: int) -> np.ndarray:
-    """Copy the i<=j entries of the trailing (v, v) block to all permutations."""
-    if v not in _MIRROR2_CACHE:
-        idx = np.sort(np.indices((v, v)).reshape(2, -1), axis=0)
-        _MIRROR2_CACHE[v] = idx[0] * v + idx[1]
-    flat = t.reshape(t.shape[:-2] + (v * v,))
-    return np.take(flat, _MIRROR2_CACHE[v], axis=-1).reshape(t.shape)
-
-
-def _mirror3(t: np.ndarray, v: int) -> np.ndarray:
-    """Copy the i<=j<=k entries of the trailing (v, v, v) block everywhere."""
-    if v not in _MIRROR3_CACHE:
-        idx = np.sort(np.indices((v, v, v)).reshape(3, -1), axis=0)
-        _MIRROR3_CACHE[v] = (idx[0] * v + idx[1]) * v + idx[2]
-    flat = t.reshape(t.shape[:-3] + (v**3,))
-    return np.take(flat, _MIRROR3_CACHE[v], axis=-1).reshape(t.shape)
-
-
-def _sym3_from_21(t2: np.ndarray, t1: np.ndarray) -> np.ndarray:
-    """Symmetric 3-tensor sum A_{ij} c_k + A_{ik} c_j + A_{jk} c_i."""
-    base = t2[..., :, :, None] * t1[..., None, None, :]
-    return base + np.swapaxes(base, -1, -2) + np.moveaxis(base, -1, -3)
-
-
 class Jet:
-    """Value plus partial derivatives of one scalar quantity.
+    """One quantity's value and full derivative blocks, for a batch of points.
 
     Parameters
     ----------
@@ -95,8 +46,8 @@ class Jet:
         Number of independent variables.
     val, d1, d2, d3 : ndarray
         Batched coefficient blocks; ``d1`` has trailing shape ``(num_vars,)``,
-        ``d2`` ``(num_vars, num_vars)`` and so on.  Blocks above ``order``
-        are ``None``.
+        ``d2`` ``(num_vars, num_vars)`` and so on, symmetric in those axes.
+        Missing blocks up to ``order`` are zero; blocks above it are ``None``.
     """
 
     __slots__ = ("order", "num_vars", "val", "d1", "d2", "d3")
@@ -109,300 +60,29 @@ class Jet:
         self.order = order
         self.num_vars = num_vars
         self.val = np.asarray(val, dtype=float)
-        b = self.val.shape
-        v = num_vars
-        self.d1 = np.zeros(b + (v,)) if (order >= 1 and d1 is None) else d1
-        self.d2 = np.zeros(b + (v, v)) if (order >= 2 and d2 is None) else d2
-        self.d3 = np.zeros(b + (v, v, v)) if (order >= 3 and d3 is None) else d3
-        if order < 1:
-            self.d1 = None
-        if order < 2:
-            self.d2 = None
-        if order < 3:
-            self.d3 = None
+        given = (d1, d2, d3)
+        for k in (1, 2, 3):
+            blk = None
+            if k <= order:
+                blk = given[k - 1]
+                if blk is None:
+                    blk = np.zeros(self.val.shape + (num_vars,) * k)
+            setattr(self, f"d{k}", blk)
 
-    # -- basic introspection -------------------------------------------------
+    def _packed(self, order: int) -> np.ndarray:
+        return _pack_blocks([self.val, self.d1, self.d2, self.d3][: order + 1], self.num_vars)
 
-    @property
-    def batch_shape(self):
-        return self.val.shape
-
-    def copy(self) -> "Jet":
-        return Jet(
-            self.order,
-            self.num_vars,
-            self.val.copy(),
-            None if self.d1 is None else self.d1.copy(),
-            None if self.d2 is None else self.d2.copy(),
-            None if self.d3 is None else self.d3.copy(),
-        )
-
-    def __repr__(self):
-        return (
-            f"Jet(order={self.order}, num_vars={self.num_vars}, "
-            f"batch={self.batch_shape}, val={self.val!r})"
-        )
-
-    def _check_compatible(self, other: "Jet"):
-        if self.order != other.order or self.num_vars != other.num_vars:
+    def __mul__(self, other: "Jet") -> "Jet":
+        if not isinstance(other, Jet):
+            return NotImplemented
+        if (self.order, self.num_vars) != (other.order, other.num_vars):
             raise ValueError(
                 "jet shape mismatch: "
                 f"({self.order}, {self.num_vars}) vs ({other.order}, {other.num_vars})"
             )
-
-    # -- ring operations ------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, Jet):
-            out = self.copy()
-            out.val = out.val + np.asarray(other, dtype=float)
-            return out
-        self._check_compatible(other)
-        return Jet(
-            self.order,
-            self.num_vars,
-            self.val + other.val,
-            None if self.d1 is None else self.d1 + other.d1,
-            None if self.d2 is None else self.d2 + other.d2,
-            None if self.d3 is None else self.d3 + other.d3,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(
-            self.order,
-            self.num_vars,
-            -self.val,
-            None if self.d1 is None else -self.d1,
-            None if self.d2 is None else -self.d2,
-            None if self.d3 is None else -self.d3,
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, Jet):
-            out = self.copy()
-            out.val = out.val - np.asarray(other, dtype=float)
-            return out
-        return self.__add__(other.__neg__())
-
-    def __rsub__(self, other):
-        return self.__neg__().__add__(other)
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            c = np.asarray(other, dtype=float)
-
-            def scale(blk, extra):
-                if blk is None:
-                    return None
-                return blk * (c if c.ndim == 0 else c.reshape(c.shape + (1,) * extra))
-
-            return Jet(
-                self.order,
-                self.num_vars,
-                self.val * c,
-                scale(self.d1, 1),
-                scale(self.d2, 2),
-                scale(self.d3, 3),
-            )
-        self._check_compatible(other)
-        a, b = self, other
-        v = self.num_vars
-        val = a.val * b.val
-        d1 = d2 = d3 = None
-        if self.order >= 1:
-            d1 = a.d1 * b.val[..., None] + b.d1 * a.val[..., None]
-        if self.order >= 2:
-            d2 = (
-                a.d2 * b.val[..., None, None]
-                + b.d2 * a.val[..., None, None]
-                + a.d1[..., :, None] * b.d1[..., None, :]
-                + b.d1[..., :, None] * a.d1[..., None, :]
-            )
-            d2 = _mirror2(d2, v)
-        if self.order >= 3:
-            d3 = (
-                a.d3 * b.val[..., None, None, None]
-                + b.d3 * a.val[..., None, None, None]
-                + _sym3_from_21(a.d2, b.d1)
-                + _sym3_from_21(b.d2, a.d1)
-            )
-            d3 = _mirror3(d3, v)
-        return Jet(self.order, v, val, d1, d2, d3)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            return self.__mul__(1.0 / np.asarray(other, dtype=float))
-        return self.__mul__(recip(other))
-
-    def __rtruediv__(self, other):
-        return recip(self).__mul__(other)
-
-    def __pow__(self, k):
-        if not isinstance(k, (int, np.integer)) or k < 0:
-            raise ValueError("jet powers must be non-negative integers")
-        out = constant(np.ones(self.batch_shape), self.num_vars, self.order)
-        for _ in range(int(k)):
-            out = out * self
-        return out
-
-
-def seed_variables(base_point, order: int, batch=False) -> list[Jet]:
-    """Seed one jet per coordinate of ``base_point``.
-
-    Each returned jet has the coordinate value, a unit first derivative in
-    its own slot, and zero higher coefficients.
-
-    Parameters
-    ----------
-    base_point : array_like
-        Coordinates; shape ``(num_vars,)`` or, with ``batch=True``,
-        ``(..., num_vars)`` for batched evaluation.
-    order : int
-        Truncation order in ``{0, 1, 2, 3}``.
-    """
-    p = np.asarray(base_point, dtype=float)
-    if not batch:
-        p = np.atleast_1d(p)
-        if p.ndim != 1:
-            raise ValueError("base_point must be one-dimensional (or use batch=True)")
-    v = p.shape[-1]
-    jets = []
-    for i in range(v):
-        j = Jet(order, v, p[..., i].copy())
-        if order >= 1:
-            j.d1[..., i] = 1.0
-        jets.append(j)
-    return jets
-
-
-def constant(value, num_vars: int, order: int) -> Jet:
-    """A jet whose derivative blocks all vanish."""
-    return Jet(order, num_vars, np.asarray(value, dtype=float).copy())
-
-
-def compose_univariate(derivs, u: Jet) -> Jet:
-    """Compose a scalar function with a jet (Faa di Bruno to order 3).
-
-    ``derivs`` is the tuple ``(f(u0), f'(u0), f''(u0), f'''(u0))`` truncated
-    to ``u.order + 1`` entries, each shaped like ``u.val``.
-    """
-    f = derivs
-    v = u.num_vars
-    val = np.asarray(f[0], dtype=float)
-    d1 = d2 = d3 = None
-    if u.order >= 1:
-        d1 = f[1][..., None] * u.d1
-    if u.order >= 2:
-        d2 = f[1][..., None, None] * u.d2 + f[2][..., None, None] * (
-            u.d1[..., :, None] * u.d1[..., None, :]
-        )
-        d2 = _mirror2(d2, v)
-    if u.order >= 3:
-        d3 = (
-            f[1][..., None, None, None] * u.d3
-            + f[2][..., None, None, None] * _sym3_from_21(u.d2, u.d1)
-            + f[3][..., None, None, None]
-            * (
-                u.d1[..., :, None, None]
-                * u.d1[..., None, :, None]
-                * u.d1[..., None, None, :]
-            )
-        )
-        d3 = _mirror3(d3, v)
-    return Jet(u.order, v, val, d1, d2, d3)
-
-
-def _table(x: np.ndarray, kind: str):
-    """The value and first three derivatives of an elementary function at ``x``."""
-    if kind == "sin":
-        s, c = np.sin(x), np.cos(x)
-        return (s, c, -s, -c)
-    if kind == "cos":
-        s, c = np.sin(x), np.cos(x)
-        return (c, -s, -c, s)
-    if kind == "sinh":
-        s, c = np.sinh(x), np.cosh(x)
-        return (s, c, s, c)
-    if kind == "cosh":
-        s, c = np.sinh(x), np.cosh(x)
-        return (c, s, c, s)
-    if kind == "exp":
-        e = np.exp(x)
-        return (e, e, e, e)
-    if kind == "sqrt":
-        if np.any(x <= 0):
-            raise ValueError("sqrt of a jet requires a strictly positive value")
-        r = np.sqrt(x)
-        return (r, 0.5 / r, -0.25 / (r * x), 0.375 / (r * x * x))
-    if kind == "recip":
-        if np.any(np.abs(x) < DIV_FLOOR):
-            raise ZeroDivisionError(
-                "jet reciprocal: value within %.1e of zero" % DIV_FLOOR
-            )
-        w = 1.0 / x
-        return (w, -w * w, 2.0 * w**3, -6.0 * w**4)
-    raise ValueError(f"unknown elementary kind {kind!r}")
-
-
-def elementary(a: Jet, kind: str) -> Jet:
-    """Apply an elementary function to a jet.
-
-    ``kind`` is one of ``sin, cos, sinh, cosh, exp, sqrt, recip``.
-    """
-    return compose_univariate(_table(a.val, kind)[: a.order + 1], a)
-
-
-def _dispatch(kind):
-    def op(x):
-        if isinstance(x, Jet):
-            return elementary(x, kind)
-        return getattr(np, kind)(x)
-
-    op.__name__ = kind
-    return op
-
-
-sin = _dispatch("sin")
-cos = _dispatch("cos")
-sinh = _dispatch("sinh")
-cosh = _dispatch("cosh")
-exp = _dispatch("exp")
-sqrt = _dispatch("sqrt")
-
-
-def recip(x):
-    if isinstance(x, Jet):
-        return elementary(x, "recip")
-    return 1.0 / x
-
-
-def derivative(jet: Jet, i: int) -> Jet:
-    """The jet of ``d(jet)/dx_i``, one order lower."""
-    if jet.order < 1:
-        raise ValueError("cannot differentiate an order-0 jet")
-    return Jet(
-        jet.order - 1,
-        jet.num_vars,
-        jet.d1[..., i].copy(),
-        None if jet.d2 is None else jet.d2[..., i, :].copy(),
-        None if jet.d3 is None else jet.d3[..., i, :, :].copy(),
-    )
-
-
-def _drop(j: Jet) -> Jet:
-    """Same jet truncated one order lower."""
-    return Jet(
-        j.order - 1,
-        j.num_vars,
-        j.val,
-        j.d1 if j.order - 1 >= 1 else None,
-        j.d2 if j.order - 1 >= 2 else None,
-        None,
-    )
+        v, order = self.num_vars, self.order
+        out = _packed_mul(self._packed(order), other._packed(order), _leibniz_table(v, order))
+        return Jet(order, v, *_unpack_blocks(out, v, order))
 
 
 def compose(f: Jet, xs: list[Jet]) -> Jet:
@@ -415,37 +95,50 @@ def compose(f: Jet, xs: list[Jet]) -> Jet:
     m = f.num_vars
     if len(xs) != m:
         raise ValueError(f"need {m} inner jets, got {len(xs)}")
-    order = min(f.order, xs[0].order)
     v = xs[0].num_vars
-    for x in xs:
-        if x.num_vars != v or x.order != xs[0].order:
-            raise ValueError("inner jets must share order and num_vars")
-    val = f.val.copy()
-    out = Jet(order, v, val)
-    if order == 0:
-        return out
-    X1 = np.stack([x.d1 for x in xs], axis=-2)  # (..., m, v)
-    out.d1 = np.einsum("...m,...mi->...i", f.d1, X1)
-    if order >= 1 and order < 2:
-        return out
-    X2 = np.stack([x.d2 for x in xs], axis=-3)  # (..., m, v, v)
-    out.d2 = _mirror2(
-        np.einsum("...m,...mij->...ij", f.d1, X2)
-        + np.einsum("...mn,...mi,...nj->...ij", f.d2, X1, X1),
-        v,
-    )
-    if order < 3:
-        return out
-    X3 = np.stack([x.d3 for x in xs], axis=-4)
-    cross = np.einsum("...mn,...mi,...njk->...ijk", f.d2, X1, X2)
-    cross = cross + np.moveaxis(cross, -3, -2) + np.moveaxis(cross, -3, -1)
-    out.d3 = _mirror3(
-        np.einsum("...m,...mijk->...ijk", f.d1, X3)
-        + cross
-        + np.einsum("...mnp,...mi,...nj,...pk->...ijk", f.d3, X1, X1, X1),
-        v,
-    )
-    return out
+    if any((x.order, x.num_vars) != (xs[0].order, v) for x in xs):
+        raise ValueError("inner jets must share order and num_vars")
+    order = min(f.order, xs[0].order)
+    out = _packed_compose(f._packed(order), [x._packed(order) for x in xs],
+                          _leibniz_table(v, order))
+    return Jet(order, v, *_unpack_blocks(out, v, order))
+
+
+def _table(x: np.ndarray, kind: str, order: int) -> np.ndarray:
+    """An elementary function at ``x`` as a packed jet in one variable: row k is its k-th derivative.
+
+    ``kind`` is one of ``sin, cos, sinh, cosh, exp, sqrt, recip``.
+    """
+    if kind == "sin":
+        s, c = np.sin(x), np.cos(x)
+        derivs = (s, c, -s, -c)
+    elif kind == "cos":
+        s, c = np.sin(x), np.cos(x)
+        derivs = (c, -s, -c, s)
+    elif kind == "sinh":
+        s, c = np.sinh(x), np.cosh(x)
+        derivs = (s, c, s, c)
+    elif kind == "cosh":
+        s, c = np.sinh(x), np.cosh(x)
+        derivs = (c, s, c, s)
+    elif kind == "exp":
+        e = np.exp(x)
+        derivs = (e, e, e, e)
+    elif kind == "sqrt":
+        if np.any(x <= 0):
+            raise ValueError("sqrt of a jet requires a strictly positive value")
+        r = np.sqrt(x)
+        derivs = (r, 0.5 / r, -0.25 / (r * x), 0.375 / (r * x * x))
+    elif kind == "recip":
+        if np.any(np.abs(x) < DIV_FLOOR):
+            raise ZeroDivisionError(
+                "jet reciprocal: value within %.1e of zero" % DIV_FLOOR
+            )
+        w = 1.0 / x
+        derivs = (w, -w * w, 2.0 * w**3, -6.0 * w**4)
+    else:
+        raise ValueError(f"unknown elementary kind {kind!r}")
+    return np.stack(derivs[: order + 1])
 
 
 # -- packed coefficient arrays -------------------------------------------------
@@ -555,20 +248,40 @@ def _packed_matmul(a: np.ndarray, b: np.ndarray, table) -> np.ndarray:
     return _leibniz(np.matmul, a, b, table, out)
 
 
-def _packed_compose(derivs, u: np.ndarray, table) -> np.ndarray:
-    """f(u) as the sum over k of f^(k)(u0)/k! (u - u0)^k, in packed products.
+def _packed_compose(f: np.ndarray, xs, table) -> np.ndarray:
+    """The packed jet of f(x_1, ..., x_m): the sum over alpha of d^alpha f / alpha! delta^alpha.
 
-    ``derivs`` is ``(f(u0), f'(u0), ...)``, one more than the table's order.
+    ``f`` is a packed jet in the m = ``len(xs)`` outer variables, holding the
+    outer function's partials at the inner values, to at most the table's
+    order.  ``xs`` are packed inner jets in the table's variables, and
+    delta_i is x_i less its value.  Each monomial delta^alpha is its parent
+    delta^(alpha - e_last) times delta_last, in the basis order of ``f``
+    (Griewank & Walther, "Evaluating Derivatives", 2nd ed., SIAM 2008).
+    With one outer variable this is f(u0) + sum over k of f^(k)(u0)/k! du^k.
     """
-    du = u[: table[-1][0] + 1].copy()
-    du[0] = 0.0
-    out = np.zeros((table[-1][0] + 1,) + u.shape[1:], np.result_type(u, *derivs))
-    out[0] = derivs[0]
-    power = du
-    for k in range(1, len(derivs)):
-        if k > 1:
-            power = _packed_mul(power, du, table)
-        out[: len(power)] += (derivs[k] / factorial(k)) * power
+    rows = table[-1][0] + 1
+    deltas = []
+    for x in xs:
+        delta = x[:rows].copy()
+        delta[0] = 0.0
+        deltas.append(delta)
+    shape = np.broadcast_shapes(f.shape[1:], *(x.shape[1:] for x in xs))
+    out = np.zeros((rows,) + shape, np.result_type(f, *xs))
+    out[0] = f[0]
+    m, order = len(xs), _packed_order(f, len(xs))
+    powers = {}  # the monomials that are still parents
+    for r, idx in enumerate(_packed_basis(m, order)[1:], 1):
+        parent, last = idx[:-1], idx[-1]
+        if not parent:
+            power = deltas[last]
+        else:
+            power = _packed_mul(powers[parent], deltas[last], table)
+            if last == m - 1:  # its last child: free it, as the one-variable series always did
+                del powers[parent]
+        if len(idx) < order:
+            powers[idx] = power
+        weight = prod(factorial(k) for k in Counter(idx).values())
+        out[: len(power)] += (f[r] / weight) * power
     return out
 
 
@@ -585,7 +298,7 @@ class _Ops:
 
     def fn(self, kind: str, u: np.ndarray) -> np.ndarray:
         """The elementary function ``kind`` of :func:`_table` applied to ``u``."""
-        return _packed_compose(_table(u[0], kind)[: self.order + 1], u, self.table)
+        return _packed_compose(_table(u[0], kind, self.order), [u], self.table)
 
 
 def _seed_angles(t: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:

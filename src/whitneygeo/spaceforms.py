@@ -197,7 +197,7 @@ def _kaehler_metric(z, c, table, order):
         return one[..., None, None] * np.eye(m), one
     u = c * jets._packed_mul(z, z, table).sum(axis=-1)
     u[0] += 1.0
-    w = jets._packed_compose(jets._table(u[0], "recip")[: order + 1], u, table)
+    w = jets._packed_compose(jets._table(u[0], "recip", order), [u], table)
     wz = jets._packed_mul(w[..., None], z, table)
     # entries (a, b) and (b, a) both come from the pair (min, max), so P is
     # bitwise symmetric and Q bitwise antisymmetric
@@ -637,7 +637,7 @@ class SasakianS(SasakianModel):
         top = jets._leibniz_table(m, order + 1)
         u = -jets._packed_mul(q, q, top).sum(axis=-1)
         u[0] += 1.0
-        x = jets._packed_compose(jets._table(u[0], "sqrt")[: order + 2], u, top)
+        x = jets._packed_compose(jets._table(u[0], "sqrt", order + 1), [u], top)
         # E is a graph over the chart, so T = dE is the identity with the row
         # dx inserted.  With J the complex rotation of C^{n+1} and Jz that of
         # the chart's z block, the round metric T^T T is I + dx dx^T, the

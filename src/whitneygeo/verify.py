@@ -31,6 +31,8 @@ from __future__ import annotations
 import atexit
 import itertools
 import json
+import math
+import numbers
 import operator
 import os
 import sys
@@ -112,6 +114,11 @@ class Tolerances:
     strictness: float = 1e-4
 
     def __post_init__(self):
+        # a NaN would pass every "abs(x) > tol" check, so it is refused here
+        for name, value in asdict(self).items():
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value < 0):
+                raise ValueError(f"tolerance {name} must be a finite number >= 0, got {value!r}")
         if not (self.strictness > self.classification > self.inequality_slack):
             raise ValueError(
                 "tolerances must satisfy strictness > classification > "

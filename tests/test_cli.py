@@ -62,6 +62,16 @@ class TestVerify:
         code, _, err = _run(["verify"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-8"])
+    def test_tolerance_that_disables_checks_is_config_error(self, capsys, value):
+        code, out, err = _run(
+            ["verify", "--case", "whitney_c0", "--resolution", "12", f"--tol-integral={value}"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "tolerance integral" in err
+
     def test_coarse_run_exits_one_on_hard_failure(self, capsys):
         code, out, _ = _run(
             ["verify", "--case", "whitney_c0", "--resolution", "16"], capsys
@@ -110,6 +120,16 @@ class TestConfig:
         }
         with pytest.raises(ValueError):
             parse_config_text("not a key value line")
+
+    def test_bad_int_names_line_and_key(self):
+        with pytest.raises(ValueError, match="config line 1: bad value for 'n'"):
+            parse_config_text("n = two\ncase=whitney_c0")
+
+    def test_conformal_accepts_only_booleans(self):
+        for word, flag in (("TRUE", True), ("no", False), ("Yes", True), ("0", False)):
+            assert parse_config_text(f"conformal = {word}") == {"conformal": flag}
+        with pytest.raises(ValueError, match="config line 2: bad value for 'conformal'"):
+            parse_config_text("case=whitney_c0\nconformal = ture")
 
     def test_unknown_key_is_rejected(self, capsys, tmp_path):
         with pytest.raises(ValueError, match="config line 2: unknown key 'thetaa'"):

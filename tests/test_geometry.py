@@ -27,6 +27,8 @@ from whitneygeo.spaceforms import (
     make_model,
 )
 
+from scalar_reference import mirror
+
 ALL_KINDS = ["C_n", "CP_n", "CH_n", "Sasakian_R", "Sasakian_S", "Sasakian_B"]
 
 
@@ -293,7 +295,7 @@ class TestFiniteDifferenceOracles:
 def _symmetric(rng, shape, k):
     """Random arrays symmetric in their last k axes."""
     t = rng.normal(size=shape + (shape[-1],) * (k - 1))
-    return (jets._mirror2 if k == 2 else jets._mirror3)(t, shape[-1])
+    return mirror(t, k)
 
 
 class TestTangentialRoute:

@@ -21,7 +21,8 @@ from whitneygeo.immersions import (
     random_quartic,
     sphere_points,
 )
-from whitneygeo.jets import Jet, constant
+
+import scalar_reference as sj
 
 
 def _sample_params(n, count=12, seed=0):
@@ -40,11 +41,11 @@ def _points_and_poles(n, count=20, seed=5):
 
 
 def _ref_node_jets(u0, order):
-    """The node chart (u0 + Q s) / sqrt(1 + |s|^2) in scalar Jets seeded on s at 0."""
+    """The node chart (u0 + Q s) / sqrt(1 + |s|^2) in scalar jets seeded on s at 0."""
     n = u0.shape[-1] - 1
     Q = immersions._reflections(u0)[:, :, :n]
-    s = jets.seed_variables(np.zeros((len(u0), n)), order, batch=True)
-    inv = jets.recip(jets.sqrt(sum((si * si for si in s[1:]), start=s[0] * s[0]) + 1.0))
+    s = sj.seed(np.zeros((len(u0), n)), order)
+    inv = sj.recip(sj.sqrt(sum((si * si for si in s[1:]), start=s[0] * s[0]) + 1.0))
     return [sum((si * Q[:, k, i] for i, si in enumerate(s)), start=inv * 0.0 + u0[:, k]) * inv
             for k in range(n + 1)]
 
@@ -301,15 +302,15 @@ class TestDegenerationLimit:
 
 
 def _jets_of(packed, v):
-    """The scalar Jets of packed (coefficients, B, m) jets in ``v`` variables."""
+    """The scalar jets of packed (coefficients, B, m) jets in ``v`` variables."""
     order = jets._packed_order(packed, v)
     blocks = jets._unpack_blocks(packed, v, order)
-    return [Jet(order, v, *(np.moveaxis(b, 1, 0)[mu] for b in blocks))
+    return [sj.ScalarJet(order, v, *(np.moveaxis(b, 1, 0)[mu] for b in blocks))
             for mu in range(packed.shape[-1])]
 
 
 def _reference_flow(x, ham):
-    """RK4 on lists of scalar jets: J grad F summed term by term with Jet products."""
+    """RK4 on lists of scalar jets: J grad F summed term by term with their products."""
     m = len(x)
     n = m // 2
     grads = ham.gradient_terms(m)
@@ -319,7 +320,7 @@ def _reference_flow(x, ham):
         for terms in grads:
             acc = state[0] * 0.0
             for c, e in terms:
-                term = constant(np.full(state[0].batch_shape, c), x[0].num_vars, x[0].order)
+                term = sj.constant(np.full(state[0].batch_shape, c), x[0].num_vars, x[0].order)
                 for i, k in enumerate(e):
                     for _ in range(k):
                         term = term * state[i]
@@ -641,14 +642,14 @@ class TestBergmanFiber:
         assert pg.isotropy.max() < 1e-9
 
 
-# -- the packed evaluators against their scalar-Jet formulas -------------------
+# -- the packed evaluators against their scalar-jet formulas -------------------
 #
-# The references below are the catalog formulas written with scalar Jets and
-# (real, imaginary) pairs of them; the packed evaluators must agree with them
-# block by block.
+# The references below are the catalog formulas written with the tests' scalar
+# jet algebra (``scalar_reference``) and (real, imaginary) pairs of its jets;
+# the packed evaluators must agree with them block by block.
 
 class _CJ:
-    """A complex scalar as a (real, imaginary) pair of Jets."""
+    """A complex scalar as a (real, imaginary) pair of scalar jets."""
 
     def __init__(self, re, im):
         self.re, self.im = re, im
@@ -663,23 +664,23 @@ class _CJ:
         return self.re * self.re + self.im * self.im
 
     def inv(self):
-        q = jets.recip(self.abs2())
+        q = sj.recip(self.abs2())
         return _CJ(self.re * q, -self.im * q)
 
 
 def _ref_spherical(t, order):
-    """u(t) in scalar Jets seeded on the spherical parameters."""
-    seeds = jets.seed_variables(t, order, batch=True)
+    """u(t) in scalar jets seeded on the spherical parameters."""
+    seeds = sj.seed(t, order)
     comps, prefix = [], None
     for th in seeds[:-1]:
-        comps.append(jets.cos(th) if prefix is None else prefix * jets.cos(th))
-        prefix = jets.sin(th) if prefix is None else prefix * jets.sin(th)
-    return comps + [prefix * jets.cos(seeds[-1]), prefix * jets.sin(seeds[-1])]
+        comps.append(sj.cos(th) if prefix is None else prefix * sj.cos(th))
+        prefix = sj.sin(th) if prefix is None else prefix * sj.sin(th)
+    return comps + [prefix * sj.cos(seeds[-1]), prefix * sj.sin(seeds[-1])]
 
 
 def _ref_pairs(u, theta, variant):
     un = u[-1]
-    one = constant(np.ones(un.batch_shape), un.num_vars, un.order)
+    one = sj.constant(np.ones(un.batch_shape), un.num_vars, un.order)
     ch, sh = math.cosh(theta), math.sinh(theta)
     u2 = un * un
     if variant == "cp":
@@ -694,14 +695,14 @@ def _ref_pairs(u, theta, variant):
 
 def _ref_c0(spec, u):
     n, B = spec.n, spec.params["B"]
-    w = spec.params["r"] * jets.recip(1.0 + u[-1] * u[-1])
+    w = spec.params["r"] * sj.recip(1.0 + u[-1] * u[-1])
     return [u[j] * w + B[j] for j in range(n)] + [u[j] * w * u[-1] + B[n + j] for j in range(n)]
 
 
 def _ref_contact_r(spec, u):
     n, r, B = spec.n, spec.params["r"], spec.params["B"]
     un = u[-1]
-    w = r * jets.recip(1.0 + un * un)
+    w = r * sj.recip(1.0 + un * un)
     xs = [u[j] * w * un for j in range(n)]
     ys = [u[j] * w for j in range(n)]
     z = un * w * w + r * spec.params["a"] + B[2 * n]
@@ -712,7 +713,7 @@ def _ref_contact_r(spec, u):
 def _ref_contact_s(spec, u):
     un = u[-1]
     ch, sh = math.cosh(spec.params["theta"]), math.sinh(spec.params["theta"])
-    one = constant(np.ones(un.batch_shape), un.num_vars, un.order)
+    one = sj.constant(np.ones(un.batch_shape), un.num_vars, un.order)
     inv = _CJ(ch * one, sh * un).inv()
     ws = [inv * uj for uj in u[:-1]]
     return [w.re for w in ws] + [w.im for w in ws] + [un / (ch * ch + sh * sh * un * un)]
@@ -726,29 +727,29 @@ def _ref_totally_geodesic(spec, u):
 
 
 class _RefFiber(immersions._BergmanFiber):
-    """The Bergman fiber with its density in scalar Jets; the panel rule is shared."""
+    """The Bergman fiber with its density in scalar jets; the panel rule is shared."""
 
     def _rho_jets(self, u_vals, order):
-        (un,) = jets.seed_variables(u_vals[:, None], order + 1, batch=True)
-        zs = _ref_pairs([jets.sqrt(1.0 - un * un)] + [un * 0.0] * (self.n - 1) + [un],
+        (un,) = sj.seed(u_vals[:, None], order + 1)
+        zs = _ref_pairs([sj.sqrt(1.0 - un * un)] + [un * 0.0] * (self.n - 1) + [un],
                         self.theta, "ch")
-        w = jets.recip(1.0 - sum((z.abs2() for z in zs[1:]), start=zs[0].abs2()))
-        acc = sum((jets._drop(z.im) * jets.derivative(z.re, 0)
-                   - jets._drop(z.re) * jets.derivative(z.im, 0) for z in zs[1:]),
-                  start=jets._drop(zs[0].im) * jets.derivative(zs[0].re, 0)
-                  - jets._drop(zs[0].re) * jets.derivative(zs[0].im, 0))
-        rho = acc * (self.kappa * jets._drop(w))
+        w = sj.recip(1.0 - sum((z.abs2() for z in zs[1:]), start=zs[0].abs2()))
+        acc = sum((sj.drop(z.im) * sj.derivative(z.re, 0)
+                   - sj.drop(z.re) * sj.derivative(z.im, 0) for z in zs[1:]),
+                  start=sj.drop(zs[0].im) * sj.derivative(zs[0].re, 0)
+                  - sj.drop(zs[0].re) * sj.derivative(zs[0].im, 0))
+        rho = acc * (self.kappa * sj.drop(w))
         blocks = (rho.val, rho.d1, rho.d2)
         return np.stack([blocks[k][(...,) + (0,) * k] for k in range(order + 1)])
 
     def fiber(self, un):
         rho = self._rho_jets(un.val, 2)
         derivs = (self.primitive_values(un.val), -rho[0], -rho[1], -rho[2])
-        return jets.compose_univariate(derivs[: un.order + 1], un)
+        return sj.compose_univariate(derivs[: un.order + 1], un)
 
 
 class _RefLift(immersions._LiftPrimitive):
-    """The Legendrian lift with its base and integrand in scalar Jets; the panel rule is shared."""
+    """The Legendrian lift with its base and integrand in scalar jets; the panel rule is shared."""
 
     def base(self, u):
         spec = self.base_spec
@@ -767,14 +768,14 @@ class _RefLift(immersions._LiftPrimitive):
     def lifted(self, t, order):
         x = self.base(_ref_node_jets(sphere_points(t), order))
         n = self.base_spec.n
-        z = Jet(order, n, self.values(t))
+        z = sj.ScalarJet(order, n, self.values(t))
         for a in range(n if order else 0):
-            p = sum((jets._drop(x[n + j]) * jets.derivative(x[j], a) for j in range(1, n)),
-                    start=jets._drop(x[n]) * jets.derivative(x[0], a))
+            p = sum((sj.drop(x[n + j]) * sj.derivative(x[j], a) for j in range(1, n)),
+                    start=sj.drop(x[n]) * sj.derivative(x[0], a))
             for k, block in enumerate((p.val, p.d1, p.d2)[:order]):
                 getattr(z, f"d{k + 1}")[:, a] = block
-        z.d2 = None if order < 2 else jets._mirror2(z.d2, n)
-        z.d3 = None if order < 3 else jets._mirror3(z.d3, n)
+        z.d2 = None if order < 2 else sj.mirror(z.d2, 2)
+        z.d3 = None if order < 3 else sj.mirror(z.d3, 3)
         return x + [z]
 
 
@@ -784,12 +785,12 @@ def _small_hamiltonian(n):
 
 
 def _reference_jets(spec, t, order):
-    """The scalar-Jet formula of ``spec`` at parameters ``t``, in the node charts."""
+    """The scalar-jet formula of ``spec`` at parameters ``t``, in the node charts."""
     if spec.kind == "product_torus":
-        seeds = jets.seed_variables(t, order, batch=True)
+        seeds = sj.seed(t, order)
         radii = spec.params["radii"]
-        return ([r * jets.cos(s) for r, s in zip(radii, seeds)]
-                + [r * jets.sin(s) for r, s in zip(radii, seeds)])
+        return ([r * sj.cos(s) for r, s in zip(radii, seeds)]
+                + [r * sj.sin(s) for r, s in zip(radii, seeds)])
     if spec.kind == "lifted":
         return _RefLift(immersions._lift_primitive_for(spec).base_spec).lifted(t, order)
     u = _ref_node_jets(sphere_points(t), order)

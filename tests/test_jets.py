@@ -1,26 +1,25 @@
 """Jet arithmetic against independent oracles.
 
-Oracles used here:
+The packed kernels (``jets._Ops.mul``, ``jets._Ops.fn`` and the chain rule
+``jets._packed_compose``) and the full-block face on them (``jets.Jet`` and
+``jets.compose``) are checked against:
   * symbolic differentiation of monomials (dict-based polynomial algebra),
-  * brute-force polynomial multiplication (coefficient convolution),
+  * brute-force polynomial multiplication and substitution (coefficient
+    convolution),
+  * Maclaurin series of the elementary functions,
   * central finite differences of composed scalar functions.
 """
 
 import itertools
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from whitneygeo import jets
-from whitneygeo.jets import (
-    Jet,
-    compose,
-    constant,
-    derivative,
-    elementary,
-    seed_variables,
-)
+from whitneygeo.jets import Jet, compose
 
 
 # ---------------------------------------------------------------------------
@@ -38,16 +37,18 @@ def poly_mul(p, q, max_deg=None):
     return out
 
 
-def poly_eval_jet(p, seeds):
-    v = seeds[0].num_vars
-    acc = constant(np.zeros(seeds[0].batch_shape), v, seeds[0].order)
+def poly_substitute(p, qs):
+    """The polynomial p(q_1, ..., q_m) in the variables of the q_i."""
+    v = len(next(iter(qs[0])))
+    out = {}
     for e, c in p.items():
-        term = constant(np.full(seeds[0].batch_shape, c), v, seeds[0].order)
-        for i, k in enumerate(e):
+        term = {(0,) * v: c}
+        for q, k in zip(qs, e):
             for _ in range(k):
-                term = term * seeds[i]
-        acc = acc + term
-    return acc
+                term = poly_mul(term, q)
+        for te, tc in term.items():
+            out[te] = out.get(te, 0.0) + tc
+    return out
 
 
 def poly_partial(p, i):
@@ -90,52 +91,124 @@ def random_poly(rng, v, deg):
 
 
 # ---------------------------------------------------------------------------
+# packed jets: seeds, polynomials and partials read by index
+# ---------------------------------------------------------------------------
+
+def _seeds(points, order):
+    """Coordinate jets at ``points`` (shape (B, v), or (v,) for B = 1) as packed (coefficients, B)."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    v = points.shape[-1]
+    seeds = np.zeros((v, len(jets._packed_basis(v, order))) + points.shape[:-1])
+    for i in range(v):
+        seeds[i, 0] = points[..., i]
+        if order >= 1:
+            seeds[i, 1 + i] = 1.0
+    return seeds
+
+
+def _plus(u, c):
+    """u + c for a constant c: only the value row moves."""
+    out = u.copy()
+    out[0] += c
+    return out
+
+
+def poly_eval_packed(p, seeds, ops):
+    acc = np.zeros_like(seeds[0])
+    for e, c in p.items():
+        term = _plus(np.zeros_like(seeds[0]), c)
+        for i, k in enumerate(e):
+            for _ in range(k):
+                term = ops.mul(term, seeds[i])
+        acc = acc + term
+    return acc
+
+
+def _partial(packed, v, idx):
+    """The partial over the index multiset ``idx`` of a packed jet in ``v`` variables."""
+    basis = jets._packed_basis(v, jets._packed_order(packed, v))
+    return packed[basis.index(tuple(sorted(idx)))]
+
+
+# (rtol, atol) for the partials of order 0, 1, 2, 3 against a polynomial oracle
+_ORACLE_TOL = ((1e-12, 1e-12), (1e-11, 1e-11), (1e-11, 1e-10), (1e-10, 1e-9))
+
+
+def _assert_matches_oracle(packed, oracle, v, order):
+    for k in range(order + 1):
+        rtol, atol = _ORACLE_TOL[k]
+        for idx in itertools.product(range(v), repeat=k):
+            assert_allclose(_partial(packed, v, idx), oracle[idx], rtol=rtol, atol=atol)
+
+
+def _assert_face_matches_oracle(jet, oracle, v):
+    for k, blk in enumerate((jet.val, jet.d1, jet.d2, jet.d3)):
+        rtol, atol = _ORACLE_TOL[k]
+        for idx in itertools.product(range(v), repeat=k):
+            assert_allclose(blk[(0,) + idx], oracle[idx], rtol=rtol, atol=atol)
+
+
+def _full_jet(derivs, v, order):
+    """A Jet holding the partials ``derivs[idx]`` in full, symmetric blocks."""
+    blocks = [np.zeros((1,) + (v,) * k) for k in range(order + 1)]
+    for k, blk in enumerate(blocks):
+        for idx in itertools.product(range(v), repeat=k):
+            blk[(0,) + idx] = derivs[idx]
+    return Jet(order, v, *blocks)
+
+
+# ---------------------------------------------------------------------------
 # seeding and basic arithmetic
 # ---------------------------------------------------------------------------
 
 class TestSeeds:
     def test_seed_values_and_gradients(self):
-        j0, j1 = seed_variables([0.5, -1.0], order=3)
-        assert j0.val == 0.5 and j1.val == -1.0
-        assert_allclose(j0.d1, [1.0, 0.0])
-        assert_allclose(j1.d1, [0.0, 1.0])
-        assert np.all(j0.d2 == 0) and np.all(j0.d3 == 0)
+        # the Jet constructor fills the blocks it is not given with zeros
+        j = Jet(3, 2, np.array([0.5]), np.array([[1.0, 0.0]]))
+        assert j.val == 0.5
+        assert_allclose(j.d1, [[1.0, 0.0]])
+        assert j.d2.shape == (1, 2, 2) and j.d3.shape == (1, 2, 2, 2)
+        assert np.all(j.d2 == 0) and np.all(j.d3 == 0)
 
     def test_order_zero_seed_is_constant_like(self):
-        (j,) = seed_variables([0.0], order=0)
+        j = Jet(0, 1, 0.0)
         assert j.order == 0 and j.d1 is None and j.d2 is None and j.d3 is None
+        assert (j * j).val == 0.0 and (j * j).d1 is None
 
     def test_order_out_of_range(self):
         with pytest.raises(ValueError):
-            seed_variables([0.0], order=4)
+            Jet(4, 1, 0.0)
         with pytest.raises(ValueError):
-            seed_variables([0.0], order=-1)
+            Jet(-1, 1, 0.0)
 
     def test_triple_product_mixed_partial(self):
-        x, y, z = seed_variables([0.3, -0.7, 1.1], order=3)
-        f = x * y * z
+        x, y, z = _seeds([0.3, -0.7, 1.1], 3)
+        ops = jets._Ops(3, 3)
+        f = ops.mul(ops.mul(x, y), z)
         # d^3(xyz)/dx dy dz = 1 everywhere
-        assert_allclose(f.d3[0, 1, 2], 1.0)
-        assert_allclose(f.d3[2, 0, 1], 1.0)
+        assert_allclose(_partial(f, 3, (0, 1, 2)), 1.0)
+        full = [Jet(3, 3, *jets._unpack_blocks(s, 3, 3)) for s in (x, y, z)]
+        g = full[0] * full[1] * full[2]
+        assert_allclose(g.d3[0, 0, 1, 2], 1.0)
+        assert_allclose(g.d3[0, 2, 0, 1], 1.0)
 
 
 class TestArith:
     def test_one_plus_x_times_one_minus_x(self):
-        (x,) = seed_variables([0.0], order=2)
-        f = (1.0 + x) * (1.0 - x)
-        assert_allclose(f.val, 1.0)
-        assert_allclose(f.d1, [0.0])
-        assert_allclose(f.d2, [[-2.0]])
+        (x,) = _seeds([0.0], 2)
+        f = jets._Ops(1, 2).mul(_plus(x, 1.0), _plus(-x, 1.0))
+        assert_allclose(f[:, 0], [1.0, 0.0, -2.0])
 
     def test_f_over_f_is_one(self):
         rng = np.random.default_rng(0)
-        seeds = seed_variables(rng.normal(size=3), order=3)
-        f = poly_eval_jet({(0, 0, 0): 2.0, (1, 1, 0): 0.5, (0, 0, 2): -0.3}, seeds)
-        g = f / f
-        assert_allclose(g.val, 1.0, atol=1e-14)
-        assert_allclose(g.d1, 0.0, atol=1e-13)
-        assert_allclose(g.d2, 0.0, atol=1e-13)
-        assert_allclose(g.d3, 0.0, atol=1e-12)
+        seeds = _seeds(rng.normal(size=3), 3)
+        ops = jets._Ops(3, 3)
+        f = poly_eval_packed({(0, 0, 0): 2.0, (1, 1, 0): 0.5, (0, 0, 2): -0.3}, seeds, ops)
+        g = ops.mul(f, ops.fn("recip", f))
+        assert_allclose(g[0], 1.0, atol=1e-14)
+        assert_allclose(g[1:4], 0.0, atol=1e-13)
+        assert_allclose(g[4:10], 0.0, atol=1e-13)
+        assert_allclose(g[10:], 0.0, atol=1e-12)
 
     def test_product_matches_convolution_oracle(self):
         rng = np.random.default_rng(7)
@@ -143,18 +216,14 @@ class TestArith:
             x0 = rng.normal(size=v)
             p = random_poly(rng, v, 3)
             q = random_poly(rng, v, 3)
-            seeds = seed_variables(x0, order=3)
-            jp = poly_eval_jet(p, seeds) * poly_eval_jet(q, seeds)
+            ops = jets._Ops(v, 3)
+            seeds = _seeds(x0, 3)
+            pp, pq = (poly_eval_packed(r, seeds, ops) for r in (p, q))
             oracle = poly_derivs_at(poly_mul(p, q), x0, 3)
-            assert_allclose(jp.val, oracle[()], rtol=1e-12, atol=1e-12)
-            for i in range(v):
-                assert_allclose(jp.d1[i], oracle[(i,)], rtol=1e-11, atol=1e-11)
-                for j in range(v):
-                    assert_allclose(jp.d2[i, j], oracle[(i, j)], rtol=1e-11, atol=1e-10)
-                    for k in range(v):
-                        assert_allclose(
-                            jp.d3[i, j, k], oracle[(i, j, k)], rtol=1e-10, atol=1e-9
-                        )
+            _assert_matches_oracle(ops.mul(pp, pq), oracle, v, 3)
+            # the full-block face gives the same partials
+            a, b = (Jet(3, v, *jets._unpack_blocks(r, v, 3)) for r in (pp, pq))
+            _assert_face_matches_oracle(a * b, oracle, v)
 
     def test_truncated_product_drops_high_degrees_only(self):
         # Degree-3 truncation of p*q must match the convolution truncated at 3.
@@ -163,68 +232,55 @@ class TestArith:
         x0 = rng.normal(size=v)
         p = random_poly(rng, v, 2)
         q = random_poly(rng, v, 2)
-        seeds = seed_variables(x0, order=3)
-        jp = poly_eval_jet(p, seeds) * poly_eval_jet(q, seeds)
+        ops = jets._Ops(v, 3)
+        seeds = _seeds(x0, 3)
+        prod = ops.mul(poly_eval_packed(p, seeds, ops), poly_eval_packed(q, seeds, ops))
         oracle = poly_derivs_at(poly_mul(p, q), x0, 3)
-        for i in range(v):
-            for j in range(v):
-                for k in range(v):
-                    assert_allclose(jp.d3[i, j, k], oracle[(i, j, k)], rtol=1e-10, atol=1e-10)
+        for idx in itertools.product(range(v), repeat=3):
+            assert_allclose(_partial(prod, v, idx), oracle[idx], rtol=1e-10, atol=1e-10)
 
     def test_shape_mismatch_raises(self):
-        (a,) = seed_variables([1.0], order=2)
-        (b,) = seed_variables([1.0], order=3)
+        a = Jet(2, 1, 1.0)
         with pytest.raises(ValueError):
-            a + b
-        c, d = seed_variables([1.0, 2.0], order=2)
+            a * Jet(3, 1, 1.0)
         with pytest.raises(ValueError):
-            a * c
+            a * Jet(2, 2, 1.0)
 
     def test_division_by_near_zero_raises(self):
-        (a,) = seed_variables([1.0], order=2)
-        b = constant(1e-15, 1, 2)
+        b = _plus(np.zeros((3, 1)), 1e-15)
         with pytest.raises(ZeroDivisionError):
-            a / b
+            jets._Ops(1, 2).fn("recip", b)
 
     def test_algebra_identities_random(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
             v = int(rng.integers(1, 4))
-            seeds = seed_variables(rng.normal(size=v), order=3)
-            pa, pb, pc = (random_poly(rng, v, 2) for _ in range(3))
-            a, b, c = (poly_eval_jet(p, seeds) for p in (pa, pb, pc))
-            lhs = (a * b) * c
-            rhs = a * (b * c)
-            scale = max(1.0, np.abs(rhs.d3).max())
-            assert_allclose(lhs.val, rhs.val, rtol=1e-14, atol=1e-14)
-            assert_allclose(lhs.d3, rhs.d3, rtol=1e-13, atol=1e-13 * scale)
-            lhs2 = a * (b + c)
-            rhs2 = a * b + a * c
-            assert_allclose(lhs2.d2, rhs2.d2, rtol=1e-13, atol=1e-12)
-            assert_allclose(lhs2.d3, rhs2.d3, rtol=1e-13, atol=1e-12)
+            ops = jets._Ops(v, 3)
+            seeds = _seeds(rng.normal(size=v), 3)
+            a, b, c = (poly_eval_packed(random_poly(rng, v, 2), seeds, ops) for _ in range(3))
+            lhs = ops.mul(ops.mul(a, b), c)
+            rhs = ops.mul(a, ops.mul(b, c))
+            scale = max(1.0, np.abs(rhs[len(jets._packed_basis(v, 2)):]).max())
+            assert_allclose(lhs[0], rhs[0], rtol=1e-14, atol=1e-14)
+            assert_allclose(lhs, rhs, rtol=1e-13, atol=1e-13 * scale)
+            lhs2 = ops.mul(a, b + c)
+            rhs2 = ops.mul(a, b) + ops.mul(a, c)
+            assert_allclose(lhs2, rhs2, rtol=1e-13, atol=1e-12)
 
 
 class TestSymmetry:
     def test_blocks_exactly_symmetric_after_ops(self):
         rng = np.random.default_rng(5)
-        seeds = seed_variables(rng.normal(size=3), order=3)
-        f = poly_eval_jet(random_poly(rng, 3, 3), seeds)
-        g = jets.sin(f) * jets.exp(seeds[0]) / (2.0 + jets.cosh(seeds[1]))
-        for perm in itertools.permutations(range(3)):
-            assert np.array_equal(g.d3, np.transpose(g.d3, perm))
-        assert np.array_equal(g.d2, g.d2.T)
-
-    def test_mirrored_blocks_are_c_contiguous(self):
-        rng = np.random.default_rng(6)
-        x, y, z = seed_variables(rng.normal(size=(64, 3)), order=3, batch=True)
-        g = jets.sin(x * y) * (z + 2.0)
-        for blk in (g.d2, g.d3):
-            assert blk.flags.c_contiguous
-        # the same entries as indexing the trailing axes directly
-        lo, hi = np.sort(np.indices((3, 3)), axis=0)
-        assert np.array_equal(jets._mirror2(g.d2, 3), g.d2[..., lo, hi])
-        a, b, c = np.sort(np.indices((3, 3, 3)), axis=0)
-        assert np.array_equal(jets._mirror3(g.d3, 3), g.d3[..., a, b, c])
+        seeds = _seeds(rng.normal(size=(4, 3)), 3)
+        ops = jets._Ops(3, 3)
+        f = poly_eval_packed(random_poly(rng, 3, 3), seeds, ops)
+        g = ops.mul(ops.fn("sin", f), ops.fn("exp", seeds[0]))
+        a, b = (Jet(3, 3, *jets._unpack_blocks(r, 3, 3)) for r in (f, g))
+        outer = Jet(3, 1, *jets._unpack_blocks(jets._table(f[0], "cosh", 3), 1, 3))
+        for h in (a * b, compose(outer, [a])):
+            for perm in itertools.permutations(range(3)):
+                assert np.array_equal(h.d3, np.transpose(h.d3, (0,) + tuple(p + 1 for p in perm)))
+            assert np.array_equal(h.d2, np.swapaxes(h.d2, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -245,19 +301,26 @@ def fd_derivs(f, x0, order, step):
     raise ValueError(order)
 
 
+def _cubic(coeffs, t, ops):
+    """c0 + c1 t + c2 t^2 + c3 t^3 for a packed jet t."""
+    t2 = ops.mul(t, t)
+    return _plus(coeffs[1] * t + coeffs[2] * t2 + coeffs[3] * ops.mul(t2, t), coeffs[0])
+
+
 class TestElementary:
     def test_sin_maclaurin(self):
-        (x,) = seed_variables([0.0], order=3)
-        s = elementary(x, "sin")
-        assert_allclose([s.val, s.d1[0], s.d2[0, 0], s.d3[0, 0, 0]], [0, 1, 0, -1])
+        (x,) = _seeds([0.0], 3)
+        s = jets._Ops(1, 3).fn("sin", x)
+        assert_allclose(s[:, 0], [0, 1, 0, -1])
 
     def test_hyperbolic_identity(self):
-        (t,) = seed_variables([0.37], order=3)
-        one = jets.cosh(t) * jets.cosh(t) - jets.sinh(t) * jets.sinh(t)
-        assert_allclose(one.val, 1.0, rtol=1e-14)
-        assert_allclose(one.d1, 0.0, atol=1e-14)
-        assert_allclose(one.d2, 0.0, atol=1e-13)
-        assert_allclose(one.d3, 0.0, atol=1e-13)
+        (t,) = _seeds([0.37], 3)
+        ops = jets._Ops(1, 3)
+        c, s = ops.fn("cosh", t), ops.fn("sinh", t)
+        one = ops.mul(c, c) - ops.mul(s, s)
+        assert_allclose(one[0], 1.0, rtol=1e-14)
+        assert_allclose(one[1], 0.0, atol=1e-14)
+        assert_allclose(one[2:4], 0.0, atol=1e-13)
 
     @pytest.mark.parametrize(
         "kind,fn,x0",
@@ -273,36 +336,41 @@ class TestElementary:
     )
     def test_composition_vs_finite_differences(self, kind, fn, x0):
         # Composite scalar function g(t) = f(p(t)) with a cubic inner map.
-        def p(t):
-            return 1.3 + 0.4 * t - 0.2 * t**2 + 0.05 * t**3 if kind == "sqrt" else (
-                x0 + 0.9 * t + 0.3 * t**2 - 0.1 * t**3
-            )
+        coeffs = (1.3, 0.4, -0.2, 0.05) if kind == "sqrt" else (x0, 0.9, 0.3, -0.1)
 
         def g(t):
-            return fn(p(t))
+            return fn(sum(c * t**k for k, c in enumerate(coeffs)))
 
-        (t,) = seed_variables([0.0], order=3)
-        inner = p(t)
-        got = elementary(inner, kind)
+        ops = jets._Ops(1, 3)
+        (t,) = _seeds([0.0], 3)
+        inner = _cubic(coeffs, t, ops)
+        got = ops.fn(kind, inner)
+        # the same chain rule through the full-block face
+        outer = Jet(3, 1, *jets._unpack_blocks(jets._table(inner[0], kind, 3), 1, 3))
+        face = compose(outer, [Jet(3, 1, *jets._unpack_blocks(inner, 1, 3))])
         for order, step, tol in ((1, 1e-6, 1e-8), (2, 1e-4, 1e-6), (3, 1e-3, 1e-4)):
             want = fd_derivs(g, 0.0, order, step)
-            blk = [got.d1[0], got.d2[0, 0], got.d3[0, 0, 0]][order - 1]
-            assert_allclose(blk, want, rtol=tol, atol=tol)
+            assert_allclose(got[order, 0], want, rtol=tol, atol=tol)
+        assert_allclose([face.val[0], face.d1[0, 0], face.d2[0, 0, 0], face.d3[0, 0, 0, 0]],
+                        got[:, 0], rtol=1e-14, atol=1e-14)
 
     def test_exp_third_derivative_fd(self):
-        (x,) = seed_variables([0.21], order=3)
-        e = elementary(0.5 * x * x + x, "exp")
+        (x,) = _seeds([0.21], 3)
+        ops = jets._Ops(1, 3)
+        e = ops.fn("exp", 0.5 * ops.mul(x, x) + x)
         want = fd_derivs(lambda t: np.exp(0.5 * t * t + t), 0.21, 3, 1e-3)
-        assert_allclose(e.d3[0, 0, 0], want, rtol=1e-5)
+        assert_allclose(e[3], want, rtol=1e-5)
 
     def test_sqrt_domain_error(self):
-        (x,) = seed_variables([-1.0], order=2)
+        (x,) = _seeds([-1.0], 2)
         with pytest.raises(ValueError):
-            elementary(x, "sqrt")
+            jets._Ops(1, 2).fn("sqrt", x)
+        with pytest.raises(ValueError):
+            jets._Ops(1, 2).fn("sqrt", 0.0 * x)
 
     def test_recip_domain_error(self):
         with pytest.raises(ZeroDivisionError):
-            elementary(constant(0.0, 1, 1), "recip")
+            jets._Ops(1, 1).fn("recip", np.zeros((2, 1)))
 
 
 class TestCompose:
@@ -321,43 +389,62 @@ class TestCompose:
             return f_np(x_np(t, s), y_np(t, s))
 
         t0, s0 = 0.13, -0.41
-        inner = seed_variables([t0, s0], order=3)
-        xj = 0.3 + inner[0] * inner[1] + inner[0] * inner[0]
-        yj = 1.1 - inner[1] + 0.5 * inner[0]
-        outer = seed_variables([xj.val, yj.val], order=3)
-        fjet = jets.sin(outer[0]) * outer[1] + outer[0] * outer[1] * outer[1]
-        out = compose(fjet, [xj, yj])
-        assert_allclose(out.val, g(t0, s0), rtol=1e-13)
-        h = 1e-5
-        assert_allclose(out.d1[0], (g(t0 + h, s0) - g(t0 - h, s0)) / (2 * h), rtol=1e-7)
-        h = 1e-4
-        mixed = (
-            g(t0 + h, s0 + h) - g(t0 + h, s0 - h) - g(t0 - h, s0 + h) + g(t0 - h, s0 - h)
-        ) / (4 * h * h)
-        assert_allclose(out.d2[0, 1], mixed, rtol=1e-5, atol=1e-7)
-        h = 2e-3
-        d3 = (
-            g(t0, s0 + 2 * h) - 2 * g(t0, s0 + h) + 2 * g(t0, s0 - h) - g(t0, s0 - 2 * h)
-        ) / (2 * h**3)
-        assert_allclose(out.d3[1, 1, 1], d3, rtol=2e-4, atol=2e-4)
+        ops = jets._Ops(2, 3)
+        t, s = _seeds([t0, s0], 3)
+        xj = _plus(ops.mul(t, s) + ops.mul(t, t), 0.3)
+        yj = _plus(-s + 0.5 * t, 1.1)
+        u, w = _seeds([xj[0, 0], yj[0, 0]], 3)
+        fjet = ops.mul(ops.fn("sin", u), w) + ops.mul(u, ops.mul(w, w))
+        packed = jets._packed_compose(fjet, [xj, yj], ops.table)
+        face = compose(Jet(3, 2, *jets._unpack_blocks(fjet, 2, 3)),
+                       [Jet(3, 2, *jets._unpack_blocks(r, 2, 3)) for r in (xj, yj)])
+        # the face's blocks as a packed array, to read both results the same way
+        for out in (packed, jets._pack_blocks([face.val, face.d1, face.d2, face.d3], 2)):
+            assert_allclose(out[0], g(t0, s0), rtol=1e-13)
+            h = 1e-5
+            fd = (g(t0 + h, s0) - g(t0 - h, s0)) / (2 * h)
+            assert_allclose(_partial(out, 2, (0,)), fd, rtol=1e-7)
+            h = 1e-4
+            mixed = (
+                g(t0 + h, s0 + h) - g(t0 + h, s0 - h) - g(t0 - h, s0 + h) + g(t0 - h, s0 - h)
+            ) / (4 * h * h)
+            assert_allclose(_partial(out, 2, (0, 1)), mixed, rtol=1e-5, atol=1e-7)
+            h = 2e-3
+            d3 = (
+                g(t0, s0 + 2 * h) - 2 * g(t0, s0 + h) + 2 * g(t0, s0 - h) - g(t0, s0 - 2 * h)
+            ) / (2 * h**3)
+            assert_allclose(_partial(out, 2, (1, 1, 1)), d3, rtol=2e-4, atol=2e-4)
 
-    def test_derivative_shift(self):
-        seeds = seed_variables([0.2, 0.4], order=3)
-        f = seeds[0] * seeds[0] * seeds[1]
-        fx = derivative(f, 0)
-        assert fx.order == 2
-        assert_allclose(fx.val, 2 * 0.2 * 0.4)
-        assert_allclose(fx.d1, [2 * 0.4, 2 * 0.2])
+    def test_four_variable_chain_rule_vs_polynomial_substitution(self):
+        # a cubic outer polynomial in 4 variables over quadratic inner maps in 4
+        rng = np.random.default_rng(11)
+        m = v = 4
+        x0 = rng.normal(size=v)
+        P = random_poly(rng, m, 3)
+        Qs = [random_poly(rng, v, 2) for _ in range(m)]
+        q0 = [poly_value(q, x0) for q in Qs]
+        oracle = poly_derivs_at(poly_substitute(P, Qs), x0, 3)
+        f = _full_jet(poly_derivs_at(P, q0, 3), m, 3)
+        xs = [_full_jet(poly_derivs_at(q, x0, 3), v, 3) for q in Qs]
+        packed = jets._packed_compose(jets._pack_blocks([f.val, f.d1, f.d2, f.d3], m),
+                                      [jets._pack_blocks([x.val, x.d1, x.d2, x.d3], v) for x in xs],
+                                      jets._leibniz_table(v, 3))
+        _assert_matches_oracle(packed[:, 0], oracle, v, 3)
+        face = compose(f, xs)
+        _assert_face_matches_oracle(face, oracle, v)
+        # truncated to the lower of the two orders
+        low = compose(Jet(2, m, f.val, f.d1, f.d2), xs)
+        assert low.order == 2 and low.d3 is None
+        assert_allclose(low.d2, face.d2, rtol=1e-15, atol=1e-15)
 
-
-def _packed_seeds(point, order):
-    """Coordinate jets at ``point`` as packed (coefficients, 1) arrays."""
-    v = len(point)
-    seeds = np.zeros((v, len(jets._packed_basis(v, order)), 1))
-    seeds[:, 0, 0] = point
-    if order >= 1:
-        seeds[:, 1 : v + 1, 0] = np.eye(v)
-    return seeds
+    def test_one_variable_chain_rule_matches_maclaurin(self):
+        # exp(u) with u = t + t^2 / 2: its Maclaurin series 1 + t + t^2 + 2/3 t^3
+        (t,) = _seeds([0.0], 3)
+        ops = jets._Ops(1, 3)
+        u = t + 0.5 * ops.mul(t, t)
+        got = jets._packed_compose(jets._table(u[0], "exp", 3), [u], ops.table)
+        assert_allclose(got[:, 0], [1.0, 1.0, 2.0, 4.0], rtol=1e-15)
+        assert np.array_equal(got, ops.fn("exp", u))
 
 
 class TestComplex:
@@ -365,7 +452,7 @@ class TestComplex:
 
     def test_mul_div_roundtrip(self):
         rng = np.random.default_rng(2)
-        x, y = _packed_seeds(rng.normal(size=2), 3)
+        x, y = _seeds(rng.normal(size=2), 3)
         ops = jets._Ops(2, 3)
         a = ops.mul(x, y) + 1j * (x - y)
         a[0] += 1.5
@@ -377,7 +464,7 @@ class TestComplex:
         assert_allclose(c, a, atol=1e-11)
 
     def test_abs2_matches(self):
-        x, y = _packed_seeds([0.3, -0.2], 2)
+        x, y = _seeds([0.3, -0.2], 2)
         ops = jets._Ops(2, 2)
         z = x + 1j * y
         abs2 = ops.mul(z, z.conj())
@@ -386,7 +473,7 @@ class TestComplex:
         assert_allclose(abs2[0].real, 0.3**2 + 0.2**2)
 
     def test_division_near_zero_raises(self):
-        x, y = _packed_seeds([0.0, 0.0], 1)
+        x, y = _seeds([0.0, 0.0], 1)
         with pytest.raises(ZeroDivisionError):
             jets._Ops(2, 1).fn("recip", x + 1j * y)
 
@@ -395,10 +482,26 @@ class TestBatch:
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(6, 2))
-        seeds = seed_variables(pts, order=3, batch=True)
-        f = jets.sin(seeds[0]) * jets.exp(seeds[1] * 0.3) + seeds[0] / (2.0 + seeds[1] * seeds[1])
+        ops = jets._Ops(2, 3)
+
+        def formula(x, y):
+            den = ops.fn("recip", _plus(ops.mul(y, y), 2.0))
+            return ops.mul(ops.fn("sin", x), ops.fn("exp", 0.3 * y)) + ops.mul(x, den)
+
+        f = formula(*_seeds(pts, 3))
         for b in range(6):
-            s = seed_variables(pts[b], order=3)
-            g = jets.sin(s[0]) * jets.exp(s[1] * 0.3) + s[0] / (2.0 + s[1] * s[1])
-            assert_allclose(f.val[b], g.val, rtol=1e-14)
-            assert_allclose(f.d3[b], g.d3, rtol=1e-13, atol=1e-13)
+            g = formula(*_seeds(pts[b : b + 1], 3))
+            assert_allclose(f[0, b], g[0, 0], rtol=1e-14)
+            assert_allclose(f[:, b], g[:, 0], rtol=1e-13, atol=1e-13)
+
+
+def test_bench_micro_runs_on_the_full_block_face():
+    # bench/micro.py times and checks Jet * Jet and compose; its source is
+    # run from its path, so that nothing is written next to it
+    path = Path(__file__).resolve().parents[1] / "bench" / "micro.py"
+    micro = types.ModuleType("bench_micro")
+    exec(compile(path.read_text(), str(path), "exec"), vars(micro))
+    metrics, problems = micro.run(7)
+    assert problems == []
+    assert set(metrics) == {"jets.mul_o3_v3.us", "jets.mul_o3_v7.us", "jets.compose_o3_v4.us"}
+    assert all(value > 0 for value in metrics.values())

@@ -1,8 +1,9 @@
-"""Property tests of the packed jet kernels against the scalar Jet algebra.
+"""Property tests of the packed jet kernels against the tests' scalar algebra.
 
 A packed array stores each distinct partial of a jet once along its leading
-axis (``jets._packed_basis``); these tests draw random jets, pack them, and
-check every packed kernel against the Jet operation it stands for.
+axis (``jets._packed_basis``); these tests draw random jets of the dense
+reference algebra in ``scalar_reference``, pack them, and check every
+packed kernel against the reference operation it stands for.
 """
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whitneygeo import jets
-from whitneygeo.jets import Jet, compose_univariate
+
+from scalar_reference import ScalarJet, compose_univariate, derivative, mirror
 
 # a fixed example sequence keeps the suite reproducible
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -25,7 +27,7 @@ def _symmetrize(t, k):
     """Copy the sorted-index entries of the last k axes to every permutation."""
     if k < 2:
         return t
-    return (jets._mirror2 if k == 2 else jets._mirror3)(t, t.shape[-1])
+    return mirror(t, k)
 
 
 def _random_blocks(rng, shape, v, order):
@@ -37,12 +39,12 @@ def _random_jet(rng, batch, v, order, positive=False):
     blocks = _random_blocks(rng, (batch,), v, order)
     if positive:
         blocks[0] = 0.5 + np.abs(blocks[0])
-    return Jet(order, v, *blocks)
+    return ScalarJet(order, v, *blocks)
 
 
 def _packed(jet):
     """One jet as a packed (coefficients, batch) array."""
-    return jets._pack_blocks([jet.val, jet.d1, jet.d2, jet.d3][: jet.order + 1], jet.num_vars)
+    return jets._pack_blocks(jet.blocks(), jet.num_vars)
 
 
 def _assert_packed_close(got, want_jet):
@@ -78,8 +80,8 @@ def test_packed_mul_ring_laws(v, order, seed):
 def test_packed_compose_matches_compose_univariate(v, order, seed, kind):
     rng = np.random.default_rng(seed)
     u = _random_jet(rng, 3, v, order, positive=True)
-    derivs = jets._table(u.val, kind)[: order + 1]
-    got = jets._packed_compose(derivs, _packed(u), jets._leibniz_table(v, order))
+    derivs = jets._table(u.val, kind, order)
+    got = jets._packed_compose(derivs, [_packed(u)], jets._leibniz_table(v, order))
     _assert_packed_close(got, compose_univariate(derivs, u))
 
 
@@ -122,7 +124,7 @@ def test_packed_gradient_matches_derivative(v, order, seed):
     f = _random_jet(rng, 3, v, order)
     grad = jets._packed_gradient(_packed(f), v)
     for i in range(v):
-        _assert_packed_close(grad[..., i], jets.derivative(f, i))
+        _assert_packed_close(grad[..., i], derivative(f, i))
 
 
 @PROPERTY
@@ -192,7 +194,7 @@ def test_packed_compose_complex_is_its_real_decomposition(v, order, seed, kind):
     x[0] += 3.0  # keep 1/z away from its pole
     z = x + 1j * y
     table = jets._leibniz_table(v, order)
-    f = lambda name, u: jets._packed_compose(jets._table(u[0], name)[: order + 1], u, table)
+    f = lambda name, u: jets._packed_compose(jets._table(u[0], name, order), [u], table)
     mul = lambda a, b: jets._packed_mul(a, b, table)
     got = f(kind, z)
     assert got.dtype == np.complex128

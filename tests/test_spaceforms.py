@@ -5,13 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from whitneygeo import jets
-from whitneygeo.jets import Jet, derivative, seed_variables
 from whitneygeo.spaceforms import (
     DomainError,
     ModelValidationError,
     christoffel_from_metric,
     make_model,
 )
+
+import scalar_reference as sj
 
 ALL_KINDS = ["C_n", "CP_n", "CH_n", "Sasakian_R", "Sasakian_S", "Sasakian_B"]
 
@@ -260,7 +261,7 @@ def _blocks(entries, order, B, v):
     for k in range(order + 1):
         blk = np.zeros((B,) + grid.shape + (v,) * k)
         for idx, e in np.ndenumerate(grid):
-            if isinstance(e, Jet):
+            if isinstance(e, sj.ScalarJet):
                 blk[(slice(None),) + idx] = (e.val, e.d1, e.d2)[k]
             elif k == 0:
                 blk[(slice(None),) + idx] = e
@@ -277,7 +278,7 @@ def _reference_complex_metric(x, y, c):
     if c == 0:
         return [[1.0 if i == j else 0.0 for j in range(2 * n)] for i in range(2 * n)]
     one = 1.0 + c * _dot(x, x) + c * _dot(y, y)
-    w = jets.recip(one * one)
+    w = sj.recip(one * one)
     diag = one * w
     out = [[None] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
@@ -300,7 +301,7 @@ def _reference_fields(model, pts):
     """
     n, m, B = model.n, model.chart_dim, len(pts)
     order = 3 if model.kind == "Sasakian_S" else 2
-    q = seed_variables(pts, order, batch=True)
+    q = sj.seed(pts, order)
     x, y = q[:n], q[n : 2 * n]
     out = {}
     if not model.is_sasakian:
@@ -318,7 +319,7 @@ def _reference_fields(model, pts):
                  for i in range(m)]
         else:
             scale = a = model.a
-            w = jets.recip(1.0 - _dot(x, x) - _dot(y, y))
+            w = sj.recip(1.0 - _dot(x, x) - _dot(y, y))
             eta = [-4.0 * yi * w for yi in y] + [4.0 * xi * w for xi in x] + [1.0]
             h = [[0.0] * m for _ in range(m)]
             for i, row in enumerate(_reference_complex_metric(x, y, -1)):
@@ -342,10 +343,10 @@ def _reference_fields(model, pts):
     else:
         a = model.a
         s = _dot(q, q)
-        E = x + [jets.sqrt(1.0 - s)] + q[n:]
-        T = [[derivative(e, i) for e in E] for i in range(m)]
+        E = x + [sj.sqrt(1.0 - s)] + q[n:]
+        T = [[sj.derivative(e, i) for e in E] for i in range(m)]
         rot = lambda V: [-v for v in V[n + 1 :]] + list(V[: n + 1])
-        JE = rot([jets._drop(e) for e in E])
+        JE = rot([sj.drop(e) for e in E])
         gbar = [[_dot(T[i], T[j]) for j in range(m)] for i in range(m)]
         etabar = [_dot(T[i], JE) for i in range(m)]
         K = [[_dot(T[i], rot(T[j])) for j in range(m)] for i in range(m)]

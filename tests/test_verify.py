@@ -92,6 +92,14 @@ class TestClassifyLogic:
         with pytest.raises(ValueError):
             Tolerances(classification=1e-10, inequality_slack=1e-9)
 
+    @pytest.mark.parametrize("field_name", ["pointwise", "inequality_slack", "integral",
+                                            "classification", "strictness"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-12, "1e-8", True, None])
+    def test_tolerance_must_be_finite_and_nonnegative(self, field_name, value):
+        # abs(x) > nan is always False: a NaN tolerance would switch its checks off
+        with pytest.raises(ValueError, match=f"tolerance {field_name} must be"):
+            Tolerances(**{field_name: value})
+
 
 class TestCaseRuns:
     def test_whitney_branch(self, whitney_report):
