@@ -208,8 +208,8 @@ CATALOG = {
     "contact_whitney_b": dict(
         model="Sasakian_B",
         params="theta > 0, a > 0 (deformation)",
-        note="Legendrian sphere over the hyperbolic ball; fiber reconstructed "
-        "from the contact condition",
+        note="Legendrian sphere over the hyperbolic ball; the fiber's derivatives "
+        "from the contact condition, its value 0 at every node (a Reeb translation)",
     ),
     "product_torus": dict(
         model="C_n",
@@ -312,21 +312,19 @@ def make_spec(kind: str, n: int, **params) -> ImmersionSpec:
         if _integer(p, "steps", 32) < 16:
             raise ValueError("RK4 step count must be at least 16")
         _integer(p, "seed", 1)
-        _real(p, "r", 1.0)
+        if _real(p, "r", 1.0) <= 0:
+            raise ValueError("radius r must be positive")
         if "hamiltonian" not in p:
             p["hamiltonian"] = random_quartic(n, p["seed"])
         p["hamiltonian"] = _validated_hamiltonian(p["hamiltonian"], n)
     elif kind == "lifted":
         base = p.setdefault("base", "whitney_c0")
-        if base not in ("whitney_c0", "perturbed"):
+        if base not in _LIFT_KEYS:
             raise ValueError("lift base must be whitney_c0 or perturbed")
-        _real(p, "r", 1.0)
-        if base == "perturbed":
-            _real(p, "epsilon", 0.02)
-            _integer(p, "steps", 32)
-            _integer(p, "seed", 1)
-        if "hamiltonian" in p:
-            p["hamiltonian"] = _validated_hamiltonian(p["hamiltonian"], n)
+        # the base validates the lift's parameters, and the lift keeps them as
+        # validated; a hamiltonian only if given, as the seed draws the default
+        valid = _lift_base(ImmersionSpec(kind, n, p)).params
+        p.update((k, valid[k]) for k in _LIFT_KEYS[base] if k in p or k != "hamiltonian")
     return ImmersionSpec(kind=kind, n=n, params=_Params(p))
 
 
@@ -476,16 +474,18 @@ class _BergmanFiber:
 
     The contact condition forces dt = -omega along the image; by the
     rotational symmetry of the base map the pullback of omega is
-    rho(u) du in the last sphere coordinate alone, so the fiber is a
-    single-variable primitive, evaluated by composite Gauss panels and
-    composed with the packed jet of that coordinate.
+    rho(u) du in the last sphere coordinate alone, so the fiber's
+    derivatives are -rho and its derivatives, composed with the packed jet
+    of that coordinate.  Its value is 0 at every node, a Reeb translation
+    t -> t + c chosen per node: eta-bar = dt + omega and the metric, phi
+    and xi of Sasakian_B do not depend on t, so the translation is an
+    automorphism of the Sasakian structure (see :func:`eval_immersion`).
     """
 
     def __init__(self, n: int, theta: float):
         self.n = n
         self.theta = theta
         self.kappa = 4.0 * SasakianB._phi_sign
-        self._gl = np.polynomial.legendre.leggauss(16)
 
     def _rho_jets(self, u_vals: np.ndarray, order: int) -> np.ndarray:
         """omega-pullback density at ``u_vals`` and its first ``order`` derivatives.
@@ -511,28 +511,10 @@ class _BergmanFiber:
         acc = low.mul(ci[:-1], cr[1:]) - low.mul(cr[:-1], ci[1:])
         return low.mul(low.mul(acc, q[:-1]), self.kappa * w[:-1])
 
-    def primitive_values(self, u_vals: np.ndarray) -> np.ndarray:
-        """t(u) = -integral of rho from 0 to u, composite 16-point panels."""
-        u_vals = np.asarray(u_vals, dtype=float)
-        panel = max(0.02, min(0.25, self.theta / 2.0))
-        xs, ws = self._gl
-        out = np.zeros_like(u_vals)
-        npanels = np.maximum(1, np.ceil(np.abs(u_vals) / panel).astype(int))
-        maxp = int(npanels.max())
-        for k in range(maxp):
-            active = npanels > k
-            lo = u_vals * (k / npanels)
-            hi = u_vals * np.minimum(k + 1, npanels) / npanels
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            pts = mid[active, None] + half[active, None] * xs[None, :]
-            rho = self._rho_jets(pts.ravel(), order=0)[0].reshape(pts.shape)
-            out[active] -= half[active] * (rho * ws[None, :]).sum(axis=1)
-        return out
-
     def fiber_jet(self, un: np.ndarray, ops) -> np.ndarray:
-        """The fiber as a packed jet, from the packed jet ``un`` of u_n."""
+        """The fiber as a packed jet, from the packed jet ``un`` of u_n; its value row is 0."""
         rho = self._rho_jets(un[0], order=2)
-        derivs = np.stack((self.primitive_values(un[0]), -rho[0], -rho[1], -rho[2]))
+        derivs = np.concatenate((np.zeros_like(rho[:1]), -rho))
         return jets._packed_compose(derivs[: ops.order + 1], [un], ops.table)
 
 
@@ -677,121 +659,73 @@ def _eval_perturbed(spec, u, ops):
 
 # -- Legendrian lift ---------------------------------------------------------
 
-class _LiftPrimitive:
-    """Path-integrated primitive of sum(y_i dx_i) over the spherical parameters.
+#: the parameters a lift hands to its base, by base kind
+_LIFT_KEYS = {
+    "whitney_c0": ("r",),
+    "perturbed": ("r", "epsilon", "steps", "seed", "hamiltonian"),
+}
 
-    Paths run from one anchor, one parameter coordinate at a time (polar
-    angles first, then the periodic angle), with composite 16-point Gauss
-    panels per segment; the integrand is the form along the coordinate
-    line, through the partials of u(t).  Nodes that share the first
-    coordinates share the first segments, which are integrated once.
+
+def _lift_base(spec: ImmersionSpec) -> ImmersionSpec:
+    """The exact Lagrangian a lift lifts, built (so validated) by :func:`make_spec`.
+
+    A flowed base runs for epsilon = 0.02 unless the lift names its own.
     """
-
-    def __init__(self, base_spec: ImmersionSpec):
-        self.base_spec = base_spec
-        self._gl = np.polynomial.legendre.leggauss(16)
-        n = base_spec.n
-        self.anchor = params_from_u(np.full(n + 1, 1.0 / math.sqrt(n + 1)))[0]
-
-    def _base_jets(self, u, ops):
-        if self.base_spec.kind == "whitney_c0":
-            return _eval_whitney_c0(self.base_spec, u, ops)
-        return _eval_perturbed(self.base_spec, u, ops)
-
-    def _integrand(self, t, axis):
-        """d/dtau of the primitive along parameter ``axis``: (B,)."""
-        n = self.base_spec.n
-        # the base as 1-variable order-1 jets in the path parameter: the
-        # value row and the partial along ``axis``
-        u = _spherical_jets(t, order=1)[[0, 1 + axis]]
-        x = self._base_jets(u, jets._Ops(1, 1))
-        # sum over j of y_j d_tau x_j
-        return (x[0, :, n:] * x[1, :, :n]).sum(axis=-1)
-
-    def values(self, t: np.ndarray) -> np.ndarray:
-        tt = np.atleast_2d(np.asarray(t, dtype=float))
-        t0 = self.anchor
-        out = np.zeros(tt.shape[0])
-        xs, ws = self._gl
-        for axis in range(self.base_spec.n):
-            # the path to t runs from the anchor along each axis in turn, so
-            # its segments up to this one depend on t[:, :axis + 1] only:
-            # integrate each segment once per distinct head
-            _, first, back = np.unique(
-                tt[:, : axis + 1], axis=0, return_index=True, return_inverse=True
-            )
-            current = np.concatenate(
-                [tt[first, :axis], np.broadcast_to(t0[axis:], (len(first), len(t0) - axis))],
-                axis=1,
-            )
-            total = out[first]
-            lo = current[:, axis].copy()
-            hi = tt[first, axis]
-            seglen = hi - lo
-            npanels = np.maximum(1, np.ceil(np.abs(seglen) / 0.4).astype(int))
-            maxp = int(npanels.max())
-            for k in range(maxp):
-                active = npanels > k
-                a = lo + seglen * (k / npanels)
-                b = lo + seglen * np.minimum(k + 1, npanels) / npanels
-                mid, half = 0.5 * (a + b), 0.5 * (b - a)
-                if not np.any(active):
-                    continue
-                pts = np.repeat(current[active][:, None, :], len(xs), axis=1)
-                pts[:, :, axis] = mid[active, None] + half[active, None] * xs[None, :]
-                flat = pts.reshape(-1, self.base_spec.n)
-                integ = self._integrand(flat, axis).reshape(pts.shape[:2])
-                total[active] += half[active] * (integ * ws[None, :]).sum(axis=1)
-            out = total[back.reshape(-1)]
-        return out
-
-    def lifted_jets(self, t: np.ndarray, u: np.ndarray, ops) -> np.ndarray:
-        """Base coordinates plus the primitive fiber, as packed jets in the node charts of ``u``."""
-        n = self.base_spec.n
-        base = self._base_jets(u, ops)
-        z = np.empty(base.shape[:2])
-        z[0] = self.values(t)
-        if ops.order:
-            # the fiber's partials d_a z = sum_j y_j d_a x_j, one order lower:
-            # the partial over the sorted indices (a, rest) is row rest of d_a z
-            dx = jets._packed_gradient(base[..., :n], n)
-            low = jets._leibniz_table(n, ops.order - 1)
-            dz = jets._packed_matmul(base[: len(dx), :, None, n:], dx, low)[..., 0, :]
-            row = {idx: r for r, idx in enumerate(jets._packed_basis(n, ops.order - 1))}
-            partials = jets._packed_basis(n, ops.order)[1:]
-            z[1:] = dz[[row[idx[1:]] for idx in partials], :, [idx[0] for idx in partials]]
-        return np.concatenate([base, z[..., None]], axis=-1)
+    kind = spec.params["base"]
+    params = {k: spec.params[k] for k in _LIFT_KEYS[kind] if k in spec.params}
+    if kind == "perturbed":
+        params = {"epsilon": 0.02, **params}
+    return make_spec(kind, spec.n, **params)
 
 
-def _lift_primitive_for(spec: ImmersionSpec) -> _LiftPrimitive:
-    base_kind = spec.params["base"]
-    if base_kind == "whitney_c0":
-        base = make_spec("whitney_c0", spec.n, r=spec.params["r"])
-    else:
-        base = make_spec("perturbed", spec.n, **{
-            k: v for k, v in spec.params.items()
-            if k in ("r", "epsilon", "steps", "seed", "hamiltonian")
-        })
-    return _LiftPrimitive(base)
+def _eval_lifted(spec, u, ops):
+    """Base coordinates plus the fiber z with dz = sum_j y_j dx_j, as packed jets.
+
+    z is 0 at every node, a per-node Reeb translation (see
+    :func:`eval_immersion`).  A global z exists because sum y dx is closed
+    on a Lagrangian and H^1(S^n) = 0 for n >= 2; :func:`loop_integral`
+    checks the closedness.
+    """
+    n = spec.n
+    base = _lift_base(spec)
+    x = _EVALUATORS[base.kind](base, u, ops)
+    z = np.zeros(x.shape[:2])
+    if ops.order:
+        # the fiber's partials d_a z = sum_j y_j d_a x_j, one order lower:
+        # the partial over the sorted indices (a, rest) is row rest of d_a z
+        dx = jets._packed_gradient(x[..., :n], n)
+        low = jets._leibniz_table(n, ops.order - 1)
+        dz = jets._packed_matmul(x[: len(dx), :, None, n:], dx, low)[..., 0, :]
+        row = {idx: r for r, idx in enumerate(jets._packed_basis(n, ops.order - 1))}
+        partials = jets._packed_basis(n, ops.order)[1:]
+        z[1:] = dz[[row[idx[1:]] for idx in partials], :, [idx[0] for idx in partials]]
+    return np.concatenate([x, z[..., None]], axis=-1)
+
+
+def _lift_integrand(base: ImmersionSpec, t, axis: int) -> np.ndarray:
+    """sum_j y_j d x_j / d t_axis of the base at parameters ``t``: (B,).
+
+    The base flows 1-variable order-1 jets along parameter ``axis`` only:
+    the value row and the partial along ``axis``.
+    """
+    u = _spherical_jets(t, order=1)[[0, 1 + axis]]
+    x = _EVALUATORS[base.kind](base, u, jets._Ops(1, 1))
+    return (x[0, :, base.n :] * x[1, :, : base.n]).sum(axis=-1)
 
 
 def loop_integral(spec: ImmersionSpec, theta_polar: float | None = None,
                   resolution: int = 64) -> float:
     """Integral of sum(y_i dx_i) around a closed azimuthal loop (exactness check)."""
-    prim = _lift_primitive_for(spec if spec.kind == "lifted" else
-                               make_spec("lifted", spec.n, base=spec.kind,
-                                         **{k: v for k, v in spec.params.items()
-                                            if k in ("r", "epsilon", "steps", "seed",
-                                                     "hamiltonian")}))
+    if spec.kind != "lifted":
+        spec = make_spec("lifted", spec.n, base=spec.kind, **spec.params)
     n = spec.n
     t0 = np.full(n, np.pi / 2)
     if theta_polar is not None:
         t0[0] = theta_polar
     xs, ws = np.polynomial.legendre.leggauss(resolution)
-    phis = np.pi + np.pi * xs
     pts = np.repeat(t0[None, :], resolution, axis=0)
-    pts[:, n - 1] = phis
-    integ = prim._integrand(pts, n - 1)
+    pts[:, n - 1] = np.pi + np.pi * xs
+    integ = _lift_integrand(_lift_base(spec), pts, n - 1)
     return float(np.pi * (integ * ws).sum())
 
 
@@ -804,6 +738,7 @@ _EVALUATORS = {
     "contact_whitney_s": _eval_contact_whitney_s,
     "contact_whitney_b": _eval_contact_whitney_b,
     "perturbed": _eval_perturbed,
+    "lifted": _eval_lifted,
 }
 
 
@@ -814,14 +749,17 @@ def eval_immersion(spec: ImmersionSpec, t, order: int = 3) -> np.ndarray:
     ``jets._packed_basis(n, order)``.  For sphere-domain cases ``t`` are
     spherical parameters and the jets are in each node's own chart
     (:func:`node_jets`); the torus case takes the n angles directly.
+
+    The fiber coordinate of ``lifted`` and ``contact_whitney_b`` is given
+    up to a Reeb translation chosen per node: its value is 0 at every node,
+    and only its derivatives come from the contact condition.  Neither the
+    metric nor phi, xi and eta of Sasakian_R (eta = (dz - sum y dx) / 2) or
+    Sasakian_B (eta-bar = dt + omega) depends on the last chart coordinate,
+    so the Reeb flow is an automorphism of the whole Sasakian structure
+    (Blair, Riemannian Geometry of Contact and Symplectic Manifolds, 2nd
+    ed., 2010), and every invariant the certificate reads is the same.
     """
     if spec.domain == "torus":
         return _eval_product_torus(spec, t, order)
-    tt = np.atleast_2d(np.asarray(t, dtype=float))
-    u = node_jets(sphere_points(tt), order)
-    ops = jets._Ops(spec.n, order)
-    if spec.kind == "lifted":
-        return _lift_primitive_for(spec).lifted_jets(tt, u, ops)
-    if spec.kind not in _EVALUATORS:
-        raise ValueError(f"unhandled case {spec.kind!r}")
-    return _EVALUATORS[spec.kind](spec, u, ops)
+    u = node_jets(sphere_points(t), order)
+    return _EVALUATORS[spec.kind](spec, u, jets._Ops(spec.n, order))

@@ -212,6 +212,16 @@ class TestCatalogValues:
         with pytest.raises(ValueError, match=rf"^{name} must be"):
             make_spec(kind, 2, **params)
 
+    @pytest.mark.parametrize("params, message", [
+        (dict(epsilon=-0.1), "epsilon must be non-negative"),
+        (dict(steps=4), "RK4 step count"),
+        (dict(r=-1), "radius r"),
+    ])
+    def test_lift_refuses_a_bad_base_up_front(self, params, message):
+        # the base is validated when the lift is built, not at evaluation
+        with pytest.raises(ValueError, match=message):
+            make_spec("lifted", 2, base="perturbed", **params)
+
     def test_specs_are_hashable_and_read_only(self):
         spec = make_spec("whitney_cp", 2)
         assert hash(spec) == hash(make_spec("whitney_cp", 2, theta=0.5))
@@ -519,7 +529,7 @@ class TestHamiltonianFlow:
             assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_order_one_flow_is_truncated_order_three(self):
-        # the RK4 step check and the lift integrand flow order-1 jets
+        # the lift integrand flows order-1 jets
         spec = make_spec("perturbed", 2, epsilon=0.05, seed=3)
         t = _sample_params(2, count=6, seed=11)
         lo = eval_immersion(spec, t, order=1)
@@ -544,32 +554,24 @@ class TestHamiltonianFlow:
 
 class TestLegendrianLift:
     def test_perturbed_base_keeps_its_hamiltonian(self):
-        from whitneygeo.immersions import _lift_primitive_for
-
         ham = random_quartic(2, 99)
-        custom = _lift_primitive_for(make_spec("lifted", 2, base="perturbed", hamiltonian=ham))
-        seeded = _lift_primitive_for(make_spec("lifted", 2, base="perturbed"))
-        assert custom.base_spec.params["hamiltonian"] == ham
-        assert seeded.base_spec.params["hamiltonian"] == random_quartic(2, 1)
-        assert custom is not seeded
+        custom = immersions._lift_base(make_spec("lifted", 2, base="perturbed", hamiltonian=ham))
+        seeded = immersions._lift_base(make_spec("lifted", 2, base="perturbed"))
+        assert custom.params["hamiltonian"] == ham
+        assert seeded.params["hamiltonian"] == random_quartic(2, 1)
+        assert seeded.params["epsilon"] == 0.02
 
     @pytest.mark.parametrize("base", ["whitney_c0", "perturbed"])
     def test_path_integrand_is_the_n_variable_partial(self, base):
         # the integrand flows 1-variable jets along the path axis only
-        prim = immersions._lift_primitive_for(make_spec("lifted", 2, base=base))
+        spec = immersions._lift_base(make_spec("lifted", 2, base=base))
         t = _sample_params(2, count=7, seed=12)
-        x = prim._base_jets(immersions._spherical_jets(t, order=1), jets._Ops(2, 1))
+        x = immersions._EVALUATORS[base](spec, immersions._spherical_jets(t, order=1),
+                                         jets._Ops(2, 1))
         for axis in range(2):
             want = (x[0, :, 2:] * x[1 + axis, :, :2]).sum(axis=-1)
-            assert_allclose(prim._integrand(t, axis), want, rtol=1e-14, atol=1e-15)
-
-    def test_shared_path_heads_match_single_node_paths(self):
-        # nodes on one polar circle share their first segment, integrated once
-        prim = immersions._lift_primitive_for(make_spec("lifted", 2, base="whitney_c0"))
-        polar = np.repeat([0.4, 1.3, 2.9], 4)
-        t = np.stack([polar, np.tile([0.1, 1.7, 3.3, 6.0], 3)], axis=1)
-        single = [prim.values(t[i : i + 1])[0] for i in range(len(t))]
-        assert_allclose(prim.values(t), single, rtol=1e-14, atol=1e-15)
+            assert_allclose(immersions._lift_integrand(spec, t, axis), want,
+                            rtol=1e-14, atol=1e-15)
 
     def test_loop_integral_vanishes(self):
         spec = make_spec("lifted", 2, base="whitney_c0", r=1.0)
@@ -586,16 +588,16 @@ class TestLegendrianLift:
         assert res["whitney_residual"].max() < 1e-9
 
     def test_lift_consistent_across_charts(self):
-        # the primitive is a function on the sphere: the parameters (theta,
-        # phi), (-theta, phi + pi) and (theta, phi + 2 pi) name one point,
-        # reached by different paths from the anchor
+        # the lift's jets depend on the sphere point only: the parameters
+        # (theta, phi), (-theta, phi + pi) and (theta, phi + 2 pi) name one
+        # point, and every row agrees, the fiber's derivatives included
         spec = make_spec("lifted", 2, base="whitney_c0", r=1.0)
         t = _sample_params(2, count=6, seed=8)
         others = [np.column_stack([-t[:, 0], t[:, 1] + np.pi]), t + [0.0, 2.0 * np.pi]]
-        z = eval_immersion(spec, t)[0, :, -1]
+        x = eval_immersion(spec, t)
         for t2 in others:
             assert_allclose(sphere_points(t2), sphere_points(t), atol=1e-15)
-            assert_allclose(eval_immersion(spec, t2)[0, :, -1], z, atol=1e-10)
+            assert_allclose(eval_immersion(spec, t2), x, atol=1e-10)
 
 
 class TestBergmanFiber:
@@ -668,16 +670,6 @@ class _CJ:
         return _CJ(self.re * q, -self.im * q)
 
 
-def _ref_spherical(t, order):
-    """u(t) in scalar jets seeded on the spherical parameters."""
-    seeds = sj.seed(t, order)
-    comps, prefix = [], None
-    for th in seeds[:-1]:
-        comps.append(sj.cos(th) if prefix is None else prefix * sj.cos(th))
-        prefix = sj.sin(th) if prefix is None else prefix * sj.sin(th)
-    return comps + [prefix * sj.cos(seeds[-1]), prefix * sj.sin(seeds[-1])]
-
-
 def _ref_pairs(u, theta, variant):
     un = u[-1]
     one = sj.constant(np.ones(un.batch_shape), un.num_vars, un.order)
@@ -727,7 +719,7 @@ def _ref_totally_geodesic(spec, u):
 
 
 class _RefFiber(immersions._BergmanFiber):
-    """The Bergman fiber with its density in scalar jets; the panel rule is shared."""
+    """The Bergman fiber with its density in scalar jets."""
 
     def _rho_jets(self, u_vals, order):
         (un,) = sj.seed(u_vals[:, None], order + 1)
@@ -744,39 +736,28 @@ class _RefFiber(immersions._BergmanFiber):
 
     def fiber(self, un):
         rho = self._rho_jets(un.val, 2)
-        derivs = (self.primitive_values(un.val), -rho[0], -rho[1], -rho[2])
+        derivs = (np.zeros_like(un.val), -rho[0], -rho[1], -rho[2])
         return sj.compose_univariate(derivs[: un.order + 1], un)
 
 
-class _RefLift(immersions._LiftPrimitive):
-    """The Legendrian lift with its base and integrand in scalar jets; the panel rule is shared."""
-
-    def base(self, u):
-        spec = self.base_spec
-        x = _ref_c0(spec if spec.kind == "whitney_c0" else
-                    make_spec("whitney_c0", spec.n, r=spec.params["r"]), u)
-        if spec.kind == "perturbed":
-            x = _reference_flow(x, HamiltonianDeformation(
-                spec.params["hamiltonian"], spec.params["epsilon"], spec.params["steps"]))
-        return x
-
-    def _integrand(self, t, axis):
-        x = self.base(_ref_spherical(t, 1))
-        n = self.base_spec.n
-        return sum((x[n + j].val * x[j].d1[:, axis] for j in range(n)), start=0.0)
-
-    def lifted(self, t, order):
-        x = self.base(_ref_node_jets(sphere_points(t), order))
-        n = self.base_spec.n
-        z = sj.ScalarJet(order, n, self.values(t))
-        for a in range(n if order else 0):
-            p = sum((sj.drop(x[n + j]) * sj.derivative(x[j], a) for j in range(1, n)),
-                    start=sj.drop(x[n]) * sj.derivative(x[0], a))
-            for k, block in enumerate((p.val, p.d1, p.d2)[:order]):
-                getattr(z, f"d{k + 1}")[:, a] = block
-        z.d2 = None if order < 2 else sj.mirror(z.d2, 2)
-        z.d3 = None if order < 3 else sj.mirror(z.d3, 3)
-        return x + [z]
+def _ref_lifted(base_spec, t, order):
+    """The Legendrian lift with its base and fiber derivatives in scalar jets; the fiber value is 0."""
+    u = _ref_node_jets(sphere_points(t), order)
+    x = _ref_c0(make_spec("whitney_c0", base_spec.n, r=base_spec.params["r"]), u)
+    if base_spec.kind == "perturbed":
+        x = _reference_flow(x, HamiltonianDeformation(
+            base_spec.params["hamiltonian"], base_spec.params["epsilon"],
+            base_spec.params["steps"]))
+    n = base_spec.n
+    z = sj.ScalarJet(order, n, np.zeros(len(t)))
+    for a in range(n if order else 0):
+        p = sum((sj.drop(x[n + j]) * sj.derivative(x[j], a) for j in range(1, n)),
+                start=sj.drop(x[n]) * sj.derivative(x[0], a))
+        for k, block in enumerate((p.val, p.d1, p.d2)[:order]):
+            getattr(z, f"d{k + 1}")[:, a] = block
+    z.d2 = None if order < 2 else sj.mirror(z.d2, 2)
+    z.d3 = None if order < 3 else sj.mirror(z.d3, 3)
+    return x + [z]
 
 
 def _small_hamiltonian(n):
@@ -792,7 +773,7 @@ def _reference_jets(spec, t, order):
         return ([r * sj.cos(s) for r, s in zip(radii, seeds)]
                 + [r * sj.sin(s) for r, s in zip(radii, seeds)])
     if spec.kind == "lifted":
-        return _RefLift(immersions._lift_primitive_for(spec).base_spec).lifted(t, order)
+        return _ref_lifted(immersions._lift_base(spec), t, order)
     u = _ref_node_jets(sphere_points(t), order)
     theta = spec.params.get("theta")
     if spec.kind in ("whitney_cp", "whitney_ch"):

@@ -204,6 +204,24 @@ def test_fields_at_order_one_matches_order_two(kind):
             model.fields_at(pts, order=order)
 
 
+@pytest.mark.parametrize("kind", ["Sasakian_R", "Sasakian_B"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_reeb_translation_leaves_the_fields_unchanged(kind, n):
+    # the fiber coordinate of the lifts is set per node: that holds only
+    # because no field reads the last chart coordinate
+    model = make_model(kind, n, a=1.3)
+    pts = model.random_chart_points(np.random.default_rng(23), 8)
+    want = vars(model.fields_at(pts, 2))
+    for shift in (-2.5, -0.3, 0.7, 11.0):
+        moved = pts.copy()
+        moved[:, -1] += shift
+        for name, got in vars(model.fields_at(moved, 2)).items():
+            if got is None:
+                assert want[name] is None, name
+            else:
+                assert np.array_equal(got, want[name]), (name, shift)
+
+
 def test_rank_phi_via_singular_values():
     for kind in ("Sasakian_R", "Sasakian_S", "Sasakian_B"):
         model = make_model(kind, 2)

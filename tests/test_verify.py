@@ -186,14 +186,15 @@ class TestCaseRuns:
                 continue
             assert abs(val) < 1e-8
 
-    @pytest.mark.slow
     def test_lift_of_the_perturbed_sphere_is_strict_and_clean(self):
         # a Legendrian lift of a flowed sphere: every certificate, the Yano
-        # integrals and the isotropy at the exact-case tolerance included
+        # integrals, the isotropy at the exact-case tolerance and the base's
+        # RK4 step check included
         r = run_case(make_spec("lifted", 2, base="perturbed"), resolution=48, seed=7)
         assert r.classification == "STRICT"
         assert not r.hard_failures
         assert r.residual_sup["isotropy"] <= 1e-9
+        assert r.residual_sup["rk4_step_drift"] <= 1e-9
 
     def test_coarse_grid_flags_honestly(self):
         # at low resolution the integral certificates must not pass silently:
