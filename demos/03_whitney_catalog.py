@@ -1,9 +1,10 @@
 """Pointwise geometry of the sphere catalog.
 
-Evaluates each family at a few random parameter points and prints the
-pointwise characterizations: the isotropy (Lagrangian/Legendrian) residual,
-the distinguished second-fundamental-form shape, and the scalar-curvature
-relation, all of which vanish exactly on these families.
+Evaluates each family at a few random sphere points (angles for the torus)
+and prints the pointwise characterizations: the isotropy
+(Lagrangian/Legendrian) residual, the distinguished second-fundamental-form
+shape, and the scalar-curvature relation, all of which vanish exactly on
+these families.
 """
 
 import numpy as np
@@ -12,7 +13,9 @@ from whitneygeo import make_spec, model_for
 from whitneygeo.geometry import curvature_data, paper_residuals, pointwise_geometry
 
 rng = np.random.default_rng(0)
-t = np.column_stack([rng.uniform(0.5, 2.6, 8), rng.uniform(0.3, 5.9, 8)])
+# the nodes are the points themselves: unit vectors u in R^3 for the sphere
+u = rng.normal(size=(8, 3))
+u /= np.linalg.norm(u, axis=1, keepdims=True)
 
 cases = [
     ("whitney_c0", dict(r=1.0)),
@@ -30,8 +33,8 @@ print(f"{'case':<20} {'isotropy':>10} {'shape residual':>15} "
 for kind, kw in cases:
     spec = make_spec(kind, 2, **kw)
     model = model_for(spec)
-    tt = t if spec.domain == "sphere" else rng.uniform(0, 2 * np.pi, (8, 2))
-    pg, fields = pointwise_geometry(model, spec, tt)
+    nodes = u if spec.domain == "sphere" else rng.uniform(0, 2 * np.pi, (8, 2))
+    pg, fields = pointwise_geometry(model, spec, nodes)
     cd = curvature_data(pg, fields)
     res = paper_residuals(pg, cd)
     h2 = res["h_norm2"]

@@ -1,13 +1,13 @@
 """Pointwise extrinsic geometry of an immersed sphere or torus.
 
-Everything is computed in batch form, in two stages by jet order.  The
-frame stage (:func:`frame_geometry`) takes values from order-2 jets of the
-immersion and the metric's first chart derivatives: enough for the
-Gauss-route curvature.  The full pass (:func:`pointwise_geometry`) runs the
+Everything is computed in batch form at nodes, the points of the domain, in
+two stages by jet order.  The frame stage (:func:`frame_geometry`) takes
+values from order-2 jets of the immersion and the metric's first chart
+derivatives: enough for the Gauss-route curvature.  The full pass (:func:`pointwise_geometry`) runs the
 same stage on order-3 jets, so scalars and frames also carry their first
-parameter derivatives through a minimal "tensor jet" (value plus trailing
-derivative axis), which makes the covariant derivative of the second
-fundamental form an exact algebraic computation rather than a finite
+derivatives in each node's chart through a minimal "tensor jet" (value plus
+trailing derivative axis), which makes the covariant derivative of the
+second fundamental form an exact algebraic computation rather than a finite
 difference.  The metric is differentiated twice only along the immersion's
 tangents X1.
 
@@ -63,10 +63,10 @@ __all__ = [
 
 
 class TJ:
-    """A batched tensor with its first parameter derivatives.
+    """A batched tensor with its first derivatives in the node chart.
 
     ``v`` has shape ``(B, ...)``; ``d`` appends one axis of length n (the
-    number of immersion parameters), or is None where only values are
+    dimension of the domain), or is None where only values are
     computed (the order-2 frame stage).
     """
 
@@ -107,7 +107,7 @@ def tj_einsum(spec: str, *ops) -> TJ:
 
 @dataclass
 class PointGeometry:
-    """All pointwise extrinsic data at a batch of parameter points."""
+    """All pointwise extrinsic data at a batch of nodes."""
 
     spec: ImmersionSpec
     is_sasakian: bool
@@ -161,17 +161,16 @@ def _second_derivative_of_induced_metric(G0x, G1x, G2X, X1, X2, X3):
     return g2
 
 
-def _frame(gt: TJ, mixer: np.ndarray | None) -> TJ:
-    """Orthonormal frame from the coordinate basis or ``mixer``'s rows, with derivatives.
+def _frame(gt: TJ) -> TJ:
+    """Orthonormal frame from the coordinate basis, with derivatives.
 
-    Gram-Schmidt on the rows of M under g is E = L^-1 M with L L^T = M g M^T
+    Gram-Schmidt on the coordinate basis under g is E = L^-1 with L L^T = g
     (Cholesky), and dE = -Phi(E dg E^T) E, where Phi keeps the lower
     triangle and halves the diagonal (Murray, arXiv:1602.07527).
     """
     n = gt.v.shape[-1]
-    M = np.eye(n) if mixer is None else np.asarray(mixer, dtype=float)
-    L = np.linalg.cholesky(M @ gt.v @ M.T)
-    E = np.linalg.solve(L, np.broadcast_to(M, L.shape))
+    L = np.linalg.cholesky(gt.v)
+    E = np.linalg.solve(L, np.broadcast_to(np.eye(n), L.shape))
     if gt.d is None:
         return TJ(E, None)
     phi = np.tril(np.ones((n, n))) - 0.5 * np.eye(n)
@@ -218,35 +217,35 @@ def _ambient_frame_curvature(pg: PointGeometry, fields):
     return k1 * sect + k2 * struct
 
 
-def frame_geometry(model: BaseModel, spec: ImmersionSpec, t):
-    """The order-2 frame stage at ``t``, as :func:`pointwise_geometry` returns it
-    but with values only: all that :func:`gauss_curvature` needs."""
-    return _geometry(model, spec, t, None, order=2)
+def frame_geometry(model: BaseModel, spec: ImmersionSpec, nodes):
+    """The order-2 frame stage at ``nodes``, as :func:`pointwise_geometry` returns
+    it but with values only: all that :func:`gauss_curvature` needs."""
+    return _geometry(model, spec, nodes, order=2)
 
 
-def pointwise_geometry(model: BaseModel, spec: ImmersionSpec, t, *,
-                       mixer: np.ndarray | None = None):
-    """Evaluate the full extrinsic tensor pipeline at parameter batch ``t``.
+def pointwise_geometry(model: BaseModel, spec: ImmersionSpec, t):
+    """Evaluate the full extrinsic tensor pipeline at the nodes ``t``.
 
+    ``t`` holds the nodes, sphere points u (B, n+1) or torus angles (B, n).
     On the sphere, derivatives are taken in each node's own chart
     (:func:`whitneygeo.immersions.node_jets`), where the round metric is the
     identity.  Returns ``(PointGeometry, AmbientFields)``; the fields are
     reused by :func:`curvature_data` for the ambient term of the Gauss
     equation.
     """
-    return _geometry(model, spec, t, mixer, order=3)
+    return _geometry(model, spec, t, order=3)
 
 
-def _geometry(model, spec, t, mixer, order):
+def _geometry(model, spec, nodes, order):
     """The frame stage from order-``order`` jets; order 3 adds the derivative levels."""
     n = spec.n
     full = order == 3
-    x = eval_immersion(spec, t, order=order)
+    x = eval_immersion(spec, nodes, order=order)
     X = jets._unpack_blocks(x, n, order)
     X0, X1, X2 = X[:3]
     fields = model.fields_at(X0, order=order - 1)
 
-    # chart fields restricted to the image, with parameter derivatives in the
+    # chart fields restricted to the image, with node-chart derivatives in the
     # full pass; the metric is differentiated twice only along the tangents X1
     def along(D1, sub="bmns,bsc->bmnc"):
         return _einsum(sub, D1, X1) if full else None
@@ -263,7 +262,7 @@ def _geometry(model, spec, t, mixer, order):
             f"degenerate induced metric (min det {det.min():.3e}); "
             "immersion fails the rank check"
         )
-    Et = _frame(gt, mixer)
+    Et = _frame(gt)
     Ft = tj_einsum("bia,bma->bim", Et, Tt)
 
     if not model.is_sasakian:
@@ -367,7 +366,7 @@ def gauss_curvature(pg: PointGeometry, fields) -> CurvatureData:
 
 
 def _induced_metric_hessian(pg: PointGeometry, fields) -> np.ndarray:
-    """Second parameter derivatives of the induced metric g (B, n, n, n, n), full pass only."""
+    """Second node-chart derivatives of the induced metric g (B, n, n, n, n), full pass only."""
     return _second_derivative_of_induced_metric(fields.G0, fields.G1, pg.G2X, *pg.X[1:])
 
 

@@ -1,12 +1,13 @@
 """Sphere charts and the catalog of explicit immersions.
 
-Sphere nodes are the parameters ``t = (theta_1..theta_{n-1}, phi)`` of the
-standard spherical parametrization u(t), first axis polar.  Each node's
-jets are taken in a chart centred at that node, s -> (u0 + Q s) /
-sqrt(1 + |s|^2), where the columns of Q are an orthonormal basis of the
-tangent space at u0 from a Householder reflection.  The round metric is the
-identity at s = 0, so the frames are equally well conditioned at every
-point of the sphere, poles included, and no node needs another chart.
+A node is a point of the domain: a sphere point u, shaped (B, n+1), or the
+n angles of the torus.  Each sphere node's jets are taken in a chart
+centred at that node, s -> (u0 + Q s) / sqrt(1 + |s|^2), where the columns
+of Q are an orthonormal basis of the tangent space at u0 from a Householder
+reflection.  The round metric is the identity at s = 0, so the frames are
+equally well conditioned at every point of the sphere, and no node needs
+another chart.  The torus takes cos, then sin, of its angles as inner jets
+(:func:`domain_jets`).
 
 Catalog entries evaluate to order-3 jets of ambient chart coordinates, so
 every downstream tensor is differentiated exactly.  The jets are packed
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets
-from .spaceforms import BaseModel, DomainError, SasakianB, make_model
+from .spaceforms import BaseModel, SasakianB, make_model
 
 __all__ = [
     "ImmersionSpec",
@@ -33,56 +34,13 @@ __all__ = [
     "CATALOG",
     "make_spec",
     "model_for",
+    "domain_jets",
     "eval_immersion",
     "hamiltonian_flow",
     "node_jets",
-    "params_from_u",
     "random_quartic",
     "loop_integral",
-    "sphere_points",
 ]
-
-
-def _spherical_jets(t, order: int) -> np.ndarray:
-    """Packed jets of u(t) in the spherical parameters themselves, (coefficients, B, n+1).
-
-    Coordinate k of u is a product of functions of one angle each (sin of
-    the angles before k, cos of angle k), so each partial is a product of
-    their derivatives.
-    """
-    tt = np.atleast_2d(np.asarray(t, dtype=float))
-    n = tt.shape[-1]
-    s, c = np.sin(tt), np.cos(tt)
-    sin, cos = (s, c, -s, -c), (c, -s, -c, s)  # derivatives 0..3
-    basis = jets._packed_basis(n, order)
-    u = np.zeros((len(basis), len(tt), n + 1))
-    for r, idx in enumerate(basis):
-        counts = [idx.count(i) for i in range(n)]
-        for k in range(n + 1):
-            if any(counts[k + 1 :]):
-                continue  # coordinate k does not depend on the later angles
-            row = cos[counts[k]][:, k] if k < n else 1.0
-            for i in range(min(k, n)):
-                row = row * sin[counts[i]][:, i]
-            u[r, :, k] = row
-    return u
-
-
-def sphere_points(t) -> np.ndarray:
-    """The sphere points u(t) of spherical parameters ``t``, shaped (B, n+1)."""
-    return _spherical_jets(t, 0)[0]
-
-
-def params_from_u(u) -> np.ndarray:
-    """Spherical parameters of sphere points ``u``, the inverse of :func:`sphere_points`."""
-    uu = np.atleast_2d(np.asarray(u, dtype=float))
-    n = uu.shape[-1] - 1
-    t = np.empty(uu.shape[:-1] + (n,))
-    for i in range(n - 1):
-        tail = np.linalg.norm(uu[..., i + 1 :], axis=-1)
-        t[..., i] = np.arctan2(tail, uu[..., i])
-    t[..., n - 1] = np.mod(np.arctan2(uu[..., n], uu[..., n - 1]), 2.0 * np.pi)
-    return t
 
 
 def _reflections(u: np.ndarray) -> np.ndarray:
@@ -125,6 +83,16 @@ def node_jets(u, order: int = 3) -> np.ndarray:
             a, b, c = idx
             out[r] = -((b == c) * Q[a] + (a == c) * Q[b] + (a == b) * Q[c])
     return out
+
+
+def domain_jets(spec: ImmersionSpec, nodes, order: int = 3) -> np.ndarray:
+    """Packed inner jets at ``nodes``, the input of every catalog formula: the
+    node charts of :func:`node_jets` on the sphere, (coefficients, B, n+1), and
+    cos, then sin, of the torus angles seeded on themselves, (coefficients, B, 2n).
+    """
+    if spec.domain == "torus":
+        return np.concatenate(jets._seed_angles(np.atleast_2d(nodes), order), axis=-1)
+    return node_jets(nodes, order)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +205,8 @@ CATALOG = {
 def _real(p: dict, name: str, default: float) -> float:
     """Parameter ``name`` (or its default) as a finite float, stored back into ``p``."""
     raw = p.get(name, default)
+    if isinstance(raw, bool):
+        raise ValueError(f"{name} must be a real number, got {raw!r}")
     try:
         value = float(raw)
     except (TypeError, ValueError):
@@ -269,18 +239,36 @@ def _reals(p: dict, name: str, default, size: int) -> tuple:
     return p[name]
 
 
+#: the parameters each kind reads; a lift reads its ``base`` and the keys
+#: it hands that base (``_LIFT_KEYS``)
+_KEYS = {"whitney_c0": ("r", "B"), "whitney_cp": ("theta",), "whitney_ch": ("theta",),
+         "contact_whitney_r": ("r", "a", "B"), "contact_whitney_s": ("theta", "a"),
+         "contact_whitney_b": ("theta", "a"), "product_torus": ("radii",),
+         "totally_geodesic_cp": (), "perturbed": ("epsilon", "steps", "seed", "r", "hamiltonian")}
+
+
 def make_spec(kind: str, n: int, **params) -> ImmersionSpec:
     """Validate parameters and build an immersion spec.
 
     Numeric parameters are stored as the float or int they were validated
-    as; a non-finite value, or a non-integral ``steps`` or ``seed``, raises
-    a ``ValueError`` that names it.
+    as; a non-finite value, a non-integral ``n``, ``steps`` or ``seed``, or
+    a parameter the kind does not read raises a ``ValueError`` that names it.
     """
     if kind not in CATALOG:
         raise ValueError(f"unknown catalog case {kind!r}; see CATALOG")
+    n = _integer({}, "n", n)
     if n < 2:
         raise ValueError("n must be >= 2")
     p = dict(params)
+    keys = _KEYS.get(kind)
+    if kind == "lifted":
+        if p.setdefault("base", "whitney_c0") not in _LIFT_KEYS:
+            raise ValueError("lift base must be whitney_c0 or perturbed")
+        keys = ("base",) + _LIFT_KEYS[p["base"]]
+    unknown = sorted(set(p) - set(keys))
+    if unknown:
+        raise ValueError(f"{kind} reads no parameter {', '.join(unknown)}; "
+                         f"its parameters are {', '.join(keys) or '(none)'}")
     if kind in ("whitney_cp", "whitney_ch", "contact_whitney_s", "contact_whitney_b"):
         if _real(p, "theta", 0.5) <= 0:
             raise ValueError(
@@ -318,13 +306,10 @@ def make_spec(kind: str, n: int, **params) -> ImmersionSpec:
             p["hamiltonian"] = random_quartic(n, p["seed"])
         p["hamiltonian"] = _validated_hamiltonian(p["hamiltonian"], n)
     elif kind == "lifted":
-        base = p.setdefault("base", "whitney_c0")
-        if base not in _LIFT_KEYS:
-            raise ValueError("lift base must be whitney_c0 or perturbed")
         # the base validates the lift's parameters, and the lift keeps them as
         # validated; a hamiltonian only if given, as the seed draws the default
         valid = _lift_base(ImmersionSpec(kind, n, p)).params
-        p.update((k, valid[k]) for k in _LIFT_KEYS[base] if k in p or k != "hamiltonian")
+        p.update((k, valid[k]) for k in _LIFT_KEYS[p["base"]] if k in p or k != "hamiltonian")
     return ImmersionSpec(kind=kind, n=n, params=_Params(p))
 
 
@@ -392,12 +377,7 @@ def _complex_pairs(u: np.ndarray, theta: float, variant: str, ops) -> np.ndarray
     n = u.shape[-1] - 1
     un = u[..., -1]
     ch, sh = math.cosh(theta), math.sinh(theta)
-    if variant == "cp":
-        a, b, sign = ch, sh, 1.0
-    elif variant == "ch":
-        a, b, sign = sh, ch, -1.0
-    else:
-        raise ValueError(variant)
+    a, b, sign = {"cp": (ch, sh, 1.0), "ch": (sh, ch, -1.0)}[variant]
     u2 = ops.mul(un, un)
     slot = _plus(1j * b * un, a)
     num = _plus(sh * ch * u2 + 1j * sign * un, sh * ch)
@@ -469,65 +449,47 @@ def _eval_contact_whitney_s(spec, u, ops):
     return _split(ws, ops.mul(un, ops.fn("recip", den)))
 
 
-class _BergmanFiber:
-    """Fiber coordinate of the ball-model Legendrian family.
+def _fiber(alpha: np.ndarray, x: np.ndarray, ops) -> np.ndarray:
+    """The fiber of a Legendrian image whose contact condition reads df = alpha . dx.
 
-    The contact condition forces dt = -omega along the image; by the
-    rotational symmetry of the base map the pullback of omega is
-    rho(u) du in the last sphere coordinate alone, so the fiber's
-    derivatives are -rho and its derivatives, composed with the packed jet
-    of that coordinate.  Its value is 0 at every node, a Reeb translation
-    t -> t + c chosen per node: eta-bar = dt + omega and the metric, phi
-    and xi of Sasakian_B do not depend on t, so the translation is an
-    automorphism of the Sasakian structure (see :func:`eval_immersion`).
+    ``x`` and ``alpha`` are packed jets of the same width; the partials are
+    d_a f = sum_j alpha_j d_a x_j, one order lower, and the partial over the
+    sorted indices (a, rest) is row rest of d_a f.
+
+    The value is 0 at every node, a Reeb translation chosen per node.
+    Neither the metric nor phi, xi and eta of Sasakian_R (eta = (dz - sum y
+    dx) / 2) or Sasakian_B (eta-bar = dt + omega) depends on the last chart
+    coordinate, so the Reeb flow is an automorphism of the whole Sasakian
+    structure (Blair, Riemannian Geometry of Contact and Symplectic
+    Manifolds, 2nd ed., 2010), and every invariant the certificate reads is
+    the same.
     """
-
-    def __init__(self, n: int, theta: float):
-        self.n = n
-        self.theta = theta
-        self.kappa = 4.0 * SasakianB._phi_sign
-
-    def _rho_jets(self, u_vals: np.ndarray, order: int) -> np.ndarray:
-        """omega-pullback density at ``u_vals`` and its first ``order`` derivatives.
-
-        Univariate packed rows: row k is the k-th derivative.  At the sphere
-        point (sqrt(1 - u^2), 0, ..., 0, u) only z_0 = sqrt(1 - u^2) c(u) is
-        nonzero, with c the factor of :func:`_complex_pairs`.  In y dx - x dy
-        and in |z|^2 the root enters squared, so rho = kappa (1 - u^2)
-        (Im c Re c' - Re c Im c') / (1 - (1 - u^2) |c|^2) is smooth through
-        u = +-1.
-        """
-        ops = jets._Ops(1, order + 1)
-        un = np.zeros((order + 2, len(u_vals)))
-        un[0], un[1] = u_vals, 1.0
-        one = np.zeros_like(un)
-        one[0] = 1.0
-        c = _complex_pairs(np.stack([one, un], axis=-1), self.theta, "ch", ops)[..., 0]
-        cr, ci = c.real, c.imag
-        q = _plus(-ops.mul(un, un), 1.0)  # 1 - u^2
-        w = ops.fn("recip", _plus(-ops.mul(q, ops.mul(cr, cr) + ops.mul(ci, ci)), 1.0))
-        # Im c Re c' - Re c Im c', one order down: d/du shifts the rows up by one
-        low = jets._Ops(1, order)
-        acc = low.mul(ci[:-1], cr[1:]) - low.mul(cr[:-1], ci[1:])
-        return low.mul(low.mul(acc, q[:-1]), self.kappa * w[:-1])
-
-    def fiber_jet(self, un: np.ndarray, ops) -> np.ndarray:
-        """The fiber as a packed jet, from the packed jet ``un`` of u_n; its value row is 0."""
-        rho = self._rho_jets(un[0], order=2)
-        derivs = np.concatenate((np.zeros_like(rho[:1]), -rho))
-        return jets._packed_compose(derivs[: ops.order + 1], [un], ops.table)
+    f = np.zeros(x.shape[:2])
+    if ops.order:
+        dx = jets._packed_gradient(x, ops.v)
+        low = jets._leibniz_table(ops.v, ops.order - 1)
+        df = jets._packed_matmul(alpha[: len(dx), :, None, :], dx, low)[..., 0, :]
+        row = {idx: r for r, idx in enumerate(jets._packed_basis(ops.v, ops.order - 1))}
+        partials = jets._packed_basis(ops.v, ops.order)[1:]
+        f[1:] = df[[row[idx[1:]] for idx in partials], :, [idx[0] for idx in partials]]
+    return f
 
 
 def _eval_contact_whitney_b(spec, u, ops):
-    z = _complex_pairs(u, spec.params["theta"], "ch", ops)
-    fiber = _BergmanFiber(spec.n, spec.params["theta"])
-    return _split(z, fiber.fiber_jet(u[..., -1], ops))
+    """The ball-model family, its fiber from the contact condition dt = -omega of
+    eta-bar = dt + omega: -omega = 4 s w (-y, x) . d(x, y), w = 1 / (1 - |z|^2),
+    s the phi sign of Sasakian_B."""
+    n = spec.n
+    x = _split(_complex_pairs(u, spec.params["theta"], "ch", ops))
+    w = ops.fn("recip", _plus(-ops.mul(x, x).sum(axis=-1), 1.0))
+    alpha = ops.mul((4.0 * SasakianB._phi_sign) * w[..., None],
+                    np.concatenate([-x[..., n:], x[..., :n]], axis=-1))
+    return np.concatenate([x, _fiber(alpha, x, ops)[..., None]], axis=-1)
 
 
-def _eval_product_torus(spec, t, order):
-    cos, sin = jets._seed_angles(np.atleast_2d(np.asarray(t, dtype=float)), order)
-    radii = np.array(spec.params["radii"])
-    return np.concatenate([radii * cos, radii * sin], axis=-1)
+def _eval_product_torus(spec, inner, ops):
+    """The radii times the inner jets, cos, then sin, of the angles (:func:`domain_jets`)."""
+    return np.tile(spec.params["radii"], 2) * inner
 
 
 def hamiltonian_flow(x: np.ndarray, ham: HamiltonianDeformation, num_vars: int) -> np.ndarray:
@@ -681,51 +643,45 @@ def _lift_base(spec: ImmersionSpec) -> ImmersionSpec:
 def _eval_lifted(spec, u, ops):
     """Base coordinates plus the fiber z with dz = sum_j y_j dx_j, as packed jets.
 
-    z is 0 at every node, a per-node Reeb translation (see
-    :func:`eval_immersion`).  A global z exists because sum y dx is closed
-    on a Lagrangian and H^1(S^n) = 0 for n >= 2; :func:`loop_integral`
-    checks the closedness.
+    A global z exists because sum y dx is closed on a Lagrangian and
+    H^1(S^n) = 0 for n >= 2; :func:`loop_integral` checks the closedness.
     """
     n = spec.n
     base = _lift_base(spec)
     x = _EVALUATORS[base.kind](base, u, ops)
-    z = np.zeros(x.shape[:2])
-    if ops.order:
-        # the fiber's partials d_a z = sum_j y_j d_a x_j, one order lower:
-        # the partial over the sorted indices (a, rest) is row rest of d_a z
-        dx = jets._packed_gradient(x[..., :n], n)
-        low = jets._leibniz_table(n, ops.order - 1)
-        dz = jets._packed_matmul(x[: len(dx), :, None, n:], dx, low)[..., 0, :]
-        row = {idx: r for r, idx in enumerate(jets._packed_basis(n, ops.order - 1))}
-        partials = jets._packed_basis(n, ops.order)[1:]
-        z[1:] = dz[[row[idx[1:]] for idx in partials], :, [idx[0] for idx in partials]]
-    return np.concatenate([x, z[..., None]], axis=-1)
+    return np.concatenate([x, _fiber(x[..., n:], x[..., :n], ops)[..., None]], axis=-1)
 
 
-def _lift_integrand(base: ImmersionSpec, t, axis: int) -> np.ndarray:
-    """sum_j y_j d x_j / d t_axis of the base at parameters ``t``: (B,).
+def _loop_integrand(spec: ImmersionSpec, theta_polar: float, phi) -> np.ndarray:
+    """d z / d phi of the lift ``spec`` along the loop at angles ``phi``: (B,).
 
-    The base flows 1-variable order-1 jets along parameter ``axis`` only:
-    the value row and the partial along ``axis``.
+    The loop is u = cos a e_0 + sin a (cos phi e_(n-1) + sin phi e_n), a =
+    ``theta_polar``, and the derivative is sum_i d_i z (Q_i . du/dphi), with
+    d_i z the lift's own fiber partials in the node chart of basis Q.
     """
-    u = _spherical_jets(t, order=1)[[0, 1 + axis]]
-    x = _EVALUATORS[base.kind](base, u, jets._Ops(1, 1))
-    return (x[0, :, base.n :] * x[1, :, : base.n]).sum(axis=-1)
+    n, r = spec.n, math.sin(theta_polar)
+    u, du = np.zeros((2, len(phi), n + 1))
+    u[:, 0] = math.cos(theta_polar)
+    u[:, n - 1], u[:, n] = r * np.cos(phi), r * np.sin(phi)
+    du[:, n - 1], du[:, n] = -u[:, n], u[:, n - 1]
+    dz = eval_immersion(spec, u, order=1)[1:, :, -1]
+    return np.einsum("ib,bki,bk->b", dz, _reflections(u)[:, :, :n], du)
 
 
 def loop_integral(spec: ImmersionSpec, theta_polar: float | None = None,
                   resolution: int = 64) -> float:
-    """Integral of sum(y_i dx_i) around a closed azimuthal loop (exactness check)."""
+    """Integral of sum(y_i dx_i) around a closed azimuthal loop (exactness check).
+
+    ``theta_polar`` is the loop's angle from e_0, pi / 2 by default; a base
+    spec is lifted with the parameters it hands a lift.
+    """
     if spec.kind != "lifted":
-        spec = make_spec("lifted", spec.n, base=spec.kind, **spec.params)
-    n = spec.n
-    t0 = np.full(n, np.pi / 2)
-    if theta_polar is not None:
-        t0[0] = theta_polar
+        keys = _LIFT_KEYS.get(spec.kind, ())
+        spec = make_spec("lifted", spec.n, base=spec.kind,
+                         **{k: v for k, v in spec.params.items() if k in keys})
+    a = math.pi / 2 if theta_polar is None else theta_polar
     xs, ws = np.polynomial.legendre.leggauss(resolution)
-    pts = np.repeat(t0[None, :], resolution, axis=0)
-    pts[:, n - 1] = np.pi + np.pi * xs
-    integ = _lift_integrand(_lift_base(spec), pts, n - 1)
+    integ = _loop_integrand(spec, a, np.pi + np.pi * xs)
     return float(np.pi * (integ * ws).sum())
 
 
@@ -739,27 +695,19 @@ _EVALUATORS = {
     "contact_whitney_b": _eval_contact_whitney_b,
     "perturbed": _eval_perturbed,
     "lifted": _eval_lifted,
+    "product_torus": _eval_product_torus,
 }
 
 
-def eval_immersion(spec: ImmersionSpec, t, order: int = 3) -> np.ndarray:
-    """Packed order-``order`` jets of the ambient chart coordinates at parameters ``t``.
+def eval_immersion(spec: ImmersionSpec, nodes, order: int = 3) -> np.ndarray:
+    """Packed order-``order`` jets of the ambient chart coordinates at ``nodes``.
 
-    Shaped (coefficients, B, chart dim), the rows in the order of
-    ``jets._packed_basis(n, order)``.  For sphere-domain cases ``t`` are
-    spherical parameters and the jets are in each node's own chart
-    (:func:`node_jets`); the torus case takes the n angles directly.
-
-    The fiber coordinate of ``lifted`` and ``contact_whitney_b`` is given
-    up to a Reeb translation chosen per node: its value is 0 at every node,
-    and only its derivatives come from the contact condition.  Neither the
-    metric nor phi, xi and eta of Sasakian_R (eta = (dz - sum y dx) / 2) or
-    Sasakian_B (eta-bar = dt + omega) depends on the last chart coordinate,
-    so the Reeb flow is an automorphism of the whole Sasakian structure
-    (Blair, Riemannian Geometry of Contact and Symplectic Manifolds, 2nd
-    ed., 2010), and every invariant the certificate reads is the same.
+    ``nodes`` are sphere points u, shaped (B, n+1), or torus angles, shaped
+    (B, n).  The result is shaped (coefficients, B, chart dim), the rows in
+    the order of ``jets._packed_basis(n, order)``; on the sphere the jets
+    are in each node's own chart (:func:`node_jets`).  The fiber coordinate
+    of ``lifted`` and ``contact_whitney_b`` is 0 at every node, and only its
+    derivatives come from the contact condition (:func:`_fiber`).
     """
-    if spec.domain == "torus":
-        return _eval_product_torus(spec, t, order)
-    u = node_jets(sphere_points(t), order)
-    return _EVALUATORS[spec.kind](spec, u, jets._Ops(spec.n, order))
+    inner = domain_jets(spec, nodes, order)
+    return _EVALUATORS[spec.kind](spec, inner, jets._Ops(spec.n, order))

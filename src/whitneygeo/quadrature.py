@@ -8,6 +8,8 @@ Approximations on the Unit Sphere", Springer LNM 2044, 2012).  Integrands
 lifted from smooth fields on the sphere are analytic in the angles, so
 convergence is spectral, and :func:`quadrature_error` estimates the error
 of a grid from a three-rung convergence ladder.
+A grid's ``nodes`` are the points themselves, sphere points or torus
+angles; the spherical parameters serve the product rule only.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ import math
 
 import numpy as np
 
-from .immersions import sphere_points
-
 __all__ = [
     "IntegrationGrid",
     "build_grid",
     "ladder_resolutions",
     "quadrature_error",
+    "sphere_points",
     "sphere_volume",
 ]
 
@@ -41,6 +42,18 @@ LADDER_SAFETY = 2.0
 #: terms (about 450 units in the last place); converged n = 2 integrals of
 #: the catalog scatter by up to 5.3e-15 of that size between grids
 ROUNDOFF = 1e-13
+
+
+def sphere_points(t) -> np.ndarray:
+    """The points u of spherical parameters ``t = (theta_1..theta_{n-1}, phi)``, (B, n+1).
+
+    u_k = cos t_k sin t_0 ... sin t_(k-1) for k < n and u_n = sin t_0 ...
+    sin t_(n-1), multiplied in that order, first axis polar.
+    """
+    u = np.concatenate([np.cos(t), np.ones_like(t[:, :1])], axis=-1)
+    for i, sin in enumerate(np.sin(t).T):
+        u[:, i + 1 :] *= sin[:, None]
+    return u
 
 
 def sphere_volume(n: int) -> float:
@@ -97,11 +110,12 @@ def quadrature_error(values, floor: float = 0.0, control=None) -> tuple[float, s
 
 
 class IntegrationGrid:
-    """Quadrature nodes over the parameter domain of one immersion family.
+    """Quadrature nodes over the domain of one immersion family.
 
-    Attributes per node: parameters ``t``, ``weight`` (on the sphere it
-    carries the round density, so sum(weight * f) integrates f against the
-    round volume) and the sphere point ``u`` (sphere domain only).
+    Attributes per node: the point ``nodes`` (a sphere point u, or the torus
+    angles), its product-rule parameters ``t`` and its ``weight`` (on the
+    sphere it carries the round density, so sum(weight * f) integrates f
+    against the round volume).
     """
 
     def __init__(self, n: int, resolution: int, domain: str = "sphere"):
@@ -126,16 +140,16 @@ class IntegrationGrid:
         self.t = np.stack([g.ravel() for g in grids], axis=-1)
         wgrids = np.meshgrid(*(w for _, w in axes), indexing="ij")
         self.weight = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-        self.u = None
+        self.nodes = self.t
         if domain == "sphere":
             for i in range(n - 1):
                 self.weight *= np.sin(self.t[:, i]) ** (n - 1 - i)
-            self.u = sphere_points(self.t)
+            self.nodes = sphere_points(self.t)
 
     def chunks(self, max_nodes: int):
         """Node indices in equal consecutive slices of at most ``max_nodes``."""
-        count = -(-len(self.t) // max_nodes)
-        return np.array_split(np.arange(len(self.t)), count)
+        count = -(-len(self.nodes) // max_nodes)
+        return np.array_split(np.arange(len(self.nodes)), count)
 
 
 def build_grid(n: int, resolution: int | None = None,

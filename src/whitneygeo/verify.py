@@ -16,8 +16,8 @@ n >= 4 block on its coarser grid, run only the order-2 frame stage.
 The chunks of all three rungs are independent jobs of one map
 (:func:`_map_chunks`).  A job is a module-level function and its inputs:
 the spec, the run seed, the rung, where its random planes begin in the
-run's stream (fixed by the caller before the map) and its own nodes and
-weights; the worker rebuilds the model from the spec.  The jobs run on the
+run's stream (fixed by the caller before the map) and its own nodes (the
+points themselves) and weights; the worker rebuilds the model from the spec.  The jobs run on the
 process's one pool of forked workers, started by the first map that wants
 more than one and kept across cases; each worker empties the module caches
 on the first job of a new map.  Each job returns its partial sums, sups and
@@ -55,7 +55,7 @@ from .geometry import (
     vector_field_scalars,
 )
 from .immersions import (
-    ImmersionSpec, _lift_base, eval_immersion, make_spec, model_for, node_jets,
+    ImmersionSpec, _lift_base, domain_jets, eval_immersion, make_spec, model_for,
 )
 from .quadrature import (
     ROUNDOFF,
@@ -189,7 +189,8 @@ def _gradient_test_functions(spec: ImmersionSpec, seed: int, count: int = 3):
     """Seeded smooth scalar functions on the domain, as packed-jet evaluators.
 
     Each is a sum of two exponentials of linear forms in the packed inner
-    jets: the sphere coordinates, or cos and then sin of the torus angles.
+    jets of :func:`domain_jets`: sphere coordinates, or cos, then sin, of
+    the torus angles.
     """
     rng = np.random.default_rng(seed + 7919)
     n = spec.n
@@ -350,10 +351,10 @@ _CERTIFICATE = {
 }
 
 
-def _chunk_sums(spec, model, t, w, curvature=gauss_curvature):
+def _chunk_sums(spec, model, nodes, w, curvature=gauss_curvature):
     """One chunk's geometry and residuals, and the weighted sum of each certificate integrand.
 
-    ``t`` holds the chunk's node parameters and ``w`` their weights.
+    ``nodes`` holds the chunk's nodes and ``w`` their weights.
 
     ``nabla_h_sq`` is |nabla h|^2, or its contact projection in the
     Sasakian case.  ``curvature_scale`` is |c| + |H|^2, with c the
@@ -362,10 +363,10 @@ def _chunk_sums(spec, model, t, w, curvature=gauss_curvature):
     integrands, does not vanish on the parallel branch.  It vanishes only
     for a minimal immersion into a flat ambient.
     """
-    pg, fields = pointwise_geometry(model, spec, t)
+    pg, fields = pointwise_geometry(model, spec, nodes)
     cd = curvature(pg, fields)
     res = paper_residuals(pg, cd)
-    integrands = {"volume": np.ones(len(t))}
+    integrands = {"volume": np.ones(len(nodes))}
     integrands.update((name, res[key]) for name, key in _CERTIFICATE.items())
     integrands["curvature_scale"] = abs(pg.c_eff) + res["H_norm2"]
     sums = {
@@ -451,26 +452,22 @@ def _unresolved_reason(
     )
 
 
-def _rung_chunk(spec, seed, rung, start, u, t, w):
+def _rung_chunk(spec, seed, rung, start, nodes, w):
     """One chunk job of a case's ladder: the sums of its certificate integrands.
 
-    ``t``, ``u`` and ``w`` are the chunk's node parameters, sphere points
-    (None on the torus) and weights.  A companion rung (``rung`` > 0)
-    integrates nothing else.  The full grid's chunks (``rung`` 0) also give
-    the gradient-field integrals, the l2 sums, the sups and minima and,
-    from the plane stream's ``start`` (None for none), the sectional range.
+    ``nodes`` and ``w`` are the chunk's nodes and weights.  A companion rung
+    (``rung`` > 0) integrates nothing else.  The full grid's chunks (``rung``
+    0) also give the gradient-field integrals, the l2 sums, the sups and
+    minima and, from the plane stream's ``start`` (None for none), the
+    sectional range.
     """
     model = model_for(spec)
     if rung:
-        return (_chunk_sums(spec, model, t, w)[0],)
+        return (_chunk_sums(spec, model, nodes, w)[0],)
     # the structure checks compare both curvature routes
-    sums, pg, cd, res = _chunk_sums(spec, model, t, w, curvature_data)
+    sums, pg, cd, res = _chunk_sums(spec, model, nodes, w, curvature_data)
     dens = pg.sqrt_det_g
-    if u is not None:
-        inner = node_jets(u, order=2)
-    else:
-        inner = np.concatenate(jets._seed_angles(t, 2), axis=-1)
-    ops = jets._Ops(spec.n, 2)
+    inner, ops = domain_jets(spec, nodes, order=2), jets._Ops(spec.n, 2)
     for k, f in enumerate(_gradient_test_functions(spec, seed)):
         vf = vector_field_scalars(pg, cd, gradient_field(pg, f(inner, ops)))
         sums[f"yano_grad_{k}"] = float(np.sum(w * vf["yano_integrand"] * dens))
@@ -500,9 +497,8 @@ def _accumulate_case(spec, model, grids, seed, sectional=False):
         starts = [None] * len(chunks)
         if sectional and rung == 0:
             starts = _plane_streams(seed, [len(idx) for idx in chunks], spec.n)
-        for start, idx in zip(starts, chunks):
-            u = grid.u[idx] if rung == 0 and grid.u is not None else None
-            jobs.append((spec, seed, rung, start, u, grid.t[idx], grid.weight[idx]))
+        jobs += [(spec, seed, rung, start, grid.nodes[idx], grid.weight[idx])
+                 for start, idx in zip(starts, chunks)]
     parts = _map_chunks(_rung_chunk, jobs)
     rung_sums = [
         _fold([p[0] for job, p in zip(jobs, parts) if job[2] == rung], operator.add, 0.0)
@@ -523,12 +519,10 @@ def _accumulate_case(spec, model, grids, seed, sectional=False):
 
 def _rk4_step_check(spec, grid, sample: int = 64) -> float:
     """Sup drift of the flowed order-3 jets, every row, when the RK4 step is halved."""
-    idx = np.linspace(0, len(grid.t) - 1, min(sample, len(grid.t))).astype(int)
-    t = grid.t[idx]
-    fine = make_spec(
-        "perturbed", spec.n, **{**spec.params, "steps": 2 * spec.params["steps"]}
-    )
-    return float(np.max(np.abs(eval_immersion(spec, t) - eval_immersion(fine, t))))
+    idx = np.linspace(0, len(grid.nodes) - 1, min(sample, len(grid.nodes))).astype(int)
+    nodes = grid.nodes[idx]
+    fine = make_spec("perturbed", spec.n, **{**spec.params, "steps": 2 * spec.params["steps"]})
+    return float(np.max(np.abs(eval_immersion(spec, nodes) - eval_immersion(fine, nodes))))
 
 
 #: random planes per node behind the sampled sectional range
@@ -593,10 +587,10 @@ def _sectional_stats(spans, weyl_sups) -> dict:
     }
 
 
-def _frame_chunk(spec, start, t):
+def _frame_chunk(spec, start, nodes):
     """One chunk job of a conformal block: the frame stage's sectional range
     from the plane stream's ``start``, and its Weyl sup (None below n = 4)."""
-    pg, fields = frame_geometry(model_for(spec), spec, t)
+    pg, fields = frame_geometry(model_for(spec), spec, nodes)
     cd = gauss_curvature(pg, fields)
     weyl_sup = None if cd.Weyl is None else float(np.max(np.abs(cd.Weyl)))
     return _sectional_range(cd.Riem, start), weyl_sup
@@ -606,7 +600,7 @@ def _conformal_block(spec, model, grid, seed):
     """The curvature statistics from the order-2 frame stage at every node."""
     chunks = grid.chunks(_chunk_size(model.chart_dim))
     starts = _plane_streams(seed, [len(idx) for idx in chunks], spec.n)
-    jobs = [(spec, start, grid.t[idx]) for start, idx in zip(starts, chunks)]
+    jobs = [(spec, start, grid.nodes[idx]) for start, idx in zip(starts, chunks)]
     parts = _map_chunks(_frame_chunk, jobs)
     return _sectional_stats([span for span, _ in parts], [w for _, w in parts])
 
@@ -746,7 +740,7 @@ def run_case(
         model=model.kind,
         model_self_test=self_test_json,
         resolution=resolution,
-        num_nodes=int(len(grid.t)),
+        num_nodes=int(len(grid.nodes)),
         seed=seed,
         residual_sup={k: float(v) for k, v in sorted(sups.items())},
         residual_l2=l2,

@@ -54,6 +54,14 @@ class TestVerify:
         assert code == 2
         assert "theta > 0" in err
 
+    def test_parameter_the_case_does_not_read_is_config_error(self, capsys):
+        code, out, err = _run(
+            ["verify", "--case", "whitney_c0", "--theta", "0.3"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "reads no parameter theta" in err
+
     def test_unknown_case_is_config_error(self, capsys):
         code, _, err = _run(["verify", "--case", "nonsense"], capsys)
         assert code == 2

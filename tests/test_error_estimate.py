@@ -134,14 +134,14 @@ class TestReportEvidence:
         assert r.unresolved_reason is None
 
 
-def _certificate_sums(spec, t, w):
-    return _chunk_sums(spec, model_for(spec), t, w)[0]
+def _certificate_sums(spec, nodes, w):
+    return _chunk_sums(spec, model_for(spec), nodes, w)[0]
 
 
 def _sums(spec, K):
     """The certificate's sums over the grid at K, one chunk job per chunk."""
     model, grid = model_for(spec), build_grid(spec.n, K)
-    jobs = [(spec, grid.t[idx], grid.weight[idx])
+    jobs = [(spec, grid.nodes[idx], grid.weight[idx])
             for idx in grid.chunks(_chunk_size(model.chart_dim))]
     parts = _map_chunks(_certificate_sums, jobs)
     return _fold(parts, operator.add, 0.0)

@@ -1,10 +1,12 @@
 """Tensor engine: structure equations, dual curvature routes, identities."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from whitneygeo import jets
+from whitneygeo import geometry, jets
 from whitneygeo.geometry import (
     TJ,
     CurvatureData,
@@ -19,7 +21,8 @@ from whitneygeo.geometry import (
     sectional_curvatures,
     structure_checks,
 )
-from whitneygeo.immersions import make_spec, model_for, node_jets, params_from_u, sphere_points
+from whitneygeo.immersions import make_spec, model_for, node_jets
+from whitneygeo.quadrature import sphere_points
 from whitneygeo.spaceforms import (
     christoffel_along,
     christoffel_derivative,
@@ -32,21 +35,34 @@ from scalar_reference import mirror
 ALL_KINDS = ["C_n", "CP_n", "CH_n", "Sasakian_R", "Sasakian_S", "Sasakian_B"]
 
 
-def _params(n, count=10, seed=0):
+def _points(n, count=10, seed=0):
+    """Seeded sphere points, drawn in the spherical parameters away from their poles."""
     rng = np.random.default_rng(seed)
     cols = [rng.uniform(0.5, np.pi - 0.5, count) for _ in range(n - 1)]
     cols.append(rng.uniform(0.2, 2 * np.pi - 0.2, count))
-    return np.column_stack(cols)
+    return sphere_points(np.column_stack(cols))
+
+
+def _mixed_frame(gt, mixer):
+    """Gram-Schmidt on the rows of ``mixer`` under g, with derivatives: the
+    Cholesky frame of M g M^T, in the coordinates M maps to, applied to M."""
+    M = np.asarray(mixer, dtype=float)
+    dg = None if gt.d is None else np.einsum("ia,bacz,jc->bijz", M, gt.d, M)
+    E = _frame(TJ(M @ gt.v @ M.T, dg))
+    return TJ(E.v @ M, None if E.d is None else np.einsum("bijz,ja->biaz", E.d, M))
 
 
 def _run(kind, n, kw, count=10, seed=0, mixer=None):
+    """The full pass at seeded nodes; a ``mixer`` has the pipeline frame its rows."""
     spec = make_spec(kind, n, **kw)
     model = model_for(spec)
     if kind == "product_torus":
-        t = np.random.default_rng(seed).uniform(0, 2 * np.pi, size=(count, n))
+        nodes = np.random.default_rng(seed).uniform(0, 2 * np.pi, size=(count, n))
     else:
-        t = _params(n, count, seed)
-    pg, fields = pointwise_geometry(model, spec, t, mixer=mixer)
+        nodes = _points(n, count, seed)
+    frame = _frame if mixer is None else (lambda gt: _mixed_frame(gt, mixer))
+    with mock.patch.object(geometry, "_frame", frame):
+        pg, fields = pointwise_geometry(model, spec, nodes)
     cd = curvature_data(pg, fields)
     return pg, cd, paper_residuals(pg, cd), structure_checks(pg, cd)
 
@@ -198,42 +214,39 @@ class TestFrameIndependence:
             assert_allclose(base[2][name], mixed[2][name], rtol=1e-9, atol=1e-9)
 
 
-def _tangents(t):
-    """Each node's sphere point and chart tangent basis Q, shaped (B, n+1) and (B, n+1, n)."""
-    u0 = sphere_points(t)
-    return u0, np.moveaxis(node_jets(u0, order=1)[1:], 0, -1)
+def _tangents(u0):
+    """Each node's chart tangent basis Q, shaped (B, n+1, n)."""
+    return np.moveaxis(node_jets(u0, order=1)[1:], 0, -1)
 
 
-def _along_great_circles(model, spec, t, invariant, step=1e-4):
+def _along_great_circles(model, spec, u0, invariant, step=1e-4):
     """Central differences of a scalar invariant along the great circles
     cos(tau) u0 + sin(tau) Q_c, whose tangents at tau = 0 are the chart
     directions d/ds_c of each node."""
-    u0, Q = _tangents(t)
-    grad = np.zeros((len(t), spec.n))
+    Q = _tangents(u0)
+    grad = np.zeros((len(u0), spec.n))
     for c in range(spec.n):
         ends = []
         for tau in (step, -step):
-            pts = params_from_u(np.cos(tau) * u0 + np.sin(tau) * Q[:, :, c])
+            pts = np.cos(tau) * u0 + np.sin(tau) * Q[:, :, c]
             ends.append(invariant(pointwise_geometry(model, spec, pts)[0]))
         grad[:, c] = (ends[0] - ends[1]) / (2 * step)
     return grad
 
 
-def _metric_in_node_chart(model, spec, t, s):
-    """The induced metric at s in the chart of each node of ``t``.
+def _metric_in_node_chart(model, spec, u0, s):
+    """The induced metric at s in the chart of each node ``u0``.
 
     The point U(s) = (u0 + Q s) / sqrt(1 + |s|^2) has its own node chart,
     whose tangent basis Q' gives the metric g' there; a vector w tangent at
     U(s) has coordinates Q'^T w, so g(s) = M^T g' M with M = Q'^T dU/ds.
     """
-    u0, Q = _tangents(t)
+    Q = _tangents(u0)
     r2 = 1.0 + np.sum(s * s, axis=-1)
     U = (u0 + np.einsum("bki,bi->bk", Q, s)) / np.sqrt(r2)[:, None]
     dU = (Q - U[:, :, None] * s[:, None, :] / np.sqrt(r2)[:, None, None]) / np.sqrt(r2)[:, None, None]
-    pts = params_from_u(U)
-    _, Qp = _tangents(pts)
-    M = np.einsum("bki,bka->bia", Qp, dU)
-    pg, _ = frame_geometry(model, spec, pts)
+    M = np.einsum("bki,bka->bia", _tangents(U), dU)
+    pg, _ = frame_geometry(model, spec, U)
     return np.einsum("bij,bia,bjc->bac", pg.g.v, M, M)
 
 
@@ -244,11 +257,11 @@ class TestFiniteDifferenceOracles:
         # the left side is a plain finite difference of a scalar invariant.
         spec = make_spec("whitney_cp", 2, theta=0.5)
         model = model_for(spec)
-        t = _params(2, count=6, seed=10)
-        pg, fields = pointwise_geometry(model, spec, t)
+        u = _points(2, count=6, seed=10)
+        pg, fields = pointwise_geometry(model, spec, u)
         engine = 2.0 * np.einsum("bijl,bijkl->bk", pg.h.v, pg.hcov)
         grad = _along_great_circles(
-            model, spec, t, lambda p: np.einsum("bijk,bijk->b", p.h.v, p.h.v)
+            model, spec, u, lambda p: np.einsum("bijk,bijk->b", p.h.v, p.h.v)
         )
         fd = np.einsum("bkc,bc->bk", pg.E.v, grad)
         assert_allclose(engine, fd, atol=1e-5, rtol=1e-5)
@@ -256,11 +269,11 @@ class TestFiniteDifferenceOracles:
     def test_mean_curvature_derivative_vs_fd(self):
         spec = make_spec("contact_whitney_s", 2, theta=0.5, a=0.8)
         model = model_for(spec)
-        t = _params(2, count=6, seed=11)
-        pg, _ = pointwise_geometry(model, spec, t)
+        u = _points(2, count=6, seed=11)
+        pg, _ = pointwise_geometry(model, spec, u)
         engine = 2.0 * np.einsum("bj,bij->bi", pg.H.v, pg.Hcov)
         grad = _along_great_circles(
-            model, spec, t, lambda p: np.einsum("bk,bk->b", p.H.v, p.H.v)
+            model, spec, u, lambda p: np.einsum("bk,bk->b", p.H.v, p.H.v)
         )
         fd = np.einsum("bkc,bc->bk", pg.E.v, grad)
         assert_allclose(engine, fd, atol=1e-5, rtol=1e-5)
@@ -270,15 +283,15 @@ class TestFiniteDifferenceOracles:
         # on its chart lines, Richardson-extrapolated over two steps
         spec = make_spec("whitney_ch", 2, theta=0.5)
         model = model_for(spec)
-        t = _params(2, count=4, seed=12)
-        pg, fields = pointwise_geometry(model, spec, t)
+        u = _points(2, count=4, seed=12)
+        pg, fields = pointwise_geometry(model, spec, u)
         g2 = _induced_metric_hessian(pg, fields)
 
         def metric(*steps):
-            s = np.zeros((len(t), 2))
+            s = np.zeros((len(u), 2))
             for c, h in steps:
                 s[:, c] += h
-            return _metric_in_node_chart(model, spec, t, s)
+            return _metric_in_node_chart(model, spec, u, s)
 
         def second(c, d, h):
             if c == d:
@@ -373,7 +386,7 @@ class TestCholeskyFrame:
             "orthogonal": np.linalg.qr(rng.normal(size=(n, n)))[0],
             "general": np.eye(n) + 0.4 * rng.normal(size=(n, n)),
         }[mix]
-        got = _frame(TJ(g, dg), mixer)
+        got = _frame(TJ(g, dg)) if mixer is None else _mixed_frame(TJ(g, dg), mixer)
         for b in range(B):
             E, dE = _gram_schmidt_reference(g[b], dg[b], mixer)
             assert np.max(np.abs(got.v[b] - E)) <= 1e-13 * np.max(np.abs(E))
@@ -408,9 +421,9 @@ class TestFrameStage:
     def test_gauss_curvature_matches_full_pass(self, kind, n, kw):
         spec = make_spec(kind, n, **kw)
         model = model_for(spec)
-        t = _params(n, count=6, seed=5)
-        full = curvature_data(*pointwise_geometry(model, spec, t))
-        pg, fields = frame_geometry(model, spec, t)
+        u = _points(n, count=6, seed=5)
+        full = curvature_data(*pointwise_geometry(model, spec, u))
+        pg, fields = frame_geometry(model, spec, u)
         cd = gauss_curvature(pg, fields)
         for name in ("Riem", "Ricci", "scalar", "Weyl"):
             want = getattr(full, name)

@@ -17,19 +17,20 @@ from whitneygeo.immersions import (
     make_spec,
     model_for,
     node_jets,
-    params_from_u,
     random_quartic,
-    sphere_points,
 )
+from whitneygeo.quadrature import sphere_points
+from whitneygeo.spaceforms import SasakianB
 
 import scalar_reference as sj
 
 
-def _sample_params(n, count=12, seed=0):
+def _sample_points(n, count=12, seed=0):
+    """Seeded sphere points, drawn in the spherical parameters away from their poles."""
     rng = np.random.default_rng(seed)
     cols = [rng.uniform(0.5, np.pi - 0.5, count) for _ in range(n - 1)]
     cols.append(rng.uniform(0.2, 2 * np.pi - 0.2, count))
-    return np.column_stack(cols)
+    return sphere_points(np.column_stack(cols))
 
 
 def _points_and_poles(n, count=20, seed=5):
@@ -60,12 +61,6 @@ class TestSphereChart:
         assert_allclose(d2, 0.0, atol=1e-14)
         assert_allclose(d3, 0.0, atol=1e-14)
 
-    def test_roundtrip(self):
-        t = _sample_params(2, seed=3)
-        u = sphere_points(t)
-        assert_allclose(params_from_u(u), t, atol=1e-12)
-        assert_allclose(sphere_points(params_from_u(u)), u, atol=1e-12)
-
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_coverage(self, n):
         # every point, the poles of the spherical coordinates included, sits
@@ -90,8 +85,8 @@ class TestSphereChart:
     def test_no_dimension_limit(self):
         # the charts themselves work in any dimension; only the grids keep
         # a cost guard (n <= 4)
-        t = _sample_params(5, count=4, seed=9)
-        x = eval_immersion(make_spec("whitney_c0", 5), t, order=1)
+        u = _sample_points(5, count=4, seed=9)
+        x = eval_immersion(make_spec("whitney_c0", 5), u, order=1)
         d1 = jets._unpack_blocks(x, 5, 1)[1]
         assert np.linalg.matrix_rank(d1[0]) == 5
         assert np.all(np.linalg.svd(d1, compute_uv=False).min(axis=1) > 0.1)
@@ -100,22 +95,19 @@ class TestSphereChart:
 class TestCatalogValues:
     def test_whitney_flat_at_axis_point(self):
         spec = make_spec("whitney_c0", 2, r=1.0)
-        t = params_from_u(np.array([[1.0, 0.0, 0.0]]))
-        x = eval_immersion(spec, t)
+        x = eval_immersion(spec, np.array([[1.0, 0.0, 0.0]]))
         assert_allclose(x[0, 0], [1, 0, 0, 0], atol=1e-14)
 
     def test_whitney_flat_double_point(self):
         spec = make_spec("whitney_c0", 2, r=1.3, B=(0.1, -0.2, 0.3, 0.0))
-        t = params_from_u(np.array([[0, 0, 1.0], [0, 0, -1.0]]))
-        x = eval_immersion(spec, t)
+        x = eval_immersion(spec, np.array([[0, 0, 1.0], [0, 0, -1.0]]))
         assert_allclose(x[0, 0], x[0, 1], atol=1e-13)
 
     def test_projective_family_on_equator(self):
         # at u_{n+1} = 0 the affine chart value is u / sinh(theta)
         theta = 0.4
         spec = make_spec("whitney_cp", 2, theta=theta)
-        t = params_from_u(np.array([[0.6, 0.8, 0.0]]))
-        x = eval_immersion(spec, t)
+        x = eval_immersion(spec, np.array([[0.6, 0.8, 0.0]]))
         got = x[0, 0]
         want = np.array([0.6, 0.8, 0.0, 0.0]) / math.sinh(theta)
         assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -131,10 +123,8 @@ class TestCatalogValues:
         r = 1.7
         spec = make_spec("contact_whitney_r", 2, r=r, a=0.0)
         us = np.linspace(-0.9, 0.9, 7)
-        t = params_from_u(
-            np.column_stack([np.sqrt(1 - us**2) * 0.6, np.sqrt(1 - us**2) * 0.8, us])
-        )
-        x = eval_immersion(spec, t)
+        u = np.column_stack([np.sqrt(1 - us**2) * 0.6, np.sqrt(1 - us**2) * 0.8, us])
+        x = eval_immersion(spec, u)
         z = x[0, :, -1]
         # independent quadrature of the defining one-form
         from numpy.polynomial.legendre import leggauss
@@ -207,10 +197,28 @@ class TestCatalogValues:
         ("perturbed", dict(epsilon=float("nan")), "epsilon"),
         ("lifted", dict(base="perturbed", steps=40.5), "steps"),
         ("lifted", dict(r=float("nan")), "r"),
+        ("whitney_cp", dict(theta=True), "theta"),
+        ("perturbed", dict(seed=True), "seed"),
     ])
     def test_bad_numbers_are_refused_by_name(self, kind, params, name):
         with pytest.raises(ValueError, match=rf"^{name} must be"):
             make_spec(kind, 2, **params)
+
+    @pytest.mark.parametrize("kind, params, name", [
+        ("whitney_cp", dict(thetta=0.3), "thetta"),
+        ("lifted", dict(base="whitney_c0", epsilon=0.3), "epsilon"),
+        ("whitney_c0", dict(theta=0.3), "theta"),
+        ("totally_geodesic_cp", dict(r=1.0), "r"),
+    ])
+    def test_unread_parameters_are_refused_by_name(self, kind, params, name):
+        # a value nothing reads would be ignored, and enter the spec's hash
+        with pytest.raises(ValueError, match=rf"reads no parameter {name};"):
+            make_spec(kind, 2, **params)
+
+    @pytest.mark.parametrize("n", [2.5, True, "two"])
+    def test_bad_dimension_is_refused_by_name(self, n):
+        with pytest.raises(ValueError, match=r"^n must be"):
+            make_spec("whitney_c0", n)
 
     @pytest.mark.parametrize("params, message", [
         (dict(epsilon=-0.1), "epsilon must be non-negative"),
@@ -252,8 +260,8 @@ class TestIsotropy:
     def test_lagrangian_or_legendrian(self, kind, kw):
         spec = make_spec(kind, 2, **kw)
         model = model_for(spec)
-        t = _sample_params(2, count=10, seed=1)
-        pg, _ = pointwise_geometry(model, spec, t)
+        u = _sample_points(2, count=10, seed=1)
+        pg, _ = pointwise_geometry(model, spec, u)
         assert pg.isotropy.max() < 1e-9
 
 
@@ -273,7 +281,6 @@ class TestChartConsistency:
         rng = np.random.default_rng(11)
         u = rng.normal(size=(8, 3))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        t = params_from_u(u)
         spec = make_spec(kind, 2, **kw)
         model = model_for(spec)
         turn = np.eye(3)
@@ -283,30 +290,29 @@ class TestChartConsistency:
         for patched in (False, True):
             if patched:
                 monkeypatch.setattr(immersions, "_reflections", lambda v: reflections(v) @ turn)
-            pg, fields = pointwise_geometry(model, spec, t)
+            pg, fields = pointwise_geometry(model, spec, u)
             cd = curvature_data(pg, fields)
             res = paper_residuals(pg, cd)
-            scalars.append(
-                np.stack([res["h_norm2"], res["H_norm2"], res["scalar_curvature"],
-                          res["nabla_h_norm2"]])
-            )
+            scalars.append(np.stack([res[name] for name in (
+                "h_norm2", "H_norm2", "scalar_curvature", "nabla_h_norm2", "ric_JH_JH",
+                "div_JH", "nabla_JH_norm2", "lie_JH_g_norm2", "whitney_residual")]))
         assert_allclose(scalars[0], scalars[1], rtol=1e-9, atol=1e-9)
 
 
 class TestDegenerationLimit:
     def test_projective_family_approaches_totally_geodesic(self):
-        t = _sample_params(2, count=6, seed=2)
+        u = _sample_points(2, count=6, seed=2)
         sup_h = []
         for theta in (0.4, 0.2, 0.1):
             spec = make_spec("whitney_cp", 2, theta=theta)
-            pg, _ = pointwise_geometry(model_for(spec), spec, t)
+            pg, _ = pointwise_geometry(model_for(spec), spec, u)
             res_h = np.einsum("bijk,bijk->b", pg.h.v, pg.h.v)
             sup_h.append(res_h.max())
         assert sup_h[0] > sup_h[1] > sup_h[2]
         assert sup_h[2] < 0.2
         # scalar curvature approaches the totally geodesic value n(n-1)c = 2
         spec = make_spec("whitney_cp", 2, theta=0.05)
-        pg, fields = pointwise_geometry(model_for(spec), spec, t)
+        pg, fields = pointwise_geometry(model_for(spec), spec, u)
         cd = curvature_data(pg, fields)
         assert_allclose(cd.scalar, 2.0, atol=0.02)
 
@@ -398,7 +404,7 @@ def _chart_jets(count):
     from whitneygeo.quadrature import build_grid
 
     grid = build_grid(2, 48, domain="sphere")
-    return eval_immersion(make_spec("whitney_c0", 2), grid.t[:count])
+    return eval_immersion(make_spec("whitney_c0", 2), grid.nodes[:count])
 
 
 def _perturbed_hamiltonian():
@@ -414,7 +420,7 @@ from whitneygeo.quadrature import build_grid
 from whitneygeo.immersions import (
     HamiltonianDeformation, eval_immersion, hamiltonian_flow, make_spec)
 grid = build_grid(2, 48, domain="sphere")
-x = eval_immersion(make_spec("whitney_c0", 2), grid.t[:2304])
+x = eval_immersion(make_spec("whitney_c0", 2), grid.nodes[:2304])
 p = make_spec("perturbed", 2, epsilon=0.05, seed=3).params
 ham = HamiltonianDeformation(p["hamiltonian"], p["epsilon"], p["steps"])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -460,9 +466,9 @@ class TestHamiltonianFlow:
     def test_zero_hamiltonian_is_identity(self):
         spec0 = make_spec("whitney_c0", 2, r=1.0)
         spec = make_spec("perturbed", 2, epsilon=0.0)
-        t = _sample_params(2, count=5, seed=4)
-        x0 = eval_immersion(spec0, t)
-        x1 = eval_immersion(spec, t)
+        u = _sample_points(2, count=5, seed=4)
+        x0 = eval_immersion(spec0, u)
+        x1 = eval_immersion(spec, u)
         assert_allclose(x0, x1, atol=1e-15)
 
     def test_rotation_hamiltonian_preserves_invariants(self):
@@ -477,11 +483,11 @@ class TestHamiltonianFlow:
         spec = make_spec(
             "perturbed", 2, epsilon=0.4, steps=64, hamiltonian=tuple(coeffs)
         )
-        t = _sample_params(2, count=8, seed=5)
+        u = _sample_points(2, count=8, seed=5)
         model = model_for(spec)
         out = []
         for s in (spec0, spec):
-            pg, fields = pointwise_geometry(model, s, t)
+            pg, fields = pointwise_geometry(model, s, u)
             cd = curvature_data(pg, fields)
             res = paper_residuals(pg, cd)
             out.append(
@@ -517,8 +523,8 @@ class TestHamiltonianFlow:
         ham = HamiltonianDeformation(
             coeffs=random_quartic(n, 3) + linear, epsilon=0.05, steps=4
         )
-        t = _sample_params(n, count=3, seed=10 + n)
-        x = eval_immersion(make_spec("whitney_c0", n), t, order=order)
+        u = _sample_points(n, count=3, seed=10 + n)
+        x = eval_immersion(make_spec("whitney_c0", n), u, order=order)
         got = _jets_of(hamiltonian_flow(x, ham, n), n)
         want = _reference_flow(_jets_of(x, n), ham)
         for k in range(order + 1):
@@ -529,19 +535,19 @@ class TestHamiltonianFlow:
             assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_order_one_flow_is_truncated_order_three(self):
-        # the lift integrand flows order-1 jets
+        # the loop integrand flows order-1 jets
         spec = make_spec("perturbed", 2, epsilon=0.05, seed=3)
-        t = _sample_params(2, count=6, seed=11)
-        lo = eval_immersion(spec, t, order=1)
-        hi = eval_immersion(spec, t, order=3)
+        u = _sample_points(2, count=6, seed=11)
+        lo = eval_immersion(spec, u, order=1)
+        hi = eval_immersion(spec, u, order=3)
         assert lo.shape == (3,) + hi.shape[1:]
         assert_allclose(lo, hi[:3], rtol=1e-14, atol=1e-15)
 
     def test_generic_quartic_breaks_whitney_relation(self):
         spec = make_spec("perturbed", 2, epsilon=0.05, seed=3)
         model = model_for(spec)
-        t = _sample_params(2, count=10, seed=6)
-        pg, fields = pointwise_geometry(model, spec, t)
+        u = _sample_points(2, count=10, seed=6)
+        pg, fields = pointwise_geometry(model, spec, u)
         cd = curvature_data(pg, fields)
         res = paper_residuals(pg, cd)
         assert pg.isotropy.max() < 1e-9
@@ -561,86 +567,65 @@ class TestLegendrianLift:
         assert seeded.params["hamiltonian"] == random_quartic(2, 1)
         assert seeded.params["epsilon"] == 0.02
 
+    @pytest.mark.parametrize("polar", [np.pi / 2, 0.7], ids=["equator", "polar-0.7"])
     @pytest.mark.parametrize("base", ["whitney_c0", "perturbed"])
-    def test_path_integrand_is_the_n_variable_partial(self, base):
-        # the integrand flows 1-variable jets along the path axis only
-        spec = immersions._lift_base(make_spec("lifted", 2, base=base))
-        t = _sample_params(2, count=7, seed=12)
-        x = immersions._EVALUATORS[base](spec, immersions._spherical_jets(t, order=1),
-                                         jets._Ops(2, 1))
-        for axis in range(2):
-            want = (x[0, :, 2:] * x[1 + axis, :, :2]).sum(axis=-1)
-            assert_allclose(immersions._lift_integrand(spec, t, axis), want,
-                            rtol=1e-14, atol=1e-15)
+    def test_loop_integrand_is_the_base_one_form_along_the_loop(self, base, polar):
+        # sum_j y_j dx_j / dphi, from central differences of the base's values
+        spec = make_spec("lifted", 2, base=base)
+        base_spec = immersions._lift_base(spec)
+        phi = np.linspace(0.1, 2 * np.pi - 0.1, 9)
+
+        def values(angles):
+            u = np.column_stack([np.full_like(angles, np.cos(polar)),
+                                 np.sin(polar) * np.cos(angles), np.sin(polar) * np.sin(angles)])
+            return eval_immersion(base_spec, u, order=0)[0]
+
+        h = 1e-5
+        dx = (values(phi + h) - values(phi - h)) / (2 * h)
+        want = np.sum(values(phi)[:, 2:] * dx[:, :2], axis=-1)
+        got = immersions._loop_integrand(spec, polar, phi)
+        assert np.max(np.abs(want)) > 0.1
+        assert_allclose(got, want, rtol=0, atol=1e-8 * np.max(np.abs(want)))
 
     def test_loop_integral_vanishes(self):
         spec = make_spec("lifted", 2, base="whitney_c0", r=1.0)
         assert abs(loop_integral(spec)) < 1e-10
 
+    def test_loop_integral_lifts_a_base_spec(self):
+        # a base spec hands the lift only the parameters a lift reads
+        base = make_spec("whitney_c0", 2, r=1.3, B=(0.1, 0.0, 0.0, 0.2))
+        assert abs(loop_integral(base, theta_polar=0.9)) < 1e-10
+        flowed = make_spec("perturbed", 2, epsilon=0.05, seed=3)
+        assert abs(loop_integral(flowed)) < 1e-10
+
     def test_lift_is_legendrian_and_whitney_type(self):
         spec = make_spec("lifted", 2, base="whitney_c0", r=1.0)
         model = model_for(spec)
-        t = _sample_params(2, count=10, seed=7)
-        pg, fields = pointwise_geometry(model, spec, t)
+        u = _sample_points(2, count=10, seed=7)
+        pg, fields = pointwise_geometry(model, spec, u)
         cd = curvature_data(pg, fields)
         res = paper_residuals(pg, cd)
         assert pg.isotropy.max() < 1e-9
         assert res["whitney_residual"].max() < 1e-9
 
-    def test_lift_consistent_across_charts(self):
-        # the lift's jets depend on the sphere point only: the parameters
-        # (theta, phi), (-theta, phi + pi) and (theta, phi + 2 pi) name one
-        # point, and every row agrees, the fiber's derivatives included
-        spec = make_spec("lifted", 2, base="whitney_c0", r=1.0)
-        t = _sample_params(2, count=6, seed=8)
-        others = [np.column_stack([-t[:, 0], t[:, 1] + np.pi]), t + [0.0, 2.0 * np.pi]]
-        x = eval_immersion(spec, t)
-        for t2 in others:
-            assert_allclose(sphere_points(t2), sphere_points(t), atol=1e-15)
-            assert_allclose(eval_immersion(spec, t2), x, atol=1e-10)
-
 
 class TestBergmanFiber:
-    """The sqrt-free density of the ball-model fiber."""
-
-    def _sqrt_route(self, fiber, u_vals, order):
-        # the density through the sphere point (sqrt(1 - u^2), 0, ..., u)
-        ops = jets._Ops(1, order + 1)
-        un = np.zeros((order + 2, len(u_vals)))
-        un[0], un[1] = u_vals, 1.0
-        head = ops.fn("sqrt", immersions._plus(-ops.mul(un, un), 1.0))
-        z = immersions._complex_pairs(np.stack([head, un], axis=-1), fiber.theta, "ch", ops)
-        x, y = z.real[..., 0], z.imag[..., 0]
-        w = ops.fn("recip", immersions._plus(-(ops.mul(x, x) + ops.mul(y, y)), 1.0))
-        low = jets._Ops(1, order)
-        acc = low.mul(y[:-1], x[1:]) - low.mul(x[:-1], y[1:])
-        return low.mul(acc, fiber.kappa * w[:-1])
-
-    @pytest.mark.parametrize("theta", [0.5, 0.8, 1.4])
-    def test_matches_the_root_route_inside(self, theta):
-        fiber = immersions._BergmanFiber(2, theta)
-        u = np.linspace(-0.95, 0.95, 39)
-        got, want = fiber._rho_jets(u, 2), self._sqrt_route(fiber, u, 2)
-        for k in range(3):
-            scale = np.max(np.abs(want[k]))
-            assert np.max(np.abs(got[k] - want[k])) <= 1e-12 * scale, k
+    """The ball-model fiber at the poles of the last sphere coordinate."""
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_finite_at_the_poles_of_the_last_coordinate(self, n):
-        # u_n = +-1 is a smooth point of the sphere: the jets there are the
-        # limits of their neighbours'
-        fiber = immersions._BergmanFiber(n, 0.8)
-        u = np.array([-1.0, 1.0])
-        rho = fiber._rho_jets(u, 2)
-        assert np.all(np.isfinite(rho))
-        near = fiber._rho_jets(u * (1.0 - 1e-7), 2)
-        assert_allclose(rho, near, rtol=1e-5, atol=1e-6)
+        # u_n = +-1 is a smooth point of the sphere: the jets there are
+        # finite, Legendrian and the limits of their neighbours'
         spec = make_spec("contact_whitney_b", n, theta=0.8)
         e_n = np.zeros((2, n + 1))
         e_n[:, -1] = [1.0, -1.0]
-        x = eval_immersion(spec, params_from_u(e_n))
+        x = eval_immersion(spec, e_n)
         assert np.all(np.isfinite(x))
-        pg, _ = pointwise_geometry(model_for(spec), spec, params_from_u(e_n))
+        near = e_n.copy()
+        near[:, 0] = 1e-7
+        near /= np.linalg.norm(near, axis=1, keepdims=True)
+        assert_allclose(x, eval_immersion(spec, near), rtol=1e-5, atol=1e-6)
+        pg, _ = pointwise_geometry(model_for(spec), spec, e_n)
         assert pg.isotropy.max() < 1e-9
 
 
@@ -718,8 +703,18 @@ def _ref_totally_geodesic(spec, u):
     return zs + [z * 0.0 for z in zs]
 
 
-class _RefFiber(immersions._BergmanFiber):
-    """The Bergman fiber with its density in scalar jets."""
+class _RefFiber:
+    """The ball-model fiber by the rotational symmetry of its base map, in scalar jets.
+
+    The pullback of omega is rho(u) du in the last sphere coordinate u
+    alone, so the fiber's derivatives are -rho and its derivatives,
+    composed with the jet of u; rho comes from the sphere point
+    (sqrt(1 - u^2), 0, ..., 0, u).  Its value is 0, as the packed route's.
+    """
+
+    def __init__(self, n, theta):
+        self.n, self.theta = n, theta
+        self.kappa = 4.0 * SasakianB._phi_sign  # omega = kappa w (y dx - x dy)
 
     def _rho_jets(self, u_vals, order):
         (un,) = sj.seed(u_vals[:, None], order + 1)
@@ -740,16 +735,16 @@ class _RefFiber(immersions._BergmanFiber):
         return sj.compose_univariate(derivs[: un.order + 1], un)
 
 
-def _ref_lifted(base_spec, t, order):
+def _ref_lifted(base_spec, u0, order):
     """The Legendrian lift with its base and fiber derivatives in scalar jets; the fiber value is 0."""
-    u = _ref_node_jets(sphere_points(t), order)
+    u = _ref_node_jets(u0, order)
     x = _ref_c0(make_spec("whitney_c0", base_spec.n, r=base_spec.params["r"]), u)
     if base_spec.kind == "perturbed":
         x = _reference_flow(x, HamiltonianDeformation(
             base_spec.params["hamiltonian"], base_spec.params["epsilon"],
             base_spec.params["steps"]))
     n = base_spec.n
-    z = sj.ScalarJet(order, n, np.zeros(len(t)))
+    z = sj.ScalarJet(order, n, np.zeros(len(u0)))
     for a in range(n if order else 0):
         p = sum((sj.drop(x[n + j]) * sj.derivative(x[j], a) for j in range(1, n)),
                 start=sj.drop(x[n]) * sj.derivative(x[0], a))
@@ -765,16 +760,16 @@ def _small_hamiltonian(n):
     return ((0.3, e((0, 2), (n, 1))), (-0.2, e((1, 1), (n + 1, 2))), (0.1, e((2 * n - 1, 4))))
 
 
-def _reference_jets(spec, t, order):
-    """The scalar-jet formula of ``spec`` at parameters ``t``, in the node charts."""
+def _reference_jets(spec, nodes, order):
+    """The scalar-jet formula of ``spec`` at ``nodes``, in the node charts."""
     if spec.kind == "product_torus":
-        seeds = sj.seed(t, order)
+        seeds = sj.seed(nodes, order)
         radii = spec.params["radii"]
         return ([r * sj.cos(s) for r, s in zip(radii, seeds)]
                 + [r * sj.sin(s) for r, s in zip(radii, seeds)])
     if spec.kind == "lifted":
-        return _ref_lifted(immersions._lift_base(spec), t, order)
-    u = _ref_node_jets(sphere_points(t), order)
+        return _ref_lifted(immersions._lift_base(spec), nodes, order)
+    u = _ref_node_jets(nodes, order)
     theta = spec.params.get("theta")
     if spec.kind in ("whitney_cp", "whitney_ch"):
         zs = _ref_pairs(u, theta, spec.kind[-2:])
@@ -825,12 +820,12 @@ def _evaluator_cases():
 def test_packed_evaluator_matches_scalar_jet_formula(kind, n, draw, kw):
     spec = make_spec(kind, n, **kw)
     if kind == "product_torus":
-        t = np.random.default_rng(20 + n).uniform(0, 2 * np.pi, size=(4, n))
+        nodes = np.random.default_rng(20 + n).uniform(0, 2 * np.pi, size=(4, n))
     else:
-        t = _sample_params(n, count=4, seed=20 + n + draw)
+        nodes = _sample_points(n, count=4, seed=20 + n + draw)
     for order in range(4):
-        got = jets._unpack_blocks(eval_immersion(spec, t, order=order), n, order)
-        ref = _reference_jets(spec, t, order)
+        got = jets._unpack_blocks(eval_immersion(spec, nodes, order=order), n, order)
+        ref = _reference_jets(spec, nodes, order)
         for k, block in enumerate(("val", "d1", "d2", "d3")[: order + 1]):
             want = np.stack([getattr(j, block) for j in ref], axis=1)
             assert got[k].shape == want.shape, (order, block)

@@ -1,5 +1,6 @@
 """Grids: closed-form volumes, node counts, refinement behavior."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,15 +8,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from whitneygeo.geometry import pointwise_geometry
-from whitneygeo.immersions import make_spec, model_for, sphere_points
-from whitneygeo.quadrature import IntegrationGrid, build_grid, sphere_volume
+from whitneygeo.immersions import make_spec, model_for
+from whitneygeo.quadrature import IntegrationGrid, build_grid, sphere_points, sphere_volume
 
 
 def _immersed_volume(spec, grid):
     model = model_for(spec)
     total = 0.0
     for idx in grid.chunks(4096):
-        pg, _ = pointwise_geometry(model, spec, grid.t[idx])
+        pg, _ = pointwise_geometry(model, spec, grid.nodes[idx])
         total += float(np.sum(grid.weight[idx] * pg.sqrt_det_g))
     return total
 
@@ -55,10 +56,30 @@ class TestNodes:
     def test_product_rule_has_2_K_to_the_n_nodes(self, n, K):
         # K Gauss nodes per polar angle, 2K trapezoid nodes in the azimuth
         grid = build_grid(n, K)
-        assert len(grid.t) == len(grid.weight) == len(grid.u) == 2 * K**n
+        assert len(grid.t) == len(grid.weight) == len(grid.nodes) == 2 * K**n
         assert len(np.unique(grid.t[:, -1])) == 2 * K
         assert np.all(grid.weight > 0)
-        assert_allclose(grid.u, sphere_points(grid.t), atol=0)
+        assert np.array_equal(grid.nodes, sphere_points(grid.t))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sphere_points_are_the_spherical_parametrization(self, n):
+        # u_k = cos t_k sin t_0 ... sin t_(k-1), multiplied in that order,
+        # and u_n the product of every sine: unit vectors, bitwise
+        t = build_grid(n, 8).t
+        want = np.ones((len(t), n + 1))
+        for k in range(n + 1):
+            if k < n:
+                want[:, k] = np.cos(t[:, k])
+            for i in range(k):
+                want[:, k] = want[:, k] * np.sin(t[:, i])
+        got = sphere_points(t)
+        assert np.array_equal(got, want)
+        assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-15)
+
+    def test_torus_nodes_are_the_angles(self):
+        grid = build_grid(3, 8, domain="torus")
+        assert grid.nodes.shape == (8**3, 3)
+        assert np.array_equal(grid.nodes, grid.t)
 
     def test_chunks_are_equal_slices_of_every_node(self):
         grid = build_grid(2, 48)
@@ -112,4 +133,14 @@ def test_grid_nodes_deterministic():
     g2 = build_grid(2, 24)
     assert np.array_equal(g1.t, g2.t)
     assert np.array_equal(g1.weight, g2.weight)
-    assert np.array_equal(g1.u, g2.u)
+    assert np.array_equal(g1.nodes, g2.nodes)
+
+
+def test_names_the_benchmark_trace_reads():
+    # the span counters bind pointwise_geometry's third parameter by its
+    # name, t (the nodes), and read the node count of a grid as len(grid.t)
+    params = list(inspect.signature(pointwise_geometry).parameters)
+    assert params[2] == "t"
+    grid = build_grid(2, 12)
+    assert grid.t.shape == (2 * 12**2, 2)
+    assert len(grid.t) == len(grid.nodes)

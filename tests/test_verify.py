@@ -305,7 +305,7 @@ class TestConformalBlock:
         assert r.conformal["sectional_spread"] > 1e-3
         assert not frame_calls
         assert [g.resolution for g in grids] == [K, *ladder_resolutions(K)[:2]]
-        assert sum(evaluated) == sum(len(g.t) for g in grids)
+        assert sum(evaluated) == sum(len(g.nodes) for g in grids)
 
     @pytest.mark.parametrize(
         "kind, kw", [("totally_geodesic_cp", {}), ("whitney_c0", dict(r=1.0))]
