@@ -1,15 +1,20 @@
 """Pointwise extrinsic geometry of an immersed sphere or torus.
 
 Everything is computed in batch form at nodes, the points of the domain, in
-two stages by jet order.  The frame stage (:func:`frame_geometry`) takes
-values from order-2 jets of the immersion and the metric's first chart
-derivatives: enough for the Gauss-route curvature.  The full pass (:func:`pointwise_geometry`) runs the
-same stage on order-3 jets, so scalars and frames also carry their first
-derivatives in each node's chart through a minimal "tensor jet" (value plus
-trailing derivative axis), which makes the covariant derivative of the
-second fundamental form an exact algebraic computation rather than a finite
-difference.  The metric is differentiated twice only along the immersion's
-tangents X1.
+two stages by jet order.  Both first move each node's image to the model's
+base point by an isometry of the ambient
+(:meth:`~whitneygeo.spaceforms.BaseModel.centre`), which keeps every
+invariant computed here, so all nodes read the same ambient fields: the
+model's fields at the base point, computed once per model and carried with
+a batch axis of length 1.  The frame stage (:func:`frame_geometry`) takes
+values from order-2 jets of the immersion: enough for the Gauss-route
+curvature.  The full pass (:func:`pointwise_geometry`) runs the same stage
+on order-3 jets, so scalars and frames also carry their first derivatives
+in each node's chart through a minimal "tensor jet" (value plus trailing
+derivative axis), which makes the covariant derivative of the second
+fundamental form an exact algebraic computation rather than a finite
+difference.  The fields' chart derivatives at the base point enter only
+contracted with the immersion's tangents X1 (``_along``).
 
 The orthonormal frame is a Cholesky factor's inverse applied to the
 coordinate basis, differentiated in closed form; both stages take it from
@@ -43,7 +48,7 @@ import numpy as np
 from . import jets
 from .jets import _einsum
 from .immersions import ImmersionSpec, eval_immersion
-from .spaceforms import BaseModel, christoffel_along, riemann_from_metric
+from .spaceforms import BaseModel, riemann_from_metric
 
 __all__ = [
     "TJ",
@@ -112,13 +117,12 @@ class PointGeometry:
     spec: ImmersionSpec
     is_sasakian: bool
     n: int
-    chart_points: np.ndarray  # (B, m)
     g: TJ  # induced metric (B, n, n)
     sqrt_det_g: np.ndarray  # (B,)
     E: TJ  # orthonormal tangent frame, coordinate components (B, n, n)
     F: TJ  # the same frame in ambient components (B, n, m)
     N: TJ  # normal frame J e_i / phi e_i, ambient components (B, n, m)
-    Xi: TJ | None  # unit contact normal along the image (Sasakian)
+    Xi: TJ | None  # unit contact normal along the image (Sasakian); its value is the base point's
     h: TJ  # second fundamental form components (B, n, n, n)
     h_xi: np.ndarray | None  # contact-normal component of h (B, n, n)
     H: TJ  # mean curvature components (B, n)
@@ -229,30 +233,53 @@ def pointwise_geometry(model: BaseModel, spec: ImmersionSpec, t):
     ``t`` holds the nodes, sphere points u (B, n+1) or torus angles (B, n).
     On the sphere, derivatives are taken in each node's own chart
     (:func:`whitneygeo.immersions.node_jets`), where the round metric is the
-    identity.  Returns ``(PointGeometry, AmbientFields)``; the fields are
-    reused by :func:`curvature_data` for the ambient term of the Gauss
-    equation.
+    identity.  Returns ``(PointGeometry, AmbientFields)``; the fields, the
+    model's at the base point, are reused by :func:`curvature_data` for the
+    ambient term of the Gauss equation.
     """
     return _geometry(model, spec, t, order=3)
 
 
+def _along(D, X1):
+    """Chart derivatives ``D`` (last axis) of a field along the tangents ``X1``: its
+    node-chart derivatives, with c a new last axis.
+
+    A ``D`` with one batch entry is the same at every node, and is contracted
+    without its batch axis, as one matrix product.
+    """
+    s = "mnlk"[: D.ndim - 2]
+    if len(D) == 1:
+        return _einsum(f"{s}a,bac->b{s}c", D[0], X1)
+    return _einsum(f"b{s}a,bac->b{s}c", D, X1)
+
+
 def _geometry(model, spec, nodes, order):
-    """The frame stage from order-``order`` jets; order 3 adds the derivative levels."""
+    """The frame stage from order-``order`` jets; order 3 adds the derivative levels.
+
+    Each node's image is first moved to the base point by an isometry
+    (:meth:`~whitneygeo.spaceforms.BaseModel.centre`), so every node reads
+    the model's fields there (:meth:`~whitneygeo.spaceforms.BaseModel.base_fields`).
+    """
+    x = model.centre(eval_immersion(spec, nodes, order=order), spec.n)
+    return _extrinsic(model, spec, jets._unpack_blocks(x, spec.n, order), model.base_fields())
+
+
+def _extrinsic(model, spec, X, fields):
+    """The pipeline on the immersion's blocks ``X`` (X0..X2, or X0..X3 for the
+    full pass) against ``fields``, order-2 :class:`AmbientFields` along the
+    image: at every node, or with one batch entry for all nodes."""
     n = spec.n
-    full = order == 3
-    x = eval_immersion(spec, nodes, order=order)
-    X = jets._unpack_blocks(x, n, order)
-    X0, X1, X2 = X[:3]
-    fields = model.fields_at(X0, order=order - 1)
+    full = len(X) == 4
+    X1, X2 = X[1:3]
 
     # chart fields restricted to the image, with node-chart derivatives in the
     # full pass; the metric is differentiated twice only along the tangents X1
-    def along(D1, sub="bmns,bsc->bmnc"):
-        return _einsum(sub, D1, X1) if full else None
+    def along(D1):
+        return _along(D1, X1) if full else None
 
     Gt = TJ(fields.G0, along(fields.G1))
-    G2X = jets._packed_hessian_along(fields.G, X1) if full else None
-    gammat = TJ(*christoffel_along(fields.G0, fields.G1, Gt.d, G2X))
+    G2X = along(fields.G2)
+    gammat = TJ(fields.Gamma0, along(fields.Gamma1))
     Tt = TJ(X1, X2 if full else None)
     # induced metric
     gt = tj_einsum("bmn,bma,bnB->baB", Gt, Tt, Tt)
@@ -274,7 +301,7 @@ def _geometry(model, spec, nodes, order):
     else:
         Phit = TJ(fields.Phi0, along(fields.Phi1))
         Nt = tj_einsum("bmn,bin->bim", Phit, Ft)
-        Xit = TJ(fields.Xi0, along(fields.Xi1, "bms,bsc->bmc"))
+        Xit = TJ(fields.Xi0, along(fields.Xi1))
         c_eff = (model.c_tilde + 3.0) / 4.0
         eta_res = np.abs(_einsum("bm,bim->bi", fields.Eta0, Ft.v))
         phi_res = np.abs(tj_einsum("bmn,bim,bjn->bij", Gt, Nt, Ft).v)
@@ -290,7 +317,7 @@ def _geometry(model, spec, nodes, order):
     Ht = tj_einsum("biik->bk", ht).scaled(1.0 / n)  # mean curvature
 
     pg = PointGeometry(
-        spec=spec, is_sasakian=model.is_sasakian, n=n, chart_points=X0, g=gt,
+        spec=spec, is_sasakian=model.is_sasakian, n=n, g=gt,
         sqrt_det_g=np.sqrt(det), E=Et, F=Ft, N=Nt, Xi=Xit, h=ht, h_xi=h_xi, H=Ht,
         isotropy=iso, c_eff=c_eff,
     )

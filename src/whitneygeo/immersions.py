@@ -231,10 +231,20 @@ def _integer(p: dict, name: str, default: int) -> int:
 
 
 def _reals(p: dict, name: str, default, size: int) -> tuple:
-    """Parameter ``name`` as a tuple of ``size`` finite floats, stored back into ``p``."""
-    values = np.asarray(p.get(name, default), dtype=float)
-    if values.shape != (size,) or not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} must be {size} finite reals")
+    """Parameter ``name`` as a tuple of ``size`` finite floats, stored back into ``p``.
+
+    Booleans, as :func:`_real` refuses them, and entries that are no
+    numbers raise a ``ValueError`` that names the parameter.
+    """
+    raw = p.get(name, default)
+    try:
+        values = np.asarray(raw, dtype=float)
+        valid = (values.shape == (size,) and np.all(np.isfinite(values)) and not any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(raw, dtype=object).flat))
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be {size} finite reals, got {raw!r}")
     p[name] = tuple(float(v) for v in values)
     return p[name]
 
@@ -449,42 +459,11 @@ def _eval_contact_whitney_s(spec, u, ops):
     return _split(ws, ops.mul(un, ops.fn("recip", den)))
 
 
-def _fiber(alpha: np.ndarray, x: np.ndarray, ops) -> np.ndarray:
-    """The fiber of a Legendrian image whose contact condition reads df = alpha . dx.
-
-    ``x`` and ``alpha`` are packed jets of the same width; the partials are
-    d_a f = sum_j alpha_j d_a x_j, one order lower, and the partial over the
-    sorted indices (a, rest) is row rest of d_a f.
-
-    The value is 0 at every node, a Reeb translation chosen per node.
-    Neither the metric nor phi, xi and eta of Sasakian_R (eta = (dz - sum y
-    dx) / 2) or Sasakian_B (eta-bar = dt + omega) depends on the last chart
-    coordinate, so the Reeb flow is an automorphism of the whole Sasakian
-    structure (Blair, Riemannian Geometry of Contact and Symplectic
-    Manifolds, 2nd ed., 2010), and every invariant the certificate reads is
-    the same.
-    """
-    f = np.zeros(x.shape[:2])
-    if ops.order:
-        dx = jets._packed_gradient(x, ops.v)
-        low = jets._leibniz_table(ops.v, ops.order - 1)
-        df = jets._packed_matmul(alpha[: len(dx), :, None, :], dx, low)[..., 0, :]
-        row = {idx: r for r, idx in enumerate(jets._packed_basis(ops.v, ops.order - 1))}
-        partials = jets._packed_basis(ops.v, ops.order)[1:]
-        f[1:] = df[[row[idx[1:]] for idx in partials], :, [idx[0] for idx in partials]]
-    return f
-
-
 def _eval_contact_whitney_b(spec, u, ops):
     """The ball-model family, its fiber from the contact condition dt = -omega of
-    eta-bar = dt + omega: -omega = 4 s w (-y, x) . d(x, y), w = 1 / (1 - |z|^2),
-    s the phi sign of Sasakian_B."""
-    n = spec.n
+    eta-bar = dt + omega (:meth:`whitneygeo.spaceforms.SasakianB.fiber`)."""
     x = _split(_complex_pairs(u, spec.params["theta"], "ch", ops))
-    w = ops.fn("recip", _plus(-ops.mul(x, x).sum(axis=-1), 1.0))
-    alpha = ops.mul((4.0 * SasakianB._phi_sign) * w[..., None],
-                    np.concatenate([-x[..., n:], x[..., :n]], axis=-1))
-    return np.concatenate([x, _fiber(alpha, x, ops)[..., None]], axis=-1)
+    return np.concatenate([x, SasakianB.fiber(x, ops)[..., None]], axis=-1)
 
 
 def _eval_product_torus(spec, inner, ops):
@@ -645,11 +624,18 @@ def _eval_lifted(spec, u, ops):
 
     A global z exists because sum y dx is closed on a Lagrangian and
     H^1(S^n) = 0 for n >= 2; :func:`loop_integral` checks the closedness.
+    The value of z is 0 at every node, a Reeb translation chosen per node.
+    Neither the metric nor phi, xi and eta of Sasakian_R (eta = (dz - sum y
+    dx) / 2) depends on the last chart coordinate, so the Reeb flow is an
+    automorphism of the whole Sasakian structure (Blair, Riemannian Geometry
+    of Contact and Symplectic Manifolds, 2nd ed., 2010), and every invariant
+    the certificate reads is the same.
     """
     n = spec.n
     base = _lift_base(spec)
     x = _EVALUATORS[base.kind](base, u, ops)
-    return np.concatenate([x, _fiber(x[..., n:], x[..., :n], ops)[..., None]], axis=-1)
+    return np.concatenate([x, jets._packed_fiber(x[..., n:], x[..., :n], ops)[..., None]],
+                          axis=-1)
 
 
 def _loop_integrand(spec: ImmersionSpec, theta_polar: float, phi) -> np.ndarray:
@@ -707,7 +693,7 @@ def eval_immersion(spec: ImmersionSpec, nodes, order: int = 3) -> np.ndarray:
     the order of ``jets._packed_basis(n, order)``; on the sphere the jets
     are in each node's own chart (:func:`node_jets`).  The fiber coordinate
     of ``lifted`` and ``contact_whitney_b`` is 0 at every node, and only its
-    derivatives come from the contact condition (:func:`_fiber`).
+    derivatives come from the contact condition (``jets._packed_fiber``).
     """
     inner = domain_jets(spec, nodes, order)
     return _EVALUATORS[spec.kind](spec, inner, jets._Ops(spec.n, order))

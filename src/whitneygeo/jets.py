@@ -70,7 +70,9 @@ class Jet:
             setattr(self, f"d{k}", blk)
 
     def _packed(self, order: int) -> np.ndarray:
-        return _pack_blocks([self.val, self.d1, self.d2, self.d3][: order + 1], self.num_vars)
+        """The packed array, with a batch axis of length 1 for a single point."""
+        packed = _pack_blocks([self.val, self.d1, self.d2, self.d3][: order + 1], self.num_vars)
+        return packed[:, None] if self.val.ndim == 0 else packed
 
     def __mul__(self, other: "Jet") -> "Jet":
         if not isinstance(other, Jet):
@@ -82,6 +84,7 @@ class Jet:
             )
         v, order = self.num_vars, self.order
         out = _packed_mul(self._packed(order), other._packed(order), _leibniz_table(v, order))
+        out = out.reshape((len(out),) + np.broadcast_shapes(self.val.shape, other.val.shape))
         return Jet(order, v, *_unpack_blocks(out, v, order))
 
 
@@ -101,6 +104,7 @@ def compose(f: Jet, xs: list[Jet]) -> Jet:
     order = min(f.order, xs[0].order)
     out = _packed_compose(f._packed(order), [x._packed(order) for x in xs],
                           _leibniz_table(v, order))
+    out = out.reshape((len(out),) + np.broadcast_shapes(f.val.shape, *(x.val.shape for x in xs)))
     return Jet(order, v, *_unpack_blocks(out, v, order))
 
 
@@ -229,12 +233,23 @@ def _leibniz(product, a, b, table, out, scratch=None):
     return out
 
 
+def _check_layout(*packed):
+    """Refuse a packed array without a batch axis after its coefficient axis."""
+    for p in packed:
+        if np.ndim(p) < 2:
+            raise ValueError(
+                f"packed jets are laid out (coefficients, batch, ...), got shape "
+                f"{np.shape(p)}; give a single point a batch axis of length 1"
+            )
+
+
 def _packed_mul(a: np.ndarray, b: np.ndarray, table, out: np.ndarray | None = None,
                 scratch: np.ndarray | None = None) -> np.ndarray:
     """The packed broadcasting product ``a * b``; ``out`` must not overlap ``a``, ``b``.
 
     ``scratch`` is :func:`_leibniz`'s term buffer, shaped like ``out[0]``.
     """
+    _check_layout(a, b)
     if out is None:
         shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
         out = np.empty((table[-1][0] + 1,) + shape, np.result_type(a, b))
@@ -259,6 +274,7 @@ def _packed_compose(f: np.ndarray, xs, table) -> np.ndarray:
     (Griewank & Walther, "Evaluating Derivatives", 2nd ed., SIAM 2008).
     With one outer variable this is f(u0) + sum over k of f^(k)(u0)/k! du^k.
     """
+    _check_layout(f, *xs)
     rows = table[-1][0] + 1
     deltas = []
     for x in xs:
@@ -292,6 +308,7 @@ class _Ops:
         self.v = v
         self.order = order
         self.table = _leibniz_table(v, order)
+        self.rows = self.table[-1][0] + 1  # coefficient rows of a jet to this order
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _packed_mul(a, b, self.table)
@@ -342,23 +359,24 @@ def _packed_gradient(packed: np.ndarray, v: int) -> np.ndarray:
     return np.moveaxis(packed[np.array(rows)], 1, -1)
 
 
-def _packed_hessian_along(packed: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Second partials along directions: out[b, ..., nu, c] = sum over a of d_nu d_a p X[b, a, c].
+def _packed_fiber(alpha: np.ndarray, x: np.ndarray, ops: _Ops) -> np.ndarray:
+    """The packed jets of the function f with value 0 and df = alpha . dx, (coefficients, B).
 
-    ``packed`` is (coefficients, B, *s) to order 2 or more in v variables and
-    ``X`` is (B, v, n); the result is (B, *s, v, n).  One row gather and one
-    batched matmul per nu, so the full (v, v) Hessian block is never formed.
+    ``x`` holds packed jets (coefficients, B, w) to ``ops.order`` and
+    ``alpha`` packed jets of the same width to at least ``ops.order`` - 1,
+    all that is read.  The partials are d_a f = sum_j alpha_j d_a x_j, one
+    order lower, and the partial over the sorted indices (a, rest) is row
+    rest of d_a f.
     """
-    B, v, n = X.shape
-    row = {idx: i for i, idx in enumerate(_packed_basis(v, 2))}
-    size = packed[0].size // B
-    if len(packed) < len(row):  # a lower order: the second partials vanish
-        return np.zeros((B,) + packed.shape[2:] + (v, n))
-    out = np.empty((v, B, size, n))
-    for nu in range(v):
-        rows = np.take(packed, [row[tuple(sorted((nu, a)))] for a in range(v)], axis=0)
-        np.matmul(rows.reshape(v, B, size).transpose(1, 2, 0), X, out=out[nu])
-    return np.moveaxis(out, 0, -2).reshape((B,) + packed.shape[2:] + (v, n))
+    f = np.zeros(x.shape[:2], np.result_type(alpha, x))
+    if ops.order:
+        dx = _packed_gradient(x, ops.v)
+        low = _leibniz_table(ops.v, ops.order - 1)
+        df = _packed_matmul(alpha[: len(dx), :, None, :], dx, low)[..., 0, :]
+        row = {idx: r for r, idx in enumerate(_packed_basis(ops.v, ops.order - 1))}
+        partials = _packed_basis(ops.v, ops.order)[1:]
+        f[1:] = df[[row[idx[1:]] for idx in partials], :, [idx[0] for idx in partials]]
+    return f
 
 
 def _unpack_blocks(packed: np.ndarray, v: int, order: int) -> list[np.ndarray]:
@@ -414,9 +432,9 @@ class _Plan(NamedTuple):
 
     On the kernel's route ``steps`` holds, per pairwise step, the positions
     it pops from the operand list (numpy's path), its C einsum subscripts on
-    batch-last operands and its non-batch output shape, and ``path`` is
-    None.  On numpy's route ``steps`` is None, ``path`` is numpy's path and
-    the transposes are empty.
+    batch-last operands, its non-batch output shape and which of its
+    operands carry the batch axis, and ``path`` is None.  On numpy's route
+    ``steps`` is None, ``path`` is numpy's path and the transposes are empty.
     """
 
     path: list | None
@@ -462,7 +480,8 @@ def _plan(subscripts: str, shapes: tuple) -> _Plan:
         else:
             result = _batch_last(output)
         steps.append((positions, ",".join(taken) + "->" + result,
-                      tuple(dims[c] for c in result.rstrip("b"))))
+                      tuple(dims[c] for c in result.rstrip("b")),
+                      tuple(t.endswith("b") for t in taken)))
         work.append(result)
     to_last = tuple(tuple(range(1, len(s) + 1)) + (0,) if bt else None
                     for bt, s in zip(batched, shapes))
@@ -481,7 +500,9 @@ def _einsum(subscripts: str, *operands):
     which the next contraction takes without a copy.  A call with ``...``,
     without the batch label in its output, or with a step above
     :data:`_STEP_GATE` runs numpy's own route on the cached path; a single
-    operand goes straight to C einsum.
+    operand goes straight to C einsum.  A batch axis of length 1 broadcasts
+    against the others, as numpy's does: a field that is the same at every
+    node, such as the ambient fields at the base point, keeps one.
     """
     if len(operands) == 1:
         return np.einsum(subscripts, operands[0])
@@ -493,11 +514,11 @@ def _einsum(subscripts: str, *operands):
         plan = _PLAN_CACHE[key] = _plan(subscripts, key[1:])
     if plan.steps is None:
         return np.einsum(subscripts, *operands, optimize=plan.path)
-    batch = max(op.shape[0] for op, axes in zip(operands, plan.to_last) if axes)
     ops = [op if axes is None else np.ascontiguousarray(op.transpose(axes))
            for op, axes in zip(operands, plan.to_last)]
-    for positions, step, shape in plan.steps:
+    for positions, step, shape, batched in plan.steps:
         taken = [ops.pop(p) for p in positions]
+        batch = max(op.shape[-1] if bt else 1 for op, bt in zip(taken, batched))
         out = np.empty(shape + (batch,) * step.endswith("b"), np.result_type(*taken))
         ops.append(np.einsum(step, *taken, out=out))
     return ops[0].transpose(plan.back)

@@ -12,7 +12,9 @@ ball times a line).  Every model exposes
 * a closed-form curvature expression (``curvature_oracle``) used as an
   independent cross-check,
 * a randomized ``self_test`` that must pass before any submanifold
-  computation downstream is trusted.
+  computation downstream is trusted,
+* one isometry per node (``centre``) that moves the node's image to the
+  chart's base point, coordinate 0, where ``base_fields`` holds the fields.
 
 All evaluation is batched: ``points`` has shape ``(B, chart_dim)``.
 
@@ -21,12 +23,17 @@ One builder per model, ``_chart_jets``, serves ``metric_jets`` and
 structure tensors to order 1 as packed jets (``jets._packed_basis``) shaped
 (coefficients, B, tensor axes).  Products are Leibniz-table loops, sqrt and
 1/x truncated Taylor series and chart derivatives row gathers, so no
-derivative formula is written by hand.  ``metric_jets`` unpacks the metric
-into mirrored, batch-first derivative blocks.  ``fields_at`` unpacks values
-and first derivatives only and hands on the packed metric, whose second
-derivatives a consumer contracts with its own directions
-(:func:`christoffel_along`), so no dense (B, m, m, m, m) block is written;
-``fields_at(points, order=1)`` skips those second derivatives altogether.
+derivative formula is written by hand.  ``metric_jets`` and ``fields_at``
+unpack them into mirrored, batch-first derivative blocks; ``fields_at`` at
+order 2 adds the Levi-Civita connection and its first derivatives.
+
+Every ambient here is homogeneous, and the certificate reads only isometry
+invariants.  So the geometry evaluates no field at the nodes: ``centre``
+maps each node's chart jets by an isometry that takes its image to the base
+point (a translation of C^n or a Heisenberg translation of R^{2n+1}, a
+unitary map of the homogeneous coordinates of CP^n or of C^{n+1} around
+S^{2n+1}, a ball automorphism of CH^n, lifted with a fiber shift on the B
+model), and the fields there are computed once per model instance.
 
 Its einsum contractions go through ``jets._einsum`` under the batch-label
 contract of :mod:`whitneygeo.geometry`: ``b`` leads every term that carries
@@ -50,7 +57,6 @@ __all__ = [
     "make_model",
     "christoffel_from_metric",
     "christoffel_derivative",
-    "christoffel_along",
     "riemann_from_metric",
 ]
 
@@ -70,11 +76,14 @@ class ModelValidationError(RuntimeError):
 
 @dataclass
 class AmbientFields:
-    """Chart-level field data at a batch of points."""
+    """Chart-level field data at a batch of points; a derivative block's last axis is d/dq^sigma."""
 
     G0: np.ndarray  # (B, m, m)
-    G1: np.ndarray  # (B, m, m, m)  last axis: d/dq^sigma
-    G: np.ndarray  # the packed metric to the order asked for, (coefficients, B, m, m)
+    G1: np.ndarray  # (B, m, m, m)
+    # order 2: the metric's second derivatives, the connection and its first derivatives
+    G2: np.ndarray | None = None  # (B, m, m, m, m)
+    Gamma0: np.ndarray | None = None  # Gamma^mu_{nu lambda}, (B, m, m, m)
+    Gamma1: np.ndarray | None = None  # (B, m, m, m, m)
     # complex models
     J0: np.ndarray | None = None
     J1: np.ndarray | None = None
@@ -116,31 +125,6 @@ def christoffel_derivative(G0, G1, G2):
         _einsum("bmrs,brnl->bmnls", dGinv, _metric_bracket(G1))
         + _einsum("bmr,brnls->bmnls", Ginv, _metric_bracket(G2))
     )
-
-
-def christoffel_along(G0, G1, G1X, G2X):
-    """Gamma^mu_{nu lambda} and its derivatives along n tangent vectors X_c.
-
-    ``G1X[b, r, l, c] = d_{X_c} g_{rl}`` and ``G2X[b, r, l, nu, c] =
-    d_nu d_{X_c} g_{rl}``.  Returns Gamma (B, m, m, m) and d_{X_c} Gamma
-    (B, m, m, m, n) from d_c Gamma = (d_c G^-1 bracket(G1) + G^-1
-    bracket(G2X_c)) / 2 with d_c G^-1 = -G^-1 G1X_c G^-1: batched matmuls
-    that never differentiate along the other m - n chart directions.  With
-    ``G2X`` None the derivative is None.
-    """
-    Ginv = np.linalg.inv(G0)
-    bracket = _metric_bracket(G1)
-    gamma = 0.5 * _einsum("bmr,brnl->bmnl", Ginv, bracket)
-    if G2X is None:
-        return gamma, None
-    B, m = G0.shape[:2]
-    n = G1X.shape[-1]
-    dGinv = -(Ginv[:, None] @ np.moveaxis(G1X, -1, 1) @ Ginv[:, None])  # (B, n, m, m)
-    first = dGinv @ bracket.reshape(B, 1, m, m * m)  # [b, c, mu, (nu lam)]
-    dgamma = (Ginv @ _metric_bracket(G2X).reshape(B, m, m * m * n)).reshape(B, m, m, m, n)
-    dgamma += np.moveaxis(first.reshape(B, n, m, m, m), 1, -1)
-    dgamma *= 0.5
-    return gamma, dgamma
 
 
 def riemann_from_metric(G0, G1, G2):
@@ -214,6 +198,75 @@ def _kaehler_metric(z, c, table, order):
 
 
 # ---------------------------------------------------------------------------
+# per-node isometries on packed chart jets
+# ---------------------------------------------------------------------------
+
+def _complex(x: np.ndarray, n: int) -> np.ndarray:
+    """The n complex coordinates x_j + i x_{n+j} of real chart jets, complex packed."""
+    return x[..., :n] + 1j * x[..., n : 2 * n]
+
+
+def _real_pairs(z: np.ndarray) -> np.ndarray:
+    """Real chart jets (Re z, Im z) of complex packed jets."""
+    return np.concatenate([z.real, z.imag], axis=-1)
+
+
+def _unitary_to(Z: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
+    """U Z per batch entry, for a unitary U with U a = e_k, where a (B, N) are unit vectors.
+
+    ``Z`` is packed (coefficients, B, N); U is linear, so it acts row by
+    row.  U = -conj(p) H, with H = I - 2 v v* / |v|^2 the Householder
+    reflection of v = a + p e_k and p = a_k / |a_k| (1 where a_k = 0): then
+    H a = -p e_k and |v|^2 = 2 (1 + |a_k|) >= 2 (Golub & Van Loan, "Matrix
+    Computations", 4th ed., 2013, sec. 5.1).
+    """
+    ak = a[:, k]
+    r = np.abs(ak)
+    p = np.ones_like(ak)
+    np.divide(ak, r, out=p, where=r > 0)
+    v = a.copy()
+    v[:, k] += p
+    c = np.sum(Z * v.conj(), axis=-1) * (2.0 / np.sum(np.abs(v) ** 2, axis=-1))
+    UZ = Z - c[..., None] * v
+    UZ *= -p.conj()[:, None]
+    return UZ
+
+
+def _projective_move(z: np.ndarray, ops) -> np.ndarray:
+    """z -> (U Z)_{1..n} / (U Z)_0 on Z = (1, z), U unitary with U Z(z[0]) on e_0.
+
+    U(n+1) acts on the homogeneous coordinates by holomorphic isometries of
+    the Fubini-Study metric, and this one takes the node z[0] to 0.
+    """
+    Z = np.zeros(z.shape[:-1] + (z.shape[-1] + 1,), complex)
+    Z[0, :, 0] = 1.0
+    Z[..., 1:] = z
+    UZ = _unitary_to(Z, Z[0] / np.linalg.norm(Z[0], axis=-1, keepdims=True), 0)
+    num = UZ[..., 1:]
+    num[0] = 0.0  # U Z(z[0]) = |Z(z[0])| e_0
+    return ops.mul(num, ops.fn("recip", UZ[..., 0])[..., None])
+
+
+def _ball_move(z: np.ndarray, ops) -> np.ndarray:
+    """The ball automorphism that takes the node a = z[0] to 0.
+
+    z -> (a - s z - <z, a> a / (1 + s)) / (1 - <z, a>) with s = sqrt(1 -
+    |a|^2) and <z, a> = sum z_j conj(a_j): Rudin's (a - P_a z - s Q_a z) /
+    (1 - <z, a>) ("Function Theory in the Unit Ball of C^n", 1980, 2.2.1)
+    with (1 - s) / |a|^2 = 1 / (1 + s), so a = 0 is regular.  It is
+    holomorphic and an isometry of the Bergman metric.
+    """
+    a = z[0]
+    s = np.sqrt(1.0 - np.sum(np.abs(a) ** 2, axis=-1))
+    inner = np.sum(z * a.conj(), axis=-1)
+    num = -(s[:, None] * z) - (inner / (1.0 + s))[..., None] * a
+    num[0] = 0.0  # a - s a - |a|^2 a / (1 + s) = 0
+    den = -inner
+    den[0] += 1.0
+    return ops.mul(num, ops.fn("recip", den)[..., None])
+
+
+# ---------------------------------------------------------------------------
 # model classes
 # ---------------------------------------------------------------------------
 
@@ -229,6 +282,7 @@ class BaseModel:
             raise ValueError(f"model dimension n must be >= 2, got {n}")
         self.n = n
         self._self_test_report: dict | None = None
+        self._base: AmbientFields | None = None
 
     # subclasses fill these ---------------------------------------------------
 
@@ -244,17 +298,25 @@ class BaseModel:
     def check_in_chart(self, points: np.ndarray) -> None:
         """Raise :class:`DomainError` if any point leaves the chart domain."""
 
+    def _isometry(self, x: np.ndarray, ops) -> np.ndarray:
+        """:meth:`centre` on validated jets, to ``ops.order`` in ``ops.v`` variables."""
+        raise NotImplementedError
+
     # shared evaluation --------------------------------------------------------
+
+    def _validate(self, pts):
+        """Raise :class:`DomainError` for points of the wrong width or outside the chart."""
+        if pts.shape[-1] != self.chart_dim:
+            raise DomainError(
+                f"{self.kind}: expected chart dim {self.chart_dim}, got {pts.shape[-1]}"
+            )
+        self.check_in_chart(pts)
 
     def _seed(self, points):
         """Validated chart points as packed coordinate jets: linear, so order 1 is exact."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         v = self.chart_dim
-        if pts.shape[-1] != v:
-            raise DomainError(
-                f"{self.kind}: expected chart dim {v}, got {pts.shape[-1]}"
-            )
-        self.check_in_chart(pts)
+        self._validate(pts)
         seeds = np.zeros((1 + v,) + pts.shape)
         seeds[0] = pts
         seeds[1:] = np.eye(v)[:, None, :]
@@ -281,9 +343,10 @@ class BaseModel:
     def fields_at(self, points, order: int = 2) -> AmbientFields:
         """The metric to ``order`` (1 or 2) and the structure tensors to order 1.
 
-        The metric's second derivatives stay packed in ``G``: consumers
-        contract them with their own directions (``jets._packed_hessian_along``).
-        Order 1 skips them, for consumers that need no metric Hessian.
+        Order 2 adds the metric's second derivatives ``G2`` and the
+        Levi-Civita connection with its first derivatives, ``Gamma0`` and
+        ``Gamma1``; order 1, for the self-tests and the curvature oracle,
+        leaves them None.
         """
         if order not in (1, 2):
             raise ValueError(f"fields_at order must be 1 or 2, got {order!r}")
@@ -291,10 +354,38 @@ class BaseModel:
         blocks = {
             f"{name}{k}": block
             for name, p in packed.items()
-            for k, block in enumerate(jets._unpack_blocks(p, self.chart_dim, 1))
+            for k, block in enumerate(
+                jets._unpack_blocks(p, self.chart_dim, order if name == "G" else 1))
         }
         self._assert_spd(blocks["G0"])
-        return AmbientFields(G=packed["G"], **blocks)
+        fields = AmbientFields(**blocks)
+        if order == 2:
+            fields.Gamma0 = christoffel_from_metric(fields.G0, fields.G1)
+            fields.Gamma1 = christoffel_derivative(fields.G0, fields.G1, fields.G2)
+        return fields
+
+    def base_fields(self) -> AmbientFields:
+        """:meth:`fields_at` to order 2 at the base point, chart coordinate 0.
+
+        Computed once per instance.  The batch axis has length 1, which
+        broadcasts against the nodes' in ``jets._einsum``.
+        """
+        if self._base is None:
+            self._base = self.fields_at(np.zeros((1, self.chart_dim)), order=2)
+        return self._base
+
+    def centre(self, x: np.ndarray, v: int) -> np.ndarray:
+        """The jets of the node images moved to the base point, one isometry per node.
+
+        ``x`` holds packed jets (coefficients, B, chart dim) in ``v``
+        variables; its value row, the node images, must lie in the chart.
+        Each node's jets are mapped by an isometry of the model that takes
+        its image to chart coordinate 0 and keeps the structure tensors (J,
+        or phi, xi and eta), so every invariant the certificate reads at
+        the node can be read there against :meth:`base_fields`.
+        """
+        self._validate(x[0])
+        return self._isometry(x, jets._Ops(v, jets._packed_order(x, v)))
 
     def christoffel_at(self, points):
         G0, G1, _ = self.metric_jets(points, order=1)
@@ -379,6 +470,16 @@ class ComplexSpaceFormModel(BaseModel):
         if structure:
             fields["J"] = np.broadcast_to(_complex_rotation(self.n), (1,) + G.shape[1:])
         return fields
+
+    def _isometry(self, x, ops):
+        """A translation of C^n; a unitary map of the homogeneous coordinates
+        of CP^n; an automorphism of the ball CH^n.  All are holomorphic."""
+        if self.c == 0:
+            out = x.copy()
+            out[0] = 0.0
+            return out
+        move = _projective_move if self.c == 1 else _ball_move
+        return _real_pairs(move(_complex(x, self.n), ops))
 
     def curvature_oracle(self, points, X, Y, Z):
         pts = np.atleast_2d(points)
@@ -600,6 +701,17 @@ class SasakianR(SasakianModel):
         table = jets._leibniz_table(m, order)
         return self._contact_fields(horizontal, eta_bar, 0.5, table, structure)
 
+    def _isometry(self, x, ops):
+        """The Heisenberg translation (x, y, z) -> (x - x0, y - y0, z - z0 - y0 . (x - x0)).
+
+        It keeps dx, dy and dz - y dx, so the metric and phi, xi and eta.
+        """
+        n = self.n
+        out = x.copy()
+        out[0] = 0.0
+        out[1:, :, 2 * n] -= np.sum(x[1:, :, :n] * x[0, :, n : 2 * n], axis=-1)
+        return out
+
     def random_chart_points(self, rng, count):
         return rng.uniform(-1.0, 1.0, size=(count, self.chart_dim))
 
@@ -672,6 +784,25 @@ class SasakianS(SasakianModel):
             )
         return fields
 
+    def _isometry(self, x, ops):
+        """A unitary map of C^{n+1} that takes E(x[0]) to e_n = E(0).
+
+        The embedding E of the chart (with x = sqrt(1 - |q|^2) to the jets'
+        order), then U, then back to the chart.  U(n+1) keeps the round
+        metric, J and the position vector, so the contact form and every
+        field of the deformed structure.
+        """
+        n = self.n
+        u = -ops.mul(x, x).sum(axis=-1)
+        u[0] += 1.0
+        E = np.empty(x.shape[:-1] + (n + 1,), complex)
+        E[..., :n] = _complex(x, n)
+        E[..., n] = ops.fn("sqrt", u) + 1j * x[..., 2 * n]
+        UE = _unitary_to(E, E[0], n)
+        out = np.concatenate([_real_pairs(UE[..., :n]), UE[..., n:].imag], axis=-1)
+        out[0] = 0.0
+        return out
+
     def random_chart_points(self, rng, count):
         pts = rng.normal(size=(count, self.chart_dim))
         r = 0.8 * rng.uniform(0.2, 1.0, size=(count, 1)) ** (1.0 / self.chart_dim)
@@ -711,6 +842,41 @@ class SasakianB(SasakianModel):
         eta_bar[..., : 2 * n] = omega
         eta_bar[0, :, 2 * n] = 1.0
         return self._contact_fields(4.0 * self.a * bergman, eta_bar, self.a, table, structure)
+
+    @classmethod
+    def fiber(cls, z: np.ndarray, ops) -> np.ndarray:
+        """The fiber t of a Legendrian image over the ball: dt = -omega(z), value 0.
+
+        ``z`` holds real packed jets (coefficients, B, 2n).  -omega = 4 s w
+        (-y, x) . d(x, y), with w = 1 / (1 - |z|^2) and s the phi sign, is
+        built to order - 1, all that ``jets._packed_fiber`` reads.
+        """
+        if not ops.order:
+            return np.zeros(z.shape[:2])
+        n = z.shape[-1] // 2
+        low = jets._Ops(ops.v, ops.order - 1)
+        zl = z[: low.rows]
+        u = -low.mul(zl, zl).sum(axis=-1)
+        u[0] += 1.0
+        alpha = low.mul((4.0 * cls._phi_sign) * low.fn("recip", u)[..., None],
+                        np.concatenate([-zl[..., n:], zl[..., :n]], axis=-1))
+        return jets._packed_fiber(alpha, z, ops)
+
+    def _isometry(self, x, ops):
+        """The ball automorphism of :func:`_ball_move` on z, with the fiber shift
+        that keeps eta-bar = dt + omega: dt' = dt - alpha(z) . dz + alpha(z') . dz',
+        alpha = -omega, each term from :meth:`fiber`.
+
+        The Bergman block and J are kept, and d/dt goes to d/dt, so the
+        metric, phi, xi and eta are too.  The fiber's value, which no field
+        reads, is set to 0.
+        """
+        n = self.n
+        z = x[..., : 2 * n]
+        moved = _real_pairs(_ball_move(_complex(z, n), ops))
+        t = x[..., 2 * n] - self.fiber(z, ops) + self.fiber(moved, ops)
+        t[0] = 0.0
+        return np.concatenate([moved, t[..., None]], axis=-1)
 
     def random_chart_points(self, rng, count):
         z = rng.normal(size=(count, self.chart_dim - 1))

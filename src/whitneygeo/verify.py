@@ -15,15 +15,16 @@ n >= 4 block on its coarser grid, run only the order-2 frame stage.
 
 The chunks of all three rungs are independent jobs of one map
 (:func:`_map_chunks`).  A job is a module-level function and its inputs:
-the spec, the run seed, the rung, where its random planes begin in the
+the spec, the case's model with its base-point fields (computed once, by
+the caller), the run seed, the rung, where its random planes begin in the
 run's stream (fixed by the caller before the map) and its own nodes (the
-points themselves) and weights; the worker rebuilds the model from the spec.  The jobs run on the
-process's one pool of forked workers, started by the first map that wants
-more than one and kept across cases; each worker empties the module caches
-on the first job of a new map.  Each job returns its partial sums, sups and
-minima (and its sectional range), and the caller folds them in chunk
-order, as a serial loop would; so a report does not depend on the number
-of workers.  Each worker holds the geometry of one chunk at a time.
+points themselves) and weights.  The jobs run on the process's one pool
+of forked workers, started by the first map that wants more than one and
+kept across cases; each worker empties the module caches on the first job
+of a new map.  Each job returns its partial sums, sups and minima (and its
+sectional range), and the caller folds them in chunk order, as a serial
+loop would; so a report does not depend on the number of workers.  Each
+worker holds the geometry of one chunk at a time.
 """
 
 from __future__ import annotations
@@ -237,10 +238,47 @@ def _worker_count(jobs: int) -> int:
 _MALLOPT = ((-3, 64 << 20), (-2, 64 << 20), (-1, 256 << 20))
 
 
-def _init_worker():
-    """Pool initializer: the allocator settings; none where ``mallopt`` is missing."""
+def _openblas(stem: str) -> list:
+    """The function ``stem`` of every OpenBLAS this process has loaded, as ctypes functions.
+
+    Builds rename their exports (numpy's wheels have
+    ``scipy_openblas_set_num_threads64_``), so each prefix and suffix they
+    use is tried.  The libraries are found by file name among the
+    process's mappings; none where there are no ``/proc/self/maps``.
+    """
     import ctypes
 
+    try:
+        with open("/proc/self/maps") as maps:
+            mappings = [line.split(None, 5) for line in maps]
+    except OSError:
+        return []
+    paths = {m[5].strip() for m in mappings
+             if len(m) == 6 and "openblas" in m[5].rpartition("/")[2]}
+    names = [f"{pre}{stem}{post}" for pre in ("", "scipy_") for post in ("", "64_", "_64_")]
+    found = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        fn = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+        if fn is not None:
+            found.append(fn)
+    return found
+
+
+def _init_worker():
+    """Pool initializer: the allocator settings, and one BLAS thread per worker.
+
+    There are as many workers as cores, so a threaded matrix product in a
+    worker only oversubscribes them.  Either setting is skipped where its
+    function (``mallopt``, OpenBLAS's ``openblas_set_num_threads``) is missing.
+    """
+    import ctypes
+
+    for set_threads in _openblas("openblas_set_num_threads"):
+        set_threads(1)
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
@@ -452,16 +490,16 @@ def _unresolved_reason(
     )
 
 
-def _rung_chunk(spec, seed, rung, start, nodes, w):
+def _rung_chunk(spec, model, seed, rung, start, nodes, w):
     """One chunk job of a case's ladder: the sums of its certificate integrands.
 
-    ``nodes`` and ``w`` are the chunk's nodes and weights.  A companion rung
+    ``model`` is the case's, its base-point fields computed once by the
+    caller; ``nodes`` and ``w`` are the chunk's nodes and weights.  A companion rung
     (``rung`` > 0) integrates nothing else.  The full grid's chunks (``rung``
     0) also give the gradient-field integrals, the l2 sums, the sups and
     minima and, from the plane stream's ``start`` (None for none), the
     sectional range.
     """
-    model = model_for(spec)
     if rung:
         return (_chunk_sums(spec, model, nodes, w)[0],)
     # the structure checks compare both curvature routes
@@ -491,20 +529,21 @@ def _accumulate_case(spec, model, grids, seed, sectional=False):
     the curvature statistics (None without ``sectional``).
     """
     size = _chunk_size(model.chart_dim)
+    model.base_fields()  # once, here: every job carries the model
     jobs = []
     for rung, grid in enumerate(grids):
         chunks = grid.chunks(size)
         starts = [None] * len(chunks)
         if sectional and rung == 0:
             starts = _plane_streams(seed, [len(idx) for idx in chunks], spec.n)
-        jobs += [(spec, seed, rung, start, grid.nodes[idx], grid.weight[idx])
+        jobs += [(spec, model, seed, rung, start, grid.nodes[idx], grid.weight[idx])
                  for start, idx in zip(starts, chunks)]
     parts = _map_chunks(_rung_chunk, jobs)
     rung_sums = [
-        _fold([p[0] for job, p in zip(jobs, parts) if job[2] == rung], operator.add, 0.0)
+        _fold([p[0] for job, p in zip(jobs, parts) if job[3] == rung], operator.add, 0.0)
         for rung in range(len(grids))
     ]
-    _, l2s, sups, mins, spans = zip(*(p for job, p in zip(jobs, parts) if job[2] == 0))
+    _, l2s, sups, mins, spans = zip(*(p for job, p in zip(jobs, parts) if job[3] == 0))
     stats = None
     if sectional:
         stats = _sectional_stats(spans, [])
@@ -587,10 +626,10 @@ def _sectional_stats(spans, weyl_sups) -> dict:
     }
 
 
-def _frame_chunk(spec, start, nodes):
+def _frame_chunk(spec, model, start, nodes):
     """One chunk job of a conformal block: the frame stage's sectional range
     from the plane stream's ``start``, and its Weyl sup (None below n = 4)."""
-    pg, fields = frame_geometry(model_for(spec), spec, nodes)
+    pg, fields = frame_geometry(model, spec, nodes)
     cd = gauss_curvature(pg, fields)
     weyl_sup = None if cd.Weyl is None else float(np.max(np.abs(cd.Weyl)))
     return _sectional_range(cd.Riem, start), weyl_sup
@@ -600,7 +639,8 @@ def _conformal_block(spec, model, grid, seed):
     """The curvature statistics from the order-2 frame stage at every node."""
     chunks = grid.chunks(_chunk_size(model.chart_dim))
     starts = _plane_streams(seed, [len(idx) for idx in chunks], spec.n)
-    jobs = [(spec, start, grid.nodes[idx]) for start, idx in zip(starts, chunks)]
+    model.base_fields()  # once, here: every job carries the model
+    jobs = [(spec, model, start, grid.nodes[idx]) for start, idx in zip(starts, chunks)]
     parts = _map_chunks(_frame_chunk, jobs)
     return _sectional_stats([span for span, _ in parts], [w for _, w in parts])
 

@@ -106,6 +106,19 @@ def test_the_same_workers_serve_consecutive_cases(monkeypatch):
     assert {pid for _, _, pid in verify._map_chunks(_job_and_pid, jobs)} <= first
 
 
+def _blas_threads(k, idx):
+    return [get() for get in verify._openblas("openblas_get_num_threads")]
+
+
+def test_workers_run_one_blas_thread(monkeypatch):
+    # as many workers as cores: a threaded matrix product would oversubscribe them
+    if not verify._openblas("openblas_get_num_threads"):
+        pytest.skip("no loaded OpenBLAS exports openblas_get_num_threads")
+    _workers(monkeypatch, 2)
+    got = verify._map_chunks(_blas_threads, [(k, range(3)) for k in range(4)])
+    assert all(threads and set(threads) == {1} for threads in got)
+
+
 def test_a_map_that_wants_more_workers_gets_them(monkeypatch):
     jobs = [(k, range(5)) for k in range(6)]
     _workers(monkeypatch, 2)

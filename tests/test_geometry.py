@@ -23,8 +23,9 @@ from whitneygeo.geometry import (
 )
 from whitneygeo.immersions import make_spec, model_for, node_jets
 from whitneygeo.quadrature import sphere_points
+from whitneygeo.immersions import eval_immersion
 from whitneygeo.spaceforms import (
-    christoffel_along,
+    _metric_bracket,
     christoffel_derivative,
     christoffel_from_metric,
     make_model,
@@ -312,7 +313,7 @@ def _symmetric(rng, shape, k):
 
 
 class TestTangentialRoute:
-    """The metric differentiated only along the immersion, against the dense route."""
+    """The base point's constant fields along the tangents, against dense contractions."""
 
     @pytest.mark.parametrize(
         "kind, n", [(k, n) for n in (2, 3) for k in ALL_KINDS] + [("Sasakian_R", 4)]
@@ -321,34 +322,105 @@ class TestTangentialRoute:
         model = make_model(kind, n, a=0.8)
         rng = np.random.default_rng(30 + n)
         B, m = 6, model.chart_dim
-        pts = model.random_chart_points(rng, B)
         X1 = rng.normal(size=(B, m, n))
         X2, X3 = _symmetric(rng, (B, m, n), 2), _symmetric(rng, (B, m, n), 3)
-        G0, G1, G2 = model.metric_jets(pts, order=2)
-        G2X = jets._packed_hessian_along(model.fields_at(pts).G, X1)
-        G1X = np.einsum("bmns,bsc->bmnc", G1, X1)
-        gamma, dgamma = christoffel_along(G0, G1, G1X, G2X)
-        assert np.array_equal(gamma, christoffel_from_metric(G0, G1))
+        base = model.base_fields()
+        G0, G1, G2 = base.G0[0], base.G1[0], base.G2[0]
+        G1X, G2X = geometry._along(base.G1, X1), geometry._along(base.G2, X1)
+        # d_c Gamma = (G^-1 bracket(G2X_c) - G^-1 G1X_c G^-1 bracket(G1)) / 2
+        Ginv = np.linalg.inv(G0)
+        dgamma = 0.5 * (
+            np.einsum("mr,brnlc->bmnlc", Ginv, _metric_bracket(G2X))
+            - np.einsum("mp,bpqc,qr,rnl->bmnlc", Ginv, G1X, Ginv, _metric_bracket(base.G1)[0])
+        )
         dense = {
-            "G2X": np.einsum("brlns,bsc->brlnc", G2, X1),
-            "dgamma": np.einsum(
-                "bmnls,bsc->bmnlc", christoffel_derivative(G0, G1, G2), X1
-            ),
+            "G1X": np.einsum("mns,bsc->bmnc", G1, X1),
+            "G2X": np.einsum("rlns,bsc->brlnc", G2, X1),
+            "dgamma": dgamma,
             # the chart-wide first term of the induced g2, then the rest unchanged
-            "g2": np.einsum("bmnst,btd,bsc,bmA,bnB->bABcd", G2, X1, X1, X1, X1)
+            "g2": np.einsum("mnst,btd,bsc,bmA,bnB->bABcd", G2, X1, X1, X1, X1)
             + _second_derivative_of_induced_metric(
-                G0, G1, np.zeros_like(G2X), X1, X2, X3
+                G0[None], G1[None], np.zeros_like(G2X), X1, X2, X3
             ),
         }
         got = {
+            "G1X": G1X,
             "G2X": G2X,
-            "dgamma": dgamma,
-            "g2": _second_derivative_of_induced_metric(G0, G1, G2X, X1, X2, X3),
+            "dgamma": geometry._along(base.Gamma1, X1),
+            "g2": _second_derivative_of_induced_metric(base.G0, base.G1, G2X, X1, X2, X3),
         }
+        assert np.array_equal(base.Gamma0[0], christoffel_from_metric(base.G0, base.G1)[0])
         for name, want in dense.items():
             assert got[name].shape == want.shape, name
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got[name] - want)) <= 1e-13 * scale, name
+        # a field given at every node takes the batched contraction, to the same values
+        for D in (base.G1, base.G2, base.Gamma1):
+            every = np.broadcast_to(D, (B,) + D.shape[1:])
+            assert np.max(np.abs(geometry._along(every, X1) - geometry._along(D, X1))) <= (
+                1e-13 * np.max(np.abs(geometry._along(D, X1))))
+
+
+_CATALOG = [
+    ("whitney_c0", dict(r=1.3)),
+    ("whitney_cp", dict(theta=0.5)),
+    ("whitney_ch", dict(theta=0.9)),
+    ("contact_whitney_r", dict(r=0.8, a=0.3)),
+    ("contact_whitney_s", dict(theta=0.6, a=0.8)),
+    ("contact_whitney_b", dict(theta=0.8, a=1.2)),
+    ("product_torus", dict()),
+    ("totally_geodesic_cp", dict()),
+    ("perturbed", dict(epsilon=0.05, seed=3)),
+    ("lifted", dict(base="whitney_c0", r=1.1)),
+]
+
+#: the pointwise invariants the certificate integrates or bounds
+_INVARIANTS = ("h_norm2", "H_norm2", "nabla_h_norm2", "nabla_xi_h_norm2", "nabla_perp_H_norm2",
+               "ric_JH_JH", "yano_integrand", "scalar_curvature", "whitney_residual",
+               "scalar_relation_residual", "equality_condition_residual")
+
+
+def _per_node_route(model, spec, nodes):
+    """The full pass with every field evaluated at the node images themselves,
+    in the chart the immersion is given in: no isometry, and the connection
+    from metric_jets and christoffel_from_metric."""
+    X = jets._unpack_blocks(eval_immersion(spec, nodes, order=3), spec.n, 3)
+    G0, G1, G2 = model.metric_jets(X[0], order=2)
+    fields = model.fields_at(X[0], order=1)
+    fields.G2 = G2
+    fields.Gamma0 = christoffel_from_metric(G0, G1)
+    fields.Gamma1 = christoffel_derivative(G0, G1, G2)
+    return geometry._extrinsic(model, spec, X, fields)
+
+
+def _pointwise(pg, fields):
+    cd = curvature_data(pg, fields)
+    res = paper_residuals(pg, cd)
+    out = {name: res[name] for name in _INVARIANTS}
+    out.update(structure_checks(pg, cd), sqrt_det_g=pg.sqrt_det_g)
+    return out
+
+
+_CENTRED_CASES = [(k, kw, n) for n in (2, 3) for k, kw in _CATALOG
+                  if k != "totally_geodesic_cp" or n == 2]
+
+
+@pytest.mark.parametrize("kind, kw, n", _CENTRED_CASES,
+                         ids=[f"{k}-n{n}" for k, _, n in _CENTRED_CASES])
+def test_centred_route_matches_the_per_node_route(kind, kw, n):
+    if kind == "whitney_c0":
+        kw = dict(kw, B=tuple(0.1 * np.arange(2 * n)))  # a center off the origin
+    spec = make_spec(kind, n, **kw)
+    model = model_for(spec)
+    if kind == "product_torus":
+        nodes = np.random.default_rng(n).uniform(0, 2 * np.pi, size=(12, n))
+    else:
+        nodes = _points(n, count=12, seed=n)
+    want = _pointwise(*_per_node_route(model, spec, nodes))
+    got = _pointwise(*pointwise_geometry(model, spec, nodes))
+    assert got.keys() == want.keys()
+    for name, ref in want.items():
+        assert np.all(np.abs(got[name] - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0)), name
 
 
 def _gram_schmidt_reference(g, dg, mixer):
@@ -435,7 +507,7 @@ class TestFrameStage:
         assert cd.Riem_metric is None and pg.hcov is None
         assert pg.X is None and pg.G2X is None  # the inputs of the induced g2
         assert pg.g.d is None and pg.E.d is None and pg.h.d is None
-        assert len(fields.G) <= 1 + model.chart_dim  # the metric to order 1
+        assert fields is model.base_fields()  # the fields at the base point
 
 
 def test_stepwise_sectional_matches_single_einsum():

@@ -199,6 +199,10 @@ class TestCatalogValues:
         ("lifted", dict(r=float("nan")), "r"),
         ("whitney_cp", dict(theta=True), "theta"),
         ("perturbed", dict(seed=True), "seed"),
+        ("product_torus", dict(radii=(True, 2)), "radii"),
+        ("whitney_c0", dict(B=(0.0, True, 0.0, 0.0)), "B"),
+        ("contact_whitney_r", dict(B=np.array([1, 0, 0, 0, 0], dtype=bool)), "B"),
+        ("product_torus", dict(radii=(1.0, "two")), "radii"),
     ])
     def test_bad_numbers_are_refused_by_name(self, kind, params, name):
         with pytest.raises(ValueError, match=rf"^{name} must be"):

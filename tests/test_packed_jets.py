@@ -210,3 +210,15 @@ def test_packed_order_rejects_a_ragged_row_count():
     assert jets._packed_order(np.zeros((10, 1)), 3) == 2
     with pytest.raises(ValueError, match="fit no jet order"):
         jets._packed_order(np.zeros((9, 1)), 3)
+
+
+def test_packed_kernels_name_the_layout_they_need():
+    # a single point keeps a batch axis of length 1; a bare (coefficients,)
+    # array is refused by name rather than failing inside the product loop
+    ops = jets._Ops(1, 2)
+    x = np.array([0.5, 1.0, 0.0])
+    with pytest.raises(ValueError, match=r"\(coefficients, batch, \.\.\.\)"):
+        ops.mul(x, x)
+    with pytest.raises(ValueError, match=r"\(coefficients, batch, \.\.\.\)"):
+        ops.fn("exp", x)
+    assert np.array_equal(ops.mul(x[:, None], x[:, None])[:, 0], [0.25, 1.0, 2.0])

@@ -8,6 +8,7 @@ from whitneygeo import jets
 from whitneygeo.spaceforms import (
     DomainError,
     ModelValidationError,
+    christoffel_derivative,
     christoffel_from_metric,
     make_model,
 )
@@ -190,10 +191,9 @@ def test_fields_at_order_one_matches_order_two(kind):
     model = make_model(kind, 3, a=0.8)
     pts = model.random_chart_points(np.random.default_rng(17), 6)
     low, high = vars(model.fields_at(pts, order=1)), vars(model.fields_at(pts, order=2))
-    # the packed metric stops after the first-derivative rows
-    G = low.pop("G")
-    assert len(G) <= 1 + model.chart_dim
-    assert np.array_equal(G, high.pop("G")[: len(G)])
+    # order 2 adds the metric's second derivatives and the connection
+    for name in ("G2", "Gamma0", "Gamma1"):
+        assert low.pop(name) is None and high.pop(name) is not None, name
     for name, want in high.items():
         if want is None:
             assert low[name] is None, name
@@ -220,6 +220,43 @@ def test_reeb_translation_leaves_the_fields_unchanged(kind, n):
                 assert want[name] is None, name
             else:
                 assert np.array_equal(got, want[name]), (name, shift)
+
+
+def _chart_seeds(pts, order):
+    """The chart coordinates at ``pts`` as packed jets in themselves, (coefficients, B, m)."""
+    m = pts.shape[-1]
+    x = np.zeros((len(jets._packed_basis(m, order)),) + pts.shape)
+    x[0] = pts
+    x[1 : 1 + m] = np.eye(m)[:, None, :]
+    return x
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_centre_is_an_isometry_onto_the_base_point(kind, n):
+    # the jets of the map itself: its differential D and second derivatives
+    # at each point p, whose image must carry the base point's fields
+    model = make_model(kind, n, a=0.8)
+    pts = model.random_chart_points(np.random.default_rng(40 + n), 8)
+    m = model.chart_dim
+    Y0, D, D2 = jets._unpack_blocks(model.centre(_chart_seeds(pts, 2), m), m, 2)
+    assert np.array_equal(Y0, np.zeros_like(pts))
+    at, base = model.fields_at(pts, order=1), model.base_fields()
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
+
+    # the metric, and to first order around p: D^T G(0) D = G(p), and its derivatives
+    close(np.einsum("bia,bij,bjc->bac", D, base.G0, D), at.G0)
+    close(np.einsum("bias,bij,bjc->bacs", D2, base.G0, D)
+          + np.einsum("bia,bij,bjcs->bacs", D, base.G0, D2)
+          + np.einsum("bia,bijk,bjc,bks->bacs", D, base.G1, D, D), at.G1)
+    if not model.is_sasakian:
+        close(np.einsum("bia,bac->bic", D, at.J0), np.einsum("bij,bja->bia", base.J0, D))
+        return
+    close(np.einsum("bia,bac->bic", D, at.Phi0), np.einsum("bij,bja->bia", base.Phi0, D))
+    close(np.einsum("bia,ba->bi", D, at.Xi0), np.broadcast_to(base.Xi0, pts.shape))
+    close(np.einsum("bi,bia->ba", base.Eta0, D), at.Eta0)
 
 
 def test_rank_phi_via_singular_values():
@@ -393,17 +430,15 @@ def test_packed_builders_match_scalar_jet_reference(kind, n):
     model = make_model(kind, n, a=0.8)
     pts = model.random_chart_points(np.random.default_rng(20 + n), 5)
     fields = vars(model.fields_at(pts))
-    packed = fields.pop("G")
-    # fields_at keeps the metric's second derivatives packed: G2 is read
-    # through metric_jets, and the packed metric must unpack to the same blocks
-    metric = dict(zip(("G0", "G1", "G2"), model.metric_jets(pts, order=2)))
-    fields["G2"] = metric["G2"]
+    # the connection comes from the metric blocks that metric_jets unpacks too
+    metric = model.metric_jets(pts, order=2)
+    assert np.array_equal(fields.pop("Gamma0"), christoffel_from_metric(*metric[:2]))
+    assert np.array_equal(fields.pop("Gamma1"), christoffel_derivative(*metric))
     want = _reference_fields(model, pts)
     assert {k for k, v in fields.items() if v is not None} == set(want)
     for name, ref in want.items():
         got = fields[name]
         assert got.shape == ref.shape, name
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
-    for name, got in zip(("G0", "G1", "G2"), jets._unpack_blocks(packed, model.chart_dim, 2)):
-        assert np.array_equal(got, metric[name]), name
+    for name, got in zip(("G0", "G1", "G2"), metric):
         assert np.array_equal(got, fields[name]), name
