@@ -130,7 +130,6 @@ class PointGeometry:
     c_eff: float  # sectional constant of the ambient on isotropic tangents
     # derivative levels, None after the order-2 frame stage (its TJs have no d)
     X: list | None = None  # immersion blocks X0..X3, shaped (B, m, n, ...)
-    G2X: np.ndarray | None = None  # d_s d_{X_d} g_mn along the tangents (B,m,m,m,n)
     A: np.ndarray | None = None  # connection <nabla_{e_k} e_i, e_j> (B,n,n,n)
     hcov: np.ndarray | None = None  # nabla h [b, i, j, k, l] (B, n, n, n, n)
     hcov_xi: np.ndarray | None = None  # contact-normal block of nabla h (B, n, n, n)
@@ -273,12 +272,11 @@ def _extrinsic(model, spec, X, fields):
     X1, X2 = X[1:3]
 
     # chart fields restricted to the image, with node-chart derivatives in the
-    # full pass; the metric is differentiated twice only along the tangents X1
+    # full pass
     def along(D1):
         return _along(D1, X1) if full else None
 
     Gt = TJ(fields.G0, along(fields.G1))
-    G2X = along(fields.G2)
     gammat = TJ(fields.Gamma0, along(fields.Gamma1))
     Tt = TJ(X1, X2 if full else None)
     # induced metric
@@ -324,7 +322,7 @@ def _extrinsic(model, spec, X, fields):
     if not full:
         return pg, fields
 
-    pg.X, pg.G2X = X, G2X
+    pg.X = X
 
     # the ambient covariant derivative along the frame, nabla_{e_k} V, with
     # k the first axis after the batch
@@ -394,7 +392,8 @@ def gauss_curvature(pg: PointGeometry, fields) -> CurvatureData:
 
 def _induced_metric_hessian(pg: PointGeometry, fields) -> np.ndarray:
     """Second node-chart derivatives of the induced metric g (B, n, n, n, n), full pass only."""
-    return _second_derivative_of_induced_metric(fields.G0, fields.G1, pg.G2X, *pg.X[1:])
+    G2X = _along(fields.G2, pg.X[1])
+    return _second_derivative_of_induced_metric(fields.G0, fields.G1, G2X, *pg.X[1:])
 
 
 def curvature_data(pg: PointGeometry, fields) -> CurvatureData:

@@ -14,29 +14,30 @@ sectional-curvature statistics.  The standalone conformal block, and the
 n >= 4 block on its coarser grid, run only the order-2 frame stage.
 
 The chunks of all three rungs are independent jobs of one map
-(:func:`_map_chunks`).  A job is a module-level function and its inputs:
-the spec, the case's model with its base-point fields (computed once, by
-the caller), the run seed, the rung, where its random planes begin in the
-run's stream (fixed by the caller before the map) and its own nodes (the
-points themselves) and weights.  The jobs run on the process's one pool
-of forked workers, started by the first map that wants more than one and
-kept across cases; each worker empties the module caches on the first job
-of a new map.  Each job returns its partial sums, sups and minima (and its
-sectional range), and the caller folds them in chunk order, as a serial
-loop would; so a report does not depend on the number of workers.  Each
-worker holds the geometry of one chunk at a time.
+(:func:`_map_chunks`).  A chunk job is a module-level function and its
+inputs: the spec, the case's model with its base-point fields (computed
+once, by the caller), the run seed, the rung, where its random planes
+begin in the run's stream (fixed by the caller before the map) and its own
+nodes (the points themselves) and weights.  The same map carries the
+case's other checks: the model's self-test and, for a flowed case, the
+RK4 step check on its sampled nodes.  The jobs run on the process's one
+pool of forked workers, started by the first map that wants more than one
+and kept across cases, with the einsum plans and Leibniz tables each
+worker has built: those depend on shapes only.  Each chunk job returns
+its partial sums, sups and minima (and its sectional range), and the
+caller folds them in chunk order, as a serial loop would; so a report
+does not depend on the number of workers.  Each worker holds the geometry
+of one chunk at a time.
 """
 
 from __future__ import annotations
 
 import atexit
-import itertools
 import json
 import math
 import numbers
 import operator
 import os
-import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -290,10 +291,6 @@ def _init_worker():
 #: the process's chunk pool, ``(owner pid, pool, workers)``: started by the
 #: first map that wants more than one worker and kept across cases
 _POOL = None
-#: serial numbers of the maps, which their jobs carry to the workers
-_MAP_SERIALS = itertools.count()
-#: in a worker, the serial number of the map whose job it ran last
-_WORKER_MAP = None
 
 
 def _close_pool():
@@ -321,44 +318,30 @@ def _pool(workers: int):
     return _POOL[1]
 
 
-def _empty_caches():
-    """Empty every whitneygeo ``*_CACHE`` dict of this process."""
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == __package__:
-            for key, value in vars(module).items():
-                if key.endswith("_CACHE") and isinstance(value, dict):
-                    value.clear()
+def _run_job(job):
+    """``fn(*args)`` of one job ``(fn, *args)``."""
+    return job[0](*job[1:])
 
 
-def _run_job(task):
-    """One chunk job in a worker, which starts each new map with empty caches."""
-    global _WORKER_MAP
-    serial, evaluate, job = task
-    if serial != _WORKER_MAP:
-        _WORKER_MAP = serial
-        _empty_caches()
-    return evaluate(*job)
+def _map_chunks(jobs: list) -> list:
+    """``[fn(*args) for fn, *args in jobs]``, on every core the process may use.
 
-
-def _map_chunks(evaluate, jobs: list) -> list:
-    """``[evaluate(*job) for job in jobs]``, on every core the process may use.
-
-    ``evaluate`` is a module-level function, and a job holds everything it
-    reads, ending with an array over its chunk's nodes.  The jobs go out
-    longest first, one at a time, to the process's pool of
-    :func:`_worker_count` workers (or run in-process when that is one), and
-    the results come back in job order.  The workers outlive the map; each
-    starts a new map with empty module caches, so no cache crosses cases.
-    An exception raised in a job reaches the caller, and the pool is
-    stopped, to be started afresh by the next map.
+    ``fn`` is a module-level function or a bound method, and a job holds
+    everything it reads; a job that evaluates nodes ends with their array.
+    The jobs go out most nodes first, one at a time, to the process's pool
+    of :func:`_worker_count` workers (or run in-process when that is one),
+    so the jobs without nodes fill the tail of the last chunks; the results
+    come back in job order.  The workers outlive the map, and their shape
+    tables with them.  An exception raised in a job reaches the caller, and
+    the pool is stopped, to be started afresh by the next map.
     """
-    order = sorted(range(len(jobs)), key=lambda i: -len(jobs[i][-1]))
+    order = sorted(range(len(jobs)), key=lambda i: -len(jobs[i][-1])
+                   if isinstance(jobs[i][-1], np.ndarray) else 0)
+    tasks = [jobs[i] for i in order]
     workers = _worker_count(len(jobs))
     if workers == 1:
-        results = [evaluate(*jobs[i]) for i in order]
+        results = [_run_job(task) for task in tasks]
     else:
-        serial = next(_MAP_SERIALS)
-        tasks = [(serial, evaluate, jobs[i]) for i in order]
         try:
             # imap raises a worker's exception as soon as its turn comes,
             # where map would wait for every other job first
@@ -521,12 +504,13 @@ def _rung_chunk(spec, model, seed, rung, start, nodes, w):
     return sums, l2, sups, mins, span
 
 
-def _accumulate_case(spec, model, grids, seed, sectional=False):
+def _accumulate_case(spec, model, grids, seed, sectional=False, checks=()):
     """Every rung's chunks in one map (:func:`_rung_chunk`), folded into the case's sums.
 
-    ``grids`` starts with the full grid, then the companion rungs.  Returns
-    the sums of each grid, the full grid's sups, l2 sums and minima, and
-    the curvature statistics (None without ``sectional``).
+    ``grids`` starts with the full grid, then the companion rungs.  The
+    jobs ``checks`` ride in the same map.  Returns the sums of each grid,
+    the full grid's sups, l2 sums and minima, the curvature statistics
+    (None without ``sectional``) and the results of ``checks``.
     """
     size = _chunk_size(model.chart_dim)
     model.base_fields()  # once, here: every job carries the model
@@ -536,14 +520,15 @@ def _accumulate_case(spec, model, grids, seed, sectional=False):
         starts = [None] * len(chunks)
         if sectional and rung == 0:
             starts = _plane_streams(seed, [len(idx) for idx in chunks], spec.n)
-        jobs += [(spec, model, seed, rung, start, grid.nodes[idx], grid.weight[idx])
+        jobs += [(_rung_chunk, spec, model, seed, rung, start, grid.nodes[idx], grid.weight[idx])
                  for start, idx in zip(starts, chunks)]
-    parts = _map_chunks(_rung_chunk, jobs)
+    parts = _map_chunks(jobs + list(checks))
+    parts, checked = parts[:len(jobs)], parts[len(jobs):]
     rung_sums = [
-        _fold([p[0] for job, p in zip(jobs, parts) if job[3] == rung], operator.add, 0.0)
+        _fold([p[0] for job, p in zip(jobs, parts) if job[4] == rung], operator.add, 0.0)
         for rung in range(len(grids))
     ]
-    _, l2s, sups, mins, spans = zip(*(p for job, p in zip(jobs, parts) if job[3] == 0))
+    _, l2s, sups, mins, spans = zip(*(p for job, p in zip(jobs, parts) if job[4] == 0))
     stats = None
     if sectional:
         stats = _sectional_stats(spans, [])
@@ -553,13 +538,19 @@ def _accumulate_case(spec, model, grids, seed, sectional=False):
         _fold(l2s, operator.add, 0.0),
         _fold(mins, min, np.inf),
         stats,
+        checked,
     )
 
 
-def _rk4_step_check(spec, grid, sample: int = 64) -> float:
-    """Sup drift of the flowed order-3 jets, every row, when the RK4 step is halved."""
+def _rk4_sample(grid, sample: int = 64) -> np.ndarray:
+    """The ``sample`` nodes, evenly spaced in the grid's order, of the RK4 step check."""
     idx = np.linspace(0, len(grid.nodes) - 1, min(sample, len(grid.nodes))).astype(int)
-    nodes = grid.nodes[idx]
+    return grid.nodes[idx]
+
+
+def _rk4_step_check(spec, nodes) -> float:
+    """Sup drift of the flowed order-3 jets at ``nodes``, every row, when the RK4
+    step is halved."""
     fine = make_spec("perturbed", spec.n, **{**spec.params, "steps": 2 * spec.params["steps"]})
     return float(np.max(np.abs(eval_immersion(spec, nodes) - eval_immersion(fine, nodes))))
 
@@ -635,14 +626,17 @@ def _frame_chunk(spec, model, start, nodes):
     return _sectional_range(cd.Riem, start), weyl_sup
 
 
-def _conformal_block(spec, model, grid, seed):
-    """The curvature statistics from the order-2 frame stage at every node."""
+def _conformal_block(spec, model, grid, seed, checks=()):
+    """The curvature statistics from the order-2 frame stage at every node,
+    and the results of the jobs ``checks``, which ride in the same map."""
     chunks = grid.chunks(_chunk_size(model.chart_dim))
     starts = _plane_streams(seed, [len(idx) for idx in chunks], spec.n)
     model.base_fields()  # once, here: every job carries the model
-    jobs = [(spec, model, start, grid.nodes[idx]) for start, idx in zip(starts, chunks)]
-    parts = _map_chunks(_frame_chunk, jobs)
-    return _sectional_stats([span for span, _ in parts], [w for _, w in parts])
+    jobs = [(_frame_chunk, spec, model, start, grid.nodes[idx])
+            for start, idx in zip(starts, chunks)]
+    parts = _map_chunks(jobs + list(checks))
+    parts, checked = parts[:len(jobs)], parts[len(jobs):]
+    return _sectional_stats([span for span, _ in parts], [w for _, w in parts]), checked
 
 
 def conformal_block(
@@ -650,11 +644,11 @@ def conformal_block(
 ) -> dict:
     """Weyl sup and sampled sectional spread for one case, standalone."""
     model = model_for(spec)
-    model.self_test(strict=True)
     if resolution is None and spec.n >= 4:
         resolution = _CONFORMAL_RESOLUTION
     grid = build_grid(spec.n, resolution, domain=spec.domain)
-    return _conformal_block(spec, model, grid, seed)
+    # the strict self-test raises in its job, and the map passes it on
+    return _conformal_block(spec, model, grid, seed, [(model.self_test, True)])[0]
 
 
 def run_case(
@@ -668,7 +662,6 @@ def run_case(
     """Run the full verification pipeline for one case."""
     tol = tolerances or Tolerances()
     model = model_for(spec)
-    self_test = dict(model.self_test(strict=True))
 
     grid = build_grid(spec.n, resolution, domain=spec.domain)
     resolution = grid.resolution
@@ -677,10 +670,15 @@ def run_case(
     # certificate's integrands, not the sups or the gradient-field integrals
     companions = [build_grid(spec.n, k, domain=spec.domain) for k in rungs[:2]]
 
+    # the strict self-test raises in its job, and the map passes it on
+    checks = [(model.self_test, True)]
+    flowed = _lift_base(spec) if spec.kind == "lifted" else spec
+    if flowed.kind == "perturbed" and flowed.params["epsilon"] > 0:
+        checks.append((_rk4_step_check, flowed, _rk4_sample(grid)))
     # at n <= 3 the curvature statistics come from the full pass's own
     # chunks; at n >= 4 from the frame stage on a coarser grid, below
-    (sums, *companion_sums), sups, l2sums, mins, conf = _accumulate_case(
-        spec, model, [grid, *companions], seed, conformal and spec.n <= 3
+    (sums, *companion_sums), sups, l2sums, mins, conf, (self_test, *drift) = _accumulate_case(
+        spec, model, [grid, *companions], seed, conformal and spec.n <= 3, checks
     )
     ladder = [*zip(rungs[:2], companion_sums), (resolution, sums)]
     quadrature = _quadrature_estimates(spec.n, ladder)
@@ -729,9 +727,7 @@ def run_case(
             structural.append(
                 f"{name} {mins[name]:.2e} < -{tol.inequality_slack:.0e}"
             )
-    flowed = _lift_base(spec) if spec.kind == "lifted" else spec
-    if flowed.kind == "perturbed" and flowed.params["epsilon"] > 0:
-        rk4_drift = _rk4_step_check(flowed, grid)
+    for rk4_drift in drift:
         sups["rk4_step_drift"] = rk4_drift
         if rk4_drift > 1e-9:
             structural.append(f"RK4 halved-step drift {rk4_drift:.2e} > 1e-9")
@@ -761,7 +757,7 @@ def run_case(
 
     if conformal and conf is None:
         conf_grid = build_grid(spec.n, _CONFORMAL_RESOLUTION, spec.domain)
-        conf = _conformal_block(spec, model, conf_grid, seed)
+        conf, _ = _conformal_block(spec, model, conf_grid, seed)
 
     params = {
         k: (list(v) if isinstance(v, tuple) and k != "hamiltonian" else v)

@@ -1,5 +1,6 @@
 """The chunk pool: reports independent of the worker count, workers that
-outlive a case but carry nothing from one map to the next, clean processes."""
+outlive a case and keep only shape tables from one map to the next, a
+case's checks as jobs of its map, clean processes."""
 
 import json
 import multiprocessing
@@ -13,6 +14,8 @@ import pytest
 import whitneygeo
 from whitneygeo import jets, verify
 from whitneygeo.immersions import make_spec
+from whitneygeo.quadrature import build_grid
+from whitneygeo.spaceforms import BaseModel, ModelValidationError
 from whitneygeo.verify import conformal_block, report_to_json, run_case
 
 CASES = [
@@ -35,11 +38,12 @@ def _job_and_pid(k, idx):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_results_come_back_in_job_order(monkeypatch, workers):
-    # jobs end with their node indices; the longest go out first
-    jobs = [(k, range(size)) for k, size in enumerate([3, 9, 1, 5, 9, 2])]
+    # jobs end with their nodes; the most nodes go out first, jobs without last
+    jobs = [(_job_and_pid, k, np.arange(size)) for k, size in enumerate([3, 9, 1, 5, 9, 2])]
+    jobs.insert(2, (_job_and_pid, 6, range(4)))
     _workers(monkeypatch, workers)
-    got = verify._map_chunks(_job_and_pid, jobs)
-    assert [r[:2] for r in got] == [(k, len(idx)) for k, idx in jobs]
+    got = verify._map_chunks(jobs)
+    assert [r[:2] for r in got] == [(k, len(idx)) for _, k, idx in jobs]
     pids = {r[2] for r in got}
     assert (pids == {os.getpid()}) == (workers == 1)
 
@@ -73,8 +77,8 @@ def test_chunks_return_their_sectional_range_not_their_curvature(monkeypatch, ru
     seen = []
     serial = verify._map_chunks
 
-    def record(evaluate, jobs):
-        results = serial(evaluate, jobs)
+    def record(jobs):
+        results = serial(jobs)
         seen.extend(results)
         return results
 
@@ -102,8 +106,8 @@ def test_the_same_workers_serve_consecutive_cases(monkeypatch):
     first = _children()
     run_case(make_spec("whitney_cp", 2, theta=0.5), resolution=16)
     assert len(first) == 2 and _children() == first
-    jobs = [(k, range(5)) for k in range(4)]
-    assert {pid for _, _, pid in verify._map_chunks(_job_and_pid, jobs)} <= first
+    jobs = [(_job_and_pid, k, np.arange(5)) for k in range(4)]
+    assert {pid for _, _, pid in verify._map_chunks(jobs)} <= first
 
 
 def _blas_threads(k, idx):
@@ -115,16 +119,16 @@ def test_workers_run_one_blas_thread(monkeypatch):
     if not verify._openblas("openblas_get_num_threads"):
         pytest.skip("no loaded OpenBLAS exports openblas_get_num_threads")
     _workers(monkeypatch, 2)
-    got = verify._map_chunks(_blas_threads, [(k, range(3)) for k in range(4)])
+    got = verify._map_chunks([(_blas_threads, k, np.arange(3)) for k in range(4)])
     assert all(threads and set(threads) == {1} for threads in got)
 
 
 def test_a_map_that_wants_more_workers_gets_them(monkeypatch):
-    jobs = [(k, range(5)) for k in range(6)]
+    jobs = [(_job_and_pid, k, np.arange(5)) for k in range(6)]
     _workers(monkeypatch, 2)
-    verify._map_chunks(_job_and_pid, jobs)
+    verify._map_chunks(jobs)
     _workers(monkeypatch, 3)
-    verify._map_chunks(_job_and_pid, jobs)
+    verify._map_chunks(jobs)
     assert len(_children()) == 3
 
 
@@ -180,38 +184,111 @@ def test_a_raising_map_leaves_nothing_behind(monkeypatch, fresh_run):
     _workers(monkeypatch, 2)
     run_case(make_spec("whitney_cp", 2, theta=0.5), resolution=16)
     with pytest.raises(ValueError, match="chunk 1 is broken"):
-        verify._map_chunks(_broken, [(k, range(3)) for k in range(4)])
+        verify._map_chunks([(_broken, k, np.arange(3)) for k in range(4)])
     assert verify._POOL is None and not multiprocessing.active_children()
     report = report_to_json(run_case(make_spec("whitney_c0", 2, r=1.0), resolution=16))
     assert report == fresh_run[0]
 
 
-def _cache_sizes():
-    return {
-        f"{name}.{key}": len(value)
+def _module_state():
+    """Every module-level dict, list and set of whitneygeo, by its qualified name,
+    with what it holds: keys and the identities of their values.  Python's own
+    (``__builtins__``, ``__warningregistry__``) are left out."""
+    state = {}
+    for name, module in sys.modules.items():
+        if name.partition(".")[0] != "whitneygeo":
+            continue
+        for key, value in vars(module).items():
+            if key.startswith("__"):
+                continue
+            if isinstance(value, dict):
+                state[f"{name}.{key}"] = [(k, id(v)) for k, v in value.items()]
+            elif isinstance(value, (list, set)):
+                state[f"{name}.{key}"] = sorted(map(id, value))
+    return state
+
+
+def test_the_only_tables_a_case_fills_are_the_shape_tables(monkeypatch):
+    # a worker keeps these two across maps, which is safe only because they
+    # are keyed by signature and shape; a new per-case table must face that
+    _workers(monkeypatch, 1)
+    jets._PLAN_CACHE.clear()
+    jets._LEIBNIZ_CACHE.clear()
+    before = _module_state()
+    for spec, kw in CASES[:4]:
+        run_case(spec, seed=5, **kw)
+    conformal_block(make_spec("contact_whitney_r", 2, r=1.0), resolution=12)
+    after = _module_state()
+    changed = {name for name in after if after[name] != before.get(name)}
+    assert changed == {"whitneygeo.jets._PLAN_CACHE", "whitneygeo.jets._LEIBNIZ_CACHE"}
+    caches = {
+        f"{name}.{key}"
         for name, module in sys.modules.items()
         if name.partition(".")[0] == "whitneygeo"
         for key, value in vars(module).items()
         if key.endswith("_CACHE") and isinstance(value, dict)
     }
+    assert caches == changed
 
 
-def _fill_caches(k, idx):
-    jets._einsum("bi,bij->bj", np.ones((len(idx), 2)), np.ones((len(idx), 2, k + 2)))
-    jets._Ops(2, 2)
-    return _cache_sizes()
-
-
-def _probe_caches(k, idx):
-    return _cache_sizes()
-
-
-def test_a_new_map_starts_with_empty_caches(monkeypatch):
+def test_warm_tables_leave_a_report_unchanged(monkeypatch):
+    spec, kw = CASES[1]
     _workers(monkeypatch, 2)
-    filled = verify._map_chunks(_fill_caches, [(k, range(3)) for k in range(4)])
-    assert all(sum(sizes.values()) > 0 for sizes in filled)
-    probed = verify._map_chunks(_probe_caches, [(k, range(3)) for k in range(4)])
-    assert probed and all(not any(sizes.values()) for sizes in probed)
+    verify._close_pool()
+    jets._PLAN_CACHE.clear()  # the workers fork with the parent's tables
+    jets._LEIBNIZ_CACHE.clear()
+    cold = report_to_json(run_case(spec, seed=5, **kw))
+    workers = _children()
+    for other, other_kw in (CASES[0], CASES[3]):
+        run_case(other, seed=5, **other_kw)
+    warm = report_to_json(run_case(spec, seed=5, **kw))
+    assert len(workers) == 2 and _children() == workers
+    _workers(monkeypatch, 1)
+    assert cold == warm == report_to_json(run_case(spec, seed=5, **kw))
+
+
+def _failing_self_test(monkeypatch):
+    """Every model's self-test fails, in the workers too: they fork after this."""
+    for cls in BaseModel.__subclasses__():  # the complex and the Sasakian models
+        tols = cls._self_test_tols()
+        monkeypatch.setattr(cls, "_self_test_tols",
+                            staticmethod(lambda tols=tols: dict.fromkeys(tols, -1.0)))
+    verify._close_pool()
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_case(make_spec("whitney_c0", 2, r=1.0), resolution=16),
+    lambda: conformal_block(make_spec("contact_whitney_r", 2, r=1.0), resolution=12),
+], ids=["run_case", "conformal_block"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_self_test_job_reaches_the_caller(monkeypatch, run, workers):
+    _workers(monkeypatch, workers)
+    _failing_self_test(monkeypatch)
+    with pytest.raises(ModelValidationError, match="failed self-test"):
+        run()
+    assert verify._POOL is None and not multiprocessing.active_children()
+
+
+def test_the_self_test_runs_in_a_worker(monkeypatch):
+    _workers(monkeypatch, 2)
+    verify._map_chunks([(_job_and_pid, k, np.arange(3)) for k in range(2)])  # fork the pool
+
+    # a bound method pickles by name, so the worker finds its own, unpatched one
+    def self_test(self, strict=True):
+        raise AssertionError("self-test run in the parent")
+
+    monkeypatch.setattr(BaseModel, "self_test", self_test)
+    report = run_case(make_spec("whitney_cp", 2, theta=0.5), resolution=16)
+    assert report.model_self_test["ok"]
+
+
+def test_the_mapped_rk4_check_is_the_in_process_one(monkeypatch):
+    spec = make_spec("perturbed", 2, epsilon=0.05)
+    _workers(monkeypatch, 2)
+    drift = run_case(spec, resolution=16).residual_sup["rk4_step_drift"]
+    nodes = verify._rk4_sample(build_grid(2, 16))
+    assert len(nodes) == 64
+    assert drift == verify._rk4_step_check(spec, nodes)
 
 
 def test_worker_exception_reaches_the_caller(monkeypatch):

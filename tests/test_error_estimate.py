@@ -141,9 +141,9 @@ def _certificate_sums(spec, nodes, w):
 def _sums(spec, K):
     """The certificate's sums over the grid at K, one chunk job per chunk."""
     model, grid = model_for(spec), build_grid(spec.n, K)
-    jobs = [(spec, grid.nodes[idx], grid.weight[idx])
+    jobs = [(_certificate_sums, spec, grid.nodes[idx], grid.weight[idx])
             for idx in grid.chunks(_chunk_size(model.chart_dim))]
-    parts = _map_chunks(_certificate_sums, jobs)
+    parts = _map_chunks(jobs)
     return _fold(parts, operator.add, 0.0)
 
 

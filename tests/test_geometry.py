@@ -505,7 +505,8 @@ class TestFrameStage:
                 assert np.array_equal(getattr(cd, name), want), name
         # the stage carries values only
         assert cd.Riem_metric is None and pg.hcov is None
-        assert pg.X is None and pg.G2X is None  # the inputs of the induced g2
+        assert pg.X is None  # the input of the induced g2
+        assert not hasattr(pg, "G2X")  # built where the induced g2 reads it, not kept
         assert pg.g.d is None and pg.E.d is None and pg.h.d is None
         assert fields is model.base_fields()  # the fields at the base point
 
