@@ -13,8 +13,8 @@ on order-3 jets, so scalars and frames also carry their first derivatives
 in each node's chart through a minimal "tensor jet" (value plus trailing
 derivative axis), which makes the covariant derivative of the second
 fundamental form an exact algebraic computation rather than a finite
-difference.  The fields' chart derivatives at the base point enter only
-contracted with the immersion's tangents X1 (``_along``).
+difference.  The fields at the base point meet the nodes only through
+``_pullback``: one matrix product with X1, X2 or X1⊗X1 of all nodes.
 
 The orthonormal frame is a Cholesky factor's inverse applied to the
 coordinate basis, differentiated in closed form; both stages take it from
@@ -30,18 +30,19 @@ totally symmetric in (i, j, k) on Lagrangian/Legendrian images;
 g(R(e_i, e_j) e_l, e_k), so constant curvature K gives
 K (d_ik d_jl - d_il d_jk).
 
-Every contraction runs through ``_einsum`` (``jets._einsum``), and every
-signature follows its batch-label contract: the label ``b`` is the node
-axis, it leads each term of an operand or output that has one, and it
-appears nowhere else.  The kernel plans each signature once and runs its
-pairwise steps as C einsum with the node axis last; its results are
-batch-first views of batch-last buffers, so one contraction's output feeds
-the next without a copy.
+Every contraction runs through ``_einsum`` (``jets._einsum``) or
+``_pullback``'s matrix product, and every signature follows the kernel's
+batch-label contract: the label ``b`` is the node axis, it leads each term
+of an operand or output that has one, and it appears nowhere else.  The
+kernel runs its pairwise steps as C einsum with the node axis last; its
+results, like ``_pullback``'s, are batch-first views of batch-last buffers,
+so one contraction's output feeds the next without a copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -81,14 +82,8 @@ class TJ:
         self.v = v
         self.d = d
 
-    def __add__(self, other):
-        return TJ(self.v + other.v, None if self.d is None else self.d + other.d)
-
     def __sub__(self, other):
         return TJ(self.v - other.v, None if self.d is None else self.d - other.d)
-
-    def scaled(self, c):
-        return TJ(c * self.v, None if self.d is None else c * self.d)
 
 
 def tj_einsum(spec: str, *ops) -> TJ:
@@ -123,7 +118,7 @@ class PointGeometry:
     F: TJ  # the same frame in ambient components (B, n, m)
     N: TJ  # normal frame J e_i / phi e_i, ambient components (B, n, m)
     Xi: TJ | None  # unit contact normal along the image (Sasakian); its value is the base point's
-    h: TJ  # second fundamental form components (B, n, n, n)
+    h: TJ  # second fundamental form (B, n, n, n), values only: its d enters through H
     h_xi: np.ndarray | None  # contact-normal component of h (B, n, n)
     H: TJ  # mean curvature components (B, n)
     isotropy: np.ndarray  # per-node isotropy residual (B,)
@@ -146,22 +141,6 @@ class CurvatureData:
     Ricci: np.ndarray  # (B, n, n), from the Gauss route
     scalar: np.ndarray  # (B,)
     Weyl: np.ndarray | None  # (B,n,n,n,n) for n >= 4
-
-
-def _second_derivative_of_induced_metric(G0x, G1x, G2X, X1, X2, X3):
-    """d_c d_d g_AB of the induced metric; ``G2X[b, m, n, s, d] = d_s d_{X_d} g_mn``."""
-    g2 = _einsum("bmnsd,bsc->bmncd", G2X, X1)  # d_{X_c} d_{X_d} g_mn
-    g2 = _einsum("bmncd,bmA,bnB->bABcd", g2, X1, X1)
-    g2 += _einsum("bmns,bscd,bmA,bnB->bABcd", G1x, X2, X1, X1)
-    g2 += _einsum("bmns,bsc,bmAd,bnB->bABcd", G1x, X1, X2, X1)
-    g2 += _einsum("bmns,bsc,bmA,bnBd->bABcd", G1x, X1, X1, X2)
-    g2 += _einsum("bmns,bsd,bmAc,bnB->bABcd", G1x, X1, X2, X1)
-    g2 += _einsum("bmns,bsd,bmA,bnBc->bABcd", G1x, X1, X1, X2)
-    g2 += _einsum("bmn,bmAcd,bnB->bABcd", G0x, X3, X1)
-    g2 += _einsum("bmn,bmAc,bnBd->bABcd", G0x, X2, X2)
-    g2 += _einsum("bmn,bmAd,bnBc->bABcd", G0x, X2, X2)
-    g2 += _einsum("bmn,bmA,bnBcd->bABcd", G0x, X1, X3)
-    return g2
 
 
 def _frame(gt: TJ) -> TJ:
@@ -239,17 +218,40 @@ def pointwise_geometry(model: BaseModel, spec: ImmersionSpec, t):
     return _geometry(model, spec, t, order=3)
 
 
-def _along(D, X1):
-    """Chart derivatives ``D`` (last axis) of a field along the tangents ``X1``: its
-    node-chart derivatives, with c a new last axis.
+def _pairs(X1):
+    """X1⊗X1 per node, (B, m, m, n, n), as a batch-first view of a batch-last buffer."""
+    last = np.moveaxis(X1, 0, -1)
+    return np.moveaxis(last[:, None, :, None] * last[None, :, None, :], -1, 0)
 
-    A ``D`` with one batch entry is the same at every node, and is contracted
-    without its batch axis, as one matrix product.
+
+def _pullback(D, legs, k=1):
+    """The field ``D`` with its last ``k`` axes contracted with the ``legs`` of each node.
+
+    ``legs`` is X1 (B, m, n), X2 (B, m, n, n) or X1⊗X1 (B, m, m, n, n); the
+    result is (B, field axes, leg axes).  A base-point field, one batch entry,
+    meets all nodes in one matrix product over the batch-last ``legs``, and
+    the result is a batch-first view of a batch-last buffer.
     """
-    s = "mnlk"[: D.ndim - 2]
-    if len(D) == 1:
-        return _einsum(f"{s}a,bac->b{s}c", D[0], X1)
-    return _einsum(f"b{s}a,bac->b{s}c", D, X1)
+    field = D.shape[1 : D.ndim - k]
+    if len(D) > 1:
+        f, s, a = "mnlk"[: len(field)], "st"[:k], "acde"[: legs.ndim - 1 - k]
+        return _einsum(f"b{f}{s},b{s}{a}->b{f}{a}", D, legs)
+    last = np.moveaxis(legs, 0, -1)
+    flat = D.reshape(prod(field), -1) @ last.reshape(D.size // prod(field), -1)
+    return np.moveaxis(flat.reshape(field + last.shape[k:]), -1, 0)
+
+
+def _covariant_hessian(fields, X, GX):
+    """S = X2 + Gamma(X1, X1), with its derivative X3 + dGamma(X1, X1, X1) +
+    Gamma(X2, X1) + Gamma(X1, X2) given ``GX`` = Gamma(., X1); Gamma is
+    symmetric, so the last two are one term and its transpose."""
+    X1, X2 = X[1:3]
+    S = X2 + _einsum("bmnl,bna,blB->bmaB", fields.Gamma0, X1, X1)
+    if GX is None:
+        return TJ(S, None)
+    dG = _pullback(fields.Gamma1.transpose(0, 1, 4, 2, 3), _pairs(X1), 2)  # [b, m, s, a, B]
+    mixed = _einsum("bmnB,bnac->bmaBc", GX, X2)
+    return TJ(S, X[3] + _einsum("bmsaB,bsc->bmaBc", dG, X1) + mixed + mixed.swapaxes(2, 3))
 
 
 def _geometry(model, spec, nodes, order):
@@ -269,15 +271,16 @@ def _extrinsic(model, spec, X, fields):
     image: at every node, or with one batch entry for all nodes."""
     n = spec.n
     full = len(X) == 4
+    # the tangents meet many fields: one batch-last copy, seen batch-first
+    X = [X[0], np.moveaxis(np.ascontiguousarray(np.moveaxis(X[1], 0, -1)), -1, 0), *X[2:]]
     X1, X2 = X[1:3]
 
-    # chart fields restricted to the image, with node-chart derivatives in the
-    # full pass
+    # chart fields along the image, with node-chart derivatives in the full pass
     def along(D1):
-        return _along(D1, X1) if full else None
+        return _pullback(D1, X1) if full else None
 
     Gt = TJ(fields.G0, along(fields.G1))
-    gammat = TJ(fields.Gamma0, along(fields.Gamma1))
+    GX = along(fields.Gamma0)  # Gamma(., X1)
     Tt = TJ(X1, X2 if full else None)
     # induced metric
     gt = tj_einsum("bmn,bma,bnB->baB", Gt, Tt, Tt)
@@ -290,33 +293,32 @@ def _extrinsic(model, spec, X, fields):
     Et = _frame(gt)
     Ft = tj_einsum("bia,bma->bim", Et, Tt)
 
-    if not model.is_sasakian:
-        Jt = TJ(fields.J0, along(fields.J1))
-        Nt = tj_einsum("bmn,bin->bim", Jt, Ft)
-        Xit = None
-        c_eff = float(model.c)
-        iso = np.max(np.abs(tj_einsum("bmn,bim,bjn->bij", Gt, Nt, Ft).v), axis=(1, 2))
+    # the normal frame J e_i (phi e_i), and the isotropy residual
+    if model.is_sasakian:
+        Nt = tj_einsum("bmn,bin->bim", TJ(fields.Phi0, along(fields.Phi1)), Ft)
+        Xit, c_eff = TJ(fields.Xi0, along(fields.Xi1)), (model.c_tilde + 3.0) / 4.0
     else:
-        Phit = TJ(fields.Phi0, along(fields.Phi1))
-        Nt = tj_einsum("bmn,bin->bim", Phit, Ft)
-        Xit = TJ(fields.Xi0, along(fields.Xi1))
-        c_eff = (model.c_tilde + 3.0) / 4.0
-        eta_res = np.abs(_einsum("bm,bim->bi", fields.Eta0, Ft.v))
-        phi_res = np.abs(tj_einsum("bmn,bim,bjn->bij", Gt, Nt, Ft).v)
-        iso = np.maximum(eta_res.max(axis=1), phi_res.max(axis=(1, 2)))
+        Nt = tj_einsum("bmn,bin->bim", TJ(fields.J0, along(fields.J1)), Ft)
+        Xit, c_eff = None, float(model.c)
+    iso = np.max(np.abs(_einsum("bmn,bim,bjn->bij", Gt.v, Nt.v, Ft.v)), axis=(1, 2))
+    if model.is_sasakian:
+        iso = np.maximum(np.abs(_einsum("bm,bim->bi", fields.Eta0, Ft.v)).max(axis=1), iso)
 
     # coordinate second fundamental form (ambient covariant second derivative)
-    St = TJ(X2, X[3] if full else None) + tj_einsum("bmnl,bna,blB->bmaB", gammat, Tt, Tt)
+    St = _covariant_hessian(fields, X, GX)
     Wt = tj_einsum("bmaB,bia,bjB->bijm", St, Et, Et)
-    ht = tj_einsum("bmn,bijm,bkn->bijk", Gt, Wt, Nt)
+    h = _einsum("bmn,bijm,bkn->bijk", Gt.v, Wt.v, Nt.v)
     h_xi = None
     if model.is_sasakian:
-        h_xi = tj_einsum("bmn,bijm,bn->bij", Gt, Wt, Xit).v
-    Ht = tj_einsum("biik->bk", ht).scaled(1.0 / n)  # mean curvature
+        h_xi = _einsum("bmn,bijm,bn->bij", Gt.v, Wt.v, Xit.v)
+    # mean curvature; h's derivative is read only through it
+    Ht = TJ((1.0 / n) * _einsum("biik->bk", h), None)
+    if full:
+        Ht.d = (1.0 / n) * tj_einsum("bmn,bm,bkn->bk", Gt, tj_einsum("biim->bm", Wt), Nt).d
 
     pg = PointGeometry(
         spec=spec, is_sasakian=model.is_sasakian, n=n, g=gt,
-        sqrt_det_g=np.sqrt(det), E=Et, F=Ft, N=Nt, Xi=Xit, h=ht, h_xi=h_xi, H=Ht,
+        sqrt_det_g=np.sqrt(det), E=Et, F=Ft, N=Nt, Xi=Xit, h=TJ(h, None), h_xi=h_xi, H=Ht,
         isotropy=iso, c_eff=c_eff,
     )
     if not full:
@@ -325,29 +327,24 @@ def _extrinsic(model, spec, X, fields):
     pg.X = X
 
     # the ambient covariant derivative along the frame, nabla_{e_k} V, with
-    # k the first axis after the batch
-    gk = _einsum("bkc,bmnl,bnc->bkml", Et.v, gammat.v, Tt.v)
+    # k the first axis after the batch; Gamma(X1, .) is GX, Gamma being symmetric
+    gk = _einsum("bkc,bmlc->bkml", Et.v, GX)
 
     def nabla(Vt):
         s = "ij"[: Vt.v.ndim - 2]  # V's frame indices, before its ambient one
-        return _einsum(f"bkc,b{s}mc->bk{s}m", Et.v, Vt.d) + _einsum(
-            f"bkml,b{s}l->bk{s}m", gk, Vt.v
-        )
+        return (_einsum(f"bkc,b{s}mc->bk{s}m", Et.v, Vt.d)
+                + _einsum(f"bkml,b{s}l->bk{s}m", gk, Vt.v))
 
     # connection coefficients and the normal projection of W
     pg.A = A = _einsum("bmn,bkim,bjn->bkij", Gt.v, nabla(Ft), Ft.v)
     tang = tj_einsum("bmn,bijm,bkn->bijk", Gt, Wt, Ft)
     DV = nabla(Wt - tj_einsum("bijk,bkm->bijm", tang, Ft))
     raw = _einsum("bmn,bkijm,bln->bijkl", Gt.v, DV, Nt.v)
-    corr = _einsum("bkim,bmjl->bijkl", A, ht.v) + _einsum(
-        "bkjm,biml->bijkl", A, ht.v
-    )
+    corr = _einsum("bkim,bmjl->bijkl", A, h) + _einsum("bkjm,biml->bijkl", A, h)
     pg.hcov = raw - corr
     if model.is_sasakian:
         raw_xi = _einsum("bmn,bkijm,bn->bijk", Gt.v, DV, Xit.v)
-        corr_xi = _einsum("bkim,bmj->bijk", A, h_xi) + _einsum(
-            "bkjm,bim->bijk", A, h_xi
-        )
+        corr_xi = _einsum("bkim,bmj->bijk", A, h_xi) + _einsum("bkjm,bim->bijk", A, h_xi)
         pg.hcov_xi = raw_xi - corr_xi
 
     # normal derivatives of the mean curvature
@@ -391,9 +388,19 @@ def gauss_curvature(pg: PointGeometry, fields) -> CurvatureData:
 
 
 def _induced_metric_hessian(pg: PointGeometry, fields) -> np.ndarray:
-    """Second node-chart derivatives of the induced metric g (B, n, n, n, n), full pass only."""
-    G2X = _along(fields.G2, pg.X[1])
-    return _second_derivative_of_induced_metric(fields.G0, fields.G1, G2X, *pg.X[1:])
+    """Second node-chart derivatives of the induced metric g (B, n, n, n, n), full pass only.
+
+    d_c d_d G(X1_A, X1_B) is Q2(X1_A, X1_B), Q2 = G2(X1_c, X1_d) + G1(X2_cd),
+    plus terms in pairs that swap A and B, formed once as Y: Q2(X1, X1) + Y + Y^T.
+    """
+    _, X1, X2, X3 = pg.X
+    XX = _pairs(X1)
+    Q2 = _pullback(fields.G2, XX, 2) + _pullback(fields.G1, X2)
+    Y = _einsum("bmA,bmBcd->bABcd", _pullback(fields.G0, X1), X3) + _einsum(
+        "bmAc,bmBd->bABcd", X2, _pullback(fields.G0, X2))
+    U = _einsum("bmBc,bmAd->bABcd", _pullback(fields.G1, XX, 2), X2)  # G1(., X1_B, X1_c)
+    Y += U + U.swapaxes(3, 4)
+    return _einsum("bmncd,bmA,bnB->bABcd", Q2, X1, X1) + Y + Y.swapaxes(1, 2)
 
 
 def curvature_data(pg: PointGeometry, fields) -> CurvatureData:
@@ -446,7 +453,7 @@ def paper_residuals(pg: PointGeometry, cd: CurvatureData) -> dict:
         + _einsum("jk,bi->bijk", delta, H)
         + _einsum("ik,bj->bijk", delta, H)
     )
-    whitney = np.max(np.abs(pg.h.v - model_h), axis=(1, 2, 3))
+    whitney = _sup(pg.h.v - model_h)
 
     h_norm2 = _einsum("bijk,bijk->b", pg.h.v, pg.h.v)
     H_norm2 = _einsum("bk,bk->b", H, H)
@@ -473,7 +480,7 @@ def paper_residuals(pg: PointGeometry, cd: CurvatureData) -> dict:
         + _einsum("bjl,ik->bijkl", pg.Hcov, delta)
         + _einsum("bkl,ij->bijkl", pg.Hcov, delta)
     )
-    eq_residual = np.max(np.abs(pg.hcov - eq_model), axis=(1, 2, 3, 4))
+    eq_residual = _sup(pg.hcov - eq_model)
 
     return {
         "whitney_residual": whitney,
@@ -497,38 +504,27 @@ def paper_residuals(pg: PointGeometry, cd: CurvatureData) -> dict:
     }
 
 
+def _sup(t):
+    """max |t| per node, over every axis after the batch."""
+    return np.max(np.abs(t), axis=tuple(range(1, t.ndim)))
+
+
 def structure_checks(pg: PointGeometry, cd: CurvatureData) -> dict:
     """Frame/structure-equation residuals (cubic symmetry, Codazzi, ...)."""
-    h = pg.h.v
-    out = {}
-    out["isotropy"] = pg.isotropy
-    cub = np.maximum(
-        np.max(np.abs(h - h.transpose(0, 2, 1, 3)), axis=(1, 2, 3)),
-        np.max(np.abs(h - h.transpose(0, 3, 2, 1)), axis=(1, 2, 3)),
-    )
-    out["cubic_symmetry"] = cub
-    hc = pg.hcov
-    cod = np.maximum(
-        np.max(np.abs(hc - hc.transpose(0, 1, 3, 2, 4)), axis=(1, 2, 3, 4)),
-        np.max(np.abs(hc - hc.transpose(0, 1, 2, 4, 3)), axis=(1, 2, 3, 4)),
-    )
-    cod = np.maximum(
-        cod, np.max(np.abs(hc - hc.transpose(0, 2, 1, 3, 4)), axis=(1, 2, 3, 4))
-    )
-    out["codazzi_total_symmetry"] = cod
-    out["mean_curvature_symmetry"] = np.max(
-        np.abs(pg.Hcov - pg.Hcov.transpose(0, 2, 1)), axis=(1, 2)
-    )
-    scale = np.maximum(np.max(np.abs(cd.Riem), axis=(1, 2, 3, 4)), 1.0)
-    out["gauss_cross_check"] = (
-        np.max(np.abs(cd.Riem - cd.Riem_metric), axis=(1, 2, 3, 4)) / scale
-    )
+    h, hc = pg.h.v, pg.hcov
+    codazzi = ((0, 1, 3, 2, 4), (0, 1, 2, 4, 3), (0, 2, 1, 3, 4))
+    out = {
+        "isotropy": pg.isotropy,
+        "cubic_symmetry": np.maximum(_sup(h - h.transpose(0, 2, 1, 3)),
+                                     _sup(h - h.transpose(0, 3, 2, 1))),
+        "codazzi_total_symmetry": np.max([_sup(hc - hc.transpose(p)) for p in codazzi], axis=0),
+        "mean_curvature_symmetry": _sup(pg.Hcov - pg.Hcov.transpose(0, 2, 1)),
+        "gauss_cross_check": _sup(cd.Riem - cd.Riem_metric) / np.maximum(_sup(cd.Riem), 1.0),
+    }
     if pg.is_sasakian:
-        out["h_contact_component"] = np.max(np.abs(pg.h_xi), axis=(1, 2))
-        out["hcov_xi_vs_h"] = np.max(np.abs(pg.hcov_xi - pg.h.v), axis=(1, 2, 3))
-        out["H_contact_derivative"] = np.max(
-            np.abs(pg.Hcov_xi - pg.H.v), axis=1
-        )
+        out["h_contact_component"] = _sup(pg.h_xi)
+        out["hcov_xi_vs_h"] = _sup(pg.hcov_xi - pg.h.v)
+        out["H_contact_derivative"] = _sup(pg.Hcov_xi - pg.H.v)
     return out
 
 

@@ -38,6 +38,7 @@ import math
 import numbers
 import operator
 import os
+import pickle
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -319,8 +320,10 @@ def _pool(workers: int):
 
 
 def _run_job(job):
-    """``fn(*args)`` of one job ``(fn, *args)``."""
-    return job[0](*job[1:])
+    """``fn(*args)`` of a pickled job ``(fn, *args)``, unpickled here so that a job a
+    worker cannot unpickle fails into the caller instead of killing the worker."""
+    fn, *args = pickle.loads(job)
+    return fn(*args)
 
 
 def _map_chunks(jobs: list) -> list:
@@ -332,20 +335,20 @@ def _map_chunks(jobs: list) -> list:
     of :func:`_worker_count` workers (or run in-process when that is one),
     so the jobs without nodes fill the tail of the last chunks; the results
     come back in job order.  The workers outlive the map, and their shape
-    tables with them.  An exception raised in a job reaches the caller, and
-    the pool is stopped, to be started afresh by the next map.
+    tables with them.  An exception raised in a job (or its unpickling) reaches
+    the caller, and the pool is stopped, to be started afresh by the next map.
     """
     order = sorted(range(len(jobs)), key=lambda i: -len(jobs[i][-1])
                    if isinstance(jobs[i][-1], np.ndarray) else 0)
     tasks = [jobs[i] for i in order]
     workers = _worker_count(len(jobs))
     if workers == 1:
-        results = [_run_job(task) for task in tasks]
+        results = [fn(*args) for fn, *args in tasks]
     else:
         try:
             # imap raises a worker's exception as soon as its turn comes,
             # where map would wait for every other job first
-            results = list(_pool(workers).imap(_run_job, tasks, chunksize=1))
+            results = list(_pool(workers).imap(_run_job, map(pickle.dumps, tasks), chunksize=1))
         except BaseException:
             _close_pool()
             raise

@@ -305,6 +305,38 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
     assert verify._POOL is None
 
 
+#: a fresh process whose model self-test, a job of the case's map, is a
+#: function of another name: the job pickles as that name, which the
+#: workers' class lacks
+_UNPICKLABLE_JOB = """
+from whitneygeo import verify
+from whitneygeo.immersions import make_spec
+from whitneygeo.spaceforms import BaseModel
+
+def other_name(self, strict=True):
+    return {"ok": True}
+
+BaseModel.self_test = other_name
+verify._worker_count = lambda jobs: 2
+try:
+    verify.run_case(make_spec("whitney_c0", 2), resolution=12)
+except AttributeError as exc:
+    print("raised", verify._POOL is None, exc)
+"""
+
+
+def test_a_job_a_worker_cannot_unpickle_reaches_the_caller():
+    # such a job used to kill the worker that read it, and the map waited
+    # for ever; in a subprocess, a hang fails at the timeout
+    src = os.path.dirname(os.path.dirname(whitneygeo.__file__))
+    done = subprocess.run([sys.executable, "-c", _UNPICKLABLE_JOB],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised True"), done.stdout
+    assert "other_name" in done.stdout
+
+
 def _run_in_daemon(conn):
     try:
         report = run_case(make_spec("whitney_c0", 2, r=1.0), resolution=16)

@@ -1,18 +1,19 @@
 """Tensor engine: structure equations, dual curvature routes, identities."""
 
+import dataclasses
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from whitneygeo import geometry, jets
+from whitneygeo import geometry, jets, verify
 from whitneygeo.geometry import (
     TJ,
     CurvatureData,
     _frame,
     _induced_metric_hessian,
-    _second_derivative_of_induced_metric,
     curvature_data,
     frame_geometry,
     gauss_curvature,
@@ -172,6 +173,19 @@ class TestCurvatureRoutes:
             scale = max(np.abs(cd.Riem).max(), 1.0)
             assert np.abs(cd.Riem - cd.Riem_metric).max() / scale < 1e-8
 
+    @pytest.mark.parametrize("kind, kw", [("whitney_cp", dict(theta=0.5)),
+                                          ("contact_whitney_s", dict(theta=0.6, a=0.8))])
+    def test_metric_route_reads_the_metric_hessian(self, kind, kw):
+        # the cross-check is independent of the Gauss route only while the
+        # metric route reads the ambient G2: perturbing it must show
+        spec = make_spec(kind, 2, **kw)
+        pg, fields = pointwise_geometry(model_for(spec), spec, _points(2, count=8, seed=4))
+        tol = verify._STRUCTURE_TOLS["gauss_cross_check"]
+        for factor, agree in ((1.0, True), (1.0 + 1e-3, False)):
+            cd = curvature_data(pg, dataclasses.replace(fields, G2=fields.G2 * factor))
+            gap = np.abs(cd.Riem - cd.Riem_metric).max() / max(np.abs(cd.Riem).max(), 1.0)
+            assert gap <= tol if agree else gap > 1e4 * tol, (factor, gap)
+
     def test_ricci_symmetric(self):
         pg, cd, _, _ = _run("whitney_ch", 2, dict(theta=0.6), seed=5)
         assert_allclose(cd.Ricci, cd.Ricci.transpose(0, 2, 1), atol=1e-12)
@@ -313,7 +327,7 @@ def _symmetric(rng, shape, k):
 
 
 class TestTangentialRoute:
-    """The base point's constant fields along the tangents, against dense contractions."""
+    """The base point's constant fields pulled back along the tangents, against dense contractions."""
 
     @pytest.mark.parametrize(
         "kind, n", [(k, n) for n in (2, 3) for k in ALL_KINDS] + [("Sasakian_R", 4)]
@@ -325,29 +339,52 @@ class TestTangentialRoute:
         X1 = rng.normal(size=(B, m, n))
         X2, X3 = _symmetric(rng, (B, m, n), 2), _symmetric(rng, (B, m, n), 3)
         base = model.base_fields()
-        G0, G1, G2 = base.G0[0], base.G1[0], base.G2[0]
-        G1X, G2X = geometry._along(base.G1, X1), geometry._along(base.G2, X1)
-        # d_c Gamma = (G^-1 bracket(G2X_c) - G^-1 G1X_c G^-1 bracket(G1)) / 2
+        G0, G1, G2, Gamma0 = base.G0[0], base.G1[0], base.G2[0], base.Gamma0[0]
+        XX = geometry._pairs(X1)
+        # d_s Gamma = (G^-1 bracket(G2_s) - G^-1 G1_s G^-1 bracket(G1)) / 2
         Ginv = np.linalg.inv(G0)
         dgamma = 0.5 * (
-            np.einsum("mr,brnlc->bmnlc", Ginv, _metric_bracket(G2X))
-            - np.einsum("mp,bpqc,qr,rnl->bmnlc", Ginv, G1X, Ginv, _metric_bracket(base.G1)[0])
+            np.einsum("mr,rnls->mnls", Ginv, _metric_bracket(G2[None])[0])
+            - np.einsum("mp,pqs,qr,rnl->mnls", Ginv, G1, Ginv, _metric_bracket(base.G1)[0])
         )
+
+        def dense_sum(*terms):
+            return sum(np.einsum(sig, *ops, optimize=True) for sig, *ops in terms)
+
         dense = {
             "G1X": np.einsum("mns,bsc->bmnc", G1, X1),
-            "G2X": np.einsum("rlns,bsc->brlnc", G2, X1),
-            "dgamma": dgamma,
-            # the chart-wide first term of the induced g2, then the rest unchanged
-            "g2": np.einsum("mnst,btd,bsc,bmA,bnB->bABcd", G2, X1, X1, X1, X1)
-            + _second_derivative_of_induced_metric(
-                G0[None], G1[None], np.zeros_like(G2X), X1, X2, X3
+            "GX": np.einsum("mnl,blc->bmnc", Gamma0, X1),
+            "G2XX": np.einsum("mnst,bsc,btd->bmncd", G2, X1, X1),
+            "G1X2": np.einsum("mns,bscd->bmncd", G1, X2),
+            "S": X2 + np.einsum("mnl,bna,blB->bmaB", Gamma0, X1, X1),
+            "dS": X3 + dense_sum(
+                ("mnls,bna,blB,bsc->bmaBc", dgamma, X1, X1, X1),
+                ("mnl,bnac,blB->bmaBc", Gamma0, X2, X1),
+                ("mnl,bna,blBc->bmaBc", Gamma0, X1, X2),
+            ),
+            "g2": dense_sum(
+                ("mnst,bsc,btd,bmA,bnB->bABcd", G2, X1, X1, X1, X1),
+                ("mns,bscd,bmA,bnB->bABcd", G1, X2, X1, X1),
+                ("mns,bsc,bmAd,bnB->bABcd", G1, X1, X2, X1),
+                ("mns,bsc,bmA,bnBd->bABcd", G1, X1, X1, X2),
+                ("mns,bsd,bmAc,bnB->bABcd", G1, X1, X2, X1),
+                ("mns,bsd,bmA,bnBc->bABcd", G1, X1, X1, X2),
+                ("mn,bmAcd,bnB->bABcd", G0, X3, X1),
+                ("mn,bmAc,bnBd->bABcd", G0, X2, X2),
+                ("mn,bmAd,bnBc->bABcd", G0, X2, X2),
+                ("mn,bmA,bnBcd->bABcd", G0, X1, X3),
             ),
         }
+        GX = geometry._pullback(base.Gamma0, X1)
+        S = geometry._covariant_hessian(base, [None, X1, X2, X3], GX)
         got = {
-            "G1X": G1X,
-            "G2X": G2X,
-            "dgamma": geometry._along(base.Gamma1, X1),
-            "g2": _second_derivative_of_induced_metric(base.G0, base.G1, G2X, X1, X2, X3),
+            "G1X": geometry._pullback(base.G1, X1),
+            "GX": GX,
+            "G2XX": geometry._pullback(base.G2, XX, 2),
+            "G1X2": geometry._pullback(base.G1, X2),
+            "S": S.v,
+            "dS": S.d,
+            "g2": _induced_metric_hessian(SimpleNamespace(X=[None, X1, X2, X3]), base),
         }
         assert np.array_equal(base.Gamma0[0], christoffel_from_metric(base.G0, base.G1)[0])
         for name, want in dense.items():
@@ -355,10 +392,12 @@ class TestTangentialRoute:
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got[name] - want)) <= 1e-13 * scale, name
         # a field given at every node takes the batched contraction, to the same values
-        for D in (base.G1, base.G2, base.Gamma1):
+        Gamma1 = base.Gamma1.transpose(0, 1, 4, 2, 3)
+        for D, legs, k in ((base.G1, X1, 1), (base.G1, X2, 1), (base.G2, XX, 2), (Gamma1, XX, 2)):
             every = np.broadcast_to(D, (B,) + D.shape[1:])
-            assert np.max(np.abs(geometry._along(every, X1) - geometry._along(D, X1))) <= (
-                1e-13 * np.max(np.abs(geometry._along(D, X1))))
+            once = geometry._pullback(D, legs, k)
+            assert np.max(np.abs(geometry._pullback(every, legs, k) - once)) <= (
+                1e-13 * np.max(np.abs(once)))
 
 
 _CATALOG = [
