@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -105,7 +106,7 @@ class HamiltonianDeformation:
 
     coeffs: tuple  # tuple of (coefficient, exponent tuple over the 2n chart vars)
     epsilon: float
-    steps: int = 64
+    steps: int
 
     def gradient_terms(self, m: int):
         out = [[] for _ in range(m)]
@@ -481,73 +482,80 @@ def hamiltonian_flow(x: np.ndarray, ham: HamiltonianDeformation, num_vars: int) 
     partial derivative once (value, then the i, i <= j and i <= j <= k
     partials: 10 rows for 2 variables at order 3), and the batch axis is
     last, so every numpy loop runs over it.  A product of jets is a fixed
-    Leibniz table of (output, left, right, weight) terms, each one in-place
-    multiply-add over rows of batch length.  Per stage, each distinct
-    monomial of grad F is built once, as its parent (the monomial without
-    one factor of its last variable) times that variable, in one stacked
-    product per degree; J grad F is one contraction of the monomials with a
-    coefficient matrix.
+    Leibniz table of (output, left, right, weight) terms.
 
-    The step loop allocates nothing: the state, the four slopes, the stage
-    argument, the slope sum, the monomials, the gathered parent and
-    variable rows and the Leibniz term buffers are allocated once per call,
-    and every stage writes into them.  The chunk workers keep their heaps
-    mapped (``verify._MALLOPT``), but a serial run in the calling process
-    and the first map in a new process still get large temporaries from
-    the allocator as fresh mappings that are unmapped when freed.  There a
-    loop that allocated its 0.2-3.7 MB temporaries took a page fault for
-    every page of every one of them: about 230 000 faults for one
-    2304-node order-3 batch, a third of the flow's time.  The RK4
-    combinations keep their operation order, ((k1 + 2 k2) + 2 k3) + k4 and
-    so on, so the jets do not depend on how the loop stores them.
+    A term c x^e of grad F with e != 0 is c x_i x^p, where x^p, its parent,
+    is x^e without one factor of its last variable x_i.  So
+    J grad F = J c + sum_i x_i (C Z)_i: Z holds the parents, C their
+    coefficients by (i, row) with J folded in, and c the constant terms.
+    Per stage, each monomial of Z is built once, as its own parent times a
+    variable, in one stacked product per degree; one matrix product gives
+    S = C Z, and one Leibniz loop contracts S with the state over i.  A
+    zero time or a vanishing gradient flows by the identity.
+
+    The step loop allocates nothing: every stage writes into buffers
+    allocated once per call, as outside the chunk workers a loop that
+    allocated its temporaries took a page fault for every page of each (see
+    the README's numerical notes).  The RK4 combinations keep their
+    operation order, ((k1 + 2 k2) + 2 k3) + k4 and so on, so the jets do
+    not depend on how the loop stores them.
     """
     m = x.shape[-1]
     n = m // 2
-    grads = ham.gradient_terms(m)
-    needed = {e for terms in grads for _, e in terms}
-    top = max(map(sum, needed))
+    # c x^e of d_mu F goes to row (mu + n) mod m of J grad F, negated for mu >= n
+    terms = [((mu + n) % m, c if mu < n else -c, e)
+             for mu, grad in enumerate(ham.gradient_terms(m)) for c, e in grad]
+    needed = {_parent(e)[0] for _, _, e in terms if any(e)}
+    top = max(map(sum, needed), default=0)
     for degree in range(top, 1, -1):
         needed |= {_parent(e)[0] for e in needed if sum(e) == degree}
     monomials = sorted(needed, key=lambda e: (sum(e), e))
-    mono_index = {e: i for i, e in enumerate(monomials)}
-    C = np.zeros((m, len(monomials)))
-    for mu, terms in enumerate(grads):
-        for c, e in terms:
-            C[mu, mono_index[e]] += c
-    # J grad F: rows reordered with the complex-rotation sign pattern
-    JC = np.concatenate([-C[n:], C[:n]], axis=0)
+    C = np.zeros((m * m, len(monomials)))
+    Jc = np.zeros((m, 1))
+    for mu, c, e in terms:
+        if any(e):
+            parent, i = _parent(e)
+            C[i * m + mu, monomials.index(parent)] += c
+        else:
+            Jc[mu] += c
+    if ham.epsilon == 0.0 or not (C.any() or Jc.any()):
+        return x.copy()
 
     # a copy: the loop updates the state in place
     state = np.array(np.moveaxis(x, -1, 1), order="C")
     rows, _, batch = state.shape
     table = jets._leibniz_table(num_vars, jets._packed_order(x, num_vars))
-    mono = np.zeros((rows, len(monomials), batch))
-    mono[0, [i for i, e in enumerate(monomials) if sum(e) == 0]] = 1.0
-    linear = [(i, e.index(1)) for i, e in enumerate(monomials) if sum(e) == 1]
+    Z = np.zeros((rows, len(monomials), batch))
+    Z[0, [k for k, e in enumerate(monomials) if not any(e)]] = 1.0
+    linear = [(k, e.index(1)) for k, e in enumerate(monomials) if sum(e) == 1]
     # one stacked product per degree: the degree's (contiguous) monomials,
     # gathered from the rows of their parents and their last variables
     products = []
     for degree in range(2, top + 1):
-        block = [i for i, e in enumerate(monomials) if sum(e) == degree]
-        split = [_parent(monomials[i]) for i in block]
+        block = [k for k, e in enumerate(monomials) if sum(e) == degree]
+        split = [_parent(monomials[k]) for k in block]
         products.append((
-            mono[:, block[0] : block[-1] + 1],
-            np.array([mono_index[parent] for parent, _ in split]),
+            Z[:, block[0] : block[-1] + 1],
+            np.array([monomials.index(parent) for parent, _ in split]),
             np.array([var for _, var in split]),
-            np.empty((rows, len(block), batch)),
-            np.empty((rows, len(block), batch)),
+            *np.empty((2, rows, len(block), batch)),
             np.empty((len(block), batch)),
         ))
+    S = np.empty((rows, m, m, batch))  # S[:, i, mu] is (C Z) at (i, mu)
+    CZ = S.reshape(rows, m * m, batch)
+    term = np.empty((m, batch))
 
     def field(s, out):
-        for i, var in linear:
-            mono[:, i] = s[:, var]
+        for k, var in linear:
+            Z[:, k] = s[:, var]
         for target, parents, variables, left, right, scratch in products:
             # a "clip" take writes into its out; a "raise" one copies first
-            np.take(mono, parents, axis=1, out=left, mode="clip")
+            np.take(Z, parents, axis=1, out=left, mode="clip")
             np.take(s, variables, axis=1, out=right, mode="clip")
             jets._packed_mul(left, right, table, target, scratch)
-        np.matmul(JC, mono, out=out)
+        np.matmul(C, Z, out=CZ)
+        jets._leibniz(partial(np.einsum, "imb,ib->mb"), S, s, table, out, term)
+        out[0] += Jc
 
     k1, k2, k3, k4, arg, acc = (np.empty_like(state) for _ in range(6))
     finite = np.empty(batch, dtype=bool)
@@ -586,15 +594,9 @@ def _parent(e: tuple) -> tuple[tuple, int]:
 
 
 def _eval_perturbed(spec, u, ops):
-    base = make_spec("whitney_c0", spec.n, r=spec.params["r"])
-    x = _eval_whitney_c0(base, u, ops)
-    ham = HamiltonianDeformation(
-        coeffs=spec.params["hamiltonian"],
-        epsilon=spec.params["epsilon"],
-        steps=spec.params["steps"],
-    )
-    if ham.epsilon == 0.0:
-        return x
+    p = spec.params
+    x = _eval_whitney_c0(make_spec("whitney_c0", spec.n, r=p["r"]), u, ops)
+    ham = HamiltonianDeformation(p["hamiltonian"], p["epsilon"], p["steps"])
     return hamiltonian_flow(x, ham, ops.v)
 
 

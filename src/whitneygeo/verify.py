@@ -294,12 +294,13 @@ def _init_worker():
 _POOL = None
 
 
-def _close_pool():
-    """Stop this process's chunk workers; a pool that a fork inherited is only forgotten."""
+def _close_pool(finish: bool = False):
+    """Stop this process's chunk workers, at once or (``finish``) after their jobs;
+    a pool that a fork inherited is only forgotten."""
     global _POOL
     entry, _POOL = _POOL, None
     if entry is not None and entry[0] == os.getpid():
-        entry[1].terminate()
+        entry[1].close() if finish else entry[1].terminate()
         entry[1].join()
 
 
@@ -335,8 +336,8 @@ def _map_chunks(jobs: list) -> list:
     of :func:`_worker_count` workers (or run in-process when that is one),
     so the jobs without nodes fill the tail of the last chunks; the results
     come back in job order.  The workers outlive the map, and their shape
-    tables with them.  An exception raised in a job (or its unpickling) reaches
-    the caller, and the pool is stopped, to be started afresh by the next map.
+    tables with them.  A job's exception (or its unpickling's) reaches the
+    caller after the other jobs end, and stops the pool until the next map.
     """
     order = sorted(range(len(jobs)), key=lambda i: -len(jobs[i][-1])
                    if isinstance(jobs[i][-1], np.ndarray) else 0)
@@ -346,11 +347,13 @@ def _map_chunks(jobs: list) -> list:
         results = [fn(*args) for fn, *args in tasks]
     else:
         try:
-            # imap raises a worker's exception as soon as its turn comes,
-            # where map would wait for every other job first
+            # imap pickles each job as the pool sends it, where map would
+            # hold them all at once
             results = list(_pool(workers).imap(_run_job, map(pickle.dumps, tasks), chunksize=1))
-        except BaseException:
-            _close_pool()
+        except BaseException as exc:
+            # after a job's error the others finish: terminate() can kill a worker
+            # that holds the result queue's lock, and then waits for that lock
+            _close_pool(finish=isinstance(exc, Exception))
             raise
     out = [None] * len(jobs)
     for i, result in zip(order, results):

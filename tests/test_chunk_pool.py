@@ -337,6 +337,41 @@ def test_a_job_a_worker_cannot_unpickle_reaches_the_caller():
     assert "other_name" in done.stdout
 
 
+#: a fresh process that runs maps on two workers whose first job raises
+#: while the other jobs send 4 MB results
+_RAISING_MAPS = """
+import multiprocessing
+import numpy as np
+from whitneygeo import verify
+
+def job(k, idx):
+    if k == 0:
+        raise ValueError("job 0 is broken")
+    return np.ones(1 << 19)
+
+verify._worker_count = lambda jobs: 2
+for _ in range(10):
+    try:
+        verify._map_chunks([(job, k, np.arange(9 if k == 0 else 3)) for k in range(16)])
+    except ValueError:
+        pass
+    assert verify._POOL is None and not multiprocessing.active_children()
+print("done")
+"""
+
+
+def test_a_raising_map_returns_while_workers_send_results():
+    # terminate() after a job's error could kill a worker that held the
+    # result queue's lock, and the pool's shutdown then waited for it for
+    # ever; in a subprocess, a hang fails at the timeout
+    src = os.path.dirname(os.path.dirname(whitneygeo.__file__))
+    done = subprocess.run([sys.executable, "-c", _RAISING_MAPS],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "done\n"
+
+
 def _run_in_daemon(conn):
     try:
         report = run_case(make_spec("whitney_c0", 2, r=1.0), resolution=16)

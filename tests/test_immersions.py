@@ -361,37 +361,8 @@ def _reference_flow(x, ham):
     return x
 
 
-def _allocating_flow(x, ham, num_vars):
-    """RK4 with a new array for every temporary and one plain packed product
-    per monomial, in the buffered kernel's operation order."""
-    m = x.shape[-1]
-    n = m // 2
-    grads = ham.gradient_terms(m)
-    needed = {e for terms in grads for _, e in terms}
-    for degree in range(max(map(sum, needed)), 1, -1):
-        needed |= {immersions._parent(e)[0] for e in needed if sum(e) == degree}
-    monomials = sorted(needed, key=lambda e: (sum(e), e))
-    C = np.zeros((m, len(monomials)))
-    for mu, terms in enumerate(grads):
-        for c, e in terms:
-            C[mu, monomials.index(e)] += c
-    JC = np.concatenate([-C[n:], C[:n]])
-    table = jets._leibniz_table(num_vars, jets._packed_order(x, num_vars))
-
-    def field(state):
-        mono = []
-        for e in monomials:
-            if sum(e) == 0:
-                one = np.zeros_like(state[:, 0])
-                one[0] = 1.0
-                mono.append(one)
-            elif sum(e) == 1:
-                mono.append(state[:, e.index(1)])
-            else:
-                parent, var = immersions._parent(e)
-                mono.append(jets._packed_mul(mono[monomials.index(parent)], state[:, var], table))
-        return np.matmul(JC, np.stack(mono, axis=1))
-
+def _rk4(field, x, ham):
+    """Allocating RK4 of ``field`` on the (coefficients, 2n, batch) state of ``x``."""
     state = np.moveaxis(x, -1, 1)
     h = ham.epsilon / ham.steps
     for _ in range(ham.steps):
@@ -401,6 +372,78 @@ def _allocating_flow(x, ham, num_vars):
         k4 = field(state + h * k3)
         state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return np.moveaxis(state, 1, -1)
+
+
+def _monomials(needed):
+    """``needed`` closed under parents, in the kernel's order: by degree, then exponents."""
+    needed = set(needed)
+    for degree in range(max(map(sum, needed), default=0), 1, -1):
+        needed |= {immersions._parent(e)[0] for e in needed if sum(e) == degree}
+    return sorted(needed, key=lambda e: (sum(e), e))
+
+
+def _monomial_values(monomials, state, table):
+    """Each monomial's packed jet, one plain product of its parent and its last variable."""
+    mono = []
+    for e in monomials:
+        if sum(e) == 0:
+            one = np.zeros_like(state[:, 0])
+            one[0] = 1.0
+            mono.append(one)
+        elif sum(e) == 1:
+            mono.append(state[:, e.index(1)])
+        else:
+            parent, var = immersions._parent(e)
+            mono.append(jets._packed_mul(mono[monomials.index(parent)], state[:, var], table))
+    return np.stack(mono, axis=1)
+
+
+def _allocating_flow(x, ham, num_vars):
+    """The factored field J c + sum_i x_i (C Z)_i with a new array for every
+    temporary, one plain product per monomial of Z and the Leibniz sum written
+    out, in the buffered kernel's operation order."""
+    m = x.shape[-1]
+    n = m // 2
+    terms = [((mu + n) % m, c if mu < n else -c, e)
+             for mu, grad in enumerate(ham.gradient_terms(m)) for c, e in grad]
+    monomials = _monomials(immersions._parent(e)[0] for _, _, e in terms if any(e))
+    C = np.zeros((m, m, len(monomials)))
+    Jc = np.zeros((m, 1))
+    for mu, c, e in terms:
+        if any(e):
+            parent, i = immersions._parent(e)
+            C[i, mu, monomials.index(parent)] += c
+        else:
+            Jc[mu] += c
+    table = jets._leibniz_table(num_vars, jets._packed_order(x, num_vars))
+
+    def field(state):
+        rows, _, batch = state.shape
+        S = np.matmul(C.reshape(m * m, -1), _monomial_values(monomials, state, table))
+        S = S.reshape(rows, m, m, batch)
+        out = np.zeros_like(state)
+        for o, l, r, w in table:
+            out[o] += w * np.einsum("imb,ib->mb", S[l], state[r])
+        out[0] += Jc
+        return out
+
+    return _rk4(field, x, ham)
+
+
+def _monomial_flow(x, ham, num_vars):
+    """The flow's former route: every monomial of grad F, its top degree
+    included, and J grad F as one coefficient matrix times them."""
+    m = x.shape[-1]
+    n = m // 2
+    grads = ham.gradient_terms(m)
+    monomials = _monomials(e for terms in grads for _, e in terms)
+    C = np.zeros((m, len(monomials)))
+    for mu, terms in enumerate(grads):
+        for c, e in terms:
+            C[mu, monomials.index(e)] += c
+    JC = np.concatenate([-C[n:], C[:n]])
+    table = jets._leibniz_table(num_vars, jets._packed_order(x, num_vars))
+    return _rk4(lambda state: np.matmul(JC, _monomial_values(monomials, state, table)), x, ham)
 
 
 def _chart_jets(count):
@@ -446,6 +489,14 @@ class TestFlowKernel:
         # the input is neither updated nor handed back
         assert np.array_equal(x, kept)
         assert not np.shares_memory(got, x)
+
+    @pytest.mark.parametrize("count", [1, 2304])
+    def test_matches_the_monomial_route(self, count):
+        # the field's sums run in another order than the monomial route's
+        x = _chart_jets(count)
+        ham = _perturbed_hamiltonian()
+        ref = _monomial_flow(x, ham, 2)
+        assert np.max(np.abs(hamiltonian_flow(x, ham, 2) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_fresh_process_takes_few_page_faults(self):
         # an allocating loop took about 230 000 minor faults here, one per
@@ -537,6 +588,42 @@ class TestHamiltonianFlow:
             new = np.stack([getattr(g, block) for g in got])
             assert new.shape == ref.shape
             assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("coeffs", [
+        # a quintic: the parents of grad F reach the cubics
+        random_quartic(2, 5) + ((0.2, (2, 1, 1, 1)), (-0.15, (0, 0, 3, 2))),
+        ((0.7, (1, 2, 0, 1)),),
+    ], ids=["quintic", "one_monomial"])
+    def test_flow_matches_scalar_jet_reference_beyond_quartics(self, coeffs):
+        ham = HamiltonianDeformation(coeffs=coeffs, epsilon=0.05, steps=4)
+        x = eval_immersion(make_spec("whitney_c0", 2), _sample_points(2, count=3, seed=12))
+        got = _jets_of(hamiltonian_flow(x, ham, 2), 2)
+        want = _reference_flow(_jets_of(x, 2), ham)
+        for block in ("val", "d1", "d2", "d3"):
+            ref = np.stack([getattr(w, block) for w in want])
+            new = np.stack([getattr(g, block) for g in got])
+            assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_constant_hamiltonian_is_identity(self):
+        # grad F vanishes, so the flow moves nothing
+        u = _sample_points(2, count=5, seed=4)
+        spec = make_spec("perturbed", 2, epsilon=0.05, hamiltonian=((1.0, (0, 0, 0, 0)),))
+        x = eval_immersion(make_spec("whitney_c0", 2), u)
+        assert np.array_equal(eval_immersion(spec, u), x)
+        ham = HamiltonianDeformation(spec.params["hamiltonian"], 0.05, 32)
+        assert not np.shares_memory(hamiltonian_flow(x, ham, 2), x)
+
+    def test_linear_hamiltonian_translates(self):
+        # grad F = (0.3, 0, 0, -0.2) is constant: the flow adds 0.05 J grad F
+        # to the values, rounded once per step at |x| <= 1, and moves no derivative
+        u = _sample_points(2, count=5, seed=4)
+        spec = make_spec("perturbed", 2, epsilon=0.05,
+                         hamiltonian=((0.3, (1, 0, 0, 0)), (-0.2, (0, 0, 0, 1))))
+        x = eval_immersion(make_spec("whitney_c0", 2), u)
+        got = eval_immersion(spec, u)
+        assert_allclose(got[0] - x[0], np.broadcast_to([0.0, 0.01, 0.015, 0.0], x[0].shape),
+                        rtol=0, atol=32 * 2.3e-16)
+        assert np.array_equal(got[1:], x[1:])
 
     def test_order_one_flow_is_truncated_order_three(self):
         # the loop integrand flows order-1 jets
