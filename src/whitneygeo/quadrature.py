@@ -15,6 +15,7 @@ angles; the spherical parameters serve the product rule only.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -119,6 +120,10 @@ class IntegrationGrid:
     """
 
     def __init__(self, n: int, resolution: int, domain: str = "sphere"):
+        if (isinstance(resolution, bool) or not isinstance(resolution, numbers.Real)
+                or not float(resolution).is_integer()):
+            raise ValueError(f"resolution must be an integer, got {resolution!r}")
+        resolution = int(resolution)
         if resolution < 8:
             raise ValueError("resolution must be at least 8")
         if domain not in ("sphere", "torus"):

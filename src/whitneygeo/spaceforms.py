@@ -6,9 +6,9 @@ normalized to -4) and three Sasakian models (the standard contact structure
 on R^{2n+1}, the unit sphere with a homothetic deformation, and the Bergman
 ball times a line).  Every model exposes
 
-* the metric as chart arrays up to second derivatives (``metric_jets``),
-* the structure tensors (J, or phi/xi/eta) up to first derivatives,
-* Christoffel symbols and the curvature tensor derived from the metric,
+* ``fields_at``: at a batch of chart points, the metric to second
+  derivatives, the Levi-Civita connection with its first derivatives and
+  the structure tensors (J, or phi/xi/eta) to first derivatives,
 * a closed-form curvature expression (``curvature_oracle``) used as an
   independent cross-check,
 * a randomized ``self_test`` that must pass before any submanifold
@@ -18,14 +18,14 @@ ball times a line).  Every model exposes
 
 All evaluation is batched: ``points`` has shape ``(B, chart_dim)``.
 
-One builder per model, ``_chart_jets``, serves ``metric_jets`` and
-``fields_at``: it computes the metric to the order asked for and the
-structure tensors to order 1 as packed jets (``jets._packed_basis``) shaped
-(coefficients, B, tensor axes).  Products are Leibniz-table loops, sqrt and
-1/x truncated Taylor series and chart derivatives row gathers, so no
-derivative formula is written by hand.  ``metric_jets`` and ``fields_at``
-unpack them into mirrored, batch-first derivative blocks; ``fields_at`` at
-order 2 adds the Levi-Civita connection and its first derivatives.
+One builder per model, ``_chart_jets``, serves ``fields_at``: it computes
+the metric to order 2 and the structure tensors to order 1 as packed jets
+(``jets._packed_basis``) shaped (coefficients, B, tensor axes).  Products
+are Leibniz-table loops, sqrt and 1/x truncated Taylor series and chart
+derivatives row gathers, so no derivative formula is written by hand.
+``fields_at`` unpacks them into mirrored, batch-first derivative blocks and
+adds the connection; the self-test reads its curvature from that
+connection, so one evaluation of its points serves every check.
 
 Every ambient here is homogeneous, and the certificate reads only isometry
 invariants.  So the geometry evaluates no field at the nodes: ``centre``
@@ -43,7 +43,9 @@ matrix such as J) is shared by all points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,10 +82,9 @@ class AmbientFields:
 
     G0: np.ndarray  # (B, m, m)
     G1: np.ndarray  # (B, m, m, m)
-    # order 2: the metric's second derivatives, the connection and its first derivatives
-    G2: np.ndarray | None = None  # (B, m, m, m, m)
-    Gamma0: np.ndarray | None = None  # Gamma^mu_{nu lambda}, (B, m, m, m)
-    Gamma1: np.ndarray | None = None  # (B, m, m, m, m)
+    G2: np.ndarray  # (B, m, m, m, m)
+    Gamma0: np.ndarray  # Gamma^mu_{nu lambda}, (B, m, m, m)
+    Gamma1: np.ndarray  # d_sigma Gamma^mu_{nu lambda}, (B, m, m, m, m)
     # complex models
     J0: np.ndarray | None = None
     J1: np.ndarray | None = None
@@ -133,8 +134,11 @@ def riemann_from_metric(G0, G1, G2):
     Curvature convention: R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
     - nabla_{[X, Y]} Z.
     """
-    gamma = christoffel_from_metric(G0, G1)
-    dgamma = christoffel_derivative(G0, G1, G2)
+    return _riemann(christoffel_from_metric(G0, G1), christoffel_derivative(G0, G1, G2))
+
+
+def _riemann(gamma, dgamma):
+    """R^rho_{sigma mu nu} of a connection and its first derivatives, as above."""
     t1 = _einsum("brnsm->brsmn", dgamma)  # d_mu Gamma^rho_{nu sigma}
     t2 = _einsum("brmsn->brsmn", dgamma)  # d_nu Gamma^rho_{mu sigma}
     q1 = _einsum("brml,blns->brsmn", gamma, gamma)
@@ -168,8 +172,8 @@ def _outer(e, table):
     return ee.reshape(ee.shape[:-1] + (m, m))
 
 
-def _kaehler_metric(z, c, table, order):
-    """The packed affine-chart metric of holomorphic sectional curvature 4c, and w.
+def _kaehler_metric(z, c, table):
+    """The packed affine-chart metric of holomorphic sectional curvature 4c to order 2, and w.
 
     g = w I - c [[P, Q], [-Q, P]] with w = 1 / (1 + c |z|^2), (x, y) = w z,
     P = x x^T + y y^T and Q = x y^T - y x^T: flat, Fubini-Study or Bergman.
@@ -181,7 +185,7 @@ def _kaehler_metric(z, c, table, order):
         return one[..., None, None] * np.eye(m), one
     u = c * jets._packed_mul(z, z, table).sum(axis=-1)
     u[0] += 1.0
-    w = jets._packed_compose(jets._table(u[0], "recip", order), [u], table)
+    w = jets._packed_compose(jets._table(u[0], "recip", 2), [u], table)
     wz = jets._packed_mul(w[..., None], z, table)
     # entries (a, b) and (b, a) both come from the pair (min, max), so P is
     # bitwise symmetric and Q bitwise antisymmetric
@@ -278,19 +282,20 @@ class BaseModel:
     chart_dim: int = 0
 
     def __init__(self, n: int):
-        if n < 2:
-            raise ValueError(f"model dimension n must be >= 2, got {n}")
-        self.n = n
+        if (isinstance(n, bool) or not isinstance(n, numbers.Real)
+                or not float(n).is_integer() or n < 2):
+            raise ValueError(f"model dimension n must be an integer >= 2, got {n!r}")
+        self.n = int(n)
         self._self_test_report: dict | None = None
         self._base: AmbientFields | None = None
 
     # subclasses fill these ---------------------------------------------------
 
-    def _chart_jets(self, points, order: int, structure: bool = False) -> dict:
+    def _chart_jets(self, points) -> dict:
         """The model's chart tensors as packed jets, shaped (coefficients, B, ...).
 
-        ``"G"`` is the metric to ``order``.  With ``structure``, the entries
-        name the remaining :class:`AmbientFields` (``"J"``, or ``"Phi"``,
+        ``"G"`` is the metric to order 2; the other entries name the
+        structure tensors of :class:`AmbientFields` (``"J"``, or ``"Phi"``,
         ``"Xi"`` and ``"Eta"``), each to order 1.
         """
         raise NotImplementedError
@@ -322,13 +327,6 @@ class BaseModel:
         seeds[1:] = np.eye(v)[:, None, :]
         return seeds
 
-    def metric_jets(self, points, order: int = 2):
-        """Metric value and chart derivatives: arrays G0, G1, G2 (None above ``order``)."""
-        G = self._chart_jets(points, order)["G"]
-        blocks = jets._unpack_blocks(G, self.chart_dim, order)
-        self._assert_spd(blocks[0])
-        return tuple(blocks) + (None,) * (2 - order)
-
     def _assert_spd(self, G0):
         try:
             np.linalg.cholesky(G0)
@@ -340,38 +338,29 @@ class BaseModel:
                 f"(min eigenvalue {eigs[bad, 0]:.3e})"
             ) from None
 
-    def fields_at(self, points, order: int = 2) -> AmbientFields:
-        """The metric to ``order`` (1 or 2) and the structure tensors to order 1.
-
-        Order 2 adds the metric's second derivatives ``G2`` and the
-        Levi-Civita connection with its first derivatives, ``Gamma0`` and
-        ``Gamma1``; order 1, for the self-tests and the curvature oracle,
-        leaves them None.
-        """
-        if order not in (1, 2):
-            raise ValueError(f"fields_at order must be 1 or 2, got {order!r}")
-        packed = self._chart_jets(points, order, structure=True)
+    def fields_at(self, points) -> AmbientFields:
+        """The metric to order 2, the Levi-Civita connection with its first
+        derivatives, and the structure tensors to order 1, at ``points``."""
+        packed = self._chart_jets(points)
         blocks = {
             f"{name}{k}": block
             for name, p in packed.items()
             for k, block in enumerate(
-                jets._unpack_blocks(p, self.chart_dim, order if name == "G" else 1))
+                jets._unpack_blocks(p, self.chart_dim, 2 if name == "G" else 1))
         }
-        self._assert_spd(blocks["G0"])
-        fields = AmbientFields(**blocks)
-        if order == 2:
-            fields.Gamma0 = christoffel_from_metric(fields.G0, fields.G1)
-            fields.Gamma1 = christoffel_derivative(fields.G0, fields.G1, fields.G2)
-        return fields
+        G0, G1, G2 = blocks["G0"], blocks["G1"], blocks["G2"]
+        self._assert_spd(G0)
+        return AmbientFields(**blocks, Gamma0=christoffel_from_metric(G0, G1),
+                             Gamma1=christoffel_derivative(G0, G1, G2))
 
     def base_fields(self) -> AmbientFields:
-        """:meth:`fields_at` to order 2 at the base point, chart coordinate 0.
+        """:meth:`fields_at` at the base point, chart coordinate 0.
 
         Computed once per instance.  The batch axis has length 1, which
         broadcasts against the nodes' in ``jets._einsum``.
         """
         if self._base is None:
-            self._base = self.fields_at(np.zeros((1, self.chart_dim)), order=2)
+            self._base = self.fields_at(np.zeros((1, self.chart_dim)))
         return self._base
 
     def centre(self, x: np.ndarray, v: int) -> np.ndarray:
@@ -387,15 +376,8 @@ class BaseModel:
         self._validate(x[0])
         return self._isometry(x, jets._Ops(v, jets._packed_order(x, v)))
 
-    def christoffel_at(self, points):
-        G0, G1, _ = self.metric_jets(points, order=1)
-        return christoffel_from_metric(G0, G1)
-
-    def riemann_at(self, points):
-        G0, G1, G2 = self.metric_jets(points, order=2)
-        return riemann_from_metric(G0, G1, G2)
-
-    def curvature_oracle(self, points, X, Y, Z):
+    def curvature_oracle(self, fields: AmbientFields, X, Y, Z):
+        """The closed-form R(X, Y)Z, (B, m), at the points of ``fields``."""
         raise NotImplementedError
 
     # self-test ----------------------------------------------------------------
@@ -411,8 +393,8 @@ class BaseModel:
         report = self._self_test_report
         if report is None:
             rng = np.random.default_rng(SELF_TEST_SEED)
-            pts = self.random_chart_points(rng, SELF_TEST_POINTS)
-            report = self._run_self_test(pts, rng)
+            fields = self.fields_at(self.random_chart_points(rng, SELF_TEST_POINTS))
+            report = self._run_self_test(fields, rng)
             report["ok"] = all(v <= tols[k] for k, v in report.items())
             self._self_test_report = report
         if strict and not report["ok"]:
@@ -426,12 +408,12 @@ class BaseModel:
     def random_chart_points(self, rng, count):
         raise NotImplementedError
 
-    def _curvature_match(self, pts, R, rng):
+    def _curvature_match(self, fields, R, rng):
         """Relative mismatch of derived Riemann ``R`` vs closed-form curvature."""
-        B = pts.shape[0]
+        B = len(fields.G0)
         X, Y, Z = (rng.normal(size=(B, self.chart_dim)) for _ in range(3))
         derived = _einsum("brsmn,bm,bn,bs->br", R, X, Y, Z)
-        oracle = self.curvature_oracle(pts, X, Y, Z)
+        oracle = self.curvature_oracle(fields, X, Y, Z)
         scale = np.maximum(np.linalg.norm(oracle, axis=-1), 1.0)
         return float(np.max(np.linalg.norm(derived - oracle, axis=-1) / scale))
 
@@ -450,7 +432,7 @@ class ComplexSpaceFormModel(BaseModel):
     def __init__(self, n: int, c: int):
         super().__init__(n)
         if c not in (-1, 0, 1):
-            raise ValueError(f"holomorphic curvature sign c must be -1, 0, or +1")
+            raise ValueError(f"holomorphic curvature sign c must be -1, 0, or +1, got {c!r}")
         self.c = c
         self.chart_dim = 2 * n
         self.kind = {0: "C_n", 1: "CP_n", -1: "CH_n"}[c]
@@ -463,13 +445,10 @@ class ComplexSpaceFormModel(BaseModel):
                     f"CH_n chart requires |z| < 1, got |z|^2 max {s.max():.6f}"
                 )
 
-    def _chart_jets(self, points, order, structure=False):
-        table = jets._leibniz_table(self.chart_dim, order)
-        G, _ = _kaehler_metric(self._seed(points), self.c, table, order)
-        fields = {"G": G}
-        if structure:
-            fields["J"] = np.broadcast_to(_complex_rotation(self.n), (1,) + G.shape[1:])
-        return fields
+    def _chart_jets(self, points):
+        table = jets._leibniz_table(self.chart_dim, 2)
+        G, _ = _kaehler_metric(self._seed(points), self.c, table)
+        return {"G": G, "J": np.broadcast_to(_complex_rotation(self.n), (1,) + G.shape[1:])}
 
     def _isometry(self, x, ops):
         """A translation of C^n; a unitary map of the homogeneous coordinates
@@ -481,9 +460,8 @@ class ComplexSpaceFormModel(BaseModel):
         move = _projective_move if self.c == 1 else _ball_move
         return _real_pairs(move(_complex(x, self.n), ops))
 
-    def curvature_oracle(self, points, X, Y, Z):
-        pts = np.atleast_2d(points)
-        G0, _, _ = self.metric_jets(pts, order=0)
+    def curvature_oracle(self, fields, X, Y, Z):
+        G0 = fields.G0
         J = _complex_rotation(self.n)
         JX = _einsum("mn,bn->bm", J, X)
         JY = _einsum("mn,bn->bm", J, Y)
@@ -516,9 +494,9 @@ class ComplexSpaceFormModel(BaseModel):
             "bianchi": 1e-9,
         }
 
-    def _run_self_test(self, pts, rng):
-        B = pts.shape[0]
-        G0, _, _ = self.metric_jets(pts, order=0)
+    def _run_self_test(self, f, rng):
+        G0 = f.G0
+        B = len(G0)
         J = _complex_rotation(self.n)
         report = {}
         report["J_squared"] = float(np.max(np.abs(J @ J + np.eye(self.chart_dim))))
@@ -531,12 +509,12 @@ class ComplexSpaceFormModel(BaseModel):
         )
         report["hermitian_compat"] = float(np.max(np.abs(hermitian)))
         # holomorphic sectional curvature of the span {X, JX} equals 4c
-        R = self.riemann_at(pts)  # serves the oracle and Bianchi checks too
+        R = _riemann(f.Gamma0, f.Gamma1)  # serves the oracle and Bianchi checks too
         RX = _einsum("brsmn,bm,bn,bs->br", R, X, JX, JX)
         num = _einsum("bmn,bm,bn->b", G0, RX, X)
         den = _einsum("bmn,bm,bn->b", G0, X, X) ** 2
         report["holomorphic_sectional"] = float(np.max(np.abs(num / den - 4.0 * self.c)))
-        report["curvature_oracle"] = self._curvature_match(pts, R, rng)
+        report["curvature_oracle"] = self._curvature_match(f, R, rng)
         report["bianchi"] = self._bianchi_residual(R)
         return report
 
@@ -550,7 +528,14 @@ class SasakianModel(BaseModel):
     # pinned by the nabla_X xi = -phi X identity (see self_test).
     _phi_sign = -1.0
 
-    def _contact_fields(self, horizontal, eta_bar, scale, table, structure):
+    def __init__(self, n: int, a: float):
+        super().__init__(n)
+        if isinstance(a, bool) or not isinstance(a, numbers.Real) or not 0 < a < math.inf:
+            raise ValueError(f"deformation parameter a must be a finite real > 0, got {a!r}")
+        self.a = float(a)
+        self.chart_dim = 2 * self.n + 1
+
+    def _contact_fields(self, horizontal, eta_bar, scale, table):
         """Chart tensors of the metric horizontal + scale^2 eta_bar eta_bar^T.
 
         ``eta_bar`` is the packed contact form with eta_bar(d/dt) = 1, and
@@ -561,25 +546,20 @@ class SasakianModel(BaseModel):
         m = self.chart_dim
         G = _outer(scale * eta_bar, table)
         G[: len(horizontal), :, :-1, :-1] += horizontal
-        fields = {"G": G}
-        if structure:
-            eta = eta_bar[: m + 1]
-            Jz = np.zeros((m, m))
-            Jz[:-1, :-1] = _complex_rotation(self.n)
-            s = self._phi_sign
-            Phi = np.zeros(eta.shape + (m,))
-            Phi[0] = s * Jz
-            # the t-row keeps phi X in ker eta
-            Phi[..., -1, :] = -s * np.matmul(eta, Jz)
-            Xi = np.zeros((1,) + eta.shape[1:])
-            Xi[0, :, -1] = 1.0 / scale
-            fields.update(Phi=Phi, Xi=Xi, Eta=scale * eta)
-        return fields
+        eta = eta_bar[: m + 1]
+        Jz = np.zeros((m, m))
+        Jz[:-1, :-1] = _complex_rotation(self.n)
+        s = self._phi_sign
+        Phi = np.zeros(eta.shape + (m,))
+        Phi[0] = s * Jz
+        # the t-row keeps phi X in ker eta
+        Phi[..., -1, :] = -s * np.matmul(eta, Jz)
+        Xi = np.zeros((1,) + eta.shape[1:])
+        Xi[0, :, -1] = 1.0 / scale
+        return {"G": G, "Phi": Phi, "Xi": Xi, "Eta": scale * eta}
 
-    def curvature_oracle(self, points, X, Y, Z):
-        pts = np.atleast_2d(points)
-        f = self.fields_at(pts, order=1)
-        G0, Phi, Xi, Eta = f.G0, f.Phi0, f.Xi0, f.Eta0
+    def curvature_oracle(self, fields, X, Y, Z):
+        G0, Phi, Xi, Eta = fields.G0, fields.Phi0, fields.Xi0, fields.Eta0
         g = lambda U, V: _einsum("bmn,bm,bn->b", G0, U, V)
         eta = lambda U: _einsum("bm,bm->b", Eta, U)
         phi = lambda U: _einsum("bmn,bn->bm", Phi, U)
@@ -608,7 +588,9 @@ class SasakianModel(BaseModel):
             "phi_compat": 1e-10,
             "d_eta": 1e-10,
             "rank_phi_small": 1e-10,
-            "rank_phi_gap": 1.0,  # reported as 1 - ok flag style below
+            # max 1e-8 / sigma_2 over the points, sigma_2 phi's second-smallest
+            # singular value: passes when sigma_2 >= 1e-8
+            "rank_phi_gap": 1.0,
             "nabla_xi": 1e-8,
             "nabla_phi": 1e-8,
             "phi_sectional": 1e-8,
@@ -616,9 +598,8 @@ class SasakianModel(BaseModel):
             "bianchi": 1e-9,
         }
 
-    def _run_self_test(self, pts, rng):
-        B = pts.shape[0]
-        f = self.fields_at(pts, order=1)
+    def _run_self_test(self, f, rng):
+        B = len(f.G0)
         G0, Phi0, Phi1, Xi0, Xi1, Eta0, Eta1 = (
             f.G0, f.Phi0, f.Phi1, f.Xi0, f.Xi1, f.Eta0, f.Eta1,
         )
@@ -650,7 +631,7 @@ class SasakianModel(BaseModel):
         report["rank_phi_small"] = float(np.max(sv[:, -1]))
         report["rank_phi_gap"] = float(np.max(1e-8 / np.maximum(sv[:, -2], 1e-300)))
         # nabla_X xi = -phi X
-        gamma = self.christoffel_at(pts)
+        gamma = f.Gamma0
         covxi = _einsum("bms,bs->bm", Xi1, X) + _einsum(
             "bmnl,bn,bl->bm", gamma, X, Xi0
         )
@@ -666,12 +647,12 @@ class SasakianModel(BaseModel):
         # phi-sectional curvature of span {U, phi U}, U orthogonal to xi
         U = X - (etaX / g(Xi0, Xi0))[:, None] * Xi0
         pU = _einsum("bmn,bn->bm", Phi0, U)
-        R = self.riemann_at(pts)  # serves the oracle and Bianchi checks too
+        R = _riemann(f.Gamma0, f.Gamma1)  # serves the oracle and Bianchi checks too
         RU = _einsum("brsmn,bm,bn,bs->br", R, U, pU, pU)
         num = _einsum("bmn,bm,bn->b", G0, RU, U)
         den = g(U, U) * g(pU, pU)
         report["phi_sectional"] = float(np.max(np.abs(num / den - self.c_tilde)))
-        report["curvature_oracle"] = self._curvature_match(pts, R, rng)
+        report["curvature_oracle"] = self._curvature_match(f, R, rng)
         report["bianchi"] = self._bianchi_residual(R)
         return report
 
@@ -683,14 +664,12 @@ class SasakianR(SasakianModel):
     c_tilde = -3.0
 
     def __init__(self, n: int):
-        super().__init__(n)
-        self.a = 1.0
-        self.chart_dim = 2 * n + 1
+        super().__init__(n, 1.0)
 
     def check_in_chart(self, points):
         pass  # global chart
 
-    def _chart_jets(self, points, order, structure=False):
+    def _chart_jets(self, points):
         n, m = self.n, self.chart_dim
         q = self._seed(points)
         # eta = (dz - sum y_j dx_j) / 2 and g = (dx^2 + dy^2) / 4 + eta^2
@@ -698,8 +677,7 @@ class SasakianR(SasakianModel):
         eta_bar[..., :n] = -q[..., n : 2 * n]
         eta_bar[0, :, 2 * n] = 1.0
         horizontal = 0.25 * np.eye(2 * n)[None, None]
-        table = jets._leibniz_table(m, order)
-        return self._contact_fields(horizontal, eta_bar, 0.5, table, structure)
+        return self._contact_fields(horizontal, eta_bar, 0.5, jets._leibniz_table(m, 2))
 
     def _isometry(self, x, ops):
         """The Heisenberg translation (x, y, z) -> (x - x0, y - y0, z - z0 - y0 . (x - x0)).
@@ -727,12 +705,8 @@ class SasakianS(SasakianModel):
     kind = "Sasakian_S"
 
     def __init__(self, n: int, a: float = 1.0):
-        super().__init__(n)
-        if a <= 0:
-            raise ValueError("deformation parameter a must be positive")
-        self.a = float(a)
+        super().__init__(n, a)
         self.c_tilde = 4.0 / self.a - 3.0
-        self.chart_dim = 2 * n + 1
 
     def check_in_chart(self, points):
         s = np.sum(points**2, axis=-1)
@@ -741,22 +715,22 @@ class SasakianS(SasakianModel):
                 f"Sasakian_S chart requires sum q^2 < 1, got max {s.max():.8f}"
             )
 
-    def _chart_jets(self, points, order, structure=False):
+    def _chart_jets(self, points):
         n, m, a = self.n, self.chart_dim, self.a
         # the embedding E = (q_0..q_{n-1}, x, q_n..q_{2n}) into C^{n+1} = R^{2n+2},
-        # with x = sqrt(1 - |q|^2) one order above the metric
+        # with x = sqrt(1 - |q|^2) to order 3, one above the metric
         q = self._seed(points)
-        top = jets._leibniz_table(m, order + 1)
+        top = jets._leibniz_table(m, 3)
         u = -jets._packed_mul(q, q, top).sum(axis=-1)
         u[0] += 1.0
-        x = jets._packed_compose(jets._table(u[0], "sqrt", order + 1), [u], top)
+        x = jets._packed_compose(jets._table(u[0], "sqrt", 3), [u], top)
         # E is a graph over the chart, so T = dE is the identity with the row
         # dx inserted.  With J the complex rotation of C^{n+1} and Jz that of
         # the chart's z block, the round metric T^T T is I + dx dx^T, the
         # contact form T^T J E is (Jz q_z, x) - q_2n dx, and the phi-bilinear
         # T^T J T is Jz + e_2n dx^T - dx e_2n^T.
         dx = jets._packed_gradient(x, m)
-        table = jets._leibniz_table(m, order)
+        table = jets._leibniz_table(m, 2)
         gbar = _outer(dx, table)
         gbar[0] += np.eye(m)
         q = q[: len(dx)]
@@ -768,21 +742,19 @@ class SasakianS(SasakianModel):
         G *= a - 1.0
         G += gbar
         G *= a
-        fields = {"G": G}
-        if structure:
-            t1 = jets._leibniz_table(m, 1)
-            K = np.zeros(gbar[: m + 1].shape)
-            K[0, :, : 2 * n, : 2 * n] = _complex_rotation(n)
-            K[..., 2 * n, :] += dx[: m + 1]
-            K[..., :, 2 * n] -= dx[: m + 1]
-            W = jets._packed_inv(gbar, t1, 1)
-            xibar = jets._packed_matmul(W, etabar[..., None], t1)[..., 0]
-            fields.update(
-                Phi=self._phi_sign * jets._packed_matmul(W, K, t1),
-                Xi=xibar / a,
-                Eta=a * etabar[: m + 1],
-            )
-        return fields
+        t1 = jets._leibniz_table(m, 1)
+        K = np.zeros(gbar[: m + 1].shape)
+        K[0, :, : 2 * n, : 2 * n] = _complex_rotation(n)
+        K[..., 2 * n, :] += dx[: m + 1]
+        K[..., :, 2 * n] -= dx[: m + 1]
+        W = jets._packed_inv(gbar, t1, 1)
+        xibar = jets._packed_matmul(W, etabar[..., None], t1)[..., 0]
+        return {
+            "G": G,
+            "Phi": self._phi_sign * jets._packed_matmul(W, K, t1),
+            "Xi": xibar / a,
+            "Eta": a * etabar[: m + 1],
+        }
 
     def _isometry(self, x, ops):
         """A unitary map of C^{n+1} that takes E(x[0]) to e_n = E(0).
@@ -815,12 +787,8 @@ class SasakianB(SasakianModel):
     kind = "Sasakian_B"
 
     def __init__(self, n: int, a: float = 1.0):
-        super().__init__(n)
-        if a <= 0:
-            raise ValueError("deformation parameter a must be positive")
-        self.a = float(a)
+        super().__init__(n, a)
         self.c_tilde = -1.0 / self.a - 3.0
-        self.chart_dim = 2 * n + 1
 
     def check_in_chart(self, points):
         s = np.sum(points[..., :-1] ** 2, axis=-1)
@@ -829,11 +797,11 @@ class SasakianB(SasakianModel):
                 f"Sasakian_B chart requires |z| < 1, got |z|^2 max {s.max():.8f}"
             )
 
-    def _chart_jets(self, points, order, structure=False):
+    def _chart_jets(self, points):
         n, m = self.n, self.chart_dim
         z = self._seed(points)[..., : 2 * n]
-        table = jets._leibniz_table(m, order)
-        bergman, w = _kaehler_metric(z, -1, table, order)
+        table = jets._leibniz_table(m, 2)
+        bergman, w = _kaehler_metric(z, -1, table)
         # eta-bar = dt + omega with omega = 4 s w (y dx - x dy), s the phi sign;
         # the Bergman block is scaled by 4 (phi-sectional -4 before deforming)
         Jz = np.matmul(z, _complex_rotation(n).T)
@@ -841,7 +809,7 @@ class SasakianB(SasakianModel):
         eta_bar = np.zeros(omega.shape[:-1] + (m,))
         eta_bar[..., : 2 * n] = omega
         eta_bar[0, :, 2 * n] = 1.0
-        return self._contact_fields(4.0 * self.a * bergman, eta_bar, self.a, table, structure)
+        return self._contact_fields(4.0 * self.a * bergman, eta_bar, self.a, table)
 
     @classmethod
     def fiber(cls, z: np.ndarray, ops) -> np.ndarray:

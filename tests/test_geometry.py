@@ -27,7 +27,6 @@ from whitneygeo.quadrature import sphere_points
 from whitneygeo.immersions import eval_immersion
 from whitneygeo.spaceforms import (
     _metric_bracket,
-    christoffel_derivative,
     christoffel_from_metric,
     make_model,
 )
@@ -421,15 +420,9 @@ _INVARIANTS = ("h_norm2", "H_norm2", "nabla_h_norm2", "nabla_xi_h_norm2", "nabla
 
 def _per_node_route(model, spec, nodes):
     """The full pass with every field evaluated at the node images themselves,
-    in the chart the immersion is given in: no isometry, and the connection
-    from metric_jets and christoffel_from_metric."""
+    in the chart the immersion is given in: no isometry."""
     X = jets._unpack_blocks(eval_immersion(spec, nodes, order=3), spec.n, 3)
-    G0, G1, G2 = model.metric_jets(X[0], order=2)
-    fields = model.fields_at(X[0], order=1)
-    fields.G2 = G2
-    fields.Gamma0 = christoffel_from_metric(G0, G1)
-    fields.Gamma1 = christoffel_derivative(G0, G1, G2)
-    return geometry._extrinsic(model, spec, X, fields)
+    return geometry._extrinsic(model, spec, X, model.fields_at(X[0]))
 
 
 def _pointwise(pg, fields):

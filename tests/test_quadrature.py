@@ -1,7 +1,10 @@
 """Grids: closed-form volumes, node counts, refinement behavior."""
 
+import importlib
 import inspect
 import math
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from numpy.testing import assert_allclose
 from whitneygeo.geometry import pointwise_geometry
 from whitneygeo.immersions import make_spec, model_for
 from whitneygeo.quadrature import IntegrationGrid, build_grid, sphere_points, sphere_volume
+from whitneygeo.spaceforms import BaseModel
+from whitneygeo.verify import run_case
 
 
 def _immersed_volume(spec, grid):
@@ -127,6 +132,20 @@ class TestGuards:
         with pytest.raises(ValueError):
             IntegrationGrid(2, 16, domain="klein_bottle")
 
+    @pytest.mark.parametrize("resolution", [12.5, "16", True, None, float("nan")])
+    def test_resolution_must_be_an_integer(self, resolution):
+        with pytest.raises(ValueError, match=f"resolution must be an integer, got {resolution!r}"):
+            IntegrationGrid(2, resolution)
+
+    def test_run_case_refuses_a_fractional_resolution(self):
+        with pytest.raises(ValueError, match="resolution must be an integer, got 12.5"):
+            run_case(make_spec("whitney_c0", 2), resolution=12.5)
+
+    def test_integral_resolution_is_taken_as_an_int(self):
+        grid = IntegrationGrid(2, 16.0)
+        assert grid.resolution == 16 and type(grid.resolution) is int
+        assert np.array_equal(grid.nodes, IntegrationGrid(2, 16).nodes)
+
 
 def test_grid_nodes_deterministic():
     g1 = build_grid(2, 24)
@@ -138,9 +157,22 @@ def test_grid_nodes_deterministic():
 
 def test_names_the_benchmark_trace_reads():
     # the span counters bind pointwise_geometry's third parameter by its
-    # name, t (the nodes), and read the node count of a grid as len(grid.t)
+    # name, t (the nodes), and fields_at's first by its name, points, and
+    # read the node count of a grid as len(grid.t)
     params = list(inspect.signature(pointwise_geometry).parameters)
     assert params[2] == "t"
+    assert list(inspect.signature(BaseModel.fields_at).parameters)[:2] == ["self", "points"]
     grid = build_grid(2, 12)
     assert grid.t.shape == (2 * 12**2, 2)
     assert len(grid.t) == len(grid.nodes)
+    # every function the trace reports by name exists to be wrapped: the
+    # tracer's source is run from its path, so that nothing is written next to it
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spans = types.ModuleType("bench_spans")
+    exec(compile(path.read_text(), str(path), "exec"), vars(spans))
+    for layer, names in spans.REPORTED.items():
+        module = importlib.import_module(f"whitneygeo.{layer}")
+        for name in names:
+            found = callable(getattr(module, name, None)) or (
+                layer == "spaceforms" and callable(getattr(BaseModel, name, None)))
+            assert found, (layer, name)

@@ -8,9 +8,11 @@ from whitneygeo import jets
 from whitneygeo.spaceforms import (
     DomainError,
     ModelValidationError,
+    ComplexSpaceFormModel,
     christoffel_derivative,
     christoffel_from_metric,
     make_model,
+    riemann_from_metric,
 )
 
 import scalar_reference as sj
@@ -37,6 +39,22 @@ class TestSelfTestCache:
             model.self_test(strict=True)
         assert model.self_test(strict=False) is report
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_evaluates_its_chart_once(self, kind, monkeypatch):
+        model = make_model(kind, 2)
+        calls = []
+        build = type(model)._chart_jets
+
+        def counted(self, points):
+            calls.append(len(points))
+            return build(self, points)
+
+        monkeypatch.setattr(type(model), "_chart_jets", counted)
+        model.self_test()
+        assert calls == [50]
+        model.self_test()
+        assert calls == [50]
+
 
 class TestMakeModel:
     def test_deformed_phi_sectional_constants(self):
@@ -57,18 +75,45 @@ class TestMakeModel:
         with pytest.raises(ValueError):
             make_model("CP_n", 1)
 
+    @pytest.mark.parametrize("kind, n, a, bad", [
+        ("Sasakian_S", 2, float("nan"), "deformation parameter a"),
+        ("Sasakian_S", 2, float("inf"), "deformation parameter a"),
+        ("Sasakian_B", 2, float("inf"), "deformation parameter a"),
+        ("Sasakian_B", 2, 0.0, "deformation parameter a"),
+        ("Sasakian_S", 2, True, "deformation parameter a"),
+        ("Sasakian_B", 2, "1.0", "deformation parameter a"),
+        ("C_n", 2.5, 1.0, "model dimension n"),
+        ("Sasakian_R", float("nan"), 1.0, "model dimension n"),
+        ("CP_n", True, 1.0, "model dimension n"),
+        ("CH_n", "3", 1.0, "model dimension n"),
+    ])
+    def test_bad_inputs_name_the_parameter(self, kind, n, a, bad):
+        with pytest.raises(ValueError) as info:
+            make_model(kind, n, a)
+        value = a if bad.endswith(" a") else n
+        assert str(info.value).startswith(bad + " must be ")
+        assert str(info.value).endswith(f"got {value!r}")
+
+    def test_integral_dimension_is_taken_as_an_int(self):
+        model = make_model("CP_n", 2.0)
+        assert model.n == 2 and type(model.n) is int and model.chart_dim == 4
+
+    def test_bad_curvature_sign_is_shown(self):
+        with pytest.raises(ValueError, match="got 2"):
+            ComplexSpaceFormModel(2, 2)
+
 
 class TestChristoffel:
     def test_flat_space_vanishes(self):
         model = make_model("C_n", 2)
         pts = np.random.default_rng(0).normal(size=(10, 4))
-        gamma = model.christoffel_at(pts)
+        gamma = model.fields_at(pts).Gamma0
         assert np.max(np.abs(gamma)) == 0.0
 
     def test_symmetric_lower_indices(self):
         model = make_model("CP_n", 2)
         pts = model.random_chart_points(np.random.default_rng(1), 10)
-        gamma = model.christoffel_at(pts)
+        gamma = model.fields_at(pts).Gamma0
         assert np.array_equal(gamma, gamma.transpose(0, 1, 3, 2))
 
     @pytest.mark.parametrize("kind", ["CP_n", "CH_n", "Sasakian_S"])
@@ -77,8 +122,8 @@ class TestChristoffel:
         # d_s g_{mn} = Gamma^r_{sm} g_{rn} + Gamma^r_{sn} g_{mr}
         model = make_model(kind, 2)
         pts = model.random_chart_points(np.random.default_rng(2), 4)
-        G0, _, _ = model.metric_jets(pts, order=0)
-        gamma = model.christoffel_at(pts)
+        f = model.fields_at(pts)
+        G0, gamma = f.G0, f.Gamma0
         h = 1e-6
         m = model.chart_dim
         for s in range(m):
@@ -86,8 +131,7 @@ class TestChristoffel:
             dm = pts.copy()
             dp[:, s] += h
             dm[:, s] -= h
-            Gp, _, _ = model.metric_jets(dp, order=0)
-            Gm, _, _ = model.metric_jets(dm, order=0)
+            Gp, Gm = model.fields_at(dp).G0, model.fields_at(dm).G0
             fd = (Gp - Gm) / (2 * h)
             rec = np.einsum("brm,brn->bmn", gamma[:, :, s, :], G0) + np.einsum(
                 "brn,bmr->bmn", gamma[:, :, s, :], G0
@@ -97,15 +141,14 @@ class TestChristoffel:
     def test_jet_first_derivatives_match_fd(self):
         model = make_model("CH_n", 2)
         pts = model.random_chart_points(np.random.default_rng(3), 4)
-        _, G1, _ = model.metric_jets(pts, order=1)
+        G1 = model.fields_at(pts).G1
         h = 1e-6
         for s in range(model.chart_dim):
             dp = pts.copy()
             dm = pts.copy()
             dp[:, s] += h
             dm[:, s] -= h
-            Gp, _, _ = model.metric_jets(dp, order=0)
-            Gm, _, _ = model.metric_jets(dm, order=0)
+            Gp, Gm = model.fields_at(dp).G0, model.fields_at(dm).G0
             assert_allclose(G1[..., s], (Gp - Gm) / (2 * h), atol=1e-9)
 
 
@@ -113,21 +156,21 @@ class TestCurvatureOracle:
     def test_flat_both_vanish(self):
         model = make_model("C_n", 3)
         rng = np.random.default_rng(4)
-        pts = rng.normal(size=(5, 6))
-        R = model.riemann_at(pts)
+        f = model.fields_at(rng.normal(size=(5, 6)))
+        R = riemann_from_metric(f.G0, f.G1, f.G2)
         X, Y, Z = (rng.normal(size=(5, 6)) for _ in range(3))
-        oracle = model.curvature_oracle(pts, X, Y, Z)
+        oracle = model.curvature_oracle(f, X, Y, Z)
         assert np.max(np.abs(R)) < 1e-14
         assert np.max(np.abs(oracle)) == 0.0
 
     def test_projective_oracle_match(self):
         model = make_model("CP_n", 2)
         rng = np.random.default_rng(5)
-        pts = model.random_chart_points(rng, 50)
-        R = model.riemann_at(pts)
+        f = model.fields_at(model.random_chart_points(rng, 50))
+        R = riemann_from_metric(f.G0, f.G1, f.G2)
         X, Y, Z = (rng.normal(size=(50, 4)) for _ in range(3))
         derived = np.einsum("brsmn,bm,bn,bs->br", R, X, Y, Z)
-        oracle = model.curvature_oracle(pts, X, Y, Z)
+        oracle = model.curvature_oracle(f, X, Y, Z)
         scale = np.maximum(np.linalg.norm(oracle, axis=-1), 1.0)
         assert np.max(np.linalg.norm(derived - oracle, axis=-1) / scale) < 1e-8
 
@@ -138,10 +181,9 @@ class TestCurvatureOracle:
         assert (model.c_tilde + 3.0) / 4.0 == 0.0
         assert (model.c_tilde - 1.0) / 4.0 == -1.0
         rng = np.random.default_rng(6)
-        pts = model.random_chart_points(rng, 8)
-        f = model.fields_at(pts)
+        f = model.fields_at(model.random_chart_points(rng, 8))
         X, Y, Z = (rng.normal(size=(8, 5)) for _ in range(3))
-        oracle = model.curvature_oracle(pts, X, Y, Z)
+        oracle = model.curvature_oracle(f, X, Y, Z)
         # the sectional part would contribute g(Y,Z)X - g(X,Z)Y; check the
         # oracle does not contain it by comparing against the pure
         # structure-term evaluation at a point where eta(X)=eta(Y)=eta(Z)=0
@@ -149,7 +191,7 @@ class TestCurvatureOracle:
         g = lambda U, V: np.einsum("bmn,bm,bn->b", f.G0, U, V)
         proj = lambda U: U - (g(U, xi) / g(xi, xi))[:, None] * xi
         Xp, Yp, Zp = proj(X), proj(Y), proj(Z)
-        o2 = model.curvature_oracle(pts, Xp, Yp, Zp)
+        o2 = model.curvature_oracle(f, Xp, Yp, Zp)
         phi = lambda U: np.einsum("bmn,bn->bm", f.Phi0, U)
         struct = (
             g(phi(Yp), Zp)[:, None] * phi(Xp)
@@ -163,45 +205,27 @@ class TestDomains:
     def test_hyperbolic_ball_boundary(self):
         model = make_model("CH_n", 2)
         with pytest.raises(DomainError):
-            model.metric_jets(np.array([[0.8, 0.4, 0.4, 0.3]]), order=0)
+            model.fields_at(np.array([[0.8, 0.4, 0.4, 0.3]]))
 
     def test_sphere_chart_boundary(self):
         model = make_model("Sasakian_S", 2)
         with pytest.raises(DomainError):
-            model.metric_jets(np.array([[0.9, 0.3, 0.3, 0.0, 0.1]]), order=0)
+            model.fields_at(np.array([[0.9, 0.3, 0.3, 0.0, 0.1]]))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_wrong_chart_dimension(self, kind):
         model = make_model(kind, 2)
         for dim in (model.chart_dim - 1, model.chart_dim + 1):
             with pytest.raises(DomainError, match="chart dim"):
-                model.metric_jets(np.zeros((1, dim)), order=0)
+                model.fields_at(np.zeros((1, dim)))
             with pytest.raises(DomainError, match="chart dim"):
                 model.fields_at(np.zeros(dim))
 
     def test_bergman_ball_domain(self):
         model = make_model("Sasakian_B", 2)
-        model.metric_jets(np.array([[0.3, 0.1, 0.2, 0.1, 5.0]]), order=0)
+        model.fields_at(np.array([[0.3, 0.1, 0.2, 0.1, 5.0]]))
         with pytest.raises(DomainError):
-            model.metric_jets(np.array([[0.9, 0.5, 0.2, 0.1, 0.0]]), order=0)
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_fields_at_order_one_matches_order_two(kind):
-    model = make_model(kind, 3, a=0.8)
-    pts = model.random_chart_points(np.random.default_rng(17), 6)
-    low, high = vars(model.fields_at(pts, order=1)), vars(model.fields_at(pts, order=2))
-    # order 2 adds the metric's second derivatives and the connection
-    for name in ("G2", "Gamma0", "Gamma1"):
-        assert low.pop(name) is None and high.pop(name) is not None, name
-    for name, want in high.items():
-        if want is None:
-            assert low[name] is None, name
-        else:
-            assert np.array_equal(low[name], want), name
-    for order in (0, 3):
-        with pytest.raises(ValueError, match=f"got {order}"):
-            model.fields_at(pts, order=order)
+            model.fields_at(np.array([[0.9, 0.5, 0.2, 0.1, 0.0]]))
 
 
 @pytest.mark.parametrize("kind", ["Sasakian_R", "Sasakian_B"])
@@ -211,11 +235,11 @@ def test_reeb_translation_leaves_the_fields_unchanged(kind, n):
     # because no field reads the last chart coordinate
     model = make_model(kind, n, a=1.3)
     pts = model.random_chart_points(np.random.default_rng(23), 8)
-    want = vars(model.fields_at(pts, 2))
+    want = vars(model.fields_at(pts))
     for shift in (-2.5, -0.3, 0.7, 11.0):
         moved = pts.copy()
         moved[:, -1] += shift
-        for name, got in vars(model.fields_at(moved, 2)).items():
+        for name, got in vars(model.fields_at(moved)).items():
             if got is None:
                 assert want[name] is None, name
             else:
@@ -241,7 +265,7 @@ def test_centre_is_an_isometry_onto_the_base_point(kind, n):
     m = model.chart_dim
     Y0, D, D2 = jets._unpack_blocks(model.centre(_chart_seeds(pts, 2), m), m, 2)
     assert np.array_equal(Y0, np.zeros_like(pts))
-    at, base = model.fields_at(pts, order=1), model.base_fields()
+    at, base = model.fields_at(pts), model.base_fields()
 
     def close(got, want):
         assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
@@ -286,8 +310,8 @@ class TestChartDerivatives:
     def test_metric_second_derivatives(self, kind):
         model = make_model(kind, 2)
         pts = model.random_chart_points(np.random.default_rng(11), 4)
-        _, _, G2 = model.metric_jets(pts, order=2)
-        fd = _central_difference(lambda p: model.metric_jets(p, order=1)[1], pts)
+        G2 = model.fields_at(pts).G2
+        fd = _central_difference(lambda p: model.fields_at(p).G1, pts)
         assert np.max(np.abs(fd - G2)) <= 1e-8 * max(np.max(np.abs(G2)), 1.0)
 
     @pytest.mark.parametrize("kind", ["Sasakian_R", "Sasakian_S", "Sasakian_B"])
@@ -430,8 +454,8 @@ def test_packed_builders_match_scalar_jet_reference(kind, n):
     model = make_model(kind, n, a=0.8)
     pts = model.random_chart_points(np.random.default_rng(20 + n), 5)
     fields = vars(model.fields_at(pts))
-    # the connection comes from the metric blocks that metric_jets unpacks too
-    metric = model.metric_jets(pts, order=2)
+    # the connection comes from the metric blocks the fields carry
+    metric = fields["G0"], fields["G1"], fields["G2"]
     assert np.array_equal(fields.pop("Gamma0"), christoffel_from_metric(*metric[:2]))
     assert np.array_equal(fields.pop("Gamma1"), christoffel_derivative(*metric))
     want = _reference_fields(model, pts)
@@ -440,5 +464,3 @@ def test_packed_builders_match_scalar_jet_reference(kind, n):
         got = fields[name]
         assert got.shape == ref.shape, name
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
-    for name, got in zip(("G0", "G1", "G2"), metric):
-        assert np.array_equal(got, fields[name]), name
