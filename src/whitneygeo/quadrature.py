@@ -110,6 +110,17 @@ def quadrature_error(values, floor: float = 0.0, control=None) -> tuple[float, s
     return error, method
 
 
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int; booleans, non-integers and values below ``least``
+    raise a ``ValueError`` that names ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return int(value)
+
+
 class IntegrationGrid:
     """Quadrature nodes over the domain of one immersion family.
 
@@ -120,12 +131,8 @@ class IntegrationGrid:
     """
 
     def __init__(self, n: int, resolution: int, domain: str = "sphere"):
-        if (isinstance(resolution, bool) or not isinstance(resolution, numbers.Real)
-                or not float(resolution).is_integer()):
-            raise ValueError(f"resolution must be an integer, got {resolution!r}")
-        resolution = int(resolution)
-        if resolution < 8:
-            raise ValueError("resolution must be at least 8")
+        n = _integer("n", n, 2)
+        resolution = _integer("resolution", resolution, 8)
         if domain not in ("sphere", "torus"):
             raise ValueError(f"unknown integration domain {domain!r}")
         if domain == "sphere" and n > 4:

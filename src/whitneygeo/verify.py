@@ -4,30 +4,32 @@ equality-case classification, and report rendering.
 A case run evaluates each grid once.  Every rung of the convergence ladder
 integrates the certificate's integrands there, read through one name map
 (``_CERTIFICATE``) from :func:`whitneygeo.geometry.paper_residuals`, the
-table that also gives the sups.  Two companion grids at 1/2 and 3/4 of the
+table that also gives the sups.  The rungs at 1/2 and 3/4 of the
 resolution do nothing else, and with the full grid they give each
 quadrature-error estimate (:func:`whitneygeo.quadrature.quadrature_error`).
 The full grid's chunks also feed the gradient-field integrals of the
 divergence identity, the l2 sums, the sups and minima of every pointwise
 identity over every node and, at n <= 3 with ``conformal``, the
-sectional-curvature statistics.  The standalone conformal block, and the
-n >= 4 block on its coarser grid, run only the order-2 frame stage.
+sectional-curvature statistics.  At n >= 4 those come from the conformal
+block's grid, which runs only the order-2 frame stage, as the standalone
+:func:`conformal_block` does.
 
-The chunks of all three rungs are independent jobs of one map
-(:func:`_map_chunks`).  A chunk job is a module-level function and its
-inputs: the spec, the case's model with its base-point fields (computed
-once, by the caller), the run seed, the rung, where its random planes
-begin in the run's stream (fixed by the caller before the map) and its own
-nodes (the points themselves) and weights.  The same map carries the
-case's other checks: the model's self-test and, for a flowed case, the
-RK4 step check on its sampled nodes.  The jobs run on the process's one
-pool of forked workers, started by the first map that wants more than one
-and kept across cases, with the einsum plans and Leibniz tables each
-worker has built: those depend on shapes only.  Each chunk job returns
-its partial sums, sups and minima (and its sectional range), and the
-caller folds them in chunk order, as a serial loop would; so a report
-does not depend on the number of workers.  Each worker holds the geometry
-of one chunk at a time.
+A run is one map (:func:`_map_chunks`) and one fold.  One builder,
+:func:`_map_grids`, makes a job of every chunk of every grid the run
+evaluates: a module-level function and its inputs, the spec, the case's
+model with its base-point fields (computed once, by the builder), the
+function's own arguments, where the chunk's random planes begin in the
+run's stream (fixed before the map) and its own nodes (the points
+themselves) and weights.  The same map carries the case's other checks:
+the model's self-test and, for a flowed case, the RK4 step check on its
+sampled nodes.  The jobs run on the process's one pool of forked workers,
+started by the first map that wants more than one and kept across cases,
+with the einsum plans and Leibniz tables each worker has built: those
+depend on shapes only.  Each chunk job returns its partial sums, sups,
+minima and sectional range (a frame-stage chunk: its sectional range and
+Weyl sup), and the caller folds them in chunk order, as a serial loop
+would; so a report does not depend on the number of workers.  Each worker
+holds the geometry of one chunk at a time.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from .immersions import (
 )
 from .quadrature import (
     ROUNDOFF,
+    _integer,
     build_grid,
     ladder_resolutions,
     quadrature_error,
@@ -80,10 +83,12 @@ __all__ = [
 
 CLASSIFICATIONS = ("PARALLEL_BRANCH", "WHITNEY_BRANCH", "STRICT", "UNRESOLVED")
 
-#: isotropy tolerance of every case, the flowed and lifted ones included
-_ISOTROPY_TOL = 1e-9
-
+#: the sup bound of each structural check, in the order a report lists
+#: their failures: isotropy (of every case, the flowed and lifted ones
+#: included), the structure equations, then the identities of
+#: :func:`paper_residuals`
 _STRUCTURE_TOLS = {
+    "isotropy": 1e-9,
     "cubic_symmetry": 1e-9,
     "codazzi_total_symmetry": 1e-8,
     "mean_curvature_symmetry": 1e-9,
@@ -91,9 +96,12 @@ _STRUCTURE_TOLS = {
     "h_contact_component": 1e-8,
     "hcov_xi_vs_h": 1e-8,
     "H_contact_derivative": 1e-8,
+    "identity_34": 1e-10,
+    "identity_35": 1e-10,
 }
 
-_IDENTITY_TOL = 1e-10
+#: the structural checks only a Sasakian ambient has
+_CONTACT_CHECKS = ("h_contact_component", "hcov_xi_vs_h", "H_contact_derivative")
 
 #: residuals whose sup and volume-normalized l2 norm a report records
 _L2_RESIDUALS = (
@@ -404,12 +412,15 @@ def _chunk_sums(spec, model, nodes, w, curvature=gauss_curvature):
 
 
 def _normalized_integrals(n: int, sums: dict) -> dict:
-    """Volume-normalized defect of the main inequality and Yano integral."""
-    coef = (n - 1.0) * (n + 2.0) / (3.0 * n**2)
+    """The main inequality's scaled right side and defect, then the
+    volume-normalized defect and Yano integral."""
     vol = sums["volume"]
+    rhs = (n - 1.0) * (n + 2.0) / (3.0 * n**2) * sums["nabla_h_sq"]
+    defect = rhs - sums["ric_direction"]
     return {
-        "defect_normalized": (coef * sums["nabla_h_sq"] - sums["ric_direction"])
-        / vol,
+        "rhs_scaled": rhs,
+        "defect": defect,
+        "defect_normalized": defect / vol,
         "yano_main": sums["yano_main"] / vol,
     }
 
@@ -479,17 +490,16 @@ def _unresolved_reason(
     )
 
 
-def _rung_chunk(spec, model, seed, rung, start, nodes, w):
+def _rung_chunk(spec, model, seed, full, start, nodes, w):
     """One chunk job of a case's ladder: the sums of its certificate integrands.
 
     ``model`` is the case's, its base-point fields computed once by the
-    caller; ``nodes`` and ``w`` are the chunk's nodes and weights.  A companion rung
-    (``rung`` > 0) integrates nothing else.  The full grid's chunks (``rung``
-    0) also give the gradient-field integrals, the l2 sums, the sups and
-    minima and, from the plane stream's ``start`` (None for none), the
-    sectional range.
+    caller; ``nodes`` and ``w`` are the chunk's nodes and weights.  A
+    companion rung integrates nothing else.  The ``full`` grid's chunks also
+    give the gradient-field integrals, the l2 sums, the sups and minima and,
+    from the plane stream's ``start`` (None for none), the sectional range.
     """
-    if rung:
+    if not full:
         return (_chunk_sums(spec, model, nodes, w)[0],)
     # the structure checks compare both curvature routes
     sums, pg, cd, res = _chunk_sums(spec, model, nodes, w, curvature_data)
@@ -510,42 +520,28 @@ def _rung_chunk(spec, model, seed, rung, start, nodes, w):
     return sums, l2, sups, mins, span
 
 
-def _accumulate_case(spec, model, grids, seed, sectional=False, checks=()):
-    """Every rung's chunks in one map (:func:`_rung_chunk`), folded into the case's sums.
+def _map_grids(spec, model, seed, groups, checks) -> list:
+    """The chunk jobs of every group and the jobs ``checks``, in one map.
 
-    ``grids`` starts with the full grid, then the companion rungs.  The
-    jobs ``checks`` ride in the same map.  Returns the sums of each grid,
-    the full grid's sups, l2 sums and minima, the curvature statistics
-    (None without ``sectional``) and the results of ``checks``.
+    A group is ``(fn, args, grid, planes)``: each chunk of ``grid`` is the
+    job ``fn(spec, model, *args, start, nodes, w)`` of its nodes and
+    weights, where ``start`` is where its random planes begin in the run's
+    one stream if ``planes``, else None.  The groups that draw planes draw
+    them in group order, chunk after chunk.  Returns each group's results,
+    in chunk order, then the list of the results of ``checks``.
     """
     size = _chunk_size(model.chart_dim)
     model.base_fields()  # once, here: every job carries the model
-    jobs = []
-    for rung, grid in enumerate(grids):
-        chunks = grid.chunks(size)
-        starts = [None] * len(chunks)
-        if sectional and rung == 0:
-            starts = _plane_streams(seed, [len(idx) for idx in chunks], spec.n)
-        jobs += [(_rung_chunk, spec, model, seed, rung, start, grid.nodes[idx], grid.weight[idx])
-                 for start, idx in zip(starts, chunks)]
+    groups = [(fn, args, grid, grid.chunks(size), planes) for fn, args, grid, planes in groups]
+    starts = iter(_plane_streams(
+        seed, [len(idx) for *_, chunks, planes in groups if planes for idx in chunks], spec.n))
+    jobs, ends = [], []
+    for fn, args, grid, chunks, planes in groups:
+        jobs += [(fn, spec, model, *args, next(starts) if planes else None,
+                  grid.nodes[idx], grid.weight[idx]) for idx in chunks]
+        ends.append(len(jobs))
     parts = _map_chunks(jobs + list(checks))
-    parts, checked = parts[:len(jobs)], parts[len(jobs):]
-    rung_sums = [
-        _fold([p[0] for job, p in zip(jobs, parts) if job[4] == rung], operator.add, 0.0)
-        for rung in range(len(grids))
-    ]
-    _, l2s, sups, mins, spans = zip(*(p for job, p in zip(jobs, parts) if job[4] == 0))
-    stats = None
-    if sectional:
-        stats = _sectional_stats(spans, [])
-    return (
-        rung_sums,
-        _fold(sups, max, 0.0),
-        _fold(l2s, operator.add, 0.0),
-        _fold(mins, min, np.inf),
-        stats,
-        checked,
-    )
+    return [parts[a:b] for a, b in zip([0, *ends], ends)] + [parts[len(jobs):]]
 
 
 def _rk4_sample(grid, sample: int = 64) -> np.ndarray:
@@ -623,38 +619,30 @@ def _sectional_stats(spans, weyl_sups) -> dict:
     }
 
 
-def _frame_chunk(spec, model, start, nodes):
+def _frame_chunk(spec, model, start, nodes, w):
     """One chunk job of a conformal block: the frame stage's sectional range
-    from the plane stream's ``start``, and its Weyl sup (None below n = 4)."""
+    from the plane stream's ``start``, and its Weyl sup (None below n = 4).
+    It integrates nothing, so the weights ``w`` go unread."""
     pg, fields = frame_geometry(model, spec, nodes)
     cd = gauss_curvature(pg, fields)
     weyl_sup = None if cd.Weyl is None else float(np.max(np.abs(cd.Weyl)))
     return _sectional_range(cd.Riem, start), weyl_sup
 
 
-def _conformal_block(spec, model, grid, seed, checks=()):
-    """The curvature statistics from the order-2 frame stage at every node,
-    and the results of the jobs ``checks``, which ride in the same map."""
-    chunks = grid.chunks(_chunk_size(model.chart_dim))
-    starts = _plane_streams(seed, [len(idx) for idx in chunks], spec.n)
-    model.base_fields()  # once, here: every job carries the model
-    jobs = [(_frame_chunk, spec, model, start, grid.nodes[idx])
-            for start, idx in zip(starts, chunks)]
-    parts = _map_chunks(jobs + list(checks))
-    parts, checked = parts[:len(jobs)], parts[len(jobs):]
-    return _sectional_stats([span for span, _ in parts], [w for _, w in parts]), checked
-
-
 def conformal_block(
     spec: ImmersionSpec, resolution: int | None = None, seed: int = 0
 ) -> dict:
-    """Weyl sup and sampled sectional spread for one case, standalone."""
+    """Weyl sup and sampled sectional spread for one case, standalone: the
+    order-2 frame stage at every node."""
+    seed = _integer("seed", seed, 0)
     model = model_for(spec)
     if resolution is None and spec.n >= 4:
         resolution = _CONFORMAL_RESOLUTION
     grid = build_grid(spec.n, resolution, domain=spec.domain)
     # the strict self-test raises in its job, and the map passes it on
-    return _conformal_block(spec, model, grid, seed, [(model.self_test, True)])[0]
+    frame, _ = _map_grids(spec, model, seed, [(_frame_chunk, (), grid, True)],
+                          [(model.self_test, True)])
+    return _sectional_stats(*zip(*frame))
 
 
 def run_case(
@@ -666,6 +654,7 @@ def run_case(
     effective_config: dict | None = None,
 ) -> VerificationReport:
     """Run the full verification pipeline for one case."""
+    seed = _integer("seed", seed, 0)
     tol = tolerances or Tolerances()
     model = model_for(spec)
 
@@ -673,29 +662,37 @@ def run_case(
     resolution = grid.resolution
     rungs = ladder_resolutions(resolution)
     # the 1/2 and 3/4 rungs of the convergence ladder need only the
-    # certificate's integrands, not the sups or the gradient-field integrals
-    companions = [build_grid(spec.n, k, domain=spec.domain) for k in rungs[:2]]
-
+    # certificate's integrands, not the sups or the gradient-field integrals.
+    # The curvature statistics come from the full grid's chunks at n <= 3,
+    # and from the frame stage on the conformal block's grid at n >= 4
+    groups = [(_rung_chunk, (seed, False), build_grid(spec.n, k, domain=spec.domain), False)
+              for k in rungs[:2]]
+    groups.append((_rung_chunk, (seed, True), grid, conformal and spec.n <= 3))
+    if conformal and spec.n >= 4:
+        conf_grid = build_grid(spec.n, _CONFORMAL_RESOLUTION, domain=spec.domain)
+        groups.append((_frame_chunk, (), conf_grid, True))
     # the strict self-test raises in its job, and the map passes it on
     checks = [(model.self_test, True)]
     flowed = _lift_base(spec) if spec.kind == "lifted" else spec
     if flowed.kind == "perturbed" and flowed.params["epsilon"] > 0:
         checks.append((_rk4_step_check, flowed, _rk4_sample(grid)))
-    # at n <= 3 the curvature statistics come from the full pass's own
-    # chunks; at n >= 4 from the frame stage on a coarser grid, below
-    (sums, *companion_sums), sups, l2sums, mins, conf, (self_test, *drift) = _accumulate_case(
-        spec, model, [grid, *companions], seed, conformal and spec.n <= 3, checks
+    half, three_quarter, full, *frame, (self_test, *drift) = _map_grids(
+        spec, model, seed, groups, checks
     )
-    ladder = [*zip(rungs[:2], companion_sums), (resolution, sums)]
+
+    ladder = [(k, _fold([p[0] for p in parts], operator.add, 0.0))
+              for k, parts in zip(rungs, (half, three_quarter, full))]
     quadrature = _quadrature_estimates(spec.n, ladder)
+    sums = ladder[-1][1]
+    _, l2s, sups, mins, spans = zip(*full)
+    sups, mins = _fold(sups, max, 0.0), _fold(mins, min, np.inf)
+    conf = None
+    if conformal:
+        conf = _sectional_stats(*(zip(*frame[0]) if frame else (spans, [])))
 
     vol = sums["volume"]
-    coef = (spec.n - 1.0) * (spec.n + 2.0) / (3.0 * spec.n**2)
-    lhs = sums["ric_direction"]
-    rhs = coef * sums["nabla_h_sq"]
-    defect = rhs - lhs
-    defect_norm = defect / vol
-
+    normalized = _normalized_integrals(spec.n, sums)
+    defect_norm = normalized["defect_normalized"]
     defect_error = quadrature["defect_normalized"]["error"]
     # the defect estimate must certify the *decision*: either it is small
     # against the equality threshold or small against the defect itself
@@ -706,73 +703,54 @@ def run_case(
     quadrature["gates"] = gates
     resolved = any(defect_error <= bound for bound in gates.values())
 
-    yano = {"main": sums["yano_main"] / vol}
+    # what stays in ``normalized`` are the report's inequality integrals
+    yano = {"main": normalized.pop("yano_main")}
     for k in range(3):
         yano[f"grad_{k}"] = sums[f"yano_grad_{k}"] / vol
     yano["main_error"] = quadrature["yano_main"]["error"]
 
-    l2 = {k: float(np.sqrt(max(v, 0.0) / vol)) for k, v in l2sums.items()}
+    l2 = {k: float(np.sqrt(max(v, 0.0) / vol))
+          for k, v in _fold(l2s, operator.add, 0.0).items()}
 
     # hard invariants: structural ones invalidate the classification,
     # integral-certificate misses fail the run but leave a resolved defect
-    # classification meaningful
-    structural = []
-    certificates = []
-    if not self_test.get("ok", False):
-        structural.append("model self-test failed")
-    if sups.get("isotropy", 0.0) > _ISOTROPY_TOL:
-        structural.append(f"isotropy {sups['isotropy']:.2e} > {_ISOTROPY_TOL:.0e}")
-    for name, t_ in _STRUCTURE_TOLS.items():
-        if sups.get(name, 0.0) > t_:
-            structural.append(f"{name} {sups[name]:.2e} > {t_:.0e}")
-    for name in ("identity_34", "identity_35"):
-        if sups.get(name, 0.0) > _IDENTITY_TOL:
-            structural.append(f"{name} {sups[name]:.2e} > {_IDENTITY_TOL:.0e}")
+    # classification meaningful.  Every case has every residual but the
+    # contact checks, which a Kaehler ambient lacks
+    structural = [] if self_test.get("ok", False) else ["model self-test failed"]
+    for name, bound in _STRUCTURE_TOLS.items():
+        if (model.is_sasakian or name not in _CONTACT_CHECKS) and sups[name] > bound:
+            structural.append(f"{name} {sups[name]:.2e} > {bound:.0e}")
     for name in ("lemma_gap_31", "lemma_gap_32"):
-        if mins.get(name, 0.0) < -tol.inequality_slack:
-            structural.append(
-                f"{name} {mins[name]:.2e} < -{tol.inequality_slack:.0e}"
-            )
+        if mins[name] < -tol.inequality_slack:
+            structural.append(f"{name} {mins[name]:.2e} < -{tol.inequality_slack:.0e}")
     for rk4_drift in drift:
         sups["rk4_step_drift"] = rk4_drift
         if rk4_drift > 1e-9:
             structural.append(f"RK4 halved-step drift {rk4_drift:.2e} > 1e-9")
+    certificates = []
     if _defect_violated(defect_norm, defect_error, tol):
         certificates.append(
             f"integral defect {defect_norm:.2e} below -(integral tol + "
             f"error estimate {defect_error:.1e})"
         )
-    for k, v in yano.items():
-        if k == "main_error":
-            continue
-        if abs(v) > tol.integral:
-            certificates.append(f"yano[{k}] {v:.2e} exceeds integral tol")
+    certificates += [f"yano[{k}] {v:.2e} exceeds integral tol" for k, v in yano.items()
+                     if k != "main_error" and abs(v) > tol.integral]
     failures = structural + certificates
 
-    sup_nabla_h = sups.get("sup_nabla_h", 0.0)
-    sup_whitney = sups.get("whitney_residual", 0.0)
+    sup_nabla_h = sups["sup_nabla_h"]
+    sup_whitney = sups["whitney_residual"]
     classification = classify_equality(
         defect_norm, sup_nabla_h, sup_whitney, tol, resolved and not structural
     )
     unresolved_reason = None
     if classification == "UNRESOLVED":
         unresolved_reason = _unresolved_reason(
-            defect_norm, defect_error, gates, sup_nabla_h, sup_whitney, tol,
-            structural,
+            defect_norm, defect_error, gates, sup_nabla_h, sup_whitney, tol, structural
         )
 
-    if conformal and conf is None:
-        conf_grid = build_grid(spec.n, _CONFORMAL_RESOLUTION, spec.domain)
-        conf, _ = _conformal_block(spec, model, conf_grid, seed)
-
-    params = {
-        k: (list(v) if isinstance(v, tuple) and k != "hamiltonian" else v)
-        for k, v in spec.params.items()
-        if k != "hamiltonian"
-    }
-    self_test_json = {
-        k: (bool(v) if k == "ok" else float(v)) for k, v in self_test.items()
-    }
+    params = {k: list(v) if isinstance(v, tuple) else v
+              for k, v in spec.params.items() if k != "hamiltonian"}
+    self_test_json = {k: bool(v) if k == "ok" else float(v) for k, v in self_test.items()}
 
     return VerificationReport(
         report_version=2,
@@ -789,11 +767,9 @@ def run_case(
         gap_minima={k: float(v) for k, v in sorted(mins.items())},
         integrals={
             "volume": vol,
-            "ric_direction": lhs,
+            "ric_direction": sums["ric_direction"],
             "nabla_h_sq": sums["nabla_h_sq"],
-            "rhs_scaled": rhs,
-            "defect": defect,
-            "defect_normalized": defect_norm,
+            **normalized,
             "defect_error": defect_error,
         },
         yano=yano,
@@ -810,52 +786,35 @@ def report_to_json(report: VerificationReport) -> str:
     return json.dumps(asdict(report), indent=2, sort_keys=False)
 
 
-CSV_COLUMNS = [
-    "case",
-    "n",
-    "parameters",
-    "classification",
-    "volume",
-    "ric_direction",
-    "rhs_scaled",
-    "defect_normalized",
-    "defect_error",
-    "yano_main",
-    "whitney_residual_sup",
-    "scalar_relation_sup",
-    "sup_nabla_h",
-    "isotropy_sup",
-    "gauss_cross_check_sup",
-    "lemma_gap_31_min",
-    "lemma_gap_32_min",
-    "hard_failures",
-]
+def _reads(field_name: str, key: str):
+    """The CSV reader of ``report.<field_name>[key]``."""
+    return lambda report: repr(getattr(report, field_name)[key])
+
+
+#: the CSV columns and the reader of each one's cell
+_CSV = {
+    "case": lambda report: report.case,
+    "n": lambda report: str(report.n),
+    "parameters": lambda report: json.dumps(report.parameters, sort_keys=True),
+    "classification": lambda report: report.classification,
+    **{name: _reads("integrals", name) for name in (
+        "volume", "ric_direction", "rhs_scaled", "defect_normalized", "defect_error")},
+    "yano_main": _reads("yano", "main"),
+    "whitney_residual_sup": _reads("residual_sup", "whitney_residual"),
+    "scalar_relation_sup": _reads("residual_sup", "scalar_relation_residual"),
+    "sup_nabla_h": _reads("residual_sup", "sup_nabla_h"),
+    "isotropy_sup": _reads("residual_sup", "isotropy"),
+    "gauss_cross_check_sup": _reads("residual_sup", "gauss_cross_check"),
+    "lemma_gap_31_min": _reads("gap_minima", "lemma_gap_31"),
+    "lemma_gap_32_min": _reads("gap_minima", "lemma_gap_32"),
+    "hard_failures": lambda report: ";".join(report.hard_failures),
+}
+
+CSV_COLUMNS = list(_CSV)
 
 
 def report_to_csv_row(report: VerificationReport) -> list[str]:
-    i = report.integrals
-    s = report.residual_sup
-    g = report.gap_minima
-    return [
-        report.case,
-        str(report.n),
-        json.dumps(report.parameters, sort_keys=True),
-        report.classification,
-        repr(i["volume"]),
-        repr(i["ric_direction"]),
-        repr(i["rhs_scaled"]),
-        repr(i["defect_normalized"]),
-        repr(i["defect_error"]),
-        repr(report.yano["main"]),
-        repr(s.get("whitney_residual", float("nan"))),
-        repr(s.get("scalar_relation_residual", float("nan"))),
-        repr(s.get("sup_nabla_h", float("nan"))),
-        repr(s.get("isotropy", float("nan"))),
-        repr(s.get("gauss_cross_check", float("nan"))),
-        repr(g.get("lemma_gap_31", float("nan"))),
-        repr(g.get("lemma_gap_32", float("nan"))),
-        ";".join(report.hard_failures),
-    ]
+    return [read(report) for read in _CSV.values()]
 
 
 def report_to_markdown(report: VerificationReport) -> str:

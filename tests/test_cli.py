@@ -62,6 +62,12 @@ class TestVerify:
         assert out == ""
         assert "reads no parameter theta" in err
 
+    def test_negative_seed_is_config_error(self, capsys):
+        code, out, err = _run(["verify", "--case", "whitney_c0", "--seed", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "seed must be at least 0, got -1" in err
+
     def test_unknown_case_is_config_error(self, capsys):
         code, _, err = _run(["verify", "--case", "nonsense"], capsys)
         assert code == 2

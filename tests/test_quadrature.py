@@ -141,6 +141,23 @@ class TestGuards:
         with pytest.raises(ValueError, match="resolution must be an integer, got 12.5"):
             run_case(make_spec("whitney_c0", 2), resolution=12.5)
 
+    @pytest.mark.parametrize("n, message", [
+        (True, "n must be an integer, got True"),
+        (2.5, "n must be an integer, got 2.5"),
+        (1, "n must be at least 2, got 1"),
+        (0, "n must be at least 2, got 0"),
+        (-3, "n must be at least 2, got -3"),
+    ], ids=["bool", "fraction", "one", "zero", "negative"])
+    def test_dimension_must_be_an_integer_of_at_least_two(self, n, message):
+        # a circle grid of any n below 2, or numpy's TypeError at a fractional n
+        with pytest.raises(ValueError, match=message):
+            build_grid(n, 16)
+
+    def test_integral_dimension_is_taken_as_an_int(self):
+        grid = IntegrationGrid(2.0, 16)
+        assert grid.n == 2 and type(grid.n) is int
+        assert np.array_equal(grid.weight, IntegrationGrid(2, 16).weight)
+
     def test_integral_resolution_is_taken_as_an_int(self):
         grid = IntegrationGrid(2, 16.0)
         assert grid.resolution == 16 and type(grid.resolution) is int

@@ -11,6 +11,7 @@ from whitneygeo.geometry import (
     frame_geometry,
     paper_residuals,
     pointwise_geometry,
+    structure_checks,
 )
 from whitneygeo.quadrature import build_grid, ladder_resolutions
 from whitneygeo.immersions import make_spec, model_for, random_quartic
@@ -85,6 +86,31 @@ class TestClassifyLogic:
         r = run_case(make_spec("whitney_c0", 2, r=1.0), resolution=16, seed=0)
         assert r.integrals["defect_normalized"] < -(tol.integral + 1e-12)
         assert any(f.startswith("integral defect") for f in r.hard_failures)
+
+    @pytest.mark.parametrize("seed", [True, 2.5, -1, -200000, "3"])
+    @pytest.mark.parametrize("run", [run_case, conformal_block])
+    def test_seed_must_be_a_nonnegative_integer(self, run, seed):
+        with pytest.raises(ValueError, match=f"seed must be (an integer|at least 0), got {seed!r}"):
+            run(make_spec("whitney_c0", 2), seed=seed)
+
+    def test_a_missing_residual_raises(self, monkeypatch):
+        # a check that every case has may not pass by being absent
+        def without_two(pg, cd):
+            out = structure_checks(pg, cd)
+            del out["isotropy"], out["cubic_symmetry"]
+            return out
+
+        monkeypatch.setattr(verify, "_worker_count", lambda jobs: 1)
+        monkeypatch.setattr(verify, "structure_checks", without_two)
+        with pytest.raises(KeyError, match="isotropy"):
+            run_case(make_spec("whitney_c0", 2, r=1.0), resolution=16)
+
+    def test_only_a_kaehler_run_lacks_the_contact_checks(self):
+        contact = make_spec("contact_whitney_r", 2, r=1.0)
+        assert set(verify._CONTACT_CHECKS) <= set(run_case(contact, resolution=12).residual_sup)
+        kaehler = run_case(make_spec("whitney_c0", 2, r=1.0), resolution=12).residual_sup
+        assert not set(verify._CONTACT_CHECKS) & set(kaehler)
+        assert set(verify._STRUCTURE_TOLS) - set(verify._CONTACT_CHECKS) <= set(kaehler)
 
     def test_tolerance_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -244,6 +270,43 @@ class TestReports:
         assert row[0] == "whitney_c0"
         assert row[3] == "WHITNEY_BRANCH"
 
+    def test_csv_columns_are_pinned(self):
+        assert CSV_COLUMNS == [
+            "case", "n", "parameters", "classification", "volume",
+            "ric_direction", "rhs_scaled", "defect_normalized", "defect_error",
+            "yano_main", "whitney_residual_sup", "scalar_relation_sup",
+            "sup_nabla_h", "isotropy_sup", "gauss_cross_check_sup",
+            "lemma_gap_31_min", "lemma_gap_32_min", "hard_failures",
+        ]
+
+    def test_each_csv_cell_reads_the_field_its_column_names(self):
+        r = run_case(make_spec("whitney_c0", 2, r=1.0), resolution=12, seed=0)
+        assert r.hard_failures  # so that the last column is no empty string
+        i, s, g = r.integrals, r.residual_sup, r.gap_minima
+        want = {
+            "case": r.case,
+            "n": str(r.n),
+            "parameters": json.dumps(r.parameters, sort_keys=True),
+            "classification": r.classification,
+            "volume": repr(i["volume"]),
+            "ric_direction": repr(i["ric_direction"]),
+            "rhs_scaled": repr(i["rhs_scaled"]),
+            "defect_normalized": repr(i["defect_normalized"]),
+            "defect_error": repr(i["defect_error"]),
+            "yano_main": repr(r.yano["main"]),
+            "whitney_residual_sup": repr(s["whitney_residual"]),
+            "scalar_relation_sup": repr(s["scalar_relation_residual"]),
+            "sup_nabla_h": repr(s["sup_nabla_h"]),
+            "isotropy_sup": repr(s["isotropy"]),
+            "gauss_cross_check_sup": repr(s["gauss_cross_check"]),
+            "lemma_gap_31_min": repr(g["lemma_gap_31"]),
+            "lemma_gap_32_min": repr(g["lemma_gap_32"]),
+            "hard_failures": ";".join(r.hard_failures),
+        }
+        assert dict(zip(CSV_COLUMNS, report_to_csv_row(r))) == want
+        # every cell a distinct value, so that no two columns read one field
+        assert len(set(want.values())) == len(want)
+
     def test_markdown_renders(self, torus_report):
         text = report_to_markdown(torus_report)
         assert "PARALLEL_BRANCH" in text
@@ -306,6 +369,24 @@ class TestConformalBlock:
         assert not frame_calls
         assert [g.resolution for g in grids] == [K, *ladder_resolutions(K)[:2]]
         assert sum(evaluated) == sum(len(g.nodes) for g in grids)
+
+    @pytest.mark.slow
+    def test_n4_block_rides_in_the_cases_map(self, monkeypatch):
+        # at n >= 4 the frame stage's chunks are jobs of the case's one map
+        maps = []
+        serial = verify._map_chunks
+
+        def count(jobs):
+            maps.append(len(jobs))
+            return serial(jobs)
+
+        monkeypatch.setattr(verify, "_map_chunks", count)
+        spec = make_spec("whitney_c0", 4, r=1.0)
+        r = run_case(spec, resolution=12, seed=3, conformal=True)
+        assert len(maps) == 1
+        monkeypatch.setattr(verify, "_map_chunks", serial)
+        assert r.conformal == conformal_block(spec, seed=3)
+        assert r.conformal["weyl_sup"] is not None
 
     @pytest.mark.parametrize(
         "kind, kw", [("totally_geodesic_cp", {}), ("whitney_c0", dict(r=1.0))]
