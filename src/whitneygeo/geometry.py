@@ -25,13 +25,20 @@ part of the second fundamental form and the mean curvature vector.
 
 Index conventions follow the adapted-frame picture: ``h[b, i, j, k]`` is
 the second fundamental form paired with the k-th normal frame vector,
-totally symmetric in (i, j, k) on Lagrangian/Legendrian images;
-``Riem[b, i, j, k, l]`` is the intrinsic curvature paired as
-g(R(e_i, e_j) e_l, e_k), so constant curvature K gives
-K (d_ik d_jl - d_il d_jk).
+totally symmetric in (i, j, k) on Lagrangian/Legendrian images.  The
+intrinsic curvature is an operator on the frame's 2-vectors (Besse,
+Einstein Manifolds, ch. 1): ``R[b, p, q]`` over the P = n(n-1)/2 pairs
+p = (i < j), q = (k < l) in the order of ``np.triu_indices``, paired as
+g(R(e_i, e_j) e_l, e_k).  It is symmetric, constant curvature K gives
+K times the identity, the sectional curvature of a coordinate plane is a
+diagonal entry, and every entry of the n^4 tensor is one of its entries,
+its negative or 0.  Ricci, the scalar curvature, the Weyl operator and the
+sectional curvatures are all read off it.
 
-Every contraction runs through ``_einsum`` (``jets._einsum``) or
-``_pullback``'s matrix product, and every signature follows the kernel's
+Every contraction runs through ``_einsum`` (``jets._einsum``),
+``_pullback``'s matrix product or, for the curvature operator, gathers at
+the pairs and matrix products with the constant tables of
+:func:`_pair_tables`.  Every ``_einsum`` signature follows the kernel's
 batch-label contract: the label ``b`` is the node axis, it leads each term
 of an operand or output that has one, and it appears nowhere else.  The
 kernel runs its pairwise steps as C einsum with the node axis last; its
@@ -49,7 +56,7 @@ import numpy as np
 from . import jets
 from .jets import _einsum
 from .immersions import ImmersionSpec, eval_immersion
-from .spaceforms import BaseModel, riemann_from_metric
+from .spaceforms import BaseModel, _metric_bracket
 
 __all__ = [
     "TJ",
@@ -134,13 +141,14 @@ class PointGeometry:
 
 @dataclass
 class CurvatureData:
-    """Intrinsic curvature through two independent routes."""
+    """Intrinsic curvature through two independent routes, as operators on the
+    frame's 2-vectors: ``[b, p, q]`` over the pairs p = (i < j), q = (k < l)."""
 
-    Riem: np.ndarray  # Gauss-equation route, frame components (B,n,n,n,n)
-    Riem_metric: np.ndarray | None  # induced-metric-derivative route (full pass)
+    R: np.ndarray  # Gauss-equation route (B, P, P)
+    R_metric: np.ndarray | None  # induced-metric-derivative route (full pass)
     Ricci: np.ndarray  # (B, n, n), from the Gauss route
     scalar: np.ndarray  # (B,)
-    Weyl: np.ndarray | None  # (B,n,n,n,n) for n >= 4
+    W: np.ndarray | None  # the Weyl operator (B, P, P) for n >= 4
 
 
 def _frame(gt: TJ) -> TJ:
@@ -160,43 +168,67 @@ def _frame(gt: TJ) -> TJ:
     return TJ(E, -_einsum("bijz,bja->biaz", P, E))
 
 
-def _ambient_frame_curvature(pg: PointGeometry, fields):
-    """Closed-form ambient curvature paired on the lifted frame."""
+#: per n, the pairs of the curvature operator and its Ricci matrix (:func:`_pair_tables`)
+_PAIR_CACHE: dict = {}
+
+
+def _pair_tables(n):
+    """The pairs p = (i < j) of the curvature operator as index arrays I, J,
+    and its constant Ricci matrix C, (P^2, n^2).
+
+    C carries two maps: Ric = R C, the contraction Ric_jl = sum_i Riem_ijil
+    of the flattened operator, and (A ⊙ g) = C A, the Kulkarni-Nomizu product
+    A_ik g_jl + A_jl g_ik - A_il g_jk - A_jk g_il of a symmetric n x n
+    matrix with the frame metric, read at the pairs.
+    """
+    if n not in _PAIR_CACHE:
+        I, J = np.triu_indices(n, 1)
+        d = np.eye(n)
+        kn = (np.einsum("ia,kc,jl->ijklac", d, d, d) + np.einsum("ja,lc,ik->ijklac", d, d, d)
+              - np.einsum("ia,lc,jk->ijklac", d, d, d) - np.einsum("ja,kc,il->ijklac", d, d, d))
+        _PAIR_CACHE[n] = I, J, kn[I, J][:, I, J].reshape(len(I) ** 2, n * n)
+    return _PAIR_CACHE[n]
+
+
+def _compound(A):
+    """The second compound of each n x n slice A[b, :, :, m], summed over m:
+    sum_m A_ikm A_jlm - A_ilm A_jkm at the pairs p = (i, j), q = (k, l), (B, P, P).
+
+    ``A`` is (B, n, n, M); a matrix takes a trailing axis of length 1.  The
+    gathers copy whole node rows of A batch-last, which ``_einsum`` takes
+    without another copy.
+    """
+    I, J, _ = _pair_tables(A.shape[1])
+    At = np.moveaxis(A, 0, -1)
+
+    def rows(x, y):  # A[b, x, y, m] at the index arrays x, y, seen batch-first
+        return np.moveaxis(At[x, y], -1, 0)
+
+    i, j, k, l = I[:, None], J[:, None], I[None, :], J[None, :]
+    return (_einsum("bpqm,bpqm->bpq", rows(i, k), rows(j, l))
+            - _einsum("bpqm,bpqm->bpq", rows(i, l), rows(j, k)))
+
+
+def _ambient_curvature(pg: PointGeometry, fields):
+    """The ambient curvature on the lifted frame's pairs, from its closed form.
+
+    Kähler: c (g ⊙ g / 2 + Λ²(gJ) - 2 gJ_ij gJ_lk); Sasakian:
+    k1 g ⊙ g / 2 + k2 (Λ²(gphi) + 2 gphi_ji gphi_lk - (eta eta) ⊙ g).
+    On the pairs g ⊙ g / 2 is the identity.
+    """
     F = pg.F.v
-    n = pg.n
-    B = F.shape[0]
-    delta = np.eye(n)
+    I, J, C = _pair_tables(pg.n)
+    S = fields.Phi0 if pg.is_sasakian else fields.J0
+    gS = _einsum("bmn,bim,bjn->bij", fields.G0, _einsum("bmr,bir->bim", S, F), F)
+    eye, compound = np.eye(len(I)), _compound(gS[..., None])
     if not pg.is_sasakian:
-        c = pg.c_eff
-        gJ = _einsum("bmn,bim,bjn->bij", fields.G0,
-                       _einsum("bmr,bir->bim", fields.J0, F), F)
-        Rbar = (
-            _einsum("ik,jl->ijkl", delta, delta)[None]
-            - _einsum("il,jk->ijkl", delta, delta)[None]
-            + _einsum("bjl,bik->bijkl", gJ, gJ)
-            - _einsum("bil,bjk->bijkl", gJ, gJ)
-            - 2.0 * _einsum("bij,blk->bijkl", gJ, gJ)
-        )
-        return c * Rbar
+        return pg.c_eff * (eye + compound - 2.0 * _einsum("bp,bq->bpq", gS[:, I, J], gS[:, J, I]))
     k1 = pg.c_eff  # (c~ + 3)/4
     k2 = k1 - 1.0  # (c~ - 1)/4
-    gphi = _einsum("bmn,bim,bjn->bij", fields.G0,
-                     _einsum("bmr,bir->bim", fields.Phi0, F), F)
     eta = _einsum("bm,bim->bi", fields.Eta0, F)
-    sect = (
-        _einsum("ik,jl->ijkl", delta, delta)[None]
-        - _einsum("il,jk->ijkl", delta, delta)[None]
-    ) * np.ones((B, 1, 1, 1, 1))
-    struct = (
-        _einsum("bi,bl,jk->bijkl", eta, eta, delta)
-        - _einsum("bj,bl,ik->bijkl", eta, eta, delta)
-        + _einsum("il,bj,bk->bijkl", delta, eta, eta)
-        - _einsum("jl,bi,bk->bijkl", delta, eta, eta)
-        + _einsum("bjl,bik->bijkl", gphi, gphi)
-        - _einsum("bil,bjk->bijkl", gphi, gphi)
-        + 2.0 * _einsum("bji,blk->bijkl", gphi, gphi)
-    )
-    return k1 * sect + k2 * struct
+    eta_g = (_einsum("bi,bk->bik", eta, eta).reshape(len(F), -1) @ C.T).reshape(compound.shape)
+    pair = _einsum("bp,bq->bpq", gS[:, J, I], gS[:, J, I])
+    return k1 * eye + k2 * (compound + 2.0 * pair - eta_g)
 
 
 def frame_geometry(model: BaseModel, spec: ImmersionSpec, nodes):
@@ -356,35 +388,19 @@ def _extrinsic(model, spec, X, fields):
 
 
 def gauss_curvature(pg: PointGeometry, fields) -> CurvatureData:
-    """Intrinsic curvature by the Gauss equation R = Rbar + h^h, from values
-    only (:func:`frame_geometry` suffices); ``Riem_metric`` is None."""
-    n = pg.n
-    Rbar = _ambient_frame_curvature(pg, fields)
-    hh = _einsum("bikm,bjlm->bijkl", pg.h.v, pg.h.v)
-    Riem = Rbar + hh - hh.transpose(0, 1, 2, 4, 3)
-    Ricci = _einsum("bijil->bjl", Riem)
-    scalar = _einsum("bjj->b", Ricci)
-    Weyl = None
+    """Intrinsic curvature by the Gauss equation R = Rbar + sum_m Λ²(h_m), from
+    values only (:func:`frame_geometry` suffices); ``R_metric`` is None."""
+    n, B = pg.n, len(pg.h.v)
+    C = _pair_tables(n)[2]
+    R = _ambient_curvature(pg, fields) + _compound(pg.h.v)
+    Ricci = (R.reshape(B, -1) @ C).reshape(B, n, n)
+    scalar = 2.0 * np.trace(R, axis1=1, axis2=2)
+    W = None
     if n >= 4:
-        delta = np.eye(n)
-        ric_g = (
-            _einsum("bik,jl->bijkl", Ricci, delta)
-            + _einsum("bjl,ik->bijkl", Ricci, delta)
-            - _einsum("bil,jk->bijkl", Ricci, delta)
-            - _einsum("bjk,il->bijkl", Ricci, delta)
-        )
-        gg = 2.0 * (
-            _einsum("ik,jl->ijkl", delta, delta)
-            - _einsum("il,jk->ijkl", delta, delta)
-        )[None]
-        Weyl = (
-            Riem
-            - ric_g / (n - 2.0)
-            + scalar[:, None, None, None, None] * gg / (2.0 * (n - 1.0) * (n - 2.0))
-        )
-    return CurvatureData(
-        Riem=Riem, Riem_metric=None, Ricci=Ricci, scalar=scalar, Weyl=Weyl
-    )
+        ric_g = (Ricci.reshape(B, -1) @ C.T).reshape(R.shape)  # Ric ⊙ g
+        gg = np.eye(R.shape[-1]) / ((n - 1.0) * (n - 2.0))  # g ⊙ g / (2 (n-1)(n-2))
+        W = R - ric_g / (n - 2.0) + scalar[:, None, None] * gg
+    return CurvatureData(R=R, R_metric=None, Ricci=Ricci, scalar=scalar, W=W)
 
 
 def _induced_metric_hessian(pg: PointGeometry, fields) -> np.ndarray:
@@ -403,13 +419,30 @@ def _induced_metric_hessian(pg: PointGeometry, fields) -> np.ndarray:
     return _einsum("bmncd,bmA,bnB->bABcd", Q2, X1, X1) + Y + Y.swapaxes(1, 2)
 
 
+def _metric_curvature(pg: PointGeometry, fields) -> np.ndarray:
+    """The curvature operator from the induced metric's node-chart derivatives, full pass only.
+
+    In coordinates R_fcae = (H_fe,ac + H_ac,ef - H_ec,af - H_fa,ec) / 2
+    + Gamma_{d,ef} Gamma^d_ac - Gamma_{d,af} Gamma^d_ec, with H the induced
+    metric's Hessian, taken at the pairs (a < e, f < c) and framed as
+    Λ²E R Λ²E^T.
+    """
+    I, J, _ = _pair_tables(pg.n)
+    a, e, f, c = I[:, None], J[:, None], I[None, :], J[None, :]
+    H = _induced_metric_hessian(pg, fields)  # [b, A, B, c, d] = d_c d_d g_AB
+    first = 0.5 * _metric_bracket(pg.g.d)  # Gamma_{d,ef} as [b, d, e, f]
+    second = _einsum("bid,bik,bkef->bdef", pg.E.v, pg.E.v, first)  # g^-1 = E^T E
+    Rc = (0.5 * (H[:, f, e, a, c] + H[:, a, c, e, f] - H[:, e, c, a, f] - H[:, f, a, e, c])
+          + _einsum("bdpq,bdpq->bpq", first[:, :, e, f], second[:, :, a, c])
+          - _einsum("bdpq,bdpq->bpq", first[:, :, a, f], second[:, :, e, c]))
+    L = _compound(pg.E.v[..., None])  # Λ²E
+    return L @ Rc @ L.transpose(0, 2, 1)
+
+
 def curvature_data(pg: PointGeometry, fields) -> CurvatureData:
     """Intrinsic curvature by the Gauss equation and by metric derivatives."""
     cd = gauss_curvature(pg, fields)
-    R4 = riemann_from_metric(pg.g.v, pg.g.d, _induced_metric_hessian(pg, fields))
-    cd.Riem_metric = _einsum(
-        "bdcae,bia,bje,blc,bdf,bkf->bijkl", R4, pg.E.v, pg.E.v, pg.E.v, pg.g.v, pg.E.v
-    )
+    cd.R_metric = _metric_curvature(pg, fields)
     return cd
 
 
@@ -519,7 +552,7 @@ def structure_checks(pg: PointGeometry, cd: CurvatureData) -> dict:
                                      _sup(h - h.transpose(0, 3, 2, 1))),
         "codazzi_total_symmetry": np.max([_sup(hc - hc.transpose(p)) for p in codazzi], axis=0),
         "mean_curvature_symmetry": _sup(pg.Hcov - pg.Hcov.transpose(0, 2, 1)),
-        "gauss_cross_check": _sup(cd.Riem - cd.Riem_metric) / np.maximum(_sup(cd.Riem), 1.0),
+        "gauss_cross_check": _sup(cd.R - cd.R_metric) / np.maximum(_sup(cd.R), 1.0),
     }
     if pg.is_sasakian:
         out["h_contact_component"] = _sup(pg.h_xi)
@@ -529,13 +562,11 @@ def structure_checks(pg: PointGeometry, cd: CurvatureData) -> dict:
 
 
 def sectional_curvatures(cd: CurvatureData, V: np.ndarray, W: np.ndarray):
-    """Sectional curvature of span(V, W) per node; frame components (B,P,n)."""
-    # one contraction at a time: with the shared p, a single einsum finds
-    # no pairwise path and loops over all six indices
-    num = _einsum("bijkl,bpl->bpijk", cd.Riem, W)
-    num = _einsum("bpijk,bpk->bpij", num, V)
-    num = _einsum("bpij,bpi,bpj->bp", num, V, W)
-    vv = _einsum("bpi,bpi->bp", V, V)
-    ww = _einsum("bpi,bpi->bp", W, W)
-    vw = _einsum("bpi,bpi->bp", V, W)
-    return num / (vv * ww - vw**2)
+    """Sectional curvature of span(V, W) per node; frame components (B, Q, n).
+
+    It is w^T R w / w^T w with the 2-vector w_p = V_i W_j - V_j W_i, p = (i, j).
+    """
+    I, J, _ = _pair_tables(V.shape[-1])
+    w = V[..., I] * W[..., J] - V[..., J] * W[..., I]  # (B, Q, P)
+    Rw = _einsum("bpr,bqr->bqp", cd.R, w)
+    return _einsum("bqp,bqp->bq", w, Rw) / _einsum("bqp,bqp->bq", w, w)

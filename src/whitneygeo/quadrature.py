@@ -110,14 +110,16 @@ def quadrature_error(values, floor: float = 0.0, control=None) -> tuple[float, s
     return error, method
 
 
-def _integer(name: str, value, least: int) -> int:
+def _integer(name: str, value, least: int, most: int | None = None) -> int:
     """``value`` as an int; booleans, non-integers and values below ``least``
-    raise a ``ValueError`` that names ``name``."""
+    or above ``most`` raise a ``ValueError`` that names ``name``."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
             isinstance(value, numbers.Integral) or float(value).is_integer())):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value!r}")
     return int(value)
 
 

@@ -51,6 +51,7 @@ import numpy as np
 
 from . import jets
 from .jets import _einsum
+from .quadrature import _integer
 
 __all__ = [
     "AmbientFields",
@@ -62,6 +63,9 @@ __all__ = [
     "riemann_from_metric",
 ]
 
+
+#: the largest n whose chart, of dimension 2n or 2n + 1, is an array length numpy can index
+_MAX_N = (np.iinfo(np.intp).max - 1) // 2
 
 #: the seed and point count of every model's self-test
 SELF_TEST_SEED = 1234
@@ -282,10 +286,7 @@ class BaseModel:
     chart_dim: int = 0
 
     def __init__(self, n: int):
-        if (isinstance(n, bool) or not isinstance(n, numbers.Real)
-                or not float(n).is_integer() or n < 2):
-            raise ValueError(f"model dimension n must be an integer >= 2, got {n!r}")
-        self.n = int(n)
+        self.n = _integer("model dimension n", n, 2, _MAX_N)
         self._self_test_report: dict | None = None
         self._base: AmbientFields | None = None
 

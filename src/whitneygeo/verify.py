@@ -24,11 +24,12 @@ themselves) and weights.  The same map carries the case's other checks:
 the model's self-test and, for a flowed case, the RK4 step check on its
 sampled nodes.  The jobs run on the process's one pool of forked workers,
 started by the first map that wants more than one and kept across cases,
-with the einsum plans and Leibniz tables each worker has built: those
-depend on shapes only.  Each chunk job returns its partial sums, sups,
-minima and sectional range (a frame-stage chunk: its sectional range and
-Weyl sup), and the caller folds them in chunk order, as a serial loop
-would; so a report does not depend on the number of workers.  Each worker
+with the einsum plans, Leibniz tables and curvature pair tables each
+worker has built: those depend on shapes only.  Each chunk job returns
+its partial sums, sups, minima and sectional range (a frame-stage chunk:
+its sectional range and Weyl sup), and the caller folds them in chunk
+order, as a serial loop would; so a report does not depend on the number
+of workers.  Each worker
 holds the geometry of one chunk at a time.
 """
 
@@ -46,7 +47,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import jets
-from .jets import _einsum
 from .geometry import (
     CurvatureData,
     curvature_data,
@@ -516,7 +516,7 @@ def _rung_chunk(spec, model, seed, full, start, nodes, w):
     checked.update(structure_checks(pg, cd))
     sups = {name: float(np.max(np.abs(vals))) for name, vals in checked.items()}
     mins = {name: float(np.min(res[name])) for name in ("lemma_gap_31", "lemma_gap_32")}
-    span = None if start is None else _sectional_range(cd.Riem, start)
+    span = None if start is None else _sectional_range(cd, start)
     return sums, l2, sups, mins, span
 
 
@@ -584,25 +584,15 @@ def _plane_streams(seed: int, counts, n: int) -> list:
     return starts
 
 
-def _sectional_range(riem: np.ndarray, start: dict) -> tuple[float, float]:
-    """Least and greatest sectional curvature over the coordinate planes and
-    the random planes drawn from ``start``, at every node of ``riem``."""
-    B, n = riem.shape[:2]
-    cd = CurvatureData(Riem=riem, Riem_metric=None, Ricci=None, scalar=None, Weyl=None)
-    planes = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    V = np.zeros((B, len(planes), n))
-    W = np.zeros((B, len(planes), n))
-    for p, (i, j) in enumerate(planes):
-        V[:, p, i] = 1.0
-        W[:, p, j] = 1.0
-    K = sectional_curvatures(cd, V, W)
+def _sectional_range(cd: CurvatureData, start: dict) -> tuple[float, float]:
+    """Least and greatest sectional curvature over the coordinate planes, the
+    diagonal of the curvature operator, and the random planes drawn from
+    ``start``, at every node of ``cd``.  A plane's curvature depends only on
+    its span, so the pairs drawn are not orthonormalized."""
+    K = np.diagonal(cd.R, axis1=1, axis2=2)
     rng = np.random.Generator(np.random.PCG64())
     rng.bit_generator.state = start
-    Vr, Wr = _draw_planes(rng, B, n)
-    Vr /= np.linalg.norm(Vr, axis=-1, keepdims=True)
-    Wr -= _einsum("bpi,bpi->bp", Wr, Vr)[..., None] * Vr
-    Wr /= np.linalg.norm(Wr, axis=-1, keepdims=True)
-    Kr = sectional_curvatures(cd, Vr, Wr)
+    Kr = sectional_curvatures(cd, *_draw_planes(rng, len(cd.R), cd.Ricci.shape[-1]))
     return min(float(K.min()), float(Kr.min())), max(float(K.max()), float(Kr.max()))
 
 
@@ -625,8 +615,8 @@ def _frame_chunk(spec, model, start, nodes, w):
     It integrates nothing, so the weights ``w`` go unread."""
     pg, fields = frame_geometry(model, spec, nodes)
     cd = gauss_curvature(pg, fields)
-    weyl_sup = None if cd.Weyl is None else float(np.max(np.abs(cd.Weyl)))
-    return _sectional_range(cd.Riem, start), weyl_sup
+    weyl_sup = None if cd.W is None else float(np.max(np.abs(cd.W)))
+    return _sectional_range(cd, start), weyl_sup
 
 
 def conformal_block(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import whitneygeo
-from whitneygeo import jets, verify
+from whitneygeo import geometry, jets, verify
 from whitneygeo.immersions import make_spec
 from whitneygeo.quadrature import build_grid
 from whitneygeo.spaceforms import BaseModel, ModelValidationError
@@ -209,18 +209,21 @@ def _module_state():
 
 
 def test_the_only_tables_a_case_fills_are_the_shape_tables(monkeypatch):
-    # a worker keeps these two across maps, which is safe only because they
-    # are keyed by signature and shape; a new per-case table must face that
+    # a worker keeps these three across maps, which is safe only because they
+    # are keyed by signature and shape (the pair tables by n); a new per-case
+    # table must face that
     _workers(monkeypatch, 1)
     jets._PLAN_CACHE.clear()
     jets._LEIBNIZ_CACHE.clear()
+    geometry._PAIR_CACHE.clear()
     before = _module_state()
     for spec, kw in CASES[:4]:
         run_case(spec, seed=5, **kw)
     conformal_block(make_spec("contact_whitney_r", 2, r=1.0), resolution=12)
     after = _module_state()
     changed = {name for name in after if after[name] != before.get(name)}
-    assert changed == {"whitneygeo.jets._PLAN_CACHE", "whitneygeo.jets._LEIBNIZ_CACHE"}
+    assert changed == {"whitneygeo.jets._PLAN_CACHE", "whitneygeo.jets._LEIBNIZ_CACHE",
+                       "whitneygeo.geometry._PAIR_CACHE"}
     caches = {
         f"{name}.{key}"
         for name, module in sys.modules.items()
@@ -237,6 +240,7 @@ def test_warm_tables_leave_a_report_unchanged(monkeypatch):
     verify._close_pool()
     jets._PLAN_CACHE.clear()  # the workers fork with the parent's tables
     jets._LEIBNIZ_CACHE.clear()
+    geometry._PAIR_CACHE.clear()
     cold = report_to_json(run_case(spec, seed=5, **kw))
     workers = _children()
     for other, other_kw in (CASES[0], CASES[3]):

@@ -146,7 +146,7 @@ def test_a_misplaced_batch_label_is_refused():
 # -- the batch-label convention at the call sites -------------------------------
 
 SIGNATURE = re.compile(r"^[A-Za-z,.]+->[A-Za-z.]*$")
-SOURCES = [Path(m.__file__) for m in (geometry, spaceforms, verify)]
+SOURCES = [Path(m.__file__) for m in (geometry, spaceforms)]
 
 
 def _batch_label_misplaced(subscripts):
@@ -202,7 +202,7 @@ def _floats_agree(a, b, atol, where="report"):
 def test_reports_agree_with_the_numpy_route(monkeypatch, spec, resolution):
     kernel = asdict(run_case(spec, resolution=resolution, seed=5))
     with monkeypatch.context() as patch:
-        for module in (geometry, spaceforms, verify):
+        for module in (geometry, spaceforms):
             patch.setattr(module, "_einsum", _numpy_einsum)
         # the kernel run's workers were forked before the patch: without
         # fresh ones, the reference would run the kernel again

@@ -29,8 +29,10 @@ from whitneygeo.spaceforms import (
     _metric_bracket,
     christoffel_from_metric,
     make_model,
+    riemann_from_metric,
 )
 
+import curvature_reference
 from scalar_reference import mirror
 
 ALL_KINDS = ["C_n", "CP_n", "CH_n", "Sasakian_R", "Sasakian_S", "Sasakian_B"]
@@ -53,14 +55,18 @@ def _mixed_frame(gt, mixer):
     return TJ(E.v @ M, None if E.d is None else np.einsum("bijz,ja->biaz", E.d, M))
 
 
+def _nodes(kind, n, count, seed):
+    """Seeded nodes: torus angles for the torus, else sphere points."""
+    if kind == "product_torus":
+        return np.random.default_rng(seed).uniform(0, 2 * np.pi, size=(count, n))
+    return _points(n, count, seed)
+
+
 def _run(kind, n, kw, count=10, seed=0, mixer=None):
     """The full pass at seeded nodes; a ``mixer`` has the pipeline frame its rows."""
     spec = make_spec(kind, n, **kw)
     model = model_for(spec)
-    if kind == "product_torus":
-        nodes = np.random.default_rng(seed).uniform(0, 2 * np.pi, size=(count, n))
-    else:
-        nodes = _points(n, count, seed)
+    nodes = _nodes(kind, n, count, seed)
     frame = _frame if mixer is None else (lambda gt: _mixed_frame(gt, mixer))
     with mock.patch.object(geometry, "_frame", frame):
         pg, fields = pointwise_geometry(model, spec, nodes)
@@ -74,25 +80,21 @@ class TestDegenerateCases:
         assert res["h_norm2"].max() < 1e-18
         assert res["nabla_h_norm2"].max() < 1e-18
         assert res["H_norm2"].max() < 1e-18
-        # constant sectional curvature 1 from the Gauss equation with h = 0
-        n = 2
-        delta = np.eye(n)
-        want = np.einsum("ik,jl->ijkl", delta, delta) - np.einsum(
-            "il,jk->ijkl", delta, delta
-        )
-        assert_allclose(cd.Riem, np.broadcast_to(want, cd.Riem.shape), atol=1e-9)
+        # constant sectional curvature 1 from the Gauss equation with h = 0:
+        # the curvature operator is the identity on 2-vectors, 1 x 1 at n = 2
+        assert_allclose(cd.R, np.broadcast_to(np.eye(1), cd.R.shape), atol=1e-9)
 
     def test_flat_torus_parallel_and_ricci_flat(self):
         pg, cd, res, chk = _run("product_torus", 2, dict(radii=(1.0, 1.0)))
         assert res["nabla_h_norm2"].max() < 1e-25
         assert np.abs(cd.Ricci).max() < 1e-14
-        assert np.abs(cd.Riem).max() < 1e-14
+        assert np.abs(cd.R).max() < 1e-14
         assert res["ric_JH_JH"].max() < 1e-14
 
     def test_unequal_torus_still_parallel(self):
         pg, cd, res, chk = _run("product_torus", 3, dict(radii=(0.5, 1.0, 2.0)))
         assert res["nabla_h_norm2"].max() < 1e-25
-        assert np.abs(cd.Riem).max() < 1e-13
+        assert np.abs(cd.R).max() < 1e-13
 
 
 class TestWhitneyRelation:
@@ -169,8 +171,8 @@ class TestCurvatureRoutes:
             ("contact_whitney_b", dict(theta=0.5, a=1.0)),
         ):
             pg, cd, res, chk = _run(kind, 2, kw, count=8, seed=4)
-            scale = max(np.abs(cd.Riem).max(), 1.0)
-            assert np.abs(cd.Riem - cd.Riem_metric).max() / scale < 1e-8
+            scale = max(np.abs(cd.R).max(), 1.0)
+            assert np.abs(cd.R - cd.R_metric).max() / scale < 1e-8
 
     @pytest.mark.parametrize("kind, kw", [("whitney_cp", dict(theta=0.5)),
                                           ("contact_whitney_s", dict(theta=0.6, a=0.8))])
@@ -182,7 +184,7 @@ class TestCurvatureRoutes:
         tol = verify._STRUCTURE_TOLS["gauss_cross_check"]
         for factor, agree in ((1.0, True), (1.0 + 1e-3, False)):
             cd = curvature_data(pg, dataclasses.replace(fields, G2=fields.G2 * factor))
-            gap = np.abs(cd.Riem - cd.Riem_metric).max() / max(np.abs(cd.Riem).max(), 1.0)
+            gap = np.abs(cd.R - cd.R_metric).max() / max(np.abs(cd.R).max(), 1.0)
             assert gap <= tol if agree else gap > 1e4 * tol, (factor, gap)
 
     def test_ricci_symmetric(self):
@@ -191,9 +193,9 @@ class TestCurvatureRoutes:
 
     def test_weyl_vanishes_for_whitney_four_sphere(self):
         pg, cd, res, chk = _run("whitney_c0", 4, dict(r=1.0), count=4, seed=6)
-        assert np.abs(cd.Weyl).max() < 1e-9
+        assert np.abs(cd.W).max() < 1e-9
         # non-constant sectional curvature
-        B = cd.Riem.shape[0]
+        B = cd.R.shape[0]
         V = np.zeros((B, 2, 4))
         W = np.zeros((B, 2, 4))
         V[:, 0, 0] = 1.0
@@ -529,31 +531,95 @@ class TestFrameStage:
         full = curvature_data(*pointwise_geometry(model, spec, u))
         pg, fields = frame_geometry(model, spec, u)
         cd = gauss_curvature(pg, fields)
-        for name in ("Riem", "Ricci", "scalar", "Weyl"):
+        for name in ("R", "Ricci", "scalar", "W"):
             want = getattr(full, name)
-            if name == "Weyl" and n < 4:
-                assert want is None and cd.Weyl is None
+            if name == "W" and n < 4:
+                assert want is None and cd.W is None
             else:
                 assert np.array_equal(getattr(cd, name), want), name
         # the stage carries values only
-        assert cd.Riem_metric is None and pg.hcov is None
+        assert cd.R_metric is None and pg.hcov is None
         assert pg.X is None  # the input of the induced g2
         assert not hasattr(pg, "G2X")  # built where the induced g2 reads it, not kept
         assert pg.g.d is None and pg.E.d is None and pg.h.d is None
         assert fields is model.base_fields()  # the fields at the base point
 
 
-def test_stepwise_sectional_matches_single_einsum():
+_OPERATOR_CASES = [(k, kw, n) for n in (2, 3, 4) for k, kw in _CATALOG
+                   if k != "totally_geodesic_cp" or n == 2]
+
+
+@pytest.mark.parametrize("kind, kw, n", _OPERATOR_CASES,
+                         ids=[f"{k}-n{n}" for k, _, n in _OPERATOR_CASES])
+def test_curvature_operator_matches_the_tensor_routes(kind, kw, n):
+    # every quantity read off the operator on 2-vectors, against the n^4
+    # tensors built the long way
+    spec = make_spec(kind, n, **kw)
+    pg, fields = pointwise_geometry(model_for(spec), spec, _nodes(kind, n, 5, n))
+    cd = curvature_data(pg, fields)
+    riem = curvature_reference.gauss_riemann(pg, fields)
+    want = curvature_reference.curvature(riem)
+    tol = 1e-13 * max(np.abs(riem).max(), 1.0)
+    assert np.abs(curvature_reference.tensor(cd.R, n) - riem).max() <= tol
+    metric = curvature_reference.metric_riemann(pg, fields)
+    assert np.abs(curvature_reference.tensor(cd.R_metric, n) - metric).max() <= tol
+    assert np.abs(cd.Ricci - want.Ricci).max() <= tol
+    assert np.abs(cd.scalar - want.scalar).max() <= tol
+    if n >= 4:
+        assert abs(np.abs(cd.W).max() - np.abs(want.Weyl).max()) <= tol
+        assert np.abs(curvature_reference.tensor(cd.W, n) - want.Weyl).max() <= tol
+    else:
+        assert cd.W is None and want.Weyl is None
+    # random planes drawn as the sectional range draws them, pairs of normal
+    # vectors; the reference takes an orthonormal basis of each, where its
+    # denominator |V|^2 |W|^2 - (V.W)^2 does not cancel
+    V, W = np.random.default_rng(n).normal(size=(2, 5, 20, n))
+    Vo = V / np.linalg.norm(V, axis=-1, keepdims=True)
+    Wo = W - np.sum(W * Vo, axis=-1, keepdims=True) * Vo
+    Wo /= np.linalg.norm(Wo, axis=-1, keepdims=True)
+    K = curvature_reference.sectional_curvatures(riem, Vo, Wo)
+    assert np.abs(sectional_curvatures(cd, V, W) - K).max() <= tol
+
+
+@pytest.mark.parametrize("kind, kw", [("whitney_cp", dict(theta=0.5)),
+                                      ("contact_whitney_s", dict(theta=0.6, a=0.8)),
+                                      ("perturbed", dict(epsilon=0.05, seed=3))])
+def test_curvature_operator_is_symmetric_and_satisfies_bianchi(kind, kw):
+    spec = make_spec(kind, 4, **kw)
+    cd = gauss_curvature(*frame_geometry(model_for(spec), spec, _points(4, count=6, seed=2)))
+    scale = max(np.abs(cd.R).max(), 1.0)
+    assert np.abs(cd.R - cd.R.transpose(0, 2, 1)).max() <= 1e-14 * scale
+    # pairs (0,1) (0,2) (0,3) (1,2) (1,3) (2,3): R_{01,23} - R_{02,13} + R_{03,12}
+    bianchi = cd.R[:, 0, 5] - cd.R[:, 1, 4] + cd.R[:, 2, 3]
+    assert np.abs(bianchi).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("kind, n", [(k, n) for n in (2, 3, 4) for k in ALL_KINDS])
+def test_ambient_curvature_on_any_orthonormal_frame(kind, n):
+    # the closed form on the pairs, on frames that are neither Lagrangian nor
+    # Legendrian (there gJ and gphi vanish), against the base point's
+    # curvature from the ambient metric
+    model = make_model(kind, n, a=0.8)
+    fields, G = model.base_fields(), model.base_fields().G0[0]
+    X = np.random.default_rng(n).normal(size=(6, n, model.chart_dim))
+    F = np.linalg.solve(np.linalg.cholesky(np.einsum("bim,mk,bjk->bij", X, G, X)), X)
+    c_eff = (model.c_tilde + 3.0) / 4.0 if model.is_sasakian else float(model.c)
+    pg = SimpleNamespace(F=TJ(F, None), n=n, is_sasakian=model.is_sasakian, c_eff=c_eff)
+    R4 = riemann_from_metric(fields.G0, fields.G1, fields.G2)[0]
+    want = np.einsum("rsmv,bim,bjv,bls,rt,bkt->bijkl", R4, F, F, F, G, F, optimize=True)
+    got = geometry._ambient_curvature(pg, fields)
+    assert np.abs(curvature_reference.tensor(got, n) - want).max() <= 1e-13 * max(
+        np.abs(want).max(), 1.0)
+
+
+def test_sectional_curvatures_match_the_full_contraction():
+    # any symmetric operator, read as the n^4 tensor it stands for
     rng = np.random.default_rng(41)
-    B, P, n = 7, 5, 4
-    riem = rng.normal(size=(B, n, n, n, n))
-    V, W = rng.normal(size=(B, P, n)), rng.normal(size=(B, P, n))
-    cd = CurvatureData(Riem=riem, Riem_metric=riem, Ricci=None, scalar=None, Weyl=None)
-    num = np.einsum("bijkl,bpi,bpj,bpk,bpl->bp", riem, V, W, V, W)
-    den = (
-        np.einsum("bpi,bpi->bp", V, V) * np.einsum("bpi,bpi->bp", W, W)
-        - np.einsum("bpi,bpi->bp", V, W) ** 2
-    )
-    want = num / den
+    B, Q, n = 7, 5, 4
+    R = rng.normal(size=(B, 6, 6))
+    R = R + R.transpose(0, 2, 1)
+    V, W = rng.normal(size=(B, Q, n)), rng.normal(size=(B, Q, n))
+    cd = CurvatureData(R=R, R_metric=R, Ricci=None, scalar=None, W=None)
+    want = curvature_reference.sectional_curvatures(curvature_reference.tensor(R, n), V, W)
     got = sectional_curvatures(cd, V, W)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -86,6 +86,7 @@ class TestMakeModel:
         ("Sasakian_R", float("nan"), 1.0, "model dimension n"),
         ("CP_n", True, 1.0, "model dimension n"),
         ("CH_n", "3", 1.0, "model dimension n"),
+        ("C_n", 10**400, 1.0, "model dimension n"),
     ])
     def test_bad_inputs_name_the_parameter(self, kind, n, a, bad):
         with pytest.raises(ValueError) as info:

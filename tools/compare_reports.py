@@ -14,8 +14,10 @@ instead runs the cases that no benchmark workload reaches: an n = 4 run with
 its conformal block, an RK4 hard failure and an UNRESOLVED case.
 
 ``compare`` tells whether two records are byte-identical.  Where they are
-not, it prints the largest relative difference between two floats and every
-difference that is not between floats.  It exits 0 for identical records
+not, it prints the largest relative difference between two floats, the
+largest |a - b| / max(|a|, |b|, 1), the form in which a bound on report
+numbers is stated (it does not blow up at values that are rounding noise
+around 0), and every difference that is not between floats.  It exits 0 for identical records
 and 1 otherwise.
 """
 
@@ -93,16 +95,17 @@ def _as_float(value):
     return None
 
 
-def _relative(x: float, y: float) -> float:
+def _relative(x: float, y: float, floor: float = 0.0) -> float:
+    """|x - y| / max(|x|, |y|, floor); 0 for two NaNs, inf for one."""
     if math.isnan(x) or math.isnan(y):
         return 0.0 if math.isnan(x) and math.isnan(y) else math.inf
-    scale = max(abs(x), abs(y))
+    scale = max(abs(x), abs(y), floor)
     return abs(x - y) / scale if scale else 0.0
 
 
 def _walk(a, b, path: str, floats: list, others: list) -> None:
-    """Collect the differences of two parsed records: ``(relative, path)`` where
-    both sides are floats, ``(path, a, b)`` elsewhere."""
+    """Collect the differences of two parsed records: ``(relative, path, a, b)``
+    where both sides are floats, ``(path, a, b)`` elsewhere."""
     if a == b and type(a) is type(b) and repr(a) == repr(b):
         return
     if isinstance(a, dict) and isinstance(b, dict) and list(a) == list(b):
@@ -112,7 +115,8 @@ def _walk(a, b, path: str, floats: list, others: list) -> None:
         for i, (x, y) in enumerate(zip(a, b)):
             _walk(x, y, f"{path}[{i}]", floats, others)
     elif _as_float(a) is not None and _as_float(b) is not None:
-        floats.append((_relative(_as_float(a), _as_float(b)), path))
+        x, y = _as_float(a), _as_float(b)
+        floats.append((_relative(x, y), path, x, y))
     else:
         others.append((path, a, b))
 
@@ -130,9 +134,11 @@ def compare(first: dict, second: dict) -> bool:
             x, y = dict(x, json=json.loads(x["json"])), dict(y, json=json.loads(y["json"]))
             _walk(x, y, f"[{i}]", floats, others)
     if floats:
-        worst, where = max(floats)
+        worst, where, _, _ = max(floats)
         print(f"largest relative float difference: {worst:.3e} at {where} "
               f"({len(floats)} floats differ)")
+        worst, where = max((_relative(x, y, 1.0), path) for _, path, x, y in floats)
+        print(f"largest |a - b| / max(|a|, |b|, 1): {worst:.3e} at {where}")
     for path, x, y in others:
         print(f"not a float difference at {path}: {x!r} != {y!r}")
     return same == len(a) == len(b)
