@@ -7,7 +7,8 @@ differences of the same scalar functions.
 A packed jet stores each distinct partial once, in the order of
 ``jets._packed_basis`` (value, d/dx, d/dy, then the second and third
 partials), followed by a batch axis of evaluation points.  ``jets._Ops``
-multiplies packed jets and applies elementary functions to them.
+multiplies packed jets and applies the elementary functions exp, sqrt and
+1/x to them.
 """
 
 import numpy as np
@@ -35,8 +36,9 @@ def plus(u, c):
 print("== third-order jets in two variables ==")
 ops = jets._Ops(2, 3)
 x, y = seeds([[0.4, -0.3]], order=3)
-f = (ops.mul(ops.fn("sin", ops.mul(x, y)), ops.fn("exp", 0.5 * x))
-     + ops.mul(y, ops.fn("recip", plus(ops.fn("cosh", x), 2.0))))
+xy = ops.mul(x, y)
+f = (ops.mul(ops.fn("sqrt", plus(ops.mul(xy, xy), 1.0)), ops.fn("exp", 0.5 * x))
+     + ops.mul(y, ops.fn("recip", plus(ops.fn("exp", x), 2.0))))
 val, d1, d2, d3 = jets._unpack_blocks(f, 2, 3)
 print("value            :", val[0])
 print("gradient         :", d1[0])
@@ -45,7 +47,7 @@ print("Hessian          :\n", d2[0])
 
 def f_np(t):
     a, b = t
-    return np.sin(a * b) * np.exp(0.5 * a) + b / (2.0 + np.cosh(a))
+    return np.sqrt(1.0 + (a * b) ** 2) * np.exp(0.5 * a) + b / (2.0 + np.exp(a))
 
 
 h = 1e-3

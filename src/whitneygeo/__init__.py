@@ -25,7 +25,7 @@ from .geometry import (
     pointwise_geometry,
     structure_checks,
 )
-from .quadrature import IntegrationGrid, build_grid, sphere_volume
+from .quadrature import IntegrationGrid, build_grid
 from .spaceforms import DomainError, ModelValidationError, make_model
 from .verify import Tolerances, VerificationReport, classify_equality, run_case
 
@@ -53,6 +53,5 @@ __all__ = [
     "paper_residuals",
     "pointwise_geometry",
     "run_case",
-    "sphere_volume",
     "structure_checks",
 ]

@@ -24,6 +24,9 @@ from .verify import (
     run_case,
 )
 
+#: the report formats of ``verify``; a sweep writes CSV
+_FORMATS = ("json", "csv", "markdown")
+
 _CASE_PARAM_KEYS = ("r", "theta", "a", "epsilon", "steps", "base", "B", "radii")
 
 #: every setting a config file may give; flags override them
@@ -32,6 +35,12 @@ _SETTING_KEYS = (
     "conformal", "tol_pointwise", "tol_inequality", "tol_integral",
     "tol_classification", "tol_strictness",
 )
+
+#: the settings a sweep refuses, and why
+_VERIFY_ONLY = {
+    "conformal": "sweep computes no conformal block",
+    "format": "sweep writes CSV only",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,9 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--base")
         q.add_argument("--resolution", type=int)
         q.add_argument("--seed", type=int)
-        q.add_argument("--format", choices=("json", "csv", "markdown"))
         q.add_argument("--out")
         if name == "verify":
+            q.add_argument("--format", choices=_FORMATS)
             q.add_argument("--conformal", action="store_true", default=None,
                            help="also compute the Weyl/sectional block")
         q.add_argument("--tol-pointwise", type=float, dest="tol_pointwise")
@@ -113,6 +122,8 @@ def _parse_value(key: str, val: str):
         if val.lower() not in _BOOLEANS:
             raise ValueError(f"{val!r} is not one of {', '.join(_BOOLEANS)}")
         return _BOOLEANS[val.lower()]
+    if key == "format" and val not in _FORMATS:
+        raise ValueError(f"{val!r} is not one of {', '.join(_FORMATS)}")
     return val
 
 
@@ -125,6 +136,10 @@ def _merge_settings(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             settings[key] = val
+    if args.command == "sweep":
+        for key, why in _VERIFY_ONLY.items():
+            if key in settings:
+                raise ValueError(f"{why}; the key {key!r} belongs to verify")
     settings.setdefault("n", 2)
     settings.setdefault("seed", 0)
     settings.setdefault("format", "json")
@@ -217,9 +232,6 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     settings = _merge_settings(args)
-    if "conformal" in settings:
-        raise ValueError("sweep computes no conformal block; the key 'conformal' "
-                         "belongs to verify")
     try:
         name, rng = args.sweep.split("=", 1)
         start, stop, count = rng.split(":")

@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from . import jets
+from . import jets, quadrature
 from .spaceforms import BaseModel, SasakianB, make_model
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "hamiltonian_flow",
     "node_jets",
     "random_quartic",
-    "loop_integral",
 ]
 
 
@@ -218,16 +217,14 @@ def _real(p: dict, name: str, default: float) -> float:
     return value
 
 
-def _integer(p: dict, name: str, default: int) -> int:
-    """Parameter ``name`` (or its default) as an int, stored back into ``p``."""
+def _integer(p: dict, name: str, default: int, least: int) -> int:
+    """Parameter ``name`` (or its default) as an int of at least ``least``, stored
+    back into ``p``; a value that is no real number, such as a numeric string, is
+    read by :func:`_real` first."""
     raw = p.get(name, default)
-    if isinstance(raw, numbers.Integral) and not isinstance(raw, bool):
-        p[name] = int(raw)
-        return p[name]
-    value = _real(p, name, default)
-    if not value.is_integer():
-        raise ValueError(f"{name} must be an integer, got {raw!r}")
-    p[name] = int(value)
+    if not isinstance(raw, numbers.Real):
+        raw = _real(p, name, default)
+    p[name] = quadrature._integer(name, raw, least)
     return p[name]
 
 
@@ -262,14 +259,13 @@ def make_spec(kind: str, n: int, **params) -> ImmersionSpec:
     """Validate parameters and build an immersion spec.
 
     Numeric parameters are stored as the float or int they were validated
-    as; a non-finite value, a non-integral ``n``, ``steps`` or ``seed``, or
-    a parameter the kind does not read raises a ``ValueError`` that names it.
+    as; a non-finite value, a non-integral ``n``, ``steps`` or ``seed`` or
+    one below its least value (2, 1 and 0), or a parameter the kind does not
+    read raises a ``ValueError`` that names it.
     """
     if kind not in CATALOG:
         raise ValueError(f"unknown catalog case {kind!r}; see CATALOG")
-    n = _integer({}, "n", n)
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n = _integer({}, "n", n, 2)
     p = dict(params)
     keys = _KEYS.get(kind)
     if kind == "lifted":
@@ -308,9 +304,9 @@ def make_spec(kind: str, n: int, **params) -> ImmersionSpec:
     elif kind == "perturbed":
         if _real(p, "epsilon", 0.05) < 0:
             raise ValueError("epsilon must be non-negative")
-        if _integer(p, "steps", 32) < 16:
+        if _integer(p, "steps", 32, 1) < 16:
             raise ValueError("RK4 step count must be at least 16")
-        _integer(p, "seed", 1)
+        _integer(p, "seed", 1, 0)
         if _real(p, "r", 1.0) <= 0:
             raise ValueError("radius r must be positive")
         if "hamiltonian" not in p:
@@ -348,8 +344,9 @@ def model_for(spec: ImmersionSpec) -> BaseModel:
     return make_model(kind, spec.n)
 
 
-def random_quartic(n: int, seed: int, scale: float = 1.0):
-    """Seeded random polynomial of degrees 2..4 on the 2n chart variables."""
+def random_quartic(n: int, seed: int):
+    """Seeded random polynomial of degrees 2..4 on the 2n chart variables, its
+    coefficients normal with standard deviation 1 / sqrt(number of terms)."""
     rng = np.random.default_rng(seed)
     m = 2 * n
     terms = []
@@ -361,7 +358,7 @@ def random_quartic(n: int, seed: int, scale: float = 1.0):
             for i in combo:
                 e[i] += 1
             terms.append(tuple(e))
-    coeffs = rng.normal(size=len(terms)) * (scale / math.sqrt(len(terms)))
+    coeffs = rng.normal(size=len(terms)) * (1.0 / math.sqrt(len(terms)))
     return tuple((float(c), e) for c, e in zip(coeffs, terms))
 
 
@@ -625,7 +622,7 @@ def _eval_lifted(spec, u, ops):
     """Base coordinates plus the fiber z with dz = sum_j y_j dx_j, as packed jets.
 
     A global z exists because sum y dx is closed on a Lagrangian and
-    H^1(S^n) = 0 for n >= 2; :func:`loop_integral` checks the closedness.
+    H^1(S^n) = 0 for n >= 2.
     The value of z is 0 at every node, a Reeb translation chosen per node.
     Neither the metric nor phi, xi and eta of Sasakian_R (eta = (dz - sum y
     dx) / 2) depends on the last chart coordinate, so the Reeb flow is an
@@ -638,39 +635,6 @@ def _eval_lifted(spec, u, ops):
     x = _EVALUATORS[base.kind](base, u, ops)
     return np.concatenate([x, jets._packed_fiber(x[..., n:], x[..., :n], ops)[..., None]],
                           axis=-1)
-
-
-def _loop_integrand(spec: ImmersionSpec, theta_polar: float, phi) -> np.ndarray:
-    """d z / d phi of the lift ``spec`` along the loop at angles ``phi``: (B,).
-
-    The loop is u = cos a e_0 + sin a (cos phi e_(n-1) + sin phi e_n), a =
-    ``theta_polar``, and the derivative is sum_i d_i z (Q_i . du/dphi), with
-    d_i z the lift's own fiber partials in the node chart of basis Q.
-    """
-    n, r = spec.n, math.sin(theta_polar)
-    u, du = np.zeros((2, len(phi), n + 1))
-    u[:, 0] = math.cos(theta_polar)
-    u[:, n - 1], u[:, n] = r * np.cos(phi), r * np.sin(phi)
-    du[:, n - 1], du[:, n] = -u[:, n], u[:, n - 1]
-    dz = eval_immersion(spec, u, order=1)[1:, :, -1]
-    return np.einsum("ib,bki,bk->b", dz, _reflections(u)[:, :, :n], du)
-
-
-def loop_integral(spec: ImmersionSpec, theta_polar: float | None = None,
-                  resolution: int = 64) -> float:
-    """Integral of sum(y_i dx_i) around a closed azimuthal loop (exactness check).
-
-    ``theta_polar`` is the loop's angle from e_0, pi / 2 by default; a base
-    spec is lifted with the parameters it hands a lift.
-    """
-    if spec.kind != "lifted":
-        keys = _LIFT_KEYS.get(spec.kind, ())
-        spec = make_spec("lifted", spec.n, base=spec.kind,
-                         **{k: v for k, v in spec.params.items() if k in keys})
-    a = math.pi / 2 if theta_polar is None else theta_polar
-    xs, ws = np.polynomial.legendre.leggauss(resolution)
-    integ = _loop_integrand(spec, a, np.pi + np.pi * xs)
-    return float(np.pi * (integ * ws).sum())
 
 
 _EVALUATORS = {

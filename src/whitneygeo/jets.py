@@ -10,7 +10,9 @@ There is one algebra, on packed arrays: a leading coefficient axis stores
 each distinct partial once (:func:`_packed_basis`), the axes after it carry
 a batch of evaluation points and any tensor shape, and the entries may be
 real or complex.  :func:`_packed_mul` is the product rule and
-:func:`_packed_compose` the one chain rule.  :class:`Jet` and
+:func:`_packed_compose` the one chain rule, whose univariate outer
+functions are exp, sqrt and 1/x (:func:`_table`): the torus seeds the cos
+and sin of its angles directly (:func:`_seed_angles`).  :class:`Jet` and
 :func:`compose` are a full-block face on them, with one dense derivative
 block per order, kept for the micro-benchmarks in ``bench/micro.py``.  The
 module ends with ``_einsum``, the planned batched contraction kernel that
@@ -111,21 +113,9 @@ def compose(f: Jet, xs: list[Jet]) -> Jet:
 def _table(x: np.ndarray, kind: str, order: int) -> np.ndarray:
     """An elementary function at ``x`` as a packed jet in one variable: row k is its k-th derivative.
 
-    ``kind`` is one of ``sin, cos, sinh, cosh, exp, sqrt, recip``.
+    ``kind`` is one of ``exp, sqrt, recip``.
     """
-    if kind == "sin":
-        s, c = np.sin(x), np.cos(x)
-        derivs = (s, c, -s, -c)
-    elif kind == "cos":
-        s, c = np.sin(x), np.cos(x)
-        derivs = (c, -s, -c, s)
-    elif kind == "sinh":
-        s, c = np.sinh(x), np.cosh(x)
-        derivs = (s, c, s, c)
-    elif kind == "cosh":
-        s, c = np.sinh(x), np.cosh(x)
-        derivs = (c, s, c, s)
-    elif kind == "exp":
+    if kind == "exp":
         e = np.exp(x)
         derivs = (e, e, e, e)
     elif kind == "sqrt":
@@ -314,7 +304,7 @@ class _Ops:
         return _packed_mul(a, b, self.table)
 
     def fn(self, kind: str, u: np.ndarray) -> np.ndarray:
-        """The elementary function ``kind`` of :func:`_table` applied to ``u``."""
+        """The elementary function ``kind`` of :func:`_table`, exp, sqrt or recip, of ``u``."""
         return _packed_compose(_table(u[0], kind, self.order), [u], self.table)
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "ladder_resolutions",
     "quadrature_error",
     "sphere_points",
-    "sphere_volume",
 ]
 
 #: default resolution per parameter dimension, keyed by sphere dimension
@@ -55,10 +54,6 @@ def sphere_points(t) -> np.ndarray:
     for i, sin in enumerate(np.sin(t).T):
         u[:, i + 1 :] *= sin[:, None]
     return u
-
-
-def sphere_volume(n: int) -> float:
-    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
 
 
 def ladder_resolutions(resolution: int) -> tuple[int, int, int]:

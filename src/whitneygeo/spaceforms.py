@@ -60,7 +60,6 @@ __all__ = [
     "make_model",
     "christoffel_from_metric",
     "christoffel_derivative",
-    "riemann_from_metric",
 ]
 
 
@@ -132,17 +131,13 @@ def christoffel_derivative(G0, G1, G2):
     )
 
 
-def riemann_from_metric(G0, G1, G2):
-    """R^rho_{sigma mu nu} with R(X, Y)Z = R^rho_{sigma mu nu} X^mu Y^nu Z^sigma.
+def _riemann(gamma, dgamma):
+    """R^rho_{sigma mu nu} of a connection and its first derivatives, with
+    R(X, Y)Z = R^rho_{sigma mu nu} X^mu Y^nu Z^sigma.
 
     Curvature convention: R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
     - nabla_{[X, Y]} Z.
     """
-    return _riemann(christoffel_from_metric(G0, G1), christoffel_derivative(G0, G1, G2))
-
-
-def _riemann(gamma, dgamma):
-    """R^rho_{sigma mu nu} of a connection and its first derivatives, as above."""
     t1 = _einsum("brnsm->brsmn", dgamma)  # d_mu Gamma^rho_{nu sigma}
     t2 = _einsum("brmsn->brsmn", dgamma)  # d_nu Gamma^rho_{mu sigma}
     q1 = _einsum("brml,blns->brsmn", gamma, gamma)

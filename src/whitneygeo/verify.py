@@ -18,14 +18,14 @@ A run is one map (:func:`_map_chunks`) and one fold.  One builder,
 :func:`_map_grids`, makes a job of every chunk of every grid the run
 evaluates: a module-level function and its inputs, the spec, the case's
 model with its base-point fields (computed once, by the builder), the
-function's own arguments, where the chunk's random planes begin in the
-run's stream (fixed before the map) and its own nodes (the points
-themselves) and weights.  The same map carries the case's other checks:
-the model's self-test and, for a flowed case, the RK4 step check on its
-sampled nodes.  The jobs run on the process's one pool of forked workers,
-started by the first map that wants more than one and kept across cases,
-with the einsum plans, Leibniz tables and curvature pair tables each
-worker has built: those depend on shapes only.  Each chunk job returns
+function's own arguments, the seed of the chunk's random planes (from
+the run seed and the chunk's place among the chunks that draw planes) and
+its own nodes (the points themselves) and weights.  The same map carries
+the case's other checks: the model's self-test and, for a flowed case,
+the RK4 step check on its sampled nodes.  The jobs run on the process's
+one pool of forked workers, started by the first map that wants more than
+one and kept across cases, with the einsum plans, Leibniz tables and
+curvature pair tables each worker has built: those depend on shapes only.  Each chunk job returns
 its partial sums, sups, minima and sectional range (a frame-stage chunk:
 its sectional range and Weyl sup), and the caller folds them in chunk
 order, as a serial loop would; so a report does not depend on the number
@@ -196,7 +196,11 @@ def _chunk_size(chart_dim: int) -> int:
     return 1024 if chart_dim >= 7 else 2048
 
 
-def _gradient_test_functions(spec: ImmersionSpec, seed: int, count: int = 3):
+#: seeded gradient test functions per case, each a Yano integral of the report
+_GRADIENT_TESTS = 3
+
+
+def _gradient_test_functions(spec: ImmersionSpec, seed: int):
     """Seeded smooth scalar functions on the domain, as packed-jet evaluators.
 
     Each is a sum of two exponentials of linear forms in the packed inner
@@ -206,7 +210,7 @@ def _gradient_test_functions(spec: ImmersionSpec, seed: int, count: int = 3):
     rng = np.random.default_rng(seed + 7919)
     n = spec.n
     funcs = []
-    for _ in range(count):
+    for _ in range(_GRADIENT_TESTS):
         if spec.domain == "sphere":
             forms = rng.normal(size=(2, n + 1))
             forms /= np.linalg.norm(forms, axis=1, keepdims=True)
@@ -490,14 +494,15 @@ def _unresolved_reason(
     )
 
 
-def _rung_chunk(spec, model, seed, full, start, nodes, w):
+def _rung_chunk(spec, model, seed, full, planes, nodes, w):
     """One chunk job of a case's ladder: the sums of its certificate integrands.
 
     ``model`` is the case's, its base-point fields computed once by the
     caller; ``nodes`` and ``w`` are the chunk's nodes and weights.  A
     companion rung integrates nothing else.  The ``full`` grid's chunks also
     give the gradient-field integrals, the l2 sums, the sups and minima and,
-    from the plane stream's ``start`` (None for none), the sectional range.
+    from the seed ``planes`` of its random planes (None for none), the
+    sectional range.
     """
     if not full:
         return (_chunk_sums(spec, model, nodes, w)[0],)
@@ -516,7 +521,7 @@ def _rung_chunk(spec, model, seed, full, start, nodes, w):
     checked.update(structure_checks(pg, cd))
     sups = {name: float(np.max(np.abs(vals))) for name, vals in checked.items()}
     mins = {name: float(np.min(res[name])) for name in ("lemma_gap_31", "lemma_gap_32")}
-    span = None if start is None else _sectional_range(cd, start)
+    span = None if planes is None else _sectional_range(cd, planes)
     return sums, l2, sups, mins, span
 
 
@@ -524,29 +529,35 @@ def _map_grids(spec, model, seed, groups, checks) -> list:
     """The chunk jobs of every group and the jobs ``checks``, in one map.
 
     A group is ``(fn, args, grid, planes)``: each chunk of ``grid`` is the
-    job ``fn(spec, model, *args, start, nodes, w)`` of its nodes and
-    weights, where ``start`` is where its random planes begin in the run's
-    one stream if ``planes``, else None.  The groups that draw planes draw
-    them in group order, chunk after chunk.  Returns each group's results,
-    in chunk order, then the list of the results of ``checks``.
+    job ``fn(spec, model, *args, planes, nodes, w)`` of its nodes and
+    weights, where ``planes`` is the seed of its random planes if the group
+    draws planes, else None.  The k-th chunk that draws, counting in group
+    order, has child k of the run's plane seed, so its planes depend neither
+    on the other chunks' draws nor on the process that draws them.  Returns
+    each group's results, in chunk order, then the list of the results of
+    ``checks``.
     """
     size = _chunk_size(model.chart_dim)
     model.base_fields()  # once, here: every job carries the model
-    groups = [(fn, args, grid, grid.chunks(size), planes) for fn, args, grid, planes in groups]
-    starts = iter(_plane_streams(
-        seed, [len(idx) for *_, chunks, planes in groups if planes for idx in chunks], spec.n))
+    plane_seed = np.random.SeedSequence(seed + 104729)
     jobs, ends = [], []
-    for fn, args, grid, chunks, planes in groups:
-        jobs += [(fn, spec, model, *args, next(starts) if planes else None,
-                  grid.nodes[idx], grid.weight[idx]) for idx in chunks]
+    for fn, args, grid, planes in groups:
+        chunks = grid.chunks(size)
+        seeds = plane_seed.spawn(len(chunks)) if planes else [None] * len(chunks)
+        jobs += [(fn, spec, model, *args, s, grid.nodes[idx], grid.weight[idx])
+                 for s, idx in zip(seeds, chunks)]
         ends.append(len(jobs))
     parts = _map_chunks(jobs + list(checks))
     return [parts[a:b] for a, b in zip([0, *ends], ends)] + [parts[len(jobs):]]
 
 
-def _rk4_sample(grid, sample: int = 64) -> np.ndarray:
-    """The ``sample`` nodes, evenly spaced in the grid's order, of the RK4 step check."""
-    idx = np.linspace(0, len(grid.nodes) - 1, min(sample, len(grid.nodes))).astype(int)
+#: nodes of the RK4 step check
+_RK4_SAMPLE = 64
+
+
+def _rk4_sample(grid) -> np.ndarray:
+    """The nodes, evenly spaced in the grid's order, of the RK4 step check."""
+    idx = np.linspace(0, len(grid.nodes) - 1, min(_RK4_SAMPLE, len(grid.nodes))).astype(int)
     return grid.nodes[idx]
 
 
@@ -567,31 +578,13 @@ def _draw_planes(rng, count: int, n: int):
     return rng.normal(size=shape), rng.normal(size=shape)
 
 
-def _plane_streams(seed: int, counts, n: int) -> list:
-    """Where each chunk's random planes begin in the run's one stream.
-
-    A run draws its planes chunk after chunk, in chunk order, ``count``
-    nodes each.  Drawing through
-    the stream once here records each chunk's start, so that a worker can
-    draw its own chunk's planes and the planes do not depend on which
-    process draws them.
-    """
-    rng = np.random.default_rng(seed + 104729)
-    starts = []
-    for count in counts:
-        starts.append(rng.bit_generator.state)
-        _draw_planes(rng, count, n)
-    return starts
-
-
-def _sectional_range(cd: CurvatureData, start: dict) -> tuple[float, float]:
+def _sectional_range(cd: CurvatureData, planes) -> tuple[float, float]:
     """Least and greatest sectional curvature over the coordinate planes, the
-    diagonal of the curvature operator, and the random planes drawn from
-    ``start``, at every node of ``cd``.  A plane's curvature depends only on
-    its span, so the pairs drawn are not orthonormalized."""
+    diagonal of the curvature operator, and the random planes drawn from the
+    seed ``planes``, at every node of ``cd``.  A plane's curvature depends
+    only on its span, so the pairs drawn are not orthonormalized."""
     K = np.diagonal(cd.R, axis1=1, axis2=2)
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = start
+    rng = np.random.default_rng(planes)
     Kr = sectional_curvatures(cd, *_draw_planes(rng, len(cd.R), cd.Ricci.shape[-1]))
     return min(float(K.min()), float(Kr.min())), max(float(K.max()), float(Kr.max()))
 
@@ -609,14 +602,14 @@ def _sectional_stats(spans, weyl_sups) -> dict:
     }
 
 
-def _frame_chunk(spec, model, start, nodes, w):
+def _frame_chunk(spec, model, planes, nodes, w):
     """One chunk job of a conformal block: the frame stage's sectional range
-    from the plane stream's ``start``, and its Weyl sup (None below n = 4).
-    It integrates nothing, so the weights ``w`` go unread."""
+    from the seed ``planes`` of its random planes, and its Weyl sup (None
+    below n = 4).  It integrates nothing, so the weights ``w`` go unread."""
     pg, fields = frame_geometry(model, spec, nodes)
     cd = gauss_curvature(pg, fields)
     weyl_sup = None if cd.W is None else float(np.max(np.abs(cd.W)))
-    return _sectional_range(cd, start), weyl_sup
+    return _sectional_range(cd, planes), weyl_sup
 
 
 def conformal_block(
@@ -695,7 +688,7 @@ def run_case(
 
     # what stays in ``normalized`` are the report's inequality integrals
     yano = {"main": normalized.pop("yano_main")}
-    for k in range(3):
+    for k in range(_GRADIENT_TESTS):
         yano[f"grad_{k}"] = sums[f"yano_grad_{k}"] / vol
     yano["main_error"] = quadrature["yano_main"]["error"]
 

@@ -5,7 +5,7 @@
 build the same quantities the long way, as tensors Riem[b, i, j, k, l]
 paired as g(R(e_i, e_j) e_l, e_k): the Gauss route with the ambient
 curvature written out entry by entry, the metric route through
-``spaceforms.riemann_from_metric`` and a six-operand frame contraction,
+:func:`riemann_from_metric` and a six-operand frame contraction,
 Ricci, the scalar curvature and the Weyl tensor by their defining formulas,
 and sectional curvatures by a full contraction with V, W, V, W.
 """
@@ -17,7 +17,16 @@ from types import SimpleNamespace
 import numpy as np
 
 from whitneygeo.geometry import _induced_metric_hessian
-from whitneygeo.spaceforms import riemann_from_metric
+from whitneygeo.spaceforms import _riemann, christoffel_derivative, christoffel_from_metric
+
+
+def riemann_from_metric(G0, G1, G2):
+    """R^rho_{sigma mu nu} with R(X, Y)Z = R^rho_{sigma mu nu} X^mu Y^nu Z^sigma.
+
+    Curvature convention: R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
+    - nabla_{[X, Y]} Z.
+    """
+    return _riemann(christoffel_from_metric(G0, G1), christoffel_derivative(G0, G1, G2))
 
 
 def ambient_frame_curvature(pg, fields):

@@ -7,6 +7,10 @@ runs use the resolutions of ``N3_PARAMS`` (36, and 40 for ``whitney_ch``,
 above the default 32).  All runs use the default tolerance set.
 """
 
+import sys
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,18 +20,18 @@ from whitneygeo.verify import conformal_block, report_to_json, run_case
 
 pytestmark = pytest.mark.slow
 
-# The hyperbolic-target families converge at rate exp(-K asinh(tanh theta))
-# (the chart formulas have complex poles at distance ~tanh theta), so their
-# sweep ranges sit where the default grids certify the 1e-8 integral
-# tolerances; the projective/sphere targets are unconstrained.
-SWEEPS = {
-    "whitney_c0": ("r", [0.5, 0.75, 1.0, 1.5, 2.0]),
-    "whitney_cp": ("theta", [0.2, 0.35, 0.5, 0.75, 1.0]),
-    "whitney_ch": ("theta", [0.8, 0.95, 1.1, 1.25, 1.4]),
-    "contact_whitney_r": ("r", [0.5, 0.75, 1.0, 1.5, 2.0]),
-    "contact_whitney_s": ("theta", [0.2, 0.35, 0.5, 0.75, 1.0]),
-    "contact_whitney_b": ("theta", [0.8, 0.95, 1.1, 1.25, 1.4]),
-}
+# the benchmark's source is run from its path, so that nothing is written
+# next to it; its dataclasses look their module up in sys.modules
+_PATH = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+workloads = sys.modules.setdefault("bench_workloads", types.ModuleType("bench_workloads"))
+exec(compile(_PATH.read_text(), str(_PATH), "exec"), vars(workloads))
+
+# The n = 2 sweeps are the benchmark's.  The hyperbolic-target families
+# converge at rate exp(-K asinh(tanh theta)) (the chart formulas have
+# complex poles at distance ~tanh theta), so their sweep ranges sit where
+# the default grids certify the 1e-8 integral tolerances; the
+# projective/sphere targets are unconstrained.
+SWEEPS = workloads.SWEEPS
 
 N3_PARAMS = {
     "whitney_c0": (dict(r=1.0), 36),

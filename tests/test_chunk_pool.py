@@ -67,13 +67,23 @@ def test_pool_and_serial_n4_blocks_agree(monkeypatch):
     assert pooled["weyl_sup"] is not None
 
 
+def test_a_block_draws_each_chunks_planes_once(monkeypatch):
+    # one draw per chunk, inside its job: none in the parent before the map
+    calls = []
+    draw = verify._draw_planes
+    monkeypatch.setattr(verify, "_draw_planes", lambda *a: calls.append(a[1]) or draw(*a))
+    _workers(monkeypatch, 1)
+    conformal_block(make_spec("contact_whitney_r", 4, r=1.0), seed=5)
+    assert calls == [1000] * 20
+
+
 @pytest.mark.parametrize("run", [
     lambda: conformal_block(make_spec("contact_whitney_r", 4, r=1.0), seed=5),
     lambda: run_case(make_spec("whitney_cp", 2, theta=0.5), resolution=16, conformal=True),
 ], ids=["n4-block", "n2-run_case"])
 def test_chunks_return_their_sectional_range_not_their_curvature(monkeypatch, run):
-    # the random planes' place in the stream is fixed before the map, so a
-    # worker folds its own chunk and sends back floats, not the Riemann tensor
+    # each chunk draws its random planes from its own seed, so a worker
+    # folds its own chunk and sends back floats, not the Riemann tensor
     seen = []
     serial = verify._map_chunks
 

@@ -145,6 +145,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="config line 2: bad value for 'conformal'"):
             parse_config_text("case=whitney_c0\nconformal = ture")
 
+    def test_format_must_be_a_report_format(self, capsys, tmp_path):
+        with pytest.raises(ValueError, match="config line 2: bad value for 'format'"):
+            parse_config_text("case = product_torus\nformat = xml\n")
+        cfg = tmp_path / "xml.cfg"
+        cfg.write_text("case = product_torus\nformat = xml\nresolution = 16\n")
+        code, out, err = _run(["verify", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "config line 2" in err and "'format'" in err
+
     def test_unknown_key_is_rejected(self, capsys, tmp_path):
         with pytest.raises(ValueError, match="config line 2: unknown key 'thetaa'"):
             parse_config_text("case = whitney_cp\nthetaa = 0.9\n")
@@ -228,6 +238,19 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert "conformal" in err
+
+    def test_format_belongs_to_verify_only(self, capsys, tmp_path):
+        # a sweep writes CSV whatever the format says
+        argv = ["sweep", "--case", "whitney_cp", "--sweep", "theta=0.4:0.8:2"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "markdown"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("format = markdown\n")
+        code, out, err = _run(argv + ["--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "'format'" in err
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_empty_sweep_is_rejected(self, capsys, count):

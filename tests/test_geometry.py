@@ -29,10 +29,10 @@ from whitneygeo.spaceforms import (
     _metric_bracket,
     christoffel_from_metric,
     make_model,
-    riemann_from_metric,
 )
 
 import curvature_reference
+from curvature_reference import riemann_from_metric
 from scalar_reference import mirror
 
 ALL_KINDS = ["C_n", "CP_n", "CH_n", "Sasakian_R", "Sasakian_S", "Sasakian_B"]

@@ -13,7 +13,6 @@ from whitneygeo.immersions import (
     HamiltonianDeformation,
     eval_immersion,
     hamiltonian_flow,
-    loop_integral,
     make_spec,
     model_for,
     node_jets,
@@ -203,6 +202,7 @@ class TestCatalogValues:
         ("whitney_c0", dict(B=(0.0, True, 0.0, 0.0)), "B"),
         ("contact_whitney_r", dict(B=np.array([1, 0, 0, 0, 0], dtype=bool)), "B"),
         ("product_torus", dict(radii=(1.0, "two")), "radii"),
+        ("perturbed", dict(seed=-1), "seed"),
     ])
     def test_bad_numbers_are_refused_by_name(self, kind, params, name):
         with pytest.raises(ValueError, match=rf"^{name} must be"):
@@ -649,6 +649,38 @@ class TestHamiltonianFlow:
         assert random_quartic(2, 7) != random_quartic(2, 8)
 
 
+def _loop_integrand(spec, theta_polar, phi):
+    """d z / d phi of the lift ``spec`` along the loop at angles ``phi``: (B,).
+
+    The loop is u = cos a e_0 + sin a (cos phi e_(n-1) + sin phi e_n), a =
+    ``theta_polar``, and the derivative is sum_i d_i z (Q_i . du/dphi), with
+    d_i z the lift's own fiber partials in the node chart of basis Q.
+    """
+    n, r = spec.n, math.sin(theta_polar)
+    u, du = np.zeros((2, len(phi), n + 1))
+    u[:, 0] = math.cos(theta_polar)
+    u[:, n - 1], u[:, n] = r * np.cos(phi), r * np.sin(phi)
+    du[:, n - 1], du[:, n] = -u[:, n], u[:, n - 1]
+    dz = eval_immersion(spec, u, order=1)[1:, :, -1]
+    return np.einsum("ib,bki,bk->b", dz, immersions._reflections(u)[:, :, :n], du)
+
+
+def loop_integral(spec, theta_polar=None, resolution=64):
+    """Integral of sum(y_i dx_i) around a closed azimuthal loop (exactness check).
+
+    ``theta_polar`` is the loop's angle from e_0, pi / 2 by default; a base
+    spec is lifted with the parameters it hands a lift.
+    """
+    if spec.kind != "lifted":
+        keys = immersions._LIFT_KEYS.get(spec.kind, ())
+        spec = make_spec("lifted", spec.n, base=spec.kind,
+                         **{k: v for k, v in spec.params.items() if k in keys})
+    a = math.pi / 2 if theta_polar is None else theta_polar
+    xs, ws = np.polynomial.legendre.leggauss(resolution)
+    integ = _loop_integrand(spec, a, np.pi + np.pi * xs)
+    return float(np.pi * (integ * ws).sum())
+
+
 class TestLegendrianLift:
     def test_perturbed_base_keeps_its_hamiltonian(self):
         ham = random_quartic(2, 99)
@@ -674,7 +706,7 @@ class TestLegendrianLift:
         h = 1e-5
         dx = (values(phi + h) - values(phi - h)) / (2 * h)
         want = np.sum(values(phi)[:, 2:] * dx[:, :2], axis=-1)
-        got = immersions._loop_integrand(spec, polar, phi)
+        got = _loop_integrand(spec, polar, phi)
         assert np.max(np.abs(want)) > 0.1
         assert_allclose(got, want, rtol=0, atol=1e-8 * np.max(np.abs(want)))
 

@@ -274,9 +274,9 @@ class TestSymmetry:
         seeds = _seeds(rng.normal(size=(4, 3)), 3)
         ops = jets._Ops(3, 3)
         f = poly_eval_packed(random_poly(rng, 3, 3), seeds, ops)
-        g = ops.mul(ops.fn("sin", f), ops.fn("exp", seeds[0]))
+        g = ops.mul(ops.fn("exp", f), ops.fn("exp", seeds[0]))
         a, b = (Jet(3, 3, *jets._unpack_blocks(r, 3, 3)) for r in (f, g))
-        outer = Jet(3, 1, *jets._unpack_blocks(jets._table(f[0], "cosh", 3), 1, 3))
+        outer = Jet(3, 1, *jets._unpack_blocks(jets._table(f[0], "exp", 3), 1, 3))
         for h in (a * b, compose(outer, [a])):
             for perm in itertools.permutations(range(3)):
                 assert np.array_equal(h.d3, np.transpose(h.d3, (0,) + tuple(p + 1 for p in perm)))
@@ -308,27 +308,9 @@ def _cubic(coeffs, t, ops):
 
 
 class TestElementary:
-    def test_sin_maclaurin(self):
-        (x,) = _seeds([0.0], 3)
-        s = jets._Ops(1, 3).fn("sin", x)
-        assert_allclose(s[:, 0], [0, 1, 0, -1])
-
-    def test_hyperbolic_identity(self):
-        (t,) = _seeds([0.37], 3)
-        ops = jets._Ops(1, 3)
-        c, s = ops.fn("cosh", t), ops.fn("sinh", t)
-        one = ops.mul(c, c) - ops.mul(s, s)
-        assert_allclose(one[0], 1.0, rtol=1e-14)
-        assert_allclose(one[1], 0.0, atol=1e-14)
-        assert_allclose(one[2:4], 0.0, atol=1e-13)
-
     @pytest.mark.parametrize(
         "kind,fn,x0",
         [
-            ("sin", np.sin, 0.4),
-            ("cos", np.cos, -0.3),
-            ("sinh", np.sinh, 0.2),
-            ("cosh", np.cosh, 0.7),
             ("exp", np.exp, 0.1),
             ("sqrt", np.sqrt, 1.7),
             ("recip", lambda x: 1.0 / x, 0.8),
@@ -377,7 +359,7 @@ class TestCompose:
     def test_multivariate_chain_rule_vs_fd(self):
         # f(u, w) evaluated on inner maps of two variables.
         def f_np(u, w):
-            return np.sin(u) * w + u * w**2
+            return np.exp(u) * w + u * w**2
 
         def x_np(t, s):
             return 0.3 + t * s + t**2
@@ -394,7 +376,7 @@ class TestCompose:
         xj = _plus(ops.mul(t, s) + ops.mul(t, t), 0.3)
         yj = _plus(-s + 0.5 * t, 1.1)
         u, w = _seeds([xj[0, 0], yj[0, 0]], 3)
-        fjet = ops.mul(ops.fn("sin", u), w) + ops.mul(u, ops.mul(w, w))
+        fjet = ops.mul(ops.fn("exp", u), w) + ops.mul(u, ops.mul(w, w))
         packed = jets._packed_compose(fjet, [xj, yj], ops.table)
         face = compose(Jet(3, 2, *jets._unpack_blocks(fjet, 2, 3)),
                        [Jet(3, 2, *jets._unpack_blocks(r, 2, 3)) for r in (xj, yj)])
@@ -486,7 +468,7 @@ class TestBatch:
 
         def formula(x, y):
             den = ops.fn("recip", _plus(ops.mul(y, y), 2.0))
-            return ops.mul(ops.fn("sin", x), ops.fn("exp", 0.3 * y)) + ops.mul(x, den)
+            return ops.mul(ops.fn("exp", x), ops.fn("exp", 0.3 * y)) + ops.mul(x, den)
 
         f = formula(*_seeds(pts, 3))
         for b in range(6):

@@ -12,9 +12,14 @@ from numpy.testing import assert_allclose
 
 from whitneygeo.geometry import pointwise_geometry
 from whitneygeo.immersions import make_spec, model_for
-from whitneygeo.quadrature import IntegrationGrid, build_grid, sphere_points, sphere_volume
+from whitneygeo.quadrature import IntegrationGrid, build_grid, sphere_points
 from whitneygeo.spaceforms import BaseModel
 from whitneygeo.verify import run_case
+
+
+def sphere_volume(n):
+    """vol(S^n) = 2 pi^((n + 1) / 2) / Gamma((n + 1) / 2)."""
+    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
 
 
 def _immersed_volume(spec, grid):

@@ -12,10 +12,10 @@ from whitneygeo.spaceforms import (
     christoffel_derivative,
     christoffel_from_metric,
     make_model,
-    riemann_from_metric,
 )
 
 import scalar_reference as sj
+from curvature_reference import riemann_from_metric
 
 ALL_KINDS = ["C_n", "CP_n", "CH_n", "Sasakian_R", "Sasakian_S", "Sasakian_B"]
 
