@@ -116,15 +116,12 @@ def tj_einsum(spec: str, *ops) -> TJ:
 class PointGeometry:
     """All pointwise extrinsic data at a batch of nodes."""
 
-    spec: ImmersionSpec
     is_sasakian: bool
     n: int
     g: TJ  # induced metric (B, n, n)
     sqrt_det_g: np.ndarray  # (B,)
     E: TJ  # orthonormal tangent frame, coordinate components (B, n, n)
     F: TJ  # the same frame in ambient components (B, n, m)
-    N: TJ  # normal frame J e_i / phi e_i, ambient components (B, n, m)
-    Xi: TJ | None  # unit contact normal along the image (Sasakian); its value is the base point's
     h: TJ  # second fundamental form (B, n, n, n), values only: its d enters through H
     h_xi: np.ndarray | None  # contact-normal component of h (B, n, n)
     H: TJ  # mean curvature components (B, n)
@@ -349,9 +346,8 @@ def _extrinsic(model, spec, X, fields):
         Ht.d = (1.0 / n) * tj_einsum("bmn,bm,bkn->bk", Gt, tj_einsum("biim->bm", Wt), Nt).d
 
     pg = PointGeometry(
-        spec=spec, is_sasakian=model.is_sasakian, n=n, g=gt,
-        sqrt_det_g=np.sqrt(det), E=Et, F=Ft, N=Nt, Xi=Xit, h=TJ(h, None), h_xi=h_xi, H=Ht,
-        isotropy=iso, c_eff=c_eff,
+        is_sasakian=model.is_sasakian, n=n, g=gt, sqrt_det_g=np.sqrt(det), E=Et, F=Ft,
+        h=TJ(h, None), h_xi=h_xi, H=Ht, isotropy=iso, c_eff=c_eff,
     )
     if not full:
         return pg, fields

@@ -390,7 +390,10 @@ class BaseModel:
         if report is None:
             rng = np.random.default_rng(SELF_TEST_SEED)
             fields = self.fields_at(self.random_chart_points(rng, SELF_TEST_POINTS))
-            report = self._run_self_test(fields, rng)
+            R = _riemann(fields.Gamma0, fields.Gamma1)
+            report = self._run_self_test(fields, R, rng)
+            report["curvature_oracle"] = self._curvature_match(fields, R, rng)
+            report["bianchi"] = self._bianchi_residual(R)
             report["ok"] = all(v <= tols[k] for k, v in report.items())
             self._self_test_report = report
         if strict and not report["ok"]:
@@ -490,7 +493,7 @@ class ComplexSpaceFormModel(BaseModel):
             "bianchi": 1e-9,
         }
 
-    def _run_self_test(self, f, rng):
+    def _run_self_test(self, f, R, rng):
         G0 = f.G0
         B = len(G0)
         J = _complex_rotation(self.n)
@@ -505,13 +508,10 @@ class ComplexSpaceFormModel(BaseModel):
         )
         report["hermitian_compat"] = float(np.max(np.abs(hermitian)))
         # holomorphic sectional curvature of the span {X, JX} equals 4c
-        R = _riemann(f.Gamma0, f.Gamma1)  # serves the oracle and Bianchi checks too
         RX = _einsum("brsmn,bm,bn,bs->br", R, X, JX, JX)
         num = _einsum("bmn,bm,bn->b", G0, RX, X)
         den = _einsum("bmn,bm,bn->b", G0, X, X) ** 2
         report["holomorphic_sectional"] = float(np.max(np.abs(num / den - 4.0 * self.c)))
-        report["curvature_oracle"] = self._curvature_match(f, R, rng)
-        report["bianchi"] = self._bianchi_residual(R)
         return report
 
 
@@ -594,7 +594,7 @@ class SasakianModel(BaseModel):
             "bianchi": 1e-9,
         }
 
-    def _run_self_test(self, f, rng):
+    def _run_self_test(self, f, R, rng):
         B = len(f.G0)
         G0, Phi0, Phi1, Xi0, Xi1, Eta0, Eta1 = (
             f.G0, f.Phi0, f.Phi1, f.Xi0, f.Xi1, f.Eta0, f.Eta1,
@@ -643,13 +643,10 @@ class SasakianModel(BaseModel):
         # phi-sectional curvature of span {U, phi U}, U orthogonal to xi
         U = X - (etaX / g(Xi0, Xi0))[:, None] * Xi0
         pU = _einsum("bmn,bn->bm", Phi0, U)
-        R = _riemann(f.Gamma0, f.Gamma1)  # serves the oracle and Bianchi checks too
         RU = _einsum("brsmn,bm,bn,bs->br", R, U, pU, pU)
         num = _einsum("bmn,bm,bn->b", G0, RU, U)
         den = g(U, U) * g(pU, pU)
         report["phi_sectional"] = float(np.max(np.abs(num / den - self.c_tilde)))
-        report["curvature_oracle"] = self._curvature_match(f, R, rng)
-        report["bianchi"] = self._bianchi_residual(R)
         return report
 
 

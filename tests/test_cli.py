@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from whitneygeo import cli
 from whitneygeo.cli import main, parse_config_text
 
 
@@ -91,6 +92,20 @@ class TestVerify:
             ["verify", "--case", "whitney_c0", "--resolution", "16"], capsys
         )
         assert code == 1
+
+    def test_seed_reaches_the_hamiltonian_of_a_lift(self, capsys):
+        # the lift flows the same seeded Hamiltonian as ``--case perturbed``
+        code, out, _ = _run(
+            [
+                "verify", "--case", "lifted", "--base", "perturbed", "--seed", "5",
+                "--resolution", "16",
+            ],
+            capsys,
+        )
+        assert code in (0, 1)
+        doc = json.loads(out)
+        assert doc["parameters"]["seed"] == 5
+        assert doc["effective_config"]["seed"] == "5"
 
     def test_csv_format(self, capsys):
         code, out, _ = _run(
@@ -191,6 +206,51 @@ class TestConfig:
         _run(argv + ["--out", str(a)], capsys)
         _run(argv + ["--out", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
+
+
+#: a value of every setting, as a config line and a flag both write it
+_SETTING_VALUES = {
+    "case": "whitney_cp", "n": "3", "r": "1.5", "theta": "0.25", "a": "0.8",
+    "epsilon": "0.1", "steps": "40", "base": "perturbed", "resolution": "16", "seed": "5",
+    "format": "markdown", "out": "report.md", "conformal": "yes", "tol_pointwise": "1e-7",
+    "tol_inequality": "2e-9", "tol_integral": "3e-8", "tol_classification": "4e-6",
+    "tol_strictness": "5e-4",
+}
+#: the settings a config file gives but no flag does
+_CONFIG_ONLY = {"B": "0.1, -0.2", "radii": "1.1, 0.9"}
+_VERIFY_ONLY = ("format", "conformal")
+#: every (command, setting) pair that has a flag
+_FLAGS = [(command, key) for command in ("verify", "sweep") for key in sorted(_SETTING_VALUES)
+          if command == "verify" or key not in _VERIFY_ONLY]
+
+
+def _merged(argv, tmp_path, config_lines):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{line}\n" for line in ["case = whitney_c0", *config_lines]))
+    args = cli._build_parser().parse_args([*argv, "--config", str(cfg)])
+    return cli._merge_settings(args)
+
+
+class TestSettings:
+    @pytest.mark.parametrize("command, key", _FLAGS, ids=[f"{c}-{k}" for c, k in _FLAGS])
+    def test_a_flag_and_a_config_line_give_the_same_setting(self, tmp_path, command, key):
+        argv = [command] + (["--sweep", "theta=0.4:0.8:2"] if command == "sweep" else [])
+        value = _SETTING_VALUES[key]
+        flag = ["--" + key.replace("_", "-")] + ([] if key == "conformal" else [value])
+        from_flag = _merged(argv + flag, tmp_path, [])
+        from_config = _merged(argv, tmp_path, [f"{key} = {value}"])
+        assert from_flag == from_config
+        assert key in from_flag
+        assert from_flag["case"] == ("whitney_cp" if key == "case" else "whitney_c0")
+
+    @pytest.mark.parametrize("key", sorted(_CONFIG_ONLY))
+    def test_tuples_are_config_only(self, tmp_path, key):
+        settings = _merged(["verify"], tmp_path, [f"{key} = {_CONFIG_ONLY[key]}"])
+        assert settings[key] == tuple(float(v) for v in _CONFIG_ONLY[key].split(","))
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(
+                ["verify", "--case", "whitney_c0", f"--{key}", _CONFIG_ONLY[key]])
+        assert exc.value.code == 2
 
 
 class TestSweep:

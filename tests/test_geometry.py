@@ -457,6 +457,19 @@ def test_centred_route_matches_the_per_node_route(kind, kw, n):
         assert np.all(np.abs(got[name] - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0)), name
 
 
+@pytest.mark.parametrize("order", [2, 3])
+def test_degenerate_induced_metric_is_refused(order):
+    # a second tangent of zero makes the induced metric singular at every node
+    spec = make_spec("whitney_cp", 2, theta=0.5)
+    model = model_for(spec)
+    x = model.centre(eval_immersion(spec, _points(2, count=4, seed=3), order=order), spec.n)
+    X = list(jets._unpack_blocks(x, spec.n, order))
+    X[1] = X[1].copy()
+    X[1][..., 1] = 0.0
+    with pytest.raises(RuntimeError, match="degenerate induced metric"):
+        geometry._extrinsic(model, spec, X, model.base_fields())
+
+
 def _gram_schmidt_reference(g, dg, mixer):
     """Gram-Schmidt on the rows of ``mixer`` (or the coordinate basis) under
     one node's metric g (n, n), with the product rule along dg (n, n, z)."""

@@ -11,7 +11,10 @@ writes, for every ``run_case`` call, ``report_to_json``,
 ``report_to_csv_row`` and ``report_to_markdown`` of its report, and for
 every ``conformal_block`` call its block as JSON.  The workload ``edges``
 instead runs the cases that no benchmark workload reaches: an n = 4 run with
-its conformal block, an RK4 hard failure and an UNRESOLVED case.
+its conformal block, an RK4 hard failure and an UNRESOLVED case, and two
+``whitneygeo verify`` calls (their output dropped): one read from a config
+file with tuple, ``tol_*`` and ``conformal`` settings, and a lift of the
+``perturbed`` case with ``--seed 5``.
 
 ``compare`` tells whether two records are byte-identical.  Where they are
 not, it prints the largest relative difference between two floats, the
@@ -24,15 +27,41 @@ and 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _edges(verify, make_spec, seed: int) -> list:
+#: the config file of the ``edges`` workload's ``verify --config`` call
+_EDGES_CONFIG = """\
+case = product_torus
+radii = 1.1, 0.9
+tol_integral = 1e-7
+resolution = 16
+conformal = yes
+format = markdown
+"""
+
+
+def _cli(cli, argv: list, config: str | None = None) -> None:
+    """Run ``whitneygeo`` on ``argv``, with the text ``config`` as its
+    ``--config`` file if given, and drop what it prints."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        if config is not None:
+            path = Path(tmp) / "run.cfg"
+            path.write_text(config)
+            argv = [*argv, "--config", str(path)]
+        if cli.main(argv) == 2:
+            raise RuntimeError(f"whitneygeo {' '.join(argv)} is a configuration error")
+
+
+def _edges(cli, verify, make_spec, seed: int) -> list:
     """The calls of the ``edges`` workload, as functions of no arguments."""
     return [
         lambda: verify.run_case(make_spec("whitney_c0", 4, r=1.0), resolution=12,
@@ -41,6 +70,9 @@ def _edges(verify, make_spec, seed: int) -> list:
         lambda: verify.run_case(make_spec("whitney_ch", 2, theta=0.2), resolution=16,
                                 seed=seed),
         lambda: verify.conformal_block(make_spec("whitney_cp", 3, theta=0.5), seed=seed),
+        lambda: _cli(cli, ["verify"], config=_EDGES_CONFIG),
+        lambda: _cli(cli, ["verify", "--case", "lifted", "--base", "perturbed", "--seed", "5",
+                           "--resolution", "16"]),
     ]
 
 
@@ -74,7 +106,7 @@ def record(root: Path, workload: str, seed: int) -> list:
     verify.run_case = cli.run_case = recorded_run_case
     verify.conformal_block = recorded_block
     if workload == "edges":
-        commands = _edges(verify, immersions.make_spec, seed)
+        commands = _edges(cli, verify, immersions.make_spec, seed)
     else:
         commands = [command.run for command in workloads.build(workload, seed)]
     for run in commands:
