@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -106,16 +106,6 @@ class HamiltonianDeformation:
     coeffs: tuple  # tuple of (coefficient, exponent tuple over the 2n chart vars)
     epsilon: float
     steps: int
-
-    def gradient_terms(self, m: int):
-        out = [[] for _ in range(m)]
-        for c, e in self.coeffs:
-            for mu in range(m):
-                if e[mu] > 0:
-                    e2 = list(e)
-                    e2[mu] -= 1
-                    out[mu].append((c * e[mu], tuple(e2)))
-        return out
 
 
 class _Params(dict):
@@ -259,9 +249,11 @@ def make_spec(kind: str, n: int, **params) -> ImmersionSpec:
     """Validate parameters and build an immersion spec.
 
     Numeric parameters are stored as the float or int they were validated
-    as; a non-finite value, a non-integral ``n``, ``steps`` or ``seed`` or
-    one below its least value (2, 1 and 0), or a parameter the kind does not
-    read raises a ``ValueError`` that names it.
+    as, in the order of the kind's ``_KEYS`` (a lift's: its base, then
+    ``_LIFT_KEYS``) whatever order they were given in.  A non-finite value,
+    a non-integral ``n``, ``steps`` or ``seed`` or one below its least value
+    (2, 1 and 0), or a parameter the kind does not read raises a
+    ``ValueError`` that names it.
     """
     if kind not in CATALOG:
         raise ValueError(f"unknown catalog case {kind!r}; see CATALOG")
@@ -317,7 +309,8 @@ def make_spec(kind: str, n: int, **params) -> ImmersionSpec:
         # validated; a hamiltonian only if given, as the seed draws the default
         valid = _lift_base(ImmersionSpec(kind, n, p)).params
         p.update((k, valid[k]) for k in _LIFT_KEYS[p["base"]] if k in p or k != "hamiltonian")
-    return ImmersionSpec(kind=kind, n=n, params=_Params(p))
+    # in the kind's order, so that equal specs list their parameters alike
+    return ImmersionSpec(kind=kind, n=n, params=_Params((k, p[k]) for k in keys if k in p))
 
 
 def _validated_hamiltonian(terms, n: int) -> tuple:
@@ -469,26 +462,77 @@ def _eval_product_torus(spec, inner, ops):
     return np.tile(spec.params["radii"], 2) * inner
 
 
+def _field_tables(coeffs, m: int, order: int) -> tuple[list, list]:
+    """The field V = J grad F of the polynomial ``coeffs`` and its derivatives
+    to ``order``, as coefficient tables against monomials.
+
+    The monomials are ``jets._packed_basis(m, top)``: index multisets, a
+    monomial's parent is its tuple without the last index, and the
+    monomials of degree at most d come first.  Table k, shaped
+    (m,) * (k + 1) + (N_k,), holds D^kV[mu, i_1, ..., i_k] as coefficients
+    of the first N_k monomials, those of degree at most deg F - 1 - k; the
+    list stops at the first derivative that vanishes.  Each partial of F is
+    taken once per sorted index tuple and copied to the tuple's
+    permutations, and row mu of J grad F is -d_(mu+n) F for mu < n and
+    d_(mu-n) F after.
+    """
+    n = m // 2
+    partials = {(): {}}
+    for c, e in coeffs:
+        partials[()][e] = partials[()].get(e, 0.0) + c
+    for beta in jets._packed_basis(m, order + 1)[1:]:
+        i = beta[-1]
+        d = partials[beta] = {}
+        for e, c in partials[beta[:-1]].items():
+            if e[i]:
+                low = e[:i] + (e[i] - 1,) + e[i + 1 :]
+                d[low] = d.get(low, 0.0) + c * e[i]
+    tops = []
+    for k in range(1, order + 2):
+        degrees = [sum(e) for beta, d in partials.items() if len(beta) == k for e in d]
+        if not degrees:
+            break
+        tops.append(max(degrees))
+    monomials = jets._packed_basis(m, max(tops, default=0))
+    column = {tuple(map(idx.count, range(m))): r for r, idx in enumerate(monomials)}
+    tables = []
+    for k, top in enumerate(tops):
+        sets = [beta for beta in partials if len(beta) == k + 1]
+        t, col, c = zip(*[(t, column[e], c) for t, beta in enumerate(sets)
+                          for e, c in partials[beta].items()])
+        table = np.zeros((len(sets), math.comb(m + top, top)))
+        table[list(t), list(col)] = c  # one entry per (partial, monomial)
+        index = {beta: t for t, beta in enumerate(sets)}
+        full = table[[index[tuple(sorted(p))] for p in product(range(m), repeat=k + 1)]]
+        full = full.reshape((m,) * (k + 1) + table.shape[-1:])
+        tables.append(np.concatenate([-full[n:], full[:n]]))
+    return monomials, tables
+
+
 def hamiltonian_flow(x: np.ndarray, ham: HamiltonianDeformation, num_vars: int) -> np.ndarray:
-    """Classical RK4 flow of the Hamiltonian field J grad F on packed jets.
+    """Classical RK4 flow of the Hamiltonian field V = J grad F on packed jets.
 
     ``x`` holds the 2n chart coordinates as packed jets in ``num_vars``
     variables, (coefficients, batch, 2n); the flowed jets come back in a new
-    array of the same layout.  Inside, the state is one array shaped
+    array of the same layout.  Inside, the state s is one array shaped
     (coefficients, 2n, batch): the coefficient axis holds each distinct
     partial derivative once (value, then the i, i <= j and i <= j <= k
     partials: 10 rows for 2 variables at order 3), and the batch axis is
-    last, so every numpy loop runs over it.  A product of jets is a fixed
-    Leibniz table of (output, left, right, weight) terms.
+    last, so every numpy loop runs over it.
 
-    A term c x^e of grad F with e != 0 is c x_i x^p, where x^p, its parent,
-    is x^e without one factor of its last variable x_i.  So
-    J grad F = J c + sum_i x_i (C Z)_i: Z holds the parents, C their
-    coefficients by (i, row) with J folded in, and c the constant terms.
-    Per stage, each monomial of Z is built once, as its own parent times a
-    variable, in one stacked product per degree; one matrix product gives
-    S = C Z, and one Leibniz loop contracts S with the state over i.  A
-    zero time or a vanishing gradient flows by the identity.
+    The field of a stage is the jet of V at s, by Faa di Bruno's formula
+    at each node's value x0 = s[0]: row 0 is V(x0), and every other row o
+    is DV s[o], plus D^2V(s[i], s[rest]) over the partitions of o's indices
+    into a singleton i and the rest, plus D^3V(s[i], s[j], s[k]) on a
+    three-index row (``jets._partition_table``).  V(x0) and DV(x0) are one
+    matrix product each of a constant table (:func:`_field_tables`) with
+    the monomials of x0; a table that needs only the constant monomial is
+    its own value, with a batch axis of length 1.  U_i = D^2V(x0)(s[i], .)
+    is one matrix product per first-order row i of its table with the
+    monomials times s[i], and D^3V(x0)(s[i], s[j], .) one per pair i <= j
+    with the monomials times s[i] and s[j]; U_i then meets every row of
+    order 1 and 2 in one contraction.  A zero time or a vanishing gradient
+    flows by the identity.
 
     The step loop allocates nothing: every stage writes into buffers
     allocated once per call, as outside the chunk workers a loop that
@@ -498,61 +542,94 @@ def hamiltonian_flow(x: np.ndarray, ham: HamiltonianDeformation, num_vars: int) 
     not depend on how the loop stores them.
     """
     m = x.shape[-1]
-    n = m // 2
-    # c x^e of d_mu F goes to row (mu + n) mod m of J grad F, negated for mu >= n
-    terms = [((mu + n) % m, c if mu < n else -c, e)
-             for mu, grad in enumerate(ham.gradient_terms(m)) for c, e in grad]
-    needed = {_parent(e)[0] for _, _, e in terms if any(e)}
-    top = max(map(sum, needed), default=0)
-    for degree in range(top, 1, -1):
-        needed |= {_parent(e)[0] for e in needed if sum(e) == degree}
-    monomials = sorted(needed, key=lambda e: (sum(e), e))
-    C = np.zeros((m * m, len(monomials)))
-    Jc = np.zeros((m, 1))
-    for mu, c, e in terms:
-        if any(e):
-            parent, i = _parent(e)
-            C[i * m + mu, monomials.index(parent)] += c
-        else:
-            Jc[mu] += c
-    if ham.epsilon == 0.0 or not (C.any() or Jc.any()):
+    order = jets._packed_order(x, num_vars)
+    monomials, tables = _field_tables(ham.coeffs, m, order)
+    if ham.epsilon == 0.0 or not tables or not tables[0].any():
         return x.copy()
 
     # a copy: the loop updates the state in place
     state = np.array(np.moveaxis(x, -1, 1), order="C")
-    rows, _, batch = state.shape
-    table = jets._leibniz_table(num_vars, jets._packed_order(x, num_vars))
-    Z = np.zeros((rows, len(monomials), batch))
-    Z[0, [k for k, e in enumerate(monomials) if not any(e)]] = 1.0
-    linear = [(k, e.index(1)) for k, e in enumerate(monomials) if sum(e) == 1]
-    # one stacked product per degree: the degree's (contiguous) monomials,
-    # gathered from the rows of their parents and their last variables
-    products = []
-    for degree in range(2, top + 1):
-        block = [k for k, e in enumerate(monomials) if sum(e) == degree]
-        split = [_parent(monomials[k]) for k in block]
+    batch = state.shape[-1]
+    v = num_vars
+    low = math.comb(v + order - 1, v) if order else 1  # rows below the top order
+    mono = np.empty((len(monomials), batch))
+    mono[0] = 1.0
+    row = {idx: r for r, idx in enumerate(monomials)}
+    products = []  # per degree: its monomials, as their parents times their last variables
+    for degree in range(1, len(monomials[-1]) + 1):
+        block = [r for r, idx in enumerate(monomials) if len(idx) == degree]
         products.append((
-            Z[:, block[0] : block[-1] + 1],
-            np.array([monomials.index(parent) for parent, _ in split]),
-            np.array([var for _, var in split]),
-            *np.empty((2, rows, len(block), batch)),
-            np.empty((len(block), batch)),
+            mono[block[0] : block[-1] + 1],
+            np.array([row[monomials[r][:-1]] for r in block]),
+            np.array([monomials[r][-1] for r in block]),
+            *np.empty((2, len(block), batch)),
         ))
-    S = np.empty((rows, m, m, batch))  # S[:, i, mu] is (C Z) at (i, mu)
-    CZ = S.reshape(rows, m * m, batch)
+
+    def at_node(table):  # (flat table, value): a constant is its own value
+        flat = table.reshape(-1, table.shape[-1])
+        if flat.shape[1] == 1:
+            return None, table
+        return flat, np.empty(table.shape[:-1] + (batch,))
+
+    values = [at_node(t) for t in tables[: min(order, 1) + 1]]
+    terms = []  # (output row, its term's buffer, weight), pairs first
+    if order >= 2 and len(tables) > 2:
+        pairs, triples = jets._partition_table(v, order)
+        T2 = tables[2]
+        N2 = T2.shape[-1]
+        T2 = T2.transpose(0, 2, 3, 1).reshape(m * m, N2 * m)  # rows (mu, j), columns (c, i)
+        X2 = np.empty((v, N2, m, batch))  # X2[i] = monomials times s[i]
+        U = np.empty((v, m, m, batch))
+        P = np.empty((v, low - 1, m, batch))  # P[i, r - 1] = U_i s[r]
+        terms = [(o, P[i, r - 1], w) for o, i, r, w in pairs]
+        if order >= 3 and len(tables) > 3:
+            T3 = tables[3]
+            N3 = T3.shape[-1]
+            T3 = T3.transpose(0, 3, 4, 1, 2).reshape(m * m, N3 * m * m)
+            couples = [(i, j) for i in range(v) for j in range(i, v)]
+            first = np.array([i for i, _ in couples])
+            second = np.array([j for _, j in couples])
+            left = np.empty((len(couples), N3, m, batch))
+            right = np.empty((len(couples), m, batch))
+            X3 = np.empty((len(couples), N3, m, m, batch))
+            Q = np.empty((len(couples), m, m, batch))  # D^3V(s[i], s[j], .)
+            R = np.empty((len(couples), v, m, batch))  # R[(i, j), k] = its value at s[k]
+            terms += [(o, R[couples.index((i, j)), k], 1) for o, i, j, k in triples]
     term = np.empty((m, batch))
 
     def field(s, out):
-        for k, var in linear:
-            Z[:, k] = s[:, var]
-        for target, parents, variables, left, right, scratch in products:
+        x0 = s[0]
+        for target, parents, variables, gathered, var in products:
             # a "clip" take writes into its out; a "raise" one copies first
-            np.take(Z, parents, axis=1, out=left, mode="clip")
-            np.take(s, variables, axis=1, out=right, mode="clip")
-            jets._packed_mul(left, right, table, target, scratch)
-        np.matmul(C, Z, out=CZ)
-        jets._leibniz(partial(np.einsum, "imb,ib->mb"), S, s, table, out, term)
-        out[0] += Jc
+            np.take(mono, parents, axis=0, out=gathered, mode="clip")
+            np.take(x0, variables, axis=0, out=var, mode="clip")
+            np.multiply(gathered, var, out=target)
+        for flat, value in values:
+            if flat is not None:
+                np.matmul(flat, mono[: flat.shape[1]], out=value.reshape(len(flat), batch))
+        out[0] = values[0][1]
+        if order == 0:
+            return
+        first_rows = s[1 : v + 1]
+        if len(values) > 1:
+            np.einsum("mjb,rjb->rmb", values[1][1], s[1:], out=out[1:])
+        else:
+            out[1:] = 0.0
+        if not terms:
+            return
+        np.multiply(mono[None, :N2, None], first_rows[:, None], out=X2)
+        np.matmul(T2, X2.reshape(v, N2 * m, batch), out=U.reshape(v, m * m, batch))
+        np.einsum("imjb,rjb->irmb", U, s[1:low], out=P)
+        if len(terms) > len(pairs):
+            np.take(X2[:, :N3], first, axis=0, out=left, mode="clip")
+            np.take(first_rows, second, axis=0, out=right, mode="clip")
+            np.multiply(left[:, :, :, None], right[:, None, None], out=X3)
+            np.matmul(T3, X3.reshape(len(X3), -1, batch), out=Q.reshape(len(Q), m * m, batch))
+            np.einsum("pmlb,klb->pkmb", Q, first_rows, out=R)
+        for o, part, w in terms:
+            if w != 1:
+                part = np.multiply(part, w, out=term)
+            out[o] += part
 
     k1, k2, k3, k4, arg, acc = (np.empty_like(state) for _ in range(6))
     finite = np.empty(batch, dtype=bool)
@@ -580,14 +657,6 @@ def hamiltonian_flow(x: np.ndarray, ham: HamiltonianDeformation, num_vars: int) 
         if not np.isfinite(state[0, 0], out=finite).all():
             raise FloatingPointError("Hamiltonian flow left the numeric range")
     return np.ascontiguousarray(np.moveaxis(state, 1, -1))
-
-
-def _parent(e: tuple) -> tuple[tuple, int]:
-    """A monomial of degree >= 1 as (parent, variable): e = parent * x_variable."""
-    var = max(i for i, k in enumerate(e) if k)
-    parent = list(e)
-    parent[var] -= 1
-    return tuple(parent), var
 
 
 def _eval_perturbed(spec, u, ops):

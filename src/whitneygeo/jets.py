@@ -141,10 +141,9 @@ def _table(x: np.ndarray, kind: str, order: int) -> np.ndarray:
 # whose leading coefficient axis stores each distinct partial once, in the
 # degree-sorted order of _packed_basis, so its first rows are its truncation
 # to a lower order.  The immersions and the ambient models use (coefficients,
-# batch, tensor axes), where a product of matrix jets is a stacked matmul;
-# the Hamiltonian flow runs on (coefficients, jets, batch).  The kernels
-# allocate their outputs with the inputs' dtype, so complex jets are
-# complex128 packed arrays.
+# batch, tensor axes), where a product of matrix jets is a stacked matmul.
+# The kernels allocate their outputs with the inputs' dtype, so complex jets
+# are complex128 packed arrays.
 
 
 def _packed_basis(v: int, order: int) -> list[tuple]:
@@ -190,6 +189,32 @@ def _leibniz_table(v: int, order: int) -> list[tuple[int, int, int, int]]:
         table += [(out, l, r, w) for (l, r), w in splits.items()]
     _LEIBNIZ_CACHE[v, order] = table
     return table
+
+
+def _partition_table(v: int, order: int) -> tuple[list, list]:
+    """The chain rule's terms beyond the first derivative on the packed basis.
+
+    The partial of f(x) over the index multiset a is the sum, over the set
+    partitions of the positions of a, of D^k f applied to the partials of x
+    over the blocks, k being the number of blocks (Faa di Bruno's formula;
+    Constantine & Savits, Trans. AMS 348, 1996).  Up to order 3 a partition
+    into two blocks is a singleton {i} and the rest, so it is returned as
+    (output, i, rest's row, weight), the weight counting the partitions that
+    give the same pair (for a two-index row, the block holding its first
+    index is the singleton); the one partition into three singletons of a
+    three-index row is (output, i, j, k).
+    """
+    basis = _packed_basis(v, order)
+    row = {idx: r for r, idx in enumerate(basis)}
+    pairs, triples = [], []
+    for out, a in enumerate(basis):
+        if len(a) == 2:
+            pairs.append((out, a[0], row[a[1:]], 1))
+        elif len(a) == 3:
+            splits = Counter((a[p], row[a[:p] + a[p + 1 :]]) for p in range(3))
+            pairs += [(out, i, rest, w) for (i, rest), w in splits.items()]
+            triples.append((out, *a))
+    return pairs, triples
 
 
 def _leibniz(product, a, b, table, out, scratch=None):

@@ -329,11 +329,23 @@ def _jets_of(packed, v):
             for mu in range(packed.shape[-1])]
 
 
+def _gradient_terms(ham, m):
+    """d_mu F as a list of (coefficient, exponents) terms, one list per mu."""
+    out = [[] for _ in range(m)]
+    for c, e in ham.coeffs:
+        for mu in range(m):
+            if e[mu] > 0:
+                e2 = list(e)
+                e2[mu] -= 1
+                out[mu].append((c * e[mu], tuple(e2)))
+    return out
+
+
 def _reference_flow(x, ham):
     """RK4 on lists of scalar jets: J grad F summed term by term with their products."""
     m = len(x)
     n = m // 2
-    grads = ham.gradient_terms(m)
+    grads = _gradient_terms(ham, m)
 
     def field(state):
         g = []
@@ -374,11 +386,19 @@ def _rk4(field, x, ham):
     return np.moveaxis(state, 1, -1)
 
 
+def _parent(e: tuple) -> tuple[tuple, int]:
+    """A monomial of degree >= 1 as (parent, variable): e = parent * x_variable."""
+    var = max(i for i, k in enumerate(e) if k)
+    parent = list(e)
+    parent[var] -= 1
+    return tuple(parent), var
+
+
 def _monomials(needed):
-    """``needed`` closed under parents, in the kernel's order: by degree, then exponents."""
+    """``needed`` closed under parents, by degree, then exponents."""
     needed = set(needed)
     for degree in range(max(map(sum, needed), default=0), 1, -1):
-        needed |= {immersions._parent(e)[0] for e in needed if sum(e) == degree}
+        needed |= {_parent(e)[0] for e in needed if sum(e) == degree}
     return sorted(needed, key=lambda e: (sum(e), e))
 
 
@@ -393,25 +413,26 @@ def _monomial_values(monomials, state, table):
         elif sum(e) == 1:
             mono.append(state[:, e.index(1)])
         else:
-            parent, var = immersions._parent(e)
+            parent, var = _parent(e)
             mono.append(jets._packed_mul(mono[monomials.index(parent)], state[:, var], table))
     return np.stack(mono, axis=1)
 
 
 def _allocating_flow(x, ham, num_vars):
-    """The factored field J c + sum_i x_i (C Z)_i with a new array for every
-    temporary, one plain product per monomial of Z and the Leibniz sum written
-    out, in the buffered kernel's operation order."""
+    """The factored field J c + sum_i x_i (C Z)_i, the kernel's former route,
+    with a new array for every temporary: Z holds the parents of the
+    monomials of grad F, one plain product each, and the Leibniz sum of S = C Z
+    with the state is written out."""
     m = x.shape[-1]
     n = m // 2
     terms = [((mu + n) % m, c if mu < n else -c, e)
-             for mu, grad in enumerate(ham.gradient_terms(m)) for c, e in grad]
-    monomials = _monomials(immersions._parent(e)[0] for _, _, e in terms if any(e))
+             for mu, grad in enumerate(_gradient_terms(ham, m)) for c, e in grad]
+    monomials = _monomials(_parent(e)[0] for _, _, e in terms if any(e))
     C = np.zeros((m, m, len(monomials)))
     Jc = np.zeros((m, 1))
     for mu, c, e in terms:
         if any(e):
-            parent, i = immersions._parent(e)
+            parent, i = _parent(e)
             C[i, mu, monomials.index(parent)] += c
         else:
             Jc[mu] += c
@@ -430,12 +451,69 @@ def _allocating_flow(x, ham, num_vars):
     return _rk4(field, x, ham)
 
 
+def _faa_di_bruno_flow(x, ham, num_vars):
+    """The kernel's field with a new array for every temporary, in its operation
+    order: V(x0), then DV s[o], the pair terms D^2V(s[i], s[rest]) and the
+    triple terms D^3V(s[i], s[j], s[k]) added row by row in table order."""
+    m = x.shape[-1]
+    v = num_vars
+    order = jets._packed_order(x, v)
+    monomials, tables = immersions._field_tables(ham.coeffs, m, order)
+    pairs, triples = jets._partition_table(v, order)
+    low = math.comb(v + order - 1, v) if order else 1
+    row = {idx: r for r, idx in enumerate(monomials)}
+
+    def at_node(table, mono):
+        if table.shape[-1] == 1:  # a constant keeps a batch axis of length 1
+            return table
+        flat = np.matmul(table.reshape(-1, table.shape[-1]), mono[: table.shape[-1]])
+        return flat.reshape(table.shape[:-1] + (-1,))
+
+    def field(s):
+        x0 = s[0]
+        mono = np.ones((1, s.shape[-1]))
+        for degree in range(1, len(monomials[-1]) + 1):
+            block = [idx for idx in monomials if len(idx) == degree]
+            parents = mono[[row[idx[:-1]] for idx in block]]
+            mono = np.concatenate([mono, parents * x0[[idx[-1] for idx in block]]])
+        out = np.zeros_like(s)
+        out[0] = at_node(tables[0], mono)
+        if order == 0:
+            return out
+        if len(tables) > 1:
+            out[1:] = np.einsum("mjb,rjb->rmb", at_node(tables[1], mono), s[1:])
+        if order < 2 or len(tables) < 3:
+            return out
+        N2 = tables[2].shape[-1]
+        T2 = tables[2].transpose(0, 2, 3, 1).reshape(m * m, N2 * m)
+        X2 = mono[None, :N2, None] * s[1 : v + 1][:, None]
+        U = np.matmul(T2, X2.reshape(v, N2 * m, -1)).reshape(v, m, m, -1)
+        P = np.einsum("imjb,rjb->irmb", U, s[1:low])
+        for o, i, r, w in pairs:
+            out[o] += w * P[i, r - 1]
+        if order < 3 or len(tables) < 4:
+            return out
+        N3 = tables[3].shape[-1]
+        T3 = tables[3].transpose(0, 3, 4, 1, 2).reshape(m * m, N3 * m * m)
+        couples = [(i, j) for i in range(v) for j in range(i, v)]
+        left = X2[[i for i, _ in couples], :N3]
+        right = s[1 : v + 1][[j for _, j in couples]]
+        X3 = left[:, :, :, None] * right[:, None, None]
+        Q = np.matmul(T3, X3.reshape(len(X3), -1, X3.shape[-1])).reshape(len(X3), m, m, -1)
+        R = np.einsum("pmlb,klb->pkmb", Q, s[1 : v + 1])
+        for o, i, j, k in triples:
+            out[o] += R[couples.index((i, j)), k]
+        return out
+
+    return _rk4(field, x, ham)
+
+
 def _monomial_flow(x, ham, num_vars):
-    """The flow's former route: every monomial of grad F, its top degree
-    included, and J grad F as one coefficient matrix times them."""
+    """The route before the factored field: every monomial of grad F, its top
+    degree included, and J grad F as one coefficient matrix times them."""
     m = x.shape[-1]
     n = m // 2
-    grads = ham.gradient_terms(m)
+    grads = _gradient_terms(ham, m)
     monomials = _monomials(e for terms in grads for _, e in terms)
     C = np.zeros((m, len(monomials)))
     for mu, terms in enumerate(grads):
@@ -444,6 +522,10 @@ def _monomial_flow(x, ham, num_vars):
     JC = np.concatenate([-C[n:], C[:n]])
     table = jets._leibniz_table(num_vars, jets._packed_order(x, num_vars))
     return _rk4(lambda state: np.matmul(JC, _monomial_values(monomials, state, table)), x, ham)
+
+
+_QUINTIC_TERMS = ((0.2, (2, 1, 0, 1, 1, 0)), (-0.15, (0, 0, 3, 0, 1, 1)), (0.1, (1, 0, 0, 2, 0, 2)))
+_SEXTIC_TERMS = ((0.05, (2, 0, 1, 0, 2, 1)), (-0.08, (0, 3, 0, 0, 0, 3)))
 
 
 def _chart_jets(count):
@@ -485,10 +567,18 @@ class TestFlowKernel:
         ham = _perturbed_hamiltonian()
         got = hamiltonian_flow(x, ham, 2)
         assert got.shape == x.shape == (10, count, 4)
-        assert np.array_equal(got, _allocating_flow(x, ham, 2))
+        assert np.array_equal(got, _faa_di_bruno_flow(x, ham, 2))
         # the input is neither updated nor handed back
         assert np.array_equal(x, kept)
         assert not np.shares_memory(got, x)
+
+    @pytest.mark.parametrize("count", [1, 2304])
+    def test_matches_the_factored_field(self, count):
+        # J c + sum_i x_i (C Z)_i: another route, its sums in another order
+        x = _chart_jets(count)
+        ham = _perturbed_hamiltonian()
+        ref = _allocating_flow(x, ham, 2)
+        assert np.max(np.abs(hamiltonian_flow(x, ham, 2) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("count", [1, 2304])
     def test_matches_the_monomial_route(self, count):
@@ -602,6 +692,24 @@ class TestHamiltonianFlow:
         for block in ("val", "d1", "d2", "d3"):
             ref = np.stack([getattr(w, block) for w in want])
             new = np.stack([getattr(g, block) for g in got])
+            assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("degree, order, count", [
+        (5, 1, 3), (5, 2, 3), (5, 3, 3), (6, 1, 3), (6, 2, 3), (6, 3, 3), (5, 3, 1), (6, 3, 1),
+    ])
+    def test_n3_flow_matches_scalar_jet_reference_beyond_quartics(self, degree, order, count):
+        # D^3V of a quintic or sextic depends on the node, and so does every
+        # lower derivative; count 1 is a single-node batch
+        coeffs = random_quartic(3, 4) + _QUINTIC_TERMS + (_SEXTIC_TERMS if degree == 6 else ())
+        ham = HamiltonianDeformation(coeffs=coeffs, epsilon=0.05, steps=4)
+        u = _sample_points(3, count=count, seed=13)
+        x = eval_immersion(make_spec("whitney_c0", 3), u, order=order)
+        got = _jets_of(hamiltonian_flow(x, ham, 3), 3)
+        want = _reference_flow(_jets_of(x, 3), ham)
+        for block in ("val", "d1", "d2", "d3")[: order + 1]:
+            ref = np.stack([getattr(w, block) for w in want])
+            new = np.stack([getattr(g, block) for g in got])
+            assert new.shape == ref.shape
             assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_constant_hamiltonian_is_identity(self):

@@ -317,6 +317,19 @@ class TestReports:
         b = run_case(make_spec("product_torus", 2), resolution=16, seed=5)
         assert report_to_json(a) == report_to_json(b)
 
+    @pytest.mark.parametrize("kind, first, second", [
+        ("perturbed", dict(epsilon=0.05, seed=3), dict(seed=3, epsilon=0.05)),
+        ("whitney_c0", dict(B=(0.1, 0.0, 0.0, 0.2), r=1.0), dict(r=1.0, B=(0.1, 0.0, 0.0, 0.2))),
+        ("lifted", dict(base="perturbed", seed=1), dict(base="perturbed")),
+    ], ids=["perturbed", "whitney_c0", "lifted"])
+    def test_parameter_order_does_not_reach_the_report(self, kind, first, second):
+        # make_spec keeps the kind's order, not the caller's
+        a, b = make_spec(kind, 2, **first), make_spec(kind, 2, **second)
+        assert a == b
+        assert list(a.params) == list(b.params)
+        assert (report_to_json(run_case(a, resolution=16, seed=5))
+                == report_to_json(run_case(b, resolution=16, seed=5)))
+
     def test_seed_changes_sampled_quantities_only(self):
         a = run_case(make_spec("product_torus", 2), resolution=16, seed=5)
         b = run_case(make_spec("product_torus", 2), resolution=16, seed=6)

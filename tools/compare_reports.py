@@ -11,10 +11,12 @@ writes, for every ``run_case`` call, ``report_to_json``,
 ``report_to_csv_row`` and ``report_to_markdown`` of its report, and for
 every ``conformal_block`` call its block as JSON.  The workload ``edges``
 instead runs the cases that no benchmark workload reaches: an n = 4 run with
-its conformal block, an RK4 hard failure and an UNRESOLVED case, and two
-``whitneygeo verify`` calls (their output dropped): one read from a config
-file with tuple, ``tol_*`` and ``conformal`` settings, and a lift of the
-``perturbed`` case with ``--seed 5``.
+its conformal block, an RK4 hard failure and an UNRESOLVED case, the flow at
+n = 3 (resolution 12, the least that gives a ladder) and of a quintic
+Hamiltonian at n = 2, and two ``whitneygeo verify`` calls (their output
+dropped): one read from a config file with tuple, ``tol_*`` and
+``conformal`` settings, and a lift of the ``perturbed`` case with
+``--seed 5``.
 
 ``compare`` tells whether two records are byte-identical.  Where they are
 not, it prints the largest relative difference between two floats, the
@@ -61,12 +63,18 @@ def _cli(cli, argv: list, config: str | None = None) -> None:
             raise RuntimeError(f"whitneygeo {' '.join(argv)} is a configuration error")
 
 
-def _edges(cli, verify, make_spec, seed: int) -> list:
+def _edges(cli, verify, immersions, seed: int) -> list:
     """The calls of the ``edges`` workload, as functions of no arguments."""
+    make_spec = immersions.make_spec
+    quintic = immersions.random_quartic(2, 5) + ((0.2, (2, 1, 1, 1)), (-0.15, (0, 0, 3, 2)))
     return [
         lambda: verify.run_case(make_spec("whitney_c0", 4, r=1.0), resolution=12,
                                 seed=seed, conformal=True),
         lambda: verify.run_case(make_spec("perturbed", 2, epsilon=0.5), seed=seed),
+        lambda: verify.run_case(make_spec("perturbed", 3, epsilon=0.05, seed=3), resolution=12,
+                                seed=seed),
+        lambda: verify.run_case(make_spec("perturbed", 2, epsilon=0.05, hamiltonian=quintic),
+                                resolution=16, seed=seed),
         lambda: verify.run_case(make_spec("whitney_ch", 2, theta=0.2), resolution=16,
                                 seed=seed),
         lambda: verify.conformal_block(make_spec("whitney_cp", 3, theta=0.5), seed=seed),
@@ -106,7 +114,7 @@ def record(root: Path, workload: str, seed: int) -> list:
     verify.run_case = cli.run_case = recorded_run_case
     verify.conformal_block = recorded_block
     if workload == "edges":
-        commands = _edges(cli, verify, immersions.make_spec, seed)
+        commands = _edges(cli, verify, immersions, seed)
     else:
         commands = [command.run for command in workloads.build(workload, seed)]
     for run in commands:
