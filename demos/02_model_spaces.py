@@ -3,7 +3,8 @@
 Each model carries its metric and structure tensors as jet-evaluable chart
 fields.  The self-test derives the curvature tensor numerically from the
 metric and matches it against the closed-form constant-curvature
-expression, alongside the full set of structure identities.
+expression, alongside the full set of structure identities.  Sasakian_S and
+Sasakian_B are one construction, a line bundle over CP^n or CH^n.
 """
 
 from whitneygeo import make_model
@@ -15,9 +16,9 @@ for kind, n, a in [
     ("CH_n", 3, 1.0),
     ("Sasakian_R", 2, 1.0),
     ("Sasakian_S", 2, 1.0),
-    ("Sasakian_S", 2, 0.5),   # homothetic deformation: phi-sectional 4/a - 3
+    ("Sasakian_S", 2, 0.5),   # the bundle over CP^n deformed: phi-sectional 4/a - 3
     ("Sasakian_B", 2, 1.0),
-    ("Sasakian_B", 3, 2.0),   # phi-sectional -1/a - 3
+    ("Sasakian_B", 3, 2.0),   # the bundle over CH^n: phi-sectional -1/a - 3
 ]:
     model = make_model(kind, n, a)
     rep = model.self_test(strict=True)

@@ -27,7 +27,7 @@ from itertools import product
 import numpy as np
 
 from . import jets, quadrature
-from .spaceforms import BaseModel, SasakianB, make_model
+from .spaceforms import BaseModel, make_model
 
 __all__ = [
     "ImmersionSpec",
@@ -161,13 +161,14 @@ CATALOG = {
     "contact_whitney_s": dict(
         model="Sasakian_S",
         params="theta > 0, a > 0 (deformation)",
-        note="Legendrian sphere in the deformed sphere model",
+        note="Legendrian lift of whitney_cp to the deformed sphere; the fiber's "
+        "derivatives from the contact condition, its value 0 at every node",
     ),
     "contact_whitney_b": dict(
         model="Sasakian_B",
         params="theta > 0, a > 0 (deformation)",
-        note="Legendrian sphere over the hyperbolic ball; the fiber's derivatives "
-        "from the contact condition, its value 0 at every node (a Reeb translation)",
+        note="Legendrian lift of whitney_ch over the hyperbolic ball; the fiber's "
+        "derivatives from the contact condition, its value 0 at every node",
     ),
     "product_torus": dict(
         model="C_n",
@@ -438,23 +439,17 @@ def _eval_contact_whitney_r(spec, u, ops):
     return x
 
 
-def _eval_contact_whitney_s(spec, u, ops):
-    n = spec.n
-    un = u[..., -1]
-    th = spec.params["theta"]
-    ch, sh = math.cosh(th), math.sinh(th)
-    slot = _plus(1j * sh * un, ch)
-    den = _plus(sh * sh * ops.mul(un, un), ch * ch)
-    ws = ops.mul(u[..., :n], ops.fn("recip", slot)[..., None])
-    # graph chart of the unit sphere: the imaginary part of the last slot
-    return _split(ws, ops.mul(un, ops.fn("recip", den)))
+def _eval_contact_whitney(spec, u, ops):
+    """The Legendrian lift of whitney_cp (to Sasakian_S) or whitney_ch (to
+    Sasakian_B), its fiber from the contact condition dt = -omega of eta-bar =
+    dt + omega (:meth:`whitneygeo.spaceforms.BoothbyWangModel.fiber`).
 
-
-def _eval_contact_whitney_b(spec, u, ops):
-    """The ball-model family, its fiber from the contact condition dt = -omega of
-    eta-bar = dt + omega (:meth:`whitneygeo.spaceforms.SasakianB.fiber`)."""
-    x = _split(_complex_pairs(u, spec.params["theta"], "ch", ops))
-    return np.concatenate([x, SasakianB.fiber(x, ops)[..., None]], axis=-1)
+    The fiber's value is 0 at every node: the Reeb translation t -> t + c is
+    an isometry that keeps phi, xi and eta, so no invariant reads it.
+    """
+    variant = "cp" if spec.kind == "contact_whitney_s" else "ch"
+    x = _split(_complex_pairs(u, spec.params["theta"], variant, ops))
+    return np.concatenate([x, model_for(spec).fiber(x, ops)[..., None]], axis=-1)
 
 
 def _eval_product_torus(spec, inner, ops):
@@ -712,8 +707,8 @@ _EVALUATORS = {
     "whitney_ch": _eval_whitney_ch,
     "totally_geodesic_cp": _eval_totally_geodesic_cp,
     "contact_whitney_r": _eval_contact_whitney_r,
-    "contact_whitney_s": _eval_contact_whitney_s,
-    "contact_whitney_b": _eval_contact_whitney_b,
+    "contact_whitney_s": _eval_contact_whitney,
+    "contact_whitney_b": _eval_contact_whitney,
     "perturbed": _eval_perturbed,
     "lifted": _eval_lifted,
     "product_torus": _eval_product_torus,
@@ -727,8 +722,9 @@ def eval_immersion(spec: ImmersionSpec, nodes, order: int = 3) -> np.ndarray:
     (B, n).  The result is shaped (coefficients, B, chart dim), the rows in
     the order of ``jets._packed_basis(n, order)``; on the sphere the jets
     are in each node's own chart (:func:`node_jets`).  The fiber coordinate
-    of ``lifted`` and ``contact_whitney_b`` is 0 at every node, and only its
-    derivatives come from the contact condition (``jets._packed_fiber``).
+    of ``lifted``, ``contact_whitney_s`` and ``contact_whitney_b`` is 0 at
+    every node, and only its derivatives come from the contact condition
+    (``jets._packed_fiber``).
     """
     inner = domain_jets(spec, nodes, order)
     return _EVALUATORS[spec.kind](spec, inner, jets._Ops(spec.n, order))

@@ -11,12 +11,12 @@ each distinct partial once (:func:`_packed_basis`), the axes after it carry
 a batch of evaluation points and any tensor shape, and the entries may be
 real or complex.  :func:`_packed_mul` is the product rule and
 :func:`_packed_compose` the one chain rule, whose univariate outer
-functions are exp, sqrt and 1/x (:func:`_table`): the torus seeds the cos
-and sin of its angles directly (:func:`_seed_angles`).  :class:`Jet` and
-:func:`compose` are a full-block face on them, with one dense derivative
-block per order, kept for the micro-benchmarks in ``bench/micro.py``.  The
-module ends with ``_einsum``, the planned batched contraction kernel that
-``geometry``, ``spaceforms`` and ``verify`` contract through.
+functions are exp, sqrt, 1/x and log (:func:`_table`): the torus seeds the
+cos and sin of its angles directly (:func:`_seed_angles`).  :class:`Jet`
+and :func:`compose` are a full-block face on them, with one dense
+derivative block per order, kept for the micro-benchmarks in
+``bench/micro.py``.  The module ends with ``_einsum``, the planned batched
+contraction kernel that ``geometry`` and ``spaceforms`` contract through.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 
 __all__ = ["Jet", "compose"]
 
-# Reciprocal of a jet value this close to zero is refused rather than
-# letting derivatives blow past float range.
+# Reciprocal or log of a jet value this close to zero is refused rather
+# than letting derivatives blow past float range.
 DIV_FLOOR = 1e-12
 
 _LEIBNIZ_CACHE: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
@@ -113,7 +113,8 @@ def compose(f: Jet, xs: list[Jet]) -> Jet:
 def _table(x: np.ndarray, kind: str, order: int) -> np.ndarray:
     """An elementary function at ``x`` as a packed jet in one variable: row k is its k-th derivative.
 
-    ``kind`` is one of ``exp, sqrt, recip``.
+    ``kind`` is one of ``exp, sqrt, recip, log``; a complex ``x`` takes the
+    principal log, whose derivatives hold on every branch.
     """
     if kind == "exp":
         e = np.exp(x)
@@ -130,6 +131,13 @@ def _table(x: np.ndarray, kind: str, order: int) -> np.ndarray:
             )
         w = 1.0 / x
         derivs = (w, -w * w, 2.0 * w**3, -6.0 * w**4)
+    elif kind == "log":
+        if np.any(np.abs(x) < DIV_FLOOR):
+            raise ZeroDivisionError("jet logarithm: value within %.1e of zero" % DIV_FLOOR)
+        if np.isrealobj(x) and np.any(x < 0):
+            raise ValueError("log of a real jet requires a positive value")
+        w = 1.0 / x
+        derivs = (np.log(x), w, -w * w, 2.0 * w**3)
     else:
         raise ValueError(f"unknown elementary kind {kind!r}")
     return np.stack(derivs[: order + 1])
@@ -329,7 +337,7 @@ class _Ops:
         return _packed_mul(a, b, self.table)
 
     def fn(self, kind: str, u: np.ndarray) -> np.ndarray:
-        """The elementary function ``kind`` of :func:`_table`, exp, sqrt or recip, of ``u``."""
+        """The elementary function ``kind`` of :func:`_table`, exp, sqrt, recip or log, of ``u``."""
         return _packed_compose(_table(u[0], kind, self.order), [u], self.table)
 
 
@@ -347,20 +355,6 @@ def _seed_angles(t: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
         cos[rows, :, range(v)] = dc.T
         sin[rows, :, range(v)] = ds.T
     return cos, sin
-
-
-def _packed_inv(a: np.ndarray, table, order: int) -> np.ndarray:
-    """A^-1 = sum over k of (-A0^-1 D)^k A0^-1 for A = A0 + D, to the table's ``order``."""
-    inv0 = np.linalg.inv(a[0])
-    x = -np.matmul(inv0, a[: table[-1][0] + 1])
-    x[0] = 0.0
-    total = x.copy()
-    total[0] = np.eye(a.shape[-1])
-    power = x
-    for _ in range(order - 1):
-        power = _packed_matmul(power, x, table)
-        total += power
-    return np.matmul(total, inv0)
 
 
 def _packed_gradient(packed: np.ndarray, v: int) -> np.ndarray:
@@ -425,7 +419,7 @@ def _pack_blocks(blocks: list[np.ndarray], v: int) -> np.ndarray:
 
 # -- batched contractions ------------------------------------------------------
 #
-# geometry, spaceforms and verify contract per-node tensors of a few entries
+# geometry and spaceforms contract per-node tensors of a few entries
 # each.  A label ``b`` that leads a subscript term is the batch axis of that
 # operand (or of the output), and no other position may hold it.  numpy's
 # optimize=True route plans the path again on every call and runs each

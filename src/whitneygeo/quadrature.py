@@ -38,6 +38,11 @@ LADDER_DECAY = 4.0
 #: ladder with the decay above needs at most 4/3
 LADDER_SAFETY = 2.0
 
+#: the most nodes a grid may have: 2**21 holds every grid the catalog and
+#: its tests build (the largest, n = 4 at K = 24, has 663 552 nodes) and
+#: keeps a grid's arrays to tens of MB
+MAX_NODES = 2**21
+
 #: rounding floor of an integral relative to the size of its integrand
 #: terms (about 450 units in the last place); converged n = 2 integrals of
 #: the catalog scatter by up to 5.3e-15 of that size between grids
@@ -134,6 +139,10 @@ class IntegrationGrid:
             raise ValueError(f"unknown integration domain {domain!r}")
         if domain == "sphere" and n > 4:
             raise ValueError("sphere grids support n <= 4 (cost guard)")
+        count = (2 if domain == "sphere" else 1) * resolution**n
+        if count > MAX_NODES:
+            raise ValueError(f"a {domain} grid at n = {n} and resolution {resolution} has "
+                             f"{count} nodes, above the budget of {MAX_NODES}")
         self.n = n
         self.resolution = resolution
         self.domain = domain

@@ -4,7 +4,9 @@ Three Kaehler models (flat complex space, the projective space normalized to
 holomorphic sectional curvature +4 in its affine chart, the hyperbolic ball
 normalized to -4) and three Sasakian models (the standard contact structure
 on R^{2n+1}, the unit sphere with a homothetic deformation, and the Bergman
-ball times a line).  Every model exposes
+ball times a line).  The last two share one construction,
+:class:`BoothbyWangModel`: a line bundle over the affine chart of CP^n or
+over the ball CH^n, with the contact form dt + omega.  Every model exposes
 
 * ``fields_at``: at a batch of chart points, the metric to second
   derivatives, the Levi-Civita connection with its first derivatives and
@@ -21,8 +23,8 @@ All evaluation is batched: ``points`` has shape ``(B, chart_dim)``.
 One builder per model, ``_chart_jets``, serves ``fields_at``: it computes
 the metric to order 2 and the structure tensors to order 1 as packed jets
 (``jets._packed_basis``) shaped (coefficients, B, tensor axes).  Products
-are Leibniz-table loops, sqrt and 1/x truncated Taylor series and chart
-derivatives row gathers, so no derivative formula is written by hand.
+are Leibniz-table loops and 1/x a truncated Taylor series, so no
+derivative formula is written by hand.
 ``fields_at`` unpacks them into mirrored, batch-first derivative blocks and
 adds the connection; the self-test reads its curvature from that
 connection, so one evaluation of its points serves every check.
@@ -31,9 +33,9 @@ Every ambient here is homogeneous, and the certificate reads only isometry
 invariants.  So the geometry evaluates no field at the nodes: ``centre``
 maps each node's chart jets by an isometry that takes its image to the base
 point (a translation of C^n or a Heisenberg translation of R^{2n+1}, a
-unitary map of the homogeneous coordinates of CP^n or of C^{n+1} around
-S^{2n+1}, a ball automorphism of CH^n, lifted with a fiber shift on the B
-model), and the fields there are computed once per model instance.
+unitary map of the homogeneous coordinates of CP^n, a ball automorphism of
+CH^n, each of the last two lifted with a fiber shift on its bundle model),
+and the fields there are computed once per model instance.
 
 Its einsum contractions go through ``jets._einsum`` under the batch-label
 contract of :mod:`whitneygeo.geometry`: ``b`` leads every term that carries
@@ -214,29 +216,30 @@ def _real_pairs(z: np.ndarray) -> np.ndarray:
     return np.concatenate([z.real, z.imag], axis=-1)
 
 
-def _unitary_to(Z: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
-    """U Z per batch entry, for a unitary U with U a = e_k, where a (B, N) are unit vectors.
+def _unitary_to(Z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """U Z per batch entry, for a unitary U with U a = e_0, where a (B, N) are unit vectors.
 
     ``Z`` is packed (coefficients, B, N); U is linear, so it acts row by
     row.  U = -conj(p) H, with H = I - 2 v v* / |v|^2 the Householder
-    reflection of v = a + p e_k and p = a_k / |a_k| (1 where a_k = 0): then
-    H a = -p e_k and |v|^2 = 2 (1 + |a_k|) >= 2 (Golub & Van Loan, "Matrix
+    reflection of v = a + p e_0 and p = a_0 / |a_0| (1 where a_0 = 0): then
+    H a = -p e_0 and |v|^2 = 2 (1 + |a_0|) >= 2 (Golub & Van Loan, "Matrix
     Computations", 4th ed., 2013, sec. 5.1).
     """
-    ak = a[:, k]
-    r = np.abs(ak)
-    p = np.ones_like(ak)
-    np.divide(ak, r, out=p, where=r > 0)
+    a0 = a[:, 0]
+    r = np.abs(a0)
+    p = np.ones_like(a0)
+    np.divide(a0, r, out=p, where=r > 0)
     v = a.copy()
-    v[:, k] += p
+    v[:, 0] += p
     c = np.sum(Z * v.conj(), axis=-1) * (2.0 / np.sum(np.abs(v) ** 2, axis=-1))
     UZ = Z - c[..., None] * v
     UZ *= -p.conj()[:, None]
     return UZ
 
 
-def _projective_move(z: np.ndarray, ops) -> np.ndarray:
-    """z -> (U Z)_{1..n} / (U Z)_0 on Z = (1, z), U unitary with U Z(z[0]) on e_0.
+def _projective_move(z: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray]:
+    """z -> (U Z)_{1..n} / (U Z)_0 on Z = (1, z), U unitary with U Z(z[0]) on e_0,
+    and its denominator (U Z)_0.
 
     U(n+1) acts on the homogeneous coordinates by holomorphic isometries of
     the Fubini-Study metric, and this one takes the node z[0] to 0.
@@ -244,14 +247,14 @@ def _projective_move(z: np.ndarray, ops) -> np.ndarray:
     Z = np.zeros(z.shape[:-1] + (z.shape[-1] + 1,), complex)
     Z[0, :, 0] = 1.0
     Z[..., 1:] = z
-    UZ = _unitary_to(Z, Z[0] / np.linalg.norm(Z[0], axis=-1, keepdims=True), 0)
+    UZ = _unitary_to(Z, Z[0] / np.linalg.norm(Z[0], axis=-1, keepdims=True))
     num = UZ[..., 1:]
     num[0] = 0.0  # U Z(z[0]) = |Z(z[0])| e_0
-    return ops.mul(num, ops.fn("recip", UZ[..., 0])[..., None])
+    return ops.mul(num, ops.fn("recip", UZ[..., 0])[..., None]), UZ[..., 0]
 
 
-def _ball_move(z: np.ndarray, ops) -> np.ndarray:
-    """The ball automorphism that takes the node a = z[0] to 0.
+def _ball_move(z: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray]:
+    """The ball automorphism that takes the node a = z[0] to 0, and its denominator.
 
     z -> (a - s z - <z, a> a / (1 + s)) / (1 - <z, a>) with s = sqrt(1 -
     |a|^2) and <z, a> = sum z_j conj(a_j): Rudin's (a - P_a z - s Q_a z) /
@@ -266,7 +269,7 @@ def _ball_move(z: np.ndarray, ops) -> np.ndarray:
     num[0] = 0.0  # a - s a - |a|^2 a / (1 + s) = 0
     den = -inner
     den[0] += 1.0
-    return ops.mul(num, ops.fn("recip", den)[..., None])
+    return ops.mul(num, ops.fn("recip", den)[..., None]), den
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +460,7 @@ class ComplexSpaceFormModel(BaseModel):
             out[0] = 0.0
             return out
         move = _projective_move if self.c == 1 else _ball_move
-        return _real_pairs(move(_complex(x, self.n), ops))
+        return _real_pairs(move(_complex(x, self.n), ops)[0])
 
     def curvature_oracle(self, fields, X, Y, Z):
         G0 = fields.G0
@@ -687,162 +690,92 @@ class SasakianR(SasakianModel):
         return rng.uniform(-1.0, 1.0, size=(count, self.chart_dim))
 
 
-class SasakianS(SasakianModel):
-    """Unit-sphere Sasakian structure with a homothetic deformation.
+class BoothbyWangModel(SasakianModel):
+    """The deformed unit sphere (c = +1) or Bergman ball times a line (c = -1),
+    each a line bundle over the Kaehler chart of :func:`_kaehler_metric`.
 
-    The chart solves the first real ambient coordinate of the last complex
-    slot from the unit-norm constraint; structure tensors are pulled back
-    from the flat complex ambient via the outward normal.
+    Chart (z, t) with g = k a K_c + a^2 eta-bar eta-bar^T, eta-bar = dt +
+    omega and omega = k w sum_j (x_j dy_j - y_j dx_j), w = 1 / (1 + c |z|^2):
+    for k = 1, c = +1 and a = 1 it is the round metric in the Hopf chart
+    (z, t) -> e^{it} (1, z) / sqrt(1 + |z|^2) of the unit sphere, where
+    eta-bar is Im(conj(P) . dP), and k = 4 on the ball.  The base then has
+    holomorphic sectional curvature 4c / (k a), and phi-sectional curvature
+    is that less 3 (Blair, "Riemannian Geometry of Contact and Symplectic
+    Manifolds", 2nd ed., 2010).
     """
 
-    kind = "Sasakian_S"
-
-    def __init__(self, n: int, a: float = 1.0):
+    def __init__(self, n: int, c: int, a: float = 1.0):
         super().__init__(n, a)
-        self.c_tilde = 4.0 / self.a - 3.0
+        if c not in (-1, 1):
+            raise ValueError(f"base curvature sign c must be -1 or +1, got {c!r}")
+        self.c = c
+        self.k = 1.0 if c == 1 else 4.0
+        self.kind = "Sasakian_S" if c == 1 else "Sasakian_B"
+        self.c_tilde = 4.0 * c / (self.k * self.a) - 3.0
 
     def check_in_chart(self, points):
-        s = np.sum(points**2, axis=-1)
-        if np.any(s >= 1.0 - 1e-12):
-            raise DomainError(
-                f"Sasakian_S chart requires sum q^2 < 1, got max {s.max():.8f}"
-            )
-
-    def _chart_jets(self, points):
-        n, m, a = self.n, self.chart_dim, self.a
-        # the embedding E = (q_0..q_{n-1}, x, q_n..q_{2n}) into C^{n+1} = R^{2n+2},
-        # with x = sqrt(1 - |q|^2) to order 3, one above the metric
-        q = self._seed(points)
-        top = jets._leibniz_table(m, 3)
-        u = -jets._packed_mul(q, q, top).sum(axis=-1)
-        u[0] += 1.0
-        x = jets._packed_compose(jets._table(u[0], "sqrt", 3), [u], top)
-        # E is a graph over the chart, so T = dE is the identity with the row
-        # dx inserted.  With J the complex rotation of C^{n+1} and Jz that of
-        # the chart's z block, the round metric T^T T is I + dx dx^T, the
-        # contact form T^T J E is (Jz q_z, x) - q_2n dx, and the phi-bilinear
-        # T^T J T is Jz + e_2n dx^T - dx e_2n^T.
-        dx = jets._packed_gradient(x, m)
-        table = jets._leibniz_table(m, 2)
-        gbar = _outer(dx, table)
-        gbar[0] += np.eye(m)
-        q = q[: len(dx)]
-        etabar = -jets._packed_mul(dx, q[..., 2 * n :], table)
-        etabar[: len(q), :, : 2 * n] += np.matmul(q[..., : 2 * n], _complex_rotation(n).T)
-        etabar[..., 2 * n] += x[: len(dx)]
-        # g = a (gbar + (a - 1) etabar etabar^T), in place
-        G = _outer(etabar, table)
-        G *= a - 1.0
-        G += gbar
-        G *= a
-        t1 = jets._leibniz_table(m, 1)
-        K = np.zeros(gbar[: m + 1].shape)
-        K[0, :, : 2 * n, : 2 * n] = _complex_rotation(n)
-        K[..., 2 * n, :] += dx[: m + 1]
-        K[..., :, 2 * n] -= dx[: m + 1]
-        W = jets._packed_inv(gbar, t1, 1)
-        xibar = jets._packed_matmul(W, etabar[..., None], t1)[..., 0]
-        return {
-            "G": G,
-            "Phi": self._phi_sign * jets._packed_matmul(W, K, t1),
-            "Xi": xibar / a,
-            "Eta": a * etabar[: m + 1],
-        }
-
-    def _isometry(self, x, ops):
-        """A unitary map of C^{n+1} that takes E(x[0]) to e_n = E(0).
-
-        The embedding E of the chart (with x = sqrt(1 - |q|^2) to the jets'
-        order), then U, then back to the chart.  U(n+1) keeps the round
-        metric, J and the position vector, so the contact form and every
-        field of the deformed structure.
-        """
-        n = self.n
-        u = -ops.mul(x, x).sum(axis=-1)
-        u[0] += 1.0
-        E = np.empty(x.shape[:-1] + (n + 1,), complex)
-        E[..., :n] = _complex(x, n)
-        E[..., n] = ops.fn("sqrt", u) + 1j * x[..., 2 * n]
-        UE = _unitary_to(E, E[0], n)
-        out = np.concatenate([_real_pairs(UE[..., :n]), UE[..., n:].imag], axis=-1)
-        out[0] = 0.0
-        return out
-
-    def random_chart_points(self, rng, count):
-        pts = rng.normal(size=(count, self.chart_dim))
-        r = 0.8 * rng.uniform(0.2, 1.0, size=(count, 1)) ** (1.0 / self.chart_dim)
-        return pts * r / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
-class SasakianB(SasakianModel):
-    """Bergman-ball times line, with a homothetic deformation."""
-
-    kind = "Sasakian_B"
-
-    def __init__(self, n: int, a: float = 1.0):
-        super().__init__(n, a)
-        self.c_tilde = -1.0 / self.a - 3.0
-
-    def check_in_chart(self, points):
-        s = np.sum(points[..., :-1] ** 2, axis=-1)
-        if np.any(s >= 1.0 - 1e-12):
-            raise DomainError(
-                f"Sasakian_B chart requires |z| < 1, got |z|^2 max {s.max():.8f}"
-            )
+        if self.c == -1:
+            s = np.sum(points[..., :-1] ** 2, axis=-1)
+            if np.any(s >= 1.0 - 1e-12):
+                raise DomainError(
+                    f"Sasakian_B chart requires |z| < 1, got |z|^2 max {s.max():.8f}"
+                )
 
     def _chart_jets(self, points):
         n, m = self.n, self.chart_dim
         z = self._seed(points)[..., : 2 * n]
         table = jets._leibniz_table(m, 2)
-        bergman, w = _kaehler_metric(z, -1, table)
-        # eta-bar = dt + omega with omega = 4 s w (y dx - x dy), s the phi sign;
-        # the Bergman block is scaled by 4 (phi-sectional -4 before deforming)
-        Jz = np.matmul(z, _complex_rotation(n).T)
-        omega = -4.0 * self._phi_sign * jets._packed_mul(w[..., None], Jz, table)
+        kaehler, w = _kaehler_metric(z, self.c, table)
+        Jz = np.matmul(z, _complex_rotation(n).T)  # (-y, x)
+        omega = self.k * jets._packed_mul(w[..., None], Jz, table)
         eta_bar = np.zeros(omega.shape[:-1] + (m,))
         eta_bar[..., : 2 * n] = omega
         eta_bar[0, :, 2 * n] = 1.0
-        return self._contact_fields(4.0 * self.a * bergman, eta_bar, self.a, table)
+        return self._contact_fields(self.k * self.a * kaehler, eta_bar, self.a, table)
 
-    @classmethod
-    def fiber(cls, z: np.ndarray, ops) -> np.ndarray:
-        """The fiber t of a Legendrian image over the ball: dt = -omega(z), value 0.
+    def fiber(self, z: np.ndarray, ops) -> np.ndarray:
+        """The fiber t of a Legendrian image over z: dt = -omega(z), value 0.
 
-        ``z`` holds real packed jets (coefficients, B, 2n).  -omega = 4 s w
-        (-y, x) . d(x, y), with w = 1 / (1 - |z|^2) and s the phi sign, is
-        built to order - 1, all that ``jets._packed_fiber`` reads.
+        ``z`` holds real packed jets (coefficients, B, 2n).  -omega = k w
+        (y, -x) . d(x, y) is built to order - 1, all that
+        ``jets._packed_fiber`` reads.
         """
         if not ops.order:
             return np.zeros(z.shape[:2])
         n = z.shape[-1] // 2
         low = jets._Ops(ops.v, ops.order - 1)
         zl = z[: low.rows]
-        u = -low.mul(zl, zl).sum(axis=-1)
+        u = self.c * low.mul(zl, zl).sum(axis=-1)
         u[0] += 1.0
-        alpha = low.mul((4.0 * cls._phi_sign) * low.fn("recip", u)[..., None],
-                        np.concatenate([-zl[..., n:], zl[..., :n]], axis=-1))
+        alpha = low.mul(self.k * low.fn("recip", u)[..., None],
+                        np.concatenate([zl[..., n:], -zl[..., :n]], axis=-1))
         return jets._packed_fiber(alpha, z, ops)
 
     def _isometry(self, x, ops):
-        """The ball automorphism of :func:`_ball_move` on z, with the fiber shift
-        that keeps eta-bar = dt + omega: dt' = dt - alpha(z) . dz + alpha(z') . dz',
-        alpha = -omega, each term from :meth:`fiber`.
+        """The move of :func:`_projective_move` or :func:`_ball_move` on z, with
+        the fiber shift t' = t + (k / c) arg f, f the move's denominator.
 
-        The Bergman block and J are kept, and d/dt goes to d/dt, so the
-        metric, phi, xi and eta are too.  The fiber's value, which no field
-        reads, is set to 0.
+        A holomorphic isometry with denominator f has 1 + c |z'|^2 = const (1
+        + c |z|^2) / |f|^2, so omega(z') = omega(z) - (k / c) d arg f and the
+        shift keeps eta-bar.  The Kaehler block and J are kept, and d/dt goes
+        to d/dt, so the metric, phi, xi and eta are too.  The fiber's value,
+        which no field reads, is set to 0.
         """
         n = self.n
-        z = x[..., : 2 * n]
-        moved = _real_pairs(_ball_move(_complex(z, n), ops))
-        t = x[..., 2 * n] - self.fiber(z, ops) + self.fiber(moved, ops)
+        move = _projective_move if self.c == 1 else _ball_move
+        moved, f = move(_complex(x[..., : 2 * n], n), ops)
+        t = x[..., 2 * n] + (self.k / self.c) * ops.fn("log", f).imag
         t[0] = 0.0
-        return np.concatenate([moved, t[..., None]], axis=-1)
+        return np.concatenate([_real_pairs(moved), t[..., None]], axis=-1)
 
     def random_chart_points(self, rng, count):
-        z = rng.normal(size=(count, self.chart_dim - 1))
-        r = 0.75 * rng.uniform(0.2, 1.0, size=(count, 1)) ** (1.0 / (self.chart_dim - 1))
-        z = z * r / np.linalg.norm(z, axis=1, keepdims=True)
+        m = self.chart_dim - 1
+        if self.c == 1:
+            z = rng.uniform(-0.9, 0.9, size=(count, m))
+        else:
+            z = rng.normal(size=(count, m))
+            r = 0.75 * rng.uniform(0.2, 1.0, size=(count, 1)) ** (1.0 / m)
+            z = z * r / np.linalg.norm(z, axis=1, keepdims=True)
         t = rng.uniform(-1.0, 1.0, size=(count, 1))
         return np.concatenate([z, t], axis=1)
 
@@ -863,7 +796,7 @@ def make_model(kind: str, n: int, a: float = 1.0) -> BaseModel:
     if kind == "Sasakian_R":
         return SasakianR(n)
     if kind == "Sasakian_S":
-        return SasakianS(n, a)
+        return BoothbyWangModel(n, 1, a)
     if kind == "Sasakian_B":
-        return SasakianB(n, a)
+        return BoothbyWangModel(n, -1, a)
     raise ValueError(f"unknown model kind {kind!r}")

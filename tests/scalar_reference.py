@@ -176,6 +176,11 @@ def _recip(x):
     return w, -w * w, 2.0 * w**3, -6.0 * w**4
 
 
+def _atan(x):
+    q = 1.0 / (1.0 + x * x)
+    return np.arctan(x), q, -2.0 * x * q * q, (6.0 * x * x - 2.0) * q**3
+
+
 def _elementary(derivs):
     return lambda u: compose_univariate(derivs(u.val)[: u.order + 1], u)
 
@@ -184,6 +189,7 @@ sin = _elementary(lambda x: (lambda s, c: (s, c, -s, -c))(*_sin_cos(x)))
 cos = _elementary(lambda x: (lambda s, c: (c, -s, -c, s))(*_sin_cos(x)))
 sqrt = _elementary(_sqrt)
 recip = _elementary(_recip)
+atan = _elementary(_atan)
 
 
 def derivative(jet: ScalarJet, i: int) -> ScalarJet:

@@ -214,14 +214,20 @@ def test_criterion_09_strictness(extra_reports):
 
 
 def test_criterion_10_conformal_flatness_block(extra_reports):
-    conf = conformal_block(make_spec("contact_whitney_r", 4, r=1.0), seed=0)
-    assert conf["weyl_sup"] <= 1e-7
-    assert conf["sectional_spread"] >= 1e-3
+    blocks = {kind: conformal_block(make_spec(kind, 4, **kw), seed=0) for kind, kw in (
+        ("contact_whitney_r", dict(r=1.0)),
+        ("contact_whitney_s", dict(theta=0.5, a=0.8)),
+        ("contact_whitney_b", dict(theta=1.1, a=1.2)),
+    )}
+    for kind, conf in blocks.items():
+        assert conf["weyl_sup"] <= 1e-7, kind
+        assert conf["sectional_spread"] >= 1e-3, kind
     control = extra_reports["totally_geodesic_cp"].conformal
     assert control["sectional_spread"] <= 1e-9
-    print(f"[criterion 10] PASS contact Whitney four-sphere: Weyl sup "
-          f"{conf['weyl_sup']:.2e} <= 1e-7, sectional spread "
-          f"{conf['sectional_spread']:.3f} >= 1e-3; totally geodesic control "
+    summary = "; ".join(f"{kind} Weyl sup {conf['weyl_sup']:.2e}, sectional spread "
+                        f"{conf['sectional_spread']:.3f}" for kind, conf in blocks.items())
+    print(f"[criterion 10] PASS contact Whitney four-spheres (Weyl sup <= 1e-7, "
+          f"sectional spread >= 1e-3): {summary}; totally geodesic control "
           f"spread {control['sectional_spread']:.1e} <= 1e-9")
 
 

@@ -19,7 +19,6 @@ from whitneygeo.immersions import (
     random_quartic,
 )
 from whitneygeo.quadrature import sphere_points
-from whitneygeo.spaceforms import SasakianB
 
 import scalar_reference as sj
 
@@ -841,13 +840,14 @@ class TestLegendrianLift:
 
 
 class TestBergmanFiber:
-    """The ball-model fiber at the poles of the last sphere coordinate."""
+    """The fibers of the contact Whitney lifts."""
 
+    @pytest.mark.parametrize("kind", ["contact_whitney_b", "contact_whitney_s"])
     @pytest.mark.parametrize("n", [2, 3])
-    def test_finite_at_the_poles_of_the_last_coordinate(self, n):
+    def test_finite_at_the_poles_of_the_last_coordinate(self, n, kind):
         # u_n = +-1 is a smooth point of the sphere: the jets there are
         # finite, Legendrian and the limits of their neighbours'
-        spec = make_spec("contact_whitney_b", n, theta=0.8)
+        spec = make_spec(kind, n, theta=0.8)
         e_n = np.zeros((2, n + 1))
         e_n[:, -1] = [1.0, -1.0]
         x = eval_immersion(spec, e_n)
@@ -858,6 +858,26 @@ class TestBergmanFiber:
         assert_allclose(x, eval_immersion(spec, near), rtol=1e-5, atol=1e-6)
         pg, _ = pointwise_geometry(model_for(spec), spec, e_n)
         assert pg.isotropy.max() < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sphere_lift_is_the_argument_of_the_last_homogeneous_coordinate(self, n):
+        # contact_whitney_s is the point (u_1..u_n / s, w) of the unit sphere
+        # of C^{n+1}, with s = cosh + i sinh u_n and w = (sinh cosh (1 + u_n^2)
+        # + i u_n) / (cosh^2 + sinh^2 u_n^2): it projects onto whitney_cp, and
+        # its fiber is arg w, less its value at the node
+        theta = 0.6
+        spec = make_spec("contact_whitney_s", n, theta=theta, a=0.8)
+        nodes = np.concatenate([_sample_points(n, count=6, seed=31 + n), np.eye(n + 1)[-2:]])
+        ch, sh = math.cosh(theta), math.sinh(theta)
+        for order in range(4):
+            got = eval_immersion(spec, nodes, order=order)
+            base = eval_immersion(make_spec("whitney_cp", n, theta=theta), nodes, order=order)
+            assert np.array_equal(got[..., :-1], base)
+            un = _ref_node_jets(nodes, order)[-1]
+            # Re w > 0, so arg w = atan(Im w / Re w)
+            arg = sj.atan(un / (sh * ch * (1.0 + un * un)))
+            want = jets._pack_blocks((arg - arg.val).blocks(), n)
+            assert np.max(np.abs(got[..., -1] - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
 
 
 # -- the packed evaluators against their scalar-jet formulas -------------------
@@ -918,15 +938,6 @@ def _ref_contact_r(spec, u):
     return [x + B[j] for j, x in enumerate(xs)] + [y + B[n + j] for j, y in enumerate(ys)] + [z]
 
 
-def _ref_contact_s(spec, u):
-    un = u[-1]
-    ch, sh = math.cosh(spec.params["theta"]), math.sinh(spec.params["theta"])
-    one = sj.constant(np.ones(un.batch_shape), un.num_vars, un.order)
-    inv = _CJ(ch * one, sh * un).inv()
-    ws = [inv * uj for uj in u[:-1]]
-    return [w.re for w in ws] + [w.im for w in ws] + [un / (ch * ch + sh * sh * un * un)]
-
-
 def _ref_totally_geodesic(spec, u):
     H = immersions._reflections(np.stack([c.val for c in u], axis=-1))
     rot = [sum(u[c] * H[:, c, r] for c in range(3)) for r in range(3)]
@@ -935,28 +946,29 @@ def _ref_totally_geodesic(spec, u):
 
 
 class _RefFiber:
-    """The ball-model fiber by the rotational symmetry of its base map, in scalar jets.
+    """The fiber of a lift of a Whitney sphere, by the rotational symmetry of its
+    base map, in scalar jets.
 
-    The pullback of omega is rho(u) du in the last sphere coordinate u
-    alone, so the fiber's derivatives are -rho and its derivatives,
-    composed with the jet of u; rho comes from the sphere point
-    (sqrt(1 - u^2), 0, ..., 0, u).  Its value is 0, as the packed route's.
+    omega = k w sum_j (x_j dy_j - y_j dx_j) with w = 1 / (1 + c |z|^2).  Its
+    pullback is rho(u) du in the last sphere coordinate u alone, so the
+    fiber's derivatives are -rho and its derivatives, composed with the jet
+    of u; rho comes from the sphere point (sqrt(1 - u^2), 0, ..., 0, u).
+    Its value is 0, as the packed route's.
     """
 
-    def __init__(self, n, theta):
-        self.n, self.theta = n, theta
-        self.kappa = 4.0 * SasakianB._phi_sign  # omega = kappa w (y dx - x dy)
+    def __init__(self, n, theta, variant, c, k):
+        self.n, self.theta, self.variant, self.c, self.k = n, theta, variant, c, k
 
     def _rho_jets(self, u_vals, order):
         (un,) = sj.seed(u_vals[:, None], order + 1)
         zs = _ref_pairs([sj.sqrt(1.0 - un * un)] + [un * 0.0] * (self.n - 1) + [un],
-                        self.theta, "ch")
-        w = sj.recip(1.0 - sum((z.abs2() for z in zs[1:]), start=zs[0].abs2()))
-        acc = sum((sj.drop(z.im) * sj.derivative(z.re, 0)
-                   - sj.drop(z.re) * sj.derivative(z.im, 0) for z in zs[1:]),
-                  start=sj.drop(zs[0].im) * sj.derivative(zs[0].re, 0)
-                  - sj.drop(zs[0].re) * sj.derivative(zs[0].im, 0))
-        rho = acc * (self.kappa * sj.drop(w))
+                        self.theta, self.variant)
+        w = sj.recip(1.0 + self.c * sum((z.abs2() for z in zs[1:]), start=zs[0].abs2()))
+        acc = sum((sj.drop(z.re) * sj.derivative(z.im, 0)
+                   - sj.drop(z.im) * sj.derivative(z.re, 0) for z in zs[1:]),
+                  start=sj.drop(zs[0].re) * sj.derivative(zs[0].im, 0)
+                  - sj.drop(zs[0].im) * sj.derivative(zs[0].re, 0))
+        rho = acc * (self.k * sj.drop(w))
         blocks = (rho.val, rho.d1, rho.d2)
         return np.stack([blocks[k][(...,) + (0,) * k] for k in range(order + 1)])
 
@@ -1005,15 +1017,15 @@ def _reference_jets(spec, nodes, order):
     if spec.kind in ("whitney_cp", "whitney_ch"):
         zs = _ref_pairs(u, theta, spec.kind[-2:])
         return [z.re for z in zs] + [z.im for z in zs]
-    if spec.kind == "contact_whitney_b":
-        zs = _ref_pairs(u, theta, "ch")
-        return [z.re for z in zs] + [z.im for z in zs] + [_RefFiber(spec.n, theta).fiber(u[-1])]
+    if spec.kind in ("contact_whitney_s", "contact_whitney_b"):
+        variant, c, k = ("cp", 1, 1.0) if spec.kind == "contact_whitney_s" else ("ch", -1, 4.0)
+        zs = _ref_pairs(u, theta, variant)
+        fiber = _RefFiber(spec.n, theta, variant, c, k).fiber(u[-1])
+        return [z.re for z in zs] + [z.im for z in zs] + [fiber]
     if spec.kind == "totally_geodesic_cp":
         return _ref_totally_geodesic(spec, u)
     if spec.kind == "contact_whitney_r":
         return _ref_contact_r(spec, u)
-    if spec.kind == "contact_whitney_s":
-        return _ref_contact_s(spec, u)
     x = _ref_c0(spec if spec.kind == "whitney_c0" else
                 make_spec("whitney_c0", spec.n, r=spec.params["r"]), u)
     if spec.kind == "perturbed":

@@ -133,6 +133,12 @@ class TestGuards:
         with pytest.raises(ValueError):
             build_grid(5, 16)
 
+    @pytest.mark.parametrize("n, resolution, domain, count", [
+        (2, 10**6, "sphere", 2 * 10**12), (6, 16, "torus", 16**6)])
+    def test_node_budget_is_checked_before_any_allocation(self, n, resolution, domain, count):
+        with pytest.raises(ValueError, match=f"resolution {resolution} has {count} nodes"):
+            build_grid(n, resolution, domain=domain)
+
     def test_unknown_domain(self):
         with pytest.raises(ValueError):
             IntegrationGrid(2, 16, domain="klein_bottle")

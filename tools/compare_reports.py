@@ -13,7 +13,9 @@ every ``conformal_block`` call its block as JSON.  The workload ``edges``
 instead runs the cases that no benchmark workload reaches: an n = 4 run with
 its conformal block, an RK4 hard failure and an UNRESOLVED case, the flow at
 n = 3 (resolution 12, the least that gives a ladder) and of a quintic
-Hamiltonian at n = 2, and two ``whitneygeo verify`` calls (their output
+Hamiltonian at n = 2, the n = 4 conformal blocks of ``contact_whitney_s``
+and ``contact_whitney_b``, ``contact_whitney_s`` at n = 2 strongly deformed
+(a = 0.5), and two ``whitneygeo verify`` calls (their output
 dropped): one read from a config file with tuple, ``tol_*`` and
 ``conformal`` settings, and a lift of the ``perturbed`` case with
 ``--seed 5``.
@@ -78,6 +80,12 @@ def _edges(cli, verify, immersions, seed: int) -> list:
         lambda: verify.run_case(make_spec("whitney_ch", 2, theta=0.2), resolution=16,
                                 seed=seed),
         lambda: verify.conformal_block(make_spec("whitney_cp", 3, theta=0.5), seed=seed),
+        lambda: verify.conformal_block(make_spec("contact_whitney_s", 4, theta=0.5, a=0.8),
+                                       seed=seed),
+        lambda: verify.conformal_block(make_spec("contact_whitney_b", 4, theta=1.1, a=1.2),
+                                       seed=seed),
+        lambda: verify.run_case(make_spec("contact_whitney_s", 2, theta=0.35, a=0.5),
+                                resolution=24, seed=seed),
         lambda: _cli(cli, ["verify"], config=_EDGES_CONFIG),
         lambda: _cli(cli, ["verify", "--case", "lifted", "--base", "perturbed", "--seed", "5",
                            "--resolution", "16"]),
