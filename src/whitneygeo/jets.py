@@ -11,12 +11,12 @@ each distinct partial once (:func:`_packed_basis`), the axes after it carry
 a batch of evaluation points and any tensor shape, and the entries may be
 real or complex.  :func:`_packed_mul` is the product rule and
 :func:`_packed_compose` the one chain rule, whose univariate outer
-functions are exp, sqrt, 1/x and log (:func:`_table`): the torus seeds the
-cos and sin of its angles directly (:func:`_seed_angles`).  :class:`Jet`
-and :func:`compose` are a full-block face on them, with one dense
-derivative block per order, kept for the micro-benchmarks in
-``bench/micro.py``.  The module ends with ``_einsum``, the planned batched
-contraction kernel that ``geometry`` and ``spaceforms`` contract through.
+functions are exp, sqrt and 1/x (:func:`_table`): the torus seeds the cos
+and sin of its angles directly (:func:`_seed_angles`).  :class:`Jet` and
+:func:`compose` are a full-block face on them, with one dense derivative
+block per order, kept for the micro-benchmarks in ``bench/micro.py``.  The
+module ends with ``_einsum``, the planned batched contraction kernel that
+``geometry`` and ``spaceforms`` contract through.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 
 __all__ = ["Jet", "compose"]
 
-# Reciprocal or log of a jet value this close to zero is refused rather
-# than letting derivatives blow past float range.
+# Reciprocal of a jet value this close to zero is refused rather than
+# letting derivatives blow past float range.
 DIV_FLOOR = 1e-12
 
 _LEIBNIZ_CACHE: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
@@ -113,8 +113,7 @@ def compose(f: Jet, xs: list[Jet]) -> Jet:
 def _table(x: np.ndarray, kind: str, order: int) -> np.ndarray:
     """An elementary function at ``x`` as a packed jet in one variable: row k is its k-th derivative.
 
-    ``kind`` is one of ``exp, sqrt, recip, log``; a complex ``x`` takes the
-    principal log, whose derivatives hold on every branch.
+    ``kind`` is one of ``exp, sqrt, recip``.
     """
     if kind == "exp":
         e = np.exp(x)
@@ -131,13 +130,6 @@ def _table(x: np.ndarray, kind: str, order: int) -> np.ndarray:
             )
         w = 1.0 / x
         derivs = (w, -w * w, 2.0 * w**3, -6.0 * w**4)
-    elif kind == "log":
-        if np.any(np.abs(x) < DIV_FLOOR):
-            raise ZeroDivisionError("jet logarithm: value within %.1e of zero" % DIV_FLOOR)
-        if np.isrealobj(x) and np.any(x < 0):
-            raise ValueError("log of a real jet requires a positive value")
-        w = 1.0 / x
-        derivs = (np.log(x), w, -w * w, 2.0 * w**3)
     else:
         raise ValueError(f"unknown elementary kind {kind!r}")
     return np.stack(derivs[: order + 1])
@@ -337,7 +329,7 @@ class _Ops:
         return _packed_mul(a, b, self.table)
 
     def fn(self, kind: str, u: np.ndarray) -> np.ndarray:
-        """The elementary function ``kind`` of :func:`_table`, exp, sqrt, recip or log, of ``u``."""
+        """The elementary function ``kind`` of :func:`_table`, exp, sqrt or recip, of ``u``."""
         return _packed_compose(_table(u[0], kind, self.order), [u], self.table)
 
 

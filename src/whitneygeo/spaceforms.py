@@ -237,9 +237,8 @@ def _unitary_to(Z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return UZ
 
 
-def _projective_move(z: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray]:
-    """z -> (U Z)_{1..n} / (U Z)_0 on Z = (1, z), U unitary with U Z(z[0]) on e_0,
-    and its denominator (U Z)_0.
+def _projective_move(z: np.ndarray, ops) -> np.ndarray:
+    """z -> (U Z)_{1..n} / (U Z)_0 on Z = (1, z), U unitary with U Z(z[0]) on e_0.
 
     U(n+1) acts on the homogeneous coordinates by holomorphic isometries of
     the Fubini-Study metric, and this one takes the node z[0] to 0.
@@ -250,11 +249,11 @@ def _projective_move(z: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray]:
     UZ = _unitary_to(Z, Z[0] / np.linalg.norm(Z[0], axis=-1, keepdims=True))
     num = UZ[..., 1:]
     num[0] = 0.0  # U Z(z[0]) = |Z(z[0])| e_0
-    return ops.mul(num, ops.fn("recip", UZ[..., 0])[..., None]), UZ[..., 0]
+    return ops.mul(num, ops.fn("recip", UZ[..., 0])[..., None])
 
 
-def _ball_move(z: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray]:
-    """The ball automorphism that takes the node a = z[0] to 0, and its denominator.
+def _ball_move(z: np.ndarray, ops) -> np.ndarray:
+    """The ball automorphism that takes the node a = z[0] to 0.
 
     z -> (a - s z - <z, a> a / (1 + s)) / (1 - <z, a>) with s = sqrt(1 -
     |a|^2) and <z, a> = sum z_j conj(a_j): Rudin's (a - P_a z - s Q_a z) /
@@ -269,7 +268,7 @@ def _ball_move(z: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray]:
     num[0] = 0.0  # a - s a - |a|^2 a / (1 + s) = 0
     den = -inner
     den[0] += 1.0
-    return ops.mul(num, ops.fn("recip", den)[..., None]), den
+    return ops.mul(num, ops.fn("recip", den)[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +459,7 @@ class ComplexSpaceFormModel(BaseModel):
             out[0] = 0.0
             return out
         move = _projective_move if self.c == 1 else _ball_move
-        return _real_pairs(move(_complex(x, self.n), ops)[0])
+        return _real_pairs(move(_complex(x, self.n), ops))
 
     def curvature_oracle(self, fields, X, Y, Z):
         G0 = fields.G0
@@ -753,20 +752,20 @@ class BoothbyWangModel(SasakianModel):
 
     def _isometry(self, x, ops):
         """The move of :func:`_projective_move` or :func:`_ball_move` on z, with
-        the fiber shift t' = t + (k / c) arg f, f the move's denominator.
+        the fiber shift that keeps eta-bar = dt + omega: dt' = dt - alpha(z) .
+        dz + alpha(z') . dz', alpha = -omega, each term from :meth:`fiber`.
 
-        A holomorphic isometry with denominator f has 1 + c |z'|^2 = const (1
-        + c |z|^2) / |f|^2, so omega(z') = omega(z) - (k / c) d arg f and the
-        shift keeps eta-bar.  The Kaehler block and J are kept, and d/dt goes
-        to d/dt, so the metric, phi, xi and eta are too.  The fiber's value,
-        which no field reads, is set to 0.
+        The Kaehler block and J are kept, and d/dt goes to d/dt, so the
+        metric, phi, xi and eta are too.  The fiber's value, which no field
+        reads, is set to 0.
         """
         n = self.n
+        z = x[..., : 2 * n]
         move = _projective_move if self.c == 1 else _ball_move
-        moved, f = move(_complex(x[..., : 2 * n], n), ops)
-        t = x[..., 2 * n] + (self.k / self.c) * ops.fn("log", f).imag
+        moved = _real_pairs(move(_complex(z, n), ops))
+        t = x[..., 2 * n] - self.fiber(z, ops) + self.fiber(moved, ops)
         t[0] = 0.0
-        return np.concatenate([_real_pairs(moved), t[..., None]], axis=-1)
+        return np.concatenate([moved, t[..., None]], axis=-1)
 
     def random_chart_points(self, rng, count):
         m = self.chart_dim - 1

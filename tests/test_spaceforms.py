@@ -474,7 +474,9 @@ def test_packed_builders_match_scalar_jet_reference(kind, n):
     for name, ref in want.items():
         got = fields[name]
         assert got.shape == ref.shape, name
-        # a derivative is measured against the field it differentiates too:
-        # the sphere reference's Xi1 is rounding noise around 0
-        scale = max(np.max(np.abs(ref)), np.max(np.abs(want[name[:-1] + "0"])))
+        scale = np.max(np.abs(ref))
+        if model.kind == "Sasakian_S" and name == "Xi1":
+            # xi = d/dt / a is constant in the Hopf chart: the pulled-back
+            # reference's Xi1 is rounding noise around 0, measured against Xi0
+            scale = np.max(np.abs(want["Xi0"]))
         assert np.max(np.abs(got - ref)) <= 1e-13 * scale, name

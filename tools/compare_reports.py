@@ -15,7 +15,8 @@ its conformal block, an RK4 hard failure and an UNRESOLVED case, the flow at
 n = 3 (resolution 12, the least that gives a ladder) and of a quintic
 Hamiltonian at n = 2, the n = 4 conformal blocks of ``contact_whitney_s``
 and ``contact_whitney_b``, ``contact_whitney_s`` at n = 2 strongly deformed
-(a = 0.5), and two ``whitneygeo verify`` calls (their output
+(a = 0.5) and at a small theta (0.05, where the affine chart's |z| is near
+1/tanh(theta) = 20), and two ``whitneygeo verify`` calls (their output
 dropped): one read from a config file with tuple, ``tol_*`` and
 ``conformal`` settings, and a lift of the ``perturbed`` case with
 ``--seed 5``.
@@ -86,6 +87,7 @@ def _edges(cli, verify, immersions, seed: int) -> list:
                                        seed=seed),
         lambda: verify.run_case(make_spec("contact_whitney_s", 2, theta=0.35, a=0.5),
                                 resolution=24, seed=seed),
+        lambda: verify.run_case(make_spec("contact_whitney_s", 2, theta=0.05), seed=seed),
         lambda: _cli(cli, ["verify"], config=_EDGES_CONFIG),
         lambda: _cli(cli, ["verify", "--case", "lifted", "--base", "perturbed", "--seed", "5",
                            "--resolution", "16"]),
