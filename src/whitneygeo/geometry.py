@@ -55,7 +55,7 @@ import numpy as np
 
 from . import jets
 from .jets import _einsum
-from .immersions import ImmersionSpec, eval_immersion
+from .immersions import ImmersionSpec, _base_jets
 from .spaceforms import BaseModel, _metric_bracket
 
 __all__ = [
@@ -287,10 +287,11 @@ def _geometry(model, spec, nodes, order):
     """The frame stage from order-``order`` jets; order 3 adds the derivative levels.
 
     Each node's image is first moved to the base point by an isometry
-    (:meth:`~whitneygeo.spaceforms.BaseModel.centre`), so every node reads
-    the model's fields there (:meth:`~whitneygeo.spaceforms.BaseModel.base_fields`).
+    (:meth:`~whitneygeo.spaceforms.BaseModel.centre`, which lifts the base
+    of a Legendrian image after the move), so every node reads the model's
+    fields there (:meth:`~whitneygeo.spaceforms.BaseModel.base_fields`).
     """
-    x = model.centre(eval_immersion(spec, nodes, order=order), spec.n)
+    x = model.centre(_base_jets(spec, nodes, order), spec.n)
     return _extrinsic(model, spec, jets._unpack_blocks(x, spec.n, order), model.base_fields())
 
 

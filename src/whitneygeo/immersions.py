@@ -14,7 +14,8 @@ every downstream tensor is differentiated exactly.  The jets are packed
 arrays shaped (coefficients, B, chart dim) (see :mod:`whitneygeo.jets`):
 the node chart's jets have a closed form at s = 0, and every formula, its
 complex slots included (as complex128), is a chain of packed products and
-compositions.
+compositions.  A Legendrian entry is the lift of a Kaehler base
+(``_LIFT_BASES``) by its model (``BoothbyWangModel.lift``).
 """
 
 from __future__ import annotations
@@ -156,7 +157,9 @@ CATALOG = {
     "contact_whitney_r": dict(
         model="Sasakian_R",
         params="r > 0, a (fiber offset), B (2n+1 reals, contact translation)",
-        note="Legendrian sphere in the flat contact model",
+        note="Legendrian lift of whitney_c0 (radius r, centre B's first 2n entries) "
+        "to the flat contact model; a and B's fiber entry are Reeb/contact "
+        "translations, which no invariant reads",
     ),
     "contact_whitney_s": dict(
         model="Sasakian_S",
@@ -188,7 +191,9 @@ CATALOG = {
     "lifted": dict(
         model="Sasakian_R",
         params="base in {whitney_c0, perturbed} plus the base's parameters",
-        note="Legendrian lift of an exact Lagrangian in the flat model",
+        note="Legendrian lift of its base, an exact Lagrangian in the flat model, to "
+        "the flat contact model; the fiber's derivatives from the contact "
+        "condition, its value 0 at every node",
     ),
 }
 
@@ -423,35 +428,6 @@ def _eval_totally_geodesic_cp(spec, u, ops):
     return _split(ops.mul(rot[..., :n], ops.fn("recip", rot[..., n])[..., None]))
 
 
-def _eval_contact_whitney_r(spec, u, ops):
-    n = spec.n
-    r = spec.params["r"]
-    B = spec.params["B"]
-    un = u[..., -1]
-    w = r * ops.fn("recip", _plus(ops.mul(un, un), 1.0))
-    ys = ops.mul(u[..., :n], w[..., None])
-    xs = ops.mul(ys, un[..., None])
-    z = ops.mul(ops.mul(un, w), w)  # r^2 u/(1+u^2)^2
-    # contact translation: (x, y, z) -> (x+Bx, y+By, z+Bz+sum By_i x_i)
-    x = np.concatenate([xs, ys, (z + xs @ B[n : 2 * n])[..., None]], axis=-1)
-    x[0] += B
-    x[0, :, 2 * n] += r * spec.params["a"]
-    return x
-
-
-def _eval_contact_whitney(spec, u, ops):
-    """The Legendrian lift of whitney_cp (to Sasakian_S) or whitney_ch (to
-    Sasakian_B), its fiber from the contact condition dt = -omega of eta-bar =
-    dt + omega (:meth:`whitneygeo.spaceforms.BoothbyWangModel.fiber`).
-
-    The fiber's value is 0 at every node: the Reeb translation t -> t + c is
-    an isometry that keeps phi, xi and eta, so no invariant reads it.
-    """
-    variant = "cp" if spec.kind == "contact_whitney_s" else "ch"
-    x = _split(_complex_pairs(u, spec.params["theta"], variant, ops))
-    return np.concatenate([x, model_for(spec).fiber(x, ops)[..., None]], axis=-1)
-
-
 def _eval_product_torus(spec, inner, ops):
     """The radii times the inner jets, cos, then sin, of the angles (:func:`domain_jets`)."""
     return np.tile(spec.params["radii"], 2) * inner
@@ -669,36 +645,30 @@ _LIFT_KEYS = {
     "perturbed": ("r", "epsilon", "steps", "seed", "hamiltonian"),
 }
 
+#: each Legendrian kind's Kaehler base kind and the parameters it hands that
+#: base; a lift names its base kind, and hands it ``_LIFT_KEYS``
+_LIFT_BASES = {
+    "contact_whitney_r": ("whitney_c0", ("r", "B")),
+    "contact_whitney_s": ("whitney_cp", ("theta",)),
+    "contact_whitney_b": ("whitney_ch", ("theta",)),
+    "lifted": None,
+}
+
 
 def _lift_base(spec: ImmersionSpec) -> ImmersionSpec:
-    """The exact Lagrangian a lift lifts, built (so validated) by :func:`make_spec`.
+    """The Kaehler base of a Legendrian kind, built (so validated) by :func:`make_spec`.
 
-    A flowed base runs for epsilon = 0.02 unless the lift names its own.
+    ``contact_whitney_r`` hands its base the first 2n entries of B.  A
+    flowed base runs for epsilon = 0.02 unless the lift names its own.
     """
-    kind = spec.params["base"]
-    params = {k: spec.params[k] for k in _LIFT_KEYS[kind] if k in spec.params}
+    p = spec.params
+    kind, keys = _LIFT_BASES[spec.kind] or (p["base"], _LIFT_KEYS[p["base"]])
+    params = {k: p[k] for k in keys if k in p}
+    if "B" in params:
+        params["B"] = params["B"][: 2 * spec.n]
     if kind == "perturbed":
         params = {"epsilon": 0.02, **params}
     return make_spec(kind, spec.n, **params)
-
-
-def _eval_lifted(spec, u, ops):
-    """Base coordinates plus the fiber z with dz = sum_j y_j dx_j, as packed jets.
-
-    A global z exists because sum y dx is closed on a Lagrangian and
-    H^1(S^n) = 0 for n >= 2.
-    The value of z is 0 at every node, a Reeb translation chosen per node.
-    Neither the metric nor phi, xi and eta of Sasakian_R (eta = (dz - sum y
-    dx) / 2) depends on the last chart coordinate, so the Reeb flow is an
-    automorphism of the whole Sasakian structure (Blair, Riemannian Geometry
-    of Contact and Symplectic Manifolds, 2nd ed., 2010), and every invariant
-    the certificate reads is the same.
-    """
-    n = spec.n
-    base = _lift_base(spec)
-    x = _EVALUATORS[base.kind](base, u, ops)
-    return np.concatenate([x, jets._packed_fiber(x[..., n:], x[..., :n], ops)[..., None]],
-                          axis=-1)
 
 
 _EVALUATORS = {
@@ -706,13 +676,18 @@ _EVALUATORS = {
     "whitney_cp": _eval_whitney_cp,
     "whitney_ch": _eval_whitney_ch,
     "totally_geodesic_cp": _eval_totally_geodesic_cp,
-    "contact_whitney_r": _eval_contact_whitney_r,
-    "contact_whitney_s": _eval_contact_whitney,
-    "contact_whitney_b": _eval_contact_whitney,
     "perturbed": _eval_perturbed,
-    "lifted": _eval_lifted,
     "product_torus": _eval_product_torus,
 }
+
+
+def _base_jets(spec: ImmersionSpec, nodes, order: int) -> np.ndarray:
+    """Packed jets of the Kaehler chart coordinates of ``spec`` at ``nodes``,
+    or of its base (:func:`_lift_base`) for a Legendrian kind: (coefficients,
+    B, 2n), the input of :meth:`~whitneygeo.spaceforms.BaseModel.centre`."""
+    base = _lift_base(spec) if spec.kind in _LIFT_BASES else spec
+    inner = domain_jets(base, nodes, order)
+    return _EVALUATORS[base.kind](base, inner, jets._Ops(spec.n, order))
 
 
 def eval_immersion(spec: ImmersionSpec, nodes, order: int = 3) -> np.ndarray:
@@ -721,10 +696,14 @@ def eval_immersion(spec: ImmersionSpec, nodes, order: int = 3) -> np.ndarray:
     ``nodes`` are sphere points u, shaped (B, n+1), or torus angles, shaped
     (B, n).  The result is shaped (coefficients, B, chart dim), the rows in
     the order of ``jets._packed_basis(n, order)``; on the sphere the jets
-    are in each node's own chart (:func:`node_jets`).  The fiber coordinate
-    of ``lifted``, ``contact_whitney_s`` and ``contact_whitney_b`` is 0 at
-    every node, and only its derivatives come from the contact condition
-    (``jets._packed_fiber``).
+    are in each node's own chart (:func:`node_jets`).  A Legendrian kind is
+    its model's lift of its Kaehler base
+    (:meth:`~whitneygeo.spaceforms.BoothbyWangModel.lift`): the fiber
+    coordinate is 0 at every node, and only its derivatives come from the
+    contact condition.  A global fiber exists because the base is an exact
+    Lagrangian (H^1(S^n) = 0 for n >= 2), and a Reeb translation, which
+    sets its value per node, is an isometry that keeps phi, xi and eta, so
+    no invariant reads it.
     """
-    inner = domain_jets(spec, nodes, order)
-    return _EVALUATORS[spec.kind](spec, inner, jets._Ops(spec.n, order))
+    x = _base_jets(spec, nodes, order)
+    return model_for(spec).lift(x, jets._Ops(spec.n, order)) if spec.kind in _LIFT_BASES else x

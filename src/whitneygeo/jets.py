@@ -11,7 +11,7 @@ each distinct partial once (:func:`_packed_basis`), the axes after it carry
 a batch of evaluation points and any tensor shape, and the entries may be
 real or complex.  :func:`_packed_mul` is the product rule and
 :func:`_packed_compose` the one chain rule, whose univariate outer
-functions are exp, sqrt and 1/x (:func:`_table`): the torus seeds the cos
+functions are exp and 1/x (:func:`_table`): the torus seeds the cos
 and sin of its angles directly (:func:`_seed_angles`).  :class:`Jet` and
 :func:`compose` are a full-block face on them, with one dense derivative
 block per order, kept for the micro-benchmarks in ``bench/micro.py``.  The
@@ -113,16 +113,11 @@ def compose(f: Jet, xs: list[Jet]) -> Jet:
 def _table(x: np.ndarray, kind: str, order: int) -> np.ndarray:
     """An elementary function at ``x`` as a packed jet in one variable: row k is its k-th derivative.
 
-    ``kind`` is one of ``exp, sqrt, recip``.
+    ``kind`` is one of ``exp, recip``.
     """
     if kind == "exp":
         e = np.exp(x)
         derivs = (e, e, e, e)
-    elif kind == "sqrt":
-        if np.any(x <= 0):
-            raise ValueError("sqrt of a jet requires a strictly positive value")
-        r = np.sqrt(x)
-        derivs = (r, 0.5 / r, -0.25 / (r * x), 0.375 / (r * x * x))
     elif kind == "recip":
         if np.any(np.abs(x) < DIV_FLOOR):
             raise ZeroDivisionError(
@@ -329,7 +324,7 @@ class _Ops:
         return _packed_mul(a, b, self.table)
 
     def fn(self, kind: str, u: np.ndarray) -> np.ndarray:
-        """The elementary function ``kind`` of :func:`_table`, exp, sqrt or recip, of ``u``."""
+        """The elementary function ``kind`` of :func:`_table`, exp or recip, of ``u``."""
         return _packed_compose(_table(u[0], kind, self.order), [u], self.table)
 
 

@@ -77,8 +77,8 @@ def ladder_resolutions(resolution: int) -> tuple[int, int, int]:
     return (max(8, resolution // 2), max(8, (3 * resolution) // 4), resolution)
 
 
-def quadrature_error(values, floor: float = 0.0, control=None) -> tuple[float, str]:
-    """Error estimate for the last of three values on a ladder's rungs.
+def quadrature_error(values, rungs, floor: float = 0.0, control=None) -> tuple[float, str]:
+    """Error estimate for the last of three values on a ladder's ``rungs``.
 
     For an analytic integrand the quadrature error decays like e^(-aK)
     (Trefethen & Weideman, SIAM Review 2014), so with e1 = |D(K/2) -
@@ -86,25 +86,33 @@ def quadrature_error(values, floor: float = 0.0, control=None) -> tuple[float, s
     e2**2 / e1.  That fitted estimate, scaled by ``LADDER_SAFETY``, is used
     only when the ladder decays consistently: both differences have the same
     sign and e1 exceeds e2 by ``LADDER_DECAY``.  Otherwise the conservative
-    e2, essentially the error of the 3K/4 grid, is returned.
+    e2, essentially the error of the 3K/4 grid, is returned.  It counts only
+    where the differences contract per unit of resolution, e2 / (K3 - K2) <
+    e1 / (K2 - K1) for rungs K1 < K2 < K3, or e2 is 0.  A ladder that does not contract
+    is ``"stalled"``: its e2 bounds nothing, as the tail may be many steps
+    long.
 
     Three rungs cannot tell a geometric tail from a pre-asymptotic drop, so
     ``control`` may give the ladder, on the same grids, of an integral whose
     exact value is zero: the fit is then used only if the same rule bounds
     that integral's known error ``|control[-1]|``.  No estimate is below
     ``floor``, the rounding noise of the integral.  The second element names
-    the estimate used: ``"fitted"``, ``"fallback"`` or ``"roundoff"``.
+    the estimate used: ``"fitted"``, ``"fallback"``, ``"stalled"`` or
+    ``"roundoff"``.
     """
     coarse, middle, fine = values
     d1, d2 = middle - coarse, fine - middle
     e1, e2 = abs(d1), abs(d2)
     fitted = d1 * d2 > 0 and e1 > LADDER_DECAY * e2
     if fitted and control is not None:
-        fitted = quadrature_error(control, floor)[0] >= abs(control[-1])
+        fitted = quadrature_error(control, rungs, floor)[0] >= abs(control[-1])
+    k1, k2, k3 = rungs
     if fitted:
         error, method = LADDER_SAFETY * e2 * e2 / e1, "fitted"
-    else:
+    elif e2 == 0 or e2 * (k2 - k1) < e1 * (k3 - k2):
         error, method = e2, "fallback"
+    else:
+        error, method = e2, "stalled"
     if error < floor:
         return floor, "roundoff"
     return error, method

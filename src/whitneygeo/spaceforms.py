@@ -4,9 +4,10 @@ Three Kaehler models (flat complex space, the projective space normalized to
 holomorphic sectional curvature +4 in its affine chart, the hyperbolic ball
 normalized to -4) and three Sasakian models (the standard contact structure
 on R^{2n+1}, the unit sphere with a homothetic deformation, and the Bergman
-ball times a line).  The last two share one construction,
-:class:`BoothbyWangModel`: a line bundle over the affine chart of CP^n or
-over the ball CH^n, with the contact form dt + omega.  Every model exposes
+ball times a line).  The Sasakian models are one construction,
+:class:`BoothbyWangModel`: a line bundle over the chart of C^n, the affine
+chart of CP^n or the ball CH^n, with the contact form dt + omega.  Every
+model exposes
 
 * ``fields_at``: at a batch of chart points, the metric to second
   derivatives, the Levi-Civita connection with its first derivatives and
@@ -32,10 +33,11 @@ connection, so one evaluation of its points serves every check.
 Every ambient here is homogeneous, and the certificate reads only isometry
 invariants.  So the geometry evaluates no field at the nodes: ``centre``
 maps each node's chart jets by an isometry that takes its image to the base
-point (a translation of C^n or a Heisenberg translation of R^{2n+1}, a
-unitary map of the homogeneous coordinates of CP^n, a ball automorphism of
-CH^n, each of the last two lifted with a fiber shift on its bundle model),
-and the fields there are computed once per model instance.
+point (a translation of C^n, a unitary map of the homogeneous coordinates
+of CP^n, a ball automorphism of CH^n), and the fields there are computed
+once per model instance.  A Sasakian model centres the jets of a Legendrian
+image's base by its base model's isometry and lifts the result (its
+fiber from the contact condition), so each node's fiber is derived once.
 
 Its einsum contractions go through ``jets._einsum`` under the batch-label
 contract of :mod:`whitneygeo.geometry`: ``b`` leads every term that carries
@@ -301,10 +303,6 @@ class BaseModel:
     def check_in_chart(self, points: np.ndarray) -> None:
         """Raise :class:`DomainError` if any point leaves the chart domain."""
 
-    def _isometry(self, x: np.ndarray, ops) -> np.ndarray:
-        """:meth:`centre` on validated jets, to ``ops.order`` in ``ops.v`` variables."""
-        raise NotImplementedError
-
     # shared evaluation --------------------------------------------------------
 
     def _validate(self, pts):
@@ -362,17 +360,18 @@ class BaseModel:
         return self._base
 
     def centre(self, x: np.ndarray, v: int) -> np.ndarray:
-        """The jets of the node images moved to the base point, one isometry per node.
+        """The chart jets of the node images moved to the base point, one isometry per node.
 
-        ``x`` holds packed jets (coefficients, B, chart dim) in ``v``
-        variables; its value row, the node images, must lie in the chart.
-        Each node's jets are mapped by an isometry of the model that takes
-        its image to chart coordinate 0 and keeps the structure tensors (J,
-        or phi, xi and eta), so every invariant the certificate reads at
-        the node can be read there against :meth:`base_fields`.
+        ``x`` holds packed jets (coefficients, B, 2n) in ``v`` variables of
+        Kaehler chart coordinates: of a Lagrangian image, or of the base of
+        a Legendrian one, whose lift the Sasakian models return.  Their
+        value row, the node images, must lie in the chart.  Each node's
+        jets are mapped by an isometry of the model that takes its image to
+        chart coordinate 0 and keeps the structure tensors (J, or phi, xi
+        and eta), so every invariant the certificate reads at the node can
+        be read there against :meth:`base_fields`.
         """
-        self._validate(x[0])
-        return self._isometry(x, jets._Ops(v, jets._packed_order(x, v)))
+        raise NotImplementedError
 
     def curvature_oracle(self, fields: AmbientFields, X, Y, Z):
         """The closed-form R(X, Y)Z, (B, m), at the points of ``fields``."""
@@ -451,15 +450,16 @@ class ComplexSpaceFormModel(BaseModel):
         G, _ = _kaehler_metric(self._seed(points), self.c, table)
         return {"G": G, "J": np.broadcast_to(_complex_rotation(self.n), (1,) + G.shape[1:])}
 
-    def _isometry(self, x, ops):
+    def centre(self, x, v):
         """A translation of C^n; a unitary map of the homogeneous coordinates
         of CP^n; an automorphism of the ball CH^n.  All are holomorphic."""
+        self._validate(x[0])
         if self.c == 0:
             out = x.copy()
             out[0] = 0.0
             return out
         move = _projective_move if self.c == 1 else _ball_move
-        return _real_pairs(move(_complex(x, self.n), ops))
+        return _real_pairs(move(_complex(x, self.n), jets._Ops(v, jets._packed_order(x, v))))
 
     def curvature_oracle(self, fields, X, Y, Z):
         G0 = fields.G0
@@ -517,44 +517,113 @@ class ComplexSpaceFormModel(BaseModel):
         return report
 
 
-class SasakianModel(BaseModel):
-    """Shared Sasakian checks; subclasses provide the chart tensors."""
+class BoothbyWangModel(BaseModel):
+    """The three Sasakian space forms, each a line bundle over the Kaehler
+    chart of :func:`_kaehler_metric`: R^{2n+1} over C^n (c = 0), the deformed
+    unit sphere over CP^n (c = +1) and the Bergman ball times a line over
+    CH^n (c = -1).
+
+    Chart (z, t) with g = k a K_c + a^2 eta-bar eta-bar^T, eta-bar = dt +
+    omega and omega = k w sum_j (x_j dy_j - y_j dx_j), w = 1 / (1 + c |z|^2);
+    eta = a eta-bar, xi = (d/dt) / a, and phi is minus the complex rotation
+    of the z block, lifted to ker eta.  For k = 1, c = +1 and a = 1 it is
+    the round metric in the Hopf chart (z, t) -> e^{it} (1, z) / sqrt(1 +
+    |z|^2) of the unit sphere, where eta-bar is Im(conj(P) . dP), and k = 4
+    on the ball.  For c = 0 and k = a = 1/2 it is the standard structure on
+    R^{2n+1}, eta = (dz - sum_j y_j dx_j) / 2 and g = (dx^2 + dy^2) / 4 +
+    eta^2, in the coordinates z = t + sum_j x_j y_j / 2.  The base has
+    holomorphic sectional curvature 4c / (k a), and phi-sectional curvature
+    is that less 3 (Blair, "Riemannian Geometry of Contact and Symplectic
+    Manifolds", 2nd ed., 2010).
+    """
 
     is_sasakian = True
-    c_tilde: float = 0.0
-    # phi is minus the complex rotation, projected or lifted; the sign is
-    # pinned by the nabla_X xi = -phi X identity (see self_test).
+    # phi is minus the complex rotation, lifted; the sign is pinned by the
+    # nabla_X xi = -phi X identity (see self_test).
     _phi_sign = -1.0
 
-    def __init__(self, n: int, a: float):
+    def __init__(self, n: int, c: int, a: float = 1.0):
         super().__init__(n)
         if isinstance(a, bool) or not isinstance(a, numbers.Real) or not 0 < a < math.inf:
             raise ValueError(f"deformation parameter a must be a finite real > 0, got {a!r}")
+        if c not in (-1, 0, 1):
+            raise ValueError(f"base curvature sign c must be -1, 0 or +1, got {c!r}")
         self.a = float(a)
+        self.c = c
+        self.k = {1: 1.0, 0: 0.5, -1: 4.0}[c]
+        self.kind = {1: "Sasakian_S", 0: "Sasakian_R", -1: "Sasakian_B"}[c]
+        self.c_tilde = 4.0 * c / (self.k * self.a) - 3.0
         self.chart_dim = 2 * self.n + 1
+        self.kaehler = ComplexSpaceFormModel(self.n, c)
 
-    def _contact_fields(self, horizontal, eta_bar, scale, table):
-        """Chart tensors of the metric horizontal + scale^2 eta_bar eta_bar^T.
+    def check_in_chart(self, points):
+        if self.c == -1:
+            s = np.sum(points[..., :-1] ** 2, axis=-1)
+            if np.any(s >= 1.0 - 1e-12):
+                raise DomainError(
+                    f"Sasakian_B chart requires |z| < 1, got |z|^2 max {s.max():.8f}"
+                )
 
-        ``eta_bar`` is the packed contact form with eta_bar(d/dt) = 1, and
-        ``horizontal`` a packed metric on the z block.  Then eta = scale
-        eta_bar, xi = (d/dt) / scale, and phi is the complex rotation of the
-        z block lifted to ker eta.
-        """
-        m = self.chart_dim
-        G = _outer(scale * eta_bar, table)
-        G[: len(horizontal), :, :-1, :-1] += horizontal
+    def _chart_jets(self, points):
+        n, m = self.n, self.chart_dim
+        z = self._seed(points)[..., : 2 * n]
+        table = jets._leibniz_table(m, 2)
+        kaehler, w = _kaehler_metric(z, self.c, table)
+        Jz = np.matmul(z, _complex_rotation(n).T)  # (-y, x)
+        omega = self.k * jets._packed_mul(w[..., None], Jz, table)
+        eta_bar = np.zeros(omega.shape[:-1] + (m,))
+        eta_bar[..., : 2 * n] = omega
+        eta_bar[0, :, 2 * n] = 1.0
+        G = _outer(self.a * eta_bar, table)
+        G[: len(kaehler), :, :-1, :-1] += self.k * self.a * kaehler
         eta = eta_bar[: m + 1]
-        Jz = np.zeros((m, m))
-        Jz[:-1, :-1] = _complex_rotation(self.n)
+        Jt = np.zeros((m, m))
+        Jt[:-1, :-1] = _complex_rotation(n)
         s = self._phi_sign
         Phi = np.zeros(eta.shape + (m,))
-        Phi[0] = s * Jz
+        Phi[0] = s * Jt
         # the t-row keeps phi X in ker eta
-        Phi[..., -1, :] = -s * np.matmul(eta, Jz)
+        Phi[..., -1, :] = -s * np.matmul(eta, Jt)
         Xi = np.zeros((1,) + eta.shape[1:])
-        Xi[0, :, -1] = 1.0 / scale
-        return {"G": G, "Phi": Phi, "Xi": Xi, "Eta": scale * eta}
+        Xi[0, :, -1] = 1.0 / self.a
+        return {"G": G, "Phi": Phi, "Xi": Xi, "Eta": self.a * eta}
+
+    def fiber(self, z: np.ndarray, ops) -> np.ndarray:
+        """The fiber t of a Legendrian image over z: dt = -omega(z), value 0.
+
+        ``z`` holds real packed jets (coefficients, B, 2n).  -omega = k w
+        (y, -x) . d(x, y) is built to order - 1, all that
+        ``jets._packed_fiber`` reads; on C^n, w = 1.
+        """
+        if not ops.order:
+            return np.zeros(z.shape[:2])
+        n = z.shape[-1] // 2
+        low = jets._Ops(ops.v, ops.order - 1)
+        zl = z[: low.rows]
+        yx = np.concatenate([zl[..., n:], -zl[..., :n]], axis=-1)
+        if not self.c:
+            return jets._packed_fiber(self.k * yx, z, ops)
+        u = self.c * low.mul(zl, zl).sum(axis=-1)
+        u[0] += 1.0
+        return jets._packed_fiber(low.mul(self.k * low.fn("recip", u)[..., None], yx), z, ops)
+
+    def lift(self, z: np.ndarray, ops) -> np.ndarray:
+        """The Legendrian lift (z, :meth:`fiber` of z) of base jets ``z``, (coefficients, B, 2n)."""
+        return np.concatenate([z, self.fiber(z, ops)[..., None]], axis=-1)
+
+    def centre(self, z: np.ndarray, v: int) -> np.ndarray:
+        """The lift of the base's :meth:`ComplexSpaceFormModel.centre` of ``z``.
+
+        ``z`` holds the base's jets (coefficients, B, 2n) of a Legendrian
+        image, and the result is chart jets (coefficients, B, 2n + 1).  The
+        base's holomorphic isometry keeps d omega, so it lifts to an isometry
+        of the bundle that keeps eta-bar = dt + omega, and with the Kaehler
+        block and d/dt the metric, phi, xi and eta.  It maps the lift of z to
+        a lift of the moved z, which is :meth:`lift`'s up to a Reeb
+        translation, itself such an isometry.
+        """
+        moved = self.kaehler.centre(z, v)
+        return self.lift(moved, jets._Ops(v, jets._packed_order(moved, v)))
 
     def curvature_oracle(self, fields, X, Y, Z):
         G0, Phi, Xi, Eta = fields.G0, fields.Phi0, fields.Xi0, fields.Eta0
@@ -651,130 +720,14 @@ class SasakianModel(BaseModel):
         report["phi_sectional"] = float(np.max(np.abs(num / den - self.c_tilde)))
         return report
 
-
-class SasakianR(SasakianModel):
-    """The standard contact metric structure on R^{2n+1} (phi-sectional -3)."""
-
-    kind = "Sasakian_R"
-    c_tilde = -3.0
-
-    def __init__(self, n: int):
-        super().__init__(n, 1.0)
-
-    def check_in_chart(self, points):
-        pass  # global chart
-
-    def _chart_jets(self, points):
-        n, m = self.n, self.chart_dim
-        q = self._seed(points)
-        # eta = (dz - sum y_j dx_j) / 2 and g = (dx^2 + dy^2) / 4 + eta^2
-        eta_bar = np.zeros_like(q)
-        eta_bar[..., :n] = -q[..., n : 2 * n]
-        eta_bar[0, :, 2 * n] = 1.0
-        horizontal = 0.25 * np.eye(2 * n)[None, None]
-        return self._contact_fields(horizontal, eta_bar, 0.5, jets._leibniz_table(m, 2))
-
-    def _isometry(self, x, ops):
-        """The Heisenberg translation (x, y, z) -> (x - x0, y - y0, z - z0 - y0 . (x - x0)).
-
-        It keeps dx, dy and dz - y dx, so the metric and phi, xi and eta.
-        """
-        n = self.n
-        out = x.copy()
-        out[0] = 0.0
-        out[1:, :, 2 * n] -= np.sum(x[1:, :, :n] * x[0, :, n : 2 * n], axis=-1)
-        return out
-
-    def random_chart_points(self, rng, count):
-        return rng.uniform(-1.0, 1.0, size=(count, self.chart_dim))
-
-
-class BoothbyWangModel(SasakianModel):
-    """The deformed unit sphere (c = +1) or Bergman ball times a line (c = -1),
-    each a line bundle over the Kaehler chart of :func:`_kaehler_metric`.
-
-    Chart (z, t) with g = k a K_c + a^2 eta-bar eta-bar^T, eta-bar = dt +
-    omega and omega = k w sum_j (x_j dy_j - y_j dx_j), w = 1 / (1 + c |z|^2):
-    for k = 1, c = +1 and a = 1 it is the round metric in the Hopf chart
-    (z, t) -> e^{it} (1, z) / sqrt(1 + |z|^2) of the unit sphere, where
-    eta-bar is Im(conj(P) . dP), and k = 4 on the ball.  The base then has
-    holomorphic sectional curvature 4c / (k a), and phi-sectional curvature
-    is that less 3 (Blair, "Riemannian Geometry of Contact and Symplectic
-    Manifolds", 2nd ed., 2010).
-    """
-
-    def __init__(self, n: int, c: int, a: float = 1.0):
-        super().__init__(n, a)
-        if c not in (-1, 1):
-            raise ValueError(f"base curvature sign c must be -1 or +1, got {c!r}")
-        self.c = c
-        self.k = 1.0 if c == 1 else 4.0
-        self.kind = "Sasakian_S" if c == 1 else "Sasakian_B"
-        self.c_tilde = 4.0 * c / (self.k * self.a) - 3.0
-
-    def check_in_chart(self, points):
-        if self.c == -1:
-            s = np.sum(points[..., :-1] ** 2, axis=-1)
-            if np.any(s >= 1.0 - 1e-12):
-                raise DomainError(
-                    f"Sasakian_B chart requires |z| < 1, got |z|^2 max {s.max():.8f}"
-                )
-
-    def _chart_jets(self, points):
-        n, m = self.n, self.chart_dim
-        z = self._seed(points)[..., : 2 * n]
-        table = jets._leibniz_table(m, 2)
-        kaehler, w = _kaehler_metric(z, self.c, table)
-        Jz = np.matmul(z, _complex_rotation(n).T)  # (-y, x)
-        omega = self.k * jets._packed_mul(w[..., None], Jz, table)
-        eta_bar = np.zeros(omega.shape[:-1] + (m,))
-        eta_bar[..., : 2 * n] = omega
-        eta_bar[0, :, 2 * n] = 1.0
-        return self._contact_fields(self.k * self.a * kaehler, eta_bar, self.a, table)
-
-    def fiber(self, z: np.ndarray, ops) -> np.ndarray:
-        """The fiber t of a Legendrian image over z: dt = -omega(z), value 0.
-
-        ``z`` holds real packed jets (coefficients, B, 2n).  -omega = k w
-        (y, -x) . d(x, y) is built to order - 1, all that
-        ``jets._packed_fiber`` reads.
-        """
-        if not ops.order:
-            return np.zeros(z.shape[:2])
-        n = z.shape[-1] // 2
-        low = jets._Ops(ops.v, ops.order - 1)
-        zl = z[: low.rows]
-        u = self.c * low.mul(zl, zl).sum(axis=-1)
-        u[0] += 1.0
-        alpha = low.mul(self.k * low.fn("recip", u)[..., None],
-                        np.concatenate([zl[..., n:], -zl[..., :n]], axis=-1))
-        return jets._packed_fiber(alpha, z, ops)
-
-    def _isometry(self, x, ops):
-        """The move of :func:`_projective_move` or :func:`_ball_move` on z, with
-        the fiber shift that keeps eta-bar = dt + omega: dt' = dt - alpha(z) .
-        dz + alpha(z') . dz', alpha = -omega, each term from :meth:`fiber`.
-
-        The Kaehler block and J are kept, and d/dt goes to d/dt, so the
-        metric, phi, xi and eta are too.  The fiber's value, which no field
-        reads, is set to 0.
-        """
-        n = self.n
-        z = x[..., : 2 * n]
-        move = _projective_move if self.c == 1 else _ball_move
-        moved = _real_pairs(move(_complex(z, n), ops))
-        t = x[..., 2 * n] - self.fiber(z, ops) + self.fiber(moved, ops)
-        t[0] = 0.0
-        return np.concatenate([moved, t[..., None]], axis=-1)
-
     def random_chart_points(self, rng, count):
         m = self.chart_dim - 1
-        if self.c == 1:
-            z = rng.uniform(-0.9, 0.9, size=(count, m))
-        else:
+        if self.c == -1:
             z = rng.normal(size=(count, m))
             r = 0.75 * rng.uniform(0.2, 1.0, size=(count, 1)) ** (1.0 / m)
             z = z * r / np.linalg.norm(z, axis=1, keepdims=True)
+        else:
+            z = rng.uniform(-0.9, 0.9, size=(count, m))
         t = rng.uniform(-1.0, 1.0, size=(count, 1))
         return np.concatenate([z, t], axis=1)
 
@@ -793,7 +746,7 @@ def make_model(kind: str, n: int, a: float = 1.0) -> BaseModel:
     if kind == "CH_n":
         return ComplexSpaceFormModel(n, -1)
     if kind == "Sasakian_R":
-        return SasakianR(n)
+        return BoothbyWangModel(n, 0, 0.5)
     if kind == "Sasakian_S":
         return BoothbyWangModel(n, 1, a)
     if kind == "Sasakian_B":

@@ -452,7 +452,7 @@ def _quadrature_estimates(n: int, ladder) -> dict:
     out = {}
     for name in ("defect_normalized", "yano_main"):
         values = [v[name] for _, v in normalized]
-        error, method = quadrature_error(values, floor, control)
+        error, method = quadrature_error(values, [k for k, _ in normalized], floor, control)
         out[name] = {
             "ladder": [[k, x] for (k, _), x in zip(normalized, values)],
             "estimate": method,
@@ -468,11 +468,17 @@ def _defect_violated(defect_norm: float, defect_error: float, tol: Tolerances) -
 
 
 def _unresolved_reason(
-    defect_norm, error, gates, sup_nabla_h, sup_whitney, tol, structural
+    defect_norm, estimate, gates, sup_nabla_h, sup_whitney, tol, structural
 ) -> str:
-    """Why :func:`classify_equality` withheld a decision, in its order."""
+    """Why :func:`classify_equality` withheld a decision, in its order;
+    ``estimate`` is the defect's entry of the report's ``quadrature``."""
     if structural:
         return "structural hard failures: " + "; ".join(structural)
+    error = estimate["error"]
+    if estimate["estimate"] == "stalled":
+        (k1, d1), (k2, d2), (k3, d3) = estimate["ladder"]
+        return (f"the defect ladder does not contract: |D({k2}) - D({k1})| = "
+                f"{abs(d2 - d1):.2e}, then |D({k3}) - D({k2})| = {abs(d3 - d2):.2e}")
     if not any(error <= bound for bound in gates.values()):
         parts = [
             f"the {name} gate {bound:.2e}"
@@ -684,7 +690,9 @@ def run_case(
         "relative": 0.25 * abs(defect_norm),
     }
     quadrature["gates"] = gates
-    resolved = any(defect_error <= bound for bound in gates.values())
+    # a ladder that does not contract bounds nothing, either way
+    stalled = quadrature["defect_normalized"]["estimate"] == "stalled"
+    resolved = not stalled and any(defect_error <= bound for bound in gates.values())
 
     # what stays in ``normalized`` are the report's inequality integrals
     yano = {"main": normalized.pop("yano_main")}
@@ -711,7 +719,7 @@ def run_case(
         if rk4_drift > 1e-9:
             structural.append(f"RK4 halved-step drift {rk4_drift:.2e} > 1e-9")
     certificates = []
-    if _defect_violated(defect_norm, defect_error, tol):
+    if not stalled and _defect_violated(defect_norm, defect_error, tol):
         certificates.append(
             f"integral defect {defect_norm:.2e} below -(integral tol + "
             f"error estimate {defect_error:.1e})"
@@ -728,7 +736,8 @@ def run_case(
     unresolved_reason = None
     if classification == "UNRESOLVED":
         unresolved_reason = _unresolved_reason(
-            defect_norm, defect_error, gates, sup_nabla_h, sup_whitney, tol, structural
+            defect_norm, quadrature["defect_normalized"], gates, sup_nabla_h, sup_whitney, tol,
+            structural,
         )
 
     params = {k: list(v) if isinstance(v, tuple) else v

@@ -64,7 +64,7 @@ class TestLadderRule:
     def test_geometric_ladder_is_fitted(self):
         limit, rho = 0.3, math.exp(-0.76)
         values = [limit + 2.0 * rho**K for K in (20, 30, 40)]
-        error, method = quadrature_error(values)
+        error, method = quadrature_error(values, (20, 30, 40))
         assert method == "fitted"
         e1, e2 = abs(values[1] - values[0]), abs(values[2] - values[1])
         assert error == pytest.approx(LADDER_SAFETY * e2**2 / e1, rel=1e-12)
@@ -76,13 +76,13 @@ class TestLadderRule:
     def test_sign_change_falls_back(self):
         # a ladder that overshoots its limit: the differences change sign
         values = [-6.3e-2, 3.4e-4, -7.2e-5]
-        error, method = quadrature_error(values)
+        error, method = quadrature_error(values, (24, 36, 48))
         assert method == "fallback"
         assert error == abs(values[2] - values[1])
 
     def test_slow_decay_falls_back(self):
         values = [1.0e-3, 0.6e-3, 0.3e-3]
-        error, method = quadrature_error(values)
+        error, method = quadrature_error(values, (24, 36, 48))
         assert method == "fallback"
         assert error == pytest.approx(3e-4, rel=1e-12)
 
@@ -92,19 +92,42 @@ class TestLadderRule:
         # against a true error of 7.2e-5, which the control's exact zero shows
         defect = [5.89e-2, 3.45e-4, -7.20e-5]
         control = [-5.89e-2, -3.45e-4, 7.20e-5]
-        assert quadrature_error(defect)[1] == "fitted"
-        error, method = quadrature_error(defect, control=control)
+        assert quadrature_error(defect, (8, 12, 16))[1] == "fitted"
+        error, method = quadrature_error(defect, (8, 12, 16), control=control)
         assert method == "fallback"
         assert error >= abs(defect[-1])
         # a control whose fit holds leaves the fit in place
         rho = math.exp(-0.8)
         geometric = [rho**K for K in (24, 36, 48)]
-        assert quadrature_error(geometric, control=geometric)[1] == "fitted"
+        assert quadrature_error(geometric, (24, 36, 48), control=geometric)[1] == "fitted"
+
+    def test_a_ladder_that_does_not_contract_stalls(self):
+        # the defect ladder of whitney_ch, n = 2, theta = 0.01 at K = 24, 36,
+        # 48, whose true error is 3.11: e2 = 0.31 bounds nothing
+        values = [-3.70, -3.42, -3.11]
+        assert quadrature_error(values, (24, 36, 48)) == (
+            pytest.approx(0.31, rel=1e-12), "stalled")
+        # differences that do not shrink per rung step stall at any spacing
+        assert quadrature_error([0.0, 1.0, 4.0], (8, 9, 12))[1] == "stalled"
+
+    def test_contraction_is_per_rung_step(self):
+        # rungs 8, 9, 12 (K = 12): 0.019 per step, then 0.007 contracts
+        # though the second difference is the larger
+        values = [0.3, 0.3 + 0.019, 0.3 + 0.019 + 0.021]
+        error, method = quadrature_error(values, (8, 9, 12))
+        assert method == "fallback"
+        assert error == pytest.approx(0.021, rel=1e-12)
+        # the same values on evenly spaced rungs do not
+        assert quadrature_error(values, (24, 36, 48))[1] == "stalled"
+        # a ladder that stopped moving contracts; one within rounding is roundoff
+        assert quadrature_error([1.0, 1.0, 1.0], (24, 36, 48)) == (0.0, "fallback")
+        assert quadrature_error([0.0, 1e-16, 3e-16], (24, 36, 48), floor=1e-14) == (
+            1e-14, "roundoff")
 
     def test_rounding_floor(self):
         values = [1.4e-10, 3.5e-15, 4.5e-16]
-        assert quadrature_error(values)[0] < 1e-18
-        error, method = quadrature_error(values, floor=1e-14)
+        assert quadrature_error(values, (24, 36, 48))[0] < 1e-18
+        error, method = quadrature_error(values, (24, 36, 48), floor=1e-14)
         assert (error, method) == (1e-14, "roundoff")
 
 
@@ -125,6 +148,19 @@ class TestReportEvidence:
         assert "absolute gate" in r.unresolved_reason
         assert "relative gate" in r.unresolved_reason
         assert r.unresolved_reason in report_to_markdown(r)
+
+    @pytest.mark.parametrize("theta", [0.01, 0.005])
+    def test_a_stalled_ladder_certifies_nothing(self, theta):
+        # a Whitney sphere, defect 0, whose ladder at the default K still
+        # moves by more each step: once it read as a violated inequality
+        r = run_case(make_spec("whitney_ch", 2, theta=theta), seed=0)
+        q = r.quadrature["defect_normalized"]
+        assert q["estimate"] == "stalled"
+        assert r.classification == "UNRESOLVED"
+        assert "does not contract" in r.unresolved_reason
+        for k, _ in q["ladder"]:
+            assert f"D({k})" in r.unresolved_reason
+        assert not any("below" in f for f in r.hard_failures)
 
     def test_resolved_report_has_no_reason(self):
         # a case the K = 32 ladder resolves by its fit, above the rounding floor

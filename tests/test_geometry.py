@@ -26,6 +26,7 @@ from whitneygeo.immersions import make_spec, model_for, node_jets
 from whitneygeo.quadrature import sphere_points
 from whitneygeo.immersions import eval_immersion
 from whitneygeo.spaceforms import (
+    BoothbyWangModel,
     _metric_bracket,
     christoffel_from_metric,
     make_model,
@@ -455,6 +456,19 @@ def test_centred_route_matches_the_per_node_route(kind, kw, n):
     assert got.keys() == want.keys()
     for name, ref in want.items():
         assert np.all(np.abs(got[name] - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0)), name
+
+
+@pytest.mark.parametrize("kind, kw", [("contact_whitney_s", dict(theta=0.5, a=0.8)),
+                                      ("contact_whitney_r", dict(r=1.3, a=0.4))])
+def test_the_fiber_is_derived_once_per_call(kind, kw, monkeypatch):
+    # the centre moves the base and lifts it: the lift's fiber is the only one
+    calls = []
+    fiber = BoothbyWangModel.fiber
+    monkeypatch.setattr(BoothbyWangModel, "fiber",
+                        lambda self, z, ops: calls.append(len(z)) or fiber(self, z, ops))
+    spec = make_spec(kind, 2, **kw)
+    pointwise_geometry(model_for(spec), spec, _points(2, count=6, seed=1))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("order", [2, 3])

@@ -116,23 +116,21 @@ class TestCatalogValues:
         assert_allclose(x[0, 0], [1.0, 0.0, 0.0, 2.0], atol=1e-14)
 
     def test_flat_contact_fiber_closed_form(self):
-        # the contact condition determines the fiber: dz/du equals the
-        # quadrature of sum(y_i dx_i) along the last sphere coordinate
+        # the contact condition determines the fiber: along a meridian, the
+        # quadrature of its derivatives is the closed form -r^2 u / (2 (1 +
+        # u^2)) of half of sum_j (y_j dx_j - x_j dy_j) on whitney_c0
         r = 1.7
         spec = make_spec("contact_whitney_r", 2, r=r, a=0.0)
-        us = np.linspace(-0.9, 0.9, 7)
-        u = np.column_stack([np.sqrt(1 - us**2) * 0.6, np.sqrt(1 - us**2) * 0.8, us])
-        x = eval_immersion(spec, u)
-        z = x[0, :, -1]
-        # independent quadrature of the defining one-form
-        from numpy.polynomial.legendre import leggauss
-
-        xs, ws = leggauss(64)
-        for k, u1 in enumerate(us):
-            s = 0.5 * u1 * (xs + 1.0)
-            w = 0.5 * u1 * ws
-            integrand = r * r * (1 - 3 * s**2) / (1 + s**2) ** 3
-            assert_allclose(z[k], np.sum(w * integrand), atol=1e-12)
+        xs, ws = np.polynomial.legendre.leggauss(64)
+        for end in np.linspace(-0.9, 0.9, 7):
+            s = 0.5 * end * (xs + 1.0)
+            c = np.sqrt(1 - s**2)
+            u = np.column_stack([0.6 * c, 0.8 * c, s])
+            du = np.column_stack([-0.6 * s / c, -0.8 * s / c, np.ones_like(s)])
+            dt = eval_immersion(spec, u, order=1)[1:, :, -1]
+            rate = np.einsum("ib,bki,bk->b", dt, immersions._reflections(u)[:, :, :2], du)
+            assert_allclose(np.sum(0.5 * end * ws * rate), -0.5 * r * r * end / (1 + end**2),
+                            atol=1e-12)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -773,7 +771,8 @@ def _loop_integrand(spec, theta_polar, phi):
 
 
 def loop_integral(spec, theta_polar=None, resolution=64):
-    """Integral of sum(y_i dx_i) around a closed azimuthal loop (exactness check).
+    """Integral of the lift's fiber one-form, half of sum_i (y_i dx_i - x_i dy_i),
+    around a closed azimuthal loop (exactness check).
 
     ``theta_polar`` is the loop's angle from e_0, pi / 2 by default; a base
     spec is lifted with the parameters it hands a lift.
@@ -800,7 +799,8 @@ class TestLegendrianLift:
     @pytest.mark.parametrize("polar", [np.pi / 2, 0.7], ids=["equator", "polar-0.7"])
     @pytest.mark.parametrize("base", ["whitney_c0", "perturbed"])
     def test_loop_integrand_is_the_base_one_form_along_the_loop(self, base, polar):
-        # sum_j y_j dx_j / dphi, from central differences of the base's values
+        # half of sum_j (y_j dx_j - x_j dy_j) / dphi, the bundle's -omega, from
+        # central differences of the base's values
         spec = make_spec("lifted", 2, base=base)
         base_spec = immersions._lift_base(spec)
         phi = np.linspace(0.1, 2 * np.pi - 0.1, 9)
@@ -811,8 +811,8 @@ class TestLegendrianLift:
             return eval_immersion(base_spec, u, order=0)[0]
 
         h = 1e-5
-        dx = (values(phi + h) - values(phi - h)) / (2 * h)
-        want = np.sum(values(phi)[:, 2:] * dx[:, :2], axis=-1)
+        x, dx = values(phi), (values(phi + h) - values(phi - h)) / (2 * h)
+        want = 0.5 * np.sum(x[:, 2:] * dx[:, :2] - x[:, :2] * dx[:, 2:], axis=-1)
         got = _loop_integrand(spec, polar, phi)
         assert np.max(np.abs(want)) > 0.1
         assert_allclose(got, want, rtol=0, atol=1e-8 * np.max(np.abs(want)))
@@ -928,14 +928,20 @@ def _ref_c0(spec, u):
 
 
 def _ref_contact_r(spec, u):
+    """The lift of whitney_c0 of radius r and centre B[:2n], in closed form.
+
+    With p = u' w, w = r / (1 + u_n^2), the base is (p + Bx, p u_n + By),
+    and as |p|^2 = r^2 (1 - u_n^2) / (1 + u_n^2)^2, sum_j (y_j dx_j - x_j
+    dy_j) = d(-r u_n w + By . p - Bx . p u_n); the fiber is half of that,
+    less its value.  a and B's last entry are not read.
+    """
     n, r, B = spec.n, spec.params["r"], spec.params["B"]
     un = u[-1]
     w = r * sj.recip(1.0 + un * un)
-    xs = [u[j] * w * un for j in range(n)]
-    ys = [u[j] * w for j in range(n)]
-    z = un * w * w + r * spec.params["a"] + B[2 * n]
-    z = sum((B[n + j] * xs[j] for j in range(n)), start=z)
-    return [x + B[j] for j, x in enumerate(xs)] + [y + B[n + j] for j, y in enumerate(ys)] + [z]
+    p = [u[j] * w for j in range(n)]
+    t = 0.5 * sum((B[n + j] * p[j] - B[j] * p[j] * un for j in range(n)), start=-r * un * w)
+    return ([pj + B[j] for j, pj in enumerate(p)]
+            + [pj * un + B[n + j] for j, pj in enumerate(p)] + [t - t.val])
 
 
 def _ref_totally_geodesic(spec, u):
@@ -979,7 +985,11 @@ class _RefFiber:
 
 
 def _ref_lifted(base_spec, u0, order):
-    """The Legendrian lift with its base and fiber derivatives in scalar jets; the fiber value is 0."""
+    """The Legendrian lift with its base and fiber derivatives in scalar jets; the fiber value is 0.
+
+    The fiber is the Heisenberg chart's z, dz = sum_j y_j dx_j, pulled back
+    through z = t + x . y / 2 to the bundle's t.
+    """
     u = _ref_node_jets(u0, order)
     x = _ref_c0(make_spec("whitney_c0", base_spec.n, r=base_spec.params["r"]), u)
     if base_spec.kind == "perturbed":
@@ -995,7 +1005,8 @@ def _ref_lifted(base_spec, u0, order):
             getattr(z, f"d{k + 1}")[:, a] = block
     z.d2 = None if order < 2 else sj.mirror(z.d2, 2)
     z.d3 = None if order < 3 else sj.mirror(z.d3, 3)
-    return x + [z]
+    t = z - 0.5 * sum((x[j] * x[n + j] for j in range(1, n)), start=x[0] * x[n])
+    return x + [t - t.val]
 
 
 def _small_hamiltonian(n):

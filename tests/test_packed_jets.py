@@ -76,7 +76,7 @@ def test_packed_mul_ring_laws(v, order, seed):
 
 
 @PROPERTY
-@given(v=num_vars, order=orders, seed=seeds, kind=st.sampled_from(["sqrt", "recip", "exp"]))
+@given(v=num_vars, order=orders, seed=seeds, kind=st.sampled_from(["recip", "exp"]))
 def test_packed_compose_matches_compose_univariate(v, order, seed, kind):
     rng = np.random.default_rng(seed)
     u = _random_jet(rng, 3, v, order, positive=True)

@@ -260,32 +260,56 @@ def _chart_seeds(pts, order):
     return x
 
 
+def _induced(D, D2, G0, G1):
+    """The metric D^T G D on the columns of D, and its first derivatives."""
+    return (np.einsum("bia,bij,bjc->bac", D, G0, D),
+            np.einsum("bias,bij,bjc->bacs", D2, G0, D)
+            + np.einsum("bia,bij,bjcs->bacs", D, G0, D2)
+            + np.einsum("bia,bijk,bjc,bks->bacs", D, G1, D, D))
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("n", [2, 3])
 def test_centre_is_an_isometry_onto_the_base_point(kind, n):
-    # the jets of the map itself: its differential D and second derivatives
-    # at each point p, whose image must carry the base point's fields
     model = make_model(kind, n, a=0.8)
-    pts = model.random_chart_points(np.random.default_rng(40 + n), 8)
-    m = model.chart_dim
-    Y0, D, D2 = jets._unpack_blocks(model.centre(_chart_seeds(pts, 2), m), m, 2)
-    assert np.array_equal(Y0, np.zeros_like(pts))
-    at, base = model.fields_at(pts), model.base_fields()
+    rng = np.random.default_rng(40 + n)
+    pts = model.random_chart_points(rng, 8)
+    base = model.base_fields()
 
     def close(got, want):
         assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
 
-    # the metric, and to first order around p: D^T G(0) D = G(p), and its derivatives
-    close(np.einsum("bia,bij,bjc->bac", D, base.G0, D), at.G0)
-    close(np.einsum("bias,bij,bjc->bacs", D2, base.G0, D)
-          + np.einsum("bia,bij,bjcs->bacs", D, base.G0, D2)
-          + np.einsum("bia,bijk,bjc,bks->bacs", D, base.G1, D, D), at.G1)
     if not model.is_sasakian:
+        # the jets of the map itself: its differential D and second
+        # derivatives at each point p, whose image must carry the base
+        # point's fields
+        m = model.chart_dim
+        Y0, D, D2 = jets._unpack_blocks(model.centre(_chart_seeds(pts, 2), m), m, 2)
+        assert np.array_equal(Y0, np.zeros_like(pts))
+        at = model.fields_at(pts)
+        # the metric, and to first order around p: D^T G(0) D = G(p), and its derivatives
+        g, dg = _induced(D, D2, base.G0, base.G1)
+        close(g, at.G0)
+        close(dg, at.G1)
         close(np.einsum("bia,bac->bic", D, at.J0), np.einsum("bij,bja->bia", base.J0, D))
         return
-    close(np.einsum("bia,bac->bic", D, at.Phi0), np.einsum("bij,bja->bia", base.Phi0, D))
-    close(np.einsum("bia,ba->bi", D, at.Xi0), np.broadcast_to(base.Xi0, pts.shape))
-    close(np.einsum("bi,bia->ba", base.Eta0, D), at.Eta0)
+    # a Sasakian centre takes base jets and returns the lift of their move:
+    # random jets z in n variables over the chart points, their lift X at p
+    # and the centred lift Y at 0 must induce the same metric to first
+    # order, both lie in ker eta, and phi must be carried
+    z = rng.normal(size=(len(jets._packed_basis(n, 2)),) + pts[:, :-1].shape)
+    z[0] = pts[:, :-1]
+    X0, X1, X2 = jets._unpack_blocks(model.lift(z, jets._Ops(n, 2)), n, 2)
+    Y0, Y1, Y2 = jets._unpack_blocks(model.centre(z, n), n, 2)
+    assert np.array_equal(Y0, np.zeros_like(X0))
+    at = model.fields_at(X0)
+    for got, want in zip(_induced(Y1, Y2, base.G0, base.G1), _induced(X1, X2, at.G0, at.G1)):
+        close(got, want)
+    for eta, D in ((base.Eta0, Y1), (at.Eta0, X1)):
+        assert np.max(np.abs(np.einsum("bi,bia->ba", eta, D))) <= 1e-13 * np.max(np.abs(D))
+    two_form = "bia,bij,bjk,bkc->bac"
+    close(np.einsum(two_form, Y1, base.G0, base.Phi0, Y1),
+          np.einsum(two_form, X1, at.G0, at.Phi0, X1))
 
 
 def test_rank_phi_via_singular_values():
@@ -381,11 +405,12 @@ def _reference_fields(model, pts):
 
     Each tensor entry is a scalar jet, contracted in Python loops.  The
     sphere model's fields are pulled back from C^{n+1} through its chart
-    map, so they are differentiated to one order more, and the derivatives
-    of the inverse round metric are written out by hand.
+    map, and the flat model's from the Heisenberg chart, so they are
+    differentiated to one order more; the derivatives of the inverse round
+    metric are written out by hand.
     """
     n, m, B = model.n, model.chart_dim, len(pts)
-    order = 3 if model.kind == "Sasakian_S" else 2
+    order = 3 if model.kind in ("Sasakian_R", "Sasakian_S") else 2
     q = sj.seed(pts, order)
     x, y = q[:n], q[n : 2 * n]
     out = {}
@@ -398,8 +423,12 @@ def _reference_fields(model, pts):
         out["J1"] = np.zeros((B, m, m, m))
     elif model.kind in ("Sasakian_R", "Sasakian_B"):
         if model.kind == "Sasakian_R":
+            # the Heisenberg chart (x, y, z), with eta = (dz - sum_j y_j dx_j) / 2
+            # and g = (dx^2 + dy^2) / 4 + eta^2, pulled back through z = t + x . y / 2
             scale = 0.5
-            eta = [-0.5 * yi for yi in y] + [0.0] * n + [0.5]
+            z = q[2 * n] + 0.5 * _dot(x, y)
+            eta = [0.5 * (sj.derivative(z, s) - (sj.drop(y[s]) if s < n else 0.0))
+                   for s in range(m)]
             g = [[eta[i] * eta[j] + (0.25 if i == j < 2 * n else 0.0) for j in range(m)]
                  for i in range(m)]
         else:

@@ -16,7 +16,10 @@ n = 3 (resolution 12, the least that gives a ladder) and of a quintic
 Hamiltonian at n = 2, the n = 4 conformal blocks of ``contact_whitney_s``
 and ``contact_whitney_b``, ``contact_whitney_s`` at n = 2 strongly deformed
 (a = 0.5) and at a small theta (0.05, where the affine chart's |z| is near
-1/tanh(theta) = 20), and two ``whitneygeo verify`` calls (their output
+1/tanh(theta) = 20), ``contact_whitney_r`` at n = 2 with r = 1.3, a = 0.4
+and a non-zero B (its fiber's gauge on record), ``whitney_ch`` at n = 2 and
+theta = 0.01 and 0.005 (ladders that do not contract at the default
+resolution), and two ``whitneygeo verify`` calls (their output
 dropped): one read from a config file with tuple, ``tol_*`` and
 ``conformal`` settings, and a lift of the ``perturbed`` case with
 ``--seed 5``.
@@ -88,6 +91,10 @@ def _edges(cli, verify, immersions, seed: int) -> list:
         lambda: verify.run_case(make_spec("contact_whitney_s", 2, theta=0.35, a=0.5),
                                 resolution=24, seed=seed),
         lambda: verify.run_case(make_spec("contact_whitney_s", 2, theta=0.05), seed=seed),
+        lambda: verify.run_case(make_spec("contact_whitney_r", 2, r=1.3, a=0.4,
+                                          B=(0.2, -0.1, 0.3, 0.15, -0.25)), seed=seed),
+        lambda: verify.run_case(make_spec("whitney_ch", 2, theta=0.01), seed=seed),
+        lambda: verify.run_case(make_spec("whitney_ch", 2, theta=0.005), seed=seed),
         lambda: _cli(cli, ["verify"], config=_EDGES_CONFIG),
         lambda: _cli(cli, ["verify", "--case", "lifted", "--base", "perturbed", "--seed", "5",
                            "--resolution", "16"]),
